@@ -301,6 +301,46 @@ func BenchmarkScan(b *testing.B) {
 	}
 }
 
+// BenchmarkStencilSweep — one Jacobi sweep of a 2-D heat stencil on a
+// 1024² float64 grid per iteration, recorded and flushed through the
+// front end: a 5-instruction strided cluster over the interior windows
+// plus the BH_IDENTITY write-back, served from the plan cache after the
+// first flush. The loop nest's row-sliced execution is what this times
+// (the same batch as the benchmark/ stencil-sweep workload).
+func BenchmarkStencilSweep(b *testing.B) {
+	const n = 1024
+	ctx := bohrium.NewContext(nil)
+	defer ctx.Close()
+	values := make([]float64, n*n)
+	for i := range values {
+		values[i] = float64(i % 101)
+	}
+	grid, err := ctx.FromSlice(values, n, n)
+	if err != nil {
+		b.Fatal(err)
+	}
+	interior := func(r0, r1, c0, c1 int) *bohrium.Array {
+		return grid.MustSlice(0, r0, r1, 1).MustSlice(1, c0, c1, 1)
+	}
+	center, north, south := interior(1, n-1, 1, n-1), interior(0, n-2, 1, n-1), interior(2, n, 1, n-1)
+	west, east := interior(1, n-1, 0, n-2), interior(1, n-1, 2, n)
+	sweep := func() {
+		next := center.Plus(north)
+		next.Add(south).Add(west).Add(east).MulC(0.2)
+		center.Assign(next)
+		next.Free()
+		if err := ctx.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	sweep()                   // compile and cache the plan
+	b.SetBytes(2 * 8 * n * n) // compulsory traffic: the grid read and written once
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+}
+
 // BenchmarkE7DTypeFusion — the dtype-generalized fused engine with
 // reduction epilogues: Black-Scholes chains (float32/float64) and integer
 // hash-folds (int32/int64) ending in a full reduction, fused versus

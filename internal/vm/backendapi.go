@@ -41,26 +41,37 @@ func (pl *Plan) Rebind(vals []bytecode.Constant) (CachedPlan, error) {
 }
 
 // ExecOne executes the single instruction p.Instrs[idx] against m's
-// current register bindings, wrapping any failure exactly as Plan.Execute
-// wraps that instruction when it forms its own single-instruction cluster
-// (fusion on) or runs unfused (fusion off). The out-of-core backend
-// executes barrier instructions — reductions, scans, extensions,
-// generators with global element indices, system byte-codes — through
-// this, so a failing BH_SOLVE reports the identical error text on every
-// backend.
+// current register bindings, exactly as Plan.Execute runs that
+// instruction when it forms its own single-instruction cluster — an
+// elementwise sweep on a loop nest (compiled here, per call: there is no
+// plan to keep it), anything else through the interpreter — and with the
+// same error wrapping, fusion on or off. The out-of-core backend executes
+// barrier instructions — reductions, scans, extensions, generators with
+// global element indices, system byte-codes, strided or partial sweeps —
+// through this, so a failing BH_SOLVE reports the identical error text on
+// every backend.
 func (m *Machine) ExecOne(p *bytecode.Program, idx int) error {
 	if idx < 0 || idx >= len(p.Instrs) {
 		return fmt.Errorf("%w: instruction index %d out of range [0,%d)", ErrExec, idx, len(p.Instrs))
 	}
 	m.regs.grow(len(p.Regs))
-	err := m.exec(p, &p.Instrs[idx])
+	var ns *nest
+	if shape, _, kind := sweepAt(p, idx); kind != sweepNone {
+		ns = compileNest(p, idx, idx+1, shape)
+	}
+	var err error
+	if ns != nil {
+		err = m.runNest(p, ns)
+	} else {
+		err = m.interpret(p, idx, idx+1)
+	}
 	if err == nil {
 		return nil
 	}
 	if m.cfg.Fusion {
-		return fmt.Errorf("%w: cluster [%d,%d): %w", ErrExec, idx, idx+1, instrErr(p, idx, err))
+		return fmt.Errorf("%w: cluster [%d,%d): %w", ErrExec, idx, idx+1, err)
 	}
-	return fmt.Errorf("%w: instr %d (%s): %w", ErrExec, idx, p.Instrs[idx].String(), err)
+	return fmt.Errorf("%w: %w", ErrExec, err)
 }
 
 // Bound reports whether register r currently has a buffer (bound from

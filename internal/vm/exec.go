@@ -7,7 +7,11 @@ import (
 	"bohrium/internal/tensor"
 )
 
-// exec dispatches one instruction.
+// exec dispatches one instruction through the interpreter. Plans run
+// elementwise sweeps on compiled loop nests instead (nest.go); they come
+// here for everything else, and for the elementwise instructions a nest
+// declines: promoted mixed-dtype operands, results that address an
+// element twice, inputs that overlap the result through another window.
 func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction) error {
 	switch in.Op.Info().Kind {
 	case bytecode.KindSystem:
@@ -72,8 +76,10 @@ func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, 
 	return srcs, nil
 }
 
-// execElementwise runs unary/binary/identity instructions: one sweep over
-// the output view applying the scalar kernel.
+// execElementwise runs unary/binary/identity instructions: one serial
+// sweep over the output view applying the scalar kernel through the
+// buffers' accessors. It defines the semantics of every dtype combination
+// — the nest's typed kernels are pinned against it bit for bit.
 func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction) error {
 	outBuf, err := m.regs.ensure(p, in.Out.Reg)
 	if err != nil {
@@ -103,9 +109,6 @@ func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction)
 	m.stats.sweeps.Add(1)
 	m.stats.elements.Add(int64(outView.Size()))
 
-	if m.fastElementwise(in.Op, outBuf, outView, srcs) {
-		return nil
-	}
 	return m.slowElementwise(in.Op, outBuf, outView, srcs)
 }
 
@@ -126,8 +129,8 @@ func useIntClass(out tensor.Buffer, srcs []source) bool {
 	return true
 }
 
-// slowElementwise is the general strided path: per-element accessor loops
-// over lockstep iterators, any dtype combination.
+// slowElementwise is the accessor path: per-element Get/Set loops over
+// lockstep iterators, any dtype combination.
 func (m *Machine) slowElementwise(op bytecode.Opcode, out tensor.Buffer, outView tensor.View, srcs []source) error {
 	intClass := useIntClass(out, srcs)
 	switch len(srcs) {

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"sort"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
@@ -22,51 +23,52 @@ import (
 //     both (otherwise element i of one is element j≠i of the other, and
 //     per-element interleaving would reorder a cross-element dependence).
 //
-// Fully contiguous clusters run over raw slices (execCluster); strided
-// clusters — stencils, sliced views — run with multi-cursor odometer
-// iteration (execClusterStrided). A full or last-axis reduction that
-// consumes the cluster's output extends the cluster as an epilogue: the
-// producer chain folds into the reduction's accumulation loop
-// (execClusterReduce) and dead producer temporaries are never
-// materialized. System byte-codes, other reductions, extensions, and
-// RANDOM end a cluster.
+// Every cluster — and every single elementwise instruction, fusion on or
+// off — compiles to one loop nest (nest.go). A reduction that consumes the
+// cluster's output extends the cluster as an epilogue: the producer chain
+// folds into the reduction's accumulation loop (execClusterReduce) and
+// dead producer temporaries are never materialized. System byte-codes,
+// other reductions, extensions, and RANDOM end a cluster.
 
 // cluster is a run of instruction indices executable as one sweep.
 type cluster struct {
 	start, end int // [start, end) in p.Instrs
 	fused      bool
-	shape      tensor.Shape // shared iteration shape when fused
-	linear     bool         // every operand contiguous: raw-slice path
+	sweep      bool         // elementwise: compiles to a loop nest
+	shape      tensor.Shape // shared iteration shape of a sweep
+	linear     bool         // every operand contiguous
 	reduce     bool         // p.Instrs[end-1] is a reduction epilogue
 }
 
-// planClusters splits the program into sweeps.
+// planClusters splits the program into sweeps. With fusion off every
+// instruction is its own cluster.
 func (m *Machine) planClusters(p *bytecode.Program) []cluster {
 	var out []cluster
+	var acc accessTracker
 	i := 0
 	for i < len(p.Instrs) {
-		shape, linear, fusible := m.fusibleAt(p, i)
-		if !fusible {
-			out = append(out, cluster{start: i, end: i + 1})
+		shape, linear, kind := sweepAt(p, i)
+		if kind != sweepFusible || !m.cfg.Fusion {
+			out = append(out, cluster{start: i, end: i + 1, sweep: kind != sweepNone, shape: shape, linear: linear})
 			i++
 			continue
 		}
 		// Extend the cluster while the next instruction is fusible over
 		// the same iteration shape and no write view conflicts with any
 		// other access of the same register.
-		acc := newAccessTracker()
+		acc.reset()
 		acc.record(&p.Instrs[i])
 		j := i + 1
 		for j < len(p.Instrs) {
-			shape2, linear2, ok := m.fusibleAt(p, j)
-			if !ok || !shape2.Equal(shape) || !acc.compatible(&p.Instrs[j]) {
+			shape2, linear2, kind2 := sweepAt(p, j)
+			if kind2 != sweepFusible || !shape2.Equal(shape) || !acc.compatible(&p.Instrs[j]) {
 				break
 			}
 			linear = linear && linear2
 			acc.record(&p.Instrs[j])
 			j++
 		}
-		cl := cluster{start: i, end: j, fused: j-i > 1, shape: shape, linear: linear}
+		cl := cluster{start: i, end: j, fused: j-i > 1, sweep: true, shape: shape, linear: linear}
 		if j < len(p.Instrs) && reduceEpilogueAt(p, cl, j) {
 			cl.end = j + 1
 			cl.fused = true
@@ -79,46 +81,68 @@ func (m *Machine) planClusters(p *bytecode.Program) []cluster {
 	return out
 }
 
-// fusibleAt reports whether instruction i qualifies for fused execution,
-// returning its iteration shape and whether all operands are contiguous.
-func (m *Machine) fusibleAt(p *bytecode.Program, i int) (tensor.Shape, bool, bool) {
+// sweepKind classifies an instruction for nest execution.
+type sweepKind int
+
+const (
+	// sweepNone: not an elementwise sweep the nest can run (system,
+	// reduction, extension and generator byte-codes; promoted mixed-dtype
+	// operands; non-injective results; a misaligned self-overlap). The
+	// interpreter executes it.
+	sweepNone sweepKind = iota
+	// sweepCast: BH_IDENTITY between registers of different dtypes. It
+	// runs as a nest of its own but never shares a cluster.
+	sweepCast
+	// sweepFusible: every register operand shares the result's dtype.
+	sweepFusible
+)
+
+// sweepAt classifies instruction i, returning its iteration shape and
+// whether all operands are contiguous.
+func sweepAt(p *bytecode.Program, i int) (tensor.Shape, bool, sweepKind) {
 	in := &p.Instrs[i]
-	if !in.Op.Elementwise() || len(in.Inputs()) == 0 {
-		return nil, false, false
+	if !in.Op.Elementwise() || in.In1.Kind == bytecode.OperandNone {
+		return nil, false, sweepNone
 	}
 	if !in.Out.IsReg() || !viewInjective(in.Out.View) {
-		return nil, false, false
+		return nil, false, sweepNone
 	}
 	ri, ok := p.Reg(in.Out.Reg)
 	if !ok || !ri.DType.Valid() {
-		return nil, false, false
+		return nil, false, sweepNone
 	}
-	dt := ri.DType
+	kind := sweepFusible
 	shape := in.Out.View.Shape
 	linear := in.Out.View.Contiguous()
-	for _, opnd := range in.Inputs() {
+	for _, opnd := range [2]*bytecode.Operand{&in.In1, &in.In2} {
 		if !opnd.IsReg() {
 			continue
 		}
 		si, ok := p.Reg(opnd.Reg)
-		if !ok || si.DType != dt {
-			// Mixed-dtype steps (casts, promoted operands) keep the
-			// accessor path, which defines the conversion semantics.
-			return nil, false, false
+		if !ok || !si.DType.Valid() {
+			return nil, false, sweepNone
+		}
+		if si.DType != ri.DType {
+			// Promoted operands keep the accessor path, which defines the
+			// conversion semantics; only the plain cast has typed kernels.
+			if in.Op != bytecode.OpIdentity {
+				return nil, false, sweepNone
+			}
+			kind = sweepCast
 		}
 		if !opnd.View.Shape.BroadcastableTo(shape) {
-			return nil, false, false
+			return nil, false, sweepNone
 		}
 		if !opnd.View.Shape.Equal(shape) || !opnd.View.Contiguous() {
 			linear = false
 		}
-		// A misaligned self-overlap needs the snapshot the unfused path
-		// takes; keep such instructions out of fused sweeps.
+		// A misaligned self-overlap needs the snapshot the interpreter
+		// takes; keep such instructions out of nests.
 		if opnd.Reg == in.Out.Reg && !opnd.View.Equal(in.Out.View) && opnd.View.Overlaps(in.Out.View) {
-			return nil, false, false
+			return nil, false, sweepNone
 		}
 	}
-	return shape, linear, true
+	return shape, linear, kind
 }
 
 // reduceEpilogueAt reports whether the reduction at index j can fold the
@@ -172,56 +196,61 @@ func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
 	return in.Out.Reg != in.In1.Reg
 }
 
-// accessTracker records per-register read and write views inside a
-// cluster. Fused per-element execution preserves step order *within* an
-// element, so the only cross-element hazard is a register accessed through
+// accessTracker records the read and write views of every register
+// inside a cluster. A nest runs its steps in order over each row (or
+// block of a row), so the only cross-element hazard is a register accessed through
 // two views where the same buffer slot maps to different iteration
 // indices — i.e. a WRITE view overlapping any other non-equal view.
 // Overlapping reads (the stencil's north/south/east/west windows) are
 // always safe.
 type accessTracker struct {
-	reads  map[bytecode.RegID][]tensor.View
-	writes map[bytecode.RegID][]tensor.View
+	accs []regAccess
 }
 
-func newAccessTracker() *accessTracker {
-	return &accessTracker{
-		reads:  map[bytecode.RegID][]tensor.View{},
-		writes: map[bytecode.RegID][]tensor.View{},
-	}
+// regAccess is one distinct (register, view, direction) access; view
+// points into the program being planned.
+type regAccess struct {
+	reg   bytecode.RegID
+	view  *tensor.View
+	write bool
 }
+
+func (a *accessTracker) reset() { a.accs = a.accs[:0] }
 
 func (a *accessTracker) record(in *bytecode.Instruction) {
-	a.writes[in.Out.Reg] = append(a.writes[in.Out.Reg], in.Out.View)
-	for _, opnd := range in.Inputs() {
+	a.add(in.Out.Reg, &in.Out.View, true)
+	for _, opnd := range [2]*bytecode.Operand{&in.In1, &in.In2} {
 		if opnd.IsReg() {
-			a.reads[opnd.Reg] = append(a.reads[opnd.Reg], opnd.View)
+			a.add(opnd.Reg, &opnd.View, false)
 		}
 	}
+}
+
+func (a *accessTracker) add(reg bytecode.RegID, view *tensor.View, write bool) {
+	for i := range a.accs {
+		if ac := &a.accs[i]; ac.reg == reg && ac.write == write && ac.view.Equal(*view) {
+			return // an in-place chain repeats one access per step
+		}
+	}
+	a.accs = append(a.accs, regAccess{reg, view, write})
 }
 
 func (a *accessTracker) compatible(in *bytecode.Instruction) bool {
-	// The candidate's write must not alias any earlier access through a
-	// different window.
 	w := in.Out.View
-	for _, v := range a.reads[in.Out.Reg] {
-		if !w.Equal(v) && w.Overlaps(v) {
+	for i := range a.accs {
+		ac := &a.accs[i]
+		// The candidate's write must not alias any earlier access through
+		// a different window.
+		if ac.reg == in.Out.Reg && !w.Equal(*ac.view) && w.Overlaps(*ac.view) {
 			return false
 		}
-	}
-	for _, v := range a.writes[in.Out.Reg] {
-		if !w.Equal(v) && w.Overlaps(v) {
-			return false
-		}
-	}
-	// The candidate's reads must not alias any earlier write through a
-	// different window.
-	for _, opnd := range in.Inputs() {
-		if !opnd.IsReg() {
+		if !ac.write {
 			continue
 		}
-		for _, v := range a.writes[opnd.Reg] {
-			if !opnd.View.Equal(v) && opnd.View.Overlaps(v) {
+		// The candidate's reads must not alias any earlier write through a
+		// different window.
+		for _, opnd := range [2]*bytecode.Operand{&in.In1, &in.In2} {
+			if opnd.IsReg() && opnd.Reg == ac.reg && !opnd.View.Equal(*ac.view) && opnd.View.Overlaps(*ac.view) {
 				return false
 			}
 		}
@@ -242,37 +271,6 @@ func instrErr(p *bytecode.Program, i int, err error) error {
 	return fmt.Errorf("instr %d (%s): %w", i, p.Instrs[i].String(), err)
 }
 
-func (m *Machine) execCluster(p *bytecode.Program, cl cluster) error {
-	n := cl.shape.Size()
-	loops := make([]func(lo, hi int), 0, cl.end-cl.start)
-	for i := cl.start; i < cl.end; i++ {
-		loop, err := m.compileStep(p, &p.Instrs[i], n)
-		if err != nil {
-			return instrErr(p, i, err)
-		}
-		loops = append(loops, loop)
-	}
-
-	m.stats.instructions.Add(int64(len(loops)))
-	m.stats.fusedInstructions.Add(int64(len(loops)))
-	m.countFusedDTypes(p, cl.start, cl.end)
-	m.stats.sweeps.Add(1)
-	m.stats.elements.Add(int64(n * len(loops)))
-
-	m.par.parallelFor(n, m.cfg.ParallelThreshold, func(lo, hi int) {
-		for blockLo := lo; blockLo < hi; blockLo += fusedBlockSize {
-			blockHi := blockLo + fusedBlockSize
-			if blockHi > hi {
-				blockHi = hi
-			}
-			for _, loop := range loops {
-				loop(blockLo, blockHi)
-			}
-		}
-	})
-	return nil
-}
-
 // countFusedDTypes attributes the instructions in [start, end) to the
 // per-dtype fused counters by their output register's dtype.
 func (m *Machine) countFusedDTypes(p *bytecode.Program, start, end int) {
@@ -283,56 +281,36 @@ func (m *Machine) countFusedDTypes(p *bytecode.Program, start, end int) {
 	}
 }
 
-// compileStep compiles one cluster instruction into a raw-slice loop,
-// dispatching on the output register's storage dtype.
-func (m *Machine) compileStep(p *bytecode.Program, in *bytecode.Instruction, n int) (func(lo, hi int), error) {
-	outBuf, err := m.regs.ensure(p, in.Out.Reg)
-	if err != nil {
-		return nil, err
+// viewInjective conservatively reports whether a view addresses each
+// buffer element at most once — required for the result view of a
+// chunk-parallel sweep. The sufficient condition: sorting dims by
+// |stride|, each stride must exceed the maximum span of the dims below it.
+func viewInjective(v tensor.View) bool {
+	if v.Contiguous() {
+		return true
 	}
-	switch outBuf.DType() {
-	case tensor.Float64:
-		return compileStepTyped[float64](m, p, in, n, outBuf)
-	case tensor.Float32:
-		return compileStepTyped[float32](m, p, in, n, outBuf)
-	case tensor.Int64:
-		return compileStepTyped[int64](m, p, in, n, outBuf)
-	case tensor.Int32:
-		return compileStepTyped[int32](m, p, in, n, outBuf)
-	case tensor.Bool, tensor.Uint8:
-		return compileStepTyped[uint8](m, p, in, n, outBuf)
-	default:
-		return nil, fmt.Errorf("fused output %s has unsupported dtype %v", in.Out.Reg, outBuf.DType())
-	}
-}
-
-func compileStepTyped[T tensor.Elem](m *Machine, p *bytecode.Program, in *bytecode.Instruction, n int, outBuf tensor.Buffer) (func(lo, hi int), error) {
-	raw, ok := tensor.RawSlice[T](outBuf)
-	if !ok {
-		return nil, fmt.Errorf("fused output %s is not %v", in.Out.Reg, outBuf.DType())
-	}
-	dst := raw[in.Out.View.Offset : in.Out.View.Offset+n]
-
-	srcs := make([]rawSrc[T], 0, 2)
-	for _, opnd := range in.Inputs() {
-		if opnd.IsConst() {
-			srcs = append(srcs, rawSrc[T]{cf: opnd.Const.Float(), ci: opnd.Const.Int()})
-			continue
+	type ds struct{ stride, extent int }
+	dims := make([]ds, 0, v.NDim())
+	for d := 0; d < v.NDim(); d++ {
+		if v.Shape[d] == 1 {
+			continue // singleton dims address one point regardless of stride
 		}
-		buf, err := m.regs.ensure(p, opnd.Reg)
-		if err != nil {
-			return nil, err
+		s := v.Strides[d]
+		if s < 0 {
+			s = -s
 		}
-		sraw, ok := tensor.RawSlice[T](buf)
-		if !ok {
-			return nil, fmt.Errorf("fused input %s is not %v", opnd.Reg, outBuf.DType())
+		if s == 0 {
+			return false // repeated writes to the same element
 		}
-		srcs = append(srcs, rawSrc[T]{arr: sraw[opnd.View.Offset : opnd.View.Offset+n]})
+		dims = append(dims, ds{stride: s, extent: v.Shape[d]})
 	}
-
-	loop, ok := compileLoop(outBuf.DType(), in.Op, dst, srcs)
-	if !ok {
-		return nil, fmt.Errorf("no compiled loop for %s", in.Op)
+	sort.Slice(dims, func(i, j int) bool { return dims[i].stride < dims[j].stride })
+	span := 0
+	for _, d := range dims {
+		if d.stride <= span {
+			return false
+		}
+		span += (d.extent - 1) * d.stride
 	}
-	return loop, nil
+	return true
 }

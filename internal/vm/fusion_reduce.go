@@ -45,6 +45,7 @@ type epiStepDesc struct {
 	outSlot int
 	matDst  bool // write through to memory (register live after epilogue)
 	srcs    []epiSrcDesc
+	kern    linKernel // run kernel for the blockwise linear engine
 }
 
 // epiPlan is the static (buffer-independent) compilation of an epilogue
@@ -194,6 +195,13 @@ func analyzeEpilogue(p *bytecode.Program, cl cluster) (*epiPlan, bool) {
 			}
 			sd.srcs = append(sd.srcs, d)
 		}
+		if cl.linear {
+			ks := make([]ksrc, len(sd.srcs))
+			for i, d := range sd.srcs {
+				ks[i] = ksrc{isConst: d.isConst, cf: d.cf, ci: d.ci}
+			}
+			sd.kern = newLinKernel(sd.dtype, in.Op, ks)
+		}
 		plan.steps = append(plan.steps, sd)
 	}
 	for i := range plan.steps {
@@ -207,6 +215,34 @@ func analyzeEpilogue(p *bytecode.Program, cl cluster) (*epiPlan, bool) {
 	plan.pFloat = pInfo.DType.IsFloat()
 	plan.intRed = !outInfo.DType.IsFloat() && !pInfo.DType.IsFloat()
 	return plan, true
+}
+
+// cursor tracks one operand's buffer position along the line dimensions.
+// It carries positions only; typed array access lives in the step
+// closures.
+type cursor struct {
+	// offset is the start index for element 0 of the iteration space.
+	offset int
+	// strides are per-dimension element strides in the shared shape.
+	strides []int
+	idx     int
+}
+
+func newCursor(v tensor.View) *cursor {
+	return &cursor{offset: v.Offset, strides: append([]int(nil), v.Strides...)}
+}
+
+// seek positions the cursor at linear element i of the iteration shape.
+func (c *cursor) seek(shape []int, i int) {
+	idx := c.offset
+	for d := len(shape) - 1; d >= 0; d-- {
+		if shape[d] == 0 {
+			continue
+		}
+		idx += (i % shape[d]) * c.strides[d]
+		i /= shape[d]
+	}
+	c.idx = idx
 }
 
 // epiMem tracks one memory operand's position: a cursor over the line
@@ -496,32 +532,23 @@ func buildEpiStep[T tensor.Elem](m *Machine, p *bytecode.Program, plan *epiPlan,
 // reduction epilogue, falling back to the two-sweep path when the
 // epilogue analysis failed at compile time (epi nil) or buffer aliasing
 // makes folding unsafe.
-func (m *Machine) execClusterReduce(p *bytecode.Program, cl cluster, epi *epiPlan) error {
+func (m *Machine) execClusterReduce(p *bytecode.Program, cl cluster, epi *epiPlan, producers *nest) error {
 	ok, err := m.tryReduceEpilogue(p, cl, epi)
 	if err != nil || ok {
 		return err
 	}
-	// Fallback: run the producers as a plain cluster, then the reduction
+	// Fallback: run the producers as a plain sweep, then the reduction
 	// through the interpreter.
-	prod := cluster{start: cl.start, end: cl.end - 1, fused: cl.end-1-cl.start > 1, shape: cl.shape, linear: cl.linear}
-	switch {
-	case !prod.fused:
-		if err := m.exec(p, &p.Instrs[prod.start]); err != nil {
-			return instrErr(p, prod.start, err)
-		}
-	case prod.linear:
-		if err := m.execCluster(p, prod); err != nil {
-			return err
-		}
-	default:
-		if err := m.execClusterStrided(p, prod, prod.shape); err != nil {
-			return err
-		}
+	if producers == nil { // planned as a fold: not compiled ahead of time
+		producers = compileNest(p, cl.start, cl.end-1, cl.shape)
 	}
-	if err := m.exec(p, &p.Instrs[cl.end-1]); err != nil {
-		return instrErr(p, cl.end-1, err)
+	if producers == nil {
+		return m.interpret(p, cl.start, cl.end)
 	}
-	return nil
+	if err := m.runNest(p, producers); err != nil {
+		return err
+	}
+	return m.interpret(p, cl.end-1, cl.end)
 }
 
 // countEpilogueStats attributes one folded sweep to the counters: every

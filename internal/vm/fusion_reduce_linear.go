@@ -8,8 +8,8 @@ import (
 )
 
 // Blockwise linear epilogue: when every operand of the producer cluster
-// is contiguous over the shared shape, the folded sweep keeps the
-// compiled raw-slice loops of execCluster instead of interpreting steps
+// is contiguous over the shared shape, the folded sweep runs the same
+// plan-time run kernels as the loop nest instead of interpreting steps
 // per element. Each worker owns one scratch buffer of fusedBlockSize
 // elements per virtual register; producer loops run block by block into
 // scratch (or through to real memory for live registers), and the
@@ -34,7 +34,8 @@ type linStep struct {
 	index   int // instruction index, for error reports
 	dtype   tensor.DType
 	op      bytecode.Opcode
-	dstSlot int // >= 0: scratch destination
+	kern    linKernel // compiled at plan time; nil: the op has no kernel
+	dstSlot int       // >= 0: scratch destination
 	dstBuf  tensor.Buffer
 	dstOff  int
 	srcs    []linSrc
@@ -49,7 +50,7 @@ func (m *Machine) resolveLinSteps(p *bytecode.Program, plan *epiPlan) ([]linStep
 	steps := make([]linStep, 0, len(plan.steps))
 	for i := range plan.steps {
 		sd := &plan.steps[i]
-		st := linStep{index: sd.index, dtype: sd.dtype, op: sd.in.Op, dstSlot: -1}
+		st := linStep{index: sd.index, dtype: sd.dtype, op: sd.in.Op, kern: sd.kern, dstSlot: -1}
 		if sd.matDst {
 			buf, err := m.regs.ensure(p, sd.in.Out.Reg)
 			if err != nil {
@@ -111,77 +112,86 @@ func newLinScratch(plan *epiPlan) []tensor.Buffer {
 	return scratch
 }
 
-// compileLinBlock compiles one step for the flat element block [gLo, gHi),
-// dispatching on the step's storage dtype. The returned loop runs over
-// [0, gHi-gLo).
-func compileLinBlock(st *linStep, scratch []tensor.Buffer, gLo, gHi int) (func(lo, hi int), error) {
-	switch st.dtype {
-	case tensor.Float64:
-		return compileLinBlockTyped[float64](st, scratch, gLo, gHi)
-	case tensor.Float32:
-		return compileLinBlockTyped[float32](st, scratch, gLo, gHi)
-	case tensor.Int64:
-		return compileLinBlockTyped[int64](st, scratch, gLo, gHi)
-	case tensor.Int32:
-		return compileLinBlockTyped[int32](st, scratch, gLo, gHi)
-	case tensor.Bool, tensor.Uint8:
-		return compileLinBlockTyped[uint8](st, scratch, gLo, gHi)
-	default:
-		return nil, fmt.Errorf("unsupported dtype %v", st.dtype)
-	}
+// linKernel is one producer step's run kernel, type-erased: run applies
+// it to the flat element block [gLo, gHi), resolving the step's scratch
+// slots and buffer windows to typed slices. It fails only when a buffer's
+// storage type is not the step's, which a run over the empty block
+// detects before any goroutine starts.
+type linKernel interface {
+	run(st *linStep, scratch []tensor.Buffer, gLo, gHi int) error
 }
 
-func compileLinBlockTyped[T tensor.Elem](st *linStep, scratch []tensor.Buffer, gLo, gHi int) (func(lo, hi int), error) {
+// newLinKernel compiles a producer step's kernel, or returns nil when the
+// op has none.
+func newLinKernel(dt tensor.DType, op bytecode.Opcode, srcs []ksrc) linKernel {
+	switch dt {
+	case tensor.Float64:
+		return linKernelOf[float64](dt, op, srcs)
+	case tensor.Float32:
+		return linKernelOf[float32](dt, op, srcs)
+	case tensor.Int64:
+		return linKernelOf[int64](dt, op, srcs)
+	case tensor.Int32:
+		return linKernelOf[int32](dt, op, srcs)
+	case tensor.Bool, tensor.Uint8:
+		return linKernelOf[uint8](dt, op, srcs)
+	}
+	return nil
+}
+
+func linKernelOf[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, srcs []ksrc) linKernel {
+	k, ok := compileLoop[T](dt, op, srcs)
+	if !ok {
+		return nil
+	}
+	return typedLinKernel[T](k)
+}
+
+type typedLinKernel[T tensor.Elem] kernel[T, T]
+
+func (k typedLinKernel[T]) run(st *linStep, scratch []tensor.Buffer, gLo, gHi int) error {
 	n := gHi - gLo
 	var dst []T
 	if st.dstSlot >= 0 {
 		raw, ok := tensor.RawSlice[T](scratch[st.dstSlot])
 		if !ok {
-			return nil, fmt.Errorf("scratch slot %d is not %v", st.dstSlot, st.dtype)
+			return fmt.Errorf("scratch slot %d is not %v", st.dstSlot, st.dtype)
 		}
 		dst = raw[:n]
 	} else {
 		raw, ok := tensor.RawSlice[T](st.dstBuf)
 		if !ok {
-			return nil, fmt.Errorf("fused output is not %v", st.dtype)
+			return fmt.Errorf("fused output is not %v", st.dtype)
 		}
 		dst = raw[st.dstOff+gLo : st.dstOff+gHi]
 	}
-	srcs := make([]rawSrc[T], 0, 2)
-	for _, s := range st.srcs {
+	var in [2][]T
+	for i, s := range st.srcs {
 		switch {
 		case s.isConst:
-			srcs = append(srcs, rawSrc[T]{cf: s.cf, ci: s.ci})
 		case s.slot >= 0:
 			raw, ok := tensor.RawSlice[T](scratch[s.slot])
 			if !ok {
-				return nil, fmt.Errorf("scratch slot %d is not %v", s.slot, st.dtype)
+				return fmt.Errorf("scratch slot %d is not %v", s.slot, st.dtype)
 			}
-			srcs = append(srcs, rawSrc[T]{arr: raw[:n]})
+			in[i] = raw[:n]
 		default:
 			raw, ok := tensor.RawSlice[T](s.buf)
 			if !ok {
-				return nil, fmt.Errorf("fused input is not %v", st.dtype)
+				return fmt.Errorf("fused input is not %v", st.dtype)
 			}
-			srcs = append(srcs, rawSrc[T]{arr: raw[s.off+gLo : s.off+gHi]})
+			in[i] = raw[s.off+gLo : s.off+gHi]
 		}
 	}
-	loop, ok := compileLoop(st.dtype, st.op, dst, srcs)
-	if !ok {
-		return nil, fmt.Errorf("no compiled loop for %s", st.op)
-	}
-	return loop, nil
+	k(dst, in[0], in[1])
+	return nil
 }
 
 // runLinBlock executes every producer step over the flat block [gLo, gHi).
-// Compilation errors were ruled out by the up-front validation pass.
+// Type errors were ruled out by the up-front validation pass.
 func runLinBlock(steps []linStep, scratch []tensor.Buffer, gLo, gHi int) {
 	for i := range steps {
-		loop, err := compileLinBlock(&steps[i], scratch, gLo, gHi)
-		if err != nil {
-			return
-		}
-		loop(0, gHi-gLo)
+		_ = steps[i].kern.run(&steps[i], scratch, gLo, gHi)
 	}
 }
 
@@ -253,15 +263,16 @@ func (m *Machine) tryLinearEpilogue(p *bytecode.Program, plan *epiPlan, outBuf t
 			return false, nil
 		}
 	}
-	// Validate every step compiles before any goroutine runs.
+	// Validate every step has a kernel for its buffers' storage types
+	// before any goroutine runs.
 	scratch0 := newLinScratch(plan)
-	probe := plan.axLen
-	if probe > fusedBlockSize {
-		probe = fusedBlockSize
-	}
 	for i := range steps {
-		if _, err := compileLinBlock(&steps[i], scratch0, 0, probe); err != nil {
-			return false, instrErr(p, steps[i].index, err)
+		st := &steps[i]
+		if st.kern == nil {
+			return false, instrErr(p, st.index, fmt.Errorf("no compiled loop for %s", st.op))
+		}
+		if err := st.kern.run(st, scratch0, 0, 0); err != nil {
+			return false, instrErr(p, st.index, err)
 		}
 	}
 

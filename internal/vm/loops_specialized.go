@@ -5,12 +5,11 @@ import (
 	"bohrium/internal/tensor"
 )
 
-// Specialized inner loops for the hottest (op, dtype) pairs: word-wide
-// native arithmetic instead of the generic widen-to-class-and-round-back
-// bodies of loops.go. They slot in underneath the existing dispatch —
-// compileFloatBinaryLoop/compileIntBinaryLoop try these first — so fused
-// clusters, the single-sweep fast path, and the linear reduction epilogue
-// all pick them up with no planning changes.
+// Specialized run kernels for the hottest (op, dtype) pairs: word-wide
+// native arithmetic instead of the generic widen-to-class, call the
+// scalar kernel, round-back bodies of loops.go. compileLoop tries these first, so every sweep —
+// fused or singleton, and the linear reduction epilogue — picks them up
+// with no planning changes.
 //
 // Every specialization here is bit-for-bit identical to the generic body
 // it replaces, by construction rather than by tolerance:
@@ -22,287 +21,116 @@ import (
 //   - float32 ⊗ const: the same theorem applies only when the float64
 //     constant is exactly a float32, so the form is gated on
 //     float64(float32(c)) == c and declines otherwise.
-//   - int32/int64 +,-,*: two's-complement wrap is a ring homomorphism
-//     under truncation, so narrowing the int64-class result equals native
-//     narrow arithmetic for any operands and any constant.
-//   - float64 +,-,* unrolled by four: identical arithmetic, fewer loop
-//     branches for the memory-bound sweeps the roofline table measures.
+//   - uint8/int32/int64 +,-,*: two's-complement wrap is a ring
+//     homomorphism under truncation, so narrowing the int64-class result
+//     equals native narrow arithmetic for any operands and any constant —
+//     no representability gate: truncating the constant first commutes
+//     with truncating the result.
+//   - float64 +,-,*,/: float64 is the computation class itself, so the
+//     native form is the generic body minus the indirect kernel call.
 //
 // The per-kernel differential suite in loops_specialized_test.go pins
 // each of these equalities against the generic bodies.
-func specializedFloatBinary[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSrc[T]) (func(lo, hi int), bool) {
-	switch d := any(dst).(type) {
-	case []float32:
-		x, _ := any(a.arr).([]float32)
-		y, _ := any(b.arr).([]float32)
-		return specFloat32Binary(op, d, x, y, b.cf, b.arr == nil)
-	case []float64:
-		x, _ := any(a.arr).([]float64)
-		y, _ := any(b.arr).([]float64)
-		return specFloat64Binary(op, d, x, y, b.cf, b.arr == nil)
-	}
-	return nil, false
-}
-
-// specFloat32Binary compiles the float32 forms. bConst reports a constant
-// right operand (value bcf); constant forms decline unless bcf is exactly
-// representable, keeping the double-rounding equivalence intact.
-func specFloat32Binary(op bytecode.Opcode, dst, x, y []float32, bcf float64, bConst bool) (func(lo, hi int), bool) {
-	if x == nil {
+func specializedBinary[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, a, b ksrc) (kernel[T, T], bool) {
+	if a.isConst {
 		return nil, false
 	}
-	c := float32(bcf)
-	constExact := bConst && float64(c) == bcf
+	var k any
+	ok := false
+	switch dt {
+	case tensor.Float32:
+		c := float32(b.cf)
+		if !b.isConst || float64(c) == b.cf {
+			k, ok = nativeBinary(op, b.isConst, c)
+		}
+	case tensor.Float64:
+		k, ok = nativeBinary(op, b.isConst, b.cf)
+	case tensor.Int64:
+		k, ok = nativeIntBinary(op, b.isConst, b.ci)
+	case tensor.Int32:
+		k, ok = nativeIntBinary(op, b.isConst, int32(b.ci))
+	case tensor.Uint8:
+		k, ok = nativeIntBinary(op, b.isConst, uint8(b.ci))
+	}
+	if !ok {
+		return nil, false
+	}
+	kt, ok := k.(kernel[T, T])
+	return kt, ok
+}
+
+// nativeIntBinary restricts nativeBinary to the wrap-exact integer ops.
+func nativeIntBinary[T uint8 | int32 | int64](op bytecode.Opcode, bConst bool, c T) (kernel[T, T], bool) {
+	if op == bytecode.OpDivide {
+		return nil, false // integer division by zero yields 0, not a trap
+	}
+	return nativeBinary(op, bConst, c)
+}
+
+// nativeBinary compiles x ⊗ y (or x ⊗ c when bConst) in T's own
+// arithmetic.
+func nativeBinary[T uint8 | int32 | int64 | float32 | float64](op bytecode.Opcode, bConst bool, c T) (kernel[T, T], bool) {
 	switch op {
 	case bytecode.OpAdd:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		if bConst {
+			return func(d, x, _ []T) {
+				x = x[:len(d)]
 				for i := range d {
-					d[i] = xs[i] + ys[i]
+					d[i] = x[i] + c
 				}
 			}, true
 		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = xs[i] + c
-				}
-			}, true
-		}
+		return func(d, x, y []T) {
+			x, y = x[:len(d)], y[:len(d)]
+			for i := range d {
+				d[i] = x[i] + y[i]
+			}
+		}, true
 	case bytecode.OpSubtract:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		if bConst {
+			return func(d, x, _ []T) {
+				x = x[:len(d)]
 				for i := range d {
-					d[i] = xs[i] - ys[i]
+					d[i] = x[i] - c
 				}
 			}, true
 		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = xs[i] - c
-				}
-			}, true
-		}
+		return func(d, x, y []T) {
+			x, y = x[:len(d)], y[:len(d)]
+			for i := range d {
+				d[i] = x[i] - y[i]
+			}
+		}, true
 	case bytecode.OpMultiply:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		if bConst {
+			return func(d, x, _ []T) {
+				x = x[:len(d)]
 				for i := range d {
-					d[i] = xs[i] * ys[i]
+					d[i] = x[i] * c
 				}
 			}, true
 		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = xs[i] * c
-				}
-			}, true
-		}
+		return func(d, x, y []T) {
+			x, y = x[:len(d)], y[:len(d)]
+			for i := range d {
+				d[i] = x[i] * y[i]
+			}
+		}, true
 	case bytecode.OpDivide:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
+		if bConst {
+			return func(d, x, _ []T) {
+				x = x[:len(d)]
 				for i := range d {
-					d[i] = xs[i] / ys[i]
+					d[i] = x[i] / c
 				}
 			}, true
 		}
-		if constExact {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = xs[i] / c
-				}
-			}, true
-		}
-	}
-	return nil, false
-}
-
-// specFloat64Binary compiles the unrolled float64 forms. float64 is the
-// computation class itself, so no rounding argument is needed — the
-// unroll reorders nothing, it only amortizes loop overhead.
-func specFloat64Binary(op bytecode.Opcode, dst, x, y []float64, bcf float64, bConst bool) (func(lo, hi int), bool) {
-	if x == nil {
-		return nil, false
-	}
-	var kArr func(d, xs, ys []float64)
-	var kConst func(d, xs []float64, c float64)
-	switch op {
-	case bytecode.OpAdd:
-		kArr = func(d, xs, ys []float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] + ys[i]
-				d[i+1] = xs[i+1] + ys[i+1]
-				d[i+2] = xs[i+2] + ys[i+2]
-				d[i+3] = xs[i+3] + ys[i+3]
+		return func(d, x, y []T) {
+			x, y = x[:len(d)], y[:len(d)]
+			for i := range d {
+				d[i] = x[i] / y[i]
 			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] + ys[i]
-			}
-		}
-		kConst = func(d, xs []float64, c float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] + c
-				d[i+1] = xs[i+1] + c
-				d[i+2] = xs[i+2] + c
-				d[i+3] = xs[i+3] + c
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] + c
-			}
-		}
-	case bytecode.OpSubtract:
-		kArr = func(d, xs, ys []float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] - ys[i]
-				d[i+1] = xs[i+1] - ys[i+1]
-				d[i+2] = xs[i+2] - ys[i+2]
-				d[i+3] = xs[i+3] - ys[i+3]
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] - ys[i]
-			}
-		}
-		kConst = func(d, xs []float64, c float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] - c
-				d[i+1] = xs[i+1] - c
-				d[i+2] = xs[i+2] - c
-				d[i+3] = xs[i+3] - c
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] - c
-			}
-		}
-	case bytecode.OpMultiply:
-		kArr = func(d, xs, ys []float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] * ys[i]
-				d[i+1] = xs[i+1] * ys[i+1]
-				d[i+2] = xs[i+2] * ys[i+2]
-				d[i+3] = xs[i+3] * ys[i+3]
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] * ys[i]
-			}
-		}
-		kConst = func(d, xs []float64, c float64) {
-			i := 0
-			for ; i+4 <= len(d); i += 4 {
-				d[i] = xs[i] * c
-				d[i+1] = xs[i+1] * c
-				d[i+2] = xs[i+2] * c
-				d[i+3] = xs[i+3] * c
-			}
-			for ; i < len(d); i++ {
-				d[i] = xs[i] * c
-			}
-		}
-	default:
-		return nil, false
-	}
-	if !bConst && y != nil {
-		return func(lo, hi int) {
-			kArr(dst[lo:hi], x[lo:hi], y[lo:hi])
 		}, true
-	}
-	if bConst {
-		c := bcf
-		return func(lo, hi int) {
-			kConst(dst[lo:hi], x[lo:hi], c)
-		}, true
-	}
-	return nil, false
-}
-
-// specializedIntBinary dispatches the native int32/int64 forms.
-func specializedIntBinary[T tensor.Elem](op bytecode.Opcode, dst []T, a, b rawSrc[T]) (func(lo, hi int), bool) {
-	switch d := any(dst).(type) {
-	case []int64:
-		x, _ := any(a.arr).([]int64)
-		y, _ := any(b.arr).([]int64)
-		return specIntBinary(op, d, x, y, b.ci, b.arr == nil)
-	case []int32:
-		x, _ := any(a.arr).([]int32)
-		y, _ := any(b.arr).([]int32)
-		return specIntBinary(op, d, x, y, b.ci, b.arr == nil)
-	}
-	return nil, false
-}
-
-// specIntBinary compiles native-width +,-,* — wrap-exact at any width, so
-// constants need no representability gate: truncating the constant first
-// commutes with truncating the int64-class result.
-func specIntBinary[T int32 | int64](op bytecode.Opcode, dst, x, y []T, bci int64, bConst bool) (func(lo, hi int), bool) {
-	if x == nil {
-		return nil, false
-	}
-	c := T(bci)
-	switch op {
-	case bytecode.OpAdd:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] + ys[i]
-				}
-			}, true
-		}
-		if bConst {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = xs[i] + c
-				}
-			}, true
-		}
-	case bytecode.OpSubtract:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] - ys[i]
-				}
-			}, true
-		}
-		if bConst {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = xs[i] - c
-				}
-			}, true
-		}
-	case bytecode.OpMultiply:
-		if !bConst && y != nil {
-			return func(lo, hi int) {
-				d, xs, ys := dst[lo:hi], x[lo:hi], y[lo:hi]
-				for i := range d {
-					d[i] = xs[i] * ys[i]
-				}
-			}, true
-		}
-		if bConst {
-			return func(lo, hi int) {
-				d, xs := dst[lo:hi], x[lo:hi]
-				for i := range d {
-					d[i] = xs[i] * c
-				}
-			}, true
-		}
 	}
 	return nil, false
 }

@@ -5,7 +5,10 @@ import (
 	"testing"
 
 	"bohrium/internal/bytecode"
+	"bohrium/internal/tensor"
 )
+
+var arrSrc = ksrc{}
 
 // The specialized kernels claim bit-for-bit equality with the generic
 // class-widened bodies they shadow. These suites check every claim
@@ -47,11 +50,11 @@ func TestSpecFloat32ArrArrBitExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]float32, len(xs))
-		loop, ok := specializedFloatBinary(tc.op, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{arr: ys})
+		k, ok := specializedBinary[float32](tensor.Float32, tc.op, arrSrc, arrSrc)
 		if !ok {
 			t.Fatalf("%s: specialized float32 arr-arr kernel missing", tc.op)
 		}
-		loop(0, len(xs))
+		k(dst, xs, ys)
 		for i := range xs {
 			want := float32(tc.k(float64(xs[i]), float64(ys[i])))
 			if math.Float32bits(dst[i]) != math.Float32bits(want) && !(math.IsNaN(float64(dst[i])) && math.IsNaN(float64(want))) {
@@ -68,11 +71,11 @@ func TestSpecFloat32ConstGate(t *testing.T) {
 	// Exactly representable constant: the kernel compiles and matches the
 	// double-rounding reference bitwise.
 	exact := 1.5
-	loop, ok := specializedFloatBinary(bytecode.OpMultiply, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{cf: exact})
+	k, ok := specializedBinary[float32](tensor.Float32, bytecode.OpMultiply, arrSrc, ksrc{isConst: true, cf: exact})
 	if !ok {
 		t.Fatal("exact float32 constant declined")
 	}
-	loop(0, len(xs))
+	k(dst, xs, nil)
 	for i := range xs {
 		want := float32(float64(xs[i]) * exact)
 		if math.Float32bits(dst[i]) != math.Float32bits(want) && !(math.IsNaN(float64(dst[i])) && math.IsNaN(float64(want))) {
@@ -81,18 +84,18 @@ func TestSpecFloat32ConstGate(t *testing.T) {
 	}
 	// 0.1 is not a float32: the specialization must decline so the generic
 	// double-rounding body keeps the interpreted semantics.
-	if _, ok := specializedFloatBinary(bytecode.OpAdd, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{cf: 0.1}); ok {
+	if _, ok := specializedBinary[float32](tensor.Float32, bytecode.OpAdd, arrSrc, ksrc{isConst: true, cf: 0.1}); ok {
 		t.Error("inexact float32 constant was not declined")
 	}
 	// Neither is NaN (the gate's c==c comparison fails), which is the
 	// conservative choice.
-	if _, ok := specializedFloatBinary(bytecode.OpAdd, dst, rawSrc[float32]{arr: xs}, rawSrc[float32]{cf: math.NaN()}); ok {
+	if _, ok := specializedBinary[float32](tensor.Float32, bytecode.OpAdd, arrSrc, ksrc{isConst: true, cf: math.NaN()}); ok {
 		t.Error("NaN constant was not declined")
 	}
 }
 
-func TestSpecFloat64UnrolledBitExact(t *testing.T) {
-	xs := make([]float64, 1003) // deliberately not a multiple of the unroll
+func TestSpecFloat64BitExact(t *testing.T) {
+	xs := make([]float64, 1003)
 	for i := range xs {
 		xs[i] = math.Ldexp(float64(i*2654435761%4999)-2500, i%40-20)
 	}
@@ -113,13 +116,11 @@ func TestSpecFloat64UnrolledBitExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]float64, len(xs))
-		loop, ok := specializedFloatBinary(tc.op, dst, rawSrc[float64]{arr: xs}, rawSrc[float64]{arr: ys})
+		k, ok := specializedBinary[float64](tensor.Float64, tc.op, arrSrc, arrSrc)
 		if !ok {
-			t.Fatalf("%s: unrolled float64 kernel missing", tc.op)
+			t.Fatalf("%s: native float64 kernel missing", tc.op)
 		}
-		// Odd sub-ranges exercise both the unrolled body and the tail.
-		loop(0, 7)
-		loop(7, len(xs))
+		k(dst, xs, ys)
 		for i := range xs {
 			want := tc.k(xs[i], ys[i])
 			if math.Float64bits(dst[i]) != math.Float64bits(want) && !(math.IsNaN(dst[i]) && math.IsNaN(want)) {
@@ -129,11 +130,11 @@ func TestSpecFloat64UnrolledBitExact(t *testing.T) {
 		// Constant form too.
 		c := 1.0 / 3.0
 		dstC := make([]float64, len(xs))
-		loopC, ok := specializedFloatBinary(tc.op, dstC, rawSrc[float64]{arr: xs}, rawSrc[float64]{cf: c})
+		kC, ok := specializedBinary[float64](tensor.Float64, tc.op, arrSrc, ksrc{isConst: true, cf: c})
 		if !ok {
-			t.Fatalf("%s: unrolled float64 const kernel missing", tc.op)
+			t.Fatalf("%s: native float64 const kernel missing", tc.op)
 		}
-		loopC(0, len(xs))
+		kC(dstC, xs, nil)
 		for i := range xs {
 			want := tc.k(xs[i], c)
 			if math.Float64bits(dstC[i]) != math.Float64bits(want) && !(math.IsNaN(dstC[i]) && math.IsNaN(want)) {
@@ -156,11 +157,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]int32, len(xs32))
-		loop, ok := specializedIntBinary(tc.op, dst, rawSrc[int32]{arr: xs32}, rawSrc[int32]{arr: ys32})
+		k, ok := specializedBinary[int32](tensor.Int32, tc.op, arrSrc, arrSrc)
 		if !ok {
 			t.Fatalf("%s: specialized int32 kernel missing", tc.op)
 		}
-		loop(0, len(xs32))
+		k(dst, xs32, ys32)
 		for i := range xs32 {
 			// Reference: the generic body's widen-compute-truncate.
 			want := int32(tc.k(int64(xs32[i]), int64(ys32[i])))
@@ -172,11 +173,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 		// truncate-first evaluation must still match truncate-last.
 		bigC := int64(math.MaxInt32) + 12345
 		dstC := make([]int32, len(xs32))
-		loopC, ok := specializedIntBinary(tc.op, dstC, rawSrc[int32]{arr: xs32}, rawSrc[int32]{ci: bigC})
+		kC, ok := specializedBinary[int32](tensor.Int32, tc.op, arrSrc, ksrc{isConst: true, ci: bigC})
 		if !ok {
 			t.Fatalf("%s: specialized int32 const kernel missing", tc.op)
 		}
-		loopC(0, len(xs32))
+		kC(dstC, xs32, nil)
 		for i := range xs32 {
 			want := int32(tc.k(int64(xs32[i]), bigC))
 			if dstC[i] != want {
@@ -187,14 +188,37 @@ func TestSpecIntWrapExact(t *testing.T) {
 		xs64 := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1 << 62, -(1 << 62), 2654435761}
 		ys64 := []int64{1, -1, math.MaxInt64, 3, math.MinInt64, 7, -13, 40503}
 		dst64 := make([]int64, len(xs64))
-		loop64, ok := specializedIntBinary(tc.op, dst64, rawSrc[int64]{arr: xs64}, rawSrc[int64]{arr: ys64})
+		k64, ok := specializedBinary[int64](tensor.Int64, tc.op, arrSrc, arrSrc)
 		if !ok {
 			t.Fatalf("%s: specialized int64 kernel missing", tc.op)
 		}
-		loop64(0, len(xs64))
+		k64(dst64, xs64, ys64)
 		for i := range xs64 {
 			if want := tc.k(xs64[i], ys64[i]); dst64[i] != want {
 				t.Fatalf("%s int64[%d]: spec %d, reference %d", tc.op, i, dst64[i], want)
+			}
+		}
+		// uint8, arr-arr and a constant that wraps at 8 bits.
+		xs8 := []uint8{0, 1, 2, 127, 128, 200, 254, 255}
+		ys8 := []uint8{255, 1, 128, 129, 128, 100, 3, 255}
+		dst8 := make([]uint8, len(xs8))
+		k8, ok := specializedBinary[uint8](tensor.Uint8, tc.op, arrSrc, arrSrc)
+		if !ok {
+			t.Fatalf("%s: specialized uint8 kernel missing", tc.op)
+		}
+		k8(dst8, xs8, ys8)
+		k8C, ok := specializedBinary[uint8](tensor.Uint8, tc.op, arrSrc, ksrc{isConst: true, ci: -1000003})
+		if !ok {
+			t.Fatalf("%s: specialized uint8 const kernel missing", tc.op)
+		}
+		dst8C := make([]uint8, len(xs8))
+		k8C(dst8C, xs8, nil)
+		for i := range xs8 {
+			if want := uint8(tc.k(int64(xs8[i]), int64(ys8[i]))); dst8[i] != want {
+				t.Fatalf("%s uint8[%d]: spec %d, reference %d", tc.op, i, dst8[i], want)
+			}
+			if want := uint8(tc.k(int64(xs8[i]), -1000003)); dst8C[i] != want {
+				t.Fatalf("%s uint8-const[%d]: spec %d, reference %d", tc.op, i, dst8C[i], want)
 			}
 		}
 	}
@@ -226,4 +250,74 @@ BH_SYNC a4
 	fused := run(t, Config{Fusion: true}, src)
 	compareRegs(t, plain, fused, 2, 10000, 0)
 	compareRegs(t, plain, fused, 4, 10000, 0)
+}
+
+// sameF32 is bit equality, except that any NaN equals any NaN.
+func sameF32(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// TestStagedFloat32BitExact pins the staged float32 kernels — widen a
+// block to float64, apply the scalar kernel, narrow — against the
+// per-element formula they replace, for every float-class op that takes
+// the generic body, every operand mix, in place and out of place, over a
+// length that crosses several stage blocks and ends on a partial one.
+func TestStagedFloat32BitExact(t *testing.T) {
+	xs, ys := specF32Inputs()
+	for len(xs) < 2*stageLen+37 {
+		xs, ys = append(xs, ys...), append(ys, xs...)
+	}
+	for _, op := range bytecode.Opcodes() {
+		if k, ok := floatUnaryKernel(op); ok && op != bytecode.OpIdentity {
+			kern, ok := compileLoop[float32](tensor.Float32, op, []ksrc{arrSrc})
+			if !ok {
+				t.Fatalf("%s: no float32 kernel", op)
+			}
+			dst := make([]float32, len(xs))
+			kern(dst, xs, nil)
+			inPlace := append([]float32(nil), xs...)
+			kern(inPlace, inPlace, nil)
+			for i, x := range xs {
+				want := float32(k(float64(x)))
+				if !sameF32(dst[i], want) || !sameF32(inPlace[i], want) {
+					t.Fatalf("%s(%v): staged %x, in place %x, reference %x", op, x,
+						math.Float32bits(dst[i]), math.Float32bits(inPlace[i]), math.Float32bits(want))
+				}
+			}
+		}
+		k, ok := floatBinaryKernel(op)
+		if !ok {
+			continue
+		}
+		const c = 2.7
+		for _, mix := range []struct {
+			name string
+			a, b ksrc
+			ref  func(i int) float64
+		}{
+			{"arr-arr", arrSrc, arrSrc, func(i int) float64 { return k(float64(xs[i]), float64(ys[i])) }},
+			{"arr-const", arrSrc, ksrc{isConst: true, cf: c}, func(i int) float64 { return k(float64(xs[i]), c) }},
+			{"const-arr", ksrc{isConst: true, cf: c}, arrSrc, func(i int) float64 { return k(c, float64(ys[i])) }},
+		} {
+			kern, ok := compileLoop[float32](tensor.Float32, op, []ksrc{mix.a, mix.b})
+			if !ok {
+				t.Fatalf("%s %s: no float32 kernel", op, mix.name)
+			}
+			var a, b []float32
+			if !mix.a.isConst {
+				a = xs
+			}
+			if !mix.b.isConst {
+				b = ys
+			}
+			dst := make([]float32, len(xs))
+			kern(dst, a, b)
+			for i := range xs {
+				if want := float32(mix.ref(i)); !sameF32(dst[i], want) {
+					t.Fatalf("%s %s [%d] (%v, %v): kernel %x, reference %x", op, mix.name, i, xs[i], ys[i],
+						math.Float32bits(dst[i]), math.Float32bits(want))
+				}
+			}
+		}
+	}
 }

@@ -1,0 +1,587 @@
+package vm
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"testing"
+
+	"bohrium/internal/bytecode"
+	"bohrium/internal/faultinject"
+	"bohrium/internal/tensor"
+)
+
+// The loop nest's proof obligation: for any program of elementwise sweeps
+// over any views, the nest (fused and unfused, one worker and many) must
+// leave every register bit-identical to the accessor interpreter.
+// nestGen generates such programs from a byte stream, so one generator
+// serves the seeded differential test and the native fuzz target.
+
+var nestDTypes = []tensor.DType{tensor.Float64, tensor.Float32, tensor.Int64, tensor.Int32, tensor.Uint8, tensor.Bool}
+
+// nestGen draws bounded choices from a byte stream; an exhausted stream
+// yields zeros, so every input decodes to some valid program.
+type nestGen struct {
+	data []byte
+	pos  int
+}
+
+func (g *nestGen) n(k int) int {
+	if k <= 1 || g.pos >= len(g.data) {
+		return 0
+	}
+	b := g.data[g.pos]
+	g.pos++
+	return int(b) % k
+}
+
+// genReg is one register of a generated program: a dense base array the
+// operand views are cut from.
+type genReg struct {
+	id     bytecode.RegID
+	dt     tensor.DType
+	live   bool
+	views  []tensor.View // every view used so far
+	writes []tensor.View // result views used so far (injective)
+}
+
+type genProgram struct {
+	prog   *bytecode.Program
+	inputs map[bytecode.RegID]tensor.Tensor
+}
+
+// program decodes the stream into a valid program: rank 1-4 iteration
+// shapes, operands with random offsets, positive, negative and non-unit
+// steps, transposed axes, broadcast (stride-0 and extent-1) inputs,
+// overlapping read windows, in-place chains (views are reused with
+// probability 1/2), casts, and any of the six dtypes.
+func (g *nestGen) program() genProgram {
+	dts := [2]tensor.DType{nestDTypes[g.n(len(nestDTypes))], nestDTypes[g.n(len(nestDTypes))]}
+	rank := 1 + g.n(4)
+	shape := make(tensor.Shape, rank)
+	big := rank <= 2 && g.n(6) == 0
+	for d := range shape {
+		shape[d] = 1 + g.n(5)
+	}
+	if big {
+		// One run longer than fusedBlockSize: blocks within a row.
+		shape[rank-1] = fusedBlockSize + 1 + g.n(300)
+	}
+	base := make(tensor.Shape, rank)
+	maxExt := 0
+	for _, e := range shape {
+		maxExt = max(maxExt, e)
+	}
+	for d := range base {
+		base[d] = 2*shape[d] + 2
+		if !big {
+			base[d] = 2*maxExt + 2 // cubic: any axis permutation fits
+		}
+	}
+	baseStrides := tensor.ContiguousStrides(base)
+
+	p := bytecode.NewProgram()
+	out := genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{}}
+	var regs []*genReg
+	addReg := func(dt tensor.DType, input bool) {
+		r := &genReg{id: p.NewReg(dt, base.Size()), dt: dt, live: input}
+		regs = append(regs, r)
+		if !input {
+			return
+		}
+		p.MarkInput(r.id)
+		t := tensor.MustNew(dt, base)
+		seed := uint64(len(regs))*7919 + uint64(g.n(256))
+		for i := 0; i < t.Buf.Len(); i++ {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			v := float64(int64(seed>>59)) - 8 // [-8, 24)
+			switch {
+			case dt == tensor.Bool:
+				v = float64(seed >> 63)
+			case dt == tensor.Uint8:
+				v = float64(seed >> 58)
+			case dt.IsFloat():
+				v += float64(seed>>40&3) * 0.25
+			}
+			t.Buf.Set(i, v)
+		}
+		out.inputs[r.id] = t
+	}
+	addReg(dts[0], true)
+	addReg(dts[0], true)
+	addReg(dts[1], true)
+	addReg(dts[0], false)
+	addReg(dts[1], false)
+
+	// view cuts a window of the iteration shape out of a register's base.
+	view := func(r *genReg, result bool) tensor.View {
+		pool := r.views
+		if result {
+			pool = r.writes
+		}
+		if len(pool) > 0 && g.n(2) == 0 {
+			return pool[g.n(len(pool))]
+		}
+		perm := make([]int, rank)
+		for d := range perm {
+			perm[d] = d
+		}
+		if !big && g.n(3) == 0 {
+			for d := rank - 1; d > 0; d-- {
+				k := g.n(d + 1)
+				perm[d], perm[k] = perm[k], perm[d]
+			}
+		}
+		v := tensor.View{Shape: shape.Clone(), Strides: make([]int, rank)}
+		for d, ext := range shape {
+			room, bs := base[perm[d]], baseStrides[perm[d]]
+			mode := g.n(7)
+			if result && mode >= 5 {
+				mode = 0
+			}
+			step := [...]int{1, 1, 2, -1, -2, 0, 1}[mode]
+			span := (ext - 1) * max(step, -step)
+			start := g.n(room - span)
+			if step < 0 {
+				start += span
+			}
+			if mode == 6 {
+				v.Shape[d] = 1 // broadcast by extent
+			}
+			v.Offset += start * bs
+			v.Strides[d] = step * bs
+		}
+		r.views = append(r.views, v)
+		if result {
+			r.writes = append(r.writes, v)
+		}
+		return v
+	}
+	pick := func(dt tensor.DType, live bool) *genReg {
+		var cand []*genReg
+		for _, r := range regs {
+			if r.dt == dt && (r.live || !live) {
+				cand = append(cand, r)
+			}
+		}
+		return cand[g.n(len(cand))]
+	}
+	operand := func(dt tensor.DType) bytecode.Operand {
+		if g.n(4) == 0 {
+			c := []float64{0, 1, 2, 3, 1.5, 0.1, -2, 255}[g.n(8)]
+			return bytecode.Const(bytecode.ConstOf(dt, c))
+		}
+		r := pick(dt, true)
+		return bytecode.Reg(r.id, view(r, false))
+	}
+
+	unary := []bytecode.Opcode{bytecode.OpIdentity, bytecode.OpNegative, bytecode.OpAbsolute, bytecode.OpTanh, bytecode.OpSign}
+	binary := []bytecode.Opcode{bytecode.OpAdd, bytecode.OpSubtract, bytecode.OpMultiply, bytecode.OpDivide,
+		bytecode.OpMaximum, bytecode.OpMinimum, bytecode.OpPower, bytecode.OpMod, bytecode.OpArctan2}
+	logical := []bytecode.Opcode{bytecode.OpLogicalAnd, bytecode.OpLogicalXor, bytecode.OpEqual, bytecode.OpLess}
+	for n := 1 + g.n(8); n > 0; n-- {
+		dt := dts[g.n(2)]
+		dst := pick(dt, false)
+		// Inputs first: the result view may then reuse one of theirs.
+		switch kind := g.n(6); {
+		case kind == 0 && dts[0] != dts[1]: // cast from the other dtype
+			src := pick(dts[0], true)
+			if dt == dts[0] {
+				src = pick(dts[1], true)
+			}
+			in := bytecode.Reg(src.id, view(src, false))
+			p.EmitIdentity(bytecode.Reg(dst.id, view(dst, true)), in)
+		case kind <= 2:
+			in := operand(dt)
+			p.EmitUnary(unary[g.n(len(unary))], bytecode.Reg(dst.id, view(dst, true)), in)
+		default:
+			ops := binary
+			if dt == tensor.Bool && g.n(2) == 0 {
+				ops = logical
+			}
+			a, b := operand(dt), operand(dt)
+			p.EmitBinary(ops[g.n(len(ops))], bytecode.Reg(dst.id, view(dst, true)), a, b)
+		}
+		dst.live = true
+	}
+	return out
+}
+
+// nestRun executes gp on a fresh machine — through Plan.Execute, or
+// instruction by instruction through the accessor interpreter — and
+// returns the machine for register inspection.
+func nestRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine {
+	t.Helper()
+	m := New(cfg)
+	t.Cleanup(m.Close)
+	for r, in := range gp.inputs {
+		m.Bind(r, cloneTensor(in))
+	}
+	p := gp.prog.Clone()
+	var err error
+	if interpreter {
+		m.regs.grow(len(p.Regs))
+		err = m.interpret(p, 0, len(p.Instrs))
+	} else {
+		err = m.Run(p)
+	}
+	if err != nil {
+		t.Fatalf("run (%+v, interpreter=%v): %v\n%s", cfg, interpreter, err, gp.prog)
+	}
+	return m
+}
+
+func cloneTensor(t tensor.Tensor) tensor.Tensor {
+	return tensor.Tensor{Buf: t.Buf.Clone(), View: t.View}
+}
+
+// sameRegisters fails unless every register of got holds exactly want's
+// bits (NaNs compare equal to NaNs).
+func sameRegisters(t testing.TB, what string, p *bytecode.Program, want, got *Machine) {
+	t.Helper()
+	for r := range p.Regs {
+		wb, gb := want.regs.get(bytecode.RegID(r)), got.regs.get(bytecode.RegID(r))
+		if (wb == nil) != (gb == nil) {
+			t.Fatalf("%s: register a%d bound %v, want %v\n%s", what, r, gb != nil, wb != nil, p)
+		}
+		if wb == nil {
+			continue
+		}
+		for i := 0; i < wb.Len(); i++ {
+			w, g := wb.Get(i), gb.Get(i)
+			if (math.Float64bits(w) != math.Float64bits(g) && !(math.IsNaN(w) && math.IsNaN(g))) || wb.GetInt(i) != gb.GetInt(i) {
+				t.Fatalf("%s: a%d[%d] = %v, interpreter has %v\n%s", what, r, i, g, w, p)
+			}
+		}
+	}
+}
+
+// checkNestDifferential is the property: interpreter ≡ unfused ≡ fused,
+// one worker ≡ many (with a threshold low enough that rows split).
+func checkNestDifferential(t testing.TB, gp genProgram) {
+	t.Helper()
+	if err := gp.prog.Validate(); err != nil {
+		t.Fatalf("generator produced an invalid program: %v\n%s", err, gp.prog)
+	}
+	want := nestRun(t, gp, Config{Workers: 1}, true)
+	for _, cfg := range []Config{
+		{Fusion: false, Workers: 1},
+		{Fusion: true, Workers: 1},
+		{Fusion: false, Workers: 3, ParallelThreshold: 4},
+		{Fusion: true, Workers: 3, ParallelThreshold: 4},
+	} {
+		got := nestRun(t, gp, cfg, false)
+		sameRegisters(t, fmt.Sprintf("fusion=%v workers=%d", cfg.Fusion, cfg.Workers), gp.prog, want, got)
+	}
+}
+
+func TestNestDifferentialGenerated(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	n := 400
+	if testing.Short() {
+		n = 60
+	}
+	for i := 0; i < n; i++ {
+		data := make([]byte, 256)
+		rng.Read(data)
+		checkNestDifferential(t, (&nestGen{data: data}).program())
+	}
+}
+
+func FuzzNestDifferential(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 1, 2, 3, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 512 {
+			t.Skip()
+		}
+		checkNestDifferential(t, (&nestGen{data: data}).program())
+	})
+}
+
+// stencilBatch is the benchmark's stencil-sweep batch on an n×n grid: a
+// 5-instruction strided cluster over the interior windows, then the
+// BH_IDENTITY write-back that cannot join it (its result overlaps the
+// cluster's read windows).
+func stencilBatch(n int) (genProgram, bytecode.RegID) {
+	p := bytecode.NewProgram()
+	grid := p.NewReg(tensor.Float64, n*n)
+	next := p.NewReg(tensor.Float64, (n-2)*(n-2))
+	p.MarkInput(grid)
+	full := tensor.NewView(tensor.MustShape(n, n))
+	window := func(r0, c0 int) bytecode.Operand {
+		v, _ := full.Slice(0, r0, r0+n-2, 1)
+		v, _ = v.Slice(1, c0, c0+n-2, 1)
+		return bytecode.Reg(grid, v)
+	}
+	center, tmp := window(1, 1), bytecode.Reg(next, tensor.NewView(tensor.MustShape(n-2, n-2)))
+	p.EmitBinary(bytecode.OpAdd, tmp, center, window(0, 1))
+	p.EmitBinary(bytecode.OpAdd, tmp, tmp, window(2, 1))
+	p.EmitBinary(bytecode.OpAdd, tmp, tmp, window(1, 0))
+	p.EmitBinary(bytecode.OpAdd, tmp, tmp, window(1, 2))
+	p.EmitBinary(bytecode.OpMultiply, tmp, tmp, bytecode.Const(bytecode.ConstFloat(0.2)))
+	p.EmitIdentity(center, tmp)
+	p.EmitFree(tmp)
+	p.EmitSync(bytecode.Reg(grid, full))
+	in := tensor.MustNew(tensor.Float64, tensor.MustShape(n, n))
+	in.FillRandom(16, 0, 100)
+	return genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{grid: in}}, grid
+}
+
+func TestNestStencilBatch(t *testing.T) {
+	const n = 70
+	gp, grid := stencilBatch(n)
+	checkNestDifferential(t, gp)
+
+	m := nestRun(t, gp, Config{Fusion: true, Workers: 2, ParallelThreshold: 64}, false)
+	if st := m.Stats(); st.Sweeps != 2 || st.FusedInstructions != 5 || st.Instructions != 6 {
+		t.Errorf("stencil batch ran as %d sweeps, %d fused of %d instructions; want 2, 5 of 6",
+			st.Sweeps, st.FusedInstructions, st.Instructions)
+	}
+	// Against plain Go, in the recorded operation order.
+	src := gp.inputs[grid].Buf
+	got := m.regs.get(grid)
+	for r := 1; r < n-1; r++ {
+		for c := 1; c < n-1; c++ {
+			i := r*n + c
+			want := ((((src.Get(i) + src.Get(i-n)) + src.Get(i+n)) + src.Get(i-1)) + src.Get(i+1)) * 0.2
+			if got.Get(i) != want {
+				t.Fatalf("grid[%d,%d] = %v, want %v", r, c, got.Get(i), want)
+			}
+		}
+	}
+}
+
+func TestNestTransposedCluster(t *testing.T) {
+	// y = (xᵀ + zᵀ) * xᵀ, written through a transposed window of y: every
+	// operand's innermost stride is the row length, so each run is
+	// gathered and the result scattered.
+	const rows, cols = 37, 53
+	p := bytecode.NewProgram()
+	x := p.NewReg(tensor.Float32, rows*cols)
+	z := p.NewReg(tensor.Float32, rows*cols)
+	y := p.NewReg(tensor.Float32, rows*cols)
+	p.MarkInput(x)
+	p.MarkInput(z)
+	tr := tensor.NewView(tensor.MustShape(rows, cols)).Transpose()
+	yt := tensor.NewView(tensor.MustShape(cols, rows)) // dense result of the same shape
+	p.EmitBinary(bytecode.OpAdd, bytecode.Reg(y, yt), bytecode.Reg(x, tr), bytecode.Reg(z, tr))
+	p.EmitBinary(bytecode.OpMultiply, bytecode.Reg(y, yt), bytecode.Reg(y, yt), bytecode.Reg(x, tr))
+	p.EmitUnary(bytecode.OpTanh, bytecode.Reg(x, tr), bytecode.Reg(y, yt))
+	p.EmitSync(bytecode.Reg(y, yt))
+	gp := genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{}}
+	for i, r := range []bytecode.RegID{x, z} {
+		in := tensor.MustNew(tensor.Float32, tensor.MustShape(rows, cols))
+		in.FillRandom(uint64(31+i), -2, 2)
+		gp.inputs[r] = in
+	}
+	checkNestDifferential(t, gp)
+	m := nestRun(t, gp, Config{Fusion: true}, false)
+	if st := m.Stats(); st.Sweeps != 1 || st.FusedInstructions != 3 {
+		t.Errorf("transposed chain ran as %d sweeps with %d fused instructions, want 1 and 3", st.Sweeps, st.FusedInstructions)
+	}
+}
+
+// TestNestWithConstants: nests capture constants at compile time, so a
+// parametric plan-cache hit under new constants must execute the new
+// values — and leave the cached plan's own values alone.
+func TestNestWithConstants(t *testing.T) {
+	build := func(scale, shift float64) *bytecode.Program {
+		p := bytecode.NewProgram()
+		a := p.NewReg(tensor.Float64, 100)
+		p.MarkInput(a)
+		v, _ := tensor.NewView(tensor.MustShape(100)).Slice(0, 1, 99, 2) // strided: a gathered run
+		p.EmitBinary(bytecode.OpMultiply, bytecode.Reg(a, v), bytecode.Reg(a, v), bytecode.Const(bytecode.ConstFloat(scale)))
+		p.EmitBinary(bytecode.OpAdd, bytecode.Reg(a, v), bytecode.Reg(a, v), bytecode.Const(bytecode.ConstFloat(shift)))
+		return p
+	}
+	m := New(Config{Fusion: true})
+	defer m.Close()
+	exec := func(pl *Plan) float64 {
+		t.Helper()
+		in := tensor.MustNew(tensor.Float64, tensor.MustShape(100))
+		in.Fill(3)
+		m.Bind(0, in)
+		if err := pl.Execute(m); err != nil {
+			t.Fatal(err)
+		}
+		if in.Buf.Get(2) != 3 {
+			t.Fatal("element outside the view was written")
+		}
+		return in.Buf.Get(1)
+	}
+	first := build(2, 1)
+	pl, err := m.Compile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InsertPlan(first.Fingerprint(), first.Constants(), true, pl, nil)
+
+	second := build(10, -4)
+	hit, _, ok := m.LookupPlan(second.Fingerprint(), second.Constants(), nil)
+	if !ok || hit == CachedPlan(pl) {
+		t.Fatalf("parametric lookup: ok=%v, same plan=%v; want a rebound clone", ok, hit == CachedPlan(pl))
+	}
+	if got := exec(hit.(*Plan)); got != 3*10-4 {
+		t.Errorf("rebound plan computed %v, want %v", got, 3*10-4)
+	}
+	if got := exec(pl); got != 3*2+1 {
+		t.Errorf("original plan computed %v after the rebind, want %v", got, 3*2+1)
+	}
+	if err := pl.PatchConstants(second.Constants()); err != nil {
+		t.Fatal(err)
+	}
+	if got := exec(pl); got != 3*10-4 {
+		t.Errorf("patched plan computed %v, want %v", got, 3*10-4)
+	}
+}
+
+// TestPlanExecuteCompilesNothing: kernels are built by Compile; Execute
+// only binds buffers. The same *Plan also executes on two machines at
+// once (run under -race).
+func TestPlanExecuteCompilesNothing(t *testing.T) {
+	gp, grid := stencilBatch(40)
+	// A reduction epilogue and a cast ride along.
+	p := gp.prog
+	sum := p.NewReg(tensor.Float64, 1)
+	narrow := p.NewReg(tensor.Float32, 40*40)
+	full := tensor.NewView(tensor.MustShape(40 * 40))
+	p.EmitIdentity(bytecode.Reg(narrow, full), bytecode.Reg(grid, full))
+	p.EmitUnary(bytecode.OpAbsolute, bytecode.Reg(narrow, full), bytecode.Reg(narrow, full))
+	p.EmitReduce(bytecode.OpAddReduce, bytecode.Reg(sum, tensor.NewView(tensor.MustShape(1))), bytecode.Reg(narrow, full), 0)
+
+	eng := NewEngine(EngineConfig{Workers: 2})
+	defer eng.Close()
+	compiler := eng.NewMachine(Config{Fusion: true})
+	defer compiler.Close()
+	pl, err := compiler.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled := kernelCompilations.Load()
+	if compiled == 0 {
+		t.Fatal("Compile built no kernels")
+	}
+
+	var wg sync.WaitGroup
+	results := make([]tensor.Buffer, 2)
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m := eng.NewMachine(Config{Fusion: true, Workers: 2, ParallelThreshold: 64})
+			defer m.Close()
+			in := cloneTensor(gp.inputs[grid])
+			m.Bind(grid, in)
+			for run := 0; run < 2; run++ {
+				if err := pl.Execute(m); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			results[i] = in.Buf
+		}()
+	}
+	wg.Wait()
+	if got := kernelCompilations.Load(); got != compiled {
+		t.Errorf("executing a compiled plan built %d kernels, want 0", got-compiled)
+	}
+	if results[0] == nil || results[1] == nil {
+		t.FailNow()
+	}
+	for i := 0; i < results[0].Len(); i++ {
+		if results[0].Get(i) != results[1].Get(i) {
+			t.Fatalf("concurrent executions of one plan diverge at %d: %v vs %v", i, results[0].Get(i), results[1].Get(i))
+		}
+	}
+}
+
+// TestNestAllocFailBeforeWorkers is the regression test for the race the
+// strided engine had: workers assigned a shared error with no
+// synchronisation. Registers now bind before any worker starts, so a
+// failed allocation reports the same error for one worker and many, and
+// -race stays quiet.
+func TestNestAllocFailBeforeWorkers(t *testing.T) {
+	var texts []string
+	for _, workers := range []int{1, 4} {
+		gp, _ := stencilBatch(70)
+		m := New(Config{Fusion: true, Workers: workers, ParallelThreshold: 16, FaultLabel: "victim"})
+		for r, in := range gp.inputs {
+			m.Bind(r, cloneTensor(in))
+		}
+		disarm := faultinject.Arm(faultinject.AllocFail, faultinject.Fault{Label: "victim", Times: 1, Msg: "scratch denied"})
+		err := m.Run(gp.prog)
+		disarm()
+		m.Close()
+		if err == nil {
+			t.Fatalf("workers=%d: the strided cluster ran without its temporary", workers)
+		}
+		texts = append(texts, err.Error())
+	}
+	if texts[0] != texts[1] {
+		t.Errorf("alloc failure reads differently by worker count:\n 1: %s\n 4: %s", texts[0], texts[1])
+	}
+	for _, want := range []string{"cluster [0,5)", "instr 0", "scratch denied"} {
+		if !strings.Contains(texts[0], want) {
+			t.Errorf("error %q does not mention %q", texts[0], want)
+		}
+	}
+}
+
+// TestCastNestMatchesAccessor pins the typed BH_IDENTITY cast kernels
+// against the accessor path (Buffer.Get→Set, GetInt→SetInt) for every
+// ordered pair of the six dtypes, over values that stress the
+// conversions: NaN, ±Inf, negative zero, fractions, and magnitudes out of
+// range for every integer width. Dense and strided, so the gather and
+// scatter loops convert nothing on the side.
+func TestCastNestMatchesAccessor(t *testing.T) {
+	special := []float64{0, math.Copysign(0, -1), 1, -1, 0.5, -0.5, 1.5, -2.75, 127, 128, 255, 256, -129, 300.7,
+		math.MaxInt32, math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, 1 << 40, -(1 << 40), 1e19, -1e19,
+		math.MaxInt64, math.MinInt64, math.MaxFloat32, 1e300, -1e300, math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(), 16777217, 9007199254740993}
+	const n = 2 * 33
+	for _, from := range nestDTypes {
+		for _, to := range nestDTypes {
+			for _, step := range []int{1, 2, -1} {
+				p := bytecode.NewProgram()
+				src := p.NewReg(from, n)
+				dst := p.NewReg(to, n)
+				p.MarkInput(src)
+				v := tensor.NewView(tensor.MustShape(n))
+				if step != 1 {
+					start, stop := 0, n
+					if step < 0 {
+						start, stop = n-1, -1
+					}
+					v, _ = v.Slice(0, start, stop, step)
+				}
+				p.EmitIdentity(bytecode.Reg(dst, v), bytecode.Reg(src, v))
+				in := tensor.MustNew(from, tensor.MustShape(n))
+				for i := 0; i < n; i++ {
+					val := special[i%len(special)]
+					if from.IsFloat() {
+						in.Buf.Set(i, val)
+					} else if val == val && math.Abs(val) < 1e18 {
+						in.Buf.SetInt(i, int64(val))
+					}
+				}
+				gp := genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{src: in}}
+
+				m := New(Config{Fusion: true})
+				pl, err := m.Compile(p)
+				m.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pl.nests[0] == nil {
+					t.Fatalf("%v→%v cast did not compile to a nest", from, to)
+				}
+				want := nestRun(t, gp, Config{Workers: 1}, true)
+				got := nestRun(t, gp, Config{Fusion: true, Workers: 2, ParallelThreshold: 8}, false)
+				sameRegisters(t, fmt.Sprintf("%v→%v step %d", from, to, step), p, want, got)
+			}
+		}
+	}
+}

@@ -8,8 +8,9 @@ import (
 )
 
 // Plan is the reusable compilation of one program: validation, fusion
-// cluster discovery, and reduction-epilogue analysis — everything Run
-// used to redo on every call that does not depend on buffer bindings.
+// cluster discovery, every sweep's loop nest and run kernels, and
+// reduction-epilogue analysis — everything that does not depend on buffer
+// bindings.
 // A Plan may be executed many times, against any Machine on any Engine;
 // each Execute resolves register buffers from that machine's register
 // file afresh (new input bindings, recycled temporaries) without
@@ -18,12 +19,13 @@ import (
 // and the async Executor both depend on that, which is why a cached or
 // queued plan must never be mutated: rebind constants with WithConstants
 // (clone); PatchConstants (in place) is only for a plan the caller owns
-// outright and is not executing anywhere. Keep any new Plan/epiPlan
+// outright and is not executing anywhere. Keep any new Plan/nest/epiPlan
 // state immutable after Compile for the same reason.
 type Plan struct {
 	prog     *bytecode.Program
 	fused    bool
 	clusters []cluster
+	nests    []*nest    // per cluster; non-nil for sweeps (the producers of an unfoldable reduce cluster)
 	epis     []*epiPlan // per cluster; non-nil only for foldable reductions
 }
 
@@ -37,19 +39,34 @@ func (m *Machine) Compile(p *bytecode.Program) (*Plan, error) {
 			return nil, fmt.Errorf("%w: %w", ErrExec, err)
 		}
 	}
-	pl := &Plan{prog: p, fused: m.cfg.Fusion}
-	if m.cfg.Fusion {
-		pl.clusters = m.planClusters(p)
-		pl.epis = make([]*epiPlan, len(pl.clusters))
-		for i, cl := range pl.clusters {
-			if cl.reduce {
-				if epi, ok := analyzeEpilogue(p, cl); ok {
-					pl.epis[i] = epi
-				}
+	pl := &Plan{prog: p, fused: m.cfg.Fusion, clusters: m.planClusters(p)}
+	pl.compileClusters()
+	return pl, nil
+}
+
+// compileClusters builds the buffer-independent executable form of every
+// cluster from the plan's current program: the loop nest of each sweep
+// and the epilogue analysis of each foldable reduction. Both capture
+// constant operands, so a constant rebind recompiles them (closures and
+// small tables only — no buffer work).
+func (pl *Plan) compileClusters() {
+	pl.nests = make([]*nest, len(pl.clusters))
+	pl.epis = make([]*epiPlan, len(pl.clusters))
+	for i, cl := range pl.clusters {
+		end := cl.end
+		if cl.reduce {
+			end--
+			if epi, ok := analyzeEpilogue(pl.prog, cl); ok {
+				// The fold replaces the producers' sweep; its rare
+				// fallback (an aliased output) compiles them on demand.
+				pl.epis[i] = epi
+				continue
 			}
 		}
+		if cl.sweep {
+			pl.nests[i] = compileNest(pl.prog, cl.start, end, cl.shape)
+		}
 	}
-	return pl, nil
 }
 
 // Program returns the compiled program. Treat it as read-only: the plan's
@@ -61,9 +78,9 @@ func (pl *Plan) Program() *bytecode.Program { return pl.prog }
 // never mutated, so it may be executing concurrently — on this machine's
 // async executor or on another session sharing the engine's plan cache.
 // When vals already equal the plan's constants, pl is returned as-is.
-// Cluster analysis is structural and carries over; reduction-epilogue
-// analyses copy immediates, so they are recomputed against the patched
-// program (analysis only, no buffer work).
+// Cluster discovery is structural and carries over; nests and epilogue
+// analyses capture immediates, so they are recompiled against the patched
+// program.
 func (pl *Plan) WithConstants(vals []bytecode.Constant) (*Plan, error) {
 	prog := pl.prog.Clone()
 	changed, err := prog.SetConstants(vals)
@@ -74,41 +91,20 @@ func (pl *Plan) WithConstants(vals []bytecode.Constant) (*Plan, error) {
 		return pl, nil
 	}
 	np := &Plan{prog: prog, fused: pl.fused, clusters: pl.clusters}
-	if pl.epis != nil {
-		np.epis = make([]*epiPlan, len(pl.epis))
-		for i, cl := range np.clusters {
-			if !cl.reduce || pl.epis[i] == nil {
-				continue
-			}
-			if epi, ok := analyzeEpilogue(prog, cl); ok {
-				np.epis[i] = epi
-			}
-		}
-	}
+	np.compileClusters()
 	return np, nil
 }
 
 // PatchConstants rebinds the plan's constant operands to vals (in
 // Program.Constants order), in place. Only for plans the caller owns
 // outright and is not executing anywhere: cached plans are shared and
-// immutable — the plan cache uses WithConstants instead. Epilogue
-// analyses copy immediates at analysis time, so a value change recompiles
-// them (analysis only, no buffer work).
+// immutable — the plan cache uses WithConstants instead.
 func (pl *Plan) PatchConstants(vals []bytecode.Constant) error {
 	changed, err := pl.prog.SetConstants(vals)
 	if err != nil || !changed {
 		return err
 	}
-	for i, cl := range pl.clusters {
-		if !cl.reduce || pl.epis[i] == nil {
-			continue
-		}
-		if epi, ok := analyzeEpilogue(pl.prog, cl); ok {
-			pl.epis[i] = epi
-		} else {
-			pl.epis[i] = nil
-		}
-	}
+	pl.compileClusters()
 	return nil
 }
 
@@ -129,35 +125,27 @@ func (pl *Plan) Execute(m *Machine) error {
 			return fmt.Errorf("%w: input register %s not bound", ErrExec, r)
 		}
 	}
-	if !pl.fused {
-		for idx := range p.Instrs {
-			if err := m.exec(p, &p.Instrs[idx]); err != nil {
-				return fmt.Errorf("%w: instr %d (%s): %w", ErrExec, idx, p.Instrs[idx].String(), err)
-			}
-		}
-		return nil
-	}
-	// Fused execution, cluster by cluster. Errors name the failing
-	// instruction (not merely the cluster's first): each execution path
-	// annotates with the index and disassembly of the instruction whose
-	// compilation or execution failed.
+	// Cluster by cluster (with fusion off, instruction by instruction).
+	// Every execution path annotates its error with the index and
+	// disassembly of the instruction that failed, not merely the
+	// cluster's first.
 	for i, cl := range pl.clusters {
 		var err error
 		switch {
 		case cl.reduce:
-			err = m.execClusterReduce(p, cl, pl.epis[i])
-		case !cl.fused:
-			if err = m.exec(p, &p.Instrs[cl.start]); err != nil {
-				err = instrErr(p, cl.start, err)
-			}
-		case cl.linear:
-			err = m.execCluster(p, cl)
+			err = m.execClusterReduce(p, cl, pl.epis[i], pl.nests[i])
+		case pl.nests[i] != nil:
+			err = m.runNest(p, pl.nests[i])
 		default:
-			err = m.execClusterStrided(p, cl, cl.shape)
+			err = m.interpret(p, cl.start, cl.end)
 		}
-		if err != nil {
-			return fmt.Errorf("%w: cluster [%d,%d): %w", ErrExec, cl.start, cl.end, err)
+		if err == nil {
+			continue
 		}
+		if !pl.fused {
+			return fmt.Errorf("%w: %w", ErrExec, err)
+		}
+		return fmt.Errorf("%w: cluster [%d,%d): %w", ErrExec, cl.start, cl.end, err)
 	}
 	return nil
 }
