@@ -303,10 +303,12 @@ func BenchmarkScan(b *testing.B) {
 
 // BenchmarkStencilSweep — one Jacobi sweep of a 2-D heat stencil on a
 // 1024² float64 grid per iteration, recorded and flushed through the
-// front end: a 5-instruction strided cluster over the interior windows
-// plus the BH_IDENTITY write-back, served from the plan cache after the
-// first flush. The loop nest's row-sliced execution is what this times
-// (the same batch as the benchmark/ stencil-sweep workload).
+// front end: a 5-instruction strided chain over the interior windows and
+// the BH_IDENTITY write-back as its lagged closing store — one sweep, the
+// temporary in row scratch — served from the plan cache after the first
+// flush. The loop nest's row-sliced execution is what this times (the same
+// batch as the benchmark/ stencil-sweep workload; internal/vm's
+// BenchmarkNestStencil times the same plan without the front end).
 func BenchmarkStencilSweep(b *testing.B) {
 	const n = 1024
 	ctx := bohrium.NewContext(nil)

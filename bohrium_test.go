@@ -435,12 +435,18 @@ func TestFreeConsumedTempAcrossFlushes(t *testing.T) {
 func TestPoolHitsSurfaceThroughContextStats(t *testing.T) {
 	// Freeing the per-iteration temporary lets the VM recycle one buffer
 	// per loop instead of allocating one, and the counters must be visible
-	// on the public Stats.
+	// on the public Stats. Each iteration flushes while the temporary is
+	// still live: one freed inside the batch that defines it is never
+	// materialized at all (the loop nest keeps it in row scratch), so it
+	// would neither allocate nor recycle.
 	ctx := newTestContext(t, nil)
 	acc := ctx.Zeros(512)
 	for i := 0; i < 8; i++ {
 		tmp := acc.Plus(acc)
 		acc.Assign(tmp)
+		if err := ctx.Flush(); err != nil {
+			t.Fatal(err)
+		}
 		tmp.Free()
 	}
 	if _, err := acc.Data(); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bohrium/internal/bytecode"
-	"bohrium/internal/faultinject"
 	"bohrium/internal/tensor"
 )
 
@@ -57,7 +56,7 @@ func (m *Machine) ExecOne(p *bytecode.Program, idx int) error {
 	m.regs.grow(len(p.Regs))
 	var ns *nest
 	if shape, _, kind := sweepAt(p, idx); kind != sweepNone {
-		ns = compileNest(p, idx, idx+1, shape)
+		ns = compileNest(p, idx, idx+1, shape, nil, nil)
 	}
 	var err error
 	if ns != nil {
@@ -100,27 +99,7 @@ func (m *Machine) Materialize(p *bytecode.Program, r bytecode.RegID) (tensor.Buf
 // lifecycle register materialization uses, exposed for backend staging
 // buffers that are not registers. Pair with ReleaseBuffer.
 func (m *Machine) AcquireBuffer(dt tensor.DType, n int) (tensor.Buffer, error) {
-	if err := faultinject.Error(faultinject.AllocFail, m.cfg.FaultLabel); err != nil {
-		return nil, err
-	}
-	bytes := n * dt.Size()
-	if buf := m.eng.bufs.take(poolKey{dt: dt, n: n}); buf != nil {
-		buf.Zero()
-		m.eng.adoptBytes(bytes)
-		m.stats.poolHits.Add(1)
-		return buf, nil
-	}
-	if err := m.eng.reserveBytes(bytes); err != nil {
-		return nil, err
-	}
-	buf, err := tensor.NewBuffer(dt, n)
-	if err != nil {
-		m.eng.releaseBytes(bytes)
-		return nil, err
-	}
-	m.stats.buffersAllocated.Add(1)
-	m.stats.bytesAllocated.Add(int64(bytes))
-	return buf, nil
+	return m.regs.acquire(dt, n)
 }
 
 // ReleaseBuffer parks a buffer obtained from AcquireBuffer back in the

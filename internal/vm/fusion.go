@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bohrium/internal/bytecode"
@@ -22,12 +23,14 @@ import (
 //   - every register they share is addressed through the *same* view in
 //     both (otherwise element i of one is element j≠i of the other, and
 //     per-element interleaving would reorder a cross-element dependence).
+//     One exception closes a cluster: a write that aliases earlier reads
+//     only through pure translations of its view joins as a lagged store.
 //
 // Every cluster — and every single elementwise instruction, fusion on or
-// off — compiles to one loop nest (nest.go). A reduction that consumes the
-// cluster's output extends the cluster as an epilogue: the producer chain
-// folds into the reduction's accumulation loop (execClusterReduce) and
-// dead producer temporaries are never materialized. System byte-codes,
+// off — compiles to one loop nest (nest.go), which keeps dead temporaries
+// in row scratch. A reduction that consumes the cluster's output extends
+// the cluster as an epilogue: the producer chain folds into the reduction's
+// accumulation loop (execClusterReduce), likewise without them. System byte-codes,
 // other reductions, extensions, and RANDOM end a cluster.
 
 // cluster is a run of instruction indices executable as one sweep.
@@ -38,11 +41,12 @@ type cluster struct {
 	shape      tensor.Shape // shared iteration shape of a sweep
 	linear     bool         // every operand contiguous
 	reduce     bool         // p.Instrs[end-1] is a reduction epilogue
+	lagged     *nest        // p.Instrs[end-1] is a closing write: the kernel-free nest that stores it lagged
 }
 
 // planClusters splits the program into sweeps. With fusion off every
 // instruction is its own cluster.
-func (m *Machine) planClusters(p *bytecode.Program) []cluster {
+func (m *Machine) planClusters(p *bytecode.Program, live *liveness) []cluster {
 	var out []cluster
 	var acc accessTracker
 	i := 0
@@ -59,17 +63,29 @@ func (m *Machine) planClusters(p *bytecode.Program) []cluster {
 		acc.reset()
 		acc.record(&p.Instrs[i])
 		j := i + 1
-		for j < len(p.Instrs) {
+		var lagged *nest
+		for j < len(p.Instrs) && lagged == nil {
 			shape2, linear2, kind2 := sweepAt(p, j)
-			if kind2 != sweepFusible || !shape2.Equal(shape) || !acc.compatible(&p.Instrs[j]) {
+			if kind2 != sweepFusible || !shape2.Equal(shape) {
 				break
+			}
+			span, ok := acc.admit(&p.Instrs[j])
+			if !ok {
+				break
+			}
+			if span != (lagSpan{}) {
+				// A closing write: it joins if the nest can store it lagged,
+				// and nothing may follow it.
+				if lagged = layoutNest(p, i, j+1, shape, live, &span); lagged == nil {
+					break
+				}
 			}
 			linear = linear && linear2
 			acc.record(&p.Instrs[j])
 			j++
 		}
-		cl := cluster{start: i, end: j, fused: j-i > 1, sweep: true, shape: shape, linear: linear}
-		if j < len(p.Instrs) && reduceEpilogueAt(p, cl, j) {
+		cl := cluster{start: i, end: j, fused: j-i > 1, sweep: true, shape: shape, linear: linear, lagged: lagged}
+		if lagged == nil && j < len(p.Instrs) && reduceEpilogueAt(p, cl, j) {
 			cl.end = j + 1
 			cl.fused = true
 			cl.reduce = true
@@ -202,7 +218,7 @@ func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
 // two views where the same buffer slot maps to different iteration
 // indices — i.e. a WRITE view overlapping any other non-equal view.
 // Overlapping reads (the stencil's north/south/east/west windows) are
-// always safe.
+// always safe; admit names the one write that may overlap them.
 type accessTracker struct {
 	accs []regAccess
 }
@@ -235,14 +251,23 @@ func (a *accessTracker) add(reg bytecode.RegID, view *tensor.View, write bool) {
 	a.accs = append(a.accs, regAccess{reg, view, write})
 }
 
-func (a *accessTracker) compatible(in *bytecode.Instruction) bool {
+// admit reports whether in may join the cluster. A non-zero lagSpan means
+// its write aliases earlier *reads* of its register, each through a pure
+// translation of the write view (same shape and strides, another offset):
+// in may then only close the cluster, if the nest can store it lagged.
+func (a *accessTracker) admit(in *bytecode.Instruction) (lagSpan, bool) {
 	w := in.Out.View
+	var span lagSpan
 	for i := range a.accs {
 		ac := &a.accs[i]
-		// The candidate's write must not alias any earlier access through
-		// a different window.
+		// The candidate's write must not alias an earlier write through a
+		// different window, nor an earlier read unless translated.
 		if ac.reg == in.Out.Reg && !w.Equal(*ac.view) && w.Overlaps(*ac.view) {
-			return false
+			if ac.write || !ac.view.Shape.Equal(w.Shape) || !slices.Equal(ac.view.Strides, w.Strides) {
+				return span, false
+			}
+			span.back = max(span.back, w.Offset-ac.view.Offset)
+			span.ahead = max(span.ahead, ac.view.Offset-w.Offset)
 		}
 		if !ac.write {
 			continue
@@ -251,11 +276,11 @@ func (a *accessTracker) compatible(in *bytecode.Instruction) bool {
 		// different window.
 		for _, opnd := range [2]*bytecode.Operand{&in.In1, &in.In2} {
 			if opnd.IsReg() && opnd.Reg == ac.reg && !opnd.View.Equal(*ac.view) && opnd.View.Overlaps(*ac.view) {
-				return false
+				return span, false
 			}
 		}
 	}
-	return true
+	return span, true
 }
 
 // fusedBlockSize is the tile width (in elements) for fused contiguous

@@ -70,42 +70,10 @@ type epiPlan struct {
 	intRed   bool
 }
 
-// referencedAfter reports whether any instruction after index j references
-// register r other than releasing it with BH_FREE.
-func referencedAfter(p *bytecode.Program, j int, r bytecode.RegID) bool {
-	for k := j + 1; k < len(p.Instrs); k++ {
-		in := &p.Instrs[k]
-		if in.Op == bytecode.OpFree {
-			continue
-		}
-		if in.Out.IsReg() && in.Out.Reg == r {
-			return true
-		}
-		if in.ReadsReg(r) {
-			return true
-		}
-	}
-	return false
-}
-
-// freedAfter reports whether some instruction after index j frees r. A
-// producer register may stay virtual (never materialized) only when the
-// batch itself declares the buffer dead: lazy front-ends treat any other
-// written register as defined for the next batch.
-func freedAfter(p *bytecode.Program, j int, r bytecode.RegID) bool {
-	for k := j + 1; k < len(p.Instrs); k++ {
-		in := &p.Instrs[k]
-		if in.Op == bytecode.OpFree && in.Out.IsReg() && in.Out.Reg == r {
-			return true
-		}
-	}
-	return false
-}
-
 // analyzeEpilogue resolves the producer steps of a reduce cluster into an
 // epiPlan, or reports false when the shapes do not line up (the caller
 // then falls back to the two-sweep path).
-func analyzeEpilogue(p *bytecode.Program, cl cluster) (*epiPlan, bool) {
+func analyzeEpilogue(p *bytecode.Program, cl cluster, live *liveness) (*epiPlan, bool) {
 	redIdx := cl.end - 1
 	red := &p.Instrs[redIdx]
 	shape := cl.shape
@@ -156,12 +124,11 @@ func analyzeEpilogue(p *bytecode.Program, cl cluster) (*epiPlan, bool) {
 	}
 	plan.nSlots = len(plan.slotOf)
 
-	// A register skips materialization only when it is provably dead: the
-	// batch frees it after the reduction, nothing else references it, and
-	// it is not externally bound or observed.
+	// A register skips materialization only when it is provably dead
+	// after the reduction.
 	materialize := map[bytecode.RegID]bool{}
 	for r := range plan.slotOf {
-		if p.IsInput(r) || p.IsOutput(r) || referencedAfter(p, redIdx, r) || !freedAfter(p, redIdx, r) {
+		if !live.deadAfter(r, redIdx) {
 			materialize[r] = true
 		}
 	}
@@ -540,7 +507,7 @@ func (m *Machine) execClusterReduce(p *bytecode.Program, cl cluster, epi *epiPla
 	// Fallback: run the producers as a plain sweep, then the reduction
 	// through the interpreter.
 	if producers == nil { // planned as a fold: not compiled ahead of time
-		producers = compileNest(p, cl.start, cl.end-1, cl.shape)
+		producers = compileNest(p, cl.start, cl.end-1, cl.shape, nil, nil)
 	}
 	if producers == nil {
 		return m.interpret(p, cl.start, cl.end)

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
@@ -27,6 +29,11 @@ import (
 // broadcast) is packed into per-worker scratch by one typed gather loop,
 // and a strided result is scattered back, so there is exactly one kernel
 // table.
+//
+// A register the cluster writes and the batch proves dead afterwards is
+// virtual (virtualRegs): its current run lives in the worker's scratch and
+// it is never materialized. A closing write that aliases translated read
+// windows of its register runs as a lagged store (lagStore).
 type nest struct {
 	start, end int  // instruction range [start, end)
 	fused      bool // more than one step
@@ -36,79 +43,178 @@ type nest struct {
 	bases      []int   // view offset per operand slot
 	strides    [][]int // strides[d][slot]: stride of outer axis d
 	steps      []nestStep
+	slab       [8]int    // per-worker scratch elements by dtype: gather/scatter blocks, virtual runs, the ring
+	lag        *lagStore // non-nil: the last step is a lagged closing write
 }
 
 // nestStep is one instruction of a nest.
 type nestStep struct {
-	index int        // instruction index
-	ops   [3]bufSpan // result, first input, second input (register operands only)
-	code  stepBinder // nil: the op has no kernel (reported at execution)
+	index int              // instruction index
+	ops   [3]bufSpan       // result, first input, second input (register operands only)
+	acc   [3]operandAccess // where each operand's run is found
+	code  stepCode         // nil: the op has no kernel (reported at execution)
 }
 
 // bufSpan is what a register operand demands of the buffer bound to it:
 // the declared dtype and the index range its view touches (lo > hi: none).
+// A virtual operand binds no buffer.
 type bufSpan struct {
-	dtype  tensor.DType
-	lo, hi int
+	dtype   tensor.DType
+	virtual bool
+	lo, hi  int
 }
 
-// operandAccess locates an operand's current run for a typed step: its
-// slot in the worker's offset table and its innermost stride. slot < 0
-// marks a constant or absent operand.
-type operandAccess struct{ slot, stride int }
+// operandAccess locates an operand's current run. A memory operand has its
+// slot in the worker's offset table and its innermost stride; when that is
+// not 1, row is the slab offset of its gather (or scatter) block. A virtual
+// operand (slotVirtual) lives in the slab alone, at row — plus the current
+// ring slot for slotRing. slotNone: a constant or absent operand.
+type operandAccess struct{ slot, stride, row int }
 
-// stepBinder is a typed step's compiled, buffer-independent code; bind
-// attaches one execution's buffers (nil for constant operands).
-type stepBinder interface {
-	bind(dst, a, b tensor.Buffer) boundStep
+const (
+	slotNone    = -1
+	slotVirtual = -2
+	slotRing    = -3 // virtual, and its runs are the lagged store's ring
+)
+
+// stepCode is a typed step's compiled, buffer-independent code. run
+// executes it over n elements of the worker's current row from column col;
+// ops are the step's buffers (nil for constant and virtual operands). store
+// copies n lagged results from the ring slot at slab offset from to
+// dst[off], dst[off+stride], ... (closing steps only).
+type stepCode interface {
+	run(w *nestWorker, ops *[3]tensor.Buffer, col, n int)
+	store(w *nestWorker, dst tensor.Buffer, from, off, stride, n int)
 }
 
-// boundStep runs one step over n elements of the worker's current row,
-// starting at column col.
-type boundStep interface {
-	run(w *nestWorker, col, n int)
-}
-
-// nestWorker is one worker's position in the nest and its gather/scatter
-// scratch, keyed by storage kind so mixed-dtype clusters do not thrash.
+// nestWorker is one chunk's position in the nest, its scratch slab per
+// dtype and its share of the lagged store.
 type nestWorker struct {
-	offs   []int // current row's base offset per operand slot
-	coords []int // odometer position over the outer axes
-	blk    int   // scratch length: the longest run a step is handed
-	scr    [5][3]any
+	offs   []int            // current row's base offset per operand slot
+	coords []int            // odometer position over the outer axes
+	slab   [8]tensor.Buffer // at least nest.slab[dtype] elements each
+
+	slot                  int      // slab offset of the current run's ring (or hold) slot
+	pend                  []lagRun // results not yet stored: hold slots first, then the ring
+	held, ringed, flushed int      // head runs held; ring runs produced, and stored
+	edge                  int      // an earlier chunk still reads results below this address
+}
+
+// nestFrame is runNest's Machine-owned state — each step's bound buffers,
+// one nestWorker per chunk — grown on demand and kept: executing a cached
+// plan allocates no scratch, and plans stay immutable.
+type nestFrame struct {
+	ops     [][3]tensor.Buffer
+	workers []nestWorker
+}
+
+func grown[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// prepare readies count workers for one execution of ns.
+func (f *nestFrame) prepare(ns *nest, count int) []nestWorker {
+	for len(f.workers) < count {
+		f.workers = append(f.workers, nestWorker{})
+	}
+	ws := f.workers[:count]
+	for i := range ws {
+		w := &ws[i]
+		w.offs, w.coords = grown(w.offs, len(ns.bases)), grown(w.coords, len(ns.outer))
+		for dt, n := range ns.slab {
+			if n > 0 && (w.slab[dt] == nil || w.slab[dt].Len() < n) {
+				w.slab[dt] = tensor.MustBuffer(tensor.DType(dt), n)
+			}
+		}
+		if ns.lag != nil {
+			w.pend = grown(w.pend, ns.lag.hold+ns.lag.ring)
+			w.held, w.ringed, w.flushed = 0, 0, 0
+		}
+	}
+	return ws
+}
+
+func slabOf[T tensor.Elem](w *nestWorker, dt tensor.DType) []T {
+	s, _ := tensor.RawSlice[T](w.slab[dt])
+	return s
+}
+
+func operands(in *bytecode.Instruction) [3]*bytecode.Operand {
+	return [3]*bytecode.Operand{&in.Out, &in.In1, &in.In2}
 }
 
 // compileNest compiles instructions [start, end) of p — vetted by sweepAt
-// to share the iteration shape — into a nest. A single instruction whose
-// op has no kernel yields nil: it stays with the interpreter, which
-// reports the error.
-func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape) *nest {
+// to share the iteration shape — into a nest. live (or nil) lets dead
+// temporaries stay virtual; lagged (or nil) is the layout the planner
+// accepted a closing write with, copied because constant-rebound plans
+// share it. A single instruction whose op has no kernel yields nil: the
+// interpreter runs it and reports the error.
+func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *liveness, lagged *nest) *nest {
+	var ns *nest
+	if lagged == nil {
+		ns = layoutNest(p, start, end, shape, live, nil)
+	} else {
+		c := *lagged
+		c.steps = slices.Clone(c.steps)
+		ns = &c
+	}
+	for k := range ns.steps {
+		st := &ns.steps[k]
+		in := &p.Instrs[st.index]
+		srcDT := st.ops[0].dtype
+		srcs := make([]ksrc, 0, 2)
+		for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
+			switch {
+			case o.IsConst():
+				srcs = append(srcs, constSrc(o.Const))
+			case o.IsReg():
+				srcs = append(srcs, ksrc{})
+				srcDT = st.ops[j+1].dtype
+			}
+		}
+		st.code = newKernelStep(st.ops[0].dtype, srcDT, in.Op, srcs, st.acc)
+	}
+	if !ns.fused && ns.steps[0].code == nil {
+		return nil
+	}
+	return ns
+}
+
+// layoutNest is the kernel-free half of compileNest: operand slots, the
+// collapsed geometry, the scratch slab, the lagged store. It returns nil
+// only to decline the closing write lagged announces (the planner asks).
+func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *liveness, lagged *lagSpan) *nest {
 	n := end - start
-	ns := &nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, 0, n)}
-	views := make([]tensor.View, 0, 3*n) // per operand slot, broadcast to shape
-	accs := make([][3]operandAccess, 0, n)
-	for i := start; i < end; i++ {
-		in := &p.Instrs[i]
-		st := nestStep{index: i}
-		acc := [3]operandAccess{{slot: -1}, {slot: -1}, {slot: -1}}
-		for k, o := range [3]*bytecode.Operand{&in.Out, &in.In1, &in.In2} {
+	ns := &nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, n)}
+	virt := virtualRegs(p, start, end, shape, live)
+	views := make([]tensor.View, 0, 3*n) // per memory operand slot, broadcast to shape
+	for i := range ns.steps {
+		in, st := &p.Instrs[start+i], &ns.steps[i]
+		st.index = start + i
+		for k, o := range operands(in) {
+			st.acc[k].slot = slotNone
 			if !o.IsReg() {
+				continue
+			}
+			ri, _ := p.Reg(o.Reg)
+			st.ops[k] = bufSpan{dtype: ri.DType, hi: -1}
+			if findVirtual(virt, o.Reg) != nil {
+				st.ops[k].virtual, st.acc[k].slot = true, slotVirtual
 				continue
 			}
 			v := o.View
 			if !v.Shape.Equal(shape) {
 				v, _ = v.BroadcastTo(shape) // broadcastable: sweepAt checked
 			}
-			ri, _ := p.Reg(o.Reg)
-			st.ops[k] = bufSpan{dtype: ri.DType, hi: -1}
 			if lo, hi, ok := v.MinMaxIndex(); ok {
 				st.ops[k].lo, st.ops[k].hi = lo, hi
 			}
-			acc[k].slot = len(views)
+			st.acc[k].slot = len(views)
 			views = append(views, v)
 		}
-		ns.steps = append(ns.steps, st)
-		accs = append(accs, acc)
 	}
 
 	// Collapse: drop singleton dimensions, then merge each dimension into
@@ -146,54 +252,221 @@ func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape) *nest 
 	ns.inner = 1
 	if n := len(axes); n > 0 {
 		ns.inner = axes[n-1].extent
-		for k := range accs {
-			for j := range accs[k] {
-				if s := accs[k][j].slot; s >= 0 {
-					accs[k][j].stride = axes[n-1].strides[s]
-				}
-			}
-		}
 		for _, ax := range axes[:n-1] {
 			ns.outer = append(ns.outer, ax.extent)
 			ns.strides = append(ns.strides, ax.strides)
-		}
-	} else {
-		for k := range accs {
-			for j := range accs[k] {
-				accs[k][j].stride = 1 // a single element: any stride addresses it
-			}
 		}
 	}
 	ns.bases = make([]int, len(views))
 	for s := range views {
 		ns.bases[s] = views[s].Offset
 	}
-
-	for k := range ns.steps {
-		st := &ns.steps[k]
-		in := &p.Instrs[st.index]
-		srcDT := st.ops[0].dtype
-		srcs := make([]ksrc, 0, 2)
-		for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
-			switch {
-			case o.IsConst():
-				srcs = append(srcs, constSrc(o.Const))
-			case o.IsReg():
-				srcs = append(srcs, ksrc{})
-				srcDT = st.ops[j+1].dtype
+	for i := range ns.steps {
+		for k := range ns.steps[i].acc {
+			if acc := &ns.steps[i].acc[k]; acc.slot >= 0 {
+				acc.stride = 1 // a single element: any stride addresses it
+				if ns.inner > 1 {
+					acc.stride = axes[len(axes)-1].strides[acc.slot]
+				}
 			}
 		}
-		st.code = newKernelStep(st.ops[0].dtype, srcDT, in.Op, srcs, accs[k])
 	}
-	if !ns.fused && ns.steps[0].code == nil {
-		return nil
+
+	// Scratch: one block per run for every virtual register and for every
+	// operand position that gathers or scatters; the ring takes one per slot.
+	blk := min(ns.inner, fusedBlockSize)
+	take := func(dt tensor.DType, n int) int {
+		ns.slab[dt] += n
+		return ns.slab[dt] - n
+	}
+	closing, last := &p.Instrs[end-1], &ns.steps[n-1].acc
+	if lagged != nil {
+		lag := &lagStore{lagSpan: *lagged, slot: last[0].slot, stride: last[0].stride, blk: blk}
+		if lag.slot < 0 || !lag.size(ns) {
+			return nil
+		}
+		ns.lag = lag
+		if ops := &ns.steps[n-1].ops; closing.Op == bytecode.OpIdentity && closing.In1.IsReg() && ops[1].dtype == ops[0].dtype {
+			if src := findVirtual(virt, closing.In1.Reg); src != nil {
+				src.slots, lag.alias = lag.hold+lag.ring, true
+			}
+		}
+	}
+	for i := range virt {
+		ri, _ := p.Reg(virt[i].reg)
+		virt[i].row = take(ri.DType, blk*max(1, virt[i].slots))
+	}
+	var blocks [8][3]int // 1 + slab offset of the gather/scatter block per (dtype, position)
+	for i := range ns.steps {
+		for k, o := range operands(&p.Instrs[start+i]) {
+			acc, dt := &ns.steps[i].acc[k], ns.steps[i].ops[k].dtype
+			if acc.slot == slotVirtual {
+				v := findVirtual(virt, o.Reg)
+				if acc.row = v.row; v.slots > 0 {
+					acc.slot = slotRing
+				}
+			} else if acc.slot >= 0 && acc.stride != 1 {
+				if blocks[dt][k] == 0 {
+					blocks[dt][k] = 1 + take(dt, blk)
+				}
+				acc.row = blocks[dt][k] - 1
+			}
+		}
+	}
+	if lag := ns.lag; lag != nil && lag.alias {
+		last[0] = last[1] // the source register's run is the ring slot
+	} else if lag != nil {
+		last[0] = operandAccess{slot: slotRing, row: take(ns.steps[n-1].ops[0].dtype, (lag.hold+lag.ring)*blk)}
 	}
 	return ns
 }
 
+// virtualReg is a register a fused nest keeps out of memory: its run's slab
+// offset and, when its runs double as the lagged store's ring, their count.
+type virtualReg struct {
+	reg        bytecode.RegID
+	row, slots int
+}
+
+func findVirtual(virt []virtualReg, r bytecode.RegID) *virtualReg {
+	for i := range virt {
+		if virt[i].reg == r {
+			return &virt[i]
+		}
+	}
+	return nil
+}
+
+// virtualRegs picks the registers of fused cluster [start, end) that need
+// no memory: dead once it ends (liveness.deadAfter) and touched inside it
+// only through one view of its shape, first by a write that does not read
+// it — whatever a step reads was produced earlier in the same run.
+func virtualRegs(p *bytecode.Program, start, end int, shape tensor.Shape, live *liveness) (virt []virtualReg) {
+	if live == nil || end-start < 2 {
+		return nil
+	}
+	for i := start; i < end; i++ {
+		in := &p.Instrs[i]
+		r, v := in.Out.Reg, &in.Out.View
+		ok := live.deadAfter(r, end-1) && v.Shape.Equal(shape) && !in.ReadsReg(r)
+		for k := start; k < end && ok; k++ {
+			for _, o := range operands(&p.Instrs[k]) {
+				if o.IsReg() && o.Reg == r && (k < i || !o.View.Equal(*v)) {
+					ok = false // touched before this write, or through another view
+				}
+			}
+		}
+		if ok && findVirtual(virt, r) == nil {
+			virt = append(virt, virtualReg{reg: r})
+		}
+	}
+	return virt
+}
+
+// lagSpan is how far a cluster's read windows of the closing write's
+// register trail (back) and lead (ahead) the write view, in elements: a
+// window at offset δ reads, at iteration i, the address i writes plus δ.
+type lagSpan struct{ back, ahead int }
+
+// lagStore is a nest's lagged closing write. The write view's address
+// grows strictly with the flat iteration index (positive, row-major
+// monotone), so "later iterations" means "higher addresses". Each run's
+// result goes to a ring slot and is stored only once the compute front has
+// passed every address it can still be read from: when a run starting at
+// address a begins, pending runs ending below a-back are stored (lagBegin).
+// What another chunk may still read — a chunk's first runs, within ahead
+// of its first address, and whatever is pending when it ends — stays in
+// its slots until the caller stores it after the parallelFor barrier
+// (drain), so the result does not depend on the worker count.
+type lagStore struct {
+	lagSpan
+	slot, stride int  // the write view's offset-table slot and innermost stride
+	blk          int  // elements per slot
+	ring, hold   int  // ring slots; hold slots for a chunk's first runs
+	alias        bool // BH_IDENTITY of a virtual register: its run is the ring slot and the step itself never runs
+}
+
+type lagRun struct{ off, n int }
+
+// maxLagScratch bounds ring plus hold slots, in elements per worker.
+const maxLagScratch = 8 * fusedBlockSize
+
+// size checks that the write view is monotone in ns and sizes the ring. A
+// run stays pending while a later run of its chunk starts within back of
+// its end: at most the earlier blocks of its row, plus every block of the
+// rows whose span stretched by back reaches the current row (rows advance
+// by at least adv). The same count with ahead bounds a chunk's held runs.
+func (lag *lagStore) size(ns *nest) bool {
+	span := (ns.inner - 1) * lag.stride
+	if lag.stride <= 0 {
+		return false
+	}
+	adv, rewind := math.MaxInt, 0 // least address advance between rows; what the axes inside d rewind when d steps
+	for d := len(ns.outer) - 1; d >= 0; d-- {
+		stride := ns.strides[d][lag.slot]
+		if stride-rewind <= span {
+			return false
+		}
+		adv = min(adv, stride-rewind)
+		rewind += (ns.outer[d] - 1) * stride
+	}
+	blocks := (ns.inner + lag.blk - 1) / lag.blk
+	runs := func(reach, sameRow int) int {
+		return min(sameRow, (reach+lag.blk*lag.stride-1)/(lag.blk*lag.stride)) + blocks*((span+reach)/adv)
+	}
+	lag.ring = 1 + runs(lag.back, blocks-1)
+	if lag.ahead > 0 {
+		lag.hold = runs(lag.ahead, blocks)
+	}
+	return (lag.ring+lag.hold)*lag.blk <= maxLagScratch
+}
+
+// lagBegin opens the run of n elements at column c: pending results no
+// later iteration reads are stored, then the run takes a hold slot (an
+// earlier chunk still reads ahead into it) or the next ring slot.
+func (ns *nest) lagBegin(w *nestWorker, ops [][3]tensor.Buffer, c, n int) {
+	lag := ns.lag
+	off := w.offs[lag.slot] + c*lag.stride
+	for ; w.flushed < w.ringed; w.flushed++ {
+		i := lag.hold + w.flushed%lag.ring
+		if r := w.pend[i]; r.off+(r.n-1)*lag.stride+lag.back >= off {
+			break
+		}
+		ns.store(w, ops, i)
+	}
+	i := w.held
+	if off < w.edge {
+		w.held++
+	} else {
+		i = lag.hold + w.ringed%lag.ring
+		w.ringed++
+	}
+	if w.held > lag.hold || w.ringed-w.flushed > lag.ring {
+		panic("vm: lagged store outran its ring") // lagStore.size bounds both
+	}
+	w.pend[i] = lagRun{off, n}
+	w.slot = i * lag.blk
+}
+
+// store writes pending run i of w to the closing step's result.
+func (ns *nest) store(w *nestWorker, ops [][3]tensor.Buffer, i int) {
+	last := len(ns.steps) - 1
+	ns.steps[last].code.store(w, ops[last][0], i*ns.lag.blk, w.pend[i].off, ns.lag.stride, w.pend[i].n)
+}
+
+// drain stores what w still holds once every chunk has finished.
+func (ns *nest) drain(w *nestWorker, ops [][3]tensor.Buffer) {
+	for i := 0; i < w.held; i++ {
+		ns.store(w, ops, i)
+	}
+	for ; w.flushed < w.ringed; w.flushed++ {
+		ns.store(w, ops, ns.lag.hold+w.flushed%ns.lag.ring)
+	}
+}
+
 // newKernelStep compiles one step's kernel for its (result, source) dtype
 // pair, or returns nil when the op has no kernel.
-func newKernelStep(dstDT, srcDT tensor.DType, op bytecode.Opcode, srcs []ksrc, acc [3]operandAccess) stepBinder {
+func newKernelStep(dstDT, srcDT tensor.DType, op bytecode.Opcode, srcs []ksrc, acc [3]operandAccess) stepCode {
 	switch dstDT {
 	case tensor.Float64:
 		return kernelStepTo[float64](dstDT, srcDT, op, srcs, acc)
@@ -209,7 +482,7 @@ func newKernelStep(dstDT, srcDT tensor.DType, op bytecode.Opcode, srcs []ksrc, a
 	return nil
 }
 
-func kernelStepTo[D tensor.Elem](dstDT, srcDT tensor.DType, op bytecode.Opcode, srcs []ksrc, acc [3]operandAccess) stepBinder {
+func kernelStepTo[D tensor.Elem](dstDT, srcDT tensor.DType, op bytecode.Opcode, srcs []ksrc, acc [3]operandAccess) stepCode {
 	if srcDT == dstDT {
 		k, ok := compileLoop[D](dstDT, op, srcs)
 		if !ok {
@@ -233,82 +506,69 @@ func kernelStepTo[D tensor.Elem](dstDT, srcDT tensor.DType, op bytecode.Opcode, 
 	return nil
 }
 
-func kernelStepOf[D, S tensor.Elem](k kernel[D, S], dstDT, srcDT tensor.DType, acc [3]operandAccess) stepBinder {
-	return &kernelStep[D, S]{kern: k, out: acc[0], in1: acc[1], in2: acc[2],
-		dstKind: storageKind(dstDT), srcKind: storageKind(srcDT)}
-}
-
-// storageKind indexes nestWorker.scr by a dtype's storage type.
-func storageKind(dt tensor.DType) int {
-	switch dt {
-	case tensor.Float64:
-		return 0
-	case tensor.Float32:
-		return 1
-	case tensor.Int64:
-		return 2
-	case tensor.Int32:
-		return 3
-	default:
-		return 4
-	}
+func kernelStepOf[D, S tensor.Elem](k kernel[D, S], dstDT, srcDT tensor.DType, acc [3]operandAccess) stepCode {
+	return &kernelStep[D, S]{kern: k, out: acc[0], in1: acc[1], in2: acc[2], dstDT: dstDT, srcDT: srcDT}
 }
 
 // kernelStep is a step's typed code: D is the result's storage type, S
-// the inputs' (the same type except for casts).
+// the inputs' (the same type except for casts). Buffer dtypes were
+// checked by runNest, so the RawSlice assertions cannot fail.
 type kernelStep[D, S tensor.Elem] struct {
-	kern             kernel[D, S]
-	out, in1, in2    operandAccess
-	dstKind, srcKind int
+	kern          kernel[D, S]
+	out, in1, in2 operandAccess
+	dstDT, srcDT  tensor.DType // index the worker's slabs
 }
 
-// boundKernel is a kernelStep bound to one execution's raw slices.
-type boundKernel[D, S tensor.Elem] struct {
-	*kernelStep[D, S]
-	dst  []D
-	a, b []S
-}
-
-func (st *kernelStep[D, S]) bind(dst, a, b tensor.Buffer) boundStep {
-	bk := &boundKernel[D, S]{kernelStep: st}
-	bk.dst, _ = tensor.RawSlice[D](dst) // dtypes were checked by runNest
-	if a != nil {
-		bk.a, _ = tensor.RawSlice[S](a)
-	}
-	if b != nil {
-		bk.b, _ = tensor.RawSlice[S](b)
-	}
-	return bk
-}
-
-func (bk *boundKernel[D, S]) run(w *nestWorker, col, n int) {
-	a := inputRun(w, bk.srcKind, 1, bk.a, bk.in1, col, n)
-	b := inputRun(w, bk.srcKind, 2, bk.b, bk.in2, col, n)
-	off := w.offs[bk.out.slot] + col*bk.out.stride
-	if bk.out.stride == 1 {
-		bk.kern(bk.dst[off:off+n], a, b)
+func (st *kernelStep[D, S]) run(w *nestWorker, ops *[3]tensor.Buffer, col, n int) {
+	a := inputRun[S](w, st.srcDT, ops[1], st.in1, col, n)
+	b := inputRun[S](w, st.srcDT, ops[2], st.in2, col, n)
+	if st.out.slot <= slotVirtual {
+		st.kern(virtualRun[D](w, st.dstDT, st.out, n), a, b)
 		return
 	}
-	d := scratch[D](w, bk.dstKind, 0)[:n]
-	bk.kern(d, a, b)
+	dst, _ := tensor.RawSlice[D](ops[0])
+	off := w.offs[st.out.slot] + col*st.out.stride
+	if st.out.stride == 1 {
+		st.kern(dst[off:off+n], a, b)
+		return
+	}
+	d := slabOf[D](w, st.dstDT)[st.out.row:][:n]
+	st.kern(d, a, b)
 	for _, v := range d {
-		bk.dst[off] = v
-		off += bk.out.stride
+		dst[off] = v
+		off += st.out.stride
+	}
+}
+
+func (st *kernelStep[D, S]) store(w *nestWorker, dstBuf tensor.Buffer, from, off, stride, n int) {
+	src := slabOf[D](w, st.dstDT)[st.out.row+from:][:n]
+	dst, _ := tensor.RawSlice[D](dstBuf)
+	if stride == 1 {
+		copy(dst[off:off+n], src)
+		return
+	}
+	for _, v := range src {
+		dst[off] = v
+		off += stride
 	}
 }
 
 // inputRun returns n elements of an input operand's current row from
-// column col as a unit-stride slice: the buffer itself when the operand's
-// innermost stride is 1, gathered into scratch otherwise.
-func inputRun[T tensor.Elem](w *nestWorker, kind, k int, src []T, acc operandAccess, col, n int) []T {
-	if acc.slot < 0 {
+// column col as a unit-stride slice: a virtual register's run, the buffer
+// itself when its innermost stride is 1, gathered into scratch otherwise.
+func inputRun[T tensor.Elem](w *nestWorker, dt tensor.DType, buf tensor.Buffer, acc operandAccess, col, n int) []T {
+	switch acc.slot {
+	case slotNone:
 		return nil
+	case slotVirtual, slotRing:
+		return virtualRun[T](w, dt, acc, n)
 	}
+	src, _ := tensor.RawSlice[T](buf)
 	off := w.offs[acc.slot] + col*acc.stride
 	if acc.stride == 1 {
 		return src[off : off+n]
 	}
-	s := scratch[T](w, kind, k)[:n]
+	s := slabOf[T](w, dt)[acc.row:][:n]
 	for i := range s {
 		s[i] = src[off]
 		off += acc.stride
@@ -316,47 +576,54 @@ func inputRun[T tensor.Elem](w *nestWorker, kind, k int, src []T, acc operandAcc
 	return s
 }
 
-func scratch[T tensor.Elem](w *nestWorker, kind, k int) []T {
-	s, _ := w.scr[kind][k].([]T)
-	if s == nil {
-		s = make([]T, w.blk)
-		w.scr[kind][k] = s
+// virtualRun is the current run of a virtual operand.
+func virtualRun[T tensor.Elem](w *nestWorker, dt tensor.DType, acc operandAccess, n int) []T {
+	off := acc.row
+	if acc.slot == slotRing {
+		off += w.slot
 	}
-	return s
+	return slabOf[T](w, dt)[off : off+n]
 }
 
 // sweep runs flat elements [lo, hi) of the nest's iteration space (row
-// major: rows of inner elements) through every bound step.
-func (ns *nest) sweep(bound []boundStep, lo, hi int) {
-	w := nestWorker{offs: ns.bases, blk: min(ns.inner, fusedBlockSize)}
-	col := lo
-	if len(ns.outer) > 0 {
-		// Seek the odometer to the row holding lo.
-		row := lo / ns.inner
-		col = lo % ns.inner
-		w.offs = append([]int(nil), ns.bases...)
-		w.coords = make([]int, len(ns.outer))
-		for d := len(ns.outer) - 1; d >= 0; d-- {
-			c := row % ns.outer[d]
-			row /= ns.outer[d]
-			w.coords[d] = c
-			for s, stride := range ns.strides[d] {
-				w.offs[s] += c * stride
-			}
+// major: rows of inner elements) through every step, on worker w.
+func (ns *nest) sweep(w *nestWorker, ops [][3]tensor.Buffer, lo, hi int) {
+	copy(w.offs, ns.bases)
+	// Seek the odometer to the row holding lo.
+	row, col := lo/ns.inner, lo%ns.inner
+	for d := len(ns.outer) - 1; d >= 0; d-- {
+		c := row % ns.outer[d]
+		row /= ns.outer[d]
+		w.coords[d] = c
+		for s, stride := range ns.strides[d] {
+			w.offs[s] += c * stride
+		}
+	}
+	steps := ns.steps
+	if lag := ns.lag; lag != nil {
+		w.edge = math.MinInt
+		if lo > 0 {
+			w.edge = w.offs[lag.slot] + col*lag.stride + lag.ahead
+		}
+		if lag.alias {
+			steps = steps[:len(steps)-1]
 		}
 	}
 	for lo < hi {
 		end := min(ns.inner, col+hi-lo)
 		for c := col; c < end; c += fusedBlockSize {
 			n := min(fusedBlockSize, end-c)
-			for _, b := range bound {
-				b.run(&w, c, n)
+			if ns.lag != nil {
+				ns.lagBegin(w, ops, c, n)
+			}
+			for i := range steps {
+				steps[i].code.run(w, &ops[i], c, n)
 			}
 		}
 		lo += end - col
 		col = 0
 		if lo < hi {
-			ns.advance(&w)
+			ns.advance(w)
 		}
 	}
 }
@@ -383,19 +650,23 @@ func (ns *nest) advance(w *nestWorker) {
 
 // runNest executes a compiled nest against m's current register
 // bindings. Result registers materialize on demand; so do the inputs of a
-// fused cluster, while a single instruction requires its inputs bound,
-// exactly as the interpreter does. A single instruction whose buffers
-// turn out to need the interpreter's dynamic handling — a bound buffer of
-// another dtype than declared, or an input aliasing the result's buffer
-// through a different overlapping window — runs there instead.
+// fused cluster (virtual registers bind nothing), while a single
+// instruction requires its inputs bound, exactly as the interpreter does.
+// A single instruction whose buffers turn out to need the interpreter's
+// dynamic handling — a bound buffer of another dtype than declared, or an
+// input aliasing the result's buffer through a different overlapping
+// window — runs there instead.
 func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
-	bound := make([]boundStep, len(ns.steps))
+	m.frame.ops = grown(m.frame.ops, len(ns.steps))
+	ops := m.frame.ops
+	defer clear(ops) // the frame must not pin buffers between executions
 	for si := range ns.steps {
 		st := &ns.steps[si]
 		in := &p.Instrs[st.index]
 		var bufs [3]tensor.Buffer
-		for k, o := range [3]*bytecode.Operand{&in.Out, &in.In1, &in.In2} {
-			if !o.IsReg() {
+		for k, o := range operands(in) {
+			span := st.ops[k]
+			if !o.IsReg() || span.virtual {
 				continue
 			}
 			var buf tensor.Buffer
@@ -408,7 +679,6 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 			} else if buf = m.regs.get(o.Reg); buf == nil {
 				return instrErr(p, st.index, fmt.Errorf("input register %s has no buffer", o.Reg))
 			}
-			span := st.ops[k]
 			if buf.DType() != span.dtype {
 				if !ns.fused {
 					return m.interpret(p, ns.start, ns.end)
@@ -432,7 +702,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 		if st.code == nil {
 			return instrErr(p, st.index, fmt.Errorf("no compiled loop for %s", in.Op))
 		}
-		bound[si] = st.code.bind(bufs[0], bufs[1], bufs[2])
+		ops[si] = bufs
 	}
 
 	k := len(ns.steps)
@@ -443,9 +713,16 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 		m.stats.fusedInstructions.Add(int64(k))
 		m.countFusedDTypes(p, ns.start, ns.end)
 	}
+	count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)
+	workers := m.frame.prepare(ns, count)
 	m.par.parallelFor(ns.total, m.cfg.ParallelThreshold, func(lo, hi int) {
-		ns.sweep(bound, lo, hi)
+		ns.sweep(&workers[lo/size], ops, lo, hi)
 	})
+	if ns.lag != nil {
+		for i := range workers {
+			ns.drain(&workers[i], ops)
+		}
+	}
 	return nil
 }
 

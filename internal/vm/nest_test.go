@@ -209,6 +209,102 @@ func (g *nestGen) program() genProgram {
 	return out
 }
 
+// update decodes the stream into a translated-window update program, the
+// shape a lazy front end emits for u[interior] = f(shifted u): a chain
+// into a temporary over windows of one register that are pure
+// translations of each other (rank 1-3; negative, positive and diagonal
+// shifts on every axis; unit and non-unit steps; optionally a row longer
+// than fusedBlockSize), closed by a write through the unshifted window —
+// a BH_IDENTITY of the temporary, a computing step or a constant — and
+// usually a BH_FREE of the temporary. One draw in four spoils one property the
+// lagged store needs (a reversed or differently strided read window, an
+// earlier write through another window, a BH_SYNC of the temporary), so
+// the declined shapes stay under the same differential.
+func (g *nestGen) update() genProgram {
+	dt := nestDTypes[g.n(len(nestDTypes))]
+	rank := 1 + g.n(3)
+	shape := make(tensor.Shape, rank)
+	for d := range shape {
+		shape[d] = 1 + g.n(6)
+	}
+	if rank <= 2 && g.n(5) == 0 {
+		shape[rank-1] = fusedBlockSize + 1 + g.n(300)
+	}
+	lo, step, base := make([]int, rank), make([]int, rank), make(tensor.Shape, rank)
+	hi := make([]int, rank)
+	for d := range shape {
+		lo[d], hi[d], step[d] = g.n(3), g.n(3), 1+g.n(2)
+		if d == rank-1 && lo[d]+hi[d] == 0 {
+			lo[d] = 1 // some shift is always possible
+		}
+		base[d] = (shape[d]-1)*(step[d]+1) + 1 + lo[d] + hi[d] // room for one window of step+1
+	}
+	p := bytecode.NewProgram()
+	tmp := p.NewReg(dt, shape.Size()) // register 0: the id a constant operand's zero value names
+	grid := p.NewReg(dt, base.Size())
+	p.MarkInput(grid)
+	in := tensor.MustNew(dt, base)
+	for i, salt := 0, g.n(5); i < in.Buf.Len(); i++ {
+		in.Buf.Set(i, float64((i*7+salt)%11)*0.5)
+	}
+	// window cuts the iteration shape out of the grid, shifted by a draw
+	// from [-lo, hi] on every axis; spoil reverses or restrides one axis.
+	window := func(shifted bool, spoil int) bytecode.Operand {
+		v := tensor.NewView(base)
+		for d := range shape {
+			start, st := lo[d], step[d]
+			if shifted {
+				start += g.n(lo[d]+hi[d]+1) - lo[d]
+			}
+			stop := start + (shape[d]-1)*st + 1
+			switch {
+			case d != rank-1 || spoil == 0:
+			case spoil == 1:
+				start, stop, st = stop-1, start-1, -st
+			default:
+				st++
+				start, stop = lo[d], lo[d]+(shape[d]-1)*st+1
+			}
+			v, _ = v.Slice(d, start, stop, st)
+		}
+		return bytecode.Reg(grid, v)
+	}
+	spoil := 0
+	if g.n(4) == 0 {
+		spoil = 1 + g.n(4)
+	}
+	center, t := window(false, 0), bytecode.Reg(tmp, tensor.NewView(shape))
+	ops := []bytecode.Opcode{bytecode.OpAdd, bytecode.OpSubtract, bytecode.OpMultiply, bytecode.OpMaximum, bytecode.OpMinimum}
+	if spoil == 3 {
+		p.EmitIdentity(window(true, 0), bytecode.Const(bytecode.ConstOf(dt, 1)))
+	}
+	p.EmitBinary(ops[g.n(len(ops))], t, center, window(true, min(spoil, 2)%3))
+	for n := g.n(4); n > 0; n-- {
+		p.EmitBinary(ops[g.n(len(ops))], t, t, window(true, 0))
+	}
+	if g.n(2) == 0 {
+		p.EmitBinary(bytecode.OpMultiply, t, t, bytecode.Const(bytecode.ConstOf(dt, 0.5)))
+	}
+	// The constant draw comes last, so shorter corpus entries decode as before.
+	closing, freed, constant := g.n(4), g.n(4) != 0, g.n(6) == 1
+	switch {
+	case constant:
+		p.EmitIdentity(center, bytecode.Const(bytecode.ConstOf(dt, 3)))
+	case closing == 0:
+		p.EmitBinary(bytecode.OpAdd, center, t, bytecode.Const(bytecode.ConstOf(dt, 1)))
+	default:
+		p.EmitIdentity(center, t)
+	}
+	if spoil == 4 {
+		p.EmitSync(t)
+	}
+	if freed {
+		p.EmitFree(t)
+	}
+	p.EmitSync(bytecode.Reg(grid, tensor.NewView(base)))
+	return genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{grid: in}}
+}
+
 // nestRun executes gp on a fresh machine — through Plan.Execute, or
 // instruction by instruction through the accessor interpreter — and
 // returns the machine for register inspection.
@@ -259,7 +355,8 @@ func sameRegisters(t testing.TB, what string, p *bytecode.Program, want, got *Ma
 }
 
 // checkNestDifferential is the property: interpreter ≡ unfused ≡ fused,
-// one worker ≡ many (with a threshold low enough that rows split).
+// one worker ≡ many (with a threshold low enough that chunk boundaries
+// fall mid-row, and worker counts that give one-row and sub-row chunks).
 func checkNestDifferential(t testing.TB, gp genProgram) {
 	t.Helper()
 	if err := gp.prog.Validate(); err != nil {
@@ -270,7 +367,9 @@ func checkNestDifferential(t testing.TB, gp genProgram) {
 		{Fusion: false, Workers: 1},
 		{Fusion: true, Workers: 1},
 		{Fusion: false, Workers: 3, ParallelThreshold: 4},
+		{Fusion: true, Workers: 2, ParallelThreshold: 4},
 		{Fusion: true, Workers: 3, ParallelThreshold: 4},
+		{Fusion: true, Workers: 7, ParallelThreshold: 4},
 	} {
 		got := nestRun(t, gp, cfg, false)
 		sameRegisters(t, fmt.Sprintf("fusion=%v workers=%d", cfg.Fusion, cfg.Workers), gp.prog, want, got)
@@ -287,24 +386,39 @@ func TestNestDifferentialGenerated(t *testing.T) {
 		data := make([]byte, 256)
 		rng.Read(data)
 		checkNestDifferential(t, (&nestGen{data: data}).program())
+		checkNestDifferential(t, (&nestGen{data: data}).update())
 	}
 }
 
 func FuzzNestDifferential(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 1, 2, 3, 0, 5, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
+	// Translated-window updates, as nestGen.update decodes them: the 2-D
+	// five-point float64 stencil (freed temporary: its rows are the ring);
+	// a 1-D float32 Jacobi row longer than fusedBlockSize; a 3-D int32
+	// update with diagonal shifts and an innermost step of 2; a computing
+	// closing write over a live temporary (a ring of its own); a reversed
+	// read window (declined: two sweeps); the first again, closed by a
+	// constant while the temporary (register 0) stays virtual.
+	f.Add([]byte{0, 1, 5, 5, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 3, 0, 2, 1, 0, 1, 0, 0, 1, 2, 0, 1, 1})
+	f.Add([]byte{1, 0, 0, 0, 17, 1, 1, 0, 0, 1, 0, 0, 1, 0, 2, 0, 1, 1})
+	f.Add([]byte{3, 2, 2, 3, 4, 1, 1, 1, 1, 0, 0, 2, 1, 1, 3, 2, 0, 0, 0, 3, 2, 1, 2, 1, 0, 3, 1, 0, 2, 1, 2, 3})
+	f.Add([]byte{0, 1, 3, 5, 2, 1, 1, 0, 1, 1, 0, 1, 3, 0, 0, 2, 0, 1, 0, 0})
+	f.Add([]byte{0, 1, 2, 4, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1})
+	f.Add([]byte{0, 1, 5, 5, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 3, 0, 2, 1, 0, 1, 0, 0, 1, 2, 0, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip()
 		}
 		checkNestDifferential(t, (&nestGen{data: data}).program())
+		checkNestDifferential(t, (&nestGen{data: data}).update())
 	})
 }
 
 // stencilBatch is the benchmark's stencil-sweep batch on an n×n grid: a
-// 5-instruction strided cluster over the interior windows, then the
-// BH_IDENTITY write-back that cannot join it (its result overlaps the
-// cluster's read windows).
+// 5-instruction strided chain over the interior windows into a temporary,
+// the BH_IDENTITY write-back through the centre window — one row behind
+// the north window, one ahead of the south — and the temporary's BH_FREE.
 func stencilBatch(n int) (genProgram, bytecode.RegID) {
 	p := bytecode.NewProgram()
 	grid := p.NewReg(tensor.Float64, n*n)
@@ -336,21 +450,51 @@ func TestNestStencilBatch(t *testing.T) {
 	checkNestDifferential(t, gp)
 
 	m := nestRun(t, gp, Config{Fusion: true, Workers: 2, ParallelThreshold: 64}, false)
-	if st := m.Stats(); st.Sweeps != 2 || st.FusedInstructions != 5 || st.Instructions != 6 {
-		t.Errorf("stencil batch ran as %d sweeps, %d fused of %d instructions; want 2, 5 of 6",
+	st := m.Stats()
+	if st.Sweeps != 1 || st.FusedInstructions != 6 || st.Instructions != 6 {
+		t.Errorf("stencil batch ran as %d sweeps, %d fused of %d instructions; want 1, 6 of 6",
 			st.Sweeps, st.FusedInstructions, st.Instructions)
+	}
+	if st.BuffersAllocated != 0 || st.PoolHits != 0 {
+		t.Errorf("the freed temporary was materialized: %d buffers allocated, %d pool hits", st.BuffersAllocated, st.PoolHits)
+	}
+	pl, err := m.Compile(gp.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lag := pl.nests[0].lag; lag == nil || !lag.alias || lag.ring != 2 || lag.hold != 2 || lag.blk != n-2 {
+		t.Errorf("write-back lag %+v: want the temporary's rows as a 2-slot ring (one row of lag) plus 2 hold slots", lag)
 	}
 	// Against plain Go, in the recorded operation order.
 	src := gp.inputs[grid].Buf
-	got := m.regs.get(grid)
-	for r := 1; r < n-1; r++ {
-		for c := 1; c < n-1; c++ {
-			i := r*n + c
-			want := ((((src.Get(i) + src.Get(i-n)) + src.Get(i+n)) + src.Get(i-1)) + src.Get(i+1)) * 0.2
-			if got.Get(i) != want {
-				t.Fatalf("grid[%d,%d] = %v, want %v", r, c, got.Get(i), want)
+	check := func(got tensor.Buffer, scale float64) {
+		t.Helper()
+		for r := 1; r < n-1; r++ {
+			for c := 1; c < n-1; c++ {
+				i := r*n + c
+				want := ((((src.Get(i) + src.Get(i-n)) + src.Get(i+n)) + src.Get(i-1)) + src.Get(i+1)) * scale
+				if got.Get(i) != want {
+					t.Fatalf("scale %v: grid[%d,%d] = %v, want %v", scale, r, c, got.Get(i), want)
+				}
 			}
 		}
+	}
+	check(m.regs.get(grid), 0.2)
+	// A constant-rebound clone shares the cluster's layout, not its kernels.
+	rebound, err := pl.WithConstants([]bytecode.Constant{bytecode.ConstFloat(0.5)})
+	if err != nil || rebound == pl {
+		t.Fatalf("WithConstants = %p (the original is %p), %v", rebound, pl, err)
+	}
+	for _, tc := range []struct {
+		pl    *Plan
+		scale float64
+	}{{rebound, 0.5}, {pl, 0.2}} {
+		in := cloneTensor(gp.inputs[grid])
+		m.Bind(grid, in)
+		if err := tc.pl.Execute(m); err != nil {
+			t.Fatal(err)
+		}
+		check(in.Buf, tc.scale)
 	}
 }
 
@@ -507,6 +651,7 @@ func TestNestAllocFailBeforeWorkers(t *testing.T) {
 	var texts []string
 	for _, workers := range []int{1, 4} {
 		gp, _ := stencilBatch(70)
+		gp.prog.Instrs = gp.prog.Instrs[:5] // no write-back, no BH_FREE: the temporary is live, hence materialized
 		m := New(Config{Fusion: true, Workers: workers, ParallelThreshold: 16, FaultLabel: "victim"})
 		for r, in := range gp.inputs {
 			m.Bind(r, cloneTensor(in))

@@ -87,6 +87,17 @@ type parRunner struct {
 	width int
 }
 
+// chunks reports how parallelFor splits [0, n): chunk c of count starts at
+// c*size and none is empty, so a body can index per-chunk state by lo/size.
+func (pr parRunner) chunks(n, threshold int) (count, size int) {
+	if pr.width <= 1 || n < threshold {
+		return 1, n
+	}
+	count = min(pr.width, n)
+	size = (n + count - 1) / count
+	return (n + size - 1) / size, size
+}
+
 // parallelFor runs body over [0, n) split into per-width chunks. Small
 // ranges run inline on the caller's goroutine; the last chunk also runs
 // inline so one worker fewer is needed. If the pool has been closed the
@@ -95,20 +106,12 @@ func (pr parRunner) parallelFor(n, threshold int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if pr.width <= 1 || n < threshold {
-		body(0, n)
-		return
-	}
-	if !pr.pool.enter() {
+	chunks, size := pr.chunks(n, threshold)
+	if chunks == 1 || !pr.pool.enter() {
 		body(0, n)
 		return
 	}
 	defer pr.pool.inflight.Done()
-	chunks := pr.width
-	if chunks > n {
-		chunks = n
-	}
-	size := (n + chunks - 1) / chunks
 	var wg sync.WaitGroup
 	for c := 0; c < chunks-1; c++ {
 		lo := c * size

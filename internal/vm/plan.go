@@ -25,6 +25,7 @@ type Plan struct {
 	prog     *bytecode.Program
 	fused    bool
 	clusters []cluster
+	live     *liveness  // structural, like clusters: shared by constant-rebound clones
 	nests    []*nest    // per cluster; non-nil for sweeps (the producers of an unfoldable reduce cluster)
 	epis     []*epiPlan // per cluster; non-nil only for foldable reductions
 }
@@ -39,9 +40,50 @@ func (m *Machine) Compile(p *bytecode.Program) (*Plan, error) {
 			return nil, fmt.Errorf("%w: %w", ErrExec, err)
 		}
 	}
-	pl := &Plan{prog: p, fused: m.cfg.Fusion, clusters: m.planClusters(p)}
+	live := newLiveness(p)
+	pl := &Plan{prog: p, fused: m.cfg.Fusion, clusters: m.planClusters(p, live), live: live}
 	pl.compileClusters()
 	return pl, nil
+}
+
+// liveness is the one place the deadness rule lives: a register may skip
+// materialization only when the batch itself declares its buffer dead — it
+// is freed later in the batch, nothing else references it from there on,
+// and it is neither bound from outside nor observed (lazy front ends treat
+// any other written register as defined for the next batch). One pass per
+// program records, per register, 1 + the index of the last instruction
+// that references it other than BH_FREE, and of the last BH_FREE (0: none).
+type liveness struct{ refs, frees []int }
+
+func newLiveness(p *bytecode.Program) *liveness {
+	n := len(p.Regs)
+	lv := &liveness{refs: make([]int, 2*n)}
+	lv.refs, lv.frees = lv.refs[:n], lv.refs[n:]
+	for k := range p.Instrs {
+		last := lv.refs
+		if p.Instrs[k].Op == bytecode.OpFree {
+			last = lv.frees
+		}
+		for _, o := range operands(&p.Instrs[k]) {
+			if o.IsReg() && uint(o.Reg) < uint(n) {
+				last[o.Reg] = k + 1
+			}
+		}
+	}
+	for _, regs := range [2][]bytecode.RegID{p.Inputs, p.Outputs} {
+		for _, r := range regs {
+			if uint(r) < uint(n) {
+				lv.refs[r] = len(p.Instrs) + 1 // bound or observed: referenced beyond the last instruction
+			}
+		}
+	}
+	return lv
+}
+
+// deadAfter reports whether r's buffer is provably dead once instruction j
+// has run.
+func (lv *liveness) deadAfter(r bytecode.RegID, j int) bool {
+	return uint(r) < uint(len(lv.refs)) && lv.refs[r] <= j+1 && lv.frees[r] > j+1
 }
 
 // compileClusters builds the buffer-independent executable form of every
@@ -56,7 +98,7 @@ func (pl *Plan) compileClusters() {
 		end := cl.end
 		if cl.reduce {
 			end--
-			if epi, ok := analyzeEpilogue(pl.prog, cl); ok {
+			if epi, ok := analyzeEpilogue(pl.prog, cl, pl.live); ok {
 				// The fold replaces the producers' sweep; its rare
 				// fallback (an aliased output) compiles them on demand.
 				pl.epis[i] = epi
@@ -64,7 +106,7 @@ func (pl *Plan) compileClusters() {
 			}
 		}
 		if cl.sweep {
-			pl.nests[i] = compileNest(pl.prog, cl.start, end, cl.shape)
+			pl.nests[i] = compileNest(pl.prog, cl.start, end, cl.shape, pl.live, cl.lagged)
 		}
 	}
 }
@@ -90,7 +132,7 @@ func (pl *Plan) WithConstants(vals []bytecode.Constant) (*Plan, error) {
 	if !changed {
 		return pl, nil
 	}
-	np := &Plan{prog: prog, fused: pl.fused, clusters: pl.clusters}
+	np := &Plan{prog: prog, fused: pl.fused, clusters: pl.clusters, live: pl.live}
 	np.compileClusters()
 	return np, nil
 }

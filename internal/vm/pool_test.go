@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -57,6 +58,46 @@ BH_SYNC a1
 		if v != want {
 			t.Fatalf("a1 = %v: slot %d = %v, want %v (stale data leaked through the pool?)", got, i, v, want)
 		}
+	}
+}
+
+// TestPoolFailedSweepLeaksNothing: the pool is shared by an engine's
+// sessions, so whatever a sweep binds before it fails must read as a fresh
+// allocation does — never as the 7s another session parked. (A zeroing
+// skip for fully overwritten results was tried and withdrawn over exactly
+// this; it showed no gain on any workload.)
+func TestPoolFailedSweepLeaksNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		cfg        Config
+		want       error
+	}{
+		// a1 recycles the poisoned buffer; the 8 KiB a2 is denied.
+		{"later allocation denied", "BH_IDENTITY a1 3\nBH_ADD a2 [0:10:1] a1 1\n", Config{Fusion: true}, ErrMemoryPressure},
+		{"input never bound", "BH_ADD a1 a2 [0:10:1] 1\n", Config{SkipValidation: true}, ErrExec},
+	} {
+		eng := NewEngine(EngineConfig{MemoryHighWatermark: 1024})
+		a, b := eng.NewMachine(Config{}), eng.NewMachine(tc.cfg)
+		if err := a.Run(bytecode.MustParse(".reg a0 float64 10\nBH_IDENTITY a0 7\nBH_FREE a0\n")); err != nil {
+			t.Fatal(err)
+		}
+		err := b.Run(bytecode.MustParse(".reg a0 float64 10\n.reg a1 float64 10\n.reg a2 float64 1000\n" + tc.body))
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: %v, want %v", tc.name, err, tc.want)
+		}
+		if b.Stats().PoolHits != 1 {
+			t.Fatalf("%s: a1 did not recycle the poisoned buffer", tc.name)
+		}
+		if tt, ok := b.Tensor(1, tensor.NewView(tensor.MustShape(10))); ok {
+			for i, v := range tt.Float64Slice() {
+				if v != 0 {
+					t.Errorf("%s: after the failed sweep a1[%d] = %v: another session's data", tc.name, i, v)
+				}
+			}
+		}
+		a.Close()
+		b.Close()
+		eng.Close()
 	}
 }
 

@@ -131,10 +131,8 @@ func (rf *registerFile) get(r bytecode.RegID) tensor.Buffer {
 	return rf.bufs[r]
 }
 
-// ensure returns the buffer for r, materializing it from the declaration if
-// the register has no buffer yet — from the shared recycle pool when a
-// buffer of the right dtype and length is parked there, freshly allocated
-// otherwise.
+// ensure returns the buffer for r, materializing it from the declaration
+// if the register has no buffer yet.
 func (rf *registerFile) ensure(p *bytecode.Program, r bytecode.RegID) (tensor.Buffer, error) {
 	rf.grow(len(p.Regs))
 	if rf.bufs[r] != nil {
@@ -144,12 +142,25 @@ func (rf *registerFile) ensure(p *bytecode.Program, r bytecode.RegID) (tensor.Bu
 	if !ok {
 		return nil, fmt.Errorf("register %s not declared", r)
 	}
+	buf, err := rf.acquire(info.DType, info.Len)
+	if err != nil {
+		return nil, err
+	}
+	rf.bufs[r] = buf
+	rf.owned[r] = true
+	return buf, nil
+}
+
+// acquire takes a zeroed buffer of n elements of dt: from the shared
+// recycle pool when one is parked there (PoolHits), freshly allocated
+// otherwise (BuffersAllocated/BytesAllocated).
+func (rf *registerFile) acquire(dt tensor.DType, n int) (tensor.Buffer, error) {
 	if err := faultinject.Error(faultinject.AllocFail, rf.label); err != nil {
 		return nil, err
 	}
-	bytes := info.Len * info.DType.Size()
+	bytes := n * dt.Size()
 	if rf.shared != nil {
-		if buf := rf.shared.take(poolKey{dt: info.DType, n: info.Len}); buf != nil {
+		if buf := rf.shared.take(poolKey{dt: dt, n: n}); buf != nil {
 			buf.Zero() // fresh allocations are zeroed; reuse must match
 			if rf.eng != nil {
 				rf.eng.adoptBytes(bytes)
@@ -157,8 +168,6 @@ func (rf *registerFile) ensure(p *bytecode.Program, r bytecode.RegID) (tensor.Bu
 			if rf.stats != nil {
 				rf.stats.poolHits.Add(1)
 			}
-			rf.bufs[r] = buf
-			rf.owned[r] = true
 			return buf, nil
 		}
 	}
@@ -167,7 +176,7 @@ func (rf *registerFile) ensure(p *bytecode.Program, r bytecode.RegID) (tensor.Bu
 			return nil, err
 		}
 	}
-	buf, err := tensor.NewBuffer(info.DType, info.Len)
+	buf, err := tensor.NewBuffer(dt, n)
 	if err != nil {
 		if rf.eng != nil {
 			rf.eng.releaseBytes(bytes)
@@ -178,8 +187,6 @@ func (rf *registerFile) ensure(p *bytecode.Program, r bytecode.RegID) (tensor.Bu
 		rf.stats.buffersAllocated.Add(1)
 		rf.stats.bytesAllocated.Add(int64(bytes))
 	}
-	rf.bufs[r] = buf
-	rf.owned[r] = true
 	return buf, nil
 }
 

@@ -91,6 +91,7 @@ type Machine struct {
 	useCache bool // session opted into the engine's plan cache
 	private  bool // Close also closes the engine (vm.New compatibility)
 	regs     registerFile
+	frame    nestFrame // runNest's reusable scratch; only the executing goroutine touches it
 	stats    atomicStats
 }
 
