@@ -231,8 +231,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			fmt.Fprintf(stdout, "# sessions: %d (%s)\n", *sessions, mode)
 		}
 		fmt.Fprintf(stdout, "# backend: %s\n", backends[0].Name())
-		fmt.Fprintf(stdout, "# stats: %d instructions, %d sweeps, %d fused, %d fused-reductions, %d elements\n",
-			st.Instructions, st.Sweeps, st.FusedInstructions, st.FusedReductions, st.Elements)
+		fmt.Fprintf(stdout, "# stats: %d instructions, %d sweeps, %d fused, %d chained, %d fused-reductions, %d elements\n",
+			st.Instructions, st.Sweeps, st.FusedInstructions, st.ChainedInstructions, st.FusedReductions, st.Elements)
 		fmt.Fprintf(stdout, "# fused by dtype: %s\n", st.FusedByDType)
 		fmt.Fprintf(stdout, "# buffers: %d allocated (%d bytes), %d pool hits\n",
 			st.BuffersAllocated, st.BytesAllocated, st.PoolHits)

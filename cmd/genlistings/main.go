@@ -87,6 +87,7 @@ func listings() []listing {
 					next := center.Plus(north)
 					next.Add(south).Add(west).Add(east).MulC(0.2)
 					center.Assign(next)
+					next.Free()
 				}
 				grid.Sync()
 			},

@@ -38,8 +38,8 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		st := ctx.MustStats()
-		fmt.Printf("%-22s %10v   probe=%.4f   sweeps=%d (of %d byte-codes)\n",
-			cfg.name, elapsed.Round(100*time.Microsecond), center, st.Sweeps, st.Instructions)
+		fmt.Printf("%-22s %10v   probe=%.4f   sweeps=%d (of %d byte-codes, %d chained)\n",
+			cfg.name, elapsed.Round(100*time.Microsecond), center, st.Sweeps, st.Instructions, st.ChainedInstructions)
 		ctx.Close()
 	}
 }
@@ -65,6 +65,7 @@ func simulate(ctx *bohrium.Context, n, sweeps int) (float64, error) {
 		next := center.Plus(north)
 		next.Add(south).Add(west).Add(east).MulC(0.2)
 		center.Assign(next)
+		next.Free() // dead once written back: the nest keeps it in row scratch
 	}
 	return grid.At(4, n/2)
 }

@@ -283,10 +283,10 @@ func (a *accessTracker) admit(in *bytecode.Instruction) (lagSpan, bool) {
 	return span, true
 }
 
-// fusedBlockSize is the tile width (in elements) for fused contiguous
-// sweeps: each step's compiled loop runs over one L1-resident block before
-// the next step touches it, giving the locality a JIT-compiled kernel
-// would get without per-element dispatch. 8192 float64s = 64 KiB.
+// fusedBlockSize is the tile width (in elements) of fused sweeps: each step's
+// loop runs over one block before the next step touches it — the locality a
+// JIT kernel gets, without per-element dispatch. 8192 float64s = 64 KiB: more
+// than a 32-48 KiB L1d, so a full block lives in L2; shorter rows stay in L1.
 const fusedBlockSize = 8192
 
 // instrErr annotates err with the index and disassembly of the failing

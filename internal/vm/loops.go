@@ -81,7 +81,7 @@ func compileLoop[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, srcs []ksrc
 	case 2:
 		a, b := srcs[0], srcs[1]
 		if !isBool {
-			// Specialized word-wide/unrolled kernels first; each declines
+			// Specialized native-arithmetic kernels first; each declines
 			// unless its bit-for-bit equivalence argument holds
 			// (loops_specialized.go).
 			if k, ok := specializedBinary[T](dt, op, a, b); ok {

@@ -5,9 +5,9 @@ import (
 	"bohrium/internal/tensor"
 )
 
-// Specialized run kernels for the hottest (op, dtype) pairs: word-wide
-// native arithmetic instead of the generic widen-to-class, call the
-// scalar kernel, round-back bodies of loops.go. compileLoop tries these first, so every sweep —
+// Specialized run kernels for the hottest (op, dtype) pairs: native
+// arithmetic in the storage type instead of the generic widen-to-class,
+// call the scalar kernel, round-back bodies of loops.go. compileLoop tries these first, so every sweep —
 // fused or singleton, and the linear reduction epilogue — picks them up
 // with no planning changes.
 //
@@ -133,4 +133,76 @@ func nativeBinary[T uint8 | int32 | int64 | float32 | float64](op bytecode.Opcod
 		}, true
 	}
 	return nil, false
+}
+
+// chainWidth is the most inputs one chain step reads: a five-point stencil.
+const chainWidth = 5
+
+// chainBody is a chain step's loop over k ≤ chainWidth input runs:
+// d[i] = T(v·m) − s, v folding x0 ⊕ x1 ⊕ … ⊕ xk-1 left to right in T's own
+// arithmetic — each intermediate is what the native step kernel stores.
+// Every product is converted to T before it meets a sum: the Go spec lets
+// the compiler fuse only an unconverted product into a multiply-add. (m, s)
+// folds a constant step (chainTail), or is (1, 0), an exact identity here.
+func chainBody[T tensor.Elem](mul bool, k int, m, s T) func(d []T, x [chainWidth][]T) {
+	return func(d []T, x [chainWidth][]T) {
+		a, b, c, e, f := x[0][:len(d)], x[1][:len(d)], x[2][:len(d)], x[3][:len(d)], x[4][:len(d)]
+		switch {
+		case k == 2 && mul:
+			for i := range d {
+				d[i] = T(T(a[i]*b[i])*m) - s
+			}
+		case k == 2:
+			for i := range d {
+				d[i] = T(T(a[i]+b[i])*m) - s
+			}
+		case k == 3 && mul:
+			for i := range d {
+				d[i] = T(T(T(a[i]*b[i])*c[i])*m) - s
+			}
+		case k == 3:
+			for i := range d {
+				d[i] = T(T(T(a[i]+b[i])+c[i])*m) - s
+			}
+		case k == 4 && mul:
+			for i := range d {
+				d[i] = T(T(T(T(a[i]*b[i])*c[i])*e[i])*m) - s
+			}
+		case k == 4:
+			for i := range d {
+				d[i] = T(T(T(T(a[i]+b[i])+c[i])+e[i])*m) - s
+			}
+		case mul:
+			for i := range d {
+				d[i] = T(T(T(T(T(a[i]*b[i])*c[i])*e[i])*f[i])*m) - s
+			}
+		default:
+			for i := range d {
+				d[i] = T(T(T(T(T(a[i]+b[i])+c[i])+e[i])+f[i])*m) - s
+			}
+		}
+	}
+}
+
+var chainTailOps = []bytecode.Opcode{bytecode.OpAdd, bytecode.OpSubtract, bytecode.OpMultiply, bytecode.OpDivide}
+
+// chainTail returns (m, s) with T(v·m) − s ≡ v ⊗ c bit for bit, or false:
+// v·1 is v, v − (−c) is v + c in IEEE 754 and in wrapping integer
+// arithmetic, and − +0 keeps every value, −0 included. Division does not
+// fold, nor a NaN (−c would flip its sign) or a constant T cannot hold.
+func chainTail[T tensor.Elem](op bytecode.Opcode, c bytecode.Constant, dt tensor.DType) (m, s T, ok bool) {
+	v, f := T(c.Int()), c.Float()
+	if dt.IsFloat() {
+		v = T(f)
+	}
+	switch {
+	case dt.IsFloat() && float64(v) != f: // a NaN, or no float32
+	case op == bytecode.OpMultiply:
+		return v, 0, true
+	case op == bytecode.OpAdd:
+		return 1, -v, true
+	case op == bytecode.OpSubtract:
+		return 1, v, true
+	}
+	return 1, 0, false
 }

@@ -24,11 +24,11 @@ import (
 // in blocks of fusedBlockSize — before advancing the odometer, which
 // keeps a stencil's fused temporaries cache-resident between steps.
 //
-// Every step runs the same run kernel (loops.go) over unit-stride slices.
-// An operand whose innermost stride is not 1 (negative-step, strided,
-// broadcast) is packed into per-worker scratch by one typed gather loop,
-// and a strided result is scattered back, so there is exactly one kernel
-// table.
+// Every step runs a run kernel (loops.go) over unit-stride slices, and a
+// chain of steps one loop (chainAt). An operand whose innermost stride is
+// not 1 (negative-step, strided, broadcast) is packed into per-worker
+// scratch by one typed gather loop, and a strided result is scattered back,
+// so there is exactly one kernel table.
 //
 // A register the cluster writes and the batch proves dead afterwards is
 // virtual (virtualRegs): its current run lives in the worker's scratch and
@@ -45,6 +45,7 @@ type nest struct {
 	steps      []nestStep
 	slab       [8]int    // per-worker scratch elements by dtype: gather/scatter blocks, virtual runs, the ring
 	lag        *lagStore // non-nil: the last step is a lagged closing write
+	chained    int       // instructions that run inside chain steps
 }
 
 // nestStep is one instruction of a nest.
@@ -52,7 +53,8 @@ type nestStep struct {
 	index int              // instruction index
 	ops   [3]bufSpan       // result, first input, second input (register operands only)
 	acc   [3]operandAccess // where each operand's run is found
-	code  stepCode         // nil: the op has no kernel (reported at execution)
+	code  stepCode         // nil: the op has no kernel (reported at execution), or the step is inside a chain
+	width int              // instructions code runs: 1, or a chain's length at its head (0 inside it)
 }
 
 // bufSpan is what a register operand demands of the buffer bound to it:
@@ -79,11 +81,11 @@ const (
 
 // stepCode is a typed step's compiled, buffer-independent code. run
 // executes it over n elements of the worker's current row from column col;
-// ops are the step's buffers (nil for constant and virtual operands). store
-// copies n lagged results from the ring slot at slab offset from to
-// dst[off], dst[off+stride], ... (closing steps only).
+// ops[j] are the buffers of the j-th step from this one (nil for constant
+// and virtual operands). store copies n lagged results from the ring slot
+// at slab offset from to dst[off], dst[off+stride], ... (closing steps only).
 type stepCode interface {
-	run(w *nestWorker, ops *[3]tensor.Buffer, col, n int)
+	run(w *nestWorker, ops [][3]tensor.Buffer, col, n int)
 	store(w *nestWorker, dst tensor.Buffer, from, off, stride, n int)
 }
 
@@ -161,7 +163,7 @@ func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *
 		c.steps = slices.Clone(c.steps)
 		ns = &c
 	}
-	for k := range ns.steps {
+	for k := 0; k < len(ns.steps); k += ns.steps[k].width {
 		st := &ns.steps[k]
 		in := &p.Instrs[st.index]
 		srcDT := st.ops[0].dtype
@@ -175,7 +177,10 @@ func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *
 				srcDT = st.ops[j+1].dtype
 			}
 		}
-		st.code = newKernelStep(st.ops[0].dtype, srcDT, in.Op, srcs, st.acc)
+		st.code = newKernelStep(p, ns.steps[k:k+st.width], srcDT, srcs)
+		if st.width > 1 {
+			ns.chained += st.width
+		}
 	}
 	if !ns.fused && ns.steps[0].code == nil {
 		return nil
@@ -215,6 +220,9 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 			st.acc[k].slot = len(views)
 			views = append(views, v)
 		}
+	}
+	for i := 0; i < n; i += ns.steps[i].width {
+		ns.steps[i].width = chainAt(p, ns.steps, i)
 	}
 
 	// Collapse: drop singleton dimensions, then merge each dimension into
@@ -273,7 +281,8 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 	}
 
 	// Scratch: one block per run for every virtual register and for every
-	// operand position that gathers or scatters; the ring takes one per slot.
+	// operand position that gathers or scatters — for every such operand in
+	// a chain, which reads all of its inputs at once; the ring takes one per slot.
 	blk := min(ns.inner, fusedBlockSize)
 	take := func(dt tensor.DType, n int) int {
 		ns.slab[dt] += n
@@ -306,7 +315,7 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 					acc.slot = slotRing
 				}
 			} else if acc.slot >= 0 && acc.stride != 1 {
-				if blocks[dt][k] == 0 {
+				if blocks[dt][k] == 0 || ns.steps[i].width != 1 {
 					blocks[dt][k] = 1 + take(dt, blk)
 				}
 				acc.row = blocks[dt][k] - 1
@@ -361,6 +370,33 @@ func virtualRegs(p *bytecode.Program, start, end int, shape tensor.Shape, live *
 		}
 	}
 	return virt
+}
+
+// chainAt returns how many steps from i contract into one chain step (1:
+// none): t = a ⊕ b; t = t ⊕ x; … with one add or multiply of a non-bool
+// dtype into a virtual register t (no input reads t through another view),
+// and a trailing t = t ⊗ c, ⊗ one of + − × ÷. Past chainWidth inputs, or at
+// t = t ⊕ t, the run goes on as a chain whose first input is t so far.
+func chainAt(p *bytecode.Program, steps []nestStep, i int) int {
+	head := &p.Instrs[steps[i].index]
+	if head.Op != bytecode.OpAdd && head.Op != bytecode.OpMultiply || !steps[i].ops[0].virtual ||
+		steps[i].ops[0].dtype == tensor.Bool || !head.In1.IsReg() || !head.In2.IsReg() {
+		return 1
+	}
+	t, j := head.Out.Reg, i+1
+	for ; j < len(steps); j++ {
+		in := &p.Instrs[steps[j].index]
+		if in.Out.Reg != t || !in.In1.IsReg() || in.In1.Reg != t {
+			break
+		}
+		if in.In2.IsConst() && slices.Contains(chainTailOps, in.Op) {
+			return j + 1 - i
+		}
+		if !in.In2.IsReg() || in.In2.Reg == t || in.Op != head.Op || j-i+1 == chainWidth {
+			break
+		}
+	}
+	return j - i
 }
 
 // lagSpan is how far a cluster's read windows of the closing write's
@@ -464,25 +500,30 @@ func (ns *nest) drain(w *nestWorker, ops [][3]tensor.Buffer) {
 	}
 }
 
-// newKernelStep compiles one step's kernel for its (result, source) dtype
-// pair, or returns nil when the op has no kernel.
-func newKernelStep(dstDT, srcDT tensor.DType, op bytecode.Opcode, srcs []ksrc, acc [3]operandAccess) stepCode {
-	switch dstDT {
+// newKernelStep compiles steps — one instruction with source dtype srcDT
+// and kernel sources srcs, or a chain (chainAt) — for the result's dtype,
+// or returns nil when the op has no kernel.
+func newKernelStep(p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc) stepCode {
+	switch steps[0].ops[0].dtype {
 	case tensor.Float64:
-		return kernelStepTo[float64](dstDT, srcDT, op, srcs, acc)
+		return kernelStepTo[float64](p, steps, srcDT, srcs)
 	case tensor.Float32:
-		return kernelStepTo[float32](dstDT, srcDT, op, srcs, acc)
+		return kernelStepTo[float32](p, steps, srcDT, srcs)
 	case tensor.Int64:
-		return kernelStepTo[int64](dstDT, srcDT, op, srcs, acc)
+		return kernelStepTo[int64](p, steps, srcDT, srcs)
 	case tensor.Int32:
-		return kernelStepTo[int32](dstDT, srcDT, op, srcs, acc)
+		return kernelStepTo[int32](p, steps, srcDT, srcs)
 	case tensor.Bool, tensor.Uint8:
-		return kernelStepTo[uint8](dstDT, srcDT, op, srcs, acc)
+		return kernelStepTo[uint8](p, steps, srcDT, srcs)
 	}
 	return nil
 }
 
-func kernelStepTo[D tensor.Elem](dstDT, srcDT tensor.DType, op bytecode.Opcode, srcs []ksrc, acc [3]operandAccess) stepCode {
+func kernelStepTo[D tensor.Elem](p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc) stepCode {
+	if len(steps) > 1 {
+		return chainStepOf[D](p, steps)
+	}
+	dstDT, op, acc := steps[0].ops[0].dtype, p.Instrs[steps[0].index].Op, steps[0].acc
 	if srcDT == dstDT {
 		k, ok := compileLoop[D](dstDT, op, srcs)
 		if !ok {
@@ -519,14 +560,14 @@ type kernelStep[D, S tensor.Elem] struct {
 	dstDT, srcDT  tensor.DType // index the worker's slabs
 }
 
-func (st *kernelStep[D, S]) run(w *nestWorker, ops *[3]tensor.Buffer, col, n int) {
-	a := inputRun[S](w, st.srcDT, ops[1], st.in1, col, n)
-	b := inputRun[S](w, st.srcDT, ops[2], st.in2, col, n)
+func (st *kernelStep[D, S]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
+	a := inputRun[S](w, st.srcDT, ops[0][1], st.in1, col, n)
+	b := inputRun[S](w, st.srcDT, ops[0][2], st.in2, col, n)
 	if st.out.slot <= slotVirtual {
 		st.kern(virtualRun[D](w, st.dstDT, st.out, n), a, b)
 		return
 	}
-	dst, _ := tensor.RawSlice[D](ops[0])
+	dst, _ := tensor.RawSlice[D](ops[0][0])
 	off := w.offs[st.out.slot] + col*st.out.stride
 	if st.out.stride == 1 {
 		st.kern(dst[off:off+n], a, b)
@@ -550,6 +591,42 @@ func (st *kernelStep[D, S]) store(w *nestWorker, dstBuf tensor.Buffer, from, off
 	for _, v := range src {
 		dst[off] = v
 		off += stride
+	}
+}
+
+// chainStep runs a chain (chainAt) as one loop, chainBody: t's run is
+// written once, not once per instruction. Its kernelStep has t's run and,
+// if chainTail cannot fold the constant step, that step's kernel.
+type chainStep[T tensor.Elem] struct {
+	kernelStep[T, T]
+	body func(d []T, x [chainWidth][]T)
+	in   []operandAccess // the head's two inputs, then each further step's second
+}
+
+func chainStepOf[T tensor.Elem](p *bytecode.Program, steps []nestStep) stepCode {
+	dt := steps[0].ops[0].dtype
+	st := &chainStep[T]{kernelStep: kernelStep[T, T]{out: steps[0].acc[0], dstDT: dt}, in: []operandAccess{steps[0].acc[1]}}
+	m, s, ok := T(1), T(0), true
+	for _, sj := range steps {
+		if in := &p.Instrs[sj.index]; !in.In2.IsConst() {
+			st.in = append(st.in, sj.acc[2])
+		} else if m, s, ok = chainTail[T](in.Op, in.In2.Const, dt); !ok {
+			st.kern, _ = compileLoop[T](dt, in.Op, []ksrc{{}, constSrc(in.In2.Const)})
+		}
+	}
+	st.body = chainBody(p.Instrs[steps[0].index].Op == bytecode.OpMultiply, len(st.in), m, s)
+	return st
+}
+
+func (st *chainStep[T]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
+	d := virtualRun[T](w, st.dstDT, st.out, n)
+	x := [chainWidth][]T{inputRun[T](w, st.dstDT, ops[0][1], st.in[0], col, n), d, d, d, d} // d: unread
+	for j, acc := range st.in[1:] {
+		x[j+1] = inputRun[T](w, st.dstDT, ops[j][2], acc, col, n)
+	}
+	st.body(d, x)
+	if st.kern != nil {
+		st.kern(d, d, nil)
 	}
 }
 
@@ -616,8 +693,8 @@ func (ns *nest) sweep(w *nestWorker, ops [][3]tensor.Buffer, lo, hi int) {
 			if ns.lag != nil {
 				ns.lagBegin(w, ops, c, n)
 			}
-			for i := range steps {
-				steps[i].code.run(w, &ops[i], c, n)
+			for i := 0; i < len(steps); i += steps[i].width {
+				steps[i].code.run(w, ops[i:], c, n)
 			}
 		}
 		lo += end - col
@@ -699,7 +776,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 			}
 			bufs[k] = buf
 		}
-		if st.code == nil {
+		if st.code == nil && st.width > 0 {
 			return instrErr(p, st.index, fmt.Errorf("no compiled loop for %s", in.Op))
 		}
 		ops[si] = bufs
@@ -711,6 +788,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 	m.stats.elements.Add(int64(ns.total * k))
 	if ns.fused {
 		m.stats.fusedInstructions.Add(int64(k))
+		m.stats.chainedInstructions.Add(int64(ns.chained))
 		m.countFusedDTypes(p, ns.start, ns.end)
 	}
 	count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)

@@ -406,12 +406,26 @@ func FuzzNestDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 5, 2, 1, 1, 0, 1, 1, 0, 1, 3, 0, 0, 2, 0, 1, 0, 0})
 	f.Add([]byte{0, 1, 2, 4, 1, 1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1})
 	f.Add([]byte{0, 1, 5, 5, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 3, 0, 2, 1, 0, 1, 0, 0, 1, 2, 0, 1, 1, 1})
+	// Chains, as nestGen.chain decodes them: a float64 add chain of five
+	// dense inputs folding t *= 0.2; a float32 multiply chain of nine (two
+	// chain steps) whose division tail runs as a pass of its own; an int32
+	// add chain over strided, reversed, broadcast and virtual inputs, then
+	// t = t + t heading a second chain, in a row longer than
+	// fusedBlockSize; a uint8 chain a mid-chain constant closes; a bool
+	// chain and a materialized accumulator, both declined.
+	f.Add([]byte{0, 0, 3, 2, 6, 0, 0, 0, 0, 0, 4, 0, 1, 1, 1})
+	f.Add([]byte{1, 1, 7, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 2, 1, 1, 1})
+	f.Add([]byte{3, 0, 5, 0, 4, 1, 2, 3, 4, 5, 0, 2, 1, 1, 1, 1, 0, 0, 100})
+	f.Add([]byte{4, 1, 4, 2, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 1, 1})
+	f.Add([]byte{5, 0, 3, 1, 2, 0, 0, 0, 0, 0, 2, 0, 1, 1, 1})
+	f.Add([]byte{0, 0, 3, 2, 6, 0, 0, 0, 0, 0, 4, 0, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip()
 		}
 		checkNestDifferential(t, (&nestGen{data: data}).program())
 		checkNestDifferential(t, (&nestGen{data: data}).update())
+		checkNestDifferential(t, (&nestGen{data: data}).chain())
 	})
 }
 
@@ -451,9 +465,9 @@ func TestNestStencilBatch(t *testing.T) {
 
 	m := nestRun(t, gp, Config{Fusion: true, Workers: 2, ParallelThreshold: 64}, false)
 	st := m.Stats()
-	if st.Sweeps != 1 || st.FusedInstructions != 6 || st.Instructions != 6 {
-		t.Errorf("stencil batch ran as %d sweeps, %d fused of %d instructions; want 1, 6 of 6",
-			st.Sweeps, st.FusedInstructions, st.Instructions)
+	if st.Sweeps != 1 || st.FusedInstructions != 6 || st.Instructions != 6 || st.ChainedInstructions != 5 {
+		t.Errorf("stencil batch ran as %d sweeps, %d fused (%d chained) of %d instructions; want 1, 6 (5) of 6",
+			st.Sweeps, st.FusedInstructions, st.ChainedInstructions, st.Instructions)
 	}
 	if st.BuffersAllocated != 0 || st.PoolHits != 0 {
 		t.Errorf("the freed temporary was materialized: %d buffers allocated, %d pool hits", st.BuffersAllocated, st.PoolHits)

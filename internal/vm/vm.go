@@ -142,6 +142,9 @@ type Stats struct {
 	// FusedInstructions is how many instructions ran inside multi-op
 	// sweeps.
 	FusedInstructions int
+	// ChainedInstructions is how many of those ran inside chain steps:
+	// runs t = t ⊕ x folded per element in registers, in one pass.
+	ChainedInstructions int
 	// FusedReductions counts reductions executed as the epilogue of a
 	// fused producer sweep: the elementwise chain feeding the reduction
 	// was folded into its accumulation loop, and producer temporaries
@@ -192,6 +195,7 @@ func (s *Stats) Accumulate(o Stats) {
 	s.Instructions += o.Instructions
 	s.Sweeps += o.Sweeps
 	s.FusedInstructions += o.FusedInstructions
+	s.ChainedInstructions += o.ChainedInstructions
 	s.FusedReductions += o.FusedReductions
 	for dt := range s.FusedByDType {
 		s.FusedByDType[dt] += o.FusedByDType[dt]
@@ -215,22 +219,23 @@ func (s *Stats) Accumulate(o Stats) {
 // counts sweeps and buffer work — and Stats() may be read while both are
 // active. snapshot assembles the exported value type.
 type atomicStats struct {
-	instructions      atomic.Int64
-	sweeps            atomic.Int64
-	fusedInstructions atomic.Int64
-	fusedReductions   atomic.Int64
-	fusedByDType      [8]atomic.Int64
-	elements          atomic.Int64
-	buffersAllocated  atomic.Int64
-	poolHits          atomic.Int64
-	bytesAllocated    atomic.Int64
-	planHits          atomic.Int64
-	planMisses        atomic.Int64
-	planEvictions     atomic.Int64
-	pipelined         atomic.Int64
-	chunks            atomic.Int64
-	xplanFused        atomic.Int64
-	xplanDisarms      atomic.Int64
+	instructions        atomic.Int64
+	sweeps              atomic.Int64
+	fusedInstructions   atomic.Int64
+	chainedInstructions atomic.Int64
+	fusedReductions     atomic.Int64
+	fusedByDType        [8]atomic.Int64
+	elements            atomic.Int64
+	buffersAllocated    atomic.Int64
+	poolHits            atomic.Int64
+	bytesAllocated      atomic.Int64
+	planHits            atomic.Int64
+	planMisses          atomic.Int64
+	planEvictions       atomic.Int64
+	pipelined           atomic.Int64
+	chunks              atomic.Int64
+	xplanFused          atomic.Int64
+	xplanDisarms        atomic.Int64
 }
 
 func (s *atomicStats) addDType(dt tensor.DType, n int) {
@@ -241,21 +246,22 @@ func (s *atomicStats) addDType(dt tensor.DType, n int) {
 
 func (s *atomicStats) snapshot() Stats {
 	out := Stats{
-		Instructions:      int(s.instructions.Load()),
-		Sweeps:            int(s.sweeps.Load()),
-		FusedInstructions: int(s.fusedInstructions.Load()),
-		FusedReductions:   int(s.fusedReductions.Load()),
-		Elements:          int(s.elements.Load()),
-		BuffersAllocated:  int(s.buffersAllocated.Load()),
-		PoolHits:          int(s.poolHits.Load()),
-		BytesAllocated:    int(s.bytesAllocated.Load()),
-		PlanHits:          int(s.planHits.Load()),
-		PlanMisses:        int(s.planMisses.Load()),
-		PlanEvictions:     int(s.planEvictions.Load()),
-		Pipelined:         int(s.pipelined.Load()),
-		Chunks:            int(s.chunks.Load()),
-		XPlanFused:        int(s.xplanFused.Load()),
-		XPlanDisarms:      int(s.xplanDisarms.Load()),
+		Instructions:        int(s.instructions.Load()),
+		Sweeps:              int(s.sweeps.Load()),
+		FusedInstructions:   int(s.fusedInstructions.Load()),
+		ChainedInstructions: int(s.chainedInstructions.Load()),
+		FusedReductions:     int(s.fusedReductions.Load()),
+		Elements:            int(s.elements.Load()),
+		BuffersAllocated:    int(s.buffersAllocated.Load()),
+		PoolHits:            int(s.poolHits.Load()),
+		BytesAllocated:      int(s.bytesAllocated.Load()),
+		PlanHits:            int(s.planHits.Load()),
+		PlanMisses:          int(s.planMisses.Load()),
+		PlanEvictions:       int(s.planEvictions.Load()),
+		Pipelined:           int(s.pipelined.Load()),
+		Chunks:              int(s.chunks.Load()),
+		XPlanFused:          int(s.xplanFused.Load()),
+		XPlanDisarms:        int(s.xplanDisarms.Load()),
 	}
 	for dt := range s.fusedByDType {
 		out.FusedByDType[dt] = int(s.fusedByDType[dt].Load())
@@ -267,6 +273,7 @@ func (s *atomicStats) reset() {
 	s.instructions.Store(0)
 	s.sweeps.Store(0)
 	s.fusedInstructions.Store(0)
+	s.chainedInstructions.Store(0)
 	s.fusedReductions.Store(0)
 	for i := range s.fusedByDType {
 		s.fusedByDType[i].Store(0)
