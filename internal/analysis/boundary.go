@@ -41,9 +41,9 @@ var allowedVMSelectors = map[string]bool{
 // refactor, promoted from a root-package test into an analyzer: the
 // front-end package records byte-code and hands batches to a
 // backend.Backend — it must never reach past that seam into the VM's
-// execution machinery. Compiling or executing through vm.Machine,
-// vm.Plan, or vm.Executor directly would bypass backend selection, the
-// scoped plan cache, and the differential contract.
+// execution machinery. Compiling or executing through vm.Machine or
+// vm.Plan directly would bypass backend selection, the scoped plan
+// cache, and the differential contract.
 var Boundary = &Analyzer{
 	Name:  "boundary",
 	Doc:   "the front-end (module root) package stays behind the backend seam: allowlisted internal imports, engine-surface-only use of vm",

@@ -264,8 +264,8 @@ func TestPlanCacheScoping(t *testing.T) {
 	}
 }
 
-// TestExecutorSticky: the seam-level executor keeps vm.Executor's
-// sticky-error pipeline semantics over backend plans.
+// TestExecutorSticky: the executor's first execution error is sticky: the
+// queued plan behind it is skipped, and every Wait and Close report it.
 func TestExecutorSticky(t *testing.T) {
 	b, _ := openTest(t, "outofcore", Config{ChunkBytes: 64})
 	pl, err := b.Compile(solveProg())
@@ -326,5 +326,80 @@ func TestExecutorPending(t *testing.T) {
 	}
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after Close, want 0", got)
+	}
+}
+
+// TestExecutorQueuedPlansKeepOwnConstants: two structurally identical
+// batches with different constant vectors, queued back to back, each
+// execute with their own values. A parametric cache hit under new
+// constants is a patched clone (the cached plan is immutable), so the
+// plan already in the executor queue is never retouched.
+func TestExecutorQueuedPlansKeepOwnConstants(t *testing.T) {
+	b, _ := openTest(t, "inprocess", Config{VM: vm.Config{Fusion: true}})
+	e := NewExecutor(b, 0, "")
+	defer e.Close()
+	prog := chainProg(64, 1)
+	pl, err := b.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.InsertPlan(prog.Fingerprint(), prog.Constants(), true, pl, nil)
+	bindVec(t, b, 0, irregularVals(64))
+
+	var plans []Plan
+	for _, c := range []float64{1, 10} {
+		batch := chainProg(64, c)
+		plan, _, ok := b.LookupPlan(batch.Fingerprint(), batch.Constants(), nil)
+		if !ok {
+			t.Fatalf("c=%v: lookup missed", c)
+		}
+		if cs := plan.Program().Constants(); cs[0].Float() != c {
+			t.Fatalf("c=%v: returned plan carries %v", c, cs)
+		}
+		plans = append(plans, plan)
+		e.Submit(plan)
+	}
+	if plans[0] == plans[1] {
+		t.Fatal("different constant vectors returned the same plan object")
+	}
+	// The first queued plan still holds its own vector after the second
+	// lookup rebound the cache entry.
+	if cs := plans[0].Program().Constants(); cs[0].Float() != 1 {
+		t.Errorf("queued plan was retouched: %v", cs)
+	}
+	if err := e.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := regVals(t, b, 3, 1)[0], syncSum(t, 10); got != want {
+		t.Errorf("last submission (c=10) left a3 = %v, want %v", got, want)
+	}
+}
+
+// syncSum runs chainProg(64, c) synchronously on a fresh in-process
+// backend and returns its reduction a3.
+func syncSum(t *testing.T, c float64) float64 {
+	t.Helper()
+	b, _ := openTest(t, "inprocess", Config{})
+	pl, err := b.Compile(chainProg(64, c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindVec(t, b, 0, irregularVals(64))
+	if err := b.Execute(pl); err != nil {
+		t.Fatal(err)
+	}
+	return regVals(t, b, 3, 1)[0]
+}
+
+// TestExecutorCloseIdempotent: Close twice is safe and keeps returning
+// the same (nil) error.
+func TestExecutorCloseIdempotent(t *testing.T) {
+	b, _ := openTest(t, "inprocess", Config{})
+	e := NewExecutor(b, 0, "")
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

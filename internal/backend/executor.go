@@ -11,8 +11,7 @@ import (
 )
 
 // Executor runs backend plans on a background goroutine so a front end
-// can record batch N+1 while batch N executes — the seam-level twin of
-// vm.Executor, with identical semantics over any Backend. Exactly one
+// can record batch N+1 while batch N executes, over any Backend. Exactly one
 // goroutine (the "recorder") may call Submit, SubmitCtx, Wait, WaitCtx
 // and Close; the executor goroutine is the only one driving the
 // backend's register state while jobs are in flight. The recorder keeps

@@ -109,3 +109,34 @@ func TestChaosWaitCtxHonorsCancelWithoutKillingWork(t *testing.T) {
 		t.Fatalf("idle WaitCtx: %v", werr)
 	}
 }
+
+// TestChaosExecutorPanicBecomesStickyError pins async panic containment:
+// a panic while the background executor runs a queued plan becomes the
+// pipeline's sticky ErrExec-wrapped error — reported by every Wait and
+// by Close — instead of killing the process.
+func TestChaosExecutorPanicBecomesStickyError(t *testing.T) {
+	b, _ := openTest(t, "inprocess", Config{VM: vm.Config{Fusion: true, FaultLabel: "sess"}})
+	e := NewExecutor(b, 2, "sess")
+	pl, err := b.Compile(chainProg(64, 1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindVec(t, b, 0, irregularVals(64))
+
+	disarm := faultinject.Arm(faultinject.WorkerPanic, faultinject.Fault{Label: "sess", Times: 1})
+	defer disarm()
+	e.Submit(pl)
+	werr := e.Wait()
+	if !errors.Is(werr, vm.ErrExec) {
+		t.Fatalf("wait after injected panic: %v, want an ErrExec chain", werr)
+	}
+	if !strings.Contains(werr.Error(), "panic during pipelined execution") {
+		t.Fatalf("pipeline error does not name the recovered panic: %v", werr)
+	}
+	if again := e.Wait(); again == nil || again.Error() != werr.Error() {
+		t.Fatalf("sticky error changed across waits: %v then %v", werr, again)
+	}
+	if cerr := e.Close(); cerr == nil || cerr.Error() != werr.Error() {
+		t.Fatalf("close lost the sticky error: %v", cerr)
+	}
+}

@@ -55,7 +55,7 @@ func (m *Machine) ExecOne(p *bytecode.Program, idx int) error {
 	}
 	m.regs.grow(len(p.Regs))
 	var ns *nest
-	if shape, _, kind := sweepAt(p, idx); kind != sweepNone {
+	if shape, kind := sweepAt(p, idx); kind != sweepNone {
 		ns = compileNest(p, idx, idx+1, shape, nil, nil)
 	}
 	var err error
@@ -126,7 +126,7 @@ func (m *Machine) ReleaseRegisters() {
 
 // CountPipelined adds one plan execution to the Pipelined counter — the
 // stats hook for executors that run backend plans on a background
-// goroutine (the machine-level Executor counts through the same counter).
+// goroutine.
 func (m *Machine) CountPipelined() { m.stats.pipelined.Add(1) }
 
 // CountChunks adds n streamed tiles to the Chunks counter — the stats

@@ -509,10 +509,10 @@ BH_SYNC a2
 	}
 }
 
-// epilogueCases cover the reduction-epilogue paths: linear blockwise
-// folds (full, last-axis/split-outputs, chunked), the per-element fold
-// over strided and broadcast producers, float32/int32/bool dtypes, MAX
-// folds, and a live (materialized) producer. serialTol follows the
+// epilogueCases cover the reduction epilogue's fold nests: every strategy
+// (full, last-axis/split-outputs, chunked), gathered strided and
+// broadcast producers, float32/int32/bool dtypes, MAX folds, and a live
+// (materialized) producer. serialTol follows the
 // reduce.go contract: 0 except chunked float folds vs the forced-serial
 // machine.
 var epilogueCases = []struct {
@@ -625,7 +625,7 @@ BH_SYNC a2
 		out: 2, n: 1, serialTol: 0, wantFR: 1,
 	},
 	{
-		// Strided producer inputs: the per-element epilogue path.
+		// Strided producer inputs: gathered into the fold nest's scratch.
 		name: "sum-strided-float64",
 		src: `
 .reg a0 float64 80000
@@ -641,7 +641,7 @@ BH_SYNC a2
 	},
 	{
 		// Broadcast input (stride-0 leading dim) reduced along the data
-		// axis: per-element epilogue through the split-outputs strategy.
+		// axis: a gathered input through the split-outputs strategy.
 		name: "sum-broadcast-float64",
 		src: `
 .reg a0 float64 200
@@ -689,9 +689,9 @@ BH_SYNC a2
 		out: 2, n: 1, serialTol: 1e-9, wantFR: 1,
 	},
 	{
-		// Leading-axis reduce: the any-axis epilogue path (the linear
-		// blockwise fold only serves the last axis). Per-line folds are
-		// exact, so serial comparison is bitwise too.
+		// Leading-axis reduce: the fold nest moves axis 0 innermost, so
+		// every producer run is gathered. Per-line folds are exact, so
+		// serial comparison is bitwise too.
 		name: "sum-axis0-float64",
 		src: `
 .reg a0 float64 40000

@@ -29,9 +29,9 @@ import (
 // Every cluster — and every single elementwise instruction, fusion on or
 // off — compiles to one loop nest (nest.go), which keeps dead temporaries
 // in row scratch. A reduction that consumes the cluster's output extends
-// the cluster as an epilogue: the producer chain folds into the reduction's
-// accumulation loop (execClusterReduce), likewise without them. System byte-codes,
-// other reductions, extensions, and RANDOM end a cluster.
+// the cluster as an epilogue: the nest's last step folds the producers'
+// runs (foldStep), likewise without them. System byte-codes, other
+// reductions, extensions, and RANDOM end a cluster.
 
 // cluster is a run of instruction indices executable as one sweep.
 type cluster struct {
@@ -39,8 +39,6 @@ type cluster struct {
 	fused      bool
 	sweep      bool         // elementwise: compiles to a loop nest
 	shape      tensor.Shape // shared iteration shape of a sweep
-	linear     bool         // every operand contiguous
-	reduce     bool         // p.Instrs[end-1] is a reduction epilogue
 	lagged     *nest        // p.Instrs[end-1] is a closing write: the kernel-free nest that stores it lagged
 }
 
@@ -51,9 +49,9 @@ func (m *Machine) planClusters(p *bytecode.Program, live *liveness) []cluster {
 	var acc accessTracker
 	i := 0
 	for i < len(p.Instrs) {
-		shape, linear, kind := sweepAt(p, i)
+		shape, kind := sweepAt(p, i)
 		if kind != sweepFusible || !m.cfg.Fusion {
-			out = append(out, cluster{start: i, end: i + 1, sweep: kind != sweepNone, shape: shape, linear: linear})
+			out = append(out, cluster{start: i, end: i + 1, sweep: kind != sweepNone, shape: shape})
 			i++
 			continue
 		}
@@ -65,7 +63,7 @@ func (m *Machine) planClusters(p *bytecode.Program, live *liveness) []cluster {
 		j := i + 1
 		var lagged *nest
 		for j < len(p.Instrs) && lagged == nil {
-			shape2, linear2, kind2 := sweepAt(p, j)
+			shape2, kind2 := sweepAt(p, j)
 			if kind2 != sweepFusible || !shape2.Equal(shape) {
 				break
 			}
@@ -80,15 +78,12 @@ func (m *Machine) planClusters(p *bytecode.Program, live *liveness) []cluster {
 					break
 				}
 			}
-			linear = linear && linear2
 			acc.record(&p.Instrs[j])
 			j++
 		}
-		cl := cluster{start: i, end: j, fused: j-i > 1, sweep: true, shape: shape, linear: linear, lagged: lagged}
+		cl := cluster{start: i, end: j, fused: j-i > 1, sweep: true, shape: shape, lagged: lagged}
 		if lagged == nil && j < len(p.Instrs) && reduceEpilogueAt(p, cl, j) {
-			cl.end = j + 1
-			cl.fused = true
-			cl.reduce = true
+			cl.end, cl.fused = j+1, true
 			j++
 		}
 		out = append(out, cl)
@@ -113,65 +108,60 @@ const (
 	sweepFusible
 )
 
-// sweepAt classifies instruction i, returning its iteration shape and
-// whether all operands are contiguous.
-func sweepAt(p *bytecode.Program, i int) (tensor.Shape, bool, sweepKind) {
+// sweepAt classifies instruction i, returning its iteration shape.
+func sweepAt(p *bytecode.Program, i int) (tensor.Shape, sweepKind) {
 	in := &p.Instrs[i]
 	if !in.Op.Elementwise() || in.In1.Kind == bytecode.OperandNone {
-		return nil, false, sweepNone
+		return nil, sweepNone
 	}
 	if !in.Out.IsReg() || !viewInjective(in.Out.View) {
-		return nil, false, sweepNone
+		return nil, sweepNone
 	}
 	ri, ok := p.Reg(in.Out.Reg)
 	if !ok || !ri.DType.Valid() {
-		return nil, false, sweepNone
+		return nil, sweepNone
 	}
 	kind := sweepFusible
 	shape := in.Out.View.Shape
-	linear := in.Out.View.Contiguous()
 	for _, opnd := range [2]*bytecode.Operand{&in.In1, &in.In2} {
 		if !opnd.IsReg() {
 			continue
 		}
 		si, ok := p.Reg(opnd.Reg)
 		if !ok || !si.DType.Valid() {
-			return nil, false, sweepNone
+			return nil, sweepNone
 		}
 		if si.DType != ri.DType {
 			// Promoted operands keep the accessor path, which defines the
 			// conversion semantics; only the plain cast has typed kernels.
 			if in.Op != bytecode.OpIdentity {
-				return nil, false, sweepNone
+				return nil, sweepNone
 			}
 			kind = sweepCast
 		}
 		if !opnd.View.Shape.BroadcastableTo(shape) {
-			return nil, false, sweepNone
-		}
-		if !opnd.View.Shape.Equal(shape) || !opnd.View.Contiguous() {
-			linear = false
+			return nil, sweepNone
 		}
 		// A misaligned self-overlap needs the snapshot the interpreter
 		// takes; keep such instructions out of nests.
 		if opnd.Reg == in.Out.Reg && !opnd.View.Equal(in.Out.View) && opnd.View.Overlaps(in.Out.View) {
-			return nil, false, sweepNone
+			return nil, sweepNone
 		}
 	}
-	return shape, linear, kind
+	return shape, kind
 }
 
-// reduceEpilogueAt reports whether the reduction at index j can fold the
-// preceding elementwise cluster cl into its accumulation loop. The legal
+// reduceEpilogueAt reports whether the reduction at index j can close the
+// preceding elementwise cluster cl as its nest's fold step. The legal
 // shape: a reduction over any axis — including the argmin/argmax index
-// reductions, whose fold carries a (value, index) pair — whose input is
-// a register the cluster wrote, through exactly the window of the
-// cluster's final write, into an output register the cluster does not
-// write. The folded sweep walks the reduced line space in the same
-// row-major order the interpreted two-sweep path does, so no axis is
-// special. Buffer-level aliasing between the reduction output and the
-// producers' operands is checked at execution time (execClusterReduce
-// falls back).
+// reductions, whose fold carries a (value, index) pair — of a non-empty
+// input that is a register the cluster wrote, through exactly the window
+// of the cluster's final write, into one output element per line of an
+// output register the cluster does not write. The nest puts the reduced
+// axis innermost, so it walks the lines in the row-major order the
+// interpreted two-sweep path does, and no axis is special. Buffer-level
+// aliasing between the reduction output and the producers' operands is
+// checked at execution time (runNest falls back to two sweeps).
 func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
 	in := &p.Instrs[j]
 	if in.Op.Info().Kind != bytecode.KindReduction {
@@ -187,10 +177,9 @@ func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
 	if nd == 0 || in.Axis < 0 || in.Axis >= nd {
 		return false
 	}
-	if in.In1.View.Shape[in.Axis] == 0 {
-		return false // empty axis takes the identity-fill path
-	}
-	if !in.In1.View.Shape.Equal(cl.shape) {
+	// An empty input stays with the interpreter (an empty axis takes its
+	// identity-fill path).
+	if size := cl.shape.Size(); size == 0 || !in.In1.View.Shape.Equal(cl.shape) || in.Out.View.Size() != size/cl.shape[in.Axis] {
 		return false
 	}
 	lastWrite := -1
@@ -202,8 +191,8 @@ func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
 	if lastWrite < 0 || !p.Instrs[lastWrite].Out.View.Equal(in.In1.View) {
 		return false
 	}
-	// The output register must be untouched by the cluster: the epilogue
-	// writes it line-by-line while producer steps still evaluate.
+	// The output register must be untouched by the cluster: the fold
+	// writes it line by line while producer steps still evaluate.
 	for k := cl.start; k < cl.end; k++ {
 		if p.Instrs[k].Out.Reg == in.Out.Reg {
 			return false

@@ -111,7 +111,7 @@ BH_SYNC a1
 
 func TestFusionStridedCluster(t *testing.T) {
 	// Strided operand views (every other element) share shape (20): the
-	// cluster takes the multi-cursor path and must match unfused results.
+	// cluster's nest gathers them and must match unfused results.
 	p := bytecode.MustParse(`
 .reg a0 float64 40
 .reg a1 float64 20
@@ -122,14 +122,20 @@ BH_SYNC a1
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	var strided bool
-	for _, c := range m.planClusters(p, newLiveness(p)) {
-		if c.fused && !c.linear {
-			strided = true
+	pl, err := m.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gathered bool
+	for i, c := range pl.clusters {
+		if ns := pl.nests[i]; c.fused && ns != nil {
+			for _, st := range ns.steps {
+				gathered = gathered || st.acc[1].stride == 2 && st.acc[2].stride == 2
+			}
 		}
 	}
-	if !strided {
-		t.Errorf("strided cluster not planned: %+v", m.planClusters(p, newLiveness(p)))
+	if !gathered {
+		t.Errorf("strided cluster does not gather its inputs: %+v", pl.clusters)
 	}
 	runBoth(t, p)
 }

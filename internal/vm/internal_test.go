@@ -67,31 +67,6 @@ func TestViewInjectiveNeverWrong(t *testing.T) {
 	}
 }
 
-func TestCursorSeekMatchesIterator(t *testing.T) {
-	// Property: cursor.seek(i) lands on the same buffer index the i-th
-	// iterator step reaches.
-	f := func(d1, d2, st uint8) bool {
-		shape := tensor.MustShape(int(d1%4)+1, int(d2%4)+2)
-		v := tensor.View{
-			Offset:  3,
-			Shape:   shape,
-			Strides: []int{int(st%3)*7 + 8, 2},
-		}
-		c := newCursor(v)
-		it := tensor.NewIterator(v)
-		for i := 0; it.Next(); i++ {
-			c.seek([]int(shape), i)
-			if c.idx != it.Index() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestWorkerPoolRunsAllChunks(t *testing.T) {
 	pool := newWorkerPool(4)
 	defer pool.close()

@@ -12,9 +12,8 @@ import (
 // the arithmetic inlined — the interpreted equivalent of the kernel the
 // paper's OpenCL backend would JIT, instantiated per element type through
 // Go generics. A kernel knows nothing about registers, views or blocking:
-// the loop nest (nest.go) and the linear reduction epilogue hand it
-// equal-length unit-stride runs, so it is compiled once at plan time and
-// shared by every execution of the plan.
+// the loop nest (nest.go) hands it equal-length unit-stride runs, so it is
+// compiled once at plan time and shared by every execution of the plan.
 //
 // Semantics are pinned to the accessor interpreter (exec.go): float
 // dtypes compute in the float64 class and convert back through the

@@ -8,7 +8,7 @@ import (
 // Specialized run kernels for the hottest (op, dtype) pairs: native
 // arithmetic in the storage type instead of the generic widen-to-class,
 // call the scalar kernel, round-back bodies of loops.go. compileLoop tries these first, so every sweep —
-// fused or singleton, and the linear reduction epilogue — picks them up
+// fused or singleton, a reduction epilogue's producers too — picks them up
 // with no planning changes.
 //
 // Every specialization here is bit-for-bit identical to the generic body

@@ -33,7 +33,9 @@ import (
 // A register the cluster writes and the batch proves dead afterwards is
 // virtual (virtualRegs): its current run lives in the worker's scratch and
 // it is never materialized. A closing write that aliases translated read
-// windows of its register runs as a lagged store (lagStore).
+// windows of its register runs as a lagged store (lagStore), and a closing
+// reduction as a fold (foldStep) over lines: the nest's iteration space is
+// then the cluster's with the reduced axis moved innermost.
 type nest struct {
 	start, end int  // instruction range [start, end)
 	fused      bool // more than one step
@@ -45,6 +47,7 @@ type nest struct {
 	steps      []nestStep
 	slab       [8]int    // per-worker scratch elements by dtype: gather/scatter blocks, virtual runs, the ring
 	lag        *lagStore // non-nil: the last step is a lagged closing write
+	line       int       // > 0: the last step folds lines of this many elements
 	chained    int       // instructions that run inside chain steps
 }
 
@@ -90,7 +93,7 @@ type stepCode interface {
 }
 
 // nestWorker is one chunk's position in the nest, its scratch slab per
-// dtype and its share of the lagged store.
+// dtype, its share of the lagged store and its fold.
 type nestWorker struct {
 	offs   []int            // current row's base offset per operand slot
 	coords []int            // odometer position over the outer axes
@@ -100,14 +103,18 @@ type nestWorker struct {
 	pend                  []lagRun // results not yet stored: hold slots first, then the ring
 	held, ringed, flushed int      // head runs held; ring runs produced, and stored
 	edge                  int      // an earlier chunk still reads results below this address
+
+	acc foldAcc
 }
 
 // nestFrame is runNest's Machine-owned state — each step's bound buffers,
-// one nestWorker per chunk — grown on demand and kept: executing a cached
-// plan allocates no scratch, and plans stay immutable.
+// one nestWorker per chunk, a fold's chunk partials — grown on demand and
+// kept: executing a cached plan allocates no scratch, and plans stay
+// immutable.
 type nestFrame struct {
 	ops     [][3]tensor.Buffer
 	workers []nestWorker
+	parts   []foldAcc
 }
 
 func grown[T any](s []T, n int) []T {
@@ -166,6 +173,10 @@ func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *
 	for k := 0; k < len(ns.steps); k += ns.steps[k].width {
 		st := &ns.steps[k]
 		in := &p.Instrs[st.index]
+		if ns.line > 0 && k == len(ns.steps)-1 {
+			st.code = newFoldStep(in, st, ns.line)
+			break
+		}
 		srcDT := st.ops[0].dtype
 		srcs := make([]ksrc, 0, 2)
 		for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
@@ -191,11 +202,17 @@ func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *
 // layoutNest is the kernel-free half of compileNest: operand slots, the
 // collapsed geometry, the scratch slab, the lagged store. It returns nil
 // only to decline the closing write lagged announces (the planner asks).
+// A closing reduction (reduceEpilogueAt) makes a fold nest.
 func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *liveness, lagged *lagSpan) *nest {
 	n := end - start
 	ns := &nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, n)}
 	virt := virtualRegs(p, start, end, shape, live)
-	views := make([]tensor.View, 0, 3*n) // per memory operand slot, broadcast to shape
+	iter, reduced := shape, -1 // the iteration shape: shape, with a fold's reduced axis moved last
+	if in := &p.Instrs[end-1]; in.Op.Info().Kind == bytecode.KindReduction {
+		reduced, ns.line = in.Axis, shape[in.Axis]
+		iter = append(slices.Delete(slices.Clone(shape), reduced, reduced+1), ns.line)
+	}
+	views := make([]tensor.View, 0, 3*n) // per memory operand slot, broadcast to iter
 	for i := range ns.steps {
 		in, st := &p.Instrs[start+i], &ns.steps[i]
 		st.index = start + i
@@ -210,12 +227,19 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 				st.ops[k].virtual, st.acc[k].slot = true, slotVirtual
 				continue
 			}
-			v := o.View
-			if !v.Shape.Equal(shape) {
+			v, result := o.View, reduced >= 0 && k == 0 && i == n-1 // the fold's result: one element per line, through no slot
+			if !result && !v.Shape.Equal(shape) {
 				v, _ = v.BroadcastTo(shape) // broadcastable: sweepAt checked
 			}
 			if lo, hi, ok := v.MinMaxIndex(); ok {
 				st.ops[k].lo, st.ops[k].hi = lo, hi
+			}
+			if result {
+				continue
+			}
+			if reduced >= 0 {
+				r, stride, extent := removeAxis(v, reduced)
+				v = tensor.View{Offset: v.Offset, Shape: append(r.Shape, extent), Strides: append(r.Strides, stride)}
 			}
 			st.acc[k].slot = len(views)
 			views = append(views, v)
@@ -232,9 +256,9 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 		extent  int
 		strides []int
 	}
-	axes := make([]axis, 0, len(shape))
-	strides := make([]int, len(shape)*len(views))
-	for d, extent := range shape {
+	axes := make([]axis, 0, len(iter))
+	strides := make([]int, len(iter)*len(views))
+	for d, extent := range iter {
 		if extent == 1 {
 			continue
 		}
@@ -357,7 +381,7 @@ func virtualRegs(p *bytecode.Program, start, end int, shape tensor.Shape, live *
 	for i := start; i < end; i++ {
 		in := &p.Instrs[i]
 		r, v := in.Out.Reg, &in.Out.View
-		ok := live.deadAfter(r, end-1) && v.Shape.Equal(shape) && !in.ReadsReg(r)
+		ok := in.Op.Elementwise() && live.deadAfter(r, end-1) && v.Shape.Equal(shape) && !in.ReadsReg(r)
 		for k := start; k < end && ok; k++ {
 			for _, o := range operands(&p.Instrs[k]) {
 				if o.IsReg() && o.Reg == r && (k < i || !o.View.Equal(*v)) {
@@ -666,6 +690,7 @@ func virtualRun[T tensor.Elem](w *nestWorker, dt tensor.DType, acc operandAccess
 // major: rows of inner elements) through every step, on worker w.
 func (ns *nest) sweep(w *nestWorker, ops [][3]tensor.Buffer, lo, hi int) {
 	copy(w.offs, ns.bases)
+	w.acc = foldAcc{pos: lo}
 	// Seek the odometer to the row holding lo.
 	row, col := lo/ns.inner, lo%ns.inner
 	for d := len(ns.outer) - 1; d >= 0; d-- {
@@ -783,6 +808,17 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 	}
 
 	k := len(ns.steps)
+	if ns.line > 0 {
+		// A fold writing a buffer its producers access would race the
+		// lines still reading it; two sweeps keep the serial write order.
+		for si, bufs := range ops {
+			for j, b := range bufs {
+				if b == ops[k-1][0] && (si < k-1 || j > 0) {
+					return m.unfold(p, ns)
+				}
+			}
+		}
+	}
 	m.stats.instructions.Add(int64(k))
 	m.stats.sweeps.Add(1)
 	m.stats.elements.Add(int64(ns.total * k))
@@ -790,6 +826,11 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 		m.stats.fusedInstructions.Add(int64(k))
 		m.stats.chainedInstructions.Add(int64(ns.chained))
 		m.countFusedDTypes(p, ns.start, ns.end)
+	}
+	if ns.line > 0 {
+		m.stats.fusedReductions.Add(1)
+		m.runFold(p, ns, ops)
+		return nil
 	}
 	count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)
 	workers := m.frame.prepare(ns, count)
@@ -803,6 +844,199 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 	}
 	return nil
 }
+
+// runFold drives a fold nest over the flat ranges of the strategy reduce.go
+// picks for its reduction: whole lines per worker, each line's chunks with
+// their partials merged in chunk order, or one worker. The fold order — and
+// with it the result, bit for bit the interpreter's — never depends on the
+// worker count.
+func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer) {
+	line, lines := ns.line, ns.total/ns.line
+	switch m.sweepStrategyFor(p.Instrs[ns.end-1].Out.View, lines, line) {
+	case sweepSplitOutputs:
+		count, size := m.par.chunks(lines, 2)
+		ws := m.frame.prepare(ns, count)
+		m.par.parallelFor(lines, 2, func(lo, hi int) {
+			ns.sweep(&ws[lo/size], ops, lo*line, hi*line)
+		})
+	case sweepChunkAxis:
+		size, nc := chunkParams(line)
+		count, per := m.par.chunks(nc, 2)
+		ws := m.frame.prepare(ns, count)
+		m.frame.parts = grown(m.frame.parts, nc)
+		parts, fold := m.frame.parts, ns.steps[len(ns.steps)-1].code.(folder)
+		for l := 0; l < lines; l++ {
+			m.par.parallelFor(nc, 2, func(lo, hi int) {
+				w := &ws[lo/per]
+				for c := lo; c < hi; c++ {
+					start, end := chunkBounds(c, size, line)
+					ns.sweep(w, ops, l*line+start, l*line+end)
+					parts[c] = w.acc
+				}
+			})
+			fold.merge(ops[len(ops)-1][0], parts, l)
+		}
+	default:
+		ns.sweep(&m.frame.prepare(ns, 1)[0], ops, 0, ns.total)
+	}
+}
+
+// unfold runs a fold nest as two sweeps: its producers as a plain nest,
+// then the interpreter's reduction.
+func (m *Machine) unfold(p *bytecode.Program, ns *nest) error {
+	red := ns.end - 1
+	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape, nil, nil); pn != nil {
+		if err := m.runNest(p, pn); err != nil {
+			return err
+		}
+	} else if err := m.interpret(p, ns.start, red); err != nil {
+		return err
+	}
+	return m.interpret(p, red, ns.end)
+}
+
+// foldAcc is a worker's fold state: the accumulator, in its class's field;
+// the winning axis position of an index fold; the flat position of the
+// next element, and how many elements of its line the worker has folded.
+type foldAcc struct {
+	f      float64
+	i      int64
+	idx    int
+	pos, n int
+}
+
+func accOf[E int64 | float64](a *foldAcc) *E {
+	if p, ok := any(&a.f).(*E); ok {
+		return p
+	}
+	return any(&a.i).(*E)
+}
+
+// folder is a fold step's code: merge combines a line's chunk partials in
+// chunk order, as chunkReduce and runArgReduce do, and writes line l.
+type folder interface {
+	stepCode
+	merge(out tensor.Buffer, parts []foldAcc, l int)
+}
+
+// foldStep is a fold nest's last step. It folds each run of its input —
+// cut at line ends — into the worker's accumulator in the interpreter's
+// class (E: int64 when the input and, for a value fold, the output are
+// integers; float64 otherwise), widening each element as Buffer.Get or
+// GetInt does, and writes a line's result once the worker has folded all
+// of it. Value folds seed with the first element; index folds carry the
+// winner's position, lowest index winning ties and the first NaN winning
+// outright.
+type foldStep[T tensor.Elem, E int64 | float64] struct {
+	in     operandAccess
+	dt     tensor.DType
+	line   int
+	out    tensor.View                 // the reduction's result: line l is its l-th element, row major
+	k      func(a, b E) E              // a value fold's base op
+	set    func(tensor.Buffer, int, E) // Buffer.Set or SetInt
+	better func(v, best E) bool        // an index fold's comparison (argBetter)
+}
+
+// newFoldStep compiles the reduction in — the last step st of a fold nest
+// with lines of line elements — for its input's storage type.
+func newFoldStep(in *bytecode.Instruction, st *nestStep, line int) stepCode {
+	switch st.ops[1].dtype {
+	case tensor.Float64:
+		return foldStepFor[float64](in, st, line)
+	case tensor.Float32:
+		return foldStepFor[float32](in, st, line)
+	case tensor.Int64:
+		return foldStepFor[int64](in, st, line)
+	case tensor.Int32:
+		return foldStepFor[int32](in, st, line)
+	case tensor.Bool, tensor.Uint8:
+		return foldStepFor[uint8](in, st, line)
+	}
+	return nil
+}
+
+func foldStepFor[T tensor.Elem](in *bytecode.Instruction, st *nestStep, line int) stepCode {
+	if !st.ops[1].dtype.IsFloat() && (in.Op.ArgReduce() || !st.ops[0].dtype.IsFloat()) {
+		return foldStepOf[T](in, st, line, intBinaryKernel, tensor.Buffer.SetInt)
+	}
+	return foldStepOf[T](in, st, line, floatBinaryKernel, tensor.Buffer.Set)
+}
+
+func foldStepOf[T tensor.Elem, E int64 | float64](in *bytecode.Instruction, st *nestStep, line int,
+	kernelOf func(bytecode.Opcode) (func(a, b E) E, bool), set func(tensor.Buffer, int, E)) stepCode {
+	fs := &foldStep[T, E]{in: st.acc[1], dt: st.ops[1].dtype, line: line, out: in.Out.View, set: set}
+	base, ok := in.Op.ReduceBase()
+	if !ok {
+		fs.better = argBetter[E](in.Op == bytecode.OpArgmaxReduce)
+	} else if fs.k, ok = kernelOf(base); !ok {
+		return nil
+	}
+	return fs
+}
+
+func (st *foldStep[T, E]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
+	x, a := inputRun[T](w, st.dt, ops[0][1], st.in, col, n), &w.acc
+	for len(x) > 0 {
+		j := a.pos % st.line // x[0]'s position on the reduced axis
+		m := min(len(x), st.line-j)
+		st.fold(a, x[:m], j)
+		x, a.pos, a.n = x[m:], a.pos+m, a.n+m
+		if a.n == st.line {
+			st.write(ops[0][0], a, a.pos/st.line-1)
+			a.n = 0
+		}
+	}
+}
+
+// fold folds s, the elements of one line from axis position j on.
+func (st *foldStep[T, E]) fold(a *foldAcc, s []T, j int) {
+	acc := accOf[E](a)
+	if a.n == 0 {
+		*acc, a.idx, s, j = E(s[0]), j, s[1:], j+1
+	}
+	v := *acc
+	if st.k != nil {
+		for _, x := range s {
+			v = st.k(v, E(x))
+		}
+	} else {
+		for i, x := range s {
+			if e := E(x); st.better(e, v) {
+				v, a.idx = e, j+i
+			}
+		}
+	}
+	*acc = v
+}
+
+// write stores a's result for line l.
+func (st *foldStep[T, E]) write(out tensor.Buffer, a *foldAcc, l int) {
+	off := st.out.Offset
+	for d := st.out.NDim() - 1; d >= 0; d-- {
+		off += l % st.out.Shape[d] * st.out.Strides[d]
+		l /= st.out.Shape[d]
+	}
+	if st.k == nil {
+		out.SetInt(off, int64(a.idx))
+	} else {
+		st.set(out, off, *accOf[E](a))
+	}
+}
+
+func (st *foldStep[T, E]) merge(out tensor.Buffer, parts []foldAcc, l int) {
+	acc := accOf[E](&parts[0])
+	for i := 1; i < len(parts); i++ {
+		switch v := *accOf[E](&parts[i]); {
+		case st.k != nil:
+			*acc = st.k(*acc, v)
+		case st.better(v, *acc):
+			*acc, parts[0].idx = v, parts[i].idx
+		}
+	}
+	st.write(out, &parts[0], l)
+}
+
+func (*foldStep[T, E]) store(*nestWorker, tensor.Buffer, int, int, int, int) {}
 
 // interpret runs instructions [start, end) one at a time through the
 // accessor interpreter (exec.go).

@@ -26,7 +26,8 @@ const (
 )
 
 // chainSpec is one left-deep chain program: t = x0 ⊕ x1; t = t ⊕ x2; …;
-// optionally t = t ⊗ c; out = t; BH_FREE t (unless keep); BH_SYNC out.
+// optionally t = t ⊗ c; out = t (or out = fold(t) along the rows); BH_FREE
+// t (unless keep); BH_SYNC out.
 type chainSpec struct {
 	dt         tensor.DType
 	op         bytecode.Opcode
@@ -35,7 +36,8 @@ type chainSpec struct {
 	tail       bytecode.Opcode // the trailing constant step's op; 0: none
 	c          float64         // its constant
 	rows, cols int
-	keep       bool // t stays live after the batch: materialized
+	keep       bool            // t stays live after the batch: materialized
+	fold       bytecode.Opcode // a reduction of t along axis 1 into out; 0: out = t
 }
 
 // program builds the spec over two input registers of (rows+2)×(2·cols+2)
@@ -49,6 +51,13 @@ func (s chainSpec) program() genProgram {
 	tv := tensor.NewView(shape)
 	t := bytecode.Reg(p.NewReg(s.dt, shape.Size()), tv)
 	out := bytecode.Reg(p.NewReg(s.dt, shape.Size()), tv)
+	if s.fold != 0 {
+		odt := s.dt
+		if s.fold.ArgReduce() {
+			odt = tensor.Int64
+		}
+		out = bytecode.Reg(p.NewReg(odt, s.rows), tensor.NewView(tensor.MustShape(s.rows)))
+	}
 	var xs [2]bytecode.RegID
 	for i := range xs {
 		xs[i] = p.NewReg(s.dt, base.Size())
@@ -116,7 +125,11 @@ func (s chainSpec) program() genProgram {
 	if s.tail != 0 {
 		p.EmitBinary(s.tail, t, t, bytecode.Const(bytecode.ConstOf(s.dt, s.c)))
 	}
-	p.EmitIdentity(out, t)
+	if s.fold != 0 {
+		p.EmitReduce(s.fold, out, t, 1)
+	} else {
+		p.EmitIdentity(out, t)
+	}
 	if !s.keep {
 		p.EmitFree(t)
 	}
@@ -230,6 +243,23 @@ func TestNestChainRule(t *testing.T) {
 		s := spec(tensor.Int32, add, []int{inContig, inStrided, inReversed}, mul, 3)
 		s.rows, s.cols = 2, fusedBlockSize+37
 		cases = append(cases, ruleCase{"rows longer than a block", s, "3*", 1, 4, 3})
+	}
+	// Chains ending in a fold: the reduction closes the same nest.
+	folded := func(s chainSpec, fold bytecode.Opcode) chainSpec {
+		s.fold = fold
+		return s
+	}
+	power := []int{inContig, inContig, inSelf, inContig, inSelf} // x^10 as the optimizer expands it, then a sum
+	cases = append(cases,
+		ruleCase{"expanded power into a sum", folded(spec(f64, mul, power, 0, 0), bytecode.OpAddReduce), "3", 1, 5, 2},
+		ruleCase{"five-point chain into a sum", folded(spec(f64, add, contig(5), mul, 0.2), bytecode.OpAddReduce), "5*", 1, 6, 5},
+		ruleCase{"int32 chain into a max", folded(spec(tensor.Int32, add, contig(3), 0, 0), bytecode.OpMaximumReduce), "3", 1, 3, 2},
+		ruleCase{"float32 chain into an argmin", folded(spec(tensor.Float32, mul, contig(3), add, 1), bytecode.OpArgminReduce), "3*", 1, 4, 3},
+	)
+	{
+		s := folded(spec(f64, add, contig(5), mul, 0.2), bytecode.OpAddReduce)
+		s.keep = true
+		cases = append(cases, ruleCase{"materialized accumulator into a sum", s, "", 1, 6, 0})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -192,36 +192,52 @@ func TestNestChunkEdgeHold(t *testing.T) {
 	}
 }
 
-// TestNestExecuteReusesFrame: the offset tables, scratch slabs, ring and
-// bound-buffer table live in the Machine's frame, so executing a cached
-// stencil plan allocates a handful of small objects (the parallelFor
-// closures) and nothing the size of a row.
+// TestNestExecuteReusesFrame: the offset tables, scratch slabs, ring, fold
+// partials and bound-buffer table live in the Machine's frame, so
+// executing a cached plan allocates a handful of small objects (the
+// parallelFor closures) and nothing the size of a row (a block, for rows
+// longer than one): not a stencil, not a chain folded into a sum
+// (dispatch-small's power batch), not a chunk-axis fold on two workers.
 func TestNestExecuteReusesFrame(t *testing.T) {
-	const n = 258
-	gp, grid := stencilBatch(n)
-	m := New(Config{Fusion: true, Workers: 2, ParallelThreshold: 64})
-	defer m.Close()
-	m.Bind(grid, cloneTensor(gp.inputs[grid]))
-	pl, err := m.Compile(gp.prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := func() {
-		if err := pl.Execute(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	exec() // size the frame
-	const runs = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, exec)
-	runtime.ReadMemStats(&after)
-	if allocs > 8 {
-		t.Errorf("executing a cached stencil plan makes %v allocations per run, want at most 8", allocs)
-	}
-	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun >= (n-2)*8 {
-		t.Errorf("executing a cached stencil plan allocates %d bytes per run: a row is %d", perRun, (n-2)*8)
+	stencil, _ := stencilBatch(258)
+	for _, tc := range []struct {
+		name string
+		gp   genProgram
+		cfg  Config
+		row  int // bytes
+	}{
+		{"stencil", stencil, Config{Fusion: true, Workers: 2, ParallelThreshold: 64}, 256 * 8},
+		{"chain-then-sum", foldBatch(1, 2048, bytecode.OpAddReduce, false), Config{Fusion: true}, 2048 * 8},
+		{"chunk-axis-sum", foldBatch(1, 1<<17, bytecode.OpAddReduce, false), Config{Fusion: true, Workers: 2}, fusedBlockSize * 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New(tc.cfg)
+			defer m.Close()
+			for r, in := range tc.gp.inputs {
+				m.Bind(r, cloneTensor(in))
+			}
+			pl, err := m.Compile(tc.gp.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := func() {
+				if err := pl.Execute(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			exec() // size the frame
+			const runs = 50
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			allocs := testing.AllocsPerRun(runs, exec)
+			runtime.ReadMemStats(&after)
+			if allocs > 8 {
+				t.Errorf("executing the cached plan makes %v allocations per run, want at most 8", allocs)
+			}
+			if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun >= uint64(tc.row) {
+				t.Errorf("executing the cached plan allocates %d bytes per run: a row is %d", perRun, tc.row)
+			}
+		})
 	}
 }
 

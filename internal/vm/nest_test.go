@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -50,6 +51,7 @@ type genReg struct {
 type genProgram struct {
 	prog   *bytecode.Program
 	inputs map[bytecode.RegID]tensor.Tensor
+	shared map[bytecode.RegID]bytecode.RegID // bound to the buffer bound to an input
 }
 
 // program decodes the stream into a valid program: rank 1-4 iteration
@@ -307,13 +309,26 @@ func (g *nestGen) update() genProgram {
 
 // nestRun executes gp on a fresh machine — through Plan.Execute, or
 // instruction by instruction through the accessor interpreter — and
-// returns the machine for register inspection.
+// returns the machine for register inspection; the test's cleanup closes
+// it.
 func nestRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine {
 	t.Helper()
-	m := New(cfg)
+	m := genRun(t, gp, cfg, interpreter)
 	t.Cleanup(m.Close)
+	return m
+}
+
+// genRun is nestRun for a machine the caller closes.
+func genRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine {
+	t.Helper()
+	m := New(cfg)
+	bound := map[bytecode.RegID]tensor.Tensor{}
 	for r, in := range gp.inputs {
-		m.Bind(r, cloneTensor(in))
+		bound[r] = cloneTensor(in)
+		m.Bind(r, bound[r])
+	}
+	for r, src := range gp.shared {
+		m.Bind(r, bound[src])
 	}
 	p := gp.prog.Clone()
 	var err error
@@ -357,12 +372,20 @@ func sameRegisters(t testing.TB, what string, p *bytecode.Program, want, got *Ma
 // checkNestDifferential is the property: interpreter ≡ unfused ≡ fused,
 // one worker ≡ many (with a threshold low enough that chunk boundaries
 // fall mid-row, and worker counts that give one-row and sub-row chunks).
+// A reduction picks its strategy — and a float fold its order — by the
+// threshold, so with one the interpreter runs at each threshold.
 func checkNestDifferential(t testing.TB, gp genProgram) {
 	t.Helper()
 	if err := gp.prog.Validate(); err != nil {
 		t.Fatalf("generator produced an invalid program: %v\n%s", err, gp.prog)
 	}
-	want := nestRun(t, gp, Config{Workers: 1}, true)
+	want := genRun(t, gp, Config{Workers: 1}, true)
+	defer want.Close()
+	want4 := want
+	if slices.ContainsFunc(gp.prog.Instrs, func(in bytecode.Instruction) bool { return in.Op.Info().Kind == bytecode.KindReduction }) {
+		want4 = genRun(t, gp, Config{Workers: 1, ParallelThreshold: 4}, true)
+		defer want4.Close()
+	}
 	for _, cfg := range []Config{
 		{Fusion: false, Workers: 1},
 		{Fusion: true, Workers: 1},
@@ -371,8 +394,12 @@ func checkNestDifferential(t testing.TB, gp genProgram) {
 		{Fusion: true, Workers: 3, ParallelThreshold: 4},
 		{Fusion: true, Workers: 7, ParallelThreshold: 4},
 	} {
-		got := nestRun(t, gp, cfg, false)
-		sameRegisters(t, fmt.Sprintf("fusion=%v workers=%d", cfg.Fusion, cfg.Workers), gp.prog, want, got)
+		got, w := genRun(t, gp, cfg, false), want
+		if cfg.ParallelThreshold == 4 {
+			w = want4
+		}
+		sameRegisters(t, fmt.Sprintf("fusion=%v workers=%d", cfg.Fusion, cfg.Workers), gp.prog, w, got)
+		got.Close()
 	}
 }
 
@@ -387,6 +414,7 @@ func TestNestDifferentialGenerated(t *testing.T) {
 		rng.Read(data)
 		checkNestDifferential(t, (&nestGen{data: data}).program())
 		checkNestDifferential(t, (&nestGen{data: data}).update())
+		checkNestDifferential(t, (&nestGen{data: data}).reduce())
 	}
 }
 
@@ -419,6 +447,22 @@ func FuzzNestDifferential(f *testing.F) {
 	f.Add([]byte{4, 1, 4, 2, 5, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 1, 1})
 	f.Add([]byte{5, 0, 3, 1, 2, 0, 0, 0, 0, 0, 2, 0, 1, 1, 1})
 	f.Add([]byte{0, 0, 3, 2, 6, 0, 0, 0, 0, 0, 4, 0, 1, 0, 1})
+	// Folds, as nestGen.reduce decodes them: a float64 add chain over
+	// strided, reversed and broadcast inputs summed along 8 193 elements
+	// (chunk-axis); float32 argmin over 130 rows of 33 (split-outputs); an
+	// int32 max over axis 0 into a reversed output; float64 argmax of a
+	// square root's NaNs (chunk-axis); a bool logical-or of a broadcast
+	// producer; a uint8 sum of a live producer into float32; a sum whose
+	// output shares its producer's input buffer (two sweeps); an int64
+	// product over lines of one element after a chain.
+	f.Add([]byte{0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 2, 1, 1, 2, 3, 5, 0, 0, 0, 1, 4, 7, 0, 0, 0, 1, 1, 1, 1})
+	f.Add([]byte{1, 1, 1, 0, 0, 5, 2, 32, 0, 0, 1, 1, 0, 0, 3, 1, 0, 1, 1, 1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 6, 1, 1})
+	f.Add([]byte{3, 1, 0, 3, 2, 0, 0, 0, 1, 0, 3, 2, 2, 1, 0, 1, 3, 0, 2, 3, 1, 0, 1, 1})
+	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 4, 7, 1, 1})
+	f.Add([]byte{5, 1, 1, 2, 3, 0, 0, 0, 0, 4, 3, 5, 2, 1, 1, 0, 1, 0, 0, 0, 0, 0, 5, 1, 1, 1})
+	f.Add([]byte{4, 1, 1, 3, 3, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 2, 1, 1, 0, 3, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0})
+	f.Add([]byte{0, 1, 0, 1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1, 1, 1, 0, 4})
+	f.Add([]byte{2, 1, 1, 3, 0, 1, 0, 0, 1, 1, 3, 0, 0, 0, 0, 1, 2, 1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip()
@@ -426,6 +470,7 @@ func FuzzNestDifferential(f *testing.F) {
 		checkNestDifferential(t, (&nestGen{data: data}).program())
 		checkNestDifferential(t, (&nestGen{data: data}).update())
 		checkNestDifferential(t, (&nestGen{data: data}).chain())
+		checkNestDifferential(t, (&nestGen{data: data}).reduce())
 	})
 }
 

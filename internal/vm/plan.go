@@ -8,26 +8,25 @@ import (
 )
 
 // Plan is the reusable compilation of one program: validation, fusion
-// cluster discovery, every sweep's loop nest and run kernels, and
-// reduction-epilogue analysis — everything that does not depend on buffer
+// cluster discovery, every sweep's loop nest and run kernels (a reduction
+// epilogue's fold included) — everything that does not depend on buffer
 // bindings.
 // A Plan may be executed many times, against any Machine on any Engine;
 // each Execute resolves register buffers from that machine's register
 // file afresh (new input bindings, recycled temporaries) without
 // re-running any analysis. Execute is read-only on the Plan, so one Plan
 // may execute on several Machines concurrently — the shared plan cache
-// and the async Executor both depend on that, which is why a cached or
+// and the backend's async Executor both depend on that, which is why a cached or
 // queued plan must never be mutated: rebind constants with WithConstants
 // (clone); PatchConstants (in place) is only for a plan the caller owns
-// outright and is not executing anywhere. Keep any new Plan/nest/epiPlan
-// state immutable after Compile for the same reason.
+// outright and is not executing anywhere. Keep any new Plan/nest state
+// immutable after Compile for the same reason.
 type Plan struct {
 	prog     *bytecode.Program
 	fused    bool
 	clusters []cluster
-	live     *liveness  // structural, like clusters: shared by constant-rebound clones
-	nests    []*nest    // per cluster; non-nil for sweeps (the producers of an unfoldable reduce cluster)
-	epis     []*epiPlan // per cluster; non-nil only for foldable reductions
+	live     *liveness // structural, like clusters: shared by constant-rebound clones
+	nests    []*nest   // per cluster; non-nil for sweeps
 }
 
 // Compile analyzes p into a Plan. Validation runs here (unless the
@@ -87,26 +86,14 @@ func (lv *liveness) deadAfter(r bytecode.RegID, j int) bool {
 }
 
 // compileClusters builds the buffer-independent executable form of every
-// cluster from the plan's current program: the loop nest of each sweep
-// and the epilogue analysis of each foldable reduction. Both capture
-// constant operands, so a constant rebind recompiles them (closures and
-// small tables only — no buffer work).
+// cluster from the plan's current program: the loop nest of each sweep.
+// Nests capture constant operands, so a constant rebind recompiles them
+// (closures and small tables only — no buffer work).
 func (pl *Plan) compileClusters() {
 	pl.nests = make([]*nest, len(pl.clusters))
-	pl.epis = make([]*epiPlan, len(pl.clusters))
 	for i, cl := range pl.clusters {
-		end := cl.end
-		if cl.reduce {
-			end--
-			if epi, ok := analyzeEpilogue(pl.prog, cl, pl.live); ok {
-				// The fold replaces the producers' sweep; its rare
-				// fallback (an aliased output) compiles them on demand.
-				pl.epis[i] = epi
-				continue
-			}
-		}
 		if cl.sweep {
-			pl.nests[i] = compileNest(pl.prog, cl.start, end, cl.shape, pl.live, cl.lagged)
+			pl.nests[i] = compileNest(pl.prog, cl.start, cl.end, cl.shape, pl.live, cl.lagged)
 		}
 	}
 }
@@ -120,9 +107,8 @@ func (pl *Plan) Program() *bytecode.Program { return pl.prog }
 // never mutated, so it may be executing concurrently — on this machine's
 // async executor or on another session sharing the engine's plan cache.
 // When vals already equal the plan's constants, pl is returned as-is.
-// Cluster discovery is structural and carries over; nests and epilogue
-// analyses capture immediates, so they are recompiled against the patched
-// program.
+// Cluster discovery is structural and carries over; nests capture
+// immediates, so they are recompiled against the patched program.
 func (pl *Plan) WithConstants(vals []bytecode.Constant) (*Plan, error) {
 	prog := pl.prog.Clone()
 	changed, err := prog.SetConstants(vals)
@@ -173,12 +159,9 @@ func (pl *Plan) Execute(m *Machine) error {
 	// cluster's first.
 	for i, cl := range pl.clusters {
 		var err error
-		switch {
-		case cl.reduce:
-			err = m.execClusterReduce(p, cl, pl.epis[i], pl.nests[i])
-		case pl.nests[i] != nil:
+		if pl.nests[i] != nil {
 			err = m.runNest(p, pl.nests[i])
-		default:
+		} else {
 			err = m.interpret(p, cl.start, cl.end)
 		}
 		if err == nil {

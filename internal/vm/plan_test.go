@@ -74,8 +74,8 @@ func TestPlanExecuteRebinds(t *testing.T) {
 }
 
 // TestPlanPatchConstants verifies a parametric plan replays with new
-// immediates, including through a fused reduction epilogue (whose
-// analysis snapshots constant values and must be recomputed).
+// immediates, including through a fused reduction epilogue (whose nest
+// captures constant values and must be recompiled).
 func TestPlanPatchConstants(t *testing.T) {
 	m := New(Config{Fusion: true})
 	defer m.Close()
@@ -250,5 +250,28 @@ func TestPlanCacheDisabled(t *testing.T) {
 	st := m.Stats()
 	if st.PlanHits != 0 || st.PlanMisses != 0 || st.PlanEvictions != 0 {
 		t.Errorf("disabled cache counted: %+v", st)
+	}
+}
+
+// TestLookupBakedExactVectorOnly: baked (non-parametric) entries match
+// only their exact constant vector, and an exact-vector hit returns the
+// stored plan itself — no clone, no patch.
+func TestLookupBakedExactVectorOnly(t *testing.T) {
+	m := New(Config{})
+	defer m.Close()
+	prog := planTestProg(3)
+	pl, err := m.Compile(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.InsertPlan(prog.Fingerprint(), prog.Constants(), false, pl, nil)
+
+	got, _, ok := m.LookupPlan(prog.Fingerprint(), prog.Constants(), nil)
+	if !ok || got != pl {
+		t.Errorf("exact-vector baked lookup: ok=%v samePlan=%v, want hit on the stored plan", ok, got == pl)
+	}
+	other := planTestProg(4)
+	if _, _, ok := m.LookupPlan(other.Fingerprint(), other.Constants(), nil); ok {
+		t.Error("baked entry matched a different constant vector")
 	}
 }

@@ -183,7 +183,7 @@ func (m *Machine) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant
 	s := m.eng.plans.shardFor(fp)
 
 	// Find the candidate and snapshot it under the shard lock; the clone
-	// and epilogue re-analysis of a constant patch run OUTSIDE the lock,
+	// and nest recompilation of a constant patch run OUTSIDE the lock,
 	// so sessions landing on one shard don't serialize behind each
 	// other's analysis work.
 	s.mu.Lock()

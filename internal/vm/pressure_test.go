@@ -145,36 +145,3 @@ func TestChaosAllocFailTargetsLabeledMachine(t *testing.T) {
 		t.Fatalf("victim run after disarm: %v", err)
 	}
 }
-
-// TestChaosExecutorPanicBecomesStickyError pins async panic
-// containment at the vm level: a panic while the background executor
-// runs a queued plan becomes the pipeline's sticky ErrExec-wrapped
-// error — reported by every Wait and by Close — instead of killing the
-// process.
-func TestChaosExecutorPanicBecomesStickyError(t *testing.T) {
-	m := New(Config{Fusion: true, FaultLabel: "sess"})
-	defer m.Close()
-	e := m.NewExecutor(2)
-	bindVec(t, m, 0, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	pl, err := m.Compile(planTestProg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	disarm := faultinject.Arm(faultinject.WorkerPanic, faultinject.Fault{Label: "sess", Times: 1})
-	defer disarm()
-	e.Submit(pl)
-	werr := e.Wait()
-	if !errors.Is(werr, ErrExec) {
-		t.Fatalf("wait after injected panic: %v, want an ErrExec chain", werr)
-	}
-	if !strings.Contains(werr.Error(), "panic during pipelined execution") {
-		t.Fatalf("pipeline error does not name the recovered panic: %v", werr)
-	}
-	if again := e.Wait(); again == nil || again.Error() != werr.Error() {
-		t.Fatalf("sticky error changed across waits: %v then %v", werr, again)
-	}
-	if cerr := e.Close(); cerr == nil || cerr.Error() != werr.Error() {
-		t.Fatalf("close lost the sticky error: %v", cerr)
-	}
-}

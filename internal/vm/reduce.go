@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"math"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
@@ -112,13 +111,13 @@ func removeAxis(v tensor.View, axis int) (reduced tensor.View, stride, extent in
 
 // execReduce folds the input along one axis with the reduction's base
 // binary op, seeding the fold with the first element (so MIN/MAX need no
-// dtype-dependent identity).
+// dtype-dependent identity). The index reductions (argmin/argmax) fold a
+// (value, index) pair instead, which is why they have no ReduceBase; their
+// comparison class follows the *input* dtype — the output is always an
+// index.
 func (m *Machine) execReduce(p *bytecode.Program, in *bytecode.Instruction) error {
-	if in.Op.ArgReduce() {
-		return m.execArgReduce(p, in)
-	}
 	base, ok := in.Op.ReduceBase()
-	if !ok {
+	if !ok && !in.Op.ArgReduce() {
 		return fmt.Errorf("%s is not a reduction", in.Op)
 	}
 	outBuf, err := m.regs.ensure(p, in.Out.Reg)
@@ -137,12 +136,16 @@ func (m *Machine) execReduce(p *bytecode.Program, in *bytecode.Instruction) erro
 	m.stats.elements.Add(int64(srcView.Size()))
 
 	if axLen == 0 {
+		if !ok {
+			// There is no index of an empty axis's extreme — same failure
+			// mode as MIN/MAX.
+			return fmt.Errorf("%s reduction over empty axis has no identity", in.Op)
+		}
 		return fillReduceIdentity(base, outBuf, in.Out.View)
 	}
 
 	outView := in.Out.View
-	outSize := outView.Size()
-	strategy := m.sweepStrategyFor(outView, outSize, axLen)
+	strategy := m.sweepStrategyFor(outView, outView.Size(), axLen)
 	if outBuf == srcBuf && strategy == sweepSplitOutputs {
 		// The output aliases the source buffer: splitting the output sweep
 		// would let one worker's writes race other workers' source reads.
@@ -152,21 +155,29 @@ func (m *Machine) execReduce(p *bytecode.Program, in *bytecode.Instruction) erro
 		strategy = sweepSerial
 	}
 
-	if !outBuf.DType().IsFloat() && !srcBuf.DType().IsFloat() {
+	argmax := in.Op == bytecode.OpArgmaxReduce
+	switch {
+	case !ok && !srcBuf.DType().IsFloat():
+		runArgReduce(m.par, strategy, argBetter[int64](argmax), tensor.Buffer.GetInt,
+			outBuf, srcBuf, outView, reduced, axStride, axLen)
+	case !ok:
+		runArgReduce(m.par, strategy, argBetter[float64](argmax), tensor.Buffer.Get,
+			outBuf, srcBuf, outView, reduced, axStride, axLen)
+	case !outBuf.DType().IsFloat() && !srcBuf.DType().IsFloat():
 		k, ok := intBinaryKernel(base)
 		if !ok {
 			return fmt.Errorf("no int kernel for %s", base)
 		}
 		runReduce(m.par, strategy, k, tensor.Buffer.GetInt, tensor.Buffer.SetInt,
 			outBuf, srcBuf, outView, reduced, axStride, axLen)
-		return nil
+	default:
+		k, ok := floatBinaryKernel(base)
+		if !ok {
+			return fmt.Errorf("no kernel for %s", base)
+		}
+		runReduce(m.par, strategy, k, tensor.Buffer.Get, tensor.Buffer.Set,
+			outBuf, srcBuf, outView, reduced, axStride, axLen)
 	}
-	k, ok := floatBinaryKernel(base)
-	if !ok {
-		return fmt.Errorf("no kernel for %s", base)
-	}
-	runReduce(m.par, strategy, k, tensor.Buffer.Get, tensor.Buffer.Set,
-		outBuf, srcBuf, outView, reduced, axStride, axLen)
 	return nil
 }
 
@@ -195,67 +206,16 @@ func runReduce[E int64 | float64](pool parRunner, strategy sweepStrategy, k func
 	}
 }
 
-// execArgReduce folds the input along one axis to the int64 index of its
-// extreme element. The fold carries a (value, index) pair instead of a
-// plain accumulator, which is why these reductions have no ReduceBase.
-// Tie and NaN semantics are NumPy's: the lowest index wins a tie, and
-// the first NaN beats every number (once the carried value is NaN
-// nothing can displace it). The comparison class follows the *input*
-// dtype — the output is always an index — and every strategy performs
-// the identical comparisons, so results are bitwise equal across worker
-// counts and strategies for floats too.
-func (m *Machine) execArgReduce(p *bytecode.Program, in *bytecode.Instruction) error {
-	outBuf, err := m.regs.ensure(p, in.Out.Reg)
-	if err != nil {
-		return err
+// argBetter is the index reductions' comparison, NumPy's: the lowest
+// index wins a tie (a later element must be strictly better), and the
+// first NaN beats every number — once the carried value is NaN nothing
+// displaces it (v<best and v>best are false when either is NaN; v != v
+// only for a NaN).
+func argBetter[E int64 | float64](argmax bool) func(v, best E) bool {
+	if argmax {
+		return func(v, best E) bool { return v > best || v != v && best == best }
 	}
-	srcBuf := m.regs.get(in.In1.Reg)
-	if srcBuf == nil {
-		return fmt.Errorf("input register %s has no buffer", in.In1.Reg)
-	}
-	srcView := in.In1.View
-	reduced, axStride, axLen := removeAxis(srcView, in.Axis)
-
-	m.stats.instructions.Add(1)
-	m.stats.sweeps.Add(1)
-	m.stats.elements.Add(int64(srcView.Size()))
-
-	if axLen == 0 {
-		// There is no index of an empty axis's extreme — same failure
-		// mode as MIN/MAX.
-		return fmt.Errorf("%s reduction over empty axis has no identity", in.Op)
-	}
-
-	outView := in.Out.View
-	strategy := m.sweepStrategyFor(outView, outView.Size(), axLen)
-	if outBuf == srcBuf && strategy == sweepSplitOutputs {
-		// Same aliasing demotion as execReduce: index writes must not race
-		// other workers' source reads.
-		strategy = sweepSerial
-	}
-
-	if !srcBuf.DType().IsFloat() {
-		better := func(v, best int64) bool { return v < best }
-		if in.Op == bytecode.OpArgmaxReduce {
-			better = func(v, best int64) bool { return v > best }
-		}
-		runArgReduce(m.par, strategy, better, tensor.Buffer.GetInt,
-			outBuf, srcBuf, outView, reduced, axStride, axLen)
-		return nil
-	}
-	// NumPy NaN rule: a NaN displaces any number, nothing displaces the
-	// carried NaN (v<best and v>best are false when either is NaN).
-	better := func(v, best float64) bool {
-		return v < best || (math.IsNaN(v) && !math.IsNaN(best))
-	}
-	if in.Op == bytecode.OpArgmaxReduce {
-		better = func(v, best float64) bool {
-			return v > best || (math.IsNaN(v) && !math.IsNaN(best))
-		}
-	}
-	runArgReduce(m.par, strategy, better, tensor.Buffer.Get,
-		outBuf, srcBuf, outView, reduced, axStride, axLen)
-	return nil
+	return func(v, best E) bool { return v < best || v != v && best == best }
 }
 
 // runArgReduce executes one index reduction with the chosen strategy.

@@ -71,6 +71,12 @@ type Config struct {
 // costs more than it buys.
 const DefaultParallelThreshold = 1 << 15
 
+// DefaultAsyncDepth is the submit-queue depth of an async executor whose
+// caller passes zero: how many compiled batches may sit between the
+// recording goroutine and the executing one before Submit applies
+// backpressure.
+const DefaultAsyncDepth = 8
+
 // Machine is one session's execution state on an Engine: the register
 // file, the session counters, and the session's view of the shared
 // substrate (its sweep fan-out width, its opt-in to the shared plan
@@ -79,7 +85,7 @@ const DefaultParallelThreshold = 1 << 15
 // general concurrent use — one goroutine drives it, parallelism happens
 // inside Run — but it supports exactly one sanctioned split: a recording
 // goroutine that compiles and looks up plans while an Executor goroutine
-// executes them (see async.go for the ownership rules). Counters are
+// executes them (backend.Executor states the ownership rules). Counters are
 // atomic so both sides may count. Different Machines on one shared Engine
 // may run fully concurrently: everything they share (worker pool, plan
 // cache, buffer pool) is concurrency-safe, and everything per-session
@@ -147,8 +153,8 @@ type Stats struct {
 	ChainedInstructions int
 	// FusedReductions counts reductions executed as the epilogue of a
 	// fused producer sweep: the elementwise chain feeding the reduction
-	// was folded into its accumulation loop, and producer temporaries
-	// that were dead afterwards were never materialized.
+	// ran in one nest whose last step folds its runs, and producer
+	// temporaries that were dead afterwards were never materialized.
 	FusedReductions int
 	// FusedByDType counts instructions executed inside fused sweeps,
 	// keyed by each instruction's output dtype.
