@@ -390,8 +390,9 @@ func (c *Context) Submit() error {
 		}
 	}
 
-	batch := c.pending.Clone()
-	optimized, report, err := c.pipeline.Optimize(batch)
+	// Optimize works on its own clone; the pending batch is only read
+	// from here on, by newPlanMeta, until advanceBatch replaces it.
+	optimized, report, err := c.pipeline.Optimize(c.pending)
 	if err != nil {
 		return fmt.Errorf("bohrium: optimize failed: %w", err)
 	}
@@ -403,7 +404,7 @@ func (c *Context) Submit() error {
 	// CSE, power expansion), so any fired rewrite bakes the batch's
 	// constant vector into the cache key.
 	parametric := report.TotalApplied() == 0
-	pm := newPlanMeta(batch, optimized, len(c.pending.Regs))
+	pm := newPlanMeta(c.pending, optimized, len(c.pending.Regs))
 	pm.sig = c.sig
 	if len(optimized.Instrs) == 0 {
 		// The batch optimized to nothing (e.g. temporaries freed before

@@ -153,15 +153,6 @@ func (o Operand) IsReg() bool { return o.Kind == OperandReg }
 // IsConst reports whether o is a constant operand.
 func (o Operand) IsConst() bool { return o.Kind == OperandConst }
 
-// Clone returns a deep copy (views carry slices).
-func (o Operand) Clone() Operand {
-	out := o
-	if o.Kind == OperandReg {
-		out.View = o.View.Clone()
-	}
-	return out
-}
-
 // String prints the operand in listing syntax: "a0 [0:10:1]" or "3".
 func (o Operand) String() string {
 	switch o.Kind {
@@ -209,12 +200,7 @@ func (in *Instruction) Inputs() []Operand {
 // ReadsReg reports whether the instruction reads register r through any
 // input operand.
 func (in *Instruction) ReadsReg(r RegID) bool {
-	for _, op := range in.Inputs() {
-		if op.IsReg() && op.Reg == r {
-			return true
-		}
-	}
-	return false
+	return in.In1.IsReg() && in.In1.Reg == r || in.In2.IsReg() && in.In2.Reg == r
 }
 
 // WritesReg reports whether the instruction writes register r. SYNC and
@@ -224,14 +210,6 @@ func (in *Instruction) WritesReg(r RegID) bool {
 		return false
 	}
 	return in.Out.IsReg() && in.Out.Reg == r
-}
-
-// Clone returns a deep copy of the instruction.
-func (in Instruction) Clone() Instruction {
-	in.Out = in.Out.Clone()
-	in.In1 = in.In1.Clone()
-	in.In2 = in.In2.Clone()
-	return in
 }
 
 // String prints the instruction as one listing line, e.g.

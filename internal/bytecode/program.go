@@ -120,7 +120,9 @@ func (p *Program) EmitReduce(op Opcode, out, in Operand, axis int) {
 func (p *Program) Len() int { return len(p.Instrs) }
 
 // Clone returns a deep copy of the program; rewrites operate on copies so
-// callers keep the original stream for comparison runs.
+// callers keep the original stream for comparison runs. The copied views'
+// shapes and strides are carved from one slab, each with its own capacity,
+// so a clone costs a handful of allocations whatever its length.
 func (p *Program) Clone() *Program {
 	out := &Program{
 		Regs:    append([]RegInfo(nil), p.Regs...),
@@ -128,10 +130,41 @@ func (p *Program) Clone() *Program {
 		Inputs:  append([]RegID(nil), p.Inputs...),
 		Outputs: append([]RegID(nil), p.Outputs...),
 	}
+	n := 0
 	for i := range p.Instrs {
-		out.Instrs[i] = p.Instrs[i].Clone()
+		in := &p.Instrs[i]
+		for _, o := range [...]*Operand{&in.Out, &in.In1, &in.In2} {
+			if o.IsReg() {
+				n += len(o.View.Shape) + len(o.View.Strides)
+			}
+		}
+	}
+	slab := make([]int, n)
+	for i := range out.Instrs {
+		in := &out.Instrs[i]
+		*in = p.Instrs[i]
+		for _, o := range [...]*Operand{&in.Out, &in.In1, &in.In2} {
+			if o.IsReg() {
+				slab = copyView(&o.View, slab)
+			}
+		}
 	}
 	return out
+}
+
+// copyView points v's shape and strides at copies carved from the front
+// of slab and returns the rest of slab. Like View.Clone, empty strides
+// become nil.
+func copyView(v *tensor.View, slab []int) []int {
+	nd, ns := len(v.Shape), len(v.Strides)
+	shape, strides := slab[:nd:nd], slab[nd:nd+ns:nd+ns]
+	copy(shape, v.Shape)
+	copy(strides, v.Strides)
+	v.Shape, v.Strides = shape, nil
+	if ns > 0 {
+		v.Strides = strides
+	}
+	return slab[nd+ns:]
 }
 
 // CountOp returns how many instructions use op — experiment tables report

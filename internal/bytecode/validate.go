@@ -110,18 +110,17 @@ func (p *Program) validateShapes(in *Instruction, inputs []Operand) error {
 				}
 			}
 		}
-		if in.Op == OpIdentity && inputs[0].IsReg() {
-			return broadcastableTo(inputs[0].View.Shape, out, "input")
+		if in.Op == OpIdentity && inputs[0].IsReg() && !inputs[0].View.Shape.BroadcastableTo(out) {
+			return notBroadcastable(inputs[0].View.Shape, out, "input")
 		}
 		return nil
 
 	case KindUnary, KindBinary:
 		for i, opnd := range inputs {
-			if !opnd.IsReg() {
-				continue
-			}
-			if err := broadcastableTo(opnd.View.Shape, out, fmt.Sprintf("input %d", i+1)); err != nil {
-				return err
+			// The label is formatted only on failure: this loop runs for
+			// every input of every instruction on each validation.
+			if opnd.IsReg() && !opnd.View.Shape.BroadcastableTo(out) {
+				return notBroadcastable(opnd.View.Shape, out, fmt.Sprintf("input %d", i+1))
 			}
 		}
 		if info.Bool && p.Regs[in.Out.Reg].DType != tensor.Bool {
@@ -206,9 +205,6 @@ func (p *Program) validateExtensionShapes(in *Instruction, inputs []Operand) err
 	return nil
 }
 
-func broadcastableTo(src, dst tensor.Shape, what string) error {
-	if !src.BroadcastableTo(dst) {
-		return fmt.Errorf("%s shape %v not broadcastable to result %v", what, src, dst)
-	}
-	return nil
+func notBroadcastable(src, dst tensor.Shape, what string) error {
+	return fmt.Errorf("%s shape %v not broadcastable to result %v", what, src, dst)
 }

@@ -104,6 +104,22 @@ func TestValidateRejects(t *testing.T) {
 			want: "not broadcastable",
 		},
 		{
+			// The whole message, byte for byte: the input label is
+			// formatted only on the failure path.
+			name: "shape mismatch text",
+			build: func() *Program {
+				p := NewProgram()
+				a := p.NewReg(tensor.Float64, 8)
+				b := p.NewReg(tensor.Float64, 8)
+				p.EmitIdentity(Reg(a, v8), Const(ConstInt(0)))
+				p.EmitIdentity(Reg(b, v4), Const(ConstInt(0)))
+				p.EmitBinary(OpMultiply, Reg(a, v4), Reg(b, v4), Reg(a, v8))
+				return p
+			},
+			want: "bytecode: invalid program: instr 2 (BH_MULTIPLY a0 [0:4:1] a1 [0:4:1] a0 [0:8:1]): " +
+				"input 2 shape (8) not broadcastable to result (4)",
+		},
+		{
 			name: "bool result into float register",
 			build: func() *Program {
 				p := NewProgram()

@@ -24,12 +24,8 @@ func readsOverlap(in *bytecode.Instruction, reg bytecode.RegID, view tensor.View
 	if in.Op == bytecode.OpSync {
 		return in.Out.IsReg() && in.Out.Reg == reg && in.Out.View.Overlaps(view)
 	}
-	for _, opnd := range in.Inputs() {
-		if opnd.IsReg() && opnd.Reg == reg && opnd.View.Overlaps(view) {
-			return true
-		}
-	}
-	return false
+	return in.In1.IsReg() && in.In1.Reg == reg && in.In1.View.Overlaps(view) ||
+		in.In2.IsReg() && in.In2.Reg == reg && in.In2.View.Overlaps(view)
 }
 
 // writesOverlap reports whether in writes register reg through a view
@@ -43,11 +39,6 @@ func writesOverlap(in *bytecode.Instruction, reg bytecode.RegID, view tensor.Vie
 	default:
 		return in.Out.IsReg() && in.Out.Reg == reg && in.Out.View.Overlaps(view)
 	}
-}
-
-// touches reports whether in reads or writes (reg, view).
-func touches(in *bytecode.Instruction, reg bytecode.RegID, view tensor.View) bool {
-	return readsOverlap(in, reg, view) || writesOverlap(in, reg, view)
 }
 
 // readsReg reports whether in reads any element of reg.
@@ -81,17 +72,4 @@ func DeadAfter(p *bytecode.Program, idx int, reg bytecode.RegID) bool {
 	// Reached program end: registers bound or still held by the
 	// front-end remain observable.
 	return !p.IsInput(reg) && !p.IsOutput(reg)
-}
-
-// pathClear reports whether no instruction strictly between positions i
-// and j touches (reg, view) — the interference condition that lets two
-// matched byte-codes be treated as adjacent despite interleaved unrelated
-// code (design decision D1).
-func pathClear(p *bytecode.Program, i, j int, reg bytecode.RegID, view tensor.View) bool {
-	for k := i + 1; k < j; k++ {
-		if touches(&p.Instrs[k], reg, view) {
-			return false
-		}
-	}
-	return true
 }

@@ -52,7 +52,9 @@ type Metrics struct {
 
 // Report describes what a pipeline run did.
 type Report struct {
-	Passes  int
+	Passes int
+	// Applied counts rewrites per rule name; a rule that never applied
+	// has no entry.
 	Applied map[string]int
 	Before  Metrics
 	After   Metrics
@@ -108,7 +110,9 @@ func (pl *Pipeline) Run(p *bytecode.Program) (*Report, error) {
 						ErrRewrite, rule.Name(), err)
 				}
 			}
-			report.Applied[rule.Name()] += n
+			if n > 0 {
+				report.Applied[rule.Name()] += n
+			}
 			changed += n
 		}
 		report.Passes++

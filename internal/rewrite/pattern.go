@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"slices"
+
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
 )
@@ -14,68 +16,46 @@ import (
 // binding (interference analysis from deps.go). That gap tolerance is what
 // makes the rewriter effective on real interleaved streams rather than
 // only on the paper's adjacent listings.
+//
+// Matching allocates nothing. compile numbers each kind of variable in
+// the order the matcher meets it, so the variables bound after any
+// matched prefix are exactly the first few slots of each kind: a binding
+// is three fixed arrays plus their counts, and backtracking restores the
+// counts.
 
-// Binding is the variable environment accumulated during a match.
+// maxVars bounds the variables of each kind, maxPats the instruction
+// patterns, of one sequence.
+const maxVars, maxPats = 4, 4
+
+type varCounts struct{ regs, views, consts int8 }
+
+// Binding is the variable environment accumulated during a match. Views
+// point at the matched operands inside the program, so they are valid
+// only until the program is edited; registers and constants are copies.
 type Binding struct {
-	Regs   map[string]bytecode.RegID
-	Views  map[string]tensor.View
-	Consts map[string]bytecode.Constant
+	regs   [maxVars]bytecode.RegID
+	views  [maxVars]*tensor.View
+	consts [maxVars]bytecode.Constant
+	n      varCounts
 }
 
-func newBinding() *Binding {
-	return &Binding{
-		Regs:   map[string]bytecode.RegID{},
-		Views:  map[string]tensor.View{},
-		Consts: map[string]bytecode.Constant{},
-	}
-}
-
-func (b *Binding) clone() *Binding {
-	out := newBinding()
-	for k, v := range b.Regs {
-		out.Regs[k] = v
-	}
-	for k, v := range b.Views {
-		out.Views[k] = v
-	}
-	for k, v := range b.Consts {
-		out.Consts[k] = v
-	}
-	return out
-}
-
-func (b *Binding) bindReg(name string, r bytecode.RegID) bool {
-	if name == "" {
+// bind unifies slot with v: a bound slot (below *n) must hold a value
+// equal to v, the next free slot takes v. A negative slot is an unnamed
+// operand.
+func bind[T any](vals *[maxVars]T, n *int8, slot int8, v T, eq func(a, b T) bool) bool {
+	if slot < 0 {
 		return true
 	}
-	if prev, ok := b.Regs[name]; ok {
-		return prev == r
+	if slot < *n {
+		return eq(vals[slot], v)
 	}
-	b.Regs[name] = r
+	vals[slot], *n = v, *n+1
 	return true
 }
 
-func (b *Binding) bindView(name string, v tensor.View) bool {
-	if name == "" {
-		return true
-	}
-	if prev, ok := b.Views[name]; ok {
-		return prev.Equal(v)
-	}
-	b.Views[name] = v.Clone()
-	return true
-}
-
-func (b *Binding) bindConst(name string, c bytecode.Constant) bool {
-	if name == "" {
-		return true
-	}
-	if prev, ok := b.Consts[name]; ok {
-		return prev.Equal(c)
-	}
-	b.Consts[name] = c
-	return true
-}
+func sameReg(a, b bytecode.RegID) bool      { return a == b }
+func sameView(a, b *tensor.View) bool       { return a.Equal(*b) }
+func sameConst(a, b bytecode.Constant) bool { return a.Equal(b) }
 
 // OperandPattern matches one operand slot.
 type OperandPattern struct {
@@ -85,14 +65,11 @@ type OperandPattern struct {
 	// Reg and View name binding variables for register operands.
 	Reg  string
 	View string
-	// Const names a binding variable for constant operands; ConstPred
-	// additionally filters acceptable constants.
-	Const     string
-	ConstPred func(bytecode.Constant) bool
-}
+	// Const names a binding variable for constant operands.
+	Const string
 
-// AnyOperand matches register or constant without binding.
-var AnyOperand = OperandPattern{Want: -1}
+	reg, view, cnst int8 // slots assigned by compile
+}
 
 // RegOp matches a register operand binding its register and view.
 func RegOp(reg, view string) OperandPattern {
@@ -104,32 +81,20 @@ func ConstOp(name string) OperandPattern {
 	return OperandPattern{Want: bytecode.OperandConst, Const: name}
 }
 
-// ConstWhere matches a constant satisfying pred.
-func ConstWhere(name string, pred func(bytecode.Constant) bool) OperandPattern {
-	return OperandPattern{Want: bytecode.OperandConst, Const: name, ConstPred: pred}
-}
-
 // Absent matches an empty operand slot.
 var Absent = OperandPattern{Want: bytecode.OperandNone}
 
-func (op OperandPattern) match(o bytecode.Operand, b *Binding) bool {
-	if op.Want == -1 {
-		return true
-	}
-	if o.Kind != op.Want {
+func (op *OperandPattern) match(o *bytecode.Operand, b *Binding) bool {
+	switch {
+	case o.Kind != op.Want:
 		return false
+	case o.Kind == bytecode.OperandReg:
+		return bind(&b.regs, &b.n.regs, op.reg, o.Reg, sameReg) &&
+			bind(&b.views, &b.n.views, op.view, &o.View, sameView)
+	case o.Kind == bytecode.OperandConst:
+		return bind(&b.consts, &b.n.consts, op.cnst, o.Const, sameConst)
 	}
-	switch o.Kind {
-	case bytecode.OperandReg:
-		return b.bindReg(op.Reg, o.Reg) && b.bindView(op.View, o.View)
-	case bytecode.OperandConst:
-		if op.ConstPred != nil && !op.ConstPred(o.Const) {
-			return false
-		}
-		return b.bindConst(op.Const, o.Const)
-	default:
-		return true
-	}
+	return true
 }
 
 // InstrPattern matches one instruction.
@@ -138,34 +103,17 @@ type InstrPattern struct {
 	Ops []bytecode.Opcode
 	// Out, In1, In2 constrain the operand slots.
 	Out, In1, In2 OperandPattern
-	// Pred is an optional extra guard run after operand binding.
-	Pred func(in *bytecode.Instruction, b *Binding) bool
 }
 
 func (ip *InstrPattern) match(in *bytecode.Instruction, b *Binding) bool {
-	if len(ip.Ops) > 0 {
-		ok := false
-		for _, op := range ip.Ops {
-			if in.Op == op {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if !ip.Out.match(in.Out, b) || !ip.In1.match(in.In1, b) || !ip.In2.match(in.In2, b) {
+	if len(ip.Ops) > 0 && !slices.Contains(ip.Ops, in.Op) {
 		return false
 	}
-	if ip.Pred != nil && !ip.Pred(in, b) {
-		return false
-	}
-	return true
+	return ip.Out.match(&in.Out, b) && ip.In1.match(&in.In1, b) && ip.In2.match(&in.In2, b)
 }
 
 // SeqPattern is an ordered sequence of instruction patterns with
-// interference-checked gaps.
+// interference-checked gaps. Build one with compile.
 type SeqPattern struct {
 	Pats []InstrPattern
 	// Protect lists bindings that gap instructions between two matched
@@ -175,24 +123,94 @@ type SeqPattern struct {
 	// listings); the ablation experiments use it to quantify what gap
 	// tolerance buys.
 	NoGaps bool
+
+	vars *varNames // set by compile
+}
+
+// varNames lists a compiled pattern's variable names per kind; a name's
+// index is its slot.
+type varNames struct{ regs, views, consts []string }
+
+// declare returns name's slot, appending it to names if it is new.
+func declare(names *[]string, name string) int8 {
+	if name == "" {
+		return -1
+	}
+	if s := int8(slices.Index(*names, name)); s >= 0 {
+		return s
+	}
+	if len(*names) == maxVars {
+		panic("rewrite: pattern binds more than maxVars variables of one kind: " + name)
+	}
+	*names = append(*names, name)
+	return int8(len(*names) - 1)
+}
+
+// compile assigns every variable its slot, in the order match binds them,
+// and returns the pattern ready for FindFrom. It copies Pats and Protect,
+// so sp's own slices stay untouched.
+func compile(sp SeqPattern) SeqPattern {
+	vars := &varNames{}
+	sp.Pats = slices.Clone(sp.Pats)
+	for i := range sp.Pats {
+		for _, op := range [...]*OperandPattern{&sp.Pats[i].Out, &sp.Pats[i].In1, &sp.Pats[i].In2} {
+			op.reg, op.view, op.cnst = -1, -1, -1
+			switch op.Want {
+			case bytecode.OperandReg:
+				op.reg, op.view = declare(&vars.regs, op.Reg), declare(&vars.views, op.View)
+			case bytecode.OperandConst:
+				op.cnst = declare(&vars.consts, op.Const)
+			}
+		}
+	}
+	sp.Protect = slices.Clone(sp.Protect)
+	for i := range sp.Protect {
+		pr := &sp.Protect[i]
+		pr.reg, pr.view = int8(slices.Index(vars.regs, pr.Reg)), int8(slices.Index(vars.views, pr.View))
+	}
+	sp.vars = vars
+	return sp
 }
 
 // Match is a successful sequence match: the instruction indices matched,
-// in order, and the final variable binding.
+// in order (the first len(Pats) entries of Positions), and the final
+// variable binding.
 type Match struct {
-	Positions []int
-	Binding   *Binding
+	Positions [maxPats]int
+	vars      *varNames
+	b         Binding
+}
+
+func mustSlot(names []string, name string) int {
+	s := slices.Index(names, name)
+	if s < 0 {
+		panic("rewrite: pattern has no variable " + name)
+	}
+	return s
+}
+
+// Reg returns the register bound to variable name.
+func (m *Match) Reg(name string) bytecode.RegID { return m.b.regs[mustSlot(m.vars.regs, name)] }
+
+// Const returns the constant bound to variable name.
+func (m *Match) Const(name string) bytecode.Constant {
+	return m.b.consts[mustSlot(m.vars.consts, name)]
 }
 
 // FindFrom returns the first match of the sequence starting at or after
 // instruction index from, scanning left to right.
 func (sp *SeqPattern) FindFrom(p *bytecode.Program, from int) (Match, bool) {
+	if sp.vars == nil {
+		panic("rewrite: SeqPattern used without compile")
+	}
+	m := Match{vars: sp.vars}
 	for i := from; i < len(p.Instrs); i++ {
-		b := newBinding()
-		if !sp.Pats[0].match(&p.Instrs[i], b) {
+		m.b.n = varCounts{}
+		if !sp.Pats[0].match(&p.Instrs[i], &m.b) {
 			continue
 		}
-		if m, ok := sp.extend(p, []int{i}, b, 1); ok {
+		m.Positions[0] = i
+		if sp.extend(p, &m, 1) {
 			return m, true
 		}
 	}
@@ -204,36 +222,38 @@ func (sp *SeqPattern) Find(p *bytecode.Program) (Match, bool) {
 	return sp.FindFrom(p, 0)
 }
 
-func (sp *SeqPattern) extend(p *bytecode.Program, positions []int, b *Binding, k int) (Match, bool) {
+// extend matches Pats[k:] after position k-1, backtracking over the
+// candidate positions; on failure m's binding is as it was on entry.
+func (sp *SeqPattern) extend(p *bytecode.Program, m *Match, k int) bool {
 	if k == len(sp.Pats) {
-		return Match{Positions: positions, Binding: b}, true
+		return true
 	}
-	prev := positions[len(positions)-1]
+	prev := m.Positions[k-1]
 	for j := prev + 1; j < len(p.Instrs); j++ {
 		if sp.NoGaps && j != prev+1 {
 			break
 		}
-		cand := b.clone()
-		if sp.Pats[k].match(&p.Instrs[j], cand) {
-			if sp.gapsClear(p, prev, j, cand) {
-				if m, ok := sp.extend(p, append(append([]int(nil), positions...), j), cand, k+1); ok {
-					return m, true
-				}
+		saved := m.b.n
+		if sp.Pats[k].match(&p.Instrs[j], &m.b) && sp.gapsClear(p, prev, j, &m.b) {
+			m.Positions[k] = j
+			if sp.extend(p, m, k+1) {
+				return true
 			}
 		}
+		m.b.n = saved
 		// Even when instruction j does not match (or the match fails
 		// deeper), the scan may only continue past j if j itself does
 		// not interfere with the protected bindings.
-		if !sp.gapInstrClear(p, j, b) {
+		if !sp.gapInstrClear(p, j, &m.b) {
 			break
 		}
 	}
-	return Match{}, false
+	return false
 }
 
 func (sp *SeqPattern) gapsClear(p *bytecode.Program, i, j int, b *Binding) bool {
 	for k := i + 1; k < j; k++ {
-		if !sp.gapInstrClearAt(p, k, b) {
+		if !sp.gapInstrClear(p, k, b) {
 			return false
 		}
 	}
@@ -241,18 +261,15 @@ func (sp *SeqPattern) gapsClear(p *bytecode.Program, i, j int, b *Binding) bool 
 }
 
 func (sp *SeqPattern) gapInstrClear(p *bytecode.Program, k int, b *Binding) bool {
-	return sp.gapInstrClearAt(p, k, b)
-}
-
-func (sp *SeqPattern) gapInstrClearAt(p *bytecode.Program, k int, b *Binding) bool {
 	in := &p.Instrs[k]
-	for _, pr := range sp.Protect {
-		reg, ok := b.Regs[pr.Reg]
-		if !ok {
+	for i := range sp.Protect {
+		pr := &sp.Protect[i]
+		if pr.reg < 0 || pr.reg >= b.n.regs {
 			continue // variable not bound yet: nothing to protect
 		}
-		view, hasView := b.Views[pr.View]
-		if hasView {
+		reg := b.regs[pr.reg]
+		if pr.view >= 0 && pr.view < b.n.views {
+			view := *b.views[pr.view]
 			if writesOverlap(in, reg, view) {
 				return false
 			}
@@ -278,4 +295,6 @@ func (sp *SeqPattern) gapInstrClearAt(p *bytecode.Program, k int, b *Binding) bo
 type Protected struct {
 	Reg, View  string
 	WritesOnly bool
+
+	reg, view int8 // slots assigned by compile
 }

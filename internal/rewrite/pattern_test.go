@@ -20,10 +20,10 @@ BH_SYNC a0 [0:10:1]
 	if m.Positions[0] != 1 || m.Positions[1] != 2 {
 		t.Errorf("positions = %v, want [1 2]", m.Positions)
 	}
-	if m.Binding.Consts["c1"].Int() != 1 || m.Binding.Consts["c2"].Int() != 1 {
+	if m.Const("c1").Int() != 1 || m.Const("c2").Int() != 1 {
 		t.Error("constants not bound")
 	}
-	if m.Binding.Regs["r"] != 0 {
+	if m.Reg("r") != 0 {
 		t.Error("register not bound")
 	}
 }
@@ -157,20 +157,21 @@ BH_ADD a0 [5:10:1] a0 [5:10:1] 2
 }
 
 func TestConstPredFilter(t *testing.T) {
-	pat := SeqPattern{
+	// Patterns bind constants; a rule filters them on the bound value.
+	pat := compile(SeqPattern{
 		Pats: []InstrPattern{{
 			Ops: []bytecode.Opcode{bytecode.OpPower},
-			Out: RegOp("o", "vo"), In1: RegOp("x", "vx"),
-			In2: ConstWhere("n", func(c bytecode.Constant) bool { return c.IsIntegral() && c.Int() >= 2 }),
+			Out: RegOp("o", "vo"), In1: RegOp("x", "vx"), In2: ConstOp("n"),
 		}},
-	}
+	})
+	integral := func(c bytecode.Constant) bool { return c.IsIntegral() && c.Int() >= 2 }
 	match := bytecode.MustParse(`
 .reg a0 float64 4
 .reg a1 float64 4
 BH_IDENTITY a0 2.0
 BH_POWER a1 a0 10
 `)
-	if _, ok := pat.Find(match); !ok {
+	if m, ok := pat.Find(match); !ok || !integral(m.Const("n")) {
 		t.Error("integral exponent not matched")
 	}
 	noMatch := bytecode.MustParse(`
@@ -179,8 +180,12 @@ BH_POWER a1 a0 10
 BH_IDENTITY a0 2.0
 BH_POWER a1 a0 2.5
 `)
-	if _, ok := pat.Find(noMatch); ok {
-		t.Error("fractional exponent matched integral pattern")
+	m, ok := pat.Find(noMatch)
+	if !ok {
+		t.Fatal("constant operand not matched")
+	}
+	if integral(m.Const("n")) {
+		t.Error("fractional exponent passed the integral filter")
 	}
 }
 

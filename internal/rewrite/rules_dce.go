@@ -27,14 +27,15 @@ func (DeadCodeElimRule) Apply(p *bytecode.Program) (int, error) {
 }
 
 func dcePass(p *bytecode.Program) int {
-	live := make([]bool, len(p.Regs))
+	// One allocation for the pass's three flag vectors.
+	flags := make([]bool, 2*len(p.Regs)+len(p.Instrs))
+	live, defined, dead := flags[:len(p.Regs)], flags[len(p.Regs):2*len(p.Regs)], flags[2*len(p.Regs):]
 	for _, r := range p.Inputs {
 		live[r] = true
 	}
 	for _, r := range p.Outputs {
 		live[r] = true
 	}
-	dead := make([]bool, len(p.Instrs))
 	for i := len(p.Instrs) - 1; i >= 0; i-- {
 		in := &p.Instrs[i]
 		switch in.Op {
@@ -64,7 +65,6 @@ func dcePass(p *bytecode.Program) int {
 	// Forward cleanup alongside the removal: dropping a dead write can
 	// orphan a later BH_FREE (or BH_SYNC kept alive only formally) of a
 	// now never-defined register; drop those too.
-	defined := make([]bool, len(p.Regs))
 	for _, r := range p.Inputs {
 		defined[r] = true
 	}

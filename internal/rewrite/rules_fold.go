@@ -48,7 +48,7 @@ type AddMergeRule struct {
 // Name implements Rule.
 func (AddMergeRule) Name() string { return "add-merge" }
 
-var addMergePattern = SeqPattern{
+var addMergePattern = compile(SeqPattern{
 	Pats: []InstrPattern{
 		{
 			Ops: []bytecode.Opcode{bytecode.OpAdd, bytecode.OpSubtract},
@@ -60,7 +60,7 @@ var addMergePattern = SeqPattern{
 		},
 	},
 	Protect: []Protected{{Reg: "r", View: "v"}},
-}
+})
 
 // Apply implements Rule.
 func (r AddMergeRule) Apply(p *bytecode.Program) (int, error) {
@@ -74,7 +74,7 @@ func (r AddMergeRule) Apply(p *bytecode.Program) (int, error) {
 		}
 		i, j := m.Positions[0], m.Positions[1]
 		first, second := &p.Instrs[i], &p.Instrs[j]
-		c1, c2 := m.Binding.Consts["c1"], m.Binding.Consts["c2"]
+		c1, c2 := m.Const("c1"), m.Const("c2")
 
 		s1, s2 := signOf(first.Op), signOf(second.Op)
 		var merged bytecode.Constant
@@ -100,7 +100,7 @@ type MulMergeRule struct{}
 // Name implements Rule.
 func (MulMergeRule) Name() string { return "mul-merge" }
 
-var mulMergePattern = SeqPattern{
+var mulMergePattern = compile(SeqPattern{
 	Pats: []InstrPattern{
 		{
 			Ops: []bytecode.Opcode{bytecode.OpMultiply, bytecode.OpDivide},
@@ -112,7 +112,7 @@ var mulMergePattern = SeqPattern{
 		},
 	},
 	Protect: []Protected{{Reg: "r", View: "v"}},
-}
+})
 
 // Apply implements Rule.
 func (MulMergeRule) Apply(p *bytecode.Program) (int, error) {
@@ -124,7 +124,7 @@ func (MulMergeRule) Apply(p *bytecode.Program) (int, error) {
 		}
 		i, j := m.Positions[0], m.Positions[1]
 		first, second := &p.Instrs[i], &p.Instrs[j]
-		c1, c2 := m.Binding.Consts["c1"], m.Binding.Consts["c2"]
+		c1, c2 := m.Const("c1"), m.Const("c2")
 		ri, _ := p.Reg(first.Out.Reg)
 
 		op1, op2 := first.Op, second.Op
@@ -174,7 +174,7 @@ type IdentityFoldRule struct{}
 // Name implements Rule.
 func (IdentityFoldRule) Name() string { return "identity-fold" }
 
-var identityFoldPattern = SeqPattern{
+var identityFoldPattern = compile(SeqPattern{
 	Pats: []InstrPattern{
 		{
 			Ops: []bytecode.Opcode{bytecode.OpIdentity},
@@ -189,7 +189,7 @@ var identityFoldPattern = SeqPattern{
 		},
 	},
 	Protect: []Protected{{Reg: "r", View: "v"}},
-}
+})
 
 // Apply implements Rule.
 func (IdentityFoldRule) Apply(p *bytecode.Program) (int, error) {
@@ -200,7 +200,7 @@ func (IdentityFoldRule) Apply(p *bytecode.Program) (int, error) {
 			return total, nil
 		}
 		i, j := m.Positions[0], m.Positions[1]
-		c1, c2 := m.Binding.Consts["c1"], m.Binding.Consts["c2"]
+		c1, c2 := m.Const("c1"), m.Const("c2")
 		folded, ok := foldConstants(p.Instrs[j].Op, c1, c2)
 		if !ok {
 			from = i + 1

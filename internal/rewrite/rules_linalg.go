@@ -25,7 +25,7 @@ type SolveRewriteRule struct {
 // Name implements Rule.
 func (SolveRewriteRule) Name() string { return "inverse-to-solve" }
 
-var solvePattern = SeqPattern{
+var solvePattern = compile(SeqPattern{
 	Pats: []InstrPattern{
 		{
 			Ops: []bytecode.Opcode{bytecode.OpInverse},
@@ -44,7 +44,7 @@ var solvePattern = SeqPattern{
 		// gap reads of A are harmless.
 		{Reg: "A", View: "vA", WritesOnly: true},
 	},
-}
+})
 
 // Apply implements Rule.
 func (r SolveRewriteRule) Apply(p *bytecode.Program) (int, error) {
@@ -55,7 +55,7 @@ func (r SolveRewriteRule) Apply(p *bytecode.Program) (int, error) {
 			return total, nil
 		}
 		i, j := m.Positions[0], m.Positions[1]
-		invReg := m.Binding.Regs["inv"]
+		invReg := m.Reg("inv")
 
 		if !r.DisableLivenessCheck && !DeadAfter(p, j, invReg) {
 			// A⁻¹ is reused later; keep the explicit inverse.

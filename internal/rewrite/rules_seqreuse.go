@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"slices"
+
 	"bohrium/internal/bytecode"
 )
 
@@ -226,15 +228,9 @@ func (r ReuseRule) rewriteDup(p *bytecode.Program, i, j, sunkFree int) bool {
 		drop = append(drop, qFree)
 	}
 	// Descending order keeps the remaining indices valid.
-	for a := 0; a < len(drop); a++ {
-		for b := a + 1; b < len(drop); b++ {
-			if drop[b] > drop[a] {
-				drop[a], drop[b] = drop[b], drop[a]
-			}
-		}
-	}
-	for _, idx := range drop {
-		removeAt(p, idx)
+	slices.Sort(drop)
+	for k := len(drop) - 1; k >= 0; k-- {
+		removeAt(p, drop[k])
 	}
 	return true
 }
