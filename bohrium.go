@@ -122,24 +122,19 @@ type Config struct {
 // and between whole sessions when several Contexts share one Runtime
 // (each driven by its own goroutine).
 type Context struct {
-	cfg      Config
-	rt       *Runtime
-	ownsRT   bool // NewContext-made: Close tears the private runtime down
-	pipeline *rewrite.Pipeline
-	// sig identifies this session's compilation semantics (optimizer
-	// options + fusion). Plans in the shared cache carry the signature of
-	// the session that compiled them, and planUsable rejects any
-	// mismatch: a batch fingerprint says nothing about HOW it was
-	// compiled, and a session with the optimizer ablated must never
-	// execute another session's optimized plan (or vice versa) — the
-	// values could differ in ULPs and the sweep stats would lie.
-	sig compileSig
+	cfg    Config
+	rt     *Runtime
+	ownsRT bool // NewContext-made: Close tears the private runtime down
 	// backend executes this session's batches. The front end only ever
 	// speaks the backend.Backend interface — compile, execute, bind, read,
 	// cache, stats — so every execution strategy (in-process fused sweeps,
 	// out-of-core chunking, whatever is registered next) plugs in below
 	// this line without the recorder changing.
-	backend  backend.Backend
+	backend backend.Backend
+	// plans resolves each sealed batch through the shared plan cache. It
+	// never replays a plan compiled under other optimizer options or
+	// fusion: a batch fingerprint says nothing about HOW it was compiled.
+	plans    *backend.Resolver
 	pending  *bytecode.Program
 	defined  map[bytecode.RegID]bool // registers materialized by earlier flushes
 	keptRegs map[bytecode.RegID]bool // registers whose values must survive flushes
@@ -216,8 +211,6 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 		cfg:      c,
 		rt:       rt,
 		ownsRT:   ownsRT,
-		pipeline: rewrite.Build(opts),
-		sig:      compileSig{opts: opts, fusion: !c.DisableFusion},
 		backend:  be,
 		pending:  bytecode.NewProgram(),
 		defined:  map[bytecode.RegID]bool{},
@@ -227,6 +220,9 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 		pairs:    map[bytecode.Fingerprint]int{},
 		hotHeads: map[bytecode.Fingerprint]bool{},
 	}
+	ctx.plans = backend.NewResolver(be,
+		backend.Signature{Scope: "context", Options: opts, Fusion: !c.DisableFusion},
+		newPlanMeta, ctx.planUsable)
 	ctx.unregister = rt.Register("context/" + be.Name())
 	if c.Async {
 		ctx.exec = backend.NewExecutor(be, c.AsyncDepth, "")
@@ -354,85 +350,45 @@ func (c *Context) Submit() error {
 	}
 	c.markPendingOutputs()
 	wasDeferred := c.deferred
-
-	cached := c.backend.PlanCacheEnabled()
-	var fp bytecode.Fingerprint
-	var consts []bytecode.Constant
-	if cached {
-		fp = c.pending.Fingerprint()
-		consts = c.pending.Constants()
-		// Cross-plan fusion: a batch structure that repeatedly heads a
-		// back-to-back pair is held in the recording buffer instead of
-		// sealing; the next batch records into the same program and the
-		// combined structure takes this very path on the following Submit.
-		if c.xplanShouldDefer(fp) {
-			c.deferred = true
-			return nil
-		}
-		// A parametric hit under new constants comes back as a patched
-		// clone (the cached plan is immutable), so the same lookup is safe
-		// in both modes: the executor may still be running the previous
-		// submission, and other sessions on a shared Runtime may be
-		// executing the very same cached plan right now. The backend scopes
-		// the fingerprint, so two backends on one Runtime never serve each
-		// other's plans.
-		plan, meta, ok := c.backend.LookupPlan(fp, consts, c.planUsable)
-		if ok {
-			pm := meta.(*planMeta)
-			if plan != nil { // nil: the batch is known to optimize to nothing
-				if err := c.execute(plan); err != nil {
-					return err
-				}
-			}
-			c.xplanAccount(fp, cached, wasDeferred)
-			c.advanceBatch(pm)
-			return nil
-		}
-	}
-
-	// Optimize works on its own clone; the pending batch is only read
-	// from here on, by newPlanMeta, until advanceBatch replaces it.
-	optimized, report, err := c.pipeline.Optimize(c.pending)
-	if err != nil {
-		return fmt.Errorf("bohrium: optimize failed: %w", err)
-	}
-	if c.cfg.CollectReports {
-		c.lastRep = report
-	}
-	// A plan's constants are parameters only when the optimizer applied
-	// nothing: every rule inspects constant values (merging, folding,
-	// CSE, power expansion), so any fired rewrite bakes the batch's
-	// constant vector into the cache key.
-	parametric := report.TotalApplied() == 0
-	pm := newPlanMeta(c.pending, optimized, len(c.pending.Regs))
-	pm.sig = c.sig
-	if len(optimized.Instrs) == 0 {
-		// The batch optimized to nothing (e.g. temporaries freed before
-		// ever being observed): skip compilation and the VM entirely,
-		// keeping only the register bookkeeping.
-		if cached {
-			c.backend.InsertPlan(fp, consts, parametric, nil, pm)
-		}
-		c.xplanAccount(fp, cached, wasDeferred)
-		c.advanceBatch(pm)
+	key := c.plans.Key(c.pending)
+	// Cross-plan fusion: a batch structure that repeatedly heads a
+	// back-to-back pair is held in the recording buffer instead of
+	// sealing; the next batch records into the same program and the
+	// combined structure takes this very path on the following Submit.
+	if key.Cached && c.xplanShouldDefer(key.FP) {
+		c.deferred = true
 		return nil
 	}
-	pruneInputs(optimized)
-	plan, err := c.backend.Compile(optimized)
+	// A parametric hit under new constants comes back as a patched clone,
+	// so resolving is safe while the executor still runs the previous
+	// submission. The pending batch is only read until advanceBatch
+	// replaces it.
+	res, err := c.plans.Resolve(c.pending, key)
 	if err != nil {
+		if errors.As(err, new(*backend.OptimizeError)) {
+			return fmt.Errorf("bohrium: optimize failed: %w", err)
+		}
 		return fmt.Errorf("bohrium: execution failed: %w", err)
 	}
-	if err := c.execute(plan); err != nil {
-		return err
+	if res.Report != nil && c.cfg.CollectReports {
+		c.lastRep = res.Report
 	}
-	if cached {
-		// A backend whose plans are constant-exact (out-of-core) demotes
-		// parametric to false here; the nil empty-batch entry above stays
-		// parametric on every backend — there is nothing to patch.
-		c.backend.InsertPlan(fp, consts, parametric, plan, pm)
+	// The plan runs inline in synchronous mode, enqueued on the background
+	// executor in async mode, and is immutable either way: it may be
+	// executing in other sessions that share the plan cache right now.
+	switch {
+	case res.Plan == nil:
+		// The batch optimized to nothing (e.g. temporaries freed before
+		// ever being observed); only the register bookkeeping advances.
+	case c.exec != nil:
+		c.exec.Submit(res.Plan)
+	default:
+		if err := c.backend.Execute(res.Plan); err != nil {
+			return fmt.Errorf("bohrium: execution failed: %w", err)
+		}
 	}
-	c.xplanAccount(fp, cached, wasDeferred)
-	c.advanceBatch(pm)
+	c.xplanAccount(key.FP, key.Cached, wasDeferred)
+	c.advanceBatch(res.Meta.(*planMeta))
 	return nil
 }
 
@@ -499,21 +455,6 @@ func (c *Context) xplanAccount(fp bytecode.Fingerprint, cached, wasDeferred bool
 	c.haveLast = true
 }
 
-// execute runs one compiled plan: inline in synchronous mode, enqueued on
-// the background executor in async mode. Either way the plan is treated
-// as immutable from here on — it may simultaneously be executing in other
-// sessions that share the plan cache.
-func (c *Context) execute(plan backend.Plan) error {
-	if c.exec != nil {
-		c.exec.Submit(plan)
-		return nil
-	}
-	if err := c.backend.Execute(plan); err != nil {
-		return fmt.Errorf("bohrium: execution failed: %w", err)
-	}
-	return nil
-}
-
 // Wait blocks until every submitted batch has executed and returns the
 // pipeline's first execution error. The error is sticky: after a failed
 // batch, Wait (and every other synchronizing call) keeps returning it,
@@ -560,20 +501,6 @@ func (c *Context) markPendingOutputs() {
 	}
 }
 
-// compileSig is the comparable identity of a session's compilation
-// semantics: the resolved optimizer options plus the fusion switch.
-// Sessions with equal signatures compile any given batch identically, so
-// sharing cached plans between them is indistinguishable from each
-// compiling its own; unequal signatures must not share (planUsable).
-// Workers/ParallelThreshold are deliberately absent — results are
-// bit-equal across them by the VM's parallel-execution contract — as are
-// Async/AsyncDepth/PlanCacheSize/CollectReports, which never change what
-// a batch compiles to.
-type compileSig struct {
-	opts   rewrite.Options
-	fusion bool
-}
-
 // planMeta is the front-end bookkeeping stored with each cached plan:
 // everything Flush needs to advance the session to the next batch
 // without re-deriving it from the optimized program.
@@ -596,12 +523,12 @@ type planMeta struct {
 	// front-end array (see planUsable).
 	base  int
 	extra []bytecode.RegInfo
-	// sig is the compiling session's compileSig; only sessions with the
-	// same signature may execute the plan.
-	sig compileSig
 }
 
-func newPlanMeta(batch, optimized *bytecode.Program, base int) *planMeta {
+// newPlanMeta derives a fresh plan's bookkeeping from the batch and its
+// optimized program (the resolver's newMeta hook).
+func newPlanMeta(batch, optimized *bytecode.Program) any {
+	base := len(batch.Regs)
 	fate := map[bytecode.RegID]bool{}
 	for i := range optimized.Instrs {
 		in := &optimized.Instrs[i]
@@ -636,16 +563,10 @@ func newPlanMeta(batch, optimized *bytecode.Program, base int) *planMeta {
 // ignores those): a plan whose register file was WIDER than this
 // session's is rejected — its scratch placement assumes ids this session
 // has not declared — while a narrower or equal base lines up exactly.
-// It also rejects any plan compiled under different semantics (optimizer
-// options, fusion) — see compileSig.
+// Plans compiled under different semantics (optimizer options, fusion)
+// never reach it: the resolver's signature rejects them first.
 func (c *Context) planUsable(meta any) bool {
-	pm, ok := meta.(*planMeta)
-	if !ok {
-		return false
-	}
-	if pm.sig != c.sig {
-		return false
-	}
+	pm := meta.(*planMeta)
 	if pm.base > len(c.pending.Regs) {
 		return false
 	}
@@ -703,31 +624,6 @@ func (c *Context) recycleReg(id bytecode.RegID) {
 	}
 	c.inFree[id] = true
 	c.freeRegs = append(c.freeRegs, id)
-}
-
-// pruneInputs drops input declarations no instruction references: they do
-// not affect execution, and a cached plan must not demand bindings for
-// registers a later, structurally identical flush no longer keeps alive.
-func pruneInputs(p *bytecode.Program) {
-	used := map[bytecode.RegID]bool{}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.Out.IsReg() {
-			used[in.Out.Reg] = true
-		}
-		for _, o := range in.Inputs() {
-			if o.IsReg() {
-				used[o.Reg] = true
-			}
-		}
-	}
-	kept := p.Inputs[:0]
-	for _, r := range p.Inputs {
-		if used[r] {
-			kept = append(kept, r)
-		}
-	}
-	p.Inputs = kept
 }
 
 // MustFlush is Flush that panics on error, for examples.

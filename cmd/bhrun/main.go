@@ -8,16 +8,17 @@
 //	      [-par-threshold n] [-no-fusion] [-repeat n] [-async]
 //	      [-sessions k] [-shared] [-trace] [file.bh]
 //
-// -O runs the algebraic optimizer before execution; -trace prints the
-// (possibly optimized) program and VM sweep statistics. -workers and
-// -par-threshold plumb the VM's Workers and ParallelThreshold knobs, so
-// any bench configuration is reproducible from the CLI. -backend selects
-// the execution backend ("inprocess" fused sweeps by default; "outofcore"
-// streams elementwise segments through -chunk-bytes-sized tiles) — every
-// backend is value- and error-identical, so the flag only changes the
-// execution strategy. Execution goes through the fingerprint-keyed plan
-// cache, scoped per backend: -repeat re-executes the program n times, so
-// the first run compiles a plan and the rest replay it (the "# plans:"
+// -O rewrites the program with the algebraic optimizer; -trace prints the
+// optimizer report, the executed program and VM sweep statistics.
+// -workers and -par-threshold plumb the VM's Workers and
+// ParallelThreshold knobs, so any bench configuration is reproducible
+// from the CLI. -backend selects the execution backend ("inprocess" fused
+// sweeps by default; "outofcore" streams elementwise segments through
+// -chunk-bytes-sized tiles) — every backend is value- and error-identical,
+// so the flag only changes the execution strategy. Execution goes through
+// the backend-scoped plan cache by the plan resolver the bohrium front end
+// and bhd use: -repeat re-executes the program n times, so the first run
+// optimizes and compiles a plan and the rest replay it (the "# plans:"
 // trace line shows n-1 hits). -async submits every repeat to the
 // background executor and waits once at the end — the submit/wait
 // pipeline the bohrium front-end uses in async mode (the "# pipeline:"
@@ -95,21 +96,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	if *optimize {
-		optimized, report, err := rewrite.Default().Optimize(prog)
-		if err != nil {
-			return err
-		}
-		if *trace {
-			fmt.Fprintf(stdout, "# optimizer: %s", report.String())
-		}
-		prog = optimized
-	}
-	if *trace {
-		fmt.Fprint(stdout, prog.Dump())
-		fmt.Fprintln(stdout, "# ---")
-	}
-
 	bcfg := backend.Config{
 		VM:         vm.Config{Workers: *workers, ParallelThreshold: *parThreshold, Fusion: !*noFusion},
 		ChunkBytes: *chunkBytes,
@@ -122,35 +108,33 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 
 	// Build the session backends: private engines by default, one shared
-	// engine (pool + plan cache + recycle pool) under -shared.
+	// engine (pool + plan cache + recycle pool) under -shared. Deferred
+	// closes run in reverse, so every backend closes before its engine.
 	backends := make([]backend.Backend, *sessions)
-	open := func() (backend.Backend, error) {
-		eng := vm.NewEngine(vm.EngineConfig{Workers: *workers})
-		b, err := backend.Open(*backendName, eng, bcfg)
-		if err != nil {
-			eng.Close()
-			return nil, err
-		}
-		// The backend is the engine's only tenant; closing it may close
-		// the engine too.
-		return privateEngineBackend{Backend: b, eng: eng}, nil
-	}
-	if *shared {
-		eng := vm.NewEngine(vm.EngineConfig{Workers: *workers})
-		defer eng.Close()
-		open = func() (backend.Backend, error) { return backend.Open(*backendName, eng, bcfg) }
-	}
+	var eng *vm.Engine
 	for i := range backends {
-		if backends[i], err = open(); err != nil {
+		if eng == nil || !*shared {
+			eng = vm.NewEngine(vm.EngineConfig{Workers: *workers})
+			defer eng.Close()
+		}
+		if backends[i], err = backend.Open(*backendName, eng, bcfg); err != nil {
 			return err
 		}
 		defer backends[i].Close()
 	}
 
-	// sessionRun does one session's -repeat executions through the plan
-	// cache (each session runs its own copy of the program; under -shared
-	// every session after the first hits the plan another compiled).
-	sessionRun := func(b backend.Backend, p *bytecode.Program) (err error) {
+	// Each session resolves the batch on every repeat; under -shared,
+	// sessions hit the plan another compiled. Resolving only reads prog,
+	// so the sessions share it.
+	var opts rewrite.Options // the zero Options rewrite nothing
+	if *optimize {
+		opts = rewrite.DefaultOptions()
+	}
+	sig := backend.Signature{Scope: "bhrun", Options: opts, Fusion: bcfg.VM.Fusion}
+	plans := make([]backend.Plan, *sessions)
+	reports := make([]*rewrite.Report, *sessions)
+	sessionRun := func(i int) (err error) {
+		b := backends[i]
 		var exec *backend.Executor
 		if *async {
 			exec = backend.NewExecutor(b, 0, "")
@@ -162,52 +146,69 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				}
 			}()
 		}
-		fp := p.Fingerprint()
-		consts := p.Constants()
-		for i := 0; i < *repeat; i++ {
-			plan, _, ok := b.LookupPlan(fp, consts, nil)
-			if !ok {
-				var err error
-				if plan, err = b.Compile(p); err != nil {
+		resolver := backend.NewResolver(b, sig, nil, nil)
+		key := resolver.Key(prog)
+		for range *repeat {
+			res, err := resolver.Resolve(prog, key)
+			if err != nil {
+				return err
+			}
+			if res.Report != nil {
+				reports[i] = res.Report
+			}
+			plans[i] = res.Plan
+			switch {
+			case res.Plan == nil: // optimized to nothing
+			case exec != nil:
+				exec.Submit(res.Plan)
+			default:
+				if err := b.Execute(res.Plan); err != nil {
 					return err
 				}
-				b.InsertPlan(fp, consts, false, plan, nil)
-			}
-			if exec != nil {
-				exec.Submit(plan)
-				continue
-			}
-			if err := b.Execute(plan); err != nil {
-				return err
 			}
 		}
 		return nil
 	}
 
-	if *sessions == 1 {
-		if err := sessionRun(backends[0], prog); err != nil {
+	errs := make([]error, *sessions)
+	var wg sync.WaitGroup
+	for i := range backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = sessionRun(i)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil && *sessions == 1 {
 			return err
 		}
-	} else {
-		errs := make([]error, *sessions)
-		var wg sync.WaitGroup
-		for i, b := range backends {
-			wg.Add(1)
-			go func(i int, b backend.Backend) {
-				defer wg.Done()
-				errs[i] = sessionRun(b, prog.Clone())
-			}(i, b)
-		}
-		wg.Wait()
-		for i, err := range errs {
-			if err != nil {
-				return fmt.Errorf("session %d: %w", i, err)
-			}
+		if err != nil {
+			return fmt.Errorf("session %d: %w", i, err)
 		}
 	}
 
-	for i := range prog.Instrs {
-		in := &prog.Instrs[i]
+	// What executed is the plan's program: optimized under -O, with the
+	// inputs no instruction references pruned.
+	executed := bytecode.NewProgram()
+	if plans[0] != nil {
+		executed = plans[0].Program()
+	}
+	if *trace {
+		// Every session resolved the same batch, so any session that
+		// missed reports the optimization.
+		for _, report := range reports {
+			if *optimize && report != nil {
+				fmt.Fprintf(stdout, "# optimizer: %s", report.String())
+				break
+			}
+		}
+		fmt.Fprint(stdout, executed.Dump())
+		fmt.Fprintln(stdout, "# ---")
+	}
+	for i := range executed.Instrs {
+		in := &executed.Instrs[i]
 		if in.Op != bytecode.OpSync {
 			continue
 		}
@@ -244,17 +245,4 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// privateEngineBackend ties a backend to the engine created just for it:
-// closing the backend closes the engine, restoring the old one-machine
-// vm.New teardown shape for unshared sessions.
-type privateEngineBackend struct {
-	backend.Backend
-	eng *vm.Engine
-}
-
-func (p privateEngineBackend) Close() {
-	p.Backend.Close()
-	p.eng.Close()
 }

@@ -157,3 +157,47 @@ BH_SYNC a0
 		t.Errorf("async repeats bypassed the plan cache:\n%s", got)
 	}
 }
+
+// TestBhrunOptimizerReportOnce pins -O going through the plan resolver:
+// only a cache miss optimizes, so repeats print the optimizer report
+// once and replay the plan, and k sessions on one shared engine report
+// the same optimization as one session.
+func TestBhrunOptimizerReportOnce(t *testing.T) {
+	src := `.reg a0 float64 8
+.reg a1 float64 8
+BH_IDENTITY a0 2.0
+BH_POWER a1 a0 10
+BH_SYNC a1
+`
+	trace := func(args ...string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run(append([]string{"-O", "-trace"}, args...), strings.NewReader(src), &out); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		return out.String()
+	}
+	optimizerLine := func(out string) string {
+		t.Helper()
+		var lines []string
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, "# optimizer:") {
+				lines = append(lines, l)
+			}
+		}
+		if len(lines) != 1 {
+			t.Fatalf("%d optimizer lines, want exactly 1:\n%s", len(lines), out)
+		}
+		return lines[0]
+	}
+
+	repeated := trace("-repeat", "3")
+	optimizerLine(repeated)
+	if !strings.Contains(repeated, "# plans: 2 hits, 1 misses") {
+		t.Errorf("-O repeats did not replay the plan:\n%s", repeated)
+	}
+	single, shared := trace("-sessions", "1"), trace("-sessions", "3", "-shared")
+	if optimizerLine(shared) != optimizerLine(single) {
+		t.Errorf("shared sessions report a different optimization:\n%s\nwant:\n%s", shared, single)
+	}
+}

@@ -86,17 +86,19 @@ type Backend interface {
 	Tensor(r bytecode.RegID, v tensor.View) (tensor.Tensor, bool)
 
 	// PlanCacheEnabled reports whether LookupPlan/InsertPlan do anything;
-	// front ends consult it before paying for fingerprint computation.
+	// the Resolver consults it before paying for a fingerprint.
 	PlanCacheEnabled() bool
 	// LookupPlan finds a cached plan for the batch identified by fp (the
 	// backend scopes the key, so two backends sharing one engine never
 	// serve each other's plans). Semantics are vm.Machine.LookupPlan's: a
-	// nil plan with ok=true means the batch optimizes to nothing.
+	// nil plan with ok=true means the batch optimizes to nothing. Hosts go
+	// through a Resolver rather than calling it directly.
 	LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, accept func(meta any) bool) (Plan, any, bool)
 	// InsertPlan stores a freshly compiled plan (nil for an
 	// optimized-to-empty batch) under the backend-scoped key. A backend
 	// whose plans cannot be replayed under different constants may
-	// downgrade parametric to false (the out-of-core backend does).
+	// downgrade parametric to false (the out-of-core backend does; the nil
+	// plan stays parametric — there is nothing to patch).
 	InsertPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, parametric bool, pl Plan, meta any)
 
 	// Stats snapshots the session's cumulative execution counters,

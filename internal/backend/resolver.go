@@ -1,0 +1,147 @@
+package backend
+
+import (
+	"bohrium/internal/bytecode"
+	"bohrium/internal/rewrite"
+)
+
+// Resolver is the one plan-cache path every host drives (the bohrium
+// Context, bhd sessions, bhrun): fingerprint → lookup → optimize →
+// compile → insert. Execution stays with the host. Like its Backend, a
+// Resolver is driven by one goroutine.
+type Resolver struct {
+	be       Backend
+	pipeline *rewrite.Pipeline
+	sig      Signature
+	newMeta  func(batch, optimized *bytecode.Program) any
+	accept   func(meta any) bool // built once: a lookup allocates nothing
+}
+
+// Signature identifies how a host compiles: Scope names the host (a
+// Context never replays a bhd plan, nor bhd a Context's), Options the
+// rewrites, Fusion the sweep-fusion switch. Equal signatures compile any
+// batch identically, so they share cached plans; unequal ones never do.
+// Workers and ParallelThreshold are absent: results are bit-equal across
+// them by the VM's parallel execution contract.
+type Signature struct {
+	Scope   string
+	Options rewrite.Options
+	Fusion  bool
+}
+
+// NewResolver builds the plan path of one backend session; the zero
+// sig.Options rewrite nothing. newMeta, when set, derives the host's
+// bookkeeping for a miss, stored with the plan and returned on every hit;
+// usable, when set, vets it before a cached plan is replayed. A host
+// without usable replays every plan of its signature, which is sound only
+// while its rewrites create no scratch registers: a scratch id that is
+// free in one session may hold a live array in another.
+func NewResolver(be Backend, sig Signature, newMeta func(batch, optimized *bytecode.Program) any, usable func(meta any) bool) *Resolver {
+	if usable == nil && sig.Options.PowerAllowTemporaries {
+		panic("backend: a resolver whose rewrites create scratch registers needs a usable check")
+	}
+	r := &Resolver{be: be, pipeline: rewrite.Build(sig.Options), sig: sig, newMeta: newMeta}
+	r.accept = func(meta any) bool {
+		e, ok := meta.(*entry)
+		return ok && e.sig == sig && (usable == nil || usable(e.host))
+	}
+	return r
+}
+
+// Signature returns the signature the resolver was built with.
+func (r *Resolver) Signature() Signature { return r.sig }
+
+// entry is what the resolver caches with each plan.
+type entry struct {
+	sig  Signature
+	host any
+}
+
+// Key is a batch's plan-cache identity, computed once per batch: the
+// Context needs the fingerprint before lookup, for cross-plan fusion.
+type Key struct {
+	FP     bytecode.Fingerprint
+	Consts []bytecode.Constant
+	Cached bool // false: the plan cache is off, and Resolve always compiles
+}
+
+// Key fingerprints batch, unless the plan cache is off.
+func (r *Resolver) Key(batch *bytecode.Program) Key {
+	if !r.be.PlanCacheEnabled() {
+		return Key{}
+	}
+	return Key{FP: batch.Fingerprint(), Consts: batch.Constants(), Cached: true}
+}
+
+// Resolution is a resolved batch.
+type Resolution struct {
+	Plan   Plan            // nil: the batch optimizes to nothing
+	Meta   any             // the host bookkeeping newMeta derived
+	Report *rewrite.Report // the optimizer's report on a miss; nil on a hit
+}
+
+// OptimizeError marks a batch the rewrite pipeline rejected; any other
+// Resolve error is the backend's Compile error. The text is the
+// underlying error's, so each host words the stage its own way.
+type OptimizeError struct{ Err error }
+
+func (e *OptimizeError) Error() string { return e.Err.Error() }
+
+func (e *OptimizeError) Unwrap() error { return e.Err }
+
+// Resolve returns the plan for batch, keyed by Key(batch); batch is only
+// read. A miss optimizes, prunes inputs no instruction references (a
+// cached plan must not demand bindings a later batch of the same
+// structure no longer keeps alive), compiles, and caches the plan — nil
+// for a batch that optimizes to nothing. The plan is parametric, replayed
+// under any constants, only when the optimizer applied nothing: every
+// rule inspects constant values, so a fired rewrite bakes the batch's
+// constants into the entry.
+func (r *Resolver) Resolve(batch *bytecode.Program, key Key) (Resolution, error) {
+	if key.Cached {
+		if plan, meta, ok := r.be.LookupPlan(key.FP, key.Consts, r.accept); ok {
+			return Resolution{Plan: plan, Meta: meta.(*entry).host}, nil
+		}
+	}
+	optimized, report, err := r.pipeline.Optimize(batch)
+	if err != nil {
+		return Resolution{}, &OptimizeError{err}
+	}
+	e := &entry{sig: r.sig}
+	if r.newMeta != nil {
+		e.host = r.newMeta(batch, optimized)
+	}
+	var plan Plan
+	if len(optimized.Instrs) > 0 {
+		pruneInputs(optimized)
+		if plan, err = r.be.Compile(optimized); err != nil {
+			return Resolution{}, err
+		}
+	}
+	if key.Cached {
+		r.be.InsertPlan(key.FP, key.Consts, report.TotalApplied() == 0, plan, e)
+	}
+	return Resolution{Plan: plan, Meta: e.host, Report: report}, nil
+}
+
+func pruneInputs(p *bytecode.Program) {
+	used := map[bytecode.RegID]bool{}
+	for i := range p.Instrs {
+		in := &p.Instrs[i]
+		if in.Out.IsReg() {
+			used[in.Out.Reg] = true
+		}
+		for _, o := range in.Inputs() {
+			if o.IsReg() {
+				used[o.Reg] = true
+			}
+		}
+	}
+	kept := p.Inputs[:0]
+	for _, r := range p.Inputs {
+		if used[r] {
+			kept = append(kept, r)
+		}
+	}
+	p.Inputs = kept
+}

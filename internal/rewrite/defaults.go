@@ -3,7 +3,7 @@ package rewrite
 import "bohrium/internal/chains"
 
 // Options configures the standard optimization pipeline. The zero value
-// enables everything with default parameters (see Default).
+// enables no rule; DefaultOptions enables the full pipeline.
 type Options struct {
 	// Fold enables canonicalization plus the constant merge rules
 	// (Listings 2→3).

@@ -22,6 +22,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -336,10 +337,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch: POST /v1/sessions/{id}/batches. The body is a
-// docs/bytecode.md listing; it is parsed, validated, optionally
-// optimized, compiled through the shared plan cache, and executed —
-// synchronously (200 with the synced registers) or onto the session's
-// async executor (202, read an array to fence).
+// docs/bytecode.md listing; it is parsed, validated, resolved through
+// the session's plan resolver (looked up in the shared plan cache, and
+// optimized and compiled only on a miss), and executed — synchronously
+// (200 with the synced registers) or onto the session's async executor
+// (202, read an array to fence).
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
@@ -397,63 +399,52 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err))
 		return
 	}
-	if sess.pipeline != nil {
-		optimized, _, err := sess.pipeline.Optimize(prog)
-		if err != nil {
-			api.WriteError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalid,
-				"optimizer rejected batch: %v", err))
+	res, err := sess.plans.Resolve(prog, sess.plans.Key(prog))
+	if err != nil {
+		if errors.As(err, new(*backend.OptimizeError)) {
+			err = fmt.Errorf("optimizer rejected batch: %w", err)
+		}
+		api.WriteError(w, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err))
+		return
+	}
+	// The response describes what executes: the plan's optimized program,
+	// which on a hit another session may have compiled. A batch that
+	// optimizes to nothing has no plan, no instructions and nothing synced.
+	var executed []bytecode.Instruction
+	if res.Plan != nil {
+		executed = res.Plan.Program().Instrs
+	}
+	if sess.exec != nil && res.Plan != nil {
+		if err := sess.exec.SubmitCtx(actx, res.Plan); err != nil {
+			s.reg.refundBytes(ten, int64(len(body)))
+			api.WriteError(w, s.overloaded(
+				"session %q shed a batch after the %v submit deadline: %v", sess.id, s.cfg.SubmitTimeout, err))
 			return
 		}
-		prog = optimized
 	}
 
-	plan, apiErr := s.compile(sess, prog)
-	if apiErr != nil {
-		api.WriteError(w, apiErr)
-		return
-	}
-
-	// admit books the batch once it is committed to execute: remember
-	// where its names landed so reads can address the registers, and
-	// count it. An async submission that is SHED must book nothing —
-	// the shed batch never existed as far as the session is concerned.
-	admit := func() {
-		for name, id := range names {
-			if info, ok := prog.Reg(id); ok {
-				sess.regs[name] = regEntry{id: id, dtype: info.DType, n: info.Len}
-			}
+	// The batch is committed to execute (a SHED submission booked
+	// nothing above): remember where its names landed so reads can
+	// address the registers, and count it.
+	for name, id := range names {
+		if info, ok := prog.Reg(id); ok {
+			sess.regs[name] = regEntry{id: id, dtype: info.DType, n: info.Len}
 		}
-		sess.batches++
-		sess.submittedBytes += int64(len(body))
 	}
-
-	if sess.exec != nil {
-		if plan != nil {
-			if err := sess.exec.SubmitCtx(actx, plan); err != nil {
-				s.reg.refundBytes(ten, int64(len(body)))
-				api.WriteError(w, s.overloaded(
-					"session %q shed a batch after the %v submit deadline: %v", sess.id, s.cfg.SubmitTimeout, err))
-				return
-			}
-		}
-		admit()
-		api.WriteJSON(w, http.StatusAccepted, api.BatchResult{
-			Session:      sess.id,
-			Batch:        sess.batches,
-			Instructions: prog.Len(),
-			Async:        true,
-		})
-		return
-	}
-
-	admit()
+	sess.batches++
+	sess.submittedBytes += int64(len(body))
 	result := api.BatchResult{
 		Session:      sess.id,
 		Batch:        sess.batches,
-		Instructions: prog.Len(),
+		Instructions: len(executed),
+		Async:        sess.exec != nil,
 	}
-	if plan != nil {
-		if err := sess.be.Execute(plan); err != nil {
+	if result.Async {
+		api.WriteJSON(w, http.StatusAccepted, result)
+		return
+	}
+	if res.Plan != nil {
+		if err := sess.be.Execute(res.Plan); err != nil {
 			if errors.Is(err, vm.ErrMemoryPressure) {
 				api.WriteError(w, api.Errorf(http.StatusServiceUnavailable, api.CodeMemoryPressure,
 					"%v", err).Retry(s.cfg.RetryAfterSeconds))
@@ -463,48 +454,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	result.Synced = s.syncedRegisters(sess, prog, names)
+	result.Synced = s.syncedRegisters(sess, executed, names)
 	api.WriteJSON(w, http.StatusOK, result)
 }
 
-// compile runs the plan-cache path bhrun uses, with the server's meta
-// tag: lookups only accept plans this server compiled under the same
-// optimizer setting, so sessions sharing the engine share compiles
-// without ever replaying a foreign or differently-optimized plan.
-// Caller holds the session lock.
-func (s *Server) compile(sess *session, prog *bytecode.Program) (backend.Plan, *api.Error) {
-	meta := planMeta{optimize: sess.optimize}
-	accept := func(m any) bool { return m == any(meta) }
-	if !sess.be.PlanCacheEnabled() {
-		plan, err := sess.be.Compile(prog)
-		if err != nil {
-			return nil, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err)
-		}
-		return plan, nil
-	}
-	fp := prog.Fingerprint()
-	consts := prog.Constants()
-	if plan, _, ok := sess.be.LookupPlan(fp, consts, accept); ok {
-		return plan, nil
-	}
-	plan, err := sess.be.Compile(prog)
-	if err != nil {
-		return nil, api.Errorf(http.StatusBadRequest, api.CodeInvalid, "%v", err)
-	}
-	sess.be.InsertPlan(fp, consts, false, plan, meta)
-	return plan, nil
-}
-
 // syncedRegisters formats every BH_SYNCed register of an executed
-// program, exactly as cmd/bhrun prints them. Caller holds the session lock.
-func (s *Server) syncedRegisters(sess *session, prog *bytecode.Program, names map[string]bytecode.RegID) []api.SyncedRegister {
+// instruction stream, exactly as cmd/bhrun prints them. Caller holds the
+// session lock.
+func (s *Server) syncedRegisters(sess *session, executed []bytecode.Instruction, names map[string]bytecode.RegID) []api.SyncedRegister {
 	rev := make(map[bytecode.RegID]string, len(names))
 	for name, id := range names {
 		rev[id] = name
 	}
 	var out []api.SyncedRegister
-	for i := range prog.Instrs {
-		in := &prog.Instrs[i]
+	for i := range executed {
+		in := &executed[i]
 		if in.Op != bytecode.OpSync {
 			continue
 		}

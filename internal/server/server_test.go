@@ -417,30 +417,163 @@ func TestSessionLifecycle(t *testing.T) {
 // service form: two sessions (different tenants) submitting the same
 // batch structure share one compiled plan through the runtime's
 // fingerprint-keyed cache — the second submit is a plan hit, not a
-// compile.
+// compile — with the optimizer off and on.
 func TestSharedPlanCacheAcrossSessions(t *testing.T) {
 	hs, _ := newTestServer(t, nil)
 	a := &client{t: t, base: hs.URL, token: "secret-a"}
 	b := &client{t: t, base: hs.URL, token: "secret-b"}
 	src := listings(t)["quickstart"]
 
-	sa := a.createSession(api.CreateSession{})
-	sb := b.createSession(api.CreateSession{})
-	a.submit(sa.ID, src, http.StatusOK)
+	for _, optimize := range []bool{false, true} {
+		sa := a.createSession(api.CreateSession{Optimize: optimize})
+		sb := b.createSession(api.CreateSession{Optimize: optimize})
+		a.submit(sa.ID, src, http.StatusOK)
 
-	var before api.ServerStats
-	a.expect("GET", "/v1/stats", nil, http.StatusOK, &before)
-	b.submit(sb.ID, src, http.StatusOK)
-	var after api.ServerStats
-	a.expect("GET", "/v1/stats", nil, http.StatusOK, &after)
+		before := serverStats(a)
+		b.submit(sb.ID, src, http.StatusOK)
+		after := serverStats(a)
 
-	if after.VM.PlanHits != before.VM.PlanHits+1 {
-		t.Fatalf("second tenant's identical batch: plan hits %d -> %d, want +1 (shared cache)",
-			before.VM.PlanHits, after.VM.PlanHits)
+		if after.VM.PlanHits != before.VM.PlanHits+1 {
+			t.Fatalf("optimize=%v: second tenant's identical batch: plan hits %d -> %d, want +1 (shared cache)",
+				optimize, before.VM.PlanHits, after.VM.PlanHits)
+		}
+		if after.PlanCacheLen != before.PlanCacheLen {
+			t.Fatalf("optimize=%v: plan cache grew %d -> %d on an identical batch",
+				optimize, before.PlanCacheLen, after.PlanCacheLen)
+		}
+	}
+}
+
+func serverStats(c *client) api.ServerStats {
+	c.t.Helper()
+	var st api.ServerStats
+	c.expect("GET", "/v1/stats", nil, http.StatusOK, &st)
+	return st
+}
+
+// TestPlanCacheInvisibleAcrossSessions pins that a plan one session
+// compiled carries none of that session's register state into another:
+// session A declares an input its batch never reads, session B (which
+// never bound that register) submits the same structure without it, and
+// B's responses must be byte-identical to the same two batches on a
+// fresh daemon.
+func TestPlanCacheInvisibleAcrossSessions(t *testing.T) {
+	const (
+		defineA = ".reg a0 float64 4\n.reg a1 float64 4\nBH_IDENTITY a0 1\nBH_IDENTITY a1 2\nBH_SYNC a0\n"
+		useA    = ".reg a0 float64 4\n.reg a1 float64 4\n.in a0\n.in a1\nBH_ADD a0 a0 3\nBH_SYNC a0\n"
+		defineB = ".reg a0 float64 4\nBH_IDENTITY a0 1\nBH_SYNC a0\n"
+		useB    = ".reg a0 float64 4\n.reg a1 float64 4\n.in a0\nBH_ADD a0 a0 3\nBH_SYNC a0\n"
+	)
+	type response struct {
+		status int
+		body   string
+	}
+	// runB submits B's two batches, after A's when withA is set. A's
+	// session is created either way, so B's session id matches.
+	runB := func(withA bool) [2]response {
+		hs, _ := newTestServer(t, nil)
+		a := &client{t: t, base: hs.URL, token: "secret-a"}
+		b := &client{t: t, base: hs.URL, token: "secret-b"}
+		sa := a.createSession(api.CreateSession{})
+		if withA {
+			a.submit(sa.ID, defineA, http.StatusOK)
+			a.submit(sa.ID, useA, http.StatusOK)
+		}
+		sb := b.createSession(api.CreateSession{})
+		var out [2]response
+		for i, src := range []string{defineB, useB} {
+			status, body := b.do("POST", "/v1/sessions/"+sb.ID+"/batches", []byte(src))
+			out[i] = response{status, string(body)}
+		}
+		return out
+	}
+	fresh, shared := runB(false), runB(true)
+	if fresh[1].status != http.StatusOK {
+		t.Fatalf("fresh daemon: B's batch got %d: %s", fresh[1].status, fresh[1].body)
+	}
+	if shared != fresh {
+		t.Fatalf("B after A diverged from a fresh daemon:\n--- after A\n%+v\n--- fresh\n%+v", shared, fresh)
+	}
+}
+
+// TestParametricPlanHitOverHTTP pins lookup-before-rewrite in bhd: a
+// batch the optimizer leaves untouched (the affine map of BH_RANGE fires
+// no rule) is cached parametrically, so the same structure under another
+// constant is a plan hit that adds no cache entry — and still computes
+// with its own constant.
+func TestParametricPlanHitOverHTTP(t *testing.T) {
+	hs, _ := newTestServer(t, nil)
+	c := &client{t: t, base: hs.URL, token: "secret-a"}
+	sess := c.createSession(api.CreateSession{Optimize: true})
+	const n, scale = 64, 3
+	affine := func(k int) string {
+		return fmt.Sprintf(".reg a0 float64 1\n.reg a1 float64 %d\nBH_RANGE a1\nBH_MULTIPLY a1 a1 %d\n"+
+			"BH_ADD a1 a1 %d\nBH_ADD_REDUCE a0 [0:1:1] a1 axis=0\nBH_FREE a1\nBH_SYNC a0\n", n, scale, k)
+	}
+	c.submit(sess.ID, affine(2), http.StatusOK)
+
+	before := serverStats(c)
+	res := c.submit(sess.ID, affine(57), http.StatusOK)
+	after := serverStats(c)
+	if after.VM.PlanHits != before.VM.PlanHits+1 || after.VM.PlanMisses != before.VM.PlanMisses {
+		t.Fatalf("affine map under a new constant: hits %d -> %d, misses %d -> %d; want one hit, no miss",
+			before.VM.PlanHits, after.VM.PlanHits, before.VM.PlanMisses, after.VM.PlanMisses)
 	}
 	if after.PlanCacheLen != before.PlanCacheLen {
-		t.Fatalf("plan cache grew %d -> %d on an identical batch", before.PlanCacheLen, after.PlanCacheLen)
+		t.Fatalf("plan cache grew %d -> %d on a parametric hit", before.PlanCacheLen, after.PlanCacheLen)
 	}
+	// sum over i < n of scale*i + 57
+	want := scalarText(t, float64(scale*n*(n-1)/2+57*n))
+	if len(res.Synced) != 1 || res.Synced[0].Text != want {
+		t.Fatalf("synced %+v, want a0 = %s", res.Synced, want)
+	}
+}
+
+// TestBakedPlanHitOverHTTP pins the other half of lookup-before-rewrite:
+// an add chain fires add-merge, so its plan is cached for its exact
+// constants — the same batch again is a hit, the same structure under
+// another constant compiles its own entry and computes its own value.
+func TestBakedPlanHitOverHTTP(t *testing.T) {
+	hs, _ := newTestServer(t, nil)
+	c := &client{t: t, base: hs.URL, token: "secret-a"}
+	sess := c.createSession(api.CreateSession{Optimize: true})
+	const n = 64
+	chain := func(k int) string {
+		return fmt.Sprintf(".reg a0 float64 1\n.reg a1 float64 %d\nBH_IDENTITY a1 %d\nBH_ADD a1 a1 2\n"+
+			"BH_ADD a1 a1 3\nBH_ADD_REDUCE a0 [0:1:1] a1 axis=0\nBH_FREE a1\nBH_SYNC a0\n", n, k)
+	}
+	c.submit(sess.ID, chain(5), http.StatusOK)
+
+	before := serverStats(c)
+	res := c.submit(sess.ID, chain(5), http.StatusOK)
+	after := serverStats(c)
+	if after.VM.PlanHits != before.VM.PlanHits+1 || after.PlanCacheLen != before.PlanCacheLen {
+		t.Fatalf("identical add chain: hits %d -> %d, cache %d -> %d; want one hit, no new entry",
+			before.VM.PlanHits, after.VM.PlanHits, before.PlanCacheLen, after.PlanCacheLen)
+	}
+	if want := scalarText(t, n*(5+5)); len(res.Synced) != 1 || res.Synced[0].Text != want {
+		t.Fatalf("synced %+v, want a0 = %s", res.Synced, want)
+	}
+
+	res = c.submit(sess.ID, chain(7), http.StatusOK)
+	again := serverStats(c)
+	if again.VM.PlanMisses != after.VM.PlanMisses+1 || again.PlanCacheLen != after.PlanCacheLen+1 {
+		t.Fatalf("add chain under a new constant: misses %d -> %d, cache %d -> %d; want a baked sibling entry",
+			after.VM.PlanMisses, again.VM.PlanMisses, after.PlanCacheLen, again.PlanCacheLen)
+	}
+	if want := scalarText(t, n*(7+5)); len(res.Synced) != 1 || res.Synced[0].Text != want {
+		t.Fatalf("synced %+v, want a0 = %s", res.Synced, want)
+	}
+}
+
+// scalarText formats v the way a synced one-element register prints.
+func scalarText(t *testing.T, v float64) string {
+	t.Helper()
+	tn, err := tensor.FromFloat64s([]float64{v}, tensor.MustShape(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn.Format(syncFormat)
 }
 
 // TestIdleJanitor drives the reaper with an injected clock: an idle

@@ -32,15 +32,6 @@ type Quotas struct {
 	MaxQueuedBatches int
 }
 
-// planMeta tags plans the server inserts into the shared plan cache.
-// Lookups only accept plans carrying an equal tag: a plan compiled from
-// an optimized program must never serve a session with the optimizer
-// off (and vice versa), and plans other hosts of the same engine insert
-// under foreign meta types are never replayed here.
-type planMeta struct {
-	optimize bool
-}
-
 // session is one tenant's execution state: a backend on the shared
 // engine, the name→register map of its batches, and (in async mode) the
 // background executor. sem serializes the HTTP handlers driving it — the
@@ -50,14 +41,13 @@ type planMeta struct {
 // for the session (lockCtx): a slow batch on one connection must turn
 // into the OTHER connection's structured 503, not a hung handler.
 type session struct {
-	id       string            // immutable after construction
-	tenant   string            // immutable after construction
-	backName string            // immutable after construction
-	optimize bool              // immutable after construction
-	pipeline *rewrite.Pipeline // immutable after construction: nil unless optimize
+	id       string // immutable after construction
+	tenant   string // immutable after construction
+	backName string // immutable after construction
 
 	sem            chan struct{}       // 1-slot handler lock; lock/lockCtx/unlock
 	be             backend.Backend     // immutable after construction (calls through it hold sem)
+	plans          *backend.Resolver   // immutable after construction (calls through it hold sem)
 	exec           *backend.Executor   // immutable after construction: nil unless async
 	regs           map[string]regEntry // guarded by sem
 	batches        int                 // guarded by sem
@@ -113,7 +103,7 @@ func (s *session) snapshot() api.Session {
 		ID:             s.id,
 		Tenant:         s.tenant,
 		Backend:        s.backName,
-		Optimize:       s.optimize,
+		Optimize:       s.plans.Signature().Options != rewrite.Options{},
 		Async:          s.exec != nil,
 		Batches:        s.batches,
 		SubmittedBytes: s.submittedBytes,
@@ -136,7 +126,7 @@ func (s *session) closeLocked() {
 
 // registry owns every live session and the per-tenant usage the quota
 // middleware meters. The registry lock covers the maps and tenant
-// counters only — never a session's mu — so slow batches on one session
+// counters only — never a session's sem — so slow batches on one session
 // cannot stall another tenant's admission.
 type registry struct {
 	rt             *bohrium.Runtime // immutable after newRegistry
@@ -263,10 +253,8 @@ func (reg *registry) create(tenant string, req api.CreateSession) (*session, *ap
 	if name == "" {
 		name = reg.defaultBackend
 	}
-	be, err := backend.Open(name, reg.rt.Engine(), backend.Config{
-		VM:         vm.Config{Fusion: true, FaultLabel: tenant},
-		ChunkBytes: req.ChunkBytes,
-	})
+	vcfg := vm.Config{Fusion: true, FaultLabel: tenant}
+	be, err := backend.Open(name, reg.rt.Engine(), backend.Config{VM: vcfg, ChunkBytes: req.ChunkBytes})
 	if err != nil {
 		return nil, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 	}
@@ -284,15 +272,19 @@ func (reg *registry) create(tenant string, req api.CreateSession) (*session, *ap
 		id:       fmt.Sprintf("s-%d", reg.nextID),
 		tenant:   tenant,
 		backName: name,
-		optimize: req.Optimize,
 		sem:      make(chan struct{}, 1),
 		be:       be,
 		regs:     map[string]regEntry{},
 		lastUsed: reg.now(),
 	}
+	// A session's plans are scoped to bhd and to its optimizer setting:
+	// tenants share compiles, never with a differently optimized session
+	// or another host of the engine.
+	var opts rewrite.Options // the zero Options rewrite nothing
 	if req.Optimize {
-		s.pipeline = rewrite.Default()
+		opts = rewrite.DefaultOptions()
 	}
+	s.plans = backend.NewResolver(be, backend.Signature{Scope: "bhd", Options: opts, Fusion: vcfg.Fusion}, nil, nil)
 	if req.Async {
 		s.exec = backend.NewExecutor(be, reg.queueDepth, tenant)
 	}
