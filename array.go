@@ -44,7 +44,7 @@ type Array struct {
 // externally observed even when other byte-code consumes it.
 func (a *Array) Keep() *Array {
 	a.check()
-	a.ctx.keptRegs[a.reg] = true
+	a.ctx.state(a.reg).kept = true
 	return a
 }
 
@@ -65,7 +65,7 @@ func (a *Array) operand() bytecode.Operand {
 }
 
 func (a *Array) check() {
-	if a.freed || a.gen != a.ctx.regGen[a.reg] {
+	if a.freed || a.gen != a.ctx.state(a.reg).gen {
 		panic("bohrium: use of freed array")
 	}
 	if a.ctx.closed {
@@ -442,7 +442,7 @@ func (a *Array) alias(v tensor.View) *Array {
 // must stay observable to every later batch.
 func (a *Array) Sync() *Array {
 	a.check()
-	a.ctx.keptRegs[a.reg] = true
+	a.ctx.state(a.reg).kept = true
 	a.ctx.pending.EmitSync(a.operand())
 	return a
 }
@@ -525,7 +525,7 @@ func (a *Array) At(coords ...int) (float64, error) {
 // String flushes and renders the array NumPy-style. Render errors are
 // reported inline (String cannot fail).
 func (a *Array) String() string {
-	if a.freed || a.gen != a.ctx.regGen[a.reg] {
+	if a.freed || a.gen != a.ctx.state(a.reg).gen {
 		return "<freed array>"
 	}
 	if a.ctx.closed {
@@ -549,7 +549,8 @@ func (a *Array) String() string {
 func (a *Array) Free() {
 	a.check()
 	a.ctx.pending.EmitFree(a.operand())
-	delete(a.ctx.keptRegs, a.reg)
-	a.ctx.regGen[a.reg]++
+	st := a.ctx.state(a.reg)
+	st.kept = false
+	st.gen++
 	a.freed = true
 }

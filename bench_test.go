@@ -399,3 +399,28 @@ func BenchmarkOptimizerOverhead(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCachedFlush times one plan-cache hit per dispatch-small batch
+// shape on a warm default Context; -benchmem prints what each cached
+// Flush allocates (TestCachedFlushAllocs pins the count).
+func BenchmarkCachedFlush(b *testing.B) {
+	d := newDispatchSmall(b, 2048)
+	for _, bc := range []struct {
+		name  string
+		flush func() error
+	}{{"jacobi", d.jacobi}, {"power-sum", d.powerSum}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for range 3 {
+				if err := bc.flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := bc.flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -134,23 +134,17 @@ type Context struct {
 	// plans resolves each sealed batch through the shared plan cache. It
 	// never replays a plan compiled under other optimizer options or
 	// fusion: a batch fingerprint says nothing about HOW it was compiled.
-	plans    *backend.Resolver
-	pending  *bytecode.Program
-	defined  map[bytecode.RegID]bool // registers materialized by earlier flushes
-	keptRegs map[bytecode.RegID]bool // registers whose values must survive flushes
+	plans   *backend.Resolver
+	pending *bytecode.Program
+	regs    []regState // per-register state, indexed by RegID; state grows it
+	marks   []uint8    // markPendingOutputs' per-register scratch, reused
 	// freeRegs stacks register ids whose buffers were freed by an earlier
 	// flush; new temporaries reuse them (LIFO). Reuse keeps iterative
 	// workloads structurally stable: the batch an iteration records names
 	// the same registers as the previous iteration's, so its fingerprint
 	// repeats and the plan cache hits.
 	freeRegs []bytecode.RegID
-	inFree   map[bytecode.RegID]bool
-	// regGen counts each register's Free events. Array handles snapshot
-	// the generation at creation and panic on use after it advances —
-	// the guard that makes register-id recycling safe against stale
-	// aliases (Slice/Transpose handles of a freed array).
-	regGen  map[bytecode.RegID]uint64
-	lastRep *rewrite.Report
+	lastRep  *rewrite.Report
 	// Cross-plan fusion state (Config.XPlanFuse). lastFP/haveLast remember
 	// the previous single-batch submission's structural fingerprint; pairs
 	// counts observations of each (prev, cur) sequence fingerprint;
@@ -171,6 +165,26 @@ type Context struct {
 	// unregister releases this session's entry in the runtime's session
 	// registry (Runtime.Sessions enumeration) on Close.
 	unregister func()
+}
+
+// regState is the front end's bookkeeping of one register.
+type regState struct {
+	// gen counts the register's Free events. Array handles snapshot it at
+	// creation and panic on use after it advances — the guard that makes
+	// register-id recycling safe against stale aliases (Slice/Transpose
+	// handles of a freed array).
+	gen     uint64
+	defined bool // materialized by an earlier flush
+	kept    bool // its value must survive flushes
+	inFree  bool // on the freeRegs stack
+}
+
+// state returns register id's state, growing the table to cover it.
+func (c *Context) state(id bytecode.RegID) *regState {
+	for int(id) >= len(c.regs) {
+		c.regs = append(c.regs, regState{})
+	}
+	return &c.regs[id]
 }
 
 // NewContext creates a session on a lazily created runtime of its own:
@@ -213,10 +227,6 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 		ownsRT:   ownsRT,
 		backend:  be,
 		pending:  bytecode.NewProgram(),
-		defined:  map[bytecode.RegID]bool{},
-		keptRegs: map[bytecode.RegID]bool{},
-		inFree:   map[bytecode.RegID]bool{},
-		regGen:   map[bytecode.RegID]uint64{},
 		pairs:    map[bytecode.Fingerprint]int{},
 		hotHeads: map[bytecode.Fingerprint]bool{},
 	}
@@ -483,19 +493,26 @@ func (c *Context) Wait() error {
 // identical flushes changes the cache key (as it must — it changes what
 // the optimizer may delete).
 func (c *Context) markPendingOutputs() {
+	const written, read = 1, 2
 	p := c.pending
 	p.Outputs = p.Outputs[:0]
-	consumed := batchReads(p)
-	written := map[bytecode.RegID]bool{}
+	c.marks = append(c.marks[:0], make([]uint8, len(p.Regs))...)
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if in.Out.IsReg() && in.WritesReg(in.Out.Reg) {
-			written[in.Out.Reg] = true
+			c.marks[in.Out.Reg] |= written
+		}
+		if in.Op == bytecode.OpSync {
+			continue // a materialization fence, not a consumer
+		}
+		for _, o := range [...]*bytecode.Operand{&in.In1, &in.In2} {
+			if o.IsReg() {
+				c.marks[o.Reg] |= read
+			}
 		}
 	}
-	for r := range p.Regs {
-		id := bytecode.RegID(r)
-		if c.keptRegs[id] || (written[id] && !consumed[id]) {
+	for r, m := range c.marks {
+		if id := bytecode.RegID(r); c.state(id).kept || m == written {
 			p.MarkOutput(id)
 		}
 	}
@@ -505,11 +522,10 @@ func (c *Context) markPendingOutputs() {
 // everything Flush needs to advance the session to the next batch
 // without re-deriving it from the optimized program.
 type planMeta struct {
-	// fate records each touched register's end-of-batch state: written
-	// and live (true) or destroyed by a BH_FREE after its last write
-	// (false). Registers the batch never touches are absent and keep
-	// their prior defined state.
-	fate map[bytecode.RegID]bool
+	// fate records each register's end-of-batch state, over
+	// [0, base+len(extra)): written and live, destroyed by a BH_FREE after
+	// its last write, or untouched, keeping its prior defined state.
+	fate []regFate
 	// freed lists the registers the *batch* freed, whether or not those
 	// byte-codes survived optimization: a temporary created and freed
 	// unobserved is deleted outright, leaving no fate entry, yet its id
@@ -525,11 +541,23 @@ type planMeta struct {
 	extra []bytecode.RegInfo
 }
 
+// regFate is a register's end-of-batch state in planMeta.
+type regFate uint8
+
+const (
+	fateUntouched regFate = iota
+	fateLive
+	fateFreed
+)
+
 // newPlanMeta derives a fresh plan's bookkeeping from the batch and its
 // optimized program (the resolver's newMeta hook).
 func newPlanMeta(batch, optimized *bytecode.Program) any {
-	base := len(batch.Regs)
-	fate := map[bytecode.RegID]bool{}
+	pm := &planMeta{base: len(batch.Regs)}
+	if len(optimized.Regs) > pm.base {
+		pm.extra = append([]bytecode.RegInfo(nil), optimized.Regs[pm.base:]...)
+	}
+	pm.fate = make([]regFate, pm.base+len(pm.extra))
 	for i := range optimized.Instrs {
 		in := &optimized.Instrs[i]
 		if !in.Out.IsReg() {
@@ -537,20 +565,16 @@ func newPlanMeta(batch, optimized *bytecode.Program) any {
 		}
 		switch {
 		case in.Op == bytecode.OpFree:
-			fate[in.Out.Reg] = false
+			pm.fate[in.Out.Reg] = fateFreed
 		case in.WritesReg(in.Out.Reg):
-			fate[in.Out.Reg] = true
+			pm.fate[in.Out.Reg] = fateLive
 		}
 	}
-	pm := &planMeta{fate: fate, base: base}
 	for i := range batch.Instrs {
 		in := &batch.Instrs[i]
 		if in.Op == bytecode.OpFree && in.Out.IsReg() {
 			pm.freed = append(pm.freed, in.Out.Reg)
 		}
-	}
-	if len(optimized.Regs) > base {
-		pm.extra = append([]bytecode.RegInfo(nil), optimized.Regs[base:]...)
 	}
 	return pm
 }
@@ -571,8 +595,7 @@ func (c *Context) planUsable(meta any) bool {
 		return false
 	}
 	for i := range pm.extra {
-		id := bytecode.RegID(pm.base + i)
-		if c.defined[id] || c.keptRegs[id] {
+		if st := c.state(bytecode.RegID(pm.base + i)); st.defined || st.kept {
 			return false
 		}
 	}
@@ -585,45 +608,47 @@ func (c *Context) planUsable(meta any) bool {
 // back to the VM's recycle pool — and, symmetrically, its id goes onto
 // the front-end free stack for the next temporary to reuse.
 func (c *Context) advanceBatch(pm *planMeta) {
-	next := bytecode.NewProgram()
-	next.Regs = append([]bytecode.RegInfo(nil), c.pending.Regs...)
-	for len(next.Regs) < pm.base+len(pm.extra) {
-		next.Regs = append(next.Regs, pm.extra[len(next.Regs)-pm.base])
+	// The next batch records into the sealed batch's buffers. That is
+	// sound because nothing keeps the pending program past Submit:
+	// Optimize rewrites a clone, a hit's plan carries its own program,
+	// newPlanMeta copies what it keeps, and PendingProgram hands out
+	// clones. Whatever is added here must keep it so.
+	p := c.pending
+	p.Instrs, p.Inputs, p.Outputs = p.Instrs[:0], p.Inputs[:0], p.Outputs[:0]
+	for len(p.Regs) < pm.base+len(pm.extra) {
+		p.Regs = append(p.Regs, pm.extra[len(p.Regs)-pm.base])
 	}
-	for r := range next.Regs {
+	for r := range p.Regs {
 		id := bytecode.RegID(r)
-		live, touched := pm.fate[id]
-		if !touched {
-			live = c.defined[id]
+		st, fate := c.state(id), fateUntouched
+		if r < len(pm.fate) {
+			fate = pm.fate[r]
 		}
-		if live {
-			next.MarkInput(id)
-			c.defined[id] = true
-		} else {
-			delete(c.defined, id)
-			if touched && !c.keptRegs[id] {
-				c.recycleReg(id)
-			}
+		if fate != fateUntouched {
+			st.defined = fate == fateLive
 		}
-	}
-	// Registers the batch freed but the optimizer deleted every trace of
-	// (unobserved temporaries) have no fate entry; recycle them too, as
-	// long as nothing re-defined or pinned them.
-	for _, id := range pm.freed {
-		if _, touched := pm.fate[id]; !touched && !c.defined[id] && !c.keptRegs[id] {
+		if st.defined {
+			p.MarkInput(id)
+		} else if fate == fateFreed && !st.kept {
 			c.recycleReg(id)
 		}
 	}
-	c.pending = next
+	// Registers the batch freed but the optimizer deleted every trace of
+	// (unobserved temporaries) are untouched; recycle them too, as long as
+	// nothing re-defined or pinned them.
+	for _, id := range pm.freed {
+		if st := c.state(id); pm.fate[id] == fateUntouched && !st.defined && !st.kept {
+			c.recycleReg(id)
+		}
+	}
 }
 
 // recycleReg stacks a dead register id for reuse by a later temporary.
 func (c *Context) recycleReg(id bytecode.RegID) {
-	if c.inFree[id] {
-		return
+	if st := c.state(id); !st.inFree {
+		st.inFree = true
+		c.freeRegs = append(c.freeRegs, id)
 	}
-	c.inFree[id] = true
-	c.freeRegs = append(c.freeRegs, id)
 }
 
 // MustFlush is Flush that panics on error, for examples.
@@ -633,28 +658,10 @@ func (c *Context) MustFlush() {
 	}
 }
 
-// batchReads returns the registers any instruction computationally reads
-// (BH_SYNC is a materialization fence, not a consumer).
-func batchReads(p *bytecode.Program) map[bytecode.RegID]bool {
-	reads := map[bytecode.RegID]bool{}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if in.Op == bytecode.OpSync {
-			continue
-		}
-		for _, opnd := range in.Inputs() {
-			if opnd.IsReg() {
-				reads[opnd.Reg] = true
-			}
-		}
-	}
-	return reads
-}
-
 // newArray declares a kept register (creation-function arrays).
 func (c *Context) newArray(dt tensor.DType, shape tensor.Shape) *Array {
 	a := c.newTempArray(dt, shape)
-	c.keptRegs[a.reg] = true
+	c.state(a.reg).kept = true
 	return a
 }
 
@@ -669,7 +676,7 @@ func (c *Context) newTempArray(dt tensor.DType, shape tensor.Shape) *Array {
 	if n := len(c.freeRegs); n > 0 {
 		reg = c.freeRegs[n-1]
 		c.freeRegs = c.freeRegs[:n-1]
-		delete(c.inFree, reg)
+		c.state(reg).inFree = false
 		c.pending.Regs[reg] = bytecode.RegInfo{DType: dt, Len: shape.Size()}
 	} else {
 		reg = c.pending.NewReg(dt, shape.Size())
@@ -679,7 +686,7 @@ func (c *Context) newTempArray(dt tensor.DType, shape tensor.Shape) *Array {
 		reg:  reg,
 		view: tensor.NewView(shape),
 		dt:   dt,
-		gen:  c.regGen[reg],
+		gen:  c.state(reg).gen,
 	}
 }
 
@@ -781,7 +788,7 @@ func (c *Context) FromSlice(values []float64, dims ...int) (*Array, error) {
 	a := c.newArray(tensor.Float64, shape)
 	c.backend.Bind(a.reg, tt)
 	c.pending.MarkInput(a.reg)
-	c.defined[a.reg] = true
+	c.state(a.reg).defined = true
 	return a, nil
 }
 

@@ -15,6 +15,7 @@ type Resolver struct {
 	sig      Signature
 	newMeta  func(batch, optimized *bytecode.Program) any
 	accept   func(meta any) bool // built once: a lookup allocates nothing
+	consts   []bytecode.Constant // Key's reused constant vector
 }
 
 // Signature identifies how a host compiles: Scope names the host (a
@@ -59,6 +60,8 @@ type entry struct {
 
 // Key is a batch's plan-cache identity, computed once per batch: the
 // Context needs the fingerprint before lookup, for cross-plan fusion.
+// Consts is the resolver's buffer, valid until its next Key; the plan
+// cache copies what it keeps.
 type Key struct {
 	FP     bytecode.Fingerprint
 	Consts []bytecode.Constant
@@ -70,7 +73,8 @@ func (r *Resolver) Key(batch *bytecode.Program) Key {
 	if !r.be.PlanCacheEnabled() {
 		return Key{}
 	}
-	return Key{FP: batch.Fingerprint(), Consts: batch.Constants(), Cached: true}
+	r.consts = batch.AppendConstants(r.consts[:0])
+	return Key{FP: batch.Fingerprint(), Consts: r.consts, Cached: true}
 }
 
 // Resolution is a resolved batch.

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 )
 
 // Fingerprint is a canonical digest of a program's *structure*: opcodes,
@@ -25,69 +24,92 @@ func (f Fingerprint) String() string { return fmt.Sprintf("%x", f[:8]) }
 // that compare equal under it are interchangeable for compilation
 // purposes up to constant values: same instruction sequence, same
 // register declarations and views at every operand, same input/output
-// roles over the registers the instructions touch.
+// roles over the registers the instructions touch. The encoding, written
+// in one pass as varints and hashed once, delimits itself even for a
+// program nobody validated (ARCHITECTURE.md §3). A batch within
+// fpStackRegs registers and fpStackBytes of encoding allocates nothing.
 func (p *Program) Fingerprint() Fingerprint {
-	h := sha256.New()
-	var word [8]byte
-	wr := func(v int64) {
-		binary.LittleEndian.PutUint64(word[:], uint64(v))
-		h.Write(word[:])
+	var bufStack [fpStackBytes]byte
+	var flagStack [fpStackRegs]uint8 // per register: bit 0 used, bits 1-2 role
+	flags := flagStack[:min(len(p.Regs), fpStackRegs)]
+	if len(p.Regs) > fpStackRegs {
+		flags = make([]uint8, len(p.Regs))
 	}
-	used := map[RegID]bool{}
-	writeOperand := func(o *Operand) {
-		wr(int64(o.Kind))
-		switch o.Kind {
-		case OperandReg:
-			used[o.Reg] = true
-			wr(int64(o.Reg))
-			ri, _ := p.Reg(o.Reg)
-			wr(int64(ri.DType))
-			wr(int64(ri.Len))
-			wr(int64(o.View.Offset))
-			wr(int64(len(o.View.Shape)))
-			for _, d := range o.View.Shape {
-				wr(int64(d))
-			}
-			for _, s := range o.View.Strides {
-				wr(int64(s))
-			}
-		case OperandConst:
-			// Dtype keys the cache (it selects the computation class);
-			// the value is a plan parameter and stays out of the digest.
-			wr(int64(o.Const.DType))
-		}
-	}
+	buf := bufStack[:0]
+	put := func(v int) { buf = binary.AppendVarint(buf, int64(v)) }
+	used := 0
+	put(len(p.Instrs))
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		wr(int64(in.Op))
-		wr(int64(in.Axis))
-		writeOperand(&in.Out)
-		writeOperand(&in.In1)
-		writeOperand(&in.In2)
+		put(int(in.Op))
+		put(in.Axis)
+		for _, o := range [...]*Operand{&in.Out, &in.In1, &in.In2} {
+			put(int(o.Kind))
+			switch o.Kind {
+			case OperandReg:
+				put(int(o.Reg))
+				if r := int(o.Reg); r >= 0 && r < len(flags) {
+					if flags[r] == 0 {
+						used++
+					}
+					flags[r] = 1
+					put(int(p.Regs[r].DType))
+					put(p.Regs[r].Len)
+				} else {
+					// An undeclared register has no flag slot: dtype -1
+					// marks it, and its role goes inline.
+					put(-1)
+					put(p.role(o.Reg))
+				}
+				put(o.View.Offset)
+				put(len(o.View.Shape))
+				for _, d := range o.View.Shape {
+					put(d)
+				}
+				put(len(o.View.Strides))
+				for _, s := range o.View.Strides {
+					put(s)
+				}
+			case OperandConst:
+				// Dtype keys the cache (it selects the computation class);
+				// the value is a plan parameter and stays out of the digest.
+				put(int(o.Const.DType))
+			}
+		}
 	}
 	// Roles of the referenced registers, in register order: whether each
 	// is bound before execution and whether it is externally observable.
 	// Both gate rewrites (liveness, DCE), so both key the cache.
-	ids := make([]RegID, 0, len(used))
-	for r := range used {
-		ids = append(ids, r)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	wr(int64(len(ids)))
-	for _, r := range ids {
-		role := int64(0)
-		if p.IsInput(r) {
-			role |= 1
+	for i, regs := range [...][]RegID{p.Inputs, p.Outputs} {
+		for _, r := range regs {
+			if r >= 0 && int(r) < len(flags) {
+				flags[r] |= 2 << i
+			}
 		}
-		if p.IsOutput(r) {
-			role |= 2
-		}
-		wr(int64(r))
-		wr(role)
 	}
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp
+	put(used)
+	for r, f := range flags {
+		if f&1 != 0 {
+			put(r)
+			put(int(f >> 1))
+		}
+	}
+	return sha256.Sum256(buf)
+}
+
+// Fingerprint's stack buffer sizes.
+const fpStackRegs, fpStackBytes = 64, 1024
+
+// role is register r's role as the fingerprint encodes it: 1 for an
+// input, 2 for an output, 3 for both.
+func (p *Program) role(r RegID) (role int) {
+	if p.IsInput(r) {
+		role = 1
+	}
+	if p.IsOutput(r) {
+		role |= 2
+	}
+	return role
 }
 
 // SequenceFingerprint combines two batch fingerprints into the identity
@@ -111,18 +133,21 @@ func SequenceFingerprint(a, b Fingerprint) Fingerprint {
 // before In2). The slice is the batch's "constant vector": together with
 // the Fingerprint it fully identifies the batch, and for plans compiled
 // from rewrite-free batches it is the parameter list SetConstants patches.
-func (p *Program) Constants() []Constant {
-	var out []Constant
+func (p *Program) Constants() []Constant { return p.AppendConstants(nil) }
+
+// AppendConstants appends the constant vector to dst and returns it, so a
+// caller that keys every batch can reuse one buffer.
+func (p *Program) AppendConstants(dst []Constant) []Constant {
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if in.In1.IsConst() {
-			out = append(out, in.In1.Const)
+			dst = append(dst, in.In1.Const)
 		}
 		if in.In2.IsConst() {
-			out = append(out, in.In2.Const)
+			dst = append(dst, in.In2.Const)
 		}
 	}
-	return out
+	return dst
 }
 
 // SetConstants overwrites the program's constant operands with vals, in

@@ -96,8 +96,9 @@ func NewEngine(cfg EngineConfig) *Engine {
 // sweep/fusion counters don't match their own setting (values stay
 // bit-identical — fused and unfused execution are differentially
 // pinned). Callers mixing compile configs on one engine must segregate
-// entries themselves via LookupPlan's accept filter, the way the
-// bohrium front-end does with its compileSig metadata.
+// entries themselves via LookupPlan's accept filter, the way
+// backend.Resolver does: its accept filter replays only plans cached
+// under an equal backend.Signature.
 func (e *Engine) NewMachine(cfg Config) *Machine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

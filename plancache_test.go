@@ -1,10 +1,14 @@
 package bohrium
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
+	"bohrium/internal/bytecode"
 	"bohrium/internal/chains"
+	"bohrium/internal/faultinject"
 	"bohrium/internal/rewrite"
 )
 
@@ -382,4 +386,102 @@ func TestStaleAliasOfRecycledRegisterPanics(t *testing.T) {
 			t.Fatalf("element %d of recycling array clobbered: %v", i, v)
 		}
 	}
+}
+
+// sealedKey seals ctx's pending batch the way Submit does and returns
+// its plan-cache key, computed from a PendingProgram snapshot.
+func sealedKey(ctx *Context) (*bytecode.Program, bytecode.Fingerprint, []bytecode.Constant) {
+	ctx.markPendingOutputs()
+	snap := ctx.PendingProgram()
+	return snap, snap.Fingerprint(), snap.Constants()
+}
+
+// TestPendingReuseDoesNotAliasPlans pins the rule that lets the next
+// batch record into the sealed batch's buffers: nothing keeps the
+// pending program past Submit. A cached plan's program and an earlier
+// PendingProgram snapshot must stay byte-identical while a structurally
+// different batch records and flushes, and a Submit that failed must not
+// leave anything behind in the reused buffers that perturbs the next key.
+func TestPendingReuseDoesNotAliasPlans(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		t.Run(fmt.Sprintf("async=%v", async), func(t *testing.T) {
+			ctx := newTestContext(t, &Config{Async: async})
+			x := ctx.Full(1.5, 64)
+			y := x.PlusC(2)
+			y.MulC(3).AddC(4)
+			x.Add(y)
+			y.Free()
+			snap, fp, consts := sealedKey(ctx)
+			snapDump := snap.Dump()
+			if err := ctx.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			plan, _, ok := ctx.backend.LookupPlan(fp, consts, nil)
+			if !ok || plan == nil {
+				t.Fatal("the flushed batch's plan is not cached under its key")
+			}
+			planDump := plan.Program().Dump()
+
+			// A structurally different, longer batch with other views and
+			// constants records into the reused buffers.
+			a := ctx.Arange(64)
+			m, err := a.Reshape(8, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := m.MustSlice(0, 1, 6, 2).Transpose()
+			s.MulC(0.25).AddC(-1)
+			r := s.Times(s).Keep()
+			r.Sqrt()
+			x.Add(a)
+			if err := ctx.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			_ = r.MustData()
+			if got := plan.Program().Dump(); got != planDump {
+				t.Errorf("cached plan's program changed under buffer reuse:\nbefore:\n%s\nafter:\n%s", planDump, got)
+			}
+			if got := snap.Dump(); got != snapDump {
+				t.Errorf("PendingProgram snapshot changed under buffer reuse:\nbefore:\n%s\nafter:\n%s", snapDump, got)
+			}
+		})
+	}
+	// After a Submit that failed, more recording and a good Submit key
+	// the batch exactly as its own PendingProgram fingerprints.
+	// Synchronous only: in async mode a failed batch poisons the
+	// pipeline, so no good Submit follows it.
+	t.Run("failed-submit", func(t *testing.T) {
+		ctx := newTestContext(t, nil)
+		x := ctx.Full(2, 32)
+		x.AddC(1)
+		if err := ctx.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		disarm := faultinject.Arm(faultinject.AllocFail, faultinject.Fault{Times: 1})
+		y := x.TimesC(3).Keep()
+		y.AddC(0.5)
+		err := ctx.Flush()
+		disarm()
+		if !errors.Is(err, faultinject.ErrInjected) {
+			t.Fatalf("Flush under an armed alloc fault: %v", err)
+		}
+		// Two adds merge, so the plan is constant-exact: its key's
+		// constant vector must match too.
+		z := y.Plus(x).Keep()
+		z.AddC(1).AddC(2)
+		_, fp, consts := sealedKey(ctx)
+		before := ctx.MustStats()
+		if err := ctx.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if after := ctx.MustStats(); after.PlanMisses != before.PlanMisses+1 {
+			t.Fatalf("good Submit: %d misses, want 1", after.PlanMisses-before.PlanMisses)
+		}
+		if _, _, ok := ctx.backend.LookupPlan(fp, consts, nil); !ok {
+			t.Error("the good Submit keyed its batch unlike PendingProgram().Fingerprint()")
+		}
+		if got, err := z.At(3); err != nil || got != 3*3+0.5+3+3 {
+			t.Errorf("z[3] = %v, %v; want %v", got, err, 3*3+0.5+3+3)
+		}
+	})
 }
