@@ -486,7 +486,9 @@ func (c *Context) Wait() error {
 // markPendingOutputs declares the externally observable registers of the
 // pending batch: everything explicitly kept (creation-function arrays,
 // Keep/Sync'd arrays) plus *leaf* temporaries — pure-op results no other
-// byte-code consumes, which the caller almost certainly holds. Consumed
+// byte-code consumes, which the caller almost certainly holds. An in-place
+// update (r.Sqrt()) reads its own output register; that read does not
+// consume the temporary, or the caller's handle would lose it. Consumed
 // temporaries stay droppable; that is what allows the equation (2)
 // rewrite to delete a discarded inverse. The roles feed both the
 // optimizer and the batch fingerprint, so a Keep between two otherwise
@@ -506,7 +508,7 @@ func (c *Context) markPendingOutputs() {
 			continue // a materialization fence, not a consumer
 		}
 		for _, o := range [...]*bytecode.Operand{&in.In1, &in.In2} {
-			if o.IsReg() {
+			if o.IsReg() && !(in.Out.IsReg() && o.Reg == in.Out.Reg) {
 				c.marks[o.Reg] |= read
 			}
 		}

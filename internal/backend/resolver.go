@@ -16,6 +16,7 @@ type Resolver struct {
 	newMeta  func(batch, optimized *bytecode.Program) any
 	accept   func(meta any) bool // built once: a lookup allocates nothing
 	consts   []bytecode.Constant // Key's reused constant vector
+	used     []bool              // pruneInputs' reused per-register flags
 }
 
 // Signature identifies how a host compiles: Scope names the host (a
@@ -117,7 +118,7 @@ func (r *Resolver) Resolve(batch *bytecode.Program, key Key) (Resolution, error)
 	}
 	var plan Plan
 	if len(optimized.Instrs) > 0 {
-		pruneInputs(optimized)
+		r.pruneInputs(optimized)
 		if plan, err = r.be.Compile(optimized); err != nil {
 			return Resolution{}, err
 		}
@@ -128,23 +129,21 @@ func (r *Resolver) Resolve(batch *bytecode.Program, key Key) (Resolution, error)
 	return Resolution{Plan: plan, Meta: e.host, Report: report}, nil
 }
 
-func pruneInputs(p *bytecode.Program) {
-	used := map[bytecode.RegID]bool{}
+// pruneInputs drops the inputs no instruction of p references.
+func (r *Resolver) pruneInputs(p *bytecode.Program) {
+	r.used = append(r.used[:0], make([]bool, len(p.Regs))...)
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		if in.Out.IsReg() {
-			used[in.Out.Reg] = true
-		}
-		for _, o := range in.Inputs() {
+		for _, o := range [...]*bytecode.Operand{&in.Out, &in.In1, &in.In2} {
 			if o.IsReg() {
-				used[o.Reg] = true
+				r.used[o.Reg] = true
 			}
 		}
 	}
 	kept := p.Inputs[:0]
-	for _, r := range p.Inputs {
-		if used[r] {
-			kept = append(kept, r)
+	for _, id := range p.Inputs {
+		if r.used[id] {
+			kept = append(kept, id)
 		}
 	}
 	p.Inputs = kept

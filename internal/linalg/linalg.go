@@ -45,23 +45,15 @@ func (d Dense) Clone() Dense {
 }
 
 // FromTensor packs a 1-d or 2-d tensor view into a Dense workspace
-// (vectors become single-column matrices).
+// (vectors become single-column matrices). Dense is row-major, so the
+// view's row-major flattening is the workspace: a contiguous view is one
+// copy.
 func FromTensor(t tensor.Tensor) (Dense, error) {
 	switch t.NDim() {
 	case 1:
-		d := NewDense(t.Shape()[0], 1)
-		for i := 0; i < d.Rows; i++ {
-			d.Data[i] = t.At(i)
-		}
-		return d, nil
+		return Dense{Rows: t.Shape()[0], Cols: 1, Data: t.Float64Slice()}, nil
 	case 2:
-		d := NewDense(t.Shape()[0], t.Shape()[1])
-		for i := 0; i < d.Rows; i++ {
-			for j := 0; j < d.Cols; j++ {
-				d.Set(i, j, t.At(i, j))
-			}
-		}
-		return d, nil
+		return Dense{Rows: t.Shape()[0], Cols: t.Shape()[1], Data: t.Float64Slice()}, nil
 	default:
 		return Dense{}, fmt.Errorf("%w: want 1-d or 2-d tensor, got %d-d", ErrShape, t.NDim())
 	}

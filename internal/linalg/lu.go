@@ -84,42 +84,45 @@ func (lu *LU) Solve(b Dense) (Dense, error) {
 	}
 	n, k := lu.N, b.Cols
 	x := b.Clone()
+	row := func(i int) []float64 { return x.Data[i*k : i*k+k] }
 	// Apply the row exchanges to the right-hand side.
 	for i := 0; i < n; i++ {
 		if p := lu.Piv[i]; p != i {
-			for j := 0; j < k; j++ {
-				vi, vp := x.At(i, j), x.At(p, j)
-				x.Set(i, j, vp)
-				x.Set(p, j, vi)
+			xi, xp := row(i), row(p)
+			for j := range xi {
+				xi[j], xp[j] = xp[j], xi[j]
 			}
 		}
 	}
-	// Forward substitution with unit lower triangular L.
+	// Forward substitution with unit lower triangular L, then back
+	// substitution with U. The explicit float64 conversion of each product
+	// keeps it rounded on its own: no platform may fuse it into the
+	// subtraction.
 	for i := 1; i < n; i++ {
-		for c := 0; c < i; c++ {
-			f := lu.Packed.At(i, c)
+		xi, li := row(i), lu.Packed.Data[i*n:i*n+i]
+		for c, f := range li {
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < k; j++ {
-				x.Set(i, j, x.At(i, j)-f*x.At(c, j))
+			for j, v := range row(c) {
+				xi[j] -= float64(f * v)
 			}
 		}
 	}
-	// Back substitution with U.
 	for i := n - 1; i >= 0; i-- {
+		xi, ui := row(i), lu.Packed.Data[i*n:i*n+n]
 		for c := i + 1; c < n; c++ {
-			f := lu.Packed.At(i, c)
+			f := ui[c]
 			if f == 0 {
 				continue
 			}
-			for j := 0; j < k; j++ {
-				x.Set(i, j, x.At(i, j)-f*x.At(c, j))
+			for j, v := range row(c) {
+				xi[j] -= float64(f * v)
 			}
 		}
-		d := lu.Packed.At(i, i)
-		for j := 0; j < k; j++ {
-			x.Set(i, j, x.At(i, j)/d)
+		d := ui[i]
+		for j := range xi {
+			xi[j] /= d
 		}
 	}
 	return x, nil

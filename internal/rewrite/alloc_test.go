@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bohrium/internal/bytecode"
+	"bohrium/internal/tensor"
 )
 
 // The matcher and the no-fire path of the pipeline allocate nothing of
@@ -95,17 +96,46 @@ func TestOptimizeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkOptimize times the default pipeline on the recorded
-// cold-rewrite batches, one program per iteration, cycling through the
-// families.
+// noisyPairs is k pairs "a += c; noise *= noise" between the two
+// initializations and the final combine, free and sync of cold-rewrite's
+// noisy family: the gap before the i-th add holds i-1 unrelated
+// byte-codes, so pairwise merging with a restart at 0 is quadratic in k.
+func noisyPairs(k int) *bytecode.Program {
+	p := bytecode.NewProgram()
+	full := tensor.NewView(tensor.MustShape(64))
+	a, noise := bytecode.Reg(p.NewReg(tensor.Float64, 64), full), bytecode.Reg(p.NewReg(tensor.Float64, 64), full)
+	p.EmitIdentity(a, bytecode.Const(bytecode.ConstInt(0)))
+	p.EmitIdentity(noise, bytecode.Const(bytecode.ConstInt(1)))
+	for i := 0; i < k; i++ {
+		p.EmitBinary(bytecode.OpAdd, a, a, bytecode.Const(bytecode.ConstInt(int64(1+i%9))))
+		p.EmitBinary(bytecode.OpMultiply, noise, noise, noise)
+	}
+	p.EmitBinary(bytecode.OpAdd, a, a, noise)
+	p.EmitFree(noise)
+	p.EmitSync(a)
+	return p
+}
+
+// BenchmarkOptimize times the default pipeline, one program per
+// iteration: "cold" cycles through the recorded cold-rewrite batches,
+// "noisy32" is noisyPairs(32), whose time per op grows quadratically if
+// the merges stop running in one scan.
 func BenchmarkOptimize(b *testing.B) {
-	corpus := coldCorpus(b)
-	pl := Default()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := pl.Optimize(corpus[i%len(corpus)].prog); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name   string
+		corpus []goldenCase
+	}{
+		{"cold", coldCorpus(b)},
+		{"noisy32", []goldenCase{{"noisy32", Default(), noisyPairs(32)}}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			pl := Default()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := pl.Optimize(c.corpus[i%len(c.corpus)].prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

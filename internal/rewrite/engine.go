@@ -3,7 +3,8 @@ package rewrite
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"bohrium/internal/bytecode"
@@ -30,15 +31,12 @@ type Pipeline struct {
 	// MaxPasses bounds fixpoint iteration (a safety net against
 	// oscillating rule pairs; well-formed rule sets converge quickly).
 	MaxPasses int
-	// Validate re-validates the program after every rule application,
-	// attributing breakage to the rule that caused it.
-	Validate bool
 }
 
 // NewPipeline builds a pipeline over the given rules, applied in order
-// within each pass, with validation enabled and a default pass bound.
+// within each pass, with a default pass bound.
 func NewPipeline(rules ...Rule) *Pipeline {
-	return &Pipeline{rules: rules, MaxPasses: 10, Validate: true}
+	return &Pipeline{rules: rules, MaxPasses: 10}
 }
 
 // Rules returns the pipeline's rules in application order.
@@ -74,12 +72,7 @@ func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "passes: %d, byte-codes: %d -> %d, est. work: %.0f -> %.0f\n",
 		r.Passes, r.Before.Instructions, r.After.Instructions, r.Before.Work, r.After.Work)
-	names := make([]string, 0, len(r.Applied))
-	for name := range r.Applied {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range slices.Sorted(maps.Keys(r.Applied)) {
 		if r.Applied[name] > 0 {
 			fmt.Fprintf(&b, "  %-24s %d\n", name, r.Applied[name])
 		}
@@ -92,31 +85,44 @@ func measure(p *bytecode.Program) Metrics {
 	return Metrics{Instructions: p.Len(), Work: p.WorkEstimate()}
 }
 
-// Run applies the pipeline to p in place, returning the report. On error
-// the program may be partially rewritten; callers should Clone first if
-// they need the original (the Optimize helper does).
-func (pl *Pipeline) Run(p *bytecode.Program) (*Report, error) {
+// Run applies the pipeline to p in place, validating the program after
+// every rule that changed it, so a broken program names the rule that
+// broke it. On error the program may be partially rewritten; callers
+// should Clone first if they need the original (the Optimize helper does).
+func (pl *Pipeline) Run(p *bytecode.Program) (*Report, error) { return pl.run(p, true) }
+
+// run drives the rules to a fixpoint, validating after every rule that
+// changed the program when validate is set. A pass that has changed
+// nothing yet stops once the rule that made the previous pass's last
+// change has run again: every later rule already found nothing on this
+// same program.
+func (pl *Pipeline) run(p *bytecode.Program, validate bool) (*Report, error) {
 	report := &Report{Applied: map[string]int{}, Before: measure(p)}
+	last := -1 // index of the rule that made the latest change
 	for pass := 0; pass < pl.MaxPasses; pass++ {
-		changed := 0
-		for _, rule := range pl.rules {
+		stop, changed := last, false
+		for k, rule := range pl.rules {
 			n, err := rule.Apply(p)
 			if err != nil {
 				return report, fmt.Errorf("%w: rule %s: %w", ErrRewrite, rule.Name(), err)
 			}
-			if n > 0 && pl.Validate {
+			if n == 0 {
+				if !changed && k == stop {
+					break
+				}
+				continue
+			}
+			if validate {
 				if err := p.Validate(); err != nil {
 					return report, fmt.Errorf("%w: rule %s produced invalid program: %w",
 						ErrRewrite, rule.Name(), err)
 				}
 			}
-			if n > 0 {
-				report.Applied[rule.Name()] += n
-			}
-			changed += n
+			report.Applied[rule.Name()] += n
+			last, changed = k, true
 		}
 		report.Passes++
-		if changed == 0 {
+		if !changed {
 			break
 		}
 	}
@@ -125,25 +131,50 @@ func (pl *Pipeline) Run(p *bytecode.Program) (*Report, error) {
 }
 
 // Optimize clones p, runs the pipeline on the clone, and returns it with
-// the report — the non-destructive entry point the front-end and tools use.
+// the report — the non-destructive entry point the front-end and tools
+// use. The rewritten program is validated once. If that fails, or a rule
+// fails or panics (as one may on a program an earlier rule broke), the
+// pipeline is replayed under Run on a fresh clone of p, so the error
+// names the rule that broke the program; a panic on a valid program
+// recurs in the replay and propagates from it.
 func (pl *Pipeline) Optimize(p *bytecode.Program) (*bytecode.Program, *Report, error) {
 	out := p.Clone()
+	if report, ok := pl.runChecked(out); ok {
+		return out, report, nil
+	}
+	out = p.Clone()
 	report, err := pl.Run(out)
 	if err != nil {
-		return nil, report, err
+		out = nil
 	}
-	return out, report, nil
+	return out, report, err
 }
 
-// Program edit helpers shared by the rules.
-
-// removeAt deletes instruction idx.
-func removeAt(p *bytecode.Program, idx int) {
-	p.Instrs = append(p.Instrs[:idx], p.Instrs[idx+1:]...)
+// runChecked runs the pipeline on p without per-rule validation and
+// reports whether every rule succeeded and the result, if changed, is valid.
+func (pl *Pipeline) runChecked(p *bytecode.Program) (report *Report, ok bool) {
+	defer func() {
+		ok = recover() == nil && ok // after a panic Optimize replays under Run
+	}()
+	report, err := pl.run(p, false)
+	return report, err == nil && (report.TotalApplied() == 0 || p.Validate() == nil)
 }
 
-// replaceAt substitutes instruction idx with the given sequence.
-func replaceAt(p *bytecode.Program, idx int, with ...bytecode.Instruction) {
-	tail := append([]bytecode.Instruction(nil), p.Instrs[idx+1:]...)
-	p.Instrs = append(p.Instrs[:idx], append(with, tail...)...)
+// compact removes the tombstones rules leave where they delete an
+// instruction in place: the zero Instruction, whose op-code no valid
+// program uses. It reads and writes nothing, so the matcher and the
+// interference checks see through it until this one compaction.
+func compact(p *bytecode.Program) {
+	w := 0
+	for w < len(p.Instrs) && p.Instrs[w].Op != 0 {
+		w++
+	}
+	for i := w; i < len(p.Instrs); i++ {
+		if p.Instrs[i].Op != 0 {
+			p.Instrs[w] = p.Instrs[i]
+			w++
+		}
+	}
+	clear(p.Instrs[w:])
+	p.Instrs = p.Instrs[:w]
 }

@@ -88,15 +88,6 @@ func TestPipelineMaxPassesBoundsOscillation(t *testing.T) {
 	}
 }
 
-func TestPipelineValidateOff(t *testing.T) {
-	p := bytecode.MustParse(listing2)
-	pl := NewPipeline(brokenRule{})
-	pl.Validate = false
-	if _, err := pl.Run(p); err != nil {
-		t.Errorf("validation disabled but error returned: %v", err)
-	}
-}
-
 func TestBuildRespectsOptions(t *testing.T) {
 	tests := []struct {
 		name  string

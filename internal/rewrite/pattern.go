@@ -251,6 +251,27 @@ func (sp *SeqPattern) extend(p *bytecode.Program, m *Match, k int) bool {
 	return false
 }
 
+// nextPartner continues a run merge of a two-pattern sequence: it
+// rebinds Pats[0] at m.Positions[0] and returns the first match of
+// Pats[1] after j, scanning, unless NoGaps, through gap instructions
+// clear of the protected bindings, tombstones among them (under NoGaps
+// a run's partners are consecutive, so no tombstone lies ahead).
+func (sp *SeqPattern) nextPartner(p *bytecode.Program, m *Match, j int) (int, bool) {
+	m.b.n = varCounts{}
+	sp.Pats[0].match(&p.Instrs[m.Positions[0]], &m.b)
+	for k := j + 1; k < len(p.Instrs); k++ {
+		saved := m.b.n
+		if sp.Pats[1].match(&p.Instrs[k], &m.b) {
+			return k, true
+		}
+		m.b.n = saved
+		if sp.NoGaps || !sp.gapInstrClear(p, k, &m.b) {
+			break
+		}
+	}
+	return 0, false
+}
+
 func (sp *SeqPattern) gapsClear(p *bytecode.Program, i, j int, b *Binding) bool {
 	for k := i + 1; k < j; k++ {
 		if !sp.gapInstrClear(p, k, b) {

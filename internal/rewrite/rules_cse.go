@@ -49,7 +49,7 @@ func (r CommonSubexprRule) Apply(p *bytecode.Program) (int, error) {
 			}
 			if second.Out.Reg == first.Out.Reg && second.Out.View.Equal(first.Out.View) {
 				// Bitwise re-store of the same value: drop it entirely.
-				removeAt(p, j)
+				p.Instrs[j] = bytecode.Instruction{}
 				total++
 				break scan
 			}
@@ -62,6 +62,7 @@ func (r CommonSubexprRule) Apply(p *bytecode.Program) (int, error) {
 			break scan
 		}
 	}
+	compact(p)
 	return total, nil
 }
 

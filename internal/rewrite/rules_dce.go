@@ -17,25 +17,26 @@ func (DeadCodeElimRule) Name() string { return "dead-code-elim" }
 // Apply implements Rule.
 func (DeadCodeElimRule) Apply(p *bytecode.Program) (int, error) {
 	total := 0
-	for {
-		n := dcePass(p)
+	for n := dcePass(p); n > 0; n = dcePass(p) {
 		total += n
-		if n == 0 {
-			return total, nil
-		}
 	}
+	return total, nil
 }
 
+// dcePass removes one round of dead byte-codes. Dead writes become
+// tombstones on the backward scan; the forward cleanup then drops the
+// BH_FREEs and BH_SYNCs they orphan, and one compaction follows.
 func dcePass(p *bytecode.Program) int {
-	// One allocation for the pass's three flag vectors.
-	flags := make([]bool, 2*len(p.Regs)+len(p.Instrs))
-	live, defined, dead := flags[:len(p.Regs)], flags[len(p.Regs):2*len(p.Regs)], flags[2*len(p.Regs):]
+	// One allocation for the pass's two flag vectors.
+	flags := make([]bool, 2*len(p.Regs))
+	live, defined := flags[:len(p.Regs)], flags[len(p.Regs):]
 	for _, r := range p.Inputs {
 		live[r] = true
 	}
 	for _, r := range p.Outputs {
 		live[r] = true
 	}
+	removed := 0
 	for i := len(p.Instrs) - 1; i >= 0; i-- {
 		in := &p.Instrs[i]
 		switch in.Op {
@@ -51,36 +52,30 @@ func dcePass(p *bytecode.Program) int {
 			continue
 		}
 		if !live[in.Out.Reg] {
-			dead[i] = true
+			*in = bytecode.Instruction{}
+			removed++
 			continue
 		}
-		for _, opnd := range in.Inputs() {
-			if opnd.IsReg() {
-				live[opnd.Reg] = true
+		for _, o := range [...]*bytecode.Operand{&in.In1, &in.In2} {
+			if o.IsReg() {
+				live[o.Reg] = true
 			}
 		}
 	}
-	removed := 0
-	kept := p.Instrs[:0]
-	// Forward cleanup alongside the removal: dropping a dead write can
-	// orphan a later BH_FREE (or BH_SYNC kept alive only formally) of a
-	// now never-defined register; drop those too.
+	// Forward cleanup: dropping a dead write can orphan a later BH_FREE
+	// (or BH_SYNC kept alive only formally) of a now never-defined
+	// register; drop those too.
 	for _, r := range p.Inputs {
 		defined[r] = true
 	}
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		if dead[i] {
-			removed++
-			continue
-		}
 		switch in.Op {
 		case bytecode.OpFree, bytecode.OpSync:
 			if !defined[in.Out.Reg] {
+				*in = bytecode.Instruction{}
 				removed++
-				continue
-			}
-			if in.Op == bytecode.OpFree {
+			} else if in.Op == bytecode.OpFree {
 				defined[in.Out.Reg] = false
 			}
 		default:
@@ -88,8 +83,9 @@ func dcePass(p *bytecode.Program) int {
 				defined[in.Out.Reg] = true
 			}
 		}
-		kept = append(kept, p.Instrs[i])
 	}
-	p.Instrs = kept
+	if removed > 0 {
+		compact(p)
+	}
 	return removed
 }

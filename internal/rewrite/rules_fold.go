@@ -23,10 +23,7 @@ func (CanonicalizeRule) Apply(p *bytecode.Program) (int, error) {
 	n := 0
 	for i := range p.Instrs {
 		in := &p.Instrs[i]
-		if !in.Op.Info().Commutative || in.Op.Info().Arity != 2 {
-			continue
-		}
-		if in.In1.IsConst() && in.In2.IsReg() {
+		if info := in.Op.Info(); info.Commutative && info.Arity == 2 && in.In1.IsConst() && in.In2.IsReg() {
 			in.In1, in.In2 = in.In2, in.In1
 			n++
 		}
@@ -48,46 +45,65 @@ type AddMergeRule struct {
 // Name implements Rule.
 func (AddMergeRule) Name() string { return "add-merge" }
 
-var addMergePattern = compile(SeqPattern{
-	Pats: []InstrPattern{
-		{
-			Ops: []bytecode.Opcode{bytecode.OpAdd, bytecode.OpSubtract},
-			Out: RegOp("r", "v"), In1: RegOp("r", "v"), In2: ConstOp("c1"),
-		},
-		{
-			Ops: []bytecode.Opcode{bytecode.OpAdd, bytecode.OpSubtract},
-			Out: RegOp("r", "v"), In1: RegOp("r", "v"), In2: ConstOp("c2"),
-		},
-	},
-	Protect: []Protected{{Reg: "r", View: "v"}},
-})
+var addMergePattern = constPairPattern(bytecode.OpAdd, bytecode.OpSubtract)
+
+// constPairPattern matches two in-place updates "r v = r v op c" with ops
+// from ops, the gap between them leaving (r, v) alone.
+func constPairPattern(ops ...bytecode.Opcode) SeqPattern {
+	step := func(c string) InstrPattern {
+		return InstrPattern{Ops: ops, Out: RegOp("r", "v"), In1: RegOp("r", "v"), In2: ConstOp(c)}
+	}
+	return compile(SeqPattern{
+		Pats:    []InstrPattern{step("c1"), step("c2")},
+		Protect: []Protected{{Reg: "r", View: "v"}},
+	})
+}
 
 // Apply implements Rule.
 func (r AddMergeRule) Apply(p *bytecode.Program) (int, error) {
 	pattern := addMergePattern
 	pattern.NoGaps = r.AdjacentOnly
+	return foldRuns(p, &pattern, mergeAdd), nil
+}
+
+// mergeAdd folds second's constant into first's, exactly when both are
+// integral, in float64 otherwise.
+func mergeAdd(_ *bytecode.Program, first, second *bytecode.Instruction) bool {
+	c1, c2 := first.In2.Const, second.In2.Const
+	s1, s2 := signOf(first.Op), signOf(second.Op)
+	if isExactInt(c1) && isExactInt(c2) {
+		first.In2 = bytecode.Const(bytecode.ConstInt(s1*c1.Int() + s2*c2.Int()))
+	} else {
+		first.In2 = bytecode.Const(bytecode.ConstFloat(float64(s1)*c1.Float() + float64(s2)*c2.Float()))
+	}
+	first.Op = bytecode.OpAdd
+	return true
+}
+
+// foldRuns applies a two-instruction merge pattern as run merges, left to
+// right: at each match (i, j) it folds j into instruction i, then scans on
+// from j under the same binding and folds each further partner into i,
+// until fold declines or the scan stops. Each fold counts one application;
+// folded partners become tombstones, compacted once at the end.
+func foldRuns(p *bytecode.Program, sp *SeqPattern, fold func(p *bytecode.Program, first, second *bytecode.Instruction) bool) int {
 	total := 0
-	for {
-		m, ok := pattern.Find(p)
+	for from := 0; ; {
+		m, ok := sp.FindFrom(p, from)
 		if !ok {
-			return total, nil
+			break
 		}
 		i, j := m.Positions[0], m.Positions[1]
-		first, second := &p.Instrs[i], &p.Instrs[j]
-		c1, c2 := m.Const("c1"), m.Const("c2")
-
-		s1, s2 := signOf(first.Op), signOf(second.Op)
-		var merged bytecode.Constant
-		if isExactInt(c1) && isExactInt(c2) {
-			merged = bytecode.ConstInt(s1*c1.Int() + s2*c2.Int())
-		} else {
-			merged = bytecode.ConstFloat(float64(s1)*c1.Float() + float64(s2)*c2.Float())
+		for ok && fold(p, &p.Instrs[i], &p.Instrs[j]) {
+			p.Instrs[j] = bytecode.Instruction{}
+			total++
+			j, ok = sp.nextPartner(p, &m, j)
 		}
-		first.Op = bytecode.OpAdd
-		first.In2 = bytecode.Const(merged)
-		removeAt(p, j)
-		total++
+		from = i + 1
 	}
+	if total > 0 {
+		compact(p)
+	}
+	return total
 }
 
 // MulMergeRule merges consecutive constant multiplications/divisions:
@@ -100,69 +116,40 @@ type MulMergeRule struct{}
 // Name implements Rule.
 func (MulMergeRule) Name() string { return "mul-merge" }
 
-var mulMergePattern = compile(SeqPattern{
-	Pats: []InstrPattern{
-		{
-			Ops: []bytecode.Opcode{bytecode.OpMultiply, bytecode.OpDivide},
-			Out: RegOp("r", "v"), In1: RegOp("r", "v"), In2: ConstOp("c1"),
-		},
-		{
-			Ops: []bytecode.Opcode{bytecode.OpMultiply, bytecode.OpDivide},
-			Out: RegOp("r", "v"), In1: RegOp("r", "v"), In2: ConstOp("c2"),
-		},
-	},
-	Protect: []Protected{{Reg: "r", View: "v"}},
-})
+var mulMergePattern = constPairPattern(bytecode.OpMultiply, bytecode.OpDivide)
 
 // Apply implements Rule.
 func (MulMergeRule) Apply(p *bytecode.Program) (int, error) {
-	total := 0
-	for from := 0; ; {
-		m, ok := mulMergePattern.FindFrom(p, from)
-		if !ok {
-			return total, nil
-		}
-		i, j := m.Positions[0], m.Positions[1]
-		first, second := &p.Instrs[i], &p.Instrs[j]
-		c1, c2 := m.Const("c1"), m.Const("c2")
-		ri, _ := p.Reg(first.Out.Reg)
+	return foldRuns(p, &mulMergePattern, mergeMul), nil
+}
 
-		op1, op2 := first.Op, second.Op
-		intReg := !ri.DType.IsFloat()
-		switch {
-		case intReg && op1 == bytecode.OpMultiply && op2 == bytecode.OpMultiply &&
-			isExactInt(c1) && isExactInt(c2):
-			first.In2 = bytecode.Const(bytecode.ConstInt(c1.Int() * c2.Int()))
-		case intReg && op1 == bytecode.OpDivide && op2 == bytecode.OpDivide &&
-			isExactInt(c1) && isExactInt(c2) && c1.Int() > 0 && c2.Int() > 0:
-			first.In2 = bytecode.Const(bytecode.ConstInt(c1.Int() * c2.Int()))
-		case intReg:
-			// Mixed or non-exact integer forms do not compose under
-			// truncation; skip past this site.
-			from = i + 1
-			continue
-		case op1 == bytecode.OpMultiply && op2 == bytecode.OpMultiply:
-			first.In2 = bytecode.Const(bytecode.ConstFloat(c1.Float() * c2.Float()))
-		case op1 == bytecode.OpDivide && op2 == bytecode.OpDivide:
-			first.In2 = bytecode.Const(bytecode.ConstFloat(c1.Float() * c2.Float()))
-		case op1 == bytecode.OpMultiply && op2 == bytecode.OpDivide:
-			if c2.Float() == 0 {
-				from = i + 1
-				continue
-			}
-			first.In2 = bytecode.Const(bytecode.ConstFloat(c1.Float() / c2.Float()))
-		default: // DIVIDE then MULTIPLY
-			if c1.Float() == 0 {
-				from = i + 1
-				continue
-			}
-			first.Op = bytecode.OpMultiply
-			first.In2 = bytecode.Const(bytecode.ConstFloat(c2.Float() / c1.Float()))
+// mergeMul folds second's constant into first's, declining the forms
+// that do not compose.
+func mergeMul(p *bytecode.Program, first, second *bytecode.Instruction) bool {
+	c1, c2 := first.In2.Const, second.In2.Const
+	ri, _ := p.Reg(first.Out.Reg)
+	op1, op2, intReg := first.Op, second.Op, !ri.DType.IsFloat()
+	switch {
+	case intReg && op1 == op2 && isExactInt(c1) && isExactInt(c2) &&
+		(op1 == bytecode.OpMultiply || c1.Int() > 0 && c2.Int() > 0):
+		first.In2 = bytecode.Const(bytecode.ConstInt(c1.Int() * c2.Int()))
+	case intReg: // other integer forms do not compose under truncation
+		return false
+	case op1 == op2: // x·c1·c2 or x/c1/c2
+		first.In2 = bytecode.Const(bytecode.ConstFloat(c1.Float() * c2.Float()))
+	case op1 == bytecode.OpMultiply && op2 == bytecode.OpDivide:
+		if c2.Float() == 0 {
+			return false
 		}
-		removeAt(p, j)
-		total++
-		from = 0
+		first.In2 = bytecode.Const(bytecode.ConstFloat(c1.Float() / c2.Float()))
+	default: // DIVIDE then MULTIPLY
+		if c1.Float() == 0 {
+			return false
+		}
+		first.Op = bytecode.OpMultiply
+		first.In2 = bytecode.Const(bytecode.ConstFloat(c2.Float() / c1.Float()))
 	}
+	return true
 }
 
 // IdentityFoldRule folds a constant initialization followed by a constant
@@ -193,24 +180,16 @@ var identityFoldPattern = compile(SeqPattern{
 
 // Apply implements Rule.
 func (IdentityFoldRule) Apply(p *bytecode.Program) (int, error) {
-	total := 0
-	for from := 0; ; {
-		m, ok := identityFoldPattern.FindFrom(p, from)
-		if !ok {
-			return total, nil
-		}
-		i, j := m.Positions[0], m.Positions[1]
-		c1, c2 := m.Const("c1"), m.Const("c2")
-		folded, ok := foldConstants(p.Instrs[j].Op, c1, c2)
-		if !ok {
-			from = i + 1
-			continue
-		}
-		p.Instrs[i].In1 = bytecode.Const(folded)
-		removeAt(p, j)
-		total++
-		from = 0
+	return foldRuns(p, &identityFoldPattern, foldIdentity), nil
+}
+
+// foldIdentity folds second's arithmetic into first's initial constant.
+func foldIdentity(_ *bytecode.Program, first, second *bytecode.Instruction) bool {
+	folded, ok := foldConstants(second.Op, first.In1.Const, second.In2.Const)
+	if ok {
+		first.In1 = bytecode.Const(folded)
 	}
+	return ok
 }
 
 // foldConstants evaluates op(c1, c2) at rewrite time, exactly for integer
@@ -280,7 +259,7 @@ func (IdentityElimRule) Name() string { return "identity-elim" }
 // Apply implements Rule.
 func (IdentityElimRule) Apply(p *bytecode.Program) (int, error) {
 	total := 0
-	for i := 0; i < len(p.Instrs); i++ {
+	for i := range p.Instrs {
 		in := &p.Instrs[i]
 		if in.Op.Info().Arity != 2 || !in.In2.IsConst() || !in.In1.IsReg() || !in.Out.IsReg() {
 			continue
@@ -293,8 +272,7 @@ func (IdentityElimRule) Apply(p *bytecode.Program) (int, error) {
 				in.Op == bytecode.OpMultiply || in.Op == bytecode.OpDivide ||
 				in.Op == bytecode.OpPower):
 			if in.Out.Reg == in.In1.Reg && in.Out.View.Equal(in.In1.View) {
-				removeAt(p, i)
-				i--
+				p.Instrs[i] = bytecode.Instruction{}
 			} else {
 				p.Instrs[i] = bytecode.Instruction{Op: bytecode.OpIdentity, Out: in.Out, In1: in.In1}
 			}
@@ -318,6 +296,7 @@ func (IdentityElimRule) Apply(p *bytecode.Program) (int, error) {
 			total++
 		}
 	}
+	compact(p)
 	return total, nil
 }
 

@@ -52,6 +52,7 @@ func (r SolveRewriteRule) Apply(p *bytecode.Program) (int, error) {
 	for from := 0; ; {
 		m, ok := solvePattern.FindFrom(p, from)
 		if !ok {
+			compact(p)
 			return total, nil
 		}
 		i, j := m.Positions[0], m.Positions[1]
@@ -63,26 +64,20 @@ func (r SolveRewriteRule) Apply(p *bytecode.Program) (int, error) {
 			continue
 		}
 
-		inv := p.Instrs[i]
-		matmul := p.Instrs[j]
-		p.Instrs[j] = bytecode.Instruction{
-			Op:  bytecode.OpSolve,
-			Out: matmul.Out,
-			In1: inv.In1,    // A
-			In2: matmul.In2, // B
-		}
-		removeAt(p, i)
+		matmul := &p.Instrs[j]
+		matmul.Op, matmul.In1 = bytecode.OpSolve, p.Instrs[i].In1 // X = solve(A, B)
+		p.Instrs[i] = bytecode.Instruction{}
 		total++
 		// Deleting the inverse's only definition would orphan a later
 		// BH_FREE of that register; drop the first such FREE before any
 		// redefinition.
-		for k := j - 1; k < len(p.Instrs); k++ { // j-1: indices shifted by the removal
+		for k := j; k < len(p.Instrs); k++ {
 			in := &p.Instrs[k]
 			if in.WritesReg(invReg) {
 				break
 			}
 			if in.Op == bytecode.OpFree && in.Out.IsReg() && in.Out.Reg == invReg {
-				removeAt(p, k)
+				p.Instrs[k] = bytecode.Instruction{}
 				break
 			}
 		}

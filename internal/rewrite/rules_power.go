@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/chains"
@@ -84,7 +85,7 @@ func (r PowerExpandRule) Apply(p *bytecode.Program) (int, error) {
 		if !ok {
 			continue
 		}
-		replaceAt(p, i, seq...)
+		p.Instrs = slices.Replace(p.Instrs, i, i+1, seq...)
 		i += len(seq) - 1
 		total++
 	}

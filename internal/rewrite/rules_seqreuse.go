@@ -1,8 +1,6 @@
 package rewrite
 
 import (
-	"slices"
-
 	"bohrium/internal/bytecode"
 )
 
@@ -208,8 +206,8 @@ func (r ReuseRule) rewriteDup(p *bytecode.Program, i, j, sunkFree int) bool {
 		// recycling for.
 		return false
 	}
-	// All conditions hold — rewrite. Substitutions first (indices are
-	// stable), then the free swap, then deletions in descending order.
+	// All conditions hold — rewrite: substitutions, the free swap, then
+	// the deletions.
 	for _, s := range reads {
 		if s.in2 {
 			p.Instrs[s.idx].In2.Reg = pr
@@ -227,10 +225,9 @@ func (r ReuseRule) rewriteDup(p *bytecode.Program, i, j, sunkFree int) bool {
 		// pr stays live past q's death anyway; q's free just disappears.
 		drop = append(drop, qFree)
 	}
-	// Descending order keeps the remaining indices valid.
-	slices.Sort(drop)
-	for k := len(drop) - 1; k >= 0; k-- {
-		removeAt(p, drop[k])
+	for _, k := range drop {
+		p.Instrs[k] = bytecode.Instruction{}
 	}
+	compact(p)
 	return true
 }

@@ -119,8 +119,13 @@ func (t Tensor) Compact() Tensor {
 }
 
 // Float64Slice flattens the view into a new []float64 in row-major order.
+// A contiguous view is copied or widened in one typed loop; strided and
+// broadcast views walk an iterator.
 func (t Tensor) Float64Slice() []float64 {
 	out := make([]float64, t.Size())
+	if len(out) > 0 && t.View.Contiguous() && widenFlat(out, t.Buf, t.View.Offset) {
+		return out
+	}
 	it := NewIterator(t.View)
 	i := 0
 	for it.Next() {
@@ -128,6 +133,33 @@ func (t Tensor) Float64Slice() []float64 {
 		i++
 	}
 	return out
+}
+
+// widenFlat fills dst with the len(dst) elements of b from off on,
+// converted as Get converts them. It reports false for a Buffer
+// implementation it does not know.
+func widenFlat(dst []float64, b Buffer, off int) bool {
+	switch d := b.(type) {
+	case *Data[float64]:
+		copy(dst, d.s[off:off+len(dst)])
+	case *Data[float32]:
+		widen(dst, d.s[off:off+len(dst)])
+	case *Data[int64]:
+		widen(dst, d.s[off:off+len(dst)])
+	case *Data[int32]:
+		widen(dst, d.s[off:off+len(dst)])
+	case *Data[uint8]:
+		widen(dst, d.s[off:off+len(dst)])
+	default:
+		return false
+	}
+	return true
+}
+
+func widen[T Elem](dst []float64, src []T) {
+	for i, v := range src {
+		dst[i] = float64(v)
+	}
 }
 
 // Equal reports whether t and u have the same shape and bitwise-equal

@@ -112,3 +112,27 @@ func TestSyncStillKeeps(t *testing.T) {
 		t.Errorf("synced temporary lost its value: %v", d[0])
 	}
 }
+
+// TestInPlaceUpdateKeepsItsTemporary pins that an in-place update does
+// not consume the temporary it updates: r.Sqrt() reads r, yet r is still
+// the caller's result after the flush, so the optimizer must keep it.
+func TestInPlaceUpdateKeepsItsTemporary(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		ctx := newTestContext(t, &Config{Async: async})
+		s := ctx.Full(3, 4)
+		r := s.Times(s)
+		r.Sqrt()
+		if err := ctx.Flush(); err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		d, err := r.Data()
+		if err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+		for i, v := range d {
+			if v != 3 {
+				t.Fatalf("async=%v: r[%d] = %v, want 3", async, i, v)
+			}
+		}
+	}
+}
