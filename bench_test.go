@@ -1,8 +1,8 @@
-// Benchmarks regenerating the paper's evaluation (experiments E1–E6 in
-// DESIGN.md): run `go test -bench=. -benchmem` and compare the ns/op
-// ratios against the table shapes recorded in EXPERIMENTS.md. Absolute
-// numbers are machine-dependent; the *shape* — who wins, by what factor —
-// is the reproduction target.
+// Benchmarks regenerating the paper's evaluation (experiments E1–E7,
+// ARCHITECTURE.md §6): run `go test -bench=. -benchmem` and compare the
+// ns/op ratios against the table shapes `go run ./cmd/bhbench` prints.
+// Absolute numbers are machine-dependent; the *shape* — who wins, by what
+// factor — is the reproduction target.
 package bohrium_test
 
 import (

@@ -1,52 +1,31 @@
-// Command bhbench regenerates the paper's evaluation tables (experiments
-// E1–E10 and E12 in DESIGN.md / EXPERIMENTS.md): byte-code counts
-// before/after optimization, baseline vs optimized wall-clock times, the
-// ablation rows for the design decisions D1–D4, the dtype-generalized
-// fusion sweep with its reduction-epilogue counters, the plan-cache rows
-// for iterative flush-per-sweep workloads, the async submit/wait pipeline
-// rows, the shared-runtime multi-session rows, and the cross-plan fusion
-// rows. Every row with sweep work also reports its achieved memory
-// bandwidth (gbs) and the fraction of the machine's memcpy ceiling it
-// reaches (%roof) — the roofline the memory-bound rows are measured
-// against.
+// Command bhbench regenerates the paper's evaluation tables, experiments
+// E1–E7 (ARCHITECTURE.md §6): byte-code counts before/after
+// optimization, baseline vs optimized wall-clock times for Listings 1–5
+// and equation (2), the end-to-end scientific kernels, the ablation rows
+// for the design decisions D1–D4, and the dtype-generalized fusion sweep
+// with its reduction-epilogue counters. Each time is the median of
+// -repeats runs, printed with its median absolute deviation (±mad).
 //
 // Usage:
 //
-//	bhbench [-experiment all|E1|...|E10|E12] [-n elements] [-repeats r]
-//	        [-sessions k] [-backend name] [-chunk-bytes n] [-json path]
-//	        [-schema-check file] [-require-plan-hits]
-//	        [-require-pipelined] [-require-shared-hits]
-//	        [-require-xplan-fuse]
+//	bhbench [-experiment all|E1|...|E7] [-n elements] [-solve-max m]
+//	        [-repeats r] [-backend name] [-chunk-bytes n] [-json path]
+//	        [-schema-check file]
 //
-// -sessions sets how many concurrent sessions the E10 rows drive against
-// one shared Runtime (and against K private runtimes as the baseline).
 // -backend re-measures every experiment on another execution backend
 // ("outofcore" with -chunk-bytes for the chunked engine); values are
 // backend-independent by the differential contract, so only the timing
 // columns move.
 //
-// -json writes the rows as a machine-readable BENCH_*.json document so
-// the perf trajectory can be tracked across commits. The schema
-// ("bohrium-bench/v1") is one object {"schema": ..., "rows": [...]};
-// each row carries experiment, workload, params, backend, bc_before,
-// bc_after, baseline_ns, optimized_ns (best-of wall-clock, nanoseconds),
-// speedup, pool_hits, buffers_alloc, fused_reductions, plan_hits,
-// plan_misses, pipelined, sessions / cross_session_hits / baseline_allocs
-// (E10 rows only), and note. -schema-check validates an existing
+// -json writes the rows as a machine-readable BENCH_*.json document. The
+// schema ("bohrium-bench/v2") is one object {"schema": ..., "rows":
+// [...]}; each row carries experiment, workload, params, backend,
+// bc_before, bc_after, baseline_ns, baseline_mad_ns, optimized_ns,
+// optimized_mad_ns (median and MAD, nanoseconds), speedup (the ratio of
+// the medians), pool_hits, buffers_alloc, fused_reductions, plan_hits,
+// plan_misses, and note. -schema-check validates an existing
 // BENCH_*.json against that schema and exits without running experiments
 // — the CI guard that keeps committed snapshots loadable.
-//
-// -require-plan-hits exits non-zero when the E8 iterative workloads
-// record zero plan-cache hits — the CI smoke guard against silently
-// disabled caching. -require-pipelined is the matching guard for E9: it
-// exits non-zero when the async rows executed zero plans on the
-// background executor or report a sync/async value mismatch.
-// -require-shared-hits is the E10 guard: it exits non-zero when the
-// shared-runtime sessions scored zero cross-session plan-cache hits, when
-// no workload reduced BuffersAllocated versus the private baseline, or on
-// a value mismatch. -require-xplan-fuse is the E12 guard: it exits
-// non-zero when the stream workloads submitted zero combined cross-plan
-// batches or any fused value diverged from its unfused twin.
 package main
 
 import (
@@ -54,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"bohrium/internal/backend"
 	"bohrium/internal/bench"
@@ -69,21 +47,24 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bhbench", flag.ContinueOnError)
-	exp := fs.String("experiment", "all", "which experiment to run: all, E1, E2, E3, E4, E5, E6, E7, E8, E9, E10")
+	exp := fs.String("experiment", "all", "which experiment to run: all, E1, E2, E3, E4, E5, E6, E7")
 	n := fs.Int("n", 1<<20, "elementwise vector length")
 	solveMax := fs.Int("solve-max", 256, "largest linear-system size for E4")
-	repeats := fs.Int("repeats", 3, "timing repetitions (best-of)")
-	sessions := fs.Int("sessions", 4, "concurrent sessions for the E10 shared-runtime rows")
+	repeats := fs.Int("repeats", 7, "timing repetitions (median and MAD)")
 	backendName := fs.String("backend", "", fmt.Sprintf("execution backend %v (default %q)", backend.Names(), backend.DefaultName))
 	chunkBytes := fs.Int("chunk-bytes", 0, "per-array tile budget of chunked backends (0 = backend default)")
-	jsonPath := fs.String("json", "", "also write the rows as machine-readable JSON (bohrium-bench/v1) to this path")
-	schemaCheck := fs.String("schema-check", "", "validate an existing BENCH_*.json against bohrium-bench/v1 and exit")
-	requireHits := fs.Bool("require-plan-hits", false, "fail if the E8 iterative workloads record zero plan-cache hits")
-	requirePipelined := fs.Bool("require-pipelined", false, "fail if the E9 async workloads pipelined zero plans or mismatch their sync values")
-	requireShared := fs.Bool("require-shared-hits", false, "fail if the E10 shared-runtime sessions score zero cross-session plan hits, save no allocations, or mismatch values")
-	requireXPlan := fs.Bool("require-xplan-fuse", false, "fail if the E12 stream workloads submit zero combined cross-plan batches or mismatch their unfused values")
+	jsonPath := fs.String("json", "", "also write the rows as machine-readable JSON ("+bench.Schema+") to this path")
+	schemaCheck := fs.String("schema-check", "", "validate an existing BENCH_*.json against "+bench.Schema+" and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"n", *n, 1}, {"repeats", *repeats, 1}, {"solve-max", *solveMax, 1}, {"chunk-bytes", *chunkBytes, 0}} {
+		if f.val < f.min {
+			return fmt.Errorf("-%s %d: must be at least %d", f.name, f.val, f.min)
+		}
 	}
 
 	if *schemaCheck != "" {
@@ -94,13 +75,14 @@ func run(args []string, stdout io.Writer) error {
 		if err := bench.CheckSchema(data); err != nil {
 			return fmt.Errorf("%s: %w", *schemaCheck, err)
 		}
-		fmt.Fprintf(stdout, "%s: valid bohrium-bench/v1 document\n", *schemaCheck)
+		fmt.Fprintf(stdout, "%s: valid %s document\n", *schemaCheck, bench.Schema)
 		return nil
 	}
 
-	scale := bench.Scale{VectorN: *n, SolveMax: *solveMax, Repeats: *repeats, Sessions: *sessions,
+	scale := bench.Scale{VectorN: *n, SolveMax: *solveMax, Repeats: *repeats,
 		Backend: *backendName, ChunkBytes: *chunkBytes}
 	runners := map[string]func(bench.Scale) ([]bench.Row, error){
+		"all": bench.All,
 		"E1":  bench.E1AddMerge,
 		"E2":  bench.E2PowerChain,
 		"E3":  bench.E3PowerSweep,
@@ -108,23 +90,12 @@ func run(args []string, stdout io.Writer) error {
 		"E5":  bench.E5Workloads,
 		"E6":  bench.E6Ablations,
 		"E7":  bench.E7DTypeFusion,
-		"E8":  bench.E8PlanCache,
-		"E9":  bench.E9Pipeline,
-		"E10": bench.E10MultiSession,
-		"E12": bench.E12XPlanFuse,
 	}
-
-	var rows []bench.Row
-	var err error
-	if *exp == "all" {
-		rows, err = bench.All(scale)
-	} else {
-		runner, ok := runners[*exp]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q", *exp)
-		}
-		rows, err = runner(scale)
+	runner, ok := runners[*exp]
+	if !ok {
+		return fmt.Errorf("unknown experiment %q", *exp)
 	}
+	rows, err := runner(scale)
 	if err != nil {
 		return err
 	}
@@ -134,87 +105,7 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(*jsonPath, data, 0o644); err != nil {
-			return err
-		}
-	}
-	if *requirePipelined {
-		pipelined, rowsSeen := 0, 0
-		for _, r := range rows {
-			if r.Experiment != "E9" {
-				continue
-			}
-			rowsSeen++
-			pipelined += r.Pipelined
-			if strings.Contains(r.Note, "MISMATCH") {
-				return fmt.Errorf("pipeline smoke: %s: %s", r.Workload, r.Note)
-			}
-		}
-		if rowsSeen == 0 {
-			return fmt.Errorf("pipeline smoke: no E9 rows ran (pass -experiment E9 or all)")
-		}
-		if pipelined == 0 {
-			return fmt.Errorf("pipeline smoke: zero plans executed on the async executor across %d workloads — pipelining is broken or disabled", rowsSeen)
-		}
-	}
-	if *requireXPlan {
-		fused, rowsSeen := 0, 0
-		for _, r := range rows {
-			if r.Experiment != "E12" {
-				continue
-			}
-			rowsSeen++
-			fused += r.XPlanFused
-			if strings.Contains(r.Note, "MISMATCH") {
-				return fmt.Errorf("cross-plan smoke: %s: %s", r.Workload, r.Note)
-			}
-		}
-		if rowsSeen == 0 {
-			return fmt.Errorf("cross-plan smoke: no E12 rows ran (pass -experiment E12 or all)")
-		}
-		if fused == 0 {
-			return fmt.Errorf("cross-plan smoke: zero combined cross-plan submissions across %d workloads — deferral is broken or disabled", rowsSeen)
-		}
-	}
-	if *requireShared {
-		crossHits, rowsSeen, allocWins := 0, 0, 0
-		for _, r := range rows {
-			if r.Experiment != "E10" {
-				continue
-			}
-			rowsSeen++
-			crossHits += r.CrossSessionHits
-			if r.BuffersAlloc < r.BaselineAllocs {
-				allocWins++
-			}
-			if strings.Contains(r.Note, "MISMATCH") {
-				return fmt.Errorf("shared-runtime smoke: %s: %s", r.Workload, r.Note)
-			}
-		}
-		if rowsSeen == 0 {
-			return fmt.Errorf("shared-runtime smoke: no E10 rows ran (pass -experiment E10 or all)")
-		}
-		if crossHits == 0 {
-			return fmt.Errorf("shared-runtime smoke: zero cross-session plan-cache hits across %d workloads — sessions are not sharing the runtime", rowsSeen)
-		}
-		if allocWins == 0 {
-			return fmt.Errorf("shared-runtime smoke: none of the %d workloads allocated fewer buffers on the shared runtime than on private runtimes", rowsSeen)
-		}
-	}
-	if *requireHits {
-		hits, lookups := 0, 0
-		for _, r := range rows {
-			if r.Experiment == "E8" {
-				hits += r.PlanHits
-				lookups += r.PlanHits + r.PlanMisses
-			}
-		}
-		if lookups == 0 {
-			return fmt.Errorf("plan-cache smoke: no E8 rows ran (pass -experiment E8 or all)")
-		}
-		if hits == 0 {
-			return fmt.Errorf("plan-cache smoke: zero plan-cache hits across %d iterative flushes — caching is broken or disabled", lookups)
-		}
+		return os.WriteFile(*jsonPath, data, 0o644)
 	}
 	return nil
 }

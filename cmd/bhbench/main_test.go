@@ -25,11 +25,13 @@ func TestBhbenchUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestBhbenchJSONAndPlanSmoke writes the E5 rows, the ones that go
+// through the front end's plan cache, and reads them back.
 func TestBhbenchJSONAndPlanSmoke(t *testing.T) {
 	path := t.TempDir() + "/bench.json"
 	var out strings.Builder
-	err := run([]string{"-experiment", "E8", "-n", "16384", "-repeats", "1",
-		"-json", path, "-require-plan-hits"}, &out)
+	err := run([]string{"-experiment", "E5", "-n", "16384", "-repeats", "1",
+		"-json", path}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,14 +46,19 @@ func TestBhbenchJSONAndPlanSmoke(t *testing.T) {
 		Schema string `json:"schema"`
 		Rows   []struct {
 			Experiment string `json:"experiment"`
-			PlanHits   int    `json:"plan_hits"`
+			PlanMisses int    `json:"plan_misses"`
 		} `json:"rows"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
 	}
-	if doc.Schema != "bohrium-bench/v1" || len(doc.Rows) == 0 {
+	if doc.Schema != "bohrium-bench/v2" || len(doc.Rows) == 0 {
 		t.Errorf("unexpected document: %+v", doc)
+	}
+	for _, r := range doc.Rows {
+		if r.Experiment != "E5" || r.PlanMisses == 0 {
+			t.Errorf("row %+v: want an E5 row that went through the plan cache", r)
+		}
 	}
 }
 
@@ -89,14 +96,14 @@ func TestBhbenchBackendFlag(t *testing.T) {
 	if err := run([]string{"-schema-check", path}, &check); err != nil {
 		t.Fatalf("schema-check rejected fresh document: %v", err)
 	}
-	if !strings.Contains(check.String(), "valid bohrium-bench/v1") {
+	if !strings.Contains(check.String(), "valid bohrium-bench/v2") {
 		t.Errorf("schema-check output:\n%s", check.String())
 	}
 }
 
 func TestBhbenchSchemaCheckRejectsGarbage(t *testing.T) {
 	path := t.TempDir() + "/bad.json"
-	if err := os.WriteFile(path, []byte(`{"schema":"bohrium-bench/v1","rows":[{"experiment":"E1"}]}`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(`{"schema":"bohrium-bench/v2","rows":[{"experiment":"E1"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-schema-check", path}, &strings.Builder{}); err == nil {
@@ -104,31 +111,27 @@ func TestBhbenchSchemaCheckRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestBhbenchRequirePlanHitsNeedsE8(t *testing.T) {
-	// Running only E1 with the guard must fail: there is nothing to check.
-	err := run([]string{"-experiment", "E1", "-n", "4096", "-repeats", "1",
-		"-require-plan-hits"}, &strings.Builder{})
-	if err == nil {
-		t.Error("guard accepted a run without E8 rows")
-	}
-}
-
-func TestBhbenchE9RequirePipelined(t *testing.T) {
-	var out strings.Builder
-	err := run([]string{"-experiment", "E9", "-n", "16384", "-repeats", "1",
-		"-require-pipelined"}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "pipe") {
-		t.Errorf("table missing pipe column:\n%s", out.String())
-	}
-}
-
-func TestBhbenchRequirePipelinedNeedsE9(t *testing.T) {
-	err := run([]string{"-experiment", "E1", "-n", "4096", "-repeats", "1",
-		"-require-pipelined"}, &strings.Builder{})
-	if err == nil {
-		t.Error("guard accepted a run without E9 rows")
+// TestBhbenchRejectsOutOfRangeFlags: a size, repeat count or tile budget
+// out of range is a flag error before any experiment runs, not a panic
+// or a table of NaN speedups.
+func TestBhbenchRejectsOutOfRangeFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, val string }{
+		{"-n", "-4"},
+		{"-repeats", "-1"},
+		{"-repeats", "0"},
+		{"-solve-max", "0"},
+		{"-chunk-bytes", "-1"},
+	} {
+		t.Run(tc.flag+"="+tc.val, func(t *testing.T) {
+			var out strings.Builder
+			err := run([]string{"-experiment", "E1", "-n", "1024", "-repeats", "1",
+				"-json", t.TempDir() + "/x.json", tc.flag, tc.val}, &out)
+			if err == nil || !strings.Contains(err.Error(), tc.flag+" "+tc.val) {
+				t.Fatalf("err = %v, want a %s flag error", err, tc.flag)
+			}
+			if out.Len() != 0 {
+				t.Errorf("an experiment ran:\n%s", out.String())
+			}
+		})
 	}
 }

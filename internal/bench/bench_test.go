@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -262,254 +263,72 @@ func TestE7Shape(t *testing.T) {
 	}
 }
 
-// TestStreamWorkloadsCachedEqualsUncached is the plan-cache differential
-// sweep: every E-series streaming workload must produce bit-for-bit the
-// same result with the cache enabled and disabled. Run under -race in CI,
-// it also exercises the cached execution paths for data races.
-func TestStreamWorkloadsCachedEqualsUncached(t *testing.T) {
-	workloads := []struct {
-		name string
-		run  func(*bohrium.Context) (float64, error)
-	}{
-		{"heat-2d-stream", func(c *bohrium.Context) (float64, error) { return Heat2DStream(c, 24, 30) }},
-		{"power-stream", func(c *bohrium.Context) (float64, error) { return PowerChainStream(c, 512, 30) }},
-		{"jacobi-1d-stream", func(c *bohrium.Context) (float64, error) { return Jacobi1DStream(c, 512, 30) }},
-	}
-	for _, w := range workloads {
-		t.Run(w.name, func(t *testing.T) {
-			off := bohrium.NewContext(&bohrium.Config{PlanCacheSize: -1})
-			defer off.Close()
-			want, err := w.run(off)
-			if err != nil {
-				t.Fatal(err)
-			}
-			on := bohrium.NewContext(nil)
-			defer on.Close()
-			got, err := w.run(on)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("cached %v != uncached %v", got, want)
-			}
-			st := on.MustStats()
-			if st.PlanHits == 0 {
-				t.Errorf("cached run never hit the plan cache (misses=%d)", st.PlanMisses)
-			}
-			if stOff := off.MustStats(); stOff.PlanHits != 0 || stOff.PlanMisses != 0 {
-				t.Errorf("uncached run touched the plan cache: %+v", stOff)
-			}
-		})
-	}
-}
-
-// TestE8Shape checks the plan-cache experiment reports hits on every
-// workload and identical values across cached/uncached runs.
-func TestE8Shape(t *testing.T) {
-	rows, err := E8PlanCache(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("E8 rows = %d, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.PlanHits == 0 {
-			t.Errorf("%s: zero plan-cache hits (misses=%d)", r.Workload, r.PlanMisses)
-		}
-		if strings.Contains(r.Note, "MISMATCH") {
-			t.Errorf("%s: %s", r.Workload, r.Note)
-		}
-	}
-}
-
-// TestStreamWorkloadsAsyncEqualsSync is the pipelining differential
-// sweep: every step-parameterized stream must produce bit-for-bit the
-// same result submitted through the async executor as flushed
-// synchronously, and the async run must actually pipeline. Run under
-// -race in CI this exercises the recorder/executor split on the bench
-// workloads themselves.
-func TestStreamWorkloadsAsyncEqualsSync(t *testing.T) {
-	workloads := []struct {
-		name string
-		run  func(*bohrium.Context, func() error) (float64, error)
-	}{
-		{"heat-2d-stream", func(c *bohrium.Context, step func() error) (float64, error) {
-			return Heat2DStreamStep(c, 24, 30, step)
-		}},
-		{"power-accum-stream", func(c *bohrium.Context, step func() error) (float64, error) {
-			return PowerAccumStreamStep(c, 512, 30, step)
-		}},
-		{"jacobi-1d-stream", func(c *bohrium.Context, step func() error) (float64, error) {
-			return Jacobi1DStreamStep(c, 512, 30, step)
-		}},
-	}
-	for _, w := range workloads {
-		t.Run(w.name, func(t *testing.T) {
-			sync := bohrium.NewContext(nil)
-			defer sync.Close()
-			want, err := w.run(sync, sync.Flush)
-			if err != nil {
-				t.Fatal(err)
-			}
-			async := bohrium.NewContext(&bohrium.Config{Async: true})
-			defer async.Close()
-			got, err := w.run(async, async.Submit)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("async %v != sync %v", got, want)
-			}
-			st := async.MustStats()
-			if st.Pipelined == 0 {
-				t.Error("async run executed nothing on the background executor")
-			}
-			if sSt := sync.MustStats(); sSt.Pipelined != 0 {
-				t.Errorf("sync run pipelined %d plans", sSt.Pipelined)
-			}
-		})
-	}
-}
-
-// TestE9Shape checks the pipeline experiment pipelines on every workload
-// and reports identical values across sync/async runs.
-func TestE9Shape(t *testing.T) {
-	rows, err := E9Pipeline(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("E9 rows = %d, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.Pipelined == 0 {
-			t.Errorf("%s: zero pipelined plans", r.Workload)
-		}
-		if r.PlanHits == 0 {
-			t.Errorf("%s: zero plan-cache hits (misses=%d)", r.Workload, r.PlanMisses)
-		}
-		if strings.Contains(r.Note, "MISMATCH") {
-			t.Errorf("%s: %s", r.Workload, r.Note)
-		}
-	}
-}
-
-// TestE10Shape runs the multi-session experiment at a small scale and
-// checks its acceptance properties: cross-session plan-cache hits, an
-// allocation win on at least one workload, and bit-identical values
-// across sessions and variants.
-func TestE10Shape(t *testing.T) {
-	s := tinyScale()
-	s.Sessions = 3
-	rows, err := E10MultiSession(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("E10 rows = %d, want 3", len(rows))
-	}
-	allocWin := false
-	for _, r := range rows {
-		if r.Sessions != 3 {
-			t.Errorf("%s: sessions = %d, want 3", r.Workload, r.Sessions)
-		}
-		if r.CrossSessionHits == 0 {
-			t.Errorf("%s: zero cross-session plan hits (hits=%d misses=%d)",
-				r.Workload, r.PlanHits, r.PlanMisses)
-		}
-		if r.BuffersAlloc < r.BaselineAllocs {
-			allocWin = true
-		}
-		if strings.Contains(r.Note, "MISMATCH") {
-			t.Errorf("%s: %s", r.Workload, r.Note)
-		}
-	}
-	if !allocWin {
-		t.Error("no workload allocated fewer buffers on the shared runtime")
-	}
-}
-
 // TestJSONSchema locks the BENCH_*.json document shape tools depend on.
 func TestJSONSchema(t *testing.T) {
 	rows := []Row{{
-		Experiment: "E8", Workload: "w", Params: "p", Backend: "inprocess",
-		Baseline: 2000, Optimized: 1000, Speedup: 2,
-		PlanHits: 9, PlanMisses: 1, Pipelined: 4, XPlanFused: 7,
-		GBs: 3.5, PctRoof: 42.5, Note: "n",
+		Experiment: "E5", Workload: "w", Params: "p", Backend: "inprocess",
+		Baseline: 2000, BaselineMAD: 30, Optimized: 1000, OptimizedMAD: 20, Speedup: 2,
+		PlanHits: 9, PlanMisses: 1, Note: "n",
 	}}
 	data, err := JSON(rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"schema": "bohrium-bench/v1"`, `"roofline_gbs"`, `"rows"`, `"experiment": "E8"`,
-		`"baseline_ns": 2000`, `"optimized_ns": 1000`,
-		`"plan_hits": 9`, `"plan_misses": 1`, `"pipelined": 4`,
-		`"xplan_fused": 7`, `"gbs": 3.5`, `"pct_roof": 42.5`,
+		`"schema": "bohrium-bench/v2"`, `"rows"`, `"experiment": "E5"`,
+		`"baseline_ns": 2000`, `"baseline_mad_ns": 30`,
+		`"optimized_ns": 1000`, `"optimized_mad_ns": 20`,
+		`"plan_hits": 9`, `"plan_misses": 1`,
 	} {
 		if !strings.Contains(string(data), want) {
 			t.Errorf("JSON missing %s:\n%s", want, data)
+		}
+	}
+	for _, gone := range []string{"roofline_gbs", "pct_roof", `"gbs"`, "pipelined", "xplan_fused", "sessions", "baseline_allocs"} {
+		if strings.Contains(string(data), gone) {
+			t.Errorf("JSON still carries %s:\n%s", gone, data)
 		}
 	}
 	// The generated document must satisfy its own schema guard.
 	if err := CheckSchema(data); err != nil {
 		t.Errorf("fresh document fails CheckSchema: %v", err)
 	}
-}
-
-// TestE12Shape checks the cross-plan fusion experiment defers on every
-// stream workload and reports bit-identical values against the unfused
-// baseline.
-func TestE12Shape(t *testing.T) {
-	rows, err := E12XPlanFuse(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("E12 rows = %d, want 3", len(rows))
-	}
-	for _, r := range rows {
-		if r.XPlanFused == 0 {
-			t.Errorf("%s: zero combined cross-plan submissions", r.Workload)
-		}
-		if r.PlanHits == 0 {
-			t.Errorf("%s: zero plan-cache hits (misses=%d)", r.Workload, r.PlanMisses)
-		}
-		if strings.Contains(r.Note, "MISMATCH") {
-			t.Errorf("%s: %s", r.Workload, r.Note)
-		}
-		if r.GBs <= 0 || r.PctRoof <= 0 {
-			t.Errorf("%s: roofline columns empty (gbs=%v pct=%v)", r.Workload, r.GBs, r.PctRoof)
-		}
+	// A v1 document is refused.
+	v1 := strings.Replace(string(data), Schema, "bohrium-bench/v1", 1)
+	if err := CheckSchema([]byte(v1)); err == nil {
+		t.Error("CheckSchema accepted a bohrium-bench/v1 document")
 	}
 }
 
-// TestRoofline pins the ceiling measurement and the per-row bandwidth
-// model: the ceiling is positive and cached, and a row over N elements
-// in time T reports 16·N/T bytes against it.
-func TestRoofline(t *testing.T) {
-	ceil := RooflineGBs()
-	if ceil <= 0 {
-		t.Fatalf("RooflineGBs = %v, want > 0", ceil)
+// TestMeasureMedianAndMAD pins the timing statistic: the median of the
+// runs and the median absolute deviation around it, with one run a single
+// sample of zero deviation.
+func TestMeasureMedianAndMAD(t *testing.T) {
+	cases := []struct {
+		runs     []time.Duration
+		med, mad time.Duration
+	}{
+		{[]time.Duration{5}, 5, 0},
+		{[]time.Duration{9, 1, 5}, 5, 4},
+		{[]time.Duration{10, 12, 11, 100, 13, 9, 10}, 11, 1},
+		{[]time.Duration{4, 1, 3, 2}, 2, 1},
 	}
-	if again := RooflineGBs(); again != ceil {
-		t.Errorf("RooflineGBs not cached: %v then %v", ceil, again)
+	for _, c := range cases {
+		got := summarize(slices.Clone(c.runs))
+		if got.median != c.med || got.mad != c.mad {
+			t.Errorf("%v: median %v mad %v, want %v %v", c.runs, got.median, got.mad, c.med, c.mad)
+		}
 	}
-	var r Row
-	st := vm.Stats{Elements: 1 << 20}
-	r.fillRoofline(st, 10*time.Millisecond)
-	wantGBs := float64(16*(1<<20)) / 0.010 / 1e9
-	if math.Abs(r.GBs-wantGBs) > 1e-9 {
-		t.Errorf("GBs = %v, want %v", r.GBs, wantGBs)
+	calls := 0
+	got, err := measure(7, func() error { calls++; return nil })
+	if err != nil || calls != 7 {
+		t.Fatalf("measure ran %d times (err %v), want 7", calls, err)
 	}
-	if want := 100 * wantGBs / ceil; math.Abs(r.PctRoof-want) > 1e-9 {
-		t.Errorf("PctRoof = %v, want %v", r.PctRoof, want)
+	if got.median <= 0 || got.mad < 0 {
+		t.Errorf("measure = %+v", got)
 	}
-	// Rows without sweep work keep the columns empty.
-	var empty Row
-	empty.fillRoofline(vm.Stats{}, 10*time.Millisecond)
-	if empty.GBs != 0 || empty.PctRoof != 0 {
-		t.Errorf("empty row got gbs=%v pct=%v", empty.GBs, empty.PctRoof)
+	one, err := measure(1, func() error { return nil })
+	if err != nil || one.mad != 0 {
+		t.Errorf("one run: %+v, %v; want zero deviation", one, err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"bohrium/internal/vm"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Scale tunes experiment sizes: 1 is the quick CI profile, larger values
@@ -19,8 +18,10 @@ import (
 type Scale struct {
 	VectorN  int // elementwise sweep length (default 1 << 20)
 	SolveMax int // largest linear system (default 256)
-	Repeats  int // timing repetitions, best-of (default 3)
-	Sessions int // concurrent sessions in the E10 multi-session rows (default 4)
+	// Repeats is how many times each variant runs (default 7); rows
+	// report the median run and the median absolute deviation. One
+	// repeat is a single sample with zero deviation.
+	Repeats int
 	// Backend selects the execution backend every experiment runs on
 	// (default backend.DefaultName, the in-process reference). The
 	// differential contract makes values identical across backends, so a
@@ -32,11 +33,6 @@ type Scale struct {
 	ChunkBytes int
 }
 
-// DefaultScale returns the profile used by cmd/bhbench and EXPERIMENTS.md.
-func DefaultScale() Scale {
-	return Scale{VectorN: 1 << 20, SolveMax: 256, Repeats: 3, Sessions: 4, Backend: backend.DefaultName}
-}
-
 func (s Scale) withDefaults() Scale {
 	if s.VectorN == 0 {
 		s.VectorN = 1 << 20
@@ -45,10 +41,7 @@ func (s Scale) withDefaults() Scale {
 		s.SolveMax = 256
 	}
 	if s.Repeats == 0 {
-		s.Repeats = 3
-	}
-	if s.Sessions <= 0 {
-		s.Sessions = 4
+		s.Repeats = 7
 	}
 	if s.Backend == "" {
 		s.Backend = backend.DefaultName
@@ -219,50 +212,50 @@ func E5Workloads(s Scale) ([]Row, error) {
 	off := &rewrite.Options{} // all rewrites disabled
 	var rows []Row
 	for _, w := range workloads {
-		var lastVal float64
-		base, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{Optimizer: off, DisableFusion: true, Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx)
-			lastVal = v
-			return err
-		})
+		var val float64
+		var st vm.Stats
+		timeRun := func(cfg bohrium.Config) (timing, error) {
+			cfg.Backend, cfg.ChunkBytes = s.Backend, s.ChunkBytes
+			return measure(s.Repeats, func() error {
+				ctx := bohrium.NewContext(&cfg)
+				defer ctx.Close()
+				v, err := w.run(ctx)
+				if err == nil {
+					st, err = ctx.Stats()
+				}
+				val = v
+				return err
+			})
+		}
+		base, err := timeRun(bohrium.Config{Optimizer: off, DisableFusion: true})
 		if err != nil {
 			return nil, fmt.Errorf("%s baseline: %w", w.name, err)
 		}
-		baseVal := lastVal
-		var optStats vm.Stats
-		opt, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx)
-			lastVal = v
-			optStats = ctx.MustStats()
-			return err
-		})
+		baseVal := val
+		opt, err := timeRun(bohrium.Config{})
 		if err != nil {
 			return nil, fmt.Errorf("%s optimized: %w", w.name, err)
 		}
-		note := fmt.Sprintf("value=%.5g", lastVal)
-		if !w.check(lastVal) || math.Abs(lastVal-baseVal) > 1e-6*(1+math.Abs(baseVal)) {
-			note = fmt.Sprintf("VALUE MISMATCH base=%v opt=%v", baseVal, lastVal)
+		note := fmt.Sprintf("value=%.5g", val)
+		if !w.check(val) || math.Abs(val-baseVal) > 1e-6*(1+math.Abs(baseVal)) {
+			note = fmt.Sprintf("VALUE MISMATCH base=%v opt=%v", baseVal, val)
 		}
 		row := Row{
 			Experiment: "E5", Workload: w.name, Params: w.param,
-			Baseline: base, Optimized: opt,
-			Speedup:  float64(base) / float64(opt),
-			PoolHits: optStats.PoolHits, BuffersAlloc: optStats.BuffersAllocated,
-			FusedReductions: optStats.FusedReductions,
-			PlanHits:        optStats.PlanHits, PlanMisses: optStats.PlanMisses,
+			PoolHits: st.PoolHits, BuffersAlloc: st.BuffersAllocated,
+			FusedReductions: st.FusedReductions,
+			PlanHits:        st.PlanHits, PlanMisses: st.PlanMisses,
 			Note: note,
 		}
-		row.fillRoofline(optStats, opt)
+		row.timed(base, opt)
 		rows = append(rows, row)
 	}
 	return stamp(rows, s), nil
 }
 
-// E6Ablations quantifies the design decisions D1–D4 from DESIGN.md.
+// E6Ablations quantifies the design decisions D1–D4 behind the rewrite
+// engine (ARCHITECTURE.md §6): gap-tolerant matching, the power cost
+// model, the inverse-to-solve liveness gate, and rewrite-then-fuse.
 func E6Ablations(s Scale) ([]Row, error) {
 	s = s.withDefaults()
 	var rows []Row
@@ -281,27 +274,22 @@ func E6Ablations(s Scale) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	adjTime, err := bestOf(s.Repeats, func() error {
-		_, err := runProgram(adjOut.Clone(), s, nil)
-		return err
-	})
+	adjTime, _, err := timeProgram(adjOut, s, fused, nil)
 	if err != nil {
 		return nil, err
 	}
-	tolTime, err := bestOf(s.Repeats, func() error {
-		_, err := runProgram(tolOut.Clone(), s, nil)
-		return err
-	})
+	tolTime, _, err := timeProgram(tolOut, s, fused, nil)
 	if err != nil {
 		return nil, err
 	}
-	rows = append(rows, Row{
+	d1 := Row{
 		Experiment: "E6/D1", Workload: "gap-tolerance", Params: "noisy stream k=8",
 		BytecodesBefore: adjRep.After.Instructions, BytecodesAfter: tolRep.After.Instructions,
-		Baseline: adjTime, Optimized: tolTime, Speedup: float64(adjTime) / float64(tolTime),
 		Note: fmt.Sprintf("adjacent-only merged %d, gap-tolerant merged %d",
 			adjRep.TotalApplied(), tolRep.TotalApplied()),
-	})
+	}
+	d1.timed(adjTime, tolTime)
+	rows = append(rows, d1)
 
 	// D2 — cost model: naive expansion of x^60 is a loss; the guard keeps
 	// BH_POWER.
@@ -349,26 +337,17 @@ func E6Ablations(s Scale) ([]Row, error) {
 	// D4 — rewrite-then-fuse: the unoptimized Listing-2 stream, executed
 	// without and with sweep fusion.
 	prog := AddMergeProgram(8, s.VectorN, tensor.Float64)
-	noFuse, err := bestOf(s.Repeats, func() error {
-		_, err := runConfigured(prog.Clone(), s, vm.Config{Fusion: false, SkipValidation: true})
-		return err
-	})
+	noFuse, fuse, _, err := timeFusion(prog, s)
 	if err != nil {
 		return nil, err
 	}
-	fuse, err := bestOf(s.Repeats, func() error {
-		_, err := runConfigured(prog.Clone(), s, vm.Config{Fusion: true, SkipValidation: true})
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Row{
+	d4 := Row{
 		Experiment: "E6/D4", Workload: "fusion", Params: fmt.Sprintf("k=8 N=%d", s.VectorN),
 		BytecodesBefore: prog.Len(), BytecodesAfter: prog.Len(),
-		Baseline: noFuse, Optimized: fuse, Speedup: float64(noFuse) / float64(fuse),
 		Note: "same byte-code, fused sweeps",
-	})
+	}
+	d4.timed(noFuse, fuse)
+	rows = append(rows, d4)
 	return stamp(rows, s), nil
 }
 
@@ -396,440 +375,18 @@ func E7DTypeFusion(s Scale) ([]Row, error) {
 		if err := w.prog.Validate(); err != nil {
 			return nil, fmt.Errorf("bench: invalid workload %s: %w", w.name, err)
 		}
-		base, err := bestOf(s.Repeats, func() error {
-			_, err := runConfigured(w.prog.Clone(), s, vm.Config{Fusion: false, SkipValidation: true})
-			return err
-		})
+		base, opt, st, err := timeFusion(w.prog, s)
 		if err != nil {
-			return nil, fmt.Errorf("%s baseline: %w", w.name, err)
-		}
-		var st vm.Stats
-		opt, err := bestOf(s.Repeats, func() error {
-			var err error
-			st, err = runConfigured(w.prog.Clone(), s, vm.Config{Fusion: true, SkipValidation: true})
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s fused: %w", w.name, err)
+			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
 		row := Row{
 			Experiment: "E7", Workload: w.name, Params: fmt.Sprintf("N=%d", s.VectorN),
 			BytecodesBefore: w.prog.Len(), BytecodesAfter: w.prog.Len(),
-			Baseline: base, Optimized: opt, Speedup: float64(base) / float64(opt),
 			PoolHits: st.PoolHits, BuffersAlloc: st.BuffersAllocated,
 			FusedReductions: st.FusedReductions,
 			Note:            "fused " + st.FusedByDType.String(),
 		}
-		row.fillRoofline(st, opt)
-		rows = append(rows, row)
-	}
-	return stamp(rows, s), nil
-}
-
-// E8PlanCache measures the batch-fingerprinted plan cache on workloads
-// that flush a structurally identical batch every iteration (the
-// middleware's kernel-cache scenario): baseline runs with the cache
-// disabled and pays clone + rewrite pipeline + cluster analysis per
-// flush, optimized runs with the cache on and compiles only the first
-// iteration or two. Shapes are deliberately small-to-medium — that is
-// where per-flush compilation overhead dominates the sweeps themselves.
-func E8PlanCache(s Scale) ([]Row, error) {
-	s = s.withDefaults()
-	vec := s.VectorN >> 6
-	if vec < 256 {
-		vec = 256
-	}
-	grid := 64
-	iters := 60
-	type wl struct {
-		name   string
-		params string
-		run    func(*bohrium.Context) (float64, error)
-	}
-	workloads := []wl{
-		{
-			name: "heat-2d-stream", params: fmt.Sprintf("grid=%dx%d iters=%d", grid, grid, iters),
-			run: func(c *bohrium.Context) (float64, error) { return Heat2DStream(c, grid, iters) },
-		},
-		{
-			name: "power-stream", params: fmt.Sprintf("N=%d iters=%d", vec, iters),
-			run: func(c *bohrium.Context) (float64, error) { return PowerChainStream(c, vec, iters) },
-		},
-		{
-			name: "jacobi-1d-stream", params: fmt.Sprintf("N=%d iters=%d", vec, iters),
-			run: func(c *bohrium.Context) (float64, error) { return Jacobi1DStream(c, vec, iters) },
-		},
-	}
-	var rows []Row
-	for _, w := range workloads {
-		var baseVal float64
-		base, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{PlanCacheSize: -1, Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx)
-			baseVal = v
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s uncached: %w", w.name, err)
-		}
-		var optVal float64
-		var optStats vm.Stats
-		opt, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx)
-			optVal = v
-			optStats = ctx.MustStats()
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s cached: %w", w.name, err)
-		}
-		note := fmt.Sprintf("value=%.5g", optVal)
-		if optVal != baseVal {
-			note = fmt.Sprintf("VALUE MISMATCH uncached=%v cached=%v", baseVal, optVal)
-		}
-		row := Row{
-			Experiment: "E8", Workload: w.name, Params: w.params,
-			Baseline: base, Optimized: opt,
-			Speedup:  float64(base) / float64(opt),
-			PoolHits: optStats.PoolHits, BuffersAlloc: optStats.BuffersAllocated,
-			FusedReductions: optStats.FusedReductions,
-			PlanHits:        optStats.PlanHits, PlanMisses: optStats.PlanMisses,
-			Note: note,
-		}
-		row.fillRoofline(optStats, opt)
-		rows = append(rows, row)
-	}
-	return stamp(rows, s), nil
-}
-
-// E9Pipeline measures the async submit/wait pipeline on the E8 stream
-// workloads: baseline records and executes each batch synchronously
-// (Flush per iteration, plan cache on — the E8 optimized configuration),
-// optimized submits each batch to the background executor and keeps
-// recording (Submit per iteration; only the final probe read waits).
-// Both sides hit the plan cache in steady state, so the row isolates the
-// overlap win: the recorder's per-iteration work — recording,
-// fingerprinting, cache lookup, register bookkeeping — hidden behind the
-// previous batch's sweeps. Values must be bit-identical; a mismatch is
-// flagged in the note.
-func E9Pipeline(s Scale) ([]Row, error) {
-	s = s.withDefaults()
-	vec := s.VectorN >> 6
-	if vec < 256 {
-		vec = 256
-	}
-	grid := 64
-	iters := 60
-	type wl struct {
-		name   string
-		params string
-		run    func(*bohrium.Context, func() error) (float64, error)
-	}
-	workloads := []wl{
-		{
-			name: "heat-2d-stream", params: fmt.Sprintf("grid=%dx%d iters=%d", grid, grid, iters),
-			run: func(c *bohrium.Context, step func() error) (float64, error) {
-				return Heat2DStreamStep(c, grid, iters, step)
-			},
-		},
-		{
-			name: "power-accum-stream", params: fmt.Sprintf("N=%d iters=%d", vec, iters),
-			run: func(c *bohrium.Context, step func() error) (float64, error) {
-				return PowerAccumStreamStep(c, vec, iters, step)
-			},
-		},
-		{
-			name: "jacobi-1d-stream", params: fmt.Sprintf("N=%d iters=%d", vec, iters),
-			run: func(c *bohrium.Context, step func() error) (float64, error) {
-				return Jacobi1DStreamStep(c, vec, iters, step)
-			},
-		},
-	}
-	var rows []Row
-	for _, w := range workloads {
-		var syncVal float64
-		base, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx, ctx.Flush)
-			syncVal = v
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s sync: %w", w.name, err)
-		}
-		var asyncVal float64
-		var asyncStats vm.Stats
-		opt, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{Async: true, Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx, ctx.Submit)
-			asyncVal = v
-			asyncStats = ctx.MustStats()
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s async: %w", w.name, err)
-		}
-		note := fmt.Sprintf("value=%.5g", asyncVal)
-		if math.Float64bits(asyncVal) != math.Float64bits(syncVal) {
-			note = fmt.Sprintf("VALUE MISMATCH sync=%v async=%v", syncVal, asyncVal)
-		}
-		row := Row{
-			Experiment: "E9", Workload: w.name, Params: w.params,
-			Baseline: base, Optimized: opt,
-			Speedup:  float64(base) / float64(opt),
-			PoolHits: asyncStats.PoolHits, BuffersAlloc: asyncStats.BuffersAllocated,
-			FusedReductions: asyncStats.FusedReductions,
-			PlanHits:        asyncStats.PlanHits, PlanMisses: asyncStats.PlanMisses,
-			Pipelined: asyncStats.Pipelined,
-			Note:      note,
-		}
-		row.fillRoofline(asyncStats, opt)
-		rows = append(rows, row)
-	}
-	return stamp(rows, s), nil
-}
-
-// E10MultiSession measures the shared-Runtime tentpole: K concurrent
-// sessions each running a stream workload, private runtimes (every
-// session its own pool, plan cache, and recycle pool — the pre-Runtime
-// shape) versus one shared Runtime serving all K. The shared runtime is
-// warmed by one throwaway session — the steady state of a server that has
-// seen the workload before — so every measured session's flushes hit
-// plans another session compiled (the xsess column) and recycle buffers
-// other sessions freed. Values must be bit-identical across all sessions
-// and both variants; a mismatch is flagged in the note.
-func E10MultiSession(s Scale) ([]Row, error) {
-	s = s.withDefaults()
-	k := s.Sessions
-	vec := s.VectorN >> 6
-	if vec < 256 {
-		vec = 256
-	}
-	grid := 64
-	iters := 40
-	type wl struct {
-		name   string
-		params string
-		run    func(*bohrium.Context) (float64, error)
-	}
-	workloads := []wl{
-		{
-			name: "heat-2d-stream", params: fmt.Sprintf("K=%d grid=%dx%d iters=%d", k, grid, grid, iters),
-			run: func(c *bohrium.Context) (float64, error) { return Heat2DStream(c, grid, iters) },
-		},
-		{
-			name: "power-stream", params: fmt.Sprintf("K=%d N=%d iters=%d", k, vec, iters),
-			run: func(c *bohrium.Context) (float64, error) { return PowerChainStream(c, vec, iters) },
-		},
-		{
-			name: "jacobi-1d-stream", params: fmt.Sprintf("K=%d N=%d iters=%d", k, vec, iters),
-			run: func(c *bohrium.Context) (float64, error) { return Jacobi1DStream(c, vec, iters) },
-		},
-	}
-
-	var rows []Row
-	for _, w := range workloads {
-		// runK drives K sessions concurrently and returns their summed
-		// stats and every session's value.
-		runK := func(factory func() *bohrium.Context) (vm.Stats, []float64, error) {
-			var mu sync.Mutex
-			var total vm.Stats
-			vals := make([]float64, k)
-			var firstErr error
-			var wg sync.WaitGroup
-			for i := 0; i < k; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					ctx := factory()
-					defer ctx.Close()
-					v, err := w.run(ctx)
-					st, sErr := ctx.Stats()
-					mu.Lock()
-					defer mu.Unlock()
-					vals[i] = v
-					if err == nil {
-						err = sErr
-					}
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					total.Accumulate(st)
-				}(i)
-			}
-			wg.Wait()
-			return total, vals, firstErr
-		}
-
-		// Private runtimes: the pre-Runtime shape.
-		var privStats vm.Stats
-		var privVals []float64
-		base, err := bestOf(s.Repeats, func() error {
-			st, vals, err := runK(func() *bohrium.Context {
-				return bohrium.NewContext(&bohrium.Config{Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			})
-			privStats, privVals = st, vals
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s private: %w", w.name, err)
-		}
-
-		// One shared runtime, warmed once so the measured sessions run in
-		// plan-cache steady state.
-		rt := bohrium.NewRuntime(nil)
-		warm := rt.NewContext(&bohrium.Config{Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-		if _, err := w.run(warm); err != nil {
-			rt.Close()
-			return nil, fmt.Errorf("%s warmup: %w", w.name, err)
-		}
-		warm.Close()
-		var shStats vm.Stats
-		var shVals []float64
-		opt, err := bestOf(s.Repeats, func() error {
-			st, vals, err := runK(func() *bohrium.Context {
-				return rt.NewContext(&bohrium.Config{Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			})
-			shStats, shVals = st, vals
-			return err
-		})
-		rt.Close()
-		if err != nil {
-			return nil, fmt.Errorf("%s shared: %w", w.name, err)
-		}
-
-		// Every session, in both variants, must agree bit-for-bit.
-		note := fmt.Sprintf("value=%.5g; alloc %d -> %d", shVals[0], privStats.BuffersAllocated, shStats.BuffersAllocated)
-		for i := 0; i < k; i++ {
-			if math.Float64bits(privVals[i]) != math.Float64bits(shVals[0]) ||
-				math.Float64bits(shVals[i]) != math.Float64bits(shVals[0]) {
-				note = fmt.Sprintf("VALUE MISMATCH session=%d private=%v shared=%v", i, privVals[i], shVals[i])
-				break
-			}
-		}
-		// Cross-session reuse: the cache was warmed by another session, so
-		// in a healthy shared runtime the measured sessions miss nothing
-		// and every hit is on a plan some other session compiled. Any miss
-		// means a session compiled for itself — its later hits could be
-		// self-hits — so the count collapses to 0 rather than letting
-		// own-plan hits masquerade as sharing (a per-session cache would
-		// otherwise still show hits >> misses and sneak past the guard).
-		cross := 0
-		if shStats.PlanMisses == 0 {
-			cross = shStats.PlanHits
-		}
-		row := Row{
-			Experiment: "E10", Workload: w.name, Params: w.params,
-			Baseline: base, Optimized: opt,
-			Speedup:  float64(base) / float64(opt),
-			PoolHits: shStats.PoolHits, BuffersAlloc: shStats.BuffersAllocated,
-			FusedReductions: shStats.FusedReductions,
-			PlanHits:        shStats.PlanHits, PlanMisses: shStats.PlanMisses,
-			Sessions:         k,
-			CrossSessionHits: cross,
-			BaselineAllocs:   privStats.BuffersAllocated,
-			Note:             note,
-		}
-		row.fillRoofline(shStats, opt)
-		rows = append(rows, row)
-	}
-	return stamp(rows, s), nil
-}
-
-// E12XPlanFuse measures cross-plan fusion on the iterative stream
-// workloads: baseline flushes one batch per iteration with the plan
-// cache warm (the E8 optimized configuration — the best the runtime does
-// without crossing plan boundaries), optimized additionally turns on
-// Config.XPlanFuse, so the sequence predictor defers hot batches and
-// submits them combined with their successor. The combined program goes
-// through the ordinary rewrite pipeline, so repeated identical
-// computation dedups (seq-reuse) and fusion clusters span the former
-// boundary; the xplan column counts the combined submissions. Values
-// must be bit-identical to the unfused run; a mismatch is flagged in the
-// note.
-func E12XPlanFuse(s Scale) ([]Row, error) {
-	s = s.withDefaults()
-	vec := s.VectorN >> 6
-	if vec < 256 {
-		vec = 256
-	}
-	// The power-accum row runs on a larger vector than the other streams:
-	// its combined batches dedup whole sweeps (seq-reuse), a win that
-	// scales with the array, so the row measures execution-work elision
-	// rather than compile-overhead amortization.
-	pvec := s.VectorN >> 3
-	if pvec < 4096 {
-		pvec = 4096
-	}
-	grid := 64
-	iters := 90
-	type wl struct {
-		name   string
-		params string
-		run    func(*bohrium.Context) (float64, error)
-	}
-	workloads := []wl{
-		{
-			name: "heat-2d-stream", params: fmt.Sprintf("grid=%dx%d iters=%d", grid, grid, iters),
-			run: func(c *bohrium.Context) (float64, error) { return Heat2DStream(c, grid, iters) },
-		},
-		{
-			name: "power-accum-stream", params: fmt.Sprintf("N=%d iters=%d", pvec, iters),
-			run: func(c *bohrium.Context) (float64, error) {
-				return PowerAccumStreamStep(c, pvec, iters, c.Flush)
-			},
-		},
-		{
-			name: "jacobi-1d-stream", params: fmt.Sprintf("N=%d iters=%d", vec, iters),
-			run: func(c *bohrium.Context) (float64, error) { return Jacobi1DStream(c, vec, iters) },
-		},
-	}
-	var rows []Row
-	for _, w := range workloads {
-		var baseVal float64
-		base, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx)
-			baseVal = v
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s unfused: %w", w.name, err)
-		}
-		var optVal float64
-		var optStats vm.Stats
-		opt, err := bestOf(s.Repeats, func() error {
-			ctx := bohrium.NewContext(&bohrium.Config{XPlanFuse: true, Backend: s.Backend, ChunkBytes: s.ChunkBytes})
-			defer ctx.Close()
-			v, err := w.run(ctx)
-			optVal = v
-			optStats = ctx.MustStats()
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s fused: %w", w.name, err)
-		}
-		note := fmt.Sprintf("value=%.5g", optVal)
-		if math.Float64bits(optVal) != math.Float64bits(baseVal) {
-			note = fmt.Sprintf("VALUE MISMATCH unfused=%v fused=%v", baseVal, optVal)
-		}
-		row := Row{
-			Experiment: "E12", Workload: w.name, Params: w.params,
-			Baseline: base, Optimized: opt,
-			Speedup:  float64(base) / float64(opt),
-			PoolHits: optStats.PoolHits, BuffersAlloc: optStats.BuffersAllocated,
-			FusedReductions: optStats.FusedReductions,
-			PlanHits:        optStats.PlanHits, PlanMisses: optStats.PlanMisses,
-			XPlanFused: optStats.XPlanFused,
-			Note:       note,
-		}
-		row.fillRoofline(optStats, opt)
+		row.timed(base, opt)
 		rows = append(rows, row)
 	}
 	return stamp(rows, s), nil
@@ -839,7 +396,7 @@ func E12XPlanFuse(s Scale) ([]Row, error) {
 func All(s Scale) ([]Row, error) {
 	var rows []Row
 	for _, fn := range []func(Scale) ([]Row, error){
-		E1AddMerge, E2PowerChain, E3PowerSweep, E4Solve, E5Workloads, E6Ablations, E7DTypeFusion, E8PlanCache, E9Pipeline, E10MultiSession, E12XPlanFuse,
+		E1AddMerge, E2PowerChain, E3PowerSweep, E4Solve, E5Workloads, E6Ablations, E7DTypeFusion,
 	} {
 		r, err := fn(s)
 		if err != nil {

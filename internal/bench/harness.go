@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -12,6 +13,10 @@ import (
 	"bohrium/internal/tensor"
 	"bohrium/internal/vm"
 )
+
+// Schema names the BENCH_*.json document layout JSON writes and
+// CheckSchema accepts.
+const Schema = "bohrium-bench/v2"
 
 // Row is one line of an experiment table.
 type Row struct {
@@ -25,9 +30,12 @@ type Row struct {
 	// BytecodesBefore/After count instructions entering/leaving the
 	// optimizer (the paper's unit of work).
 	BytecodesBefore, BytecodesAfter int
-	// Baseline and Optimized are wall-clock times for the two variants.
-	Baseline, Optimized time.Duration
-	// Speedup = Baseline / Optimized.
+	// Baseline and Optimized are the median wall-clock times of the two
+	// variants over Scale.Repeats runs; BaselineMAD and OptimizedMAD are
+	// the median absolute deviations of those runs (zero for one run).
+	Baseline, Optimized       time.Duration
+	BaselineMAD, OptimizedMAD time.Duration
+	// Speedup = Baseline / Optimized, the ratio of the medians.
 	Speedup float64
 	// PoolHits and BuffersAlloc are the VM's buffer-recycling counters for
 	// one optimized run: how many register materializations reused a freed
@@ -37,81 +45,38 @@ type Row struct {
 	// their producer sweep (no separate reduction pass).
 	FusedReductions int
 	// PlanHits and PlanMisses are the plan-cache counters of the
-	// optimized run: hits re-executed a cached compilation (no rewrite
-	// passes, no cluster analysis), misses paid the full pipeline.
+	// optimized run (E5): hits re-executed a cached compilation, misses
+	// paid the full pipeline.
 	PlanHits, PlanMisses int
-	// Pipelined counts plans the optimized run executed on the async
-	// background executor — batches whose execution overlapped the
-	// recording of the next batch.
-	Pipelined int
-	// XPlanFused counts combined cross-plan submissions of the optimized
-	// run: deferred batches executed together with their successor (E12;
-	// zero for experiments that never defer).
-	XPlanFused int
-	// GBs is the optimized run's achieved memory bandwidth under the
-	// 16-bytes-per-processed-element traffic model (see fillRoofline);
-	// zero when the row has no sweep work to model.
-	GBs float64
-	// PctRoof is GBs as a percentage of this machine's memcpy ceiling
-	// (RooflineGBs), the roofline the memory-bound rows are measured
-	// against.
-	PctRoof float64
-	// Sessions is the concurrent-session count of a multi-session row
-	// (E10); zero for single-session experiments.
-	Sessions int
-	// CrossSessionHits counts plan-cache hits the measured sessions of a
-	// shared-runtime run scored on plans some OTHER session compiled —
-	// the sharing the tentpole exists for. Zero for single-session rows.
-	CrossSessionHits int
-	// BaselineAllocs is the summed BuffersAllocated of the private-runtime
-	// baseline sessions the shared run's BuffersAlloc is compared against
-	// (E10 only).
-	BaselineAllocs int
 	// Note carries per-row context ("chain=5 muls", "rewrite blocked").
 	Note string
 }
 
-// Table formats rows as an aligned text table, the output cmd/bhbench and
-// EXPERIMENTS.md embed.
+// Table formats rows as an aligned text table, the output cmd/bhbench
+// prints.
 func Table(rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-4s %-22s %-26s %-10s %9s %9s %12s %12s %8s %9s %6s %9s %5s %5s %6s %7s %6s  %s\n",
-		"exp", "workload", "params", "backend", "bc-before", "bc-after", "baseline", "optimized", "speedup", "pool", "fredux", "plan", "pipe", "xplan", "xsess", "gbs", "%roof", "note")
+	fmt.Fprintf(&b, "%-5s %-22s %-26s %-10s %9s %9s %12s %9s %12s %9s %8s %9s %6s %9s  %s\n",
+		"exp", "workload", "params", "backend", "bc-before", "bc-after",
+		"baseline", "±mad", "optimized", "±mad", "speedup", "pool", "fredux", "plan", "note")
 	for _, r := range rows {
-		// pool prints hits/materializations for the optimized run: 3/5
-		// means five register buffers were needed and three were recycled.
-		// fredux counts reductions folded into their producer sweep.
-		// plan prints plan-cache hits/lookups: 58/60 means sixty flushes,
-		// fifty-eight served from a cached compilation. pipe counts plans
-		// executed on the async executor (0 for synchronous runs). xplan
-		// counts combined cross-plan submissions (0 unless deferral ran).
-		// xsess counts cross-session plan-cache hits of a shared-runtime
-		// row ("-" for single-session experiments). gbs/%roof report the
-		// optimized run's achieved bandwidth against the machine's memcpy
-		// ceiling ("-" for rows without sweep work).
-		xsess := "-"
-		if r.Sessions > 0 {
-			xsess = fmt.Sprintf("%d", r.CrossSessionHits)
-		}
-		gbs, roof := "-", "-"
-		if r.GBs > 0 {
-			gbs = fmt.Sprintf("%.1f", r.GBs)
-			roof = fmt.Sprintf("%.0f%%", r.PctRoof)
-		}
-		fmt.Fprintf(&b, "%-4s %-22s %-26s %-10s %9d %9d %12s %12s %7.2fx %9s %6d %9s %5d %5d %6s %7s %6s  %s\n",
+		// baseline/optimized print the median run and its median absolute
+		// deviation. pool prints hits/materializations for the optimized
+		// run: 3/5 means five register buffers were needed and three were
+		// recycled. fredux counts reductions folded into their producer
+		// sweep. plan prints plan-cache hits/lookups.
+		fmt.Fprintf(&b, "%-5s %-22s %-26s %-10s %9d %9d %12s %9s %12s %9s %7.2fx %9s %6d %9s  %s\n",
 			r.Experiment, r.Workload, r.Params, r.Backend, r.BytecodesBefore, r.BytecodesAfter,
-			round(r.Baseline), round(r.Optimized), r.Speedup,
+			round(r.Baseline), round(r.BaselineMAD), round(r.Optimized), round(r.OptimizedMAD), r.Speedup,
 			fmt.Sprintf("%d/%d", r.PoolHits, r.PoolHits+r.BuffersAlloc), r.FusedReductions,
-			fmt.Sprintf("%d/%d", r.PlanHits, r.PlanHits+r.PlanMisses), r.Pipelined, r.XPlanFused,
-			xsess, gbs, roof, r.Note)
+			fmt.Sprintf("%d/%d", r.PlanHits, r.PlanHits+r.PlanMisses), r.Note)
 	}
 	return b.String()
 }
 
 // JSON renders rows as the machine-readable BENCH_*.json document: a
-// top-level object {"schema": "bohrium-bench/v1", "rows": [...]} where
-// each row mirrors the text table (durations in nanoseconds). The perf
-// trajectory across PRs is tracked by diffing these files.
+// top-level object {"schema": Schema, "rows": [...]} where each row
+// mirrors the text table (durations in nanoseconds).
 func JSON(rows []Row) ([]byte, error) {
 	type jsonRow struct {
 		Experiment      string  `json:"experiment"`
@@ -121,58 +86,40 @@ func JSON(rows []Row) ([]byte, error) {
 		BytecodesBefore int     `json:"bc_before"`
 		BytecodesAfter  int     `json:"bc_after"`
 		BaselineNs      int64   `json:"baseline_ns"`
+		BaselineMADNs   int64   `json:"baseline_mad_ns"`
 		OptimizedNs     int64   `json:"optimized_ns"`
+		OptimizedMADNs  int64   `json:"optimized_mad_ns"`
 		Speedup         float64 `json:"speedup"`
 		PoolHits        int     `json:"pool_hits"`
 		BuffersAlloc    int     `json:"buffers_alloc"`
 		FusedReductions int     `json:"fused_reductions"`
 		PlanHits        int     `json:"plan_hits"`
 		PlanMisses      int     `json:"plan_misses"`
-		Pipelined       int     `json:"pipelined"`
-		XPlanFused      int     `json:"xplan_fused"`
-		GBs             float64 `json:"gbs"`
-		PctRoof         float64 `json:"pct_roof"`
-		// sessions keys multi-session rows (always > 0 for them); the two
-		// measurement fields below are never omitted, so a measured zero —
-		// the failure the guard looks for — stays distinguishable from
-		// "not a multi-session row".
-		Sessions         int    `json:"sessions,omitempty"`
-		CrossSessionHits int    `json:"cross_session_hits"`
-		BaselineAllocs   int    `json:"baseline_allocs"`
-		Note             string `json:"note"`
+		Note            string  `json:"note"`
 	}
 	doc := struct {
-		Schema string `json:"schema"`
-		// RooflineGBs is the machine's memcpy ceiling every row's
-		// pct_roof is measured against, recorded so snapshots from
-		// different machines stay interpretable.
-		RooflineGBs float64   `json:"roofline_gbs"`
-		Rows        []jsonRow `json:"rows"`
-	}{Schema: "bohrium-bench/v1", RooflineGBs: RooflineGBs()}
+		Schema string    `json:"schema"`
+		Rows   []jsonRow `json:"rows"`
+	}{Schema: Schema}
 	for _, r := range rows {
 		doc.Rows = append(doc.Rows, jsonRow{
-			Experiment:       r.Experiment,
-			Workload:         r.Workload,
-			Params:           r.Params,
-			Backend:          r.Backend,
-			BytecodesBefore:  r.BytecodesBefore,
-			BytecodesAfter:   r.BytecodesAfter,
-			BaselineNs:       r.Baseline.Nanoseconds(),
-			OptimizedNs:      r.Optimized.Nanoseconds(),
-			Speedup:          r.Speedup,
-			PoolHits:         r.PoolHits,
-			BuffersAlloc:     r.BuffersAlloc,
-			FusedReductions:  r.FusedReductions,
-			PlanHits:         r.PlanHits,
-			PlanMisses:       r.PlanMisses,
-			Pipelined:        r.Pipelined,
-			XPlanFused:       r.XPlanFused,
-			GBs:              r.GBs,
-			PctRoof:          r.PctRoof,
-			Sessions:         r.Sessions,
-			CrossSessionHits: r.CrossSessionHits,
-			BaselineAllocs:   r.BaselineAllocs,
-			Note:             r.Note,
+			Experiment:      r.Experiment,
+			Workload:        r.Workload,
+			Params:          r.Params,
+			Backend:         r.Backend,
+			BytecodesBefore: r.BytecodesBefore,
+			BytecodesAfter:  r.BytecodesAfter,
+			BaselineNs:      r.Baseline.Nanoseconds(),
+			BaselineMADNs:   r.BaselineMAD.Nanoseconds(),
+			OptimizedNs:     r.Optimized.Nanoseconds(),
+			OptimizedMADNs:  r.OptimizedMAD.Nanoseconds(),
+			Speedup:         r.Speedup,
+			PoolHits:        r.PoolHits,
+			BuffersAlloc:    r.BuffersAlloc,
+			FusedReductions: r.FusedReductions,
+			PlanHits:        r.PlanHits,
+			PlanMisses:      r.PlanMisses,
+			Note:            r.Note,
 		})
 	}
 	return json.MarshalIndent(doc, "", "  ")
@@ -187,43 +134,64 @@ func round(d time.Duration) string {
 	}
 }
 
-// bestOf times fn repeats times and returns the minimum — the standard
-// way to suppress scheduler noise on shared machines.
-func bestOf(repeats int, fn func() error) (time.Duration, error) {
-	best := time.Duration(0)
-	for i := 0; i < repeats; i++ {
+// timing is the median and median absolute deviation of repeated runs.
+type timing struct{ median, mad time.Duration }
+
+// measure times fn repeats times and summarizes the runs.
+func measure(repeats int, fn func() error) (timing, error) {
+	runs := make([]time.Duration, repeats)
+	for i := range runs {
 		start := time.Now()
 		if err := fn(); err != nil {
-			return 0, err
+			return timing{}, err
 		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
-		}
+		runs[i] = time.Since(start)
 	}
-	return best, nil
+	return summarize(runs), nil
 }
 
-// openBench opens the Scale's backend on a private engine, returning the
-// backend and the paired teardown.
-func openBench(s Scale, cfg vm.Config) (backend.Backend, func(), error) {
+// summarize returns the median of runs and their median absolute
+// deviation, reusing runs as scratch. The median, unlike the best run,
+// does not flip with one lucky sample, and the MAD says how far apart
+// the runs were.
+func summarize(runs []time.Duration) timing {
+	med := median(runs)
+	for i, d := range runs {
+		runs[i] = max(d-med, med-d)
+	}
+	return timing{med, median(runs)}
+}
+
+// median sorts ds in place and returns its middle value (the mean of the
+// two middle values for an even count).
+func median(ds []time.Duration) time.Duration {
+	slices.Sort(ds)
+	n := len(ds)
+	return (ds[(n-1)/2] + ds[n/2]) / 2
+}
+
+// timed sets the row's timing columns from the two variants' runs.
+func (r *Row) timed(base, opt timing) {
+	r.Baseline, r.BaselineMAD = base.median, base.mad
+	r.Optimized, r.OptimizedMAD = opt.median, opt.mad
+	r.Speedup = float64(base.median) / float64(opt.median)
+}
+
+// fused is the VM configuration every program-level row runs with unless
+// it ablates fusion itself.
+var fused = vm.Config{Fusion: true, SkipValidation: true}
+
+// runProgram executes prog under cfg on a fresh private engine and
+// backend of the Scale's kind, optionally binding the E4 linear-system
+// inputs first, and reports the execution counters.
+func runProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(backend.Backend)) (vm.Stats, error) {
 	eng := vm.NewEngine(vm.EngineConfig{Workers: cfg.Workers})
+	defer eng.Close()
 	b, err := backend.Open(s.Backend, eng, backend.Config{VM: cfg, ChunkBytes: s.ChunkBytes})
-	if err != nil {
-		eng.Close()
-		return nil, nil, err
-	}
-	return b, func() { b.Close(); eng.Close() }, nil
-}
-
-// runProgram executes prog on a fresh backend of the Scale's kind,
-// optionally binding the E4 linear-system inputs, and reports the
-// execution counters.
-func runProgram(prog *bytecode.Program, s Scale, bind func(backend.Backend)) (vm.Stats, error) {
-	b, done, err := openBench(s, vm.Config{Fusion: true, SkipValidation: true})
 	if err != nil {
 		return vm.Stats{}, err
 	}
-	defer done()
+	defer b.Close()
 	if bind != nil {
 		bind(b)
 	}
@@ -235,20 +203,26 @@ func runProgram(prog *bytecode.Program, s Scale, bind func(backend.Backend)) (vm
 	return b.Stats(), err
 }
 
-// runConfigured is runProgram with an explicit vm.Config — for the
-// ablation rows that flip Fusion themselves.
-func runConfigured(prog *bytecode.Program, s Scale, cfg vm.Config) (vm.Stats, error) {
-	b, done, err := openBench(s, cfg)
-	if err != nil {
-		return vm.Stats{}, err
+// timeProgram measures prog under cfg and returns the counters of the
+// last run.
+func timeProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(backend.Backend)) (timing, vm.Stats, error) {
+	var st vm.Stats
+	t, err := measure(s.Repeats, func() error {
+		var err error
+		st, err = runProgram(prog.Clone(), s, cfg, bind)
+		return err
+	})
+	return t, st, err
+}
+
+// timeFusion times prog with sweep fusion off (the baseline) and on, and
+// returns the fused run's counters.
+func timeFusion(prog *bytecode.Program, s Scale) (base, opt timing, st vm.Stats, err error) {
+	if base, _, err = timeProgram(prog, s, vm.Config{SkipValidation: true}, nil); err != nil {
+		return
 	}
-	defer done()
-	pl, err := b.Compile(prog)
-	if err != nil {
-		return b.Stats(), err
-	}
-	err = b.Execute(pl)
-	return b.Stats(), err
+	opt, st, err = timeProgram(prog, s, fused, nil)
+	return
 }
 
 // comparePrograms times the raw program against its optimized form and
@@ -263,19 +237,11 @@ func comparePrograms(exp, workload, params string, prog *bytecode.Program,
 	if err != nil {
 		return Row{}, fmt.Errorf("bench: optimize: %w", err)
 	}
-	base, err := bestOf(s.Repeats, func() error {
-		_, err := runProgram(prog.Clone(), s, bind)
-		return err
-	})
+	base, _, err := timeProgram(prog, s, fused, bind)
 	if err != nil {
 		return Row{}, err
 	}
-	var optStats vm.Stats
-	opt, err := bestOf(s.Repeats, func() error {
-		st, err := runProgram(optimized.Clone(), s, bind)
-		optStats = st
-		return err
-	})
+	opt, st, err := timeProgram(optimized, s, fused, bind)
 	if err != nil {
 		return Row{}, err
 	}
@@ -283,17 +249,13 @@ func comparePrograms(exp, workload, params string, prog *bytecode.Program,
 		Experiment:      exp,
 		Workload:        workload,
 		Params:          params,
-		Backend:         s.Backend,
 		BytecodesBefore: report.Before.Instructions,
 		BytecodesAfter:  report.After.Instructions,
-		Baseline:        base,
-		Optimized:       opt,
-		Speedup:         float64(base) / float64(opt),
-		PoolHits:        optStats.PoolHits,
-		BuffersAlloc:    optStats.BuffersAllocated,
-		FusedReductions: optStats.FusedReductions,
+		PoolHits:        st.PoolHits,
+		BuffersAlloc:    st.BuffersAllocated,
+		FusedReductions: st.FusedReductions,
 	}
-	row.fillRoofline(optStats, opt)
+	row.timed(base, opt)
 	return row, nil
 }
 
@@ -313,10 +275,10 @@ func bindSolveInputs(m int) func(backend.Backend) {
 	}
 }
 
-// CheckSchema validates a BENCH_*.json document against the
-// "bohrium-bench/v1" shape: the schema marker, a non-empty row list, and
-// per-row required fields. It is the CI guard that keeps committed
-// snapshots and freshly generated ones structurally interchangeable.
+// CheckSchema validates a BENCH_*.json document against the Schema
+// shape: the schema marker, a non-empty row list, and per-row required
+// fields. It is the CI guard that keeps committed snapshots and freshly
+// generated ones structurally interchangeable.
 func CheckSchema(data []byte) error {
 	var doc struct {
 		Schema string                       `json:"schema"`
@@ -325,19 +287,18 @@ func CheckSchema(data []byte) error {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return fmt.Errorf("bench: not a JSON document: %w", err)
 	}
-	if doc.Schema != "bohrium-bench/v1" {
-		return fmt.Errorf("bench: schema %q, want \"bohrium-bench/v1\"", doc.Schema)
+	if doc.Schema != Schema {
+		return fmt.Errorf("bench: schema %q, want %q", doc.Schema, Schema)
 	}
 	if len(doc.Rows) == 0 {
 		return fmt.Errorf("bench: document has no rows")
 	}
 	required := []string{
 		"experiment", "workload", "params", "backend",
-		"bc_before", "bc_after", "baseline_ns", "optimized_ns", "speedup",
+		"bc_before", "bc_after", "baseline_ns", "baseline_mad_ns",
+		"optimized_ns", "optimized_mad_ns", "speedup",
 		"pool_hits", "buffers_alloc", "fused_reductions",
-		"plan_hits", "plan_misses", "pipelined", "xplan_fused",
-		"gbs", "pct_roof",
-		"cross_session_hits", "baseline_allocs", "note",
+		"plan_hits", "plan_misses", "note",
 	}
 	for i, row := range doc.Rows {
 		for _, key := range required {

@@ -1,8 +1,9 @@
-// Package bench is the experiment substrate: workload generators for every
-// listing/equation/claim in the paper plus the scientific kernels Bohrium's
-// own evaluations use (heat diffusion, Black-Scholes, Leibniz π,
-// Monte-Carlo π), and a harness that regenerates the experiment tables in
-// EXPERIMENTS.md.
+// Package bench reproduces the paper's evaluation tables, experiments
+// E1–E7 (ARCHITECTURE.md §6): workload generators for every
+// listing/equation/claim in the paper plus the scientific kernels
+// Bohrium's own evaluations use (heat diffusion, Black-Scholes, Leibniz π,
+// Monte-Carlo π), and a harness that times each baseline/optimized pair
+// as the median of repeated runs with its median absolute deviation.
 package bench
 
 import (
@@ -235,130 +236,6 @@ func cnd(x *bohrium.Array) *bohrium.Array {
 	x3 := x.Power(3).MulC(0.044715)
 	inner := x.Plus(x3).MulC(math.Sqrt(2 / math.Pi))
 	return inner.Tanh().AddC(1).MulC(0.5)
-}
-
-// Streaming variants (E8/E9): the same iterative kernels flushing one
-// batch per iteration — the stream shape an interactive or middleware
-// client produces, where the runtime never sees the whole loop at once.
-// Each iteration frees its temporaries, so the front-end recycles their
-// registers and every steady-state iteration records a structurally
-// identical batch: the first iterations compile, the rest hit the plan
-// cache and skip the rewrite pipeline and fusion analysis entirely.
-//
-// Every stream takes the per-iteration synchronization as a step
-// function so one workload body serves both flush disciplines: step =
-// ctx.Flush executes each batch before the next records (E8), step =
-// ctx.Submit hands the batch to the async executor and keeps recording
-// (E9) — the final probe read is the only wait. Values must be
-// bit-identical either way; the differential async tests pin that.
-
-// Heat2DStreamStep runs iters Jacobi sweeps on an n×n grid, calling step
-// after each iteration's batch, and returns the same probe as Heat2D.
-func Heat2DStreamStep(ctx *bohrium.Context, n, iters int, step func() error) (float64, error) {
-	grid := ctx.Zeros(n, n)
-	top := grid.MustSlice(0, 0, 1, 1)
-	top.AddC(100)
-
-	center := grid.MustSlice(0, 1, n-1, 1).MustSlice(1, 1, n-1, 1)
-	north := grid.MustSlice(0, 0, n-2, 1).MustSlice(1, 1, n-1, 1)
-	south := grid.MustSlice(0, 2, n, 1).MustSlice(1, 1, n-1, 1)
-	west := grid.MustSlice(0, 1, n-1, 1).MustSlice(1, 0, n-2, 1)
-	east := grid.MustSlice(0, 1, n-1, 1).MustSlice(1, 2, n, 1)
-
-	for it := 0; it < iters; it++ {
-		next := center.Plus(north)
-		next.Add(south).Add(west).Add(east).MulC(0.2)
-		center.Assign(next)
-		next.Free()
-		if err := step(); err != nil {
-			return 0, err
-		}
-	}
-	return grid.At(2, n/2)
-}
-
-// Heat2DStream is Heat2DStreamStep with one synchronous flush per
-// iteration (the E8 discipline).
-func Heat2DStream(ctx *bohrium.Context, n, iters int) (float64, error) {
-	return Heat2DStreamStep(ctx, n, iters, ctx.Flush)
-}
-
-// PowerChainStream raises a kept base to the 10th power into a fresh
-// temporary and folds it to a scalar, once per iteration with a flush in
-// between. The E2/E3 power-expansion rewrite runs on the first batch;
-// identical later batches replay its compiled plan. Each iteration
-// *reads* the scalar, so this stream cannot pipeline — PowerAccumStream
-// is its deferred-read sibling.
-func PowerChainStream(ctx *bohrium.Context, n, iters int) (float64, error) {
-	x := ctx.Full(1.0000001, n)
-	total := 0.0
-	for it := 0; it < iters; it++ {
-		p := x.Power(10)
-		s := p.Sum()
-		v, err := s.Scalar()
-		if err != nil {
-			return 0, err
-		}
-		total += v
-		p.Free()
-		s.Free()
-	}
-	return total / float64(iters), nil
-}
-
-// PowerAccumStreamStep is the pipelinable power chain: every iteration
-// raises the kept base to the 10th power, folds it to a scalar, and adds
-// it into a kept accumulator on the device side — no per-iteration read
-// forces a wait, so with step = Submit the whole loop streams through
-// the executor and only the final read synchronizes. Returns the mean of
-// the per-iteration sums, exactly PowerChainStream's result.
-func PowerAccumStreamStep(ctx *bohrium.Context, n, iters int, step func() error) (float64, error) {
-	x := ctx.Full(1.0000001, n)
-	acc := ctx.Zeros(1)
-	for it := 0; it < iters; it++ {
-		p := x.Power(10)
-		s := p.Sum()
-		acc.Add(s)
-		p.Free()
-		s.Free()
-		if err := step(); err != nil {
-			return 0, err
-		}
-	}
-	v, err := acc.At(0)
-	if err != nil {
-		return 0, err
-	}
-	return v / float64(iters), nil
-}
-
-// Jacobi1DStreamStep solves the tridiagonal system of the 1-D Poisson
-// equation -u” = 1 on n points by Jacobi iteration, one batch per
-// sweep: u[i] ← (u[i-1] + u[i+1] + h²)/2. It returns the midpoint value.
-func Jacobi1DStreamStep(ctx *bohrium.Context, n, iters int, step func() error) (float64, error) {
-	u := ctx.Zeros(n)
-	h := 1.0 / float64(n-1)
-	f := ctx.Full(h*h, n)
-	uc := u.MustSlice(0, 1, n-1, 1)
-	ul := u.MustSlice(0, 0, n-2, 1)
-	ur := u.MustSlice(0, 2, n, 1)
-	fc := f.MustSlice(0, 1, n-1, 1)
-	for it := 0; it < iters; it++ {
-		t := ul.Plus(ur)
-		t.Add(fc).MulC(0.5)
-		uc.Assign(t)
-		t.Free()
-		if err := step(); err != nil {
-			return 0, err
-		}
-	}
-	return u.At(n / 2)
-}
-
-// Jacobi1DStream is Jacobi1DStreamStep with one synchronous flush per
-// sweep (the E8 discipline).
-func Jacobi1DStream(ctx *bohrium.Context, n, iters int) (float64, error) {
-	return Jacobi1DStreamStep(ctx, n, iters, ctx.Flush)
 }
 
 // LeibnizPi sums n terms of the Leibniz series 4·Σ(-1)ⁱ/(2i+1).

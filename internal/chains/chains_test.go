@@ -51,8 +51,8 @@ func TestSquareIncrementMatchesListing5(t *testing.T) {
 func TestBinaryBeatsListing5ForTen(t *testing.T) {
 	// The left-to-right binary method does x^10 in 4 multiplies
 	// (2, 4, 5, 10) — one better than the paper's Listing 5, while
-	// respecting the same two-tensor constraint. Recorded in
-	// EXPERIMENTS.md as an improvement over the paper.
+	// respecting the same two-tensor constraint. bhbench's E2 table
+	// reports it as "binary (ours)" (ARCHITECTURE.md §6).
 	c := mustChain(Binary(10))
 	if got := c.MultiplyCount(); got != 4 {
 		t.Errorf("binary chain for 10 uses %d multiplies, want 4", got)

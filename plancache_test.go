@@ -244,20 +244,28 @@ func TestPlanCacheLRUCapacity(t *testing.T) {
 
 // TestPlanCacheDisabledMatchesEnabled: with PlanCacheSize -1 every flush
 // pays the pipeline, and the results are bit-for-bit those of the cached
-// run.
+// run — for heatLoop and for each of runStream's flush-per-iteration
+// streams.
 func TestPlanCacheDisabledMatchesEnabled(t *testing.T) {
-	off := newTestContext(t, &Config{PlanCacheSize: -1})
-	on := newTestContext(t, nil)
-	vOff := heatLoop(t, off, 12, 20)
-	vOn := heatLoop(t, on, 12, 20)
-	if math.Float64bits(vOff) != math.Float64bits(vOn) {
-		t.Errorf("cached %v != uncached %v", vOn, vOff)
+	check := func(t *testing.T, run func(*Context) float64) {
+		off := newTestContext(t, &Config{PlanCacheSize: -1})
+		on := newTestContext(t, nil)
+		vOff, vOn := run(off), run(on)
+		if math.Float64bits(vOff) != math.Float64bits(vOn) {
+			t.Errorf("cached %v != uncached %v", vOn, vOff)
+		}
+		if st := off.MustStats(); st.PlanHits != 0 || st.PlanMisses != 0 {
+			t.Errorf("disabled cache counted: hits=%d misses=%d", st.PlanHits, st.PlanMisses)
+		}
+		if st := on.MustStats(); st.PlanHits == 0 {
+			t.Error("enabled cache never hit")
+		}
 	}
-	if st := off.MustStats(); st.PlanHits != 0 || st.PlanMisses != 0 {
-		t.Errorf("disabled cache counted: hits=%d misses=%d", st.PlanHits, st.PlanMisses)
-	}
-	if st := on.MustStats(); st.PlanHits == 0 {
-		t.Error("enabled cache never hit")
+	check(t, func(ctx *Context) float64 { return heatLoop(t, ctx, 12, 20) })
+	for _, name := range []string{"heat", "power", "jacobi"} {
+		t.Run(name, func(t *testing.T) {
+			check(t, func(ctx *Context) float64 { return runStream(t, ctx, name, 30, ctx.Flush) })
+		})
 	}
 }
 
