@@ -27,14 +27,14 @@ func runProg(b *testing.B, prog *bytecode.Program, bind func(*vm.Machine)) {
 	if err := prog.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	machine := vm.New(vm.Config{Fusion: true, SkipValidation: true})
+	machine := vm.New(vm.Config{Fusion: true})
 	defer machine.Close()
 	if bind != nil {
 		bind(machine)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := machine.Run(prog); err != nil {
+		if err := machine.CompileValidated(prog).Execute(machine); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -182,17 +182,20 @@ func BenchmarkE5Workloads(b *testing.B) {
 // with and without sweep fusion.
 func BenchmarkE6Fusion(b *testing.B) {
 	prog := bench.AddMergeProgram(8, benchN, tensor.Float64)
+	if err := prog.Validate(); err != nil {
+		b.Fatal(err)
+	}
 	for _, fusion := range []bool{false, true} {
 		name := "off"
 		if fusion {
 			name = "on"
 		}
 		b.Run("fusion="+name, func(b *testing.B) {
-			machine := vm.New(vm.Config{Fusion: fusion, SkipValidation: true})
+			machine := vm.New(vm.Config{Fusion: fusion})
 			defer machine.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := machine.Run(prog); err != nil {
+				if err := machine.CompileValidated(prog).Execute(machine); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -245,14 +248,14 @@ func benchSweep(b *testing.B, workers int, fillSrc, sweepSrc string) {
 	if err := sweep.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	m := vm.New(vm.Config{Workers: workers, SkipValidation: true})
+	m := vm.New(vm.Config{Workers: workers})
 	defer m.Close()
 	if err := m.Run(fill); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Run(sweep); err != nil {
+		if err := m.CompileValidated(sweep).Execute(m); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -363,11 +366,11 @@ func BenchmarkE7DTypeFusion(b *testing.B) {
 			if err := w.prog.Validate(); err != nil {
 				b.Fatal(err)
 			}
-			m := vm.New(vm.Config{Fusion: false, SkipValidation: true})
+			m := vm.New(vm.Config{Fusion: false})
 			defer m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := m.Run(w.prog); err != nil {
+				if err := m.CompileValidated(w.prog).Execute(m); err != nil {
 					b.Fatal(err)
 				}
 			}

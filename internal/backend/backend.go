@@ -67,10 +67,10 @@ type Backend interface {
 	// Capabilities reports what this backend can do.
 	Capabilities() Capabilities
 
-	// Compile analyzes an optimized program into an executable Plan.
-	// Validation runs here unless the backend was configured with
-	// vm.Config.SkipValidation; failures wrap vm.ErrExec with identical
-	// text on every backend.
+	// Compile analyzes an optimized program into an executable Plan. It
+	// does not validate: p must be valid, as every program a Resolver
+	// compiles is — the Resolver validates each exactly once, and reports
+	// failures wrapping vm.ErrExec with identical text on every backend.
 	Compile(p *bytecode.Program) (Plan, error)
 	// Execute runs a plan this backend compiled against the current
 	// register bindings. On error the register file may hold partial

@@ -26,7 +26,7 @@ func (b *inProcess) Name() string { return "inprocess" }
 func (b *inProcess) Capabilities() Capabilities { return Capabilities{SequenceFusion: true} }
 
 func (b *inProcess) Compile(p *bytecode.Program) (Plan, error) {
-	return b.m.Compile(p)
+	return b.m.CompileValidated(p), nil
 }
 
 func (b *inProcess) Execute(pl Plan) error {

@@ -51,7 +51,6 @@ func init() {
 		}
 		cmCfg := cfg.VM
 		cmCfg.PlanCacheSize = -1 // body plans live on the oocPlan, not in the shared cache
-		cmCfg.SkipValidation = false
 		return &outOfCore{
 			m:          eng.NewMachine(cfg.VM),
 			cm:         eng.NewMachine(cmCfg),
@@ -212,15 +211,10 @@ func deadAfter(p *bytecode.Program, end int, r bytecode.RegID) bool {
 	return freed
 }
 
-// Compile implements Backend: validate (identical wrapping to the
-// in-process backend), decompose into segments and barriers, and compile
-// each segment's chunk-local body plans.
+// Compile implements Backend: decompose the vouched-for program into
+// segments and barriers, and compile each segment's chunk-local body
+// plans.
 func (b *outOfCore) Compile(p *bytecode.Program) (Plan, error) {
-	if !b.m.SkipsValidation() {
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %w", vm.ErrExec, err)
-		}
-	}
 	pl := &oocPlan{prog: p}
 	i := 0
 	for i < len(p.Instrs) {

@@ -1,8 +1,11 @@
 package backend
 
 import (
+	"fmt"
+
 	"bohrium/internal/bytecode"
 	"bohrium/internal/rewrite"
+	"bohrium/internal/vm"
 )
 
 // Resolver is the one plan-cache path every host drives (the bohrium
@@ -95,10 +98,12 @@ func (e *OptimizeError) Error() string { return e.Err.Error() }
 func (e *OptimizeError) Unwrap() error { return e.Err }
 
 // Resolve returns the plan for batch, keyed by Key(batch); batch is only
-// read. A miss optimizes, prunes inputs no instruction references (a
-// cached plan must not demand bindings a later batch of the same
-// structure no longer keeps alive), compiles, and caches the plan — nil
-// for a batch that optimizes to nothing. The plan is parametric, replayed
+// read. A miss optimizes, validates, prunes inputs no instruction
+// references (a cached plan must not demand bindings a later batch of the
+// same structure no longer keeps alive), compiles, and caches the plan —
+// nil for a batch that optimizes to nothing. Each compiled program is
+// validated exactly once: by the optimizer when a rule fired, here
+// otherwise; a failure wraps vm.ErrExec. The plan is parametric, replayed
 // under any constants, only when the optimizer applied nothing: every
 // rule inspects constant values, so a fired rewrite bakes the batch's
 // constants into the entry.
@@ -118,6 +123,11 @@ func (r *Resolver) Resolve(batch *bytecode.Program, key Key) (Resolution, error)
 	}
 	var plan Plan
 	if len(optimized.Instrs) > 0 {
+		if report.TotalApplied() == 0 {
+			if err := optimized.Validate(); err != nil {
+				return Resolution{}, fmt.Errorf("%w: %w", vm.ErrExec, err)
+			}
+		}
 		r.pruneInputs(optimized)
 		if plan, err = r.be.Compile(optimized); err != nil {
 			return Resolution{}, err

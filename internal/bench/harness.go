@@ -179,11 +179,12 @@ func (r *Row) timed(base, opt timing) {
 
 // fused is the VM configuration every program-level row runs with unless
 // it ablates fusion itself.
-var fused = vm.Config{Fusion: true, SkipValidation: true}
+var fused = vm.Config{Fusion: true}
 
 // runProgram executes prog under cfg on a fresh private engine and
 // backend of the Scale's kind, optionally binding the E4 linear-system
-// inputs first, and reports the execution counters.
+// inputs first, and reports the execution counters. prog must be valid:
+// Backend.Compile does not check.
 func runProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(backend.Backend)) (vm.Stats, error) {
 	eng := vm.NewEngine(vm.EngineConfig{Workers: cfg.Workers})
 	defer eng.Close()
@@ -218,7 +219,7 @@ func timeProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(backe
 // timeFusion times prog with sweep fusion off (the baseline) and on, and
 // returns the fused run's counters.
 func timeFusion(prog *bytecode.Program, s Scale) (base, opt timing, st vm.Stats, err error) {
-	if base, _, err = timeProgram(prog, s, vm.Config{SkipValidation: true}, nil); err != nil {
+	if base, _, err = timeProgram(prog, s, vm.Config{}, nil); err != nil {
 		return
 	}
 	opt, st, err = timeProgram(prog, s, fused, nil)

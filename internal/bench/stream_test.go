@@ -59,7 +59,7 @@ func powerAccumStream(ctx *bohrium.Context, n, iters int, step func() error) (fl
 	return v / float64(iters), nil
 }
 
-// jacobi1DStream solves -u'' = 1 on n points by Jacobi iteration, one
+// jacobi1DStream solves -d²u/dx² = 1 on n points by Jacobi iteration, one
 // batch per sweep, and returns the midpoint value.
 func jacobi1DStream(ctx *bohrium.Context, n, iters int, step func() error) (float64, error) {
 	u := ctx.Zeros(n)

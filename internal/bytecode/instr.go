@@ -148,10 +148,10 @@ func Const(c Constant) Operand {
 func None() Operand { return Operand{Kind: OperandNone} }
 
 // IsReg reports whether o is a register operand.
-func (o Operand) IsReg() bool { return o.Kind == OperandReg }
+func (o *Operand) IsReg() bool { return o.Kind == OperandReg }
 
 // IsConst reports whether o is a constant operand.
-func (o Operand) IsConst() bool { return o.Kind == OperandConst }
+func (o *Operand) IsConst() bool { return o.Kind == OperandConst }
 
 // String prints the operand in listing syntax: "a0 [0:10:1]" or "3".
 func (o Operand) String() string {
@@ -187,14 +187,19 @@ type Instruction struct {
 
 // Inputs returns the populated input operands in order.
 func (in *Instruction) Inputs() []Operand {
+	return []Operand{in.In1, in.In2}[:in.numInputs()]
+}
+
+// numInputs counts the populated input operands, which are always a
+// prefix: In2 set means both inputs are, else In1 alone if set.
+func (in *Instruction) numInputs() int {
 	switch {
 	case in.In2.Kind != OperandNone:
-		return []Operand{in.In1, in.In2}
+		return 2
 	case in.In1.Kind != OperandNone:
-		return []Operand{in.In1}
-	default:
-		return nil
+		return 1
 	}
+	return 0
 }
 
 // ReadsReg reports whether the instruction reads register r through any

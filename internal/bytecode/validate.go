@@ -17,7 +17,11 @@ var ErrInvalid = errors.New("bytecode: invalid program")
 // asserts validity is preserved across every pass (a rewrite that produces
 // an invalid program is a bug, caught in tests).
 func (p *Program) Validate() error {
-	live := make([]bool, len(p.Regs))
+	var buf [64]bool // small programs validate without allocating
+	live := buf[:min(len(p.Regs), len(buf))]
+	if len(p.Regs) > len(buf) {
+		live = make([]bool, len(p.Regs))
+	}
 	for _, r := range p.Inputs {
 		if r < 0 || int(r) >= len(p.Regs) {
 			return fmt.Errorf("%w: input declares unknown register %s", ErrInvalid, r)
@@ -45,7 +49,7 @@ func (p *Program) validateInstr(in *Instruction, live []bool) error {
 	if !in.Out.IsReg() {
 		return fmt.Errorf("result operand must be a register")
 	}
-	if err := p.checkRegOperand(in.Out); err != nil {
+	if err := p.checkRegOperand(&in.Out); err != nil {
 		return fmt.Errorf("result: %w", err)
 	}
 
@@ -63,7 +67,8 @@ func (p *Program) validateInstr(in *Instruction, live []bool) error {
 		return nil
 	}
 
-	inputs := in.Inputs()
+	ins := [2]*Operand{&in.In1, &in.In2}
+	inputs := ins[:in.numInputs()]
 	if len(inputs) != info.Arity {
 		return fmt.Errorf("%s wants %d inputs, got %d", info.Name, info.Arity, len(inputs))
 	}
@@ -86,7 +91,7 @@ func (p *Program) validateInstr(in *Instruction, live []bool) error {
 	return nil
 }
 
-func (p *Program) checkRegOperand(o Operand) error {
+func (p *Program) checkRegOperand(o *Operand) error {
 	ri, ok := p.Reg(o.Reg)
 	if !ok {
 		return fmt.Errorf("unknown register %s", o.Reg)
@@ -97,7 +102,7 @@ func (p *Program) checkRegOperand(o Operand) error {
 	return nil
 }
 
-func (p *Program) validateShapes(in *Instruction, inputs []Operand) error {
+func (p *Program) validateShapes(in *Instruction, inputs []*Operand) error {
 	info := in.Op.Info()
 	out := in.Out.View.Shape
 
@@ -165,8 +170,8 @@ func (p *Program) validateShapes(in *Instruction, inputs []Operand) error {
 	}
 }
 
-func (p *Program) validateExtensionShapes(in *Instruction, inputs []Operand) error {
-	dims := func(o Operand) tensor.Shape { return o.View.Shape }
+func (p *Program) validateExtensionShapes(in *Instruction, inputs []*Operand) error {
+	dims := func(o *Operand) tensor.Shape { return o.View.Shape }
 	for i, opnd := range inputs {
 		if !opnd.IsReg() {
 			return fmt.Errorf("%s input %d must be a register", in.Op, i+1)

@@ -54,8 +54,10 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"invalid program", a, "POST", "/v1/sessions/" + live.ID + "/batches", ".reg a0 float64 4\nBH_ADD a0 [0:4:1] a1 [0:4:1] 1\n", http.StatusBadRequest, api.CodeInvalid},
 		{"body too large", a, "POST", "/v1/sessions/" + live.ID + "/batches", strings.Repeat("# padding\n", 100), http.StatusRequestEntityTooLarge, api.CodeTooLarge},
 		{"exec failure, sync", a, "POST", "/v1/sessions/" + live.ID + "/batches", unbound, http.StatusUnprocessableEntity, api.CodeExec},
-		{"poisoned pipeline rejects submits", a, "POST", "/v1/sessions/" + poisoned.ID + "/batches", "# nop\n.reg a0 float64 1\nBH_IDENTITY a0 [0:1:1] 0\n", http.StatusConflict, api.CodePipeline},
+		// The read fences the pipeline, so the poisoned batch has failed
+		// by the time the submit after it looks.
 		{"poisoned pipeline rejects reads", a, "GET", "/v1/sessions/" + poisoned.ID + "/arrays/a9", "", http.StatusConflict, api.CodePipeline},
+		{"poisoned pipeline rejects submits", a, "POST", "/v1/sessions/" + poisoned.ID + "/batches", "# nop\n.reg a0 float64 1\nBH_IDENTITY a0 [0:1:1] 0\n", http.StatusConflict, api.CodePipeline},
 		{"unknown array", a, "GET", "/v1/sessions/" + live.ID + "/arrays/a7", "", http.StatusNotFound, api.CodeNotFound},
 	}
 	for _, tc := range cases {

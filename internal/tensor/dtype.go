@@ -42,10 +42,7 @@ func (d DType) String() string {
 }
 
 // Valid reports whether d is one of the defined dtypes.
-func (d DType) Valid() bool {
-	_, ok := dtypeNames[d]
-	return ok
-}
+func (d DType) Valid() bool { return d >= Bool && d <= Float64 }
 
 // IsFloat reports whether d is a floating-point dtype.
 func (d DType) IsFloat() bool { return d == Float32 || d == Float64 }

@@ -56,7 +56,7 @@ func (m *Machine) ExecOne(p *bytecode.Program, idx int) error {
 	m.regs.grow(len(p.Regs))
 	var ns *nest
 	if shape, kind := sweepAt(p, idx); kind != sweepNone {
-		ns = compileNest(p, idx, idx+1, shape, nil, nil)
+		ns = compileNest(p, idx, idx+1, shape)
 	}
 	var err error
 	if ns != nil {
@@ -76,11 +76,6 @@ func (m *Machine) ExecOne(p *bytecode.Program, idx int) error {
 // Bound reports whether register r currently has a buffer (bound from
 // outside or materialized by execution and not yet freed).
 func (m *Machine) Bound(r bytecode.RegID) bool { return m.regs.get(r) != nil }
-
-// SkipsValidation reports whether this machine was configured to trust
-// callers' programs (Config.SkipValidation) — backends honor the same
-// switch for their own compile-time validation.
-func (m *Machine) SkipsValidation() bool { return m.cfg.SkipValidation }
 
 // Materialize returns the buffer for register r, allocating it from the
 // declaration in p if the register has no buffer yet — from the shared

@@ -906,11 +906,11 @@ func TestFusedErrorNamesFailingInstruction(t *testing.T) {
 	p.EmitIdentity(bytecode.Reg(a0, v), bytecode.Const(bytecode.ConstFloat(1)))
 	p.EmitBinary(bytecode.OpAdd, bytecode.Reg(a0, v), bytecode.Reg(a0, v), bytecode.Reg(a1, v))
 	p.MarkInput(a1)
-	m := New(Config{Fusion: true, SkipValidation: true})
+	m := New(Config{Fusion: true})
 	defer m.Close()
 	// Bind a1 with the wrong storage type so only the second step fails.
 	m.Bind(a1, tensor.MustNew(tensor.Float32, tensor.MustShape(64)))
-	err := m.Run(p)
+	err := m.CompileValidated(p).Execute(m)
 	if err == nil {
 		t.Fatal("expected execution error")
 	}

@@ -23,7 +23,7 @@ func runErr(t *testing.T, cfg Config, src string, bind func(m *Machine)) error {
 	if bind != nil {
 		bind(m)
 	}
-	return m.Run(p)
+	return m.CompileValidated(p).Execute(m) // unvalidated: the runtime guards are under test
 }
 
 // TestExtensionMissingInputBuffer pins the runtime guard in the operand
@@ -62,7 +62,7 @@ BH_SYNC a2 [0:4:1]
 		for _, fusion := range []bool{false, true} {
 			name := tc.name + map[bool]string{false: "/unfused", true: "/fused"}[fusion]
 			t.Run(name, func(t *testing.T) {
-				err := runErr(t, Config{Fusion: fusion, SkipValidation: true}, tc.src, nil)
+				err := runErr(t, Config{Fusion: fusion}, tc.src, nil)
 				if err == nil {
 					t.Fatal("unbound extension input executed successfully")
 				}
@@ -126,7 +126,7 @@ BH_SYNC a1 [0:8:1]
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := runErr(t, Config{SkipValidation: true}, tc.src, nil)
+			err := runErr(t, Config{}, tc.src, nil)
 			if err == nil {
 				t.Fatal("shape-illegal extension executed successfully")
 			}

@@ -1,9 +1,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
@@ -33,63 +33,47 @@ import (
 // runs (foldStep), likewise without them. System byte-codes, other
 // reductions, extensions, and RANDOM end a cluster.
 
-// cluster is a run of instruction indices executable as one sweep.
-type cluster struct {
-	start, end int // [start, end) in p.Instrs
-	fused      bool
-	sweep      bool         // elementwise: compiles to a loop nest
-	shape      tensor.Shape // shared iteration shape of a sweep
-	lagged     *nest        // p.Instrs[end-1] is a closing write: the kernel-free nest that stores it lagged
-}
-
-// planClusters splits the program into sweeps. With fusion off every
-// instruction is its own cluster.
-func (m *Machine) planClusters(p *bytecode.Program, live *liveness) []cluster {
-	var out []cluster
-	var acc accessTracker
-	i := 0
-	for i < len(p.Instrs) {
+// planClusters splits the program into clusters, in the machine's compile
+// arena: each is a nest, laid out once for a sweep; the interpreter runs
+// one without steps. With fusion off every instruction is its own cluster.
+func (m *Machine) planClusters(p *bytecode.Program, live liveness) []nest {
+	ar := &m.arena
+	ar.clusters = ar.clusters[:0]
+	for i := 0; i < len(p.Instrs); {
 		shape, kind := sweepAt(p, i)
-		if kind != sweepFusible || !m.cfg.Fusion {
-			out = append(out, cluster{start: i, end: i + 1, sweep: kind != sweepNone, shape: shape})
-			i++
-			continue
-		}
-		// Extend the cluster while the next instruction is fusible over
-		// the same iteration shape and no write view conflicts with any
-		// other access of the same register.
-		acc.reset()
-		acc.record(&p.Instrs[i])
-		j := i + 1
-		var lagged *nest
-		for j < len(p.Instrs) && lagged == nil {
-			shape2, kind2 := sweepAt(p, j)
-			if kind2 != sweepFusible || !shape2.Equal(shape) {
+		fusible := kind == sweepFusible && m.cfg.Fusion
+		j, laid := i+1, false
+		ar.clusters = append(ar.clusters, nest{start: i, end: j})
+		ns := &ar.clusters[len(ar.clusters)-1]
+		// Extend a fusible cluster while the next instruction is fusible over
+		// the same shape and no write view conflicts with another access of
+		// its register. A closing write joins if the nest can store it lagged.
+		ar.accs = ar.accs[:0]
+		ar.record(&p.Instrs[i])
+		for ; fusible && j < len(p.Instrs) && !laid; j++ {
+			if shape2, kind2 := sweepAt(p, j); kind2 != sweepFusible || !shape2.Equal(shape) {
 				break
 			}
-			span, ok := acc.admit(&p.Instrs[j])
+			span, ok := ar.admit(&p.Instrs[j])
 			if !ok {
 				break
 			}
 			if span != (lagSpan{}) {
-				// A closing write: it joins if the nest can store it lagged,
-				// and nothing may follow it.
-				if lagged = layoutNest(p, i, j+1, shape, live, &span); lagged == nil {
+				if laid = ar.layoutNest(ns, p, i, j+1, shape, live, &span); !laid {
 					break
 				}
 			}
-			acc.record(&p.Instrs[j])
+			ar.record(&p.Instrs[j])
+		}
+		if fusible && !laid && j < len(p.Instrs) && reduceEpilogueAt(p, i, j, shape) {
 			j++
 		}
-		cl := cluster{start: i, end: j, fused: j-i > 1, sweep: true, shape: shape, lagged: lagged}
-		if lagged == nil && j < len(p.Instrs) && reduceEpilogueAt(p, cl, j) {
-			cl.end, cl.fused = j+1, true
-			j++
+		if kind != sweepNone && !laid {
+			ar.layoutNest(ns, p, i, j, shape, live, nil)
 		}
-		out = append(out, cl)
 		i = j
 	}
-	return out
+	return ar.clusters
 }
 
 // sweepKind classifies an instruction for nest execution.
@@ -152,7 +136,8 @@ func sweepAt(p *bytecode.Program, i int) (tensor.Shape, sweepKind) {
 }
 
 // reduceEpilogueAt reports whether the reduction at index j can close the
-// preceding elementwise cluster cl as its nest's fold step. The legal
+// preceding elementwise cluster [start, j), of iteration shape shape, as
+// its nest's fold step. The legal
 // shape: a reduction over any axis — including the argmin/argmax index
 // reductions, whose fold carries a (value, index) pair — of a non-empty
 // input that is a register the cluster wrote, through exactly the window
@@ -162,7 +147,7 @@ func sweepAt(p *bytecode.Program, i int) (tensor.Shape, sweepKind) {
 // interpreted two-sweep path does, and no axis is special. Buffer-level
 // aliasing between the reduction output and the producers' operands is
 // checked at execution time (runNest falls back to two sweeps).
-func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
+func reduceEpilogueAt(p *bytecode.Program, start, j int, shape tensor.Shape) bool {
 	in := &p.Instrs[j]
 	if in.Op.Info().Kind != bytecode.KindReduction {
 		return false
@@ -179,76 +164,65 @@ func reduceEpilogueAt(p *bytecode.Program, cl cluster, j int) bool {
 	}
 	// An empty input stays with the interpreter (an empty axis takes its
 	// identity-fill path).
-	if size := cl.shape.Size(); size == 0 || !in.In1.View.Shape.Equal(cl.shape) || in.Out.View.Size() != size/cl.shape[in.Axis] {
-		return false
-	}
-	lastWrite := -1
-	for k := cl.start; k < cl.end; k++ {
-		if p.Instrs[k].Out.Reg == in.In1.Reg {
-			lastWrite = k
-		}
-	}
-	if lastWrite < 0 || !p.Instrs[lastWrite].Out.View.Equal(in.In1.View) {
+	if size := shape.Size(); size == 0 || !in.In1.View.Shape.Equal(shape) || in.Out.View.Size() != size/shape[in.Axis] {
 		return false
 	}
 	// The output register must be untouched by the cluster: the fold
 	// writes it line by line while producer steps still evaluate.
-	for k := cl.start; k < cl.end; k++ {
-		if p.Instrs[k].Out.Reg == in.Out.Reg {
+	lastWrite := -1
+	for k := start; k < j; k++ {
+		switch p.Instrs[k].Out.Reg {
+		case in.In1.Reg:
+			lastWrite = k
+		case in.Out.Reg:
 			return false
 		}
 	}
-	return in.Out.Reg != in.In1.Reg
+	return lastWrite >= 0 && p.Instrs[lastWrite].Out.View.Equal(in.In1.View) && in.Out.Reg != in.In1.Reg
 }
 
-// accessTracker records the read and write views of every register
-// inside a cluster. A nest runs its steps in order over each row (or
-// block of a row), so the only cross-element hazard is a register accessed through
-// two views where the same buffer slot maps to different iteration
-// indices — i.e. a WRITE view overlapping any other non-equal view.
-// Overlapping reads (the stencil's north/south/east/west windows) are
-// always safe; admit names the one write that may overlap them.
-type accessTracker struct {
-	accs []regAccess
-}
-
-// regAccess is one distinct (register, view, direction) access; view
-// points into the program being planned.
+// regAccess is one distinct (register, view, direction) access inside the
+// cluster being planned; view points into the program. A nest runs its
+// steps in order over each row (or block of a row), so the only
+// cross-element hazard is a register accessed through two views where the
+// same buffer slot maps to different iteration indices — i.e. a WRITE view
+// overlapping any other non-equal view. Overlapping reads (the stencil's
+// north/south/east/west windows) are always safe; admit names the one
+// write that may overlap them.
 type regAccess struct {
 	reg   bytecode.RegID
 	view  *tensor.View
 	write bool
 }
 
-func (a *accessTracker) reset() { a.accs = a.accs[:0] }
-
-func (a *accessTracker) record(in *bytecode.Instruction) {
-	a.add(in.Out.Reg, &in.Out.View, true)
+// record adds in's accesses to the cluster's.
+func (ar *compileArena) record(in *bytecode.Instruction) {
+	ar.add(in.Out.Reg, &in.Out.View, true)
 	for _, opnd := range [2]*bytecode.Operand{&in.In1, &in.In2} {
 		if opnd.IsReg() {
-			a.add(opnd.Reg, &opnd.View, false)
+			ar.add(opnd.Reg, &opnd.View, false)
 		}
 	}
 }
 
-func (a *accessTracker) add(reg bytecode.RegID, view *tensor.View, write bool) {
-	for i := range a.accs {
-		if ac := &a.accs[i]; ac.reg == reg && ac.write == write && ac.view.Equal(*view) {
+func (ar *compileArena) add(reg bytecode.RegID, view *tensor.View, write bool) {
+	for i := range ar.accs {
+		if ac := &ar.accs[i]; ac.reg == reg && ac.write == write && ac.view.Equal(*view) {
 			return // an in-place chain repeats one access per step
 		}
 	}
-	a.accs = append(a.accs, regAccess{reg, view, write})
+	ar.accs = append(ar.accs, regAccess{reg, view, write})
 }
 
 // admit reports whether in may join the cluster. A non-zero lagSpan means
 // its write aliases earlier *reads* of its register, each through a pure
 // translation of the write view (same shape and strides, another offset):
 // in may then only close the cluster, if the nest can store it lagged.
-func (a *accessTracker) admit(in *bytecode.Instruction) (lagSpan, bool) {
-	w := in.Out.View
+func (ar *compileArena) admit(in *bytecode.Instruction) (lagSpan, bool) {
+	w := &in.Out.View
 	var span lagSpan
-	for i := range a.accs {
-		ac := &a.accs[i]
+	for i := range ar.accs {
+		ac := &ar.accs[i]
 		// The candidate's write must not alias an earlier write through a
 		// different window, nor an earlier read unless translated.
 		if ac.reg == in.Out.Reg && !w.Equal(*ac.view) && w.Overlaps(*ac.view) {
@@ -304,7 +278,8 @@ func viewInjective(v tensor.View) bool {
 		return true
 	}
 	type ds struct{ stride, extent int }
-	dims := make([]ds, 0, v.NDim())
+	var buf [8]ds
+	dims := buf[:0]
 	for d := 0; d < v.NDim(); d++ {
 		if v.Shape[d] == 1 {
 			continue // singleton dims address one point regardless of stride
@@ -318,7 +293,7 @@ func viewInjective(v tensor.View) bool {
 		}
 		dims = append(dims, ds{stride: s, extent: v.Shape[d]})
 	}
-	sort.Slice(dims, func(i, j int) bool { return dims[i].stride < dims[j].stride })
+	slices.SortFunc(dims, func(a, b ds) int { return cmp.Compare(a.stride, b.stride) })
 	span := 0
 	for _, d := range dims {
 		if d.stride <= span {

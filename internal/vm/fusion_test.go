@@ -19,7 +19,7 @@ BH_MULTIPLY a0 a0 2.0
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	clusters := m.planClusters(p, newLiveness(p))
+	clusters := m.CompileValidated(p).clusters
 	// [IDENTITY ADD ADD] fused, [SYNC], [MULTIPLY].
 	if len(clusters) != 3 {
 		t.Fatalf("planned %d clusters, want 3: %+v", len(clusters), clusters)
@@ -45,7 +45,7 @@ BH_ADD a0 [25:75:1] a0 [25:75:1] 1
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	for _, c := range m.planClusters(p, newLiveness(p)) {
+	for _, c := range m.CompileValidated(p).clusters {
 		if c.fused {
 			for i := c.start + 1; i < c.end; i++ {
 				if p.Instrs[i].Op == bytecode.OpAdd && p.Instrs[i-1].Op == bytecode.OpAdd {
@@ -71,7 +71,7 @@ BH_SYNC a0
 	m := New(Config{Fusion: true})
 	defer m.Close()
 	fusedPair := false
-	for _, c := range m.planClusters(p, newLiveness(p)) {
+	for _, c := range m.CompileValidated(p).clusters {
 		if c.fused && c.end-c.start >= 2 {
 			fusedPair = true
 		}
@@ -96,7 +96,7 @@ BH_SYNC a1
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	clusters := m.planClusters(p, newLiveness(p))
+	clusters := m.CompileValidated(p).clusters
 	found := false
 	for _, c := range clusters {
 		if c.fused && c.end-c.start == 2 {
@@ -127,9 +127,9 @@ BH_SYNC a1
 		t.Fatal(err)
 	}
 	var gathered bool
-	for i, c := range pl.clusters {
-		if ns := pl.nests[i]; c.fused && ns != nil {
-			for _, st := range ns.steps {
+	for _, c := range pl.clusters {
+		if c.fused {
+			for _, st := range c.steps {
 				gathered = gathered || st.acc[1].stride == 2 && st.acc[2].stride == 2
 			}
 		}
@@ -159,13 +159,12 @@ BH_SYNC a0 [0:36:1]
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	clusters := m.planClusters(p, newLiveness(p))
-	if len(clusters) != 3 {
-		t.Fatalf("planned %d clusters, want RANGE, the stencil, SYNC: %+v", len(clusters), clusters)
+	pl := m.CompileValidated(p)
+	if len(pl.clusters) != 3 {
+		t.Fatalf("planned %d clusters, want RANGE, the stencil, SYNC: %+v", len(pl.clusters), pl.clusters)
 	}
-	c := clusters[1]
-	if c.start != 1 || c.end != 6 || c.lagged == nil || c.lagged.lag.lagSpan != (lagSpan{back: 6, ahead: 6}) {
-		t.Errorf("stencil cluster %+v (lag %+v): want [1,6) closed by a write one row behind and ahead of its reads", c, c.lagged)
+	if c := pl.clusters[1]; c.start != 1 || c.end != 6 || c.lag == nil || c.lag.lagSpan != (lagSpan{back: 6, ahead: 6}) {
+		t.Errorf("stencil cluster [%d,%d) (lag %+v): want [1,6) closed by a write one row behind and ahead of its reads", c.start, c.end, c.lag)
 	}
 	runBoth(t, p)
 }
@@ -185,7 +184,7 @@ BH_SYNC a0
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	for _, c := range m.planClusters(p, newLiveness(p)) {
+	for _, c := range m.CompileValidated(p).clusters {
 		if !c.fused {
 			continue
 		}
@@ -214,13 +213,13 @@ BH_SYNC a0
 			m := New(Config{Fusion: true})
 			defer m.Close()
 			fusedRun := false
-			for _, c := range m.planClusters(p, newLiveness(p)) {
+			for _, c := range m.CompileValidated(p).clusters {
 				if c.fused && c.end-c.start == 3 {
 					fusedRun = true
 				}
 			}
 			if !fusedRun {
-				t.Errorf("%s chain did not fuse: %+v", dt, m.planClusters(p, newLiveness(p)))
+				t.Errorf("%s chain did not fuse: %+v", dt, m.CompileValidated(p).clusters)
 			}
 			runBoth(t, p)
 		})
@@ -239,7 +238,7 @@ BH_SYNC a1
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	clusters := m.planClusters(p, newLiveness(p))
+	clusters := m.CompileValidated(p).clusters
 	if !clusters[0].fused || clusters[0].end-clusters[0].start != 4 {
 		t.Errorf("cross-dtype cluster did not form: %+v", clusters)
 	}
@@ -254,7 +253,7 @@ BH_ADD a0 [1:100:1] a0 [0:99:1] 0
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	for _, c := range m.planClusters(p, newLiveness(p)) {
+	for _, c := range m.CompileValidated(p).clusters {
 		if c.fused {
 			t.Errorf("misaligned self-overlap fused: %+v", c)
 		}

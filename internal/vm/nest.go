@@ -155,30 +155,30 @@ func operands(in *bytecode.Instruction) [3]*bytecode.Operand {
 	return [3]*bytecode.Operand{&in.Out, &in.In1, &in.In2}
 }
 
-// compileNest compiles instructions [start, end) of p — vetted by sweepAt
-// to share the iteration shape — into a nest. live (or nil) lets dead
-// temporaries stay virtual; lagged (or nil) is the layout the planner
-// accepted a closing write with, copied because constant-rebound plans
-// share it. A single instruction whose op has no kernel yields nil: the
-// interpreter runs it and reports the error.
-func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *liveness, lagged *nest) *nest {
-	var ns *nest
-	if lagged == nil {
-		ns = layoutNest(p, start, end, shape, live, nil)
-	} else {
-		c := *lagged
-		c.steps = slices.Clone(c.steps)
-		ns = &c
+// compileNest compiles instructions [start, end) of p, vetted by sweepAt,
+// into a nest outside any plan and arena, for the executing side (ExecOne,
+// unfold). A single instruction whose op has no kernel yields nil.
+func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape) *nest {
+	ns := new(nest)
+	new(compileArena).layoutNest(ns, p, start, end, shape, liveness{}, nil)
+	if !ns.attach(p, &kernelSlabs{}) {
+		return nil
 	}
+	return ns
+}
+
+// attach compiles ns's kernel steps from p, the part of a nest that
+// captures constants; false: a single instruction whose op has no kernel.
+func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
 	for k := 0; k < len(ns.steps); k += ns.steps[k].width {
 		st := &ns.steps[k]
 		in := &p.Instrs[st.index]
+		ks.left = len(ns.steps) - k - st.width
 		if ns.line > 0 && k == len(ns.steps)-1 {
 			st.code = newFoldStep(in, st, ns.line)
 			break
 		}
-		srcDT := st.ops[0].dtype
-		srcs := make([]ksrc, 0, 2)
+		srcDT, srcs := st.ops[0].dtype, make([]ksrc, 0, 2)
 		for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
 			switch {
 			case o.IsConst():
@@ -188,31 +188,25 @@ func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *
 				srcDT = st.ops[j+1].dtype
 			}
 		}
-		st.code = newKernelStep(p, ns.steps[k:k+st.width], srcDT, srcs)
-		if st.width > 1 {
-			ns.chained += st.width
-		}
+		st.code = newKernelStep(p, ns.steps[k:k+st.width], srcDT, srcs, ks)
 	}
-	if !ns.fused && ns.steps[0].code == nil {
-		return nil
-	}
-	return ns
+	return ns.fused || ns.steps[0].code != nil
 }
 
-// layoutNest is the kernel-free half of compileNest: operand slots, the
-// collapsed geometry, the scratch slab, the lagged store. It returns nil
-// only to decline the closing write lagged announces (the planner asks).
-// A closing reduction (reduceEpilogueAt) makes a fold nest.
-func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *liveness, lagged *lagSpan) *nest {
+// layoutNest lays out the kernel-free half of a nest into ns, exactly
+// sized, with the arena's tables: operand slots, the collapsed geometry,
+// the scratch slab, the lagged store. It returns false only to decline the
+// closing write lagged announces (the planner asks). A closing reduction
+// (reduceEpilogueAt) makes a fold nest.
+func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int, shape tensor.Shape, live liveness, lagged *lagSpan) bool {
 	n := end - start
-	ns := &nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, n)}
-	virt := virtualRegs(p, start, end, shape, live)
-	iter, reduced := shape, -1 // the iteration shape: shape, with a fold's reduced axis moved last
+	*ns = nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, n)}
+	virt := ar.virtualRegs(p, start, end, shape, live)
+	nd, reduced := len(shape), len(shape)
 	if in := &p.Instrs[end-1]; in.Op.Info().Kind == bytecode.KindReduction {
 		reduced, ns.line = in.Axis, shape[in.Axis]
-		iter = append(slices.Delete(slices.Clone(shape), reduced, reduced+1), ns.line)
 	}
-	views := make([]tensor.View, 0, 3*n) // per memory operand slot, broadcast to iter
+	views := ar.views[:0]
 	for i := range ns.steps {
 		in, st := &p.Instrs[start+i], &ns.steps[i]
 		st.index = start + i
@@ -227,44 +221,50 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 				st.ops[k].virtual, st.acc[k].slot = true, slotVirtual
 				continue
 			}
-			v, result := o.View, reduced >= 0 && k == 0 && i == n-1 // the fold's result: one element per line, through no slot
-			if !result && !v.Shape.Equal(shape) {
-				v, _ = v.BroadcastTo(shape) // broadcastable: sweepAt checked
+			if lo, hi, ok := o.View.MinMaxIndex(); ok && ns.total > 0 {
+				st.ops[k].lo, st.ops[k].hi = lo, hi // broadcast to shape, the view addresses the same elements
 			}
-			if lo, hi, ok := v.MinMaxIndex(); ok {
-				st.ops[k].lo, st.ops[k].hi = lo, hi
+			if reduced == nd || k > 0 || i < n-1 { // the fold's result: one element per line, through no slot
+				st.acc[k].slot = len(views)
+				views = append(views, &o.View)
 			}
-			if result {
-				continue
-			}
-			if reduced >= 0 {
-				r, stride, extent := removeAxis(v, reduced)
-				v = tensor.View{Offset: v.Offset, Shape: append(r.Shape, extent), Strides: append(r.Strides, stride)}
-			}
-			st.acc[k].slot = len(views)
-			views = append(views, v)
 		}
 	}
+	ar.views = views
 	for i := 0; i < n; i += ns.steps[i].width {
-		ns.steps[i].width = chainAt(p, ns.steps, i)
+		if ns.steps[i].width = chainAt(p, ns.steps, i); ns.steps[i].width > 1 {
+			ns.chained += ns.steps[i].width
+		}
 	}
 
 	// Collapse: drop singleton dimensions, then merge each dimension into
 	// its outer neighbour when every operand steps through the pair as
-	// through one dense dimension.
+	// through one dense dimension. Operands broadcast to shape; a fold's
+	// reduced axis moves last.
 	type axis struct {
 		extent  int
 		strides []int
 	}
-	axes := make([]axis, 0, len(iter))
-	strides := make([]int, len(iter)*len(views))
-	for d, extent := range iter {
+	var axesBuf [8]axis
+	nv, axes := len(views), axesBuf[:0]
+	ar.strides = grown(ar.strides, nd*nv)
+	for d := range nd {
+		sd := d
+		if d >= reduced {
+			if sd = d + 1; sd == nd {
+				sd = reduced
+			}
+		}
+		extent := shape[sd]
 		if extent == 1 {
 			continue
 		}
-		cur := strides[d*len(views) : (d+1)*len(views)]
-		for s := range views {
-			cur[s] = views[s].Strides[d]
+		cur := ar.strides[d*nv : (d+1)*nv]
+		for s, v := range views {
+			cur[s] = 0
+			if i := sd - nd + len(v.Shape); i >= 0 && v.Shape[i] == extent {
+				cur[s] = v.Strides[i]
+			}
 		}
 		if n := len(axes); n > 0 {
 			dense := true
@@ -284,14 +284,14 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 	ns.inner = 1
 	if n := len(axes); n > 0 {
 		ns.inner = axes[n-1].extent
-		for _, ax := range axes[:n-1] {
-			ns.outer = append(ns.outer, ax.extent)
-			ns.strides = append(ns.strides, ax.strides)
+		ns.outer, ns.strides = make([]int, n-1), make([][]int, n-1)
+		for d, ax := range axes[:n-1] {
+			ns.outer[d], ns.strides[d] = ax.extent, slices.Clone(ax.strides)
 		}
 	}
-	ns.bases = make([]int, len(views))
-	for s := range views {
-		ns.bases[s] = views[s].Offset
+	ns.bases = make([]int, nv)
+	for s, v := range views {
+		ns.bases[s] = v.Offset
 	}
 	for i := range ns.steps {
 		for k := range ns.steps[i].acc {
@@ -316,7 +316,7 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 	if lagged != nil {
 		lag := &lagStore{lagSpan: *lagged, slot: last[0].slot, stride: last[0].stride, blk: blk}
 		if lag.slot < 0 || !lag.size(ns) {
-			return nil
+			return false
 		}
 		ns.lag = lag
 		if ops := &ns.steps[n-1].ops; closing.Op == bytecode.OpIdentity && closing.In1.IsReg() && ops[1].dtype == ops[0].dtype {
@@ -351,7 +351,7 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 	} else if lag != nil {
 		last[0] = operandAccess{slot: slotRing, row: take(ns.steps[n-1].ops[0].dtype, (lag.hold+lag.ring)*blk)}
 	}
-	return ns
+	return true
 }
 
 // virtualReg is a register a fused nest keeps out of memory: its run's slab
@@ -359,6 +359,8 @@ func layoutNest(p *bytecode.Program, start, end int, shape tensor.Shape, live *l
 type virtualReg struct {
 	reg        bytecode.RegID
 	row, slots int
+	view       *tensor.View // while virtualRegs runs: the first touch's view
+	mem        bool         // while virtualRegs runs: the register needs memory
 }
 
 func findVirtual(virt []virtualReg, r bytecode.RegID) *virtualReg {
@@ -373,27 +375,26 @@ func findVirtual(virt []virtualReg, r bytecode.RegID) *virtualReg {
 // virtualRegs picks the registers of fused cluster [start, end) that need
 // no memory: dead once it ends (liveness.deadAfter) and touched inside it
 // only through one view of its shape, first by a write that does not read
-// it — whatever a step reads was produced earlier in the same run.
-func virtualRegs(p *bytecode.Program, start, end int, shape tensor.Shape, live *liveness) (virt []virtualReg) {
-	if live == nil || end-start < 2 {
-		return nil
-	}
-	for i := start; i < end; i++ {
+// it — whatever a step reads was produced earlier in the same run. One
+// pass follows every register the cluster touches from its first touch.
+func (ar *compileArena) virtualRegs(p *bytecode.Program, start, end int, shape tensor.Shape, live liveness) []virtualReg {
+	virt := ar.virt[:0]
+	for i := start; i < end && end-start > 1; i++ {
 		in := &p.Instrs[i]
-		r, v := in.Out.Reg, &in.Out.View
-		ok := in.Op.Elementwise() && live.deadAfter(r, end-1) && v.Shape.Equal(shape) && !in.ReadsReg(r)
-		for k := start; k < end && ok; k++ {
-			for _, o := range operands(&p.Instrs[k]) {
-				if o.IsReg() && o.Reg == r && (k < i || !o.View.Equal(*v)) {
-					ok = false // touched before this write, or through another view
-				}
+		for k, o := range operands(in) {
+			if !o.IsReg() {
+				continue
 			}
-		}
-		if ok && findVirtual(virt, r) == nil {
-			virt = append(virt, virtualReg{reg: r})
+			if v := findVirtual(virt, o.Reg); v != nil {
+				v.mem = v.mem || !o.View.Equal(*v.view) // touched through another view
+				continue
+			}
+			mem := k > 0 || !in.Op.Elementwise() || !live.deadAfter(o.Reg, end-1) || !o.View.Shape.Equal(shape) || in.ReadsReg(o.Reg)
+			virt = append(virt, virtualReg{reg: o.Reg, view: &o.View, mem: mem})
 		}
 	}
-	return virt
+	ar.virt = slices.DeleteFunc(virt, func(v virtualReg) bool { return v.mem })
+	return ar.virt
 }
 
 // chainAt returns how many steps from i contract into one chain step (1:
@@ -527,52 +528,81 @@ func (ns *nest) drain(w *nestWorker, ops [][3]tensor.Buffer) {
 // newKernelStep compiles steps — one instruction with source dtype srcDT
 // and kernel sources srcs, or a chain (chainAt) — for the result's dtype,
 // or returns nil when the op has no kernel.
-func newKernelStep(p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc) stepCode {
+func newKernelStep(p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc, ks *kernelSlabs) stepCode {
 	switch steps[0].ops[0].dtype {
 	case tensor.Float64:
-		return kernelStepTo[float64](p, steps, srcDT, srcs)
+		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.f64)
 	case tensor.Float32:
-		return kernelStepTo[float32](p, steps, srcDT, srcs)
+		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.f32)
 	case tensor.Int64:
-		return kernelStepTo[int64](p, steps, srcDT, srcs)
+		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.i64)
 	case tensor.Int32:
-		return kernelStepTo[int32](p, steps, srcDT, srcs)
+		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.i32)
 	case tensor.Bool, tensor.Uint8:
-		return kernelStepTo[uint8](p, steps, srcDT, srcs)
+		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.u8)
 	}
 	return nil
 }
 
-func kernelStepTo[D tensor.Elem](p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc) stepCode {
+func kernelStepTo[D tensor.Elem](p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc, ks *kernelSlabs, same *[]kernelStep[D, D]) stepCode {
 	if len(steps) > 1 {
 		return chainStepOf[D](p, steps)
 	}
 	dstDT, op, acc := steps[0].ops[0].dtype, p.Instrs[steps[0].index].Op, steps[0].acc
 	if srcDT == dstDT {
-		k, ok := compileLoop[D](dstDT, op, srcs)
+		key, k, ok := int(dstDT)<<16|int(op)<<2|len(srcs), kernel[D, D](nil), false
+		if slices.ContainsFunc(srcs, func(s ksrc) bool { return s.isConst }) {
+			key = 0
+		}
+		if i := slices.Index(ks.keys[:ks.nkeys], key); i >= 0 {
+			k, ok = ks.loops[i].(kernel[D, D]), true
+		} else if k, ok = compileLoop[D](dstDT, op, srcs); ok && key != 0 && ks.nkeys < len(ks.keys) {
+			ks.keys[ks.nkeys], ks.loops[ks.nkeys] = key, k
+			ks.nkeys++
+		}
 		if !ok {
 			return nil
 		}
-		return kernelStepOf(k, dstDT, srcDT, acc)
+		if len(*same) == 0 {
+			*same = make([]kernelStep[D, D], max(1, ks.left+1))
+		}
+		st := &(*same)[0]
+		*same = (*same)[1:]
+		return kernelStepOf(st, k, dstDT, srcDT, acc)
 	}
 	// Mixed dtypes: sweepAt admits only the BH_IDENTITY cast.
 	switch srcDT {
 	case tensor.Float64:
-		return kernelStepOf(castKernel[D, float64](dstDT, srcDT), dstDT, srcDT, acc)
+		return kernelStepOf(new(kernelStep[D, float64]), castKernel[D, float64](dstDT, srcDT), dstDT, srcDT, acc)
 	case tensor.Float32:
-		return kernelStepOf(castKernel[D, float32](dstDT, srcDT), dstDT, srcDT, acc)
+		return kernelStepOf(new(kernelStep[D, float32]), castKernel[D, float32](dstDT, srcDT), dstDT, srcDT, acc)
 	case tensor.Int64:
-		return kernelStepOf(castKernel[D, int64](dstDT, srcDT), dstDT, srcDT, acc)
+		return kernelStepOf(new(kernelStep[D, int64]), castKernel[D, int64](dstDT, srcDT), dstDT, srcDT, acc)
 	case tensor.Int32:
-		return kernelStepOf(castKernel[D, int32](dstDT, srcDT), dstDT, srcDT, acc)
+		return kernelStepOf(new(kernelStep[D, int32]), castKernel[D, int32](dstDT, srcDT), dstDT, srcDT, acc)
 	case tensor.Bool, tensor.Uint8:
-		return kernelStepOf(castKernel[D, uint8](dstDT, srcDT), dstDT, srcDT, acc)
+		return kernelStepOf(new(kernelStep[D, uint8]), castKernel[D, uint8](dstDT, srcDT), dstDT, srcDT, acc)
 	}
 	return nil
 }
 
-func kernelStepOf[D, S tensor.Elem](k kernel[D, S], dstDT, srcDT tensor.DType, acc [3]operandAccess) stepCode {
-	return &kernelStep[D, S]{kern: k, out: acc[0], in1: acc[1], in2: acc[2], dstDT: dstDT, srcDT: srcDT}
+func kernelStepOf[D, S tensor.Elem](st *kernelStep[D, S], k kernel[D, S], dstDT, srcDT tensor.DType, acc [3]operandAccess) stepCode {
+	st.kern, st.out, st.in1, st.in2, st.dstDT, st.srcDT = k, acc[0], acc[1], acc[2], dstDT, srcDT
+	return st
+}
+
+// kernelSlabs hands a plan its same-type kernel steps out of one slice per
+// storage type, sized by the nest's steps still to attach, and shares each
+// kernel over registers only: it depends on its dtype, op and arity alone.
+type kernelSlabs struct {
+	left, nkeys int
+	f64         []kernelStep[float64, float64]
+	f32         []kernelStep[float32, float32]
+	i64         []kernelStep[int64, int64]
+	i32         []kernelStep[int32, int32]
+	u8          []kernelStep[uint8, uint8]
+	keys        [8]int // dtype<<16 | op<<2 | arity
+	loops       [8]any // kernel[T, T] per key
 }
 
 // kernelStep is a step's typed code: D is the result's storage type, S
@@ -885,7 +915,7 @@ func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer)
 // then the interpreter's reduction.
 func (m *Machine) unfold(p *bytecode.Program, ns *nest) error {
 	red := ns.end - 1
-	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape, nil, nil); pn != nil {
+	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape); pn != nil {
 		if err := m.runNest(p, pn); err != nil {
 			return err
 		}

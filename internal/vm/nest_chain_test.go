@@ -286,8 +286,9 @@ func TestNestChainRule(t *testing.T) {
 // that step runs as a pass of its own.
 func chainShapes(pl *Plan) string {
 	var out []string
-	for _, ns := range pl.nests {
-		for i := 0; ns != nil && i < len(ns.steps); i++ {
+	for k := range pl.clusters {
+		ns := &pl.clusters[k]
+		for i := 0; i < len(ns.steps); i++ {
 			if st := &ns.steps[i]; st.width > 1 {
 				v := reflect.ValueOf(st.code).Elem()
 				shape := fmt.Sprint(v.FieldByName("in").Len())
@@ -305,18 +306,19 @@ func chainShapes(pl *Plan) string {
 }
 
 // unchained recompiles every nest of pl with its chains split back into
-// one step per instruction: the per-step form a chain replaces.
+// one step per instruction, on the same layout: the per-step form a chain
+// replaces.
 func unchained(pl *Plan) {
-	for i, ns := range pl.nests {
-		if ns == nil || ns.chained == 0 {
+	for i := range pl.clusters {
+		ns := &pl.clusters[i]
+		if ns.chained == 0 {
 			continue
 		}
-		c := *ns
-		c.steps, c.chained = slices.Clone(ns.steps), 0
-		for k := range c.steps {
-			c.steps[k].width = 1
+		ns.steps, ns.chained = slices.Clone(ns.steps), 0
+		for k := range ns.steps {
+			ns.steps[k].width = 1
 		}
-		pl.nests[i] = compileNest(pl.prog, c.start, c.end, nil, nil, &c)
+		ns.attach(pl.prog, &kernelSlabs{})
 	}
 }
 

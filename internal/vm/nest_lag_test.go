@@ -257,7 +257,7 @@ func TestLivenessMatchesScan(t *testing.T) {
 		if i%3 == 0 {
 			p.MarkOutput(bytecode.RegID(len(p.Regs) - 1))
 		}
-		live := newLiveness(p)
+		live := new(compileArena).liveness(p)
 		for r := range p.Regs {
 			reg := bytecode.RegID(r)
 			for j := -1; j < len(p.Instrs); j++ {

@@ -322,14 +322,7 @@ func nestRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine
 func genRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine {
 	t.Helper()
 	m := New(cfg)
-	bound := map[bytecode.RegID]tensor.Tensor{}
-	for r, in := range gp.inputs {
-		bound[r] = cloneTensor(in)
-		m.Bind(r, bound[r])
-	}
-	for r, src := range gp.shared {
-		m.Bind(r, bound[src])
-	}
+	bindGen(m, gp)
 	p := gp.prog.Clone()
 	var err error
 	if interpreter {
@@ -342,6 +335,18 @@ func genRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine 
 		t.Fatalf("run (%+v, interpreter=%v): %v\n%s", cfg, interpreter, err, gp.prog)
 	}
 	return m
+}
+
+// bindGen binds copies of gp's inputs to m.
+func bindGen(m *Machine, gp genProgram) {
+	bound := map[bytecode.RegID]tensor.Tensor{}
+	for r, in := range gp.inputs {
+		bound[r] = cloneTensor(in)
+		m.Bind(r, bound[r])
+	}
+	for r, src := range gp.shared {
+		m.Bind(r, bound[src])
+	}
 }
 
 func cloneTensor(t tensor.Tensor) tensor.Tensor {
@@ -521,7 +526,7 @@ func TestNestStencilBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lag := pl.nests[0].lag; lag == nil || !lag.alias || lag.ring != 2 || lag.hold != 2 || lag.blk != n-2 {
+	if lag := pl.clusters[0].lag; lag == nil || !lag.alias || lag.ring != 2 || lag.hold != 2 || lag.blk != n-2 {
 		t.Errorf("write-back lag %+v: want the temporary's rows as a 2-slot ring (one row of lag) plus 2 hold slots", lag)
 	}
 	// Against plain Go, in the recorded operation order.
@@ -589,7 +594,8 @@ func TestNestTransposedCluster(t *testing.T) {
 
 // TestNestWithConstants: nests capture constants at compile time, so a
 // parametric plan-cache hit under new constants must execute the new
-// values — and leave the cached plan's own values alone.
+// values — and leave the cached plan's own values alone. Generated
+// lagged, fold and chain nests rebind too (checkRebind).
 func TestNestWithConstants(t *testing.T) {
 	build := func(scale, shift float64) *bytecode.Program {
 		p := bytecode.NewProgram()
@@ -633,12 +639,86 @@ func TestNestWithConstants(t *testing.T) {
 	if got := exec(pl); got != 3*2+1 {
 		t.Errorf("original plan computed %v after the rebind, want %v", got, 3*2+1)
 	}
-	if err := pl.PatchConstants(second.Constants()); err != nil {
+
+	rng := rand.New(rand.NewSource(32))
+	var lagged, folds, chains int
+	for i := 0; i < 60; i++ {
+		data := make([]byte, 128)
+		rng.Read(data)
+		for _, gp := range []genProgram{(&nestGen{data: data}).update(), (&nestGen{data: data}).reduce(), (&nestGen{data: data}).chain()} {
+			if pl := checkRebind(t, gp); pl != nil {
+				for i := range pl.clusters {
+					ns := &pl.clusters[i]
+					lagged += btoi(ns.lag != nil)
+					folds += btoi(ns.line > 0)
+					chains += btoi(ns.chained > 0)
+				}
+			}
+		}
+	}
+	if lagged == 0 || folds == 0 || chains == 0 {
+		t.Errorf("rebound %d lagged, %d fold and %d chain nests: want each kind", lagged, folds, chains)
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// checkRebind compiles gp's program, rebinds every constant to another
+// value, and checks that the clone shares each nest's layout — only the
+// steps, which hold the kernels, are its own — and executes bit for bit
+// as a fresh Compile of the program under the new constants does. It
+// returns the rebound plan, or nil when the program has no constant to
+// change.
+func checkRebind(t testing.TB, gp genProgram) *Plan {
+	t.Helper()
+	consts := gp.prog.Constants()
+	for i, c := range consts {
+		if c.DType == tensor.Bool {
+			consts[i] = bytecode.ConstOf(c.DType, 1-c.Float())
+		} else {
+			consts[i] = bytecode.ConstOf(c.DType, c.Float()+1)
+		}
+	}
+	cfg := Config{Fusion: true, Workers: 2, ParallelThreshold: 4}
+	m := New(cfg)
+	defer m.Close()
+	pl, err := m.Compile(gp.prog.Clone())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := exec(pl); got != 3*10-4 {
-		t.Errorf("patched plan computed %v, want %v", got, 3*10-4)
+	rebound, err := pl.WithConstants(consts)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if rebound == pl {
+		return nil
+	}
+	for i := range pl.clusters {
+		a, b := &pl.clusters[i], &rebound.clusters[i]
+		if len(a.steps) != len(b.steps) || len(a.bases) != len(b.bases) || a.lag != b.lag ||
+			len(a.bases) > 0 && &a.bases[0] != &b.bases[0] || len(a.steps) > 0 && &a.steps[0] == &b.steps[0] {
+			t.Fatalf("nest %d: the rebound plan does not share exactly the layout\n%s", i, gp.prog)
+		}
+	}
+	fresh := gp
+	fresh.prog = gp.prog.Clone()
+	if _, err := fresh.prog.SetConstants(consts); err != nil {
+		t.Fatal(err)
+	}
+	want := nestRun(t, fresh, cfg, false)
+	got := New(cfg)
+	defer got.Close()
+	bindGen(got, gp)
+	if err := rebound.Execute(got); err != nil {
+		t.Fatalf("rebound plan: %v\n%s", err, fresh.prog)
+	}
+	sameRegisters(t, "rebound plan", fresh.prog, want, got)
+	return rebound
 }
 
 // TestPlanExecuteCompilesNothing: kernels are built by Compile; Execute
@@ -779,7 +859,7 @@ func TestCastNestMatchesAccessor(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if pl.nests[0] == nil {
+				if pl.clusters[0].steps == nil {
 					t.Fatalf("%v→%v cast did not compile to a nest", from, to)
 				}
 				want := nestRun(t, gp, Config{Workers: 1}, true)

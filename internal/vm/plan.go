@@ -2,62 +2,87 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/faultinject"
+	"bohrium/internal/tensor"
 )
 
-// Plan is the reusable compilation of one program: validation, fusion
-// cluster discovery, every sweep's loop nest and run kernels (a reduction
-// epilogue's fold included) — everything that does not depend on buffer
-// bindings.
-// A Plan may be executed many times, against any Machine on any Engine;
-// each Execute resolves register buffers from that machine's register
-// file afresh (new input bindings, recycled temporaries) without
-// re-running any analysis. Execute is read-only on the Plan, so one Plan
-// may execute on several Machines concurrently — the shared plan cache
-// and the backend's async Executor both depend on that, which is why a cached or
-// queued plan must never be mutated: rebind constants with WithConstants
-// (clone); PatchConstants (in place) is only for a plan the caller owns
-// outright and is not executing anywhere. Keep any new Plan/nest state
-// immutable after Compile for the same reason.
+// Plan is the reusable, binding-independent compilation of one program:
+// its clusters, each a run of instructions [start, end) described by a
+// nest — a sweep's loop nest and run kernels (a reduction epilogue's fold
+// included), or no steps: the interpreter runs it. Each Execute resolves
+// register buffers afresh and is read-only on the Plan, so one Plan may
+// execute on several Machines concurrently — the shared plan cache and
+// the async Executor depend on that — and a plan is never mutated after
+// Compile: WithConstants rebinds constants into a clone that shares every
+// nest's layout and owns only the steps, whose kernels capture constants.
 type Plan struct {
 	prog     *bytecode.Program
 	fused    bool
-	clusters []cluster
-	live     *liveness // structural, like clusters: shared by constant-rebound clones
-	nests    []*nest   // per cluster; non-nil for sweeps
+	clusters []nest
 }
 
-// Compile analyzes p into a Plan. Validation runs here (unless the
-// machine's SkipValidation is set), so Execute can trust the program.
-// The plan keeps a reference to p; callers must not mutate it afterwards
-// except through PatchConstants.
+// Compile validates p and analyzes it into a Plan (CompileValidated).
+// Validation failures wrap ErrExec.
 func (m *Machine) Compile(p *bytecode.Program) (*Plan, error) {
-	if !m.cfg.SkipValidation {
-		if err := p.Validate(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrExec, err)
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrExec, err)
+	}
+	return m.CompileValidated(p), nil
+}
+
+// CompileValidated analyzes p, which the caller has validated (as
+// backend.Resolver does, once per program), into a Plan that keeps a
+// reference to p. Only m's compiling goroutine may call it.
+func (m *Machine) CompileValidated(p *bytecode.Program) *Plan {
+	ar := &m.arena
+	m.planClusters(p, ar.liveness(p))
+	pl := &Plan{prog: p, fused: m.cfg.Fusion, clusters: slices.Clone(ar.clusters)}
+	pl.attachKernels()
+	return pl
+}
+
+// compileArena is a Machine's compile scratch, reused across misses and
+// touched only by the compiling goroutine. No Plan references it.
+type compileArena struct {
+	refs     []int // liveness
+	clusters []nest
+	views    []*tensor.View // one layout's operand slots
+	strides  []int
+	virt     []virtualReg
+	accs     []regAccess
+}
+
+// attachKernels compiles every nest's kernel steps from the plan's
+// program: the only part of a plan that captures constant values.
+func (pl *Plan) attachKernels() {
+	var ks kernelSlabs
+	for i := range pl.clusters {
+		if ns := &pl.clusters[i]; ns.steps != nil && !ns.attach(pl.prog, &ks) {
+			ns.steps = nil // a lone instruction whose op has no kernel: the interpreter reports it
 		}
 	}
-	live := newLiveness(p)
-	pl := &Plan{prog: p, fused: m.cfg.Fusion, clusters: m.planClusters(p, live), live: live}
-	pl.compileClusters()
-	return pl, nil
 }
 
-// liveness is the one place the deadness rule lives: a register may skip
-// materialization only when the batch itself declares its buffer dead — it
-// is freed later in the batch, nothing else references it from there on,
-// and it is neither bound from outside nor observed (lazy front ends treat
-// any other written register as defined for the next batch). One pass per
+// liveness holds the deadness rule: a register may skip materialization
+// only when the batch itself declares its buffer dead — it is freed later
+// in the batch, nothing else references it from there on, and it is
+// neither bound from outside nor observed (lazy front ends treat any
+// other written register as defined for the next batch). One pass per
 // program records, per register, 1 + the index of the last instruction
-// that references it other than BH_FREE, and of the last BH_FREE (0: none).
+// that references it other than BH_FREE, and of the last BH_FREE (0:
+// none). rewrite.DeadAfter and the out-of-core backend's deadAfter state
+// the same rule again; ROADMAP item 2 makes them one.
 type liveness struct{ refs, frees []int }
 
-func newLiveness(p *bytecode.Program) *liveness {
+// liveness computes p's liveness in the arena.
+func (ar *compileArena) liveness(p *bytecode.Program) liveness {
 	n := len(p.Regs)
-	lv := &liveness{refs: make([]int, 2*n)}
-	lv.refs, lv.frees = lv.refs[:n], lv.refs[n:]
+	ar.refs = grown(ar.refs, 2*n)
+	clear(ar.refs)
+	lv := liveness{refs: ar.refs[:n], frees: ar.refs[n:]}
 	for k := range p.Instrs {
 		last := lv.refs
 		if p.Instrs[k].Op == bytecode.OpFree {
@@ -81,21 +106,8 @@ func newLiveness(p *bytecode.Program) *liveness {
 
 // deadAfter reports whether r's buffer is provably dead once instruction j
 // has run.
-func (lv *liveness) deadAfter(r bytecode.RegID, j int) bool {
+func (lv liveness) deadAfter(r bytecode.RegID, j int) bool {
 	return uint(r) < uint(len(lv.refs)) && lv.refs[r] <= j+1 && lv.frees[r] > j+1
-}
-
-// compileClusters builds the buffer-independent executable form of every
-// cluster from the plan's current program: the loop nest of each sweep.
-// Nests capture constant operands, so a constant rebind recompiles them
-// (closures and small tables only — no buffer work).
-func (pl *Plan) compileClusters() {
-	pl.nests = make([]*nest, len(pl.clusters))
-	for i, cl := range pl.clusters {
-		if cl.sweep {
-			pl.nests[i] = compileNest(pl.prog, cl.start, cl.end, cl.shape, pl.live, cl.lagged)
-		}
-	}
 }
 
 // Program returns the compiled program. Treat it as read-only: the plan's
@@ -107,8 +119,8 @@ func (pl *Plan) Program() *bytecode.Program { return pl.prog }
 // never mutated, so it may be executing concurrently — on this machine's
 // async executor or on another session sharing the engine's plan cache.
 // When vals already equal the plan's constants, pl is returned as-is.
-// Cluster discovery is structural and carries over; nests capture
-// immediates, so they are recompiled against the patched program.
+// Nest layouts are structural and shared; only the kernel steps, which
+// capture immediates, are rebuilt.
 func (pl *Plan) WithConstants(vals []bytecode.Constant) (*Plan, error) {
 	prog := pl.prog.Clone()
 	changed, err := prog.SetConstants(vals)
@@ -118,22 +130,12 @@ func (pl *Plan) WithConstants(vals []bytecode.Constant) (*Plan, error) {
 	if !changed {
 		return pl, nil
 	}
-	np := &Plan{prog: prog, fused: pl.fused, clusters: pl.clusters, live: pl.live}
-	np.compileClusters()
-	return np, nil
-}
-
-// PatchConstants rebinds the plan's constant operands to vals (in
-// Program.Constants order), in place. Only for plans the caller owns
-// outright and is not executing anywhere: cached plans are shared and
-// immutable — the plan cache uses WithConstants instead.
-func (pl *Plan) PatchConstants(vals []bytecode.Constant) error {
-	changed, err := pl.prog.SetConstants(vals)
-	if err != nil || !changed {
-		return err
+	np := &Plan{prog: prog, fused: pl.fused, clusters: slices.Clone(pl.clusters)}
+	for i := range np.clusters {
+		np.clusters[i].steps = slices.Clone(np.clusters[i].steps)
 	}
-	pl.compileClusters()
-	return nil
+	np.attachKernels()
+	return np, nil
 }
 
 // Execute runs the plan against m's current register bindings. On error
@@ -157,10 +159,10 @@ func (pl *Plan) Execute(m *Machine) error {
 	// Every execution path annotates its error with the index and
 	// disassembly of the instruction that failed, not merely the
 	// cluster's first.
-	for i, cl := range pl.clusters {
-		var err error
-		if pl.nests[i] != nil {
-			err = m.runNest(p, pl.nests[i])
+	for i := range pl.clusters {
+		cl, err := &pl.clusters[i], error(nil)
+		if cl.steps != nil {
+			err = m.runNest(p, cl)
 		} else {
 			err = m.interpret(p, cl.start, cl.end)
 		}

@@ -73,10 +73,11 @@ func TestPlanExecuteRebinds(t *testing.T) {
 	}
 }
 
-// TestPlanPatchConstants verifies a parametric plan replays with new
-// immediates, including through a fused reduction epilogue (whose nest
-// captures constant values and must be recompiled).
-func TestPlanPatchConstants(t *testing.T) {
+// TestPlanWithConstantsEpilogue verifies a parametric plan replays with
+// new immediates, including through a fused reduction epilogue (whose nest
+// captures constant values and must be recompiled), and leaves the
+// original plan's immediates alone.
+func TestPlanWithConstantsEpilogue(t *testing.T) {
 	m := New(Config{Fusion: true})
 	defer m.Close()
 	p := bytecode.NewProgram()
@@ -105,15 +106,21 @@ func TestPlanPatchConstants(t *testing.T) {
 	if got := regVals(t, m, 2, 1)[0]; got != 24 {
 		t.Fatalf("sum(1*3) over 8 = %v, want 24", got)
 	}
-	if err := pl.PatchConstants([]bytecode.Constant{bytecode.ConstFloat(5)}); err != nil {
+	rebound, err := pl.WithConstants([]bytecode.Constant{bytecode.ConstFloat(5)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	bindVec(t, m, 0, ones)
-	if err := pl.Execute(m); err != nil {
-		t.Fatal(err)
-	}
-	if got := regVals(t, m, 2, 1)[0]; got != 40 {
-		t.Fatalf("patched sum(1*5) over 8 = %v, want 40", got)
+	for _, tc := range []struct {
+		pl   *Plan
+		want float64
+	}{{rebound, 40}, {pl, 24}} {
+		bindVec(t, m, 0, ones)
+		if err := tc.pl.Execute(m); err != nil {
+			t.Fatal(err)
+		}
+		if got := regVals(t, m, 2, 1)[0]; got != tc.want {
+			t.Fatalf("sum over 8 = %v, want %v", got, tc.want)
+		}
 	}
 }
 

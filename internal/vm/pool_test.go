@@ -74,14 +74,15 @@ func TestPoolFailedSweepLeaksNothing(t *testing.T) {
 	}{
 		// a1 recycles the poisoned buffer; the 8 KiB a2 is denied.
 		{"later allocation denied", "BH_IDENTITY a1 3\nBH_ADD a2 [0:10:1] a1 1\n", Config{Fusion: true}, ErrMemoryPressure},
-		{"input never bound", "BH_ADD a1 a2 [0:10:1] 1\n", Config{SkipValidation: true}, ErrExec},
+		{"input never bound", "BH_ADD a1 a2 [0:10:1] 1\n", Config{}, ErrExec},
 	} {
 		eng := NewEngine(EngineConfig{MemoryHighWatermark: 1024})
 		a, b := eng.NewMachine(Config{}), eng.NewMachine(tc.cfg)
 		if err := a.Run(bytecode.MustParse(".reg a0 float64 10\nBH_IDENTITY a0 7\nBH_FREE a0\n")); err != nil {
 			t.Fatal(err)
 		}
-		err := b.Run(bytecode.MustParse(".reg a0 float64 10\n.reg a1 float64 10\n.reg a2 float64 1000\n" + tc.body))
+		// Unvalidated: the second program reads a register nothing defined.
+		err := b.CompileValidated(bytecode.MustParse(".reg a0 float64 10\n.reg a1 float64 10\n.reg a2 float64 1000\n" + tc.body)).Execute(b)
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: %v, want %v", tc.name, err, tc.want)
 		}

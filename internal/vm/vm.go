@@ -47,9 +47,6 @@ type Config struct {
 	// (few outputs over an axis long enough to cut into chunks). Zero
 	// picks a default.
 	ParallelThreshold int
-	// SkipValidation trusts the caller to have validated the program
-	// (the optimizer pipeline validates after every pass).
-	SkipValidation bool
 	// PlanCacheSize tunes the machine's use of the fingerprint-keyed plan
 	// cache. Negative opts the machine out entirely (LookupPlan always
 	// misses without counting, inserts are dropped). For a machine made
@@ -97,7 +94,8 @@ type Machine struct {
 	useCache bool // session opted into the engine's plan cache
 	private  bool // Close also closes the engine (vm.New compatibility)
 	regs     registerFile
-	frame    nestFrame // runNest's reusable scratch; only the executing goroutine touches it
+	frame    nestFrame    // runNest's reusable scratch; only the executing goroutine touches it
+	arena    compileArena // CompileValidated's reusable scratch; only the compiling goroutine touches it
 	stats    atomicStats
 }
 
