@@ -27,7 +27,6 @@ import (
 
 	"bohrium/internal/backend"
 	"bohrium/internal/bytecode"
-	"bohrium/internal/faultinject"
 	"bohrium/internal/rewrite"
 	"bohrium/internal/tensor"
 	"bohrium/internal/vm"
@@ -93,25 +92,6 @@ type Config struct {
 	// (Backend: "outofcore"); zero selects the backend's default (1 MiB).
 	// Ignored by backends without the Chunked capability.
 	ChunkBytes int
-	// XPlanFuse enables cross-plan fusion of repeated flush sequences.
-	// When the same batch structure heads a back-to-back pair twice, the
-	// next Submit of that structure defers: the batch stays in the
-	// recording buffer, the following batch records into the same program,
-	// and the combined program goes through the completely ordinary
-	// fingerprint → plan-cache → optimize → fuse path. The optimizer then
-	// sees across the old plan boundary — a value one iteration produces,
-	// reduces, and frees that the next iteration recomputes identically
-	// collapses to a single sweep (rewrite's seq-reuse rule), and the
-	// boundary fence disappears. At most one batch defers at a time, a
-	// batch containing BH_SYNC (observed values) never defers, and Stats
-	// force-submits any deferral so counters stay deterministic. Deferring
-	// shifts *when* a Flush's work executes (the nil return reports only
-	// recording-side success; execution errors surface at the next
-	// synchronizing call, exactly as in Async mode) — values and error
-	// text are unchanged, which the cross-plan differential suite pins.
-	// Requires the plan cache and a backend with the SequenceFusion
-	// capability (out-of-core opts out); silently inert otherwise.
-	XPlanFuse bool
 }
 
 // Context owns a byte-code recording buffer and the per-session virtual
@@ -145,17 +125,6 @@ type Context struct {
 	// repeats and the plan cache hits.
 	freeRegs []bytecode.RegID
 	lastRep  *rewrite.Report
-	// Cross-plan fusion state (Config.XPlanFuse). lastFP/haveLast remember
-	// the previous single-batch submission's structural fingerprint; pairs
-	// counts observations of each (prev, cur) sequence fingerprint;
-	// hotHeads marks fingerprints that repeatedly head such a pair and are
-	// therefore worth holding back; deferred marks that the pending
-	// program already carries one deferred batch.
-	lastFP   bytecode.Fingerprint
-	haveLast bool
-	pairs    map[bytecode.Fingerprint]int
-	hotHeads map[bytecode.Fingerprint]bool
-	deferred bool
 	// exec is the background plan executor of async mode (Config.Async);
 	// nil in synchronous mode. Everything else in this struct belongs to
 	// the recording goroutine — the executor only ever sees compiled
@@ -222,13 +191,11 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 		panic(fmt.Sprintf("bohrium: %v", err))
 	}
 	ctx := &Context{
-		cfg:      c,
-		rt:       rt,
-		ownsRT:   ownsRT,
-		backend:  be,
-		pending:  bytecode.NewProgram(),
-		pairs:    map[bytecode.Fingerprint]int{},
-		hotHeads: map[bytecode.Fingerprint]bool{},
+		cfg:     c,
+		rt:      rt,
+		ownsRT:  ownsRT,
+		backend: be,
+		pending: bytecode.NewProgram(),
 	}
 	ctx.plans = backend.NewResolver(be,
 		backend.Signature{Scope: "context", Options: opts, Fusion: !c.DisableFusion},
@@ -278,21 +245,15 @@ func (c *Context) LastReport() *rewrite.Report { return c.lastRep }
 // many flushes skipped the rewrite pipeline and fusion analysis by
 // re-executing a cached compilation, and Pipelined counts plans that ran
 // on the async executor. The counters are this session's own, even on a
-// shared Runtime (Runtime.Stats aggregates across sessions). In async
-// mode Stats first waits for the in-flight batches so the counters are
-// deterministic; a pipeline error is not reported here — it stays sticky
-// for the next synchronizing call. After Close, Stats reports ErrClosed.
+// shared Runtime (Runtime.Stats aggregates across sessions). Stats never
+// submits: byte-code recorded since the last Submit is not counted. In
+// async mode Stats first waits for the in-flight batches so the counters
+// are deterministic; a pipeline error is not reported here — it stays
+// sticky for the next synchronizing call. After Close, Stats reports
+// ErrClosed.
 func (c *Context) Stats() (vm.Stats, error) {
 	if c.closed {
 		return vm.Stats{}, ErrClosed
-	}
-	// A cross-plan deferral still sits in the recording buffer; submit it
-	// so the counters describe every flush the caller issued. Deferral is
-	// blocked while deferred is set, so this is always a real submission.
-	if c.deferred {
-		if err := c.Submit(); err != nil {
-			return vm.Stats{}, err
-		}
 	}
 	if c.exec != nil {
 		c.exec.Wait()
@@ -317,7 +278,8 @@ func (c *Context) PendingProgram() *bytecode.Program { return c.pending.Clone() 
 // Flush optimizes and executes all recorded byte-code. Arrays read after
 // a flush observe the computed values. Flushing an empty buffer is a
 // no-op: no clone, no pipeline, no VM call. Flush is exactly
-// Submit+Wait, in both synchronous and async mode.
+// Submit+Wait, in both synchronous and async mode, so a nil return means
+// the batch has executed.
 //
 // When the plan cache is enabled (default), the flush first fingerprints
 // the batch; a structurally identical batch that was compiled before
@@ -332,12 +294,15 @@ func (c *Context) Flush() error {
 }
 
 // Submit seals the pending batch and hands it to the executor without
-// waiting for the results. In synchronous mode (Config.Async unset) it
-// optimizes, compiles and executes on the spot — Submit then *is* the
-// whole flush, and the subsequent Wait is a no-op. In async mode it
-// resolves the batch against the plan cache (compiling on a miss) and
-// enqueues the plan on the background executor: recording, fingerprinting
-// and compilation of the next batch overlap the execution of this one.
+// waiting for the results. Every Submit resolves exactly the byte-code
+// recorded since the previous one: one batch, one plan, never held back
+// or combined with the next batch. In synchronous mode (Config.Async
+// unset) it optimizes, compiles and executes on the spot — Submit then
+// *is* the whole flush, and the subsequent Wait is a no-op. In async mode
+// it resolves the batch against the plan cache (compiling on a miss) and
+// enqueues the plan on the background executor: recording,
+// fingerprinting and compilation of the next batch overlap the execution
+// of this one.
 // Submit returns recording-side errors (optimize/compile failures, a
 // poisoned pipeline) immediately; execution errors surface at the next
 // synchronizing call — Wait, Flush, Close, or any data access.
@@ -359,21 +324,11 @@ func (c *Context) Submit() error {
 		return nil
 	}
 	c.markPendingOutputs()
-	wasDeferred := c.deferred
-	key := c.plans.Key(c.pending)
-	// Cross-plan fusion: a batch structure that repeatedly heads a
-	// back-to-back pair is held in the recording buffer instead of
-	// sealing; the next batch records into the same program and the
-	// combined structure takes this very path on the following Submit.
-	if key.Cached && c.xplanShouldDefer(key.FP) {
-		c.deferred = true
-		return nil
-	}
 	// A parametric hit under new constants comes back as a patched clone,
 	// so resolving is safe while the executor still runs the previous
 	// submission. The pending batch is only read until advanceBatch
 	// replaces it.
-	res, err := c.plans.Resolve(c.pending, key)
+	res, err := c.plans.Resolve(c.pending, c.plans.Key(c.pending))
 	if err != nil {
 		if errors.As(err, new(*backend.OptimizeError)) {
 			return fmt.Errorf("bohrium: optimize failed: %w", err)
@@ -397,72 +352,8 @@ func (c *Context) Submit() error {
 			return fmt.Errorf("bohrium: execution failed: %w", err)
 		}
 	}
-	c.xplanAccount(key.FP, key.Cached, wasDeferred)
 	c.advanceBatch(res.Meta.(*planMeta))
 	return nil
-}
-
-// xplanShouldDefer decides whether the pending batch should be held back
-// and combined with the next one. Only reached when the plan cache is
-// enabled (the fingerprint exists). One deferral at most; the backend
-// must advertise SequenceFusion (out-of-core budgets residency per batch
-// and opts out); the batch must be sequence-fusible (no BH_SYNC — its
-// values are observed now — and no extension ops); and the structure must
-// have been seen heading a repeated pair. The faultinject point lets the
-// chaos suite yank fusion away mid-stream and prove recovery.
-func (c *Context) xplanShouldDefer(fp bytecode.Fingerprint) bool {
-	if !c.cfg.XPlanFuse || c.deferred {
-		return false
-	}
-	if !c.backend.Capabilities().SequenceFusion {
-		return false
-	}
-	if !c.hotHeads[fp] {
-		return false
-	}
-	if !rewrite.SequenceFusible(c.pending) {
-		return false
-	}
-	if err := faultinject.Error(faultinject.XPlanDisarm, ""); err != nil {
-		c.backend.CountXPlanDisarm()
-		return false
-	}
-	return true
-}
-
-// xplanAccount runs after a successful submission: it counts a combined
-// (previously deferred) submission and trains the pair predictor on
-// single-batch submissions. A combined batch is a different structure
-// from the singles that trained the predictor, so pair learning does not
-// chain across it. The pair table is capped; overflowing it resets the
-// predictor rather than letting an adversarial stream grow it without
-// bound.
-func (c *Context) xplanAccount(fp bytecode.Fingerprint, cached, wasDeferred bool) {
-	if !c.cfg.XPlanFuse {
-		return
-	}
-	c.deferred = false
-	if wasDeferred {
-		c.backend.CountXPlanFused()
-		c.haveLast = false
-		return
-	}
-	if !cached {
-		return
-	}
-	if c.haveLast {
-		seq := bytecode.SequenceFingerprint(c.lastFP, fp)
-		c.pairs[seq]++
-		if c.pairs[seq] >= 2 {
-			c.hotHeads[c.lastFP] = true
-		}
-		if len(c.pairs) > 256 {
-			c.pairs = map[bytecode.Fingerprint]int{}
-			c.hotHeads = map[bytecode.Fingerprint]bool{}
-		}
-	}
-	c.lastFP = fp
-	c.haveLast = true
 }
 
 // Wait blocks until every submitted batch has executed and returns the

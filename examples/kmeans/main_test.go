@@ -10,8 +10,7 @@ import (
 // TestKMeansRecoversCenters runs the clustering at a reduced size on
 // every execution configuration and checks two contracts: the recovered
 // centroids land near the true blob centers, and every configuration —
-// async pipelining, the chunked out-of-core backend, cross-plan fusion —
-// produces bit-identical centroids to the plain in-process run.
+// async pipelining, the chunked out-of-core backend — produces bit-identical centroids to the plain in-process run.
 func TestKMeansRecoversCenters(t *testing.T) {
 	const (
 		points = 3 * 64
@@ -54,7 +53,6 @@ func TestKMeansRecoversCenters(t *testing.T) {
 	}{
 		{"async", &bohrium.Config{Async: true}},
 		{"outofcore", &bohrium.Config{Backend: "outofcore", ChunkBytes: 2048}},
-		{"xplan-fuse", &bohrium.Config{XPlanFuse: true}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			gotX, gotY := run(t, v.cfg)

@@ -310,27 +310,34 @@ func NewEngine() *Engine { return nil }
 
 func Solve() {}
 `,
+		"internal/faultinject/faultinject.go": `package faultinject
+
+func Error() error { return nil }
+`,
 		"front.go": `package bohrium
 
 import (
-	"bohrium/internal/linalg" // line 4: crosses the backend seam
+	"bohrium/internal/faultinject" // line 4: a testing cross-cut
+	"bohrium/internal/linalg"      // line 5: crosses the backend seam
 	"bohrium/internal/vm"
 )
 
 type Context struct {
 	eng *vm.Engine
-	m   *vm.Machine // line 10: past the engine surface
+	m   *vm.Machine // line 11: past the engine surface
 }
 
 func New(cfg vm.Config) *Context {
 	linalg.Solve()
+	_ = faultinject.Error()
 	return &Context{eng: vm.NewEngine()}
 }
 `,
 	})
 	wantFindings(t, got, []string{
 		"front.go:4",
-		"front.go:10",
+		"front.go:5",
+		"front.go:11",
 	})
 }
 

@@ -9,17 +9,13 @@ import (
 // allowedRootImports are the only internal packages the front end may
 // import: the byte-code and tensor data model the public API is built
 // from, the rewrite options surfaced through Config, the backend seam
-// itself, internal/vm under the selector allowlist below, and the
-// fault-injection registry (the cross-plan deferral decision exposes
-// the xplan-disarm point so the chaos suite can veto fusion
-// mid-stream — a testing cross-cut, not execution machinery).
+// itself, and internal/vm under the selector allowlist below.
 var allowedRootImports = map[string]bool{
-	"internal/backend":     true,
-	"internal/bytecode":    true,
-	"internal/tensor":      true,
-	"internal/rewrite":     true,
-	"internal/vm":          true,
-	"internal/faultinject": true,
+	"internal/backend":  true,
+	"internal/bytecode": true,
+	"internal/tensor":   true,
+	"internal/rewrite":  true,
+	"internal/vm":       true,
 }
 
 // allowedVMSelectors is the engine-level surface of internal/vm the front

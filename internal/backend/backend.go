@@ -46,13 +46,6 @@ type Capabilities struct {
 	// ChunkBytes is the effective per-array tile budget of a chunked
 	// backend, in bytes; zero for backends that never chunk.
 	ChunkBytes int
-	// SequenceFusion marks backends whose plans tolerate the front end's
-	// cross-plan deferral: two consecutive batches may be submitted as
-	// one combined program without changing per-batch semantics the
-	// backend relies on. The out-of-core backend opts out — its segment
-	// planner budgets resident bytes per batch, and a combined batch
-	// could double a segment's working set behind its back.
-	SequenceFusion bool
 }
 
 // Backend is one session's execution seam: compile, execute, bind, read,
@@ -109,13 +102,6 @@ type Backend interface {
 	// CountPipelined adds one background-executed plan to the Pipelined
 	// counter — called by Executor, never by hosts.
 	CountPipelined()
-	// CountXPlanFused adds one combined cross-plan submission to the
-	// XPlanFused counter — called by the front end when it elides a flush
-	// boundary (only meaningful on backends with SequenceFusion).
-	CountXPlanFused()
-	// CountXPlanDisarm adds one abandoned cross-plan deferral to the
-	// XPlanDisarms counter — the xplan-disarm fault point's stats hook.
-	CountXPlanDisarm()
 
 	// Close releases the session's state (register buffers return to the
 	// engine's recycle pool, counters fold into the engine's totals). The

@@ -23,7 +23,7 @@ type inProcess struct {
 
 func (b *inProcess) Name() string { return "inprocess" }
 
-func (b *inProcess) Capabilities() Capabilities { return Capabilities{SequenceFusion: true} }
+func (b *inProcess) Capabilities() Capabilities { return Capabilities{} }
 
 func (b *inProcess) Compile(p *bytecode.Program) (Plan, error) {
 	return b.m.CompileValidated(p), nil
@@ -73,9 +73,5 @@ func (b *inProcess) Stats() vm.Stats { return b.m.Stats() }
 func (b *inProcess) ResetStats() { b.m.ResetStats() }
 
 func (b *inProcess) CountPipelined() { b.m.CountPipelined() }
-
-func (b *inProcess) CountXPlanFused() { b.m.CountXPlanFused() }
-
-func (b *inProcess) CountXPlanDisarm() { b.m.CountXPlanDisarm() }
 
 func (b *inProcess) Close() { b.m.Close() }

@@ -520,10 +520,6 @@ func (b *outOfCore) ResetStats() {
 
 func (b *outOfCore) CountPipelined() { b.m.CountPipelined() }
 
-func (b *outOfCore) CountXPlanFused() { b.m.CountXPlanFused() }
-
-func (b *outOfCore) CountXPlanDisarm() { b.m.CountXPlanDisarm() }
-
 func (b *outOfCore) Close() {
 	b.cm.Close()
 	b.m.Close()

@@ -62,10 +62,10 @@ type entry struct {
 	host any
 }
 
-// Key is a batch's plan-cache identity, computed once per batch: the
-// Context needs the fingerprint before lookup, for cross-plan fusion.
-// Consts is the resolver's buffer, valid until its next Key; the plan
-// cache copies what it keeps.
+// Key is a batch's plan-cache identity, computed apart from Resolve so a
+// host that replays one batch can fingerprint it once: bhrun hoists Key
+// out of its -repeat loop. Consts is the resolver's buffer, valid until
+// its next Key; the plan cache copies what it keeps.
 type Key struct {
 	FP     bytecode.Fingerprint
 	Consts []bytecode.Constant

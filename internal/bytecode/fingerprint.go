@@ -112,23 +112,6 @@ func (p *Program) role(r RegID) (role int) {
 	return role
 }
 
-// SequenceFingerprint combines two batch fingerprints into the identity
-// of the ordered pair (a, b). The front end keys its cross-plan
-// predictor on it: when the pair fingerprint of consecutive flushes
-// recurs, the stream is in a steady (A, B, A, B, …) state and the next
-// A-batch is a candidate for deferral into a combined A+B submission
-// (see ARCHITECTURE.md, "Cross-plan fusion"). The combinator is a plain
-// digest over a‖b, so it inherits the structural-only semantics of
-// Fingerprint: constant values do not perturb sequence identity.
-func SequenceFingerprint(a, b Fingerprint) Fingerprint {
-	h := sha256.New()
-	h.Write(a[:])
-	h.Write(b[:])
-	var fp Fingerprint
-	h.Sum(fp[:0])
-	return fp
-}
-
 // Constants collects every constant operand in instruction order (In1
 // before In2). The slice is the batch's "constant vector": together with
 // the Fingerprint it fully identifies the batch, and for plans compiled

@@ -55,13 +55,6 @@ const (
 	// the observed time is shifted by the fault's Skew, so sessions age
 	// out early (positive skew) or never (negative).
 	JanitorSkew Point = "janitor-skew"
-	// XPlanDisarm strikes the front end's cross-plan deferral decision
-	// (bohrium.Context.Submit): a batch that would have been held back
-	// and combined with the next one takes the ordinary single-plan path
-	// instead, counting an XPlanDisarms stat. The chaos suite uses it to
-	// prove a stream stays bit-for-bit correct when sequence fusion is
-	// yanked away mid-iteration.
-	XPlanDisarm Point = "xplan-disarm"
 )
 
 // ErrInjected is the sentinel every injected error wraps (unless the

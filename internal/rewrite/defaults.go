@@ -2,8 +2,10 @@ package rewrite
 
 import "bohrium/internal/chains"
 
-// Options configures the standard optimization pipeline. The zero value
-// enables no rule; DefaultOptions enables the full pipeline.
+// Options configures the standard optimization pipeline: the paper's
+// rewrites (constant merging, power expansion, inverse→solve) and the
+// cleanup rules around them, every one acting inside a single batch. The
+// zero value enables no rule; DefaultOptions enables the full pipeline.
 type Options struct {
 	// Fold enables canonicalization plus the constant merge rules
 	// (Listings 2→3).
@@ -25,10 +27,6 @@ type Options struct {
 	PowerAllowTemporaries bool
 	// CSE enables common-subexpression reuse of expensive sweeps.
 	CSE bool
-	// SeqReuse enables zero-copy deduplication of repeated sweeps — the
-	// rule that collapses the duplicate halves of cross-plan combined
-	// batches (it can sink one BH_FREE, which CSE must treat as a write).
-	SeqReuse bool
 	// SolveRewrite enables the equation (2) inverse→solve rewrite.
 	SolveRewrite bool
 	// DCE enables dead-code elimination.
@@ -47,7 +45,6 @@ func DefaultOptions() Options {
 		IdentityFold: true,
 		PowerExpand:  true,
 		CSE:          true,
-		SeqReuse:     true,
 		SolveRewrite: true,
 		DCE:          true,
 	}
@@ -70,12 +67,6 @@ func Build(opts Options) *Pipeline {
 	}
 	if opts.IdentityElim {
 		rules = append(rules, IdentityElimRule{})
-	}
-	if opts.SeqReuse {
-		// Before PowerExpand: a duplicated BH_POWER must be deduplicated
-		// while it is still one recognizable sweep, not two independently
-		// expanded multiply chains over distinct temporaries.
-		rules = append(rules, ReuseRule{})
 	}
 	if opts.PowerExpand {
 		rules = append(rules, PowerExpandRule{

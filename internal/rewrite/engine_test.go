@@ -96,7 +96,7 @@ func TestBuildRespectsOptions(t *testing.T) {
 	}{
 		{"empty", Options{}, 0},
 		{"fold only", Options{Fold: true}, 3},
-		{"everything", DefaultOptions(), 10},
+		{"everything", DefaultOptions(), 9},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

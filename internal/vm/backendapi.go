@@ -127,12 +127,3 @@ func (m *Machine) CountPipelined() { m.stats.pipelined.Add(1) }
 // CountChunks adds n streamed tiles to the Chunks counter — the stats
 // hook for chunked backends.
 func (m *Machine) CountChunks(n int) { m.stats.chunks.Add(int64(n)) }
-
-// CountXPlanFused adds one combined cross-plan submission to the
-// XPlanFused counter — the stats hook for front ends that elide a flush
-// boundary by deferring a batch into the next one.
-func (m *Machine) CountXPlanFused() { m.stats.xplanFused.Add(1) }
-
-// CountXPlanDisarm adds one abandoned deferral to the XPlanDisarms
-// counter — the stats hook for the xplan-disarm fault point.
-func (m *Machine) CountXPlanDisarm() { m.stats.xplanDisarms.Add(1) }

@@ -182,15 +182,6 @@ type Stats struct {
 	// buffer recycle pool: each chunk of a segmented sweep counts once.
 	// Always zero for purely in-process execution.
 	Chunks int
-	// XPlanFused counts combined cross-plan submissions: the front end
-	// proved a flush boundary elidable, held batch N back, and submitted
-	// N and N+1 as one program — one fence, one plan, one optimizer view
-	// across what would have been two.
-	XPlanFused int
-	// XPlanDisarms counts deferrals the front end abandoned because the
-	// xplan-disarm fault point fired: the batch took the ordinary
-	// single-plan path instead. Always zero outside chaos tests.
-	XPlanDisarms int
 }
 
 // Accumulate adds every counter of o into s — how Engine.Stats (and any
@@ -213,8 +204,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.PlanEvictions += o.PlanEvictions
 	s.Pipelined += o.Pipelined
 	s.Chunks += o.Chunks
-	s.XPlanFused += o.XPlanFused
-	s.XPlanDisarms += o.XPlanDisarms
 }
 
 // atomicStats is the Machine's internal counter set. The counters are
@@ -238,8 +227,6 @@ type atomicStats struct {
 	planEvictions       atomic.Int64
 	pipelined           atomic.Int64
 	chunks              atomic.Int64
-	xplanFused          atomic.Int64
-	xplanDisarms        atomic.Int64
 }
 
 func (s *atomicStats) addDType(dt tensor.DType, n int) {
@@ -264,8 +251,6 @@ func (s *atomicStats) snapshot() Stats {
 		PlanEvictions:       int(s.planEvictions.Load()),
 		Pipelined:           int(s.pipelined.Load()),
 		Chunks:              int(s.chunks.Load()),
-		XPlanFused:          int(s.xplanFused.Load()),
-		XPlanDisarms:        int(s.xplanDisarms.Load()),
 	}
 	for dt := range s.fusedByDType {
 		out.FusedByDType[dt] = int(s.fusedByDType[dt].Load())
@@ -291,8 +276,6 @@ func (s *atomicStats) reset() {
 	s.planEvictions.Store(0)
 	s.pipelined.Store(0)
 	s.chunks.Store(0)
-	s.xplanFused.Store(0)
-	s.xplanDisarms.Store(0)
 }
 
 // New returns a Machine on a private Engine built from the same
