@@ -79,19 +79,6 @@ type Config struct {
 	// (backpressure). Zero selects vm.DefaultAsyncDepth. Ignored unless
 	// Async is set.
 	AsyncDepth int
-	// Backend selects the execution backend by registered name. The empty
-	// string (and "inprocess") is the reference fused-sweep machine;
-	// "outofcore" streams elementwise segments through fixed-size chunks so
-	// working-set memory stays bounded by ChunkBytes per array instead of
-	// the arrays themselves. Every backend is value- and error-identical —
-	// the differential suite pins it — so the choice is purely an
-	// execution-strategy knob. An unknown name panics in NewContext, like
-	// any other invalid construction parameter.
-	Backend string
-	// ChunkBytes bounds the per-array tile size of chunked backends
-	// (Backend: "outofcore"); zero selects the backend's default (1 MiB).
-	// Ignored by backends without the Chunked capability.
-	ChunkBytes int
 }
 
 // Context owns a byte-code recording buffer and the per-session virtual
@@ -106,11 +93,9 @@ type Context struct {
 	rt     *Runtime
 	ownsRT bool // NewContext-made: Close tears the private runtime down
 	// backend executes this session's batches. The front end only ever
-	// speaks the backend.Backend interface — compile, execute, bind, read,
-	// cache, stats — so every execution strategy (in-process fused sweeps,
-	// out-of-core chunking, whatever is registered next) plugs in below
-	// this line without the recorder changing.
-	backend backend.Backend
+	// speaks backend.Backend — compile, execute, bind, read, cache,
+	// stats — never the VM's execution machinery.
+	backend *backend.Backend
 	// plans resolves each sealed batch through the shared plan cache. It
 	// never replays a plan compiled under other optimizer options or
 	// fusion: a batch fingerprint says nothing about HOW it was compiled.
@@ -178,18 +163,12 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 	if c.Optimizer != nil {
 		opts = *c.Optimizer
 	}
-	be, err := backend.Open(c.Backend, rt.eng, backend.Config{
-		VM: vm.Config{
-			Workers:           c.Workers,
-			ParallelThreshold: c.ParallelThreshold,
-			Fusion:            !c.DisableFusion,
-			PlanCacheSize:     c.PlanCacheSize,
-		},
-		ChunkBytes: c.ChunkBytes,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("bohrium: %v", err))
-	}
+	be := backend.New(rt.eng, backend.Config{VM: vm.Config{
+		Workers:           c.Workers,
+		ParallelThreshold: c.ParallelThreshold,
+		Fusion:            !c.DisableFusion,
+		PlanCacheSize:     c.PlanCacheSize,
+	}})
 	ctx := &Context{
 		cfg:     c,
 		rt:      rt,
@@ -200,7 +179,7 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 	ctx.plans = backend.NewResolver(be,
 		backend.Signature{Scope: "context", Options: opts, Fusion: !c.DisableFusion},
 		newPlanMeta, ctx.planUsable)
-	ctx.unregister = rt.Register("context/" + be.Name())
+	ctx.unregister = rt.Register("context/" + backend.DefaultName)
 	if c.Async {
 		ctx.exec = backend.NewExecutor(be, c.AsyncDepth, "")
 	}

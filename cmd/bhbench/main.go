@@ -9,21 +9,15 @@
 // Usage:
 //
 //	bhbench [-experiment all|E1|...|E7] [-n elements] [-solve-max m]
-//	        [-repeats r] [-backend name] [-chunk-bytes n] [-json path]
-//	        [-schema-check file]
-//
-// -backend re-measures every experiment on another execution backend
-// ("outofcore" with -chunk-bytes for the chunked engine); values are
-// backend-independent by the differential contract, so only the timing
-// columns move.
+//	        [-repeats r] [-json path] [-schema-check file]
 //
 // -json writes the rows as a machine-readable BENCH_*.json document. The
 // schema ("bohrium-bench/v2") is one object {"schema": ..., "rows":
-// [...]}; each row carries experiment, workload, params, backend,
-// bc_before, bc_after, baseline_ns, baseline_mad_ns, optimized_ns,
-// optimized_mad_ns (median and MAD, nanoseconds), speedup (the ratio of
-// the medians), pool_hits, buffers_alloc, fused_reductions, plan_hits,
-// plan_misses, and note. -schema-check validates an existing
+// [...]}; each row carries experiment, workload, params, backend (always
+// "inprocess", kept so v2 documents stay valid), bc_before, bc_after,
+// baseline_ns, baseline_mad_ns, optimized_ns, optimized_mad_ns (median
+// and MAD, nanoseconds), speedup (the ratio of the medians), pool_hits,
+// buffers_alloc, fused_reductions, plan_hits, plan_misses, and note. -schema-check validates an existing
 // BENCH_*.json against that schema and exits without running experiments
 // — the CI guard that keeps committed snapshots loadable.
 package main
@@ -34,7 +28,6 @@ import (
 	"io"
 	"os"
 
-	"bohrium/internal/backend"
 	"bohrium/internal/bench"
 )
 
@@ -51,8 +44,6 @@ func run(args []string, stdout io.Writer) error {
 	n := fs.Int("n", 1<<20, "elementwise vector length")
 	solveMax := fs.Int("solve-max", 256, "largest linear-system size for E4")
 	repeats := fs.Int("repeats", 7, "timing repetitions (median and MAD)")
-	backendName := fs.String("backend", "", fmt.Sprintf("execution backend %v (default %q)", backend.Names(), backend.DefaultName))
-	chunkBytes := fs.Int("chunk-bytes", 0, "per-array tile budget of chunked backends (0 = backend default)")
 	jsonPath := fs.String("json", "", "also write the rows as machine-readable JSON ("+bench.Schema+") to this path")
 	schemaCheck := fs.String("schema-check", "", "validate an existing BENCH_*.json against "+bench.Schema+" and exit")
 	if err := fs.Parse(args); err != nil {
@@ -61,7 +52,7 @@ func run(args []string, stdout io.Writer) error {
 	for _, f := range []struct {
 		name     string
 		val, min int
-	}{{"n", *n, 1}, {"repeats", *repeats, 1}, {"solve-max", *solveMax, 1}, {"chunk-bytes", *chunkBytes, 0}} {
+	}{{"n", *n, 1}, {"repeats", *repeats, 1}, {"solve-max", *solveMax, 1}} {
 		if f.val < f.min {
 			return fmt.Errorf("-%s %d: must be at least %d", f.name, f.val, f.min)
 		}
@@ -79,8 +70,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	scale := bench.Scale{VectorN: *n, SolveMax: *solveMax, Repeats: *repeats,
-		Backend: *backendName, ChunkBytes: *chunkBytes}
+	scale := bench.Scale{VectorN: *n, SolveMax: *solveMax, Repeats: *repeats}
 	runners := map[string]func(bench.Scale) ([]bench.Row, error){
 		"all": bench.All,
 		"E1":  bench.E1AddMerge,

@@ -26,7 +26,8 @@ func TestBhbenchUnknownExperiment(t *testing.T) {
 }
 
 // TestBhbenchJSONAndPlanSmoke writes the E5 rows, the ones that go
-// through the front end's plan cache, and reads them back.
+// through the front end's plan cache, reads them back, and round-trips
+// the document through -schema-check. Every row names the one engine.
 func TestBhbenchJSONAndPlanSmoke(t *testing.T) {
 	path := t.TempDir() + "/bench.json"
 	var out strings.Builder
@@ -46,6 +47,7 @@ func TestBhbenchJSONAndPlanSmoke(t *testing.T) {
 		Schema string `json:"schema"`
 		Rows   []struct {
 			Experiment string `json:"experiment"`
+			Backend    string `json:"backend"`
 			PlanMisses int    `json:"plan_misses"`
 		} `json:"rows"`
 	}
@@ -56,40 +58,9 @@ func TestBhbenchJSONAndPlanSmoke(t *testing.T) {
 		t.Errorf("unexpected document: %+v", doc)
 	}
 	for _, r := range doc.Rows {
-		if r.Experiment != "E5" || r.PlanMisses == 0 {
-			t.Errorf("row %+v: want an E5 row that went through the plan cache", r)
+		if r.Experiment != "E5" || r.Backend != "inprocess" || r.PlanMisses == 0 {
+			t.Errorf("row %+v: want an inprocess E5 row that went through the plan cache", r)
 		}
-	}
-}
-
-// TestBhbenchBackendFlag runs one experiment on the out-of-core backend
-// and checks the backend lands in the table column and the JSON rows,
-// then round-trips the document through -schema-check.
-func TestBhbenchBackendFlag(t *testing.T) {
-	path := t.TempDir() + "/bench.json"
-	var out strings.Builder
-	err := run([]string{"-experiment", "E1", "-n", "4096", "-repeats", "1",
-		"-backend", "outofcore", "-chunk-bytes", "8192", "-json", path}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "outofcore") {
-		t.Errorf("table missing backend column:\n%s", out.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Rows []struct {
-			Backend string `json:"backend"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	if len(doc.Rows) == 0 || doc.Rows[0].Backend != "outofcore" {
-		t.Errorf("JSON rows missing backend: %+v", doc.Rows)
 	}
 
 	var check strings.Builder
@@ -111,8 +82,7 @@ func TestBhbenchSchemaCheckRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestBhbenchRejectsOutOfRangeFlags: a size, repeat count or tile budget
-// out of range is a flag error before any experiment runs, not a panic
+// TestBhbenchRejectsOutOfRangeFlags: a size or repeat count out of range is a flag error before any experiment runs, not a panic
 // or a table of NaN speedups.
 func TestBhbenchRejectsOutOfRangeFlags(t *testing.T) {
 	for _, tc := range []struct{ flag, val string }{
@@ -120,7 +90,6 @@ func TestBhbenchRejectsOutOfRangeFlags(t *testing.T) {
 		{"-repeats", "-1"},
 		{"-repeats", "0"},
 		{"-solve-max", "0"},
-		{"-chunk-bytes", "-1"},
 	} {
 		t.Run(tc.flag+"="+tc.val, func(t *testing.T) {
 			var out strings.Builder

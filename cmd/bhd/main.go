@@ -1,14 +1,14 @@
 // Command bhd serves the shared runtime as a multi-tenant HTTP
 // service — the paper's array engine as long-running middleware.
 // Clients authenticate with bearer tokens, create sessions (each one a
-// backend on the daemon's single shared engine), submit textual
+// machine on the daemon's single shared engine), submit textual
 // byte-code batches, and read synced registers back; docs/api.md
 // specifies the wire protocol.
 //
 // Usage:
 //
-//	bhd [-addr host:port] [-token tenant=secret]... [-backend name]
-//	    [-workers n] [-max-sessions n] [-max-submitted-bytes n]
+//	bhd [-addr host:port] [-token tenant=secret]... [-workers n]
+//	    [-max-sessions n] [-max-submitted-bytes n]
 //	    [-max-queued-batches n] [-body-limit n] [-idle-timeout d]
 //	    [-token-ttl d] [-submit-timeout d] [-wait-timeout d]
 //	    [-queue-depth n] [-memory-watermark n] [-drain-timeout d]
@@ -50,7 +50,6 @@ import (
 	"time"
 
 	"bohrium"
-	"bohrium/internal/backend"
 	"bohrium/internal/server"
 	"bohrium/internal/server/middleware"
 )
@@ -92,7 +91,6 @@ func run(args []string, stdout, stderr io.Writer, ctx context.Context) error {
 	addr := fs.String("addr", "localhost:8700", "listen address")
 	var tokens tokenFlag
 	fs.Var(&tokens, "token", "tenant=secret bearer credential (repeatable, at least one required)")
-	backendName := fs.String("backend", "", fmt.Sprintf("default session backend %v (default %q)", backend.Names(), backend.DefaultName))
 	workers := fs.Int("workers", 0, "shared engine worker pool size (0 = GOMAXPROCS)")
 	maxSessions := fs.Int("max-sessions", 0, "per-tenant live session cap (0 = unlimited)")
 	maxBytes := fs.Int64("max-submitted-bytes", 0, "per-tenant cumulative batch byte cap (0 = unlimited)")
@@ -143,10 +141,9 @@ func run(args []string, stdout, stderr io.Writer, ctx context.Context) error {
 	defer rt.Close()
 
 	srv, err := server.New(server.Config{
-		Runtime:        rt,
-		DefaultBackend: *backendName,
-		Auth:           tokens.tokens,
-		TokenTTL:       *tokenTTL,
+		Runtime:  rt,
+		Auth:     tokens.tokens,
+		TokenTTL: *tokenTTL,
 		Quotas: server.Quotas{
 			MaxSessions:       *maxSessions,
 			MaxSubmittedBytes: *maxBytes,

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -25,7 +26,7 @@ import (
 // the program is validated.
 var invalidListings = []struct {
 	name, src string
-	// resolver is Resolve's error on either backend; optimizer marks an
+	// resolver is Resolve's error, fused or not; optimizer marks an
 	// *OptimizeError (otherwise the error wraps vm.ErrExec).
 	resolver  string
 	optimizer bool
@@ -57,7 +58,7 @@ BH_SYNC a0
 }
 
 // TestInvalidListingErrorText pins each host's error for an invalid
-// program: the Resolver on both backends, bhd's envelope and bhrun.
+// program: the Resolver fused and unfused, bhd's envelope and bhrun.
 func TestInvalidListingErrorText(t *testing.T) {
 	rt := bohrium.NewRuntime(nil)
 	defer rt.Close()
@@ -92,17 +93,15 @@ func TestInvalidListingErrorText(t *testing.T) {
 
 	for _, tc := range invalidListings {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, name := range []string{"inprocess", "outofcore"} {
+			for _, fusion := range []bool{true, false} {
+				name := fmt.Sprintf("fusion=%v", fusion)
 				eng := vm.NewEngine(vm.EngineConfig{})
 				defer eng.Close()
-				be, err := backend.Open(name, eng, backend.Config{VM: vm.Config{Fusion: true}})
-				if err != nil {
-					t.Fatal(err)
-				}
+				be := backend.New(eng, backend.Config{VM: vm.Config{Fusion: fusion}})
 				defer be.Close()
-				r := backend.NewResolver(be, backend.Signature{Scope: "pin", Options: rewrite.DefaultOptions(), Fusion: true}, nil, nil)
+				r := backend.NewResolver(be, backend.Signature{Scope: "pin", Options: rewrite.DefaultOptions(), Fusion: fusion}, nil, nil)
 				p := bytecode.MustParse(tc.src)
-				_, err = r.Resolve(p, r.Key(p))
+				_, err := r.Resolve(p, r.Key(p))
 				var oe *backend.OptimizeError
 				switch {
 				case err == nil:
@@ -131,7 +130,7 @@ func TestInvalidListingErrorText(t *testing.T) {
 				t.Errorf("bhd: %d %q %q, want 400 %q %q", status, env.Code, env.Message, api.CodeInvalid, tc.host)
 			}
 
-			for _, args := range [][]string{nil, {"-O"}, {"-O", "-backend", "outofcore"}} {
+			for _, args := range [][]string{nil, {"-O"}, {"-O", "-no-fusion"}} {
 				err := run(args, strings.NewReader(tc.src), io.Discard)
 				if err == nil || err.Error() != tc.host {
 					t.Errorf("bhrun %v: error %v, want %q", args, err, tc.host)

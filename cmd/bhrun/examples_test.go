@@ -8,11 +8,10 @@ import (
 
 // TestExamplesListingsOnEveryBackend replays every committed
 // examples/<name>/listing.bh (generated by cmd/genlistings from the
-// examples' own recordings) and requires the out-of-core backend —
-// chunked small enough to actually tile the arrays, sync and async, raw
-// and optimized — to print byte-identical output to the default backend.
-// This is the end-to-end form of the backend-differential contract:
-// every example program runs successfully under `-backend outofcore`.
+// examples' own recordings) on the one execution engine in each mode the
+// CLI offers — async, unfused, and both — raw and optimized, and requires
+// each to print byte-identical output to the default synchronous fused
+// run.
 func TestExamplesListingsOnEveryBackend(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "listing.bh"))
 	if err != nil {
@@ -27,23 +26,20 @@ func TestExamplesListingsOnEveryBackend(t *testing.T) {
 			for _, base := range [][]string{nil, {"-O"}} {
 				var want strings.Builder
 				if err := run(append(base[:len(base):len(base)], path), strings.NewReader(""), &want); err != nil {
-					t.Fatalf("inprocess %v: %v", base, err)
+					t.Fatalf("%v: %v", base, err)
 				}
 				if want.Len() == 0 {
-					t.Fatalf("inprocess %v: listing printed nothing", base)
+					t.Fatalf("%v: listing printed nothing", base)
 				}
-				for _, extra := range [][]string{
-					{"-backend", "outofcore", "-chunk-bytes", "4096"},
-					{"-backend", "outofcore", "-chunk-bytes", "4096", "-async"},
-				} {
+				for _, extra := range [][]string{{"-async"}, {"-no-fusion"}, {"-no-fusion", "-async"}} {
 					args := append(append(base[:len(base):len(base)], extra...), path)
 					var got strings.Builder
 					if err := run(args, strings.NewReader(""), &got); err != nil {
 						t.Fatalf("%v: %v", args, err)
 					}
 					if got.String() != want.String() {
-						t.Errorf("%v diverged from inprocess:\n--- inprocess\n%s--- outofcore\n%s",
-							args, want.String(), got.String())
+						t.Errorf("%v diverged from %v:\n--- %v\n%s--- %v\n%s",
+							args, base, base, want.String(), args, got.String())
 					}
 				}
 			}

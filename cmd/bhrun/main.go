@@ -4,35 +4,30 @@
 //
 // Usage:
 //
-//	bhrun [-O] [-backend name] [-chunk-bytes n] [-workers n]
-//	      [-par-threshold n] [-no-fusion] [-repeat n] [-async]
-//	      [-sessions k] [-shared] [-trace] [file.bh]
+//	bhrun [-O] [-workers n] [-par-threshold n] [-no-fusion]
+//	      [-repeat n] [-async] [-sessions k] [-shared] [-trace]
+//	      [file.bh]
 //
 // -O rewrites the program with the algebraic optimizer; -trace prints the
 // optimizer report, the executed program and VM sweep statistics.
 // -workers and -par-threshold plumb the VM's Workers and
 // ParallelThreshold knobs, so any bench configuration is reproducible
-// from the CLI. -backend selects the execution backend ("inprocess" fused
-// sweeps by default; "outofcore" streams elementwise segments through
-// -chunk-bytes-sized tiles) — every backend is value- and error-identical,
-// so the flag only changes the execution strategy. Execution goes through
-// the backend-scoped plan cache by the plan resolver the bohrium front end
-// and bhd use: -repeat re-executes the program n times, so the first run
-// optimizes and compiles a plan and the rest replay it (the "# plans:"
-// trace line shows n-1 hits). -async submits every repeat to the
-// background executor and waits once at the end — the submit/wait
-// pipeline the bohrium front-end uses in async mode (the "# pipeline:"
-// trace line counts plans it executed).
+// from the CLI. Execution goes through the shared plan cache by the plan
+// resolver the bohrium front end and bhd use: -repeat re-executes the
+// program n times, so the first run optimizes and compiles a plan and the
+// rest replay it (the "# plans:" trace line shows n-1 hits). -async
+// submits every repeat to the background executor and waits once at the
+// end — the submit/wait pipeline the bohrium front-end uses in async mode
+// (the "# pipeline:" trace line counts plans it executed).
 //
 // -sessions runs the program in k concurrent sessions (each its own
-// backend and register state, each doing its -repeat runs); with -shared
+// machine and register state, each doing its -repeat runs); with -shared
 // the sessions hang off ONE engine — one worker pool, one plan cache, one
 // buffer recycle pool, the paper's shared-middleware configuration —
 // while without it each session gets a private engine. The printed
 // registers come from session 0; -trace reports the summed stats, where
 // the plan column shows cross-session reuse under -shared (k·n runs, one
-// compile) and the "# chunks:" line counts the tiles a chunked backend
-// streamed.
+// compile).
 package main
 
 import (
@@ -59,8 +54,6 @@ func main() {
 func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("bhrun", flag.ContinueOnError)
 	optimize := fs.Bool("O", false, "run the algebraic optimizer before executing")
-	backendName := fs.String("backend", "", fmt.Sprintf("execution backend %v (default %q)", backend.Names(), backend.DefaultName))
-	chunkBytes := fs.Int("chunk-bytes", 0, "per-array tile budget of chunked backends (0 = backend default)")
 	workers := fs.Int("workers", 0, "VM worker pool size (0 = GOMAXPROCS)")
 	parThreshold := fs.Int("par-threshold", 0, "minimum sweep size before splitting across workers (0 = default)")
 	noFusion := fs.Bool("no-fusion", false, "disable sweep fusion")
@@ -96,10 +89,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	bcfg := backend.Config{
-		VM:         vm.Config{Workers: *workers, ParallelThreshold: *parThreshold, Fusion: !*noFusion},
-		ChunkBytes: *chunkBytes,
-	}
+	bcfg := backend.Config{VM: vm.Config{Workers: *workers, ParallelThreshold: *parThreshold, Fusion: !*noFusion}}
 	if *repeat < 1 {
 		*repeat = 1
 	}
@@ -110,16 +100,14 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	// Build the session backends: private engines by default, one shared
 	// engine (pool + plan cache + recycle pool) under -shared. Deferred
 	// closes run in reverse, so every backend closes before its engine.
-	backends := make([]backend.Backend, *sessions)
+	backends := make([]*backend.Backend, *sessions)
 	var eng *vm.Engine
 	for i := range backends {
 		if eng == nil || !*shared {
 			eng = vm.NewEngine(vm.EngineConfig{Workers: *workers})
 			defer eng.Close()
 		}
-		if backends[i], err = backend.Open(*backendName, eng, bcfg); err != nil {
-			return err
-		}
+		backends[i] = backend.New(eng, bcfg)
 		defer backends[i].Close()
 	}
 
@@ -231,7 +219,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			}
 			fmt.Fprintf(stdout, "# sessions: %d (%s)\n", *sessions, mode)
 		}
-		fmt.Fprintf(stdout, "# backend: %s\n", backends[0].Name())
 		fmt.Fprintf(stdout, "# stats: %d instructions, %d sweeps, %d fused, %d chained, %d fused-reductions, %d elements\n",
 			st.Instructions, st.Sweeps, st.FusedInstructions, st.ChainedInstructions, st.FusedReductions, st.Elements)
 		fmt.Fprintf(stdout, "# fused by dtype: %s\n", st.FusedByDType)
@@ -240,9 +227,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "# plans: %d hits, %d misses, %d evictions\n",
 			st.PlanHits, st.PlanMisses, st.PlanEvictions)
 		fmt.Fprintf(stdout, "# pipeline: %d plans executed asynchronously\n", st.Pipelined)
-		if backends[0].Capabilities().Chunked {
-			fmt.Fprintf(stdout, "# chunks: %d tiles streamed\n", st.Chunks)
-		}
 	}
 	return nil
 }

@@ -79,12 +79,10 @@ BH_SYNC a0
 	}
 }
 
-// TestBhrunBackendsAgree runs one listing under every registered backend,
-// sync and async, and requires byte-identical output — the CLI face of
-// the backend-differential contract. The 1000-element register with an
-// 800-byte chunk budget forces the out-of-core backend to stream ten
-// tiles, visible in the trace footer.
-func TestBhrunBackendsAgree(t *testing.T) {
+// TestBhrunExecutionModesAgree runs one listing sync and async, fused
+// and unfused, and requires byte-identical output — the CLI face of the
+// differential contract.
+func TestBhrunExecutionModesAgree(t *testing.T) {
 	src := `.reg a0 float64 1000
 .reg a1 float64 1000
 .reg a2 float64 1
@@ -97,13 +95,7 @@ BH_SYNC a1
 BH_SYNC a2
 `
 	var ref string
-	for _, args := range [][]string{
-		nil,
-		{"-backend", "inprocess"},
-		{"-backend", "inprocess", "-async"},
-		{"-backend", "outofcore", "-chunk-bytes", "800"},
-		{"-backend", "outofcore", "-chunk-bytes", "800", "-async"},
-	} {
+	for _, args := range [][]string{nil, {"-async"}, {"-no-fusion"}, {"-no-fusion", "-async"}} {
 		var out strings.Builder
 		if err := run(args, strings.NewReader(src), &out); err != nil {
 			t.Fatalf("%v: %v", args, err)
@@ -114,25 +106,16 @@ BH_SYNC a2
 			t.Errorf("%v output differs:\n%s\nwant:\n%s", args, out.String(), ref)
 		}
 	}
-
-	var out strings.Builder
-	if err := run([]string{"-backend", "outofcore", "-chunk-bytes", "800", "-trace"}, strings.NewReader(src), &out); err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if !strings.Contains(got, "# backend: outofcore") {
-		t.Errorf("missing backend trace line:\n%s", got)
-	}
-	if !strings.Contains(got, "# chunks: 10 tiles streamed") {
-		t.Errorf("expected 10 streamed tiles (1000 elems / 100-elem tiles):\n%s", got)
-	}
 }
 
+// TestBhrunUnknownBackend: there is one engine, so a script that still
+// picks a backend fails loudly instead of running on a default it did
+// not ask for.
 func TestBhrunUnknownBackend(t *testing.T) {
 	src := ".reg a0 float64 4\nBH_IDENTITY a0 1\nBH_SYNC a0\n"
 	err := run([]string{"-backend", "gpu"}, strings.NewReader(src), &strings.Builder{})
-	if err == nil || !strings.Contains(err.Error(), `unknown backend "gpu"`) {
-		t.Fatalf("err = %v, want unknown-backend error", err)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -backend") {
+		t.Fatalf("err = %v, want an undefined-flag error", err)
 	}
 }
 

@@ -2,9 +2,9 @@
 // files: each example's core computation re-recorded at a reduced scale
 // through the public front end and dumped (Program.Dump) before the first
 // flush. The listings make every example runnable at the byte-code level —
-// `bhrun examples/<name>/listing.bh` executes the workload on any backend
-// with no Go bindings — and cmd/bhrun's tests replay them differentially
-// across backends. Run from the repository root after changing an example
+// `bhrun examples/<name>/listing.bh` executes the workload with no Go
+// bindings — and cmd/bhrun's tests replay them differentially across
+// execution modes. Run from the repository root after changing an example
 // or the recording front end:
 //
 //	go run ./cmd/genlistings

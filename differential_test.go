@@ -2,33 +2,33 @@ package bohrium
 
 import (
 	"math"
+	"regexp"
 	"testing"
 )
 
-// This file is the front-end half of the backend-differential contract:
-// every registered backend must be value- and error-identical to the
-// in-process reference, observed purely through the public API, in both
-// synchronous and async mode. The internal/backend package pins the same
-// contract at the program level; here whole sessions — multi-flush loops,
-// plan-cache hits, async pipelines, reductions, linear algebra — run
-// twice and must agree bit for bit.
+// This file is the front-end half of the differential contract: fused
+// and unfused execution, synchronous and async, must be value- and
+// error-identical, observed purely through the public API. The
+// internal/vm and internal/backend packages pin the same contract at the
+// program level; here whole sessions — multi-flush loops, plan-cache
+// hits, async pipelines, reductions, linear algebra — run four times and
+// must agree bit for bit.
 
-// backendConfigs returns the four configurations a differential workload
-// runs under. ChunkBytes 4096 (512 float64 per tile) forces the
-// out-of-core backend to actually chunk every workload over 512 elements.
-func backendConfigs() []Config {
+// diffConfigs returns the four configurations a differential workload
+// runs under: fused and unfused, each synchronous and async.
+func diffConfigs() []Config {
 	return []Config{
-		{Backend: "inprocess"},
-		{Backend: "inprocess", Async: true},
-		{Backend: "outofcore", ChunkBytes: 4096},
-		{Backend: "outofcore", ChunkBytes: 4096, Async: true},
+		{},
+		{Async: true},
+		{DisableFusion: true},
+		{DisableFusion: true, Async: true},
 	}
 }
 
 func diffRun(t *testing.T, work func(ctx *Context) []float64) {
 	t.Helper()
 	var ref []float64
-	for _, cfg := range backendConfigs() {
+	for _, cfg := range diffConfigs() {
 		ctx := NewContext(&cfg)
 		got := work(ctx)
 		ctx.Close()
@@ -37,24 +37,23 @@ func diffRun(t *testing.T, work func(ctx *Context) []float64) {
 			continue
 		}
 		if len(got) != len(ref) {
-			t.Fatalf("%s async=%v: %d values, want %d", cfg.Backend, cfg.Async, len(got), len(ref))
+			t.Fatalf("unfused=%v async=%v: %d values, want %d", cfg.DisableFusion, cfg.Async, len(got), len(ref))
 		}
 		for i := range ref {
 			if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
-				t.Fatalf("%s async=%v: value[%d] = %v (%x), want %v (%x)",
-					cfg.Backend, cfg.Async, i, got[i], math.Float64bits(got[i]), ref[i], math.Float64bits(ref[i]))
+				t.Fatalf("unfused=%v async=%v: value[%d] = %v (%x), want %v (%x)",
+					cfg.DisableFusion, cfg.Async, i, got[i], math.Float64bits(got[i]), ref[i], math.Float64bits(ref[i]))
 			}
 		}
 	}
 }
 
-// TestDifferentialIterativeChain: a multi-flush iterative workload over an
-// array 20x the chunk budget — elementwise chains, reductions, and
-// repeated structurally identical batches that exercise the plan cache on
-// every backend.
+// TestDifferentialIterativeChain: a multi-flush iterative workload —
+// elementwise chains, reductions, and repeated structurally identical
+// batches that exercise the plan cache in every configuration.
 func TestDifferentialIterativeChain(t *testing.T) {
 	diffRun(t, func(ctx *Context) []float64 {
-		const n = 10240 // 20 tiles of 512 at ChunkBytes 4096
+		const n = 10240
 		a := ctx.Arange(n)
 		a.MulC(1.0 / n).AddC(0.25)
 		var out []float64
@@ -74,8 +73,8 @@ func TestDifferentialIterativeChain(t *testing.T) {
 }
 
 // TestDifferentialRandomReduction: generator byte-codes (BH_RANDOM,
-// BH_RANGE) are global-flat-index barriers for the chunked backend; the
-// deterministic counter stream must still land identically.
+// BH_RANGE) index the whole array; the deterministic counter stream must
+// land identically whether or not the chain behind them fuses.
 func TestDifferentialRandomReduction(t *testing.T) {
 	diffRun(t, func(ctx *Context) []float64 {
 		r := ctx.Random(42, 4096)
@@ -93,7 +92,7 @@ func TestDifferentialRandomReduction(t *testing.T) {
 }
 
 // TestDifferentialLinalg: extension byte-codes (BH_SOLVE via the
-// inverse→solve rewrite) are executed as barriers; results must agree.
+// inverse→solve rewrite) run through the interpreter; results must agree.
 func TestDifferentialLinalg(t *testing.T) {
 	diffRun(t, func(ctx *Context) []float64 {
 		a := ctx.MustFromSlice([]float64{4, 1, 0, 1, 3, 1, 0, 1, 2}, 3, 3)
@@ -105,8 +104,7 @@ func TestDifferentialLinalg(t *testing.T) {
 }
 
 // TestDifferentialSliced2D: strided and partial views (slices, transposed
-// reads, axis reductions) never qualify for chunking — the out-of-core
-// backend must fall back to barrier execution and still agree exactly.
+// reads, axis reductions) must agree exactly fused and unfused.
 func TestDifferentialSliced2D(t *testing.T) {
 	diffRun(t, func(ctx *Context) []float64 {
 		a := ctx.Arange(2048)
@@ -125,99 +123,62 @@ func TestDifferentialSliced2D(t *testing.T) {
 	})
 }
 
+// clusterPrefix is the part of an execution error that names the failing
+// cluster, which only fused execution has.
+var clusterPrefix = regexp.MustCompile(`cluster \[\d+,\d+\): `)
+
 // TestDifferentialErrorText: a singular solve must fail with the
-// character-identical error on every backend, in both modes, so callers
-// can match on error text without caring which backend ran.
+// character-identical error sync and async, and fused execution must say
+// what unfused execution says, only naming the failing cluster first — so
+// callers can match on error text without caring how the batch ran.
 func TestDifferentialErrorText(t *testing.T) {
-	var ref string
-	for _, cfg := range backendConfigs() {
+	refs := map[bool]string{} // by DisableFusion
+	for _, cfg := range diffConfigs() {
 		ctx := NewContext(&cfg)
 		a := ctx.MustFromSlice([]float64{1, 2, 2, 4}, 2, 2) // singular
 		b := ctx.MustFromSlice([]float64{1, 1}, 2)
 		x := a.Solve(b)
 		_, err := x.Data()
 		if err == nil {
-			t.Fatalf("%s async=%v: singular solve succeeded", cfg.Backend, cfg.Async)
+			t.Fatalf("unfused=%v async=%v: singular solve succeeded", cfg.DisableFusion, cfg.Async)
 		}
 		// The pipeline error is sticky in both modes.
 		if err2 := ctx.Flush(); err2 == nil {
-			t.Fatalf("%s async=%v: error not sticky", cfg.Backend, cfg.Async)
+			t.Fatalf("unfused=%v async=%v: error not sticky", cfg.DisableFusion, cfg.Async)
 		}
 		ctx.Close()
-		if ref == "" {
-			ref = err.Error()
+		if ref, ok := refs[cfg.DisableFusion]; !ok {
+			refs[cfg.DisableFusion] = err.Error()
 		} else if err.Error() != ref {
-			t.Fatalf("%s async=%v error text:\n  got  %s\n  want %s", cfg.Backend, cfg.Async, err.Error(), ref)
+			t.Fatalf("unfused=%v async=%v error text:\n  got  %s\n  want %s", cfg.DisableFusion, cfg.Async, err.Error(), ref)
 		}
 	}
-	if ref == "" {
-		t.Fatal("no error text captured")
+	if fused := clusterPrefix.ReplaceAllString(refs[false], ""); fused != refs[true] {
+		t.Fatalf("fused and unfused error texts differ:\n  fused:   %s\n  unfused: %s", refs[false], refs[true])
 	}
 }
 
-// TestOutOfCoreChunksCounted: an over-budget workload on the chunked
-// backend must actually stream tiles — Stats().Chunks is the witness that
-// the differential results above were produced by the chunked path, not a
-// silent fallback.
-func TestOutOfCoreChunksCounted(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		ctx := NewContext(&Config{Backend: "outofcore", ChunkBytes: 4096, Async: async})
-		a := ctx.Arange(10240)
-		a.MulC(3).AddC(1).Sqrt()
-		if _, err := a.Data(); err != nil {
-			t.Fatal(err)
-		}
-		st := ctx.MustStats()
-		if st.Chunks < 20 {
-			t.Errorf("async=%v: Chunks = %d, want >= 20 (10240 elems / 512-elem tiles)", async, st.Chunks)
-		}
-		if async && st.Pipelined == 0 {
-			t.Errorf("async=%v: Pipelined = 0, want > 0", async)
-		}
-		ctx.Close()
-	}
-	// The in-process backend never chunks.
-	ctx := NewContext(nil)
-	defer ctx.Close()
-	a := ctx.Arange(10240)
-	a.AddC(1)
-	if _, err := a.Data(); err != nil {
-		t.Fatal(err)
-	}
-	if st := ctx.MustStats(); st.Chunks != 0 {
-		t.Errorf("inprocess Chunks = %d, want 0", st.Chunks)
-	}
-}
-
-// TestBackendSharedRuntime: two sessions on different backends share one
+// TestBackendSharedRuntime: a fused and an unfused session share one
 // Runtime (one plan cache, one recycle pool) without serving each other's
 // plans — and still agree bit for bit.
 func TestBackendSharedRuntime(t *testing.T) {
 	rt := NewRuntime(nil)
 	defer rt.Close()
-	run := func(cfg Config) []float64 {
+	run := func(cfg Config) ([]float64, int) {
 		ctx := rt.NewContext(&cfg)
 		defer ctx.Close()
 		a := ctx.Arange(2048)
 		a.MulC(0.5).AddC(2).Sqrt()
-		return a.MustData()
+		return a.MustData(), ctx.MustStats().PlanHits
 	}
-	ref := run(Config{Backend: "inprocess"})
-	got := run(Config{Backend: "outofcore", ChunkBytes: 4096})
+	ref, _ := run(Config{})
+	got, hits := run(Config{DisableFusion: true})
+	if hits != 0 {
+		t.Errorf("the unfused session hit %d fused plans", hits)
+	}
 	for i := range ref {
 		if math.Float64bits(got[i]) != math.Float64bits(ref[i]) {
 			t.Fatalf("value[%d] = %v, want %v", i, got[i], ref[i])
 		}
 	}
-}
-
-// TestUnknownBackendPanics: an unknown backend name is a construction
-// error, reported like any other invalid configuration.
-func TestUnknownBackendPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewContext with unknown backend did not panic")
-		}
-	}()
-	NewContext(&Config{Backend: "gpu"})
 }

@@ -28,10 +28,8 @@ func TestPrice(t *testing.T) {
 	}
 
 	for name, cfg := range map[string]*bohrium.Config{
-		"full-pipeline":   nil,
-		"async":           {Async: true},
-		"outofcore":       {Backend: "outofcore", ChunkBytes: 1 << 12},
-		"outofcore-async": {Backend: "outofcore", ChunkBytes: 1 << 12, Async: true},
+		"full-pipeline": nil,
+		"async":         {Async: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx := bohrium.NewContext(cfg)

@@ -28,7 +28,6 @@ func TestSimulate(t *testing.T) {
 	for name, cfg := range map[string]*bohrium.Config{
 		"full-pipeline": nil,
 		"async":         {Async: true},
-		"outofcore":     {Backend: "outofcore", ChunkBytes: 1 << 10},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx := bohrium.NewContext(cfg)

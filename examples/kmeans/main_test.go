@@ -9,8 +9,8 @@ import (
 
 // TestKMeansRecoversCenters runs the clustering at a reduced size on
 // every execution configuration and checks two contracts: the recovered
-// centroids land near the true blob centers, and every configuration —
-// async pipelining, the chunked out-of-core backend — produces bit-identical centroids to the plain in-process run.
+// centroids land near the true blob centers, and async pipelining produces
+// bit-identical centroids to the synchronous run.
 func TestKMeansRecoversCenters(t *testing.T) {
 	const (
 		points = 3 * 64
@@ -52,14 +52,13 @@ func TestKMeansRecoversCenters(t *testing.T) {
 		cfg  *bohrium.Config
 	}{
 		{"async", &bohrium.Config{Async: true}},
-		{"outofcore", &bohrium.Config{Backend: "outofcore", ChunkBytes: 2048}},
 	} {
 		t.Run(v.name, func(t *testing.T) {
 			gotX, gotY := run(t, v.cfg)
 			for j := 0; j < k; j++ {
 				if math.Float64bits(gotX[j]) != math.Float64bits(wantX[j]) ||
 					math.Float64bits(gotY[j]) != math.Float64bits(wantY[j]) {
-					t.Errorf("centroid %d = (%v, %v), inprocess got (%v, %v) — backends diverged",
+					t.Errorf("centroid %d = (%v, %v), sync got (%v, %v) — configurations diverged",
 						j, gotX[j], gotY[j], wantX[j], wantY[j])
 				}
 			}

@@ -13,9 +13,8 @@ import (
 func TestSolveVariants(t *testing.T) {
 	const n = 32
 	for name, cfg := range map[string]*bohrium.Config{
-		"default":   nil,
-		"async":     {Async: true},
-		"outofcore": {Backend: "outofcore", ChunkBytes: 2048},
+		"default": nil,
+		"async":   {Async: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ctx := bohrium.NewContext(cfg)

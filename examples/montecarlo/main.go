@@ -3,10 +3,10 @@
 // streams feed a Box-Muller transform; each normal draw becomes a
 // terminal stock price under geometric Brownian motion, and the
 // discounted mean payoff prices a European call. The workload is RNG +
-// long elementwise chains + one reduction, the shape the fused engine and
-// the chunked out-of-core backend both like: every backend must produce
-// the bit-identical price, so the example runs the same simulation on
-// each registered backend and compares against the closed-form value.
+// long elementwise chains + one reduction, the shape the fused engine
+// likes: fused, unfused and async execution must produce the
+// bit-identical price, so the example runs the same simulation in each
+// mode and compares against the closed-form value.
 //
 //	go run ./examples/montecarlo
 package main
@@ -39,9 +39,9 @@ func main() {
 		name string
 		conf *bohrium.Config
 	}{
-		{"inprocess", nil},
-		{"inprocess async", &bohrium.Config{Async: true}},
-		{"outofcore 1MiB chunks", &bohrium.Config{Backend: "outofcore"}},
+		{"fused", nil},
+		{"fused async", &bohrium.Config{Async: true}},
+		{"unfused", &bohrium.Config{DisableFusion: true}},
 	} {
 		ctx := bohrium.NewContext(cfg.conf)
 		start := time.Now()
@@ -51,12 +51,12 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		st := ctx.MustStats()
-		fmt.Printf("%-24s %10v   price=%.6f   error=%+.4f%%   chunks=%d\n",
-			cfg.name, elapsed.Round(time.Millisecond), mc, 100*(mc-exact)/exact, st.Chunks)
+		fmt.Printf("%-12s %10v   price=%.6f   error=%+.4f%%   sweeps=%d\n",
+			cfg.name, elapsed.Round(time.Millisecond), mc, 100*(mc-exact)/exact, st.Sweeps)
 		ctx.Close()
 	}
 
-	fmt.Println("\nevery backend prices from the same deterministic BH_RANDOM streams,")
+	fmt.Println("\nevery mode prices from the same deterministic BH_RANDOM streams,")
 	fmt.Println("so the three prices above are bit-identical; the Monte Carlo error")
 	fmt.Println("against the closed form is the sampling error of the paths alone.")
 }

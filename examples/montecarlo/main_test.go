@@ -8,19 +8,18 @@ import (
 )
 
 // TestMonteCarloPrice smoke-tests the simulation in every configuration
-// the example ships: default, async, and both backends. The price must
-// land near the closed-form value (sampling error only) and be
-// bit-identical across configurations — the deterministic BH_RANDOM
-// streams and the backend-differential contract guarantee it.
+// the example ships: default, async and unfused. The price must land near
+// the closed-form value (sampling error only) and be bit-identical across
+// configurations — the deterministic BH_RANDOM streams and the
+// differential contract guarantee it.
 func TestMonteCarloPrice(t *testing.T) {
 	const n = 1 << 16
 	exact := closedForm(spot, strike, rate, sigma, expiry)
 
 	configs := map[string]*bohrium.Config{
-		"default":         nil,
-		"async":           {Async: true},
-		"outofcore":       {Backend: "outofcore", ChunkBytes: 1 << 15},
-		"outofcore-async": {Backend: "outofcore", ChunkBytes: 1 << 15, Async: true},
+		"default": nil,
+		"async":   {Async: true},
+		"unfused": {DisableFusion: true},
 	}
 	var ref float64
 	var haveRef bool
@@ -43,19 +42,5 @@ func TestMonteCarloPrice(t *testing.T) {
 				t.Errorf("price = %x, want bit-identical %x across configs", mc, ref)
 			}
 		})
-	}
-}
-
-// TestOutOfCoreActuallyChunks pins that the out-of-core configuration
-// above is not a silent fallback: with 2^15-byte tiles over 2^16-element
-// arrays, the elementwise chains must stream in chunks.
-func TestOutOfCoreActuallyChunks(t *testing.T) {
-	ctx := bohrium.NewContext(&bohrium.Config{Backend: "outofcore", ChunkBytes: 1 << 15})
-	defer ctx.Close()
-	if _, err := price(ctx, 1<<16); err != nil {
-		t.Fatal(err)
-	}
-	if st := ctx.MustStats(); st.Chunks == 0 {
-		t.Error("Chunks = 0: the chunked backend never streamed a tile")
 	}
 }

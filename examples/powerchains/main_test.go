@@ -26,7 +26,6 @@ func TestRaiseVariants(t *testing.T) {
 		{"paper-chain", optCfg(expansion(chains.StrategySquareIncrement))},
 		{"binary-chain", optCfg(expansion(chains.StrategyBinary))},
 		{"async", &bohrium.Config{Async: true}},
-		{"outofcore", &bohrium.Config{Backend: "outofcore", ChunkBytes: 2048}},
 	}
 	for _, v := range opts {
 		t.Run(v.name, func(t *testing.T) {

@@ -11,9 +11,8 @@ import (
 // with the optimizer off, and through the async submit/wait pipeline.
 func TestListing1(t *testing.T) {
 	configs := map[string]*bohrium.Config{
-		"default":   nil,
-		"async":     {Async: true},
-		"outofcore": {Backend: "outofcore", ChunkBytes: 32},
+		"default": nil,
+		"async":   {Async: true},
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {

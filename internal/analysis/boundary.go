@@ -38,8 +38,8 @@ var allowedVMSelectors = map[string]bool{
 // front-end package records byte-code and hands batches to a
 // backend.Backend — it must never reach past that seam into the VM's
 // execution machinery. Compiling or executing through vm.Machine or
-// vm.Plan directly would bypass backend selection, the scoped plan
-// cache, and the differential contract.
+// vm.Plan directly would bypass the Resolver's plan path and the
+// Executor's async contract.
 var Boundary = &Analyzer{
 	Name:  "boundary",
 	Doc:   "the front-end (module root) package stays behind the backend seam: allowlisted internal imports, engine-surface-only use of vm",
@@ -76,7 +76,7 @@ func runBoundary(pass *Pass) {
 			}
 			if !allowedVMSelectors[sel.Sel.Name] {
 				pass.Reportf(sel.Pos(),
-					"vm.%s reaches past the Backend interface (allowed: config/engine/stats surface only)", sel.Sel.Name)
+					"vm.%s reaches past the backend seam (allowed: config/engine/stats surface only)", sel.Sel.Name)
 			}
 			return true
 		})

@@ -153,8 +153,8 @@ func reject() error {
 		{
 			// The seam-bypass class the backend refactor's boundary test
 			// was written against: the front end compiling through
-			// vm.Machine directly, skipping backend selection and the
-			// scoped plan cache.
+			// vm.Machine directly, skipping the backend's Resolver and
+			// Executor.
 			name:     "boundary-front-end-touches-machine",
 			analyzer: Boundary,
 			files: map[string]string{

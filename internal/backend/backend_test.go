@@ -10,18 +10,15 @@ import (
 	"bohrium/internal/vm"
 )
 
-func openTest(t *testing.T, name string, cfg Config) (Backend, *vm.Engine) {
+func openTest(t *testing.T, cfg Config) *Backend {
 	t.Helper()
 	eng := vm.NewEngine(vm.EngineConfig{})
-	b, err := Open(name, eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := New(eng, cfg)
 	t.Cleanup(func() { b.Close(); eng.Close() })
-	return b, eng
+	return b
 }
 
-func bindVec(t *testing.T, b Backend, r bytecode.RegID, vals []float64) {
+func bindVec(t *testing.T, b *Backend, r bytecode.RegID, vals []float64) {
 	t.Helper()
 	tt, err := tensor.FromFloat64s(vals, tensor.MustShape(len(vals)))
 	if err != nil {
@@ -30,7 +27,7 @@ func bindVec(t *testing.T, b Backend, r bytecode.RegID, vals []float64) {
 	b.Bind(r, tt)
 }
 
-func regVals(t *testing.T, b Backend, r bytecode.RegID, n int) []float64 {
+func regVals(t *testing.T, b *Backend, r bytecode.RegID, n int) []float64 {
 	t.Helper()
 	tt, ok := b.Tensor(r, tensor.NewView(tensor.MustShape(n)))
 	if !ok {
@@ -39,33 +36,25 @@ func regVals(t *testing.T, b Backend, r bytecode.RegID, n int) []float64 {
 	return tt.Float64Slice()
 }
 
-func TestRegistry(t *testing.T) {
-	names := Names()
-	if len(names) != 2 || names[0] != "inprocess" || names[1] != "outofcore" {
-		t.Fatalf("Names() = %v, want [inprocess outofcore]", names)
-	}
+// TestOpenNames: Open accepts the empty name and "inprocess", the one
+// engine, and names any other in its error.
+func TestOpenNames(t *testing.T) {
 	eng := vm.NewEngine(vm.EngineConfig{})
 	defer eng.Close()
 	if _, err := Open("gpu", eng, Config{}); err == nil || !strings.Contains(err.Error(), `unknown backend "gpu"`) {
 		t.Fatalf("Open(gpu) = %v, want unknown-backend error", err)
 	}
-	b, err := Open("", eng, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if b.Name() != DefaultName {
-		t.Fatalf("Open(\"\") opened %q, want %q", b.Name(), DefaultName)
-	}
-	if b.Capabilities().Chunked {
-		t.Error("inprocess backend reports Chunked")
+	for _, name := range []string{"", DefaultName} {
+		b, err := Open(name, eng, Config{})
+		if err != nil {
+			t.Fatalf("Open(%q): %v", name, err)
+		}
+		b.Close()
 	}
 }
 
-// chainProg builds a program whose elementwise chain is chunkable and
-// whose reduction is a barrier: a1 = sqrt(a0*a0 + c); a2 = a1*a0;
-// a3 = sum(a2); free a1. a1 is read only inside the segment and freed
-// after it, so the out-of-core backend treats it as a segment local.
+// chainProg builds an elementwise chain closed by a reduction:
+// a1 = sqrt(a0*a0 + c); a2 = a1*a0; a3 = sum(a2); free a1.
 func chainProg(n int, c float64) *bytecode.Program {
 	p := bytecode.NewProgram()
 	a0 := p.NewReg(tensor.Float64, n)
@@ -94,12 +83,12 @@ func irregularVals(n int) []float64 {
 	return vals
 }
 
-func runChain(t *testing.T, name string, cfg Config, n int, fusion bool) ([]float64, []float64, vm.Stats) {
+// runChain executes chainProg(n, 1.5) fused on a fresh backend over
+// irregularVals and returns a2 and the sum a3.
+func runChain(t *testing.T, n int) ([]float64, []float64) {
 	t.Helper()
-	cfg.VM.Fusion = fusion
-	b, _ := openTest(t, name, cfg)
-	prog := chainProg(n, 1.5)
-	pl, err := b.Compile(prog)
+	b := openTest(t, Config{VM: vm.Config{Fusion: true}})
+	pl, err := b.Compile(chainProg(n, 1.5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,58 +96,7 @@ func runChain(t *testing.T, name string, cfg Config, n int, fusion bool) ([]floa
 	if err := b.Execute(pl); err != nil {
 		t.Fatal(err)
 	}
-	return regVals(t, b, 2, n), regVals(t, b, 3, 1), b.Stats()
-}
-
-// TestDifferentialChunked pins out-of-core ≡ in-process bit-for-bit over
-// an array far larger than the chunk budget, fused and unfused, including
-// a tail chunk that does not divide evenly.
-func TestDifferentialChunked(t *testing.T) {
-	const chunkBytes = 4096 // 512 float64 per tile
-	for _, n := range []int{10000, 1000, 512, 511, 3} {
-		for _, fusion := range []bool{true, false} {
-			ref2, ref3, _ := runChain(t, "inprocess", Config{}, n, fusion)
-			got2, got3, st := runChain(t, "outofcore", Config{ChunkBytes: chunkBytes}, n, fusion)
-			for i := range ref2 {
-				if math.Float64bits(ref2[i]) != math.Float64bits(got2[i]) {
-					t.Fatalf("n=%d fusion=%v: a2[%d] = %x, want %x", n, fusion, i, got2[i], ref2[i])
-				}
-			}
-			if math.Float64bits(ref3[0]) != math.Float64bits(got3[0]) {
-				t.Fatalf("n=%d fusion=%v: sum = %x, want %x", n, fusion, got3[0], ref3[0])
-			}
-			wantChunks := (n + 511) / 512
-			if chunkBytes/8 > n {
-				wantChunks = 1
-			}
-			if st.Chunks != wantChunks {
-				t.Errorf("n=%d fusion=%v: Chunks = %d, want %d", n, fusion, st.Chunks, wantChunks)
-			}
-		}
-	}
-}
-
-// TestOutOfCoreLocalNeverMaterialized: a segment temporary that is freed
-// after its last in-segment read never gets a full-size buffer — the
-// memory the backend exists to save. (The front end cannot observe the
-// difference: its handle died with the BH_FREE.)
-func TestOutOfCoreLocalNeverMaterialized(t *testing.T) {
-	b, _ := openTest(t, "outofcore", Config{ChunkBytes: 4096})
-	prog := chainProg(10000, 1.5)
-	pl, err := b.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindVec(t, b, 0, irregularVals(10000))
-	if err := b.Execute(pl); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := b.Tensor(1, tensor.NewView(tensor.MustShape(10000))); ok {
-		t.Error("segment local a1 was materialized at full size")
-	}
-	if _, ok := b.Tensor(2, tensor.NewView(tensor.MustShape(10000))); !ok {
-		t.Error("live-out a2 was not materialized")
-	}
+	return regVals(t, b, 2, n), regVals(t, b, 3, 1)
 }
 
 // solveProg wires BH_SOLVE over the given 2x2 system.
@@ -176,98 +114,43 @@ func solveProg() *bytecode.Program {
 	return p
 }
 
-// TestDifferentialErrorText pins that both backends fail with the
-// character-identical error for a singular solve (a barrier executed via
-// ExecOne) and for an unbound input register, fused and unfused.
+// TestDifferentialErrorText pins that fused execution fails with the
+// error unfused execution reports, naming the failing cluster first, for
+// an unbound input register and for a singular solve.
 func TestDifferentialErrorText(t *testing.T) {
-	for _, fusion := range []bool{true, false} {
-		var msgs [2]struct{ solve, unbound string }
-		for i, name := range []string{"inprocess", "outofcore"} {
-			b, _ := openTest(t, name, Config{VM: vm.Config{Fusion: fusion}, ChunkBytes: 64})
-			pl, err := b.Compile(solveProg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := b.Execute(pl); err == nil {
-				t.Fatalf("%s: unbound inputs executed", name)
-			} else {
-				msgs[i].unbound = err.Error()
-			}
-			at, _ := tensor.FromFloat64s([]float64{1, 2, 2, 4}, tensor.MustShape(2, 2)) // singular
-			bt, _ := tensor.FromFloat64s([]float64{1, 1}, tensor.MustShape(2))
-			b.Bind(0, at)
-			b.Bind(1, bt)
-			if err := b.Execute(pl); err == nil {
-				t.Fatalf("%s: singular solve succeeded", name)
-			} else {
-				msgs[i].solve = err.Error()
-			}
+	var msgs [2][]string // fused, unfused: unbound, solve
+	for i, fusion := range []bool{true, false} {
+		b := openTest(t, Config{VM: vm.Config{Fusion: fusion}})
+		pl, err := b.Compile(solveProg())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if msgs[0].solve != msgs[1].solve {
-			t.Errorf("fusion=%v: solve errors differ:\n  inprocess: %s\n  outofcore: %s",
-				fusion, msgs[0].solve, msgs[1].solve)
+		if err := b.Execute(pl); err == nil {
+			t.Fatalf("fusion=%v: unbound inputs executed", fusion)
+		} else {
+			msgs[i] = append(msgs[i], err.Error())
 		}
-		if msgs[0].unbound != msgs[1].unbound {
-			t.Errorf("fusion=%v: unbound errors differ:\n  inprocess: %s\n  outofcore: %s",
-				fusion, msgs[0].unbound, msgs[1].unbound)
+		at, _ := tensor.FromFloat64s([]float64{1, 2, 2, 4}, tensor.MustShape(2, 2)) // singular
+		bt, _ := tensor.FromFloat64s([]float64{1, 1}, tensor.MustShape(2))
+		b.Bind(0, at)
+		b.Bind(1, bt)
+		if err := b.Execute(pl); err == nil {
+			t.Fatalf("fusion=%v: singular solve succeeded", fusion)
+		} else {
+			msgs[i] = append(msgs[i], err.Error())
 		}
 	}
-}
-
-// TestPlanCacheScoping: two backends sharing one engine never serve each
-// other's plans — the scoped keys keep the shared cache partitioned.
-func TestPlanCacheScoping(t *testing.T) {
-	eng := vm.NewEngine(vm.EngineConfig{})
-	defer eng.Close()
-	ip, err := Open("inprocess", eng, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ip.Close()
-	ooc, err := Open("outofcore", eng, Config{ChunkBytes: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ooc.Close()
-
-	prog := chainProg(64, 1.5)
-	fp := prog.Fingerprint()
-	consts := prog.Constants()
-	pl, err := ip.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ip.InsertPlan(fp, consts, true, pl, nil)
-	if _, _, ok := ooc.LookupPlan(fp, consts, nil); ok {
-		t.Fatal("outofcore hit an inprocess-compiled plan")
-	}
-	if _, _, ok := ip.LookupPlan(fp, consts, nil); !ok {
-		t.Fatal("inprocess missed its own plan")
-	}
-
-	opl, err := ooc.Compile(chainProg(64, 1.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ooc.InsertPlan(fp, consts, true, opl, nil)
-	got, _, ok := ooc.LookupPlan(fp, consts, nil)
-	if !ok {
-		t.Fatal("outofcore missed its own plan")
-	}
-	if _, isOoc := got.(*oocPlan); !isOoc {
-		t.Fatalf("outofcore lookup returned %T", got)
-	}
-	// Out-of-core plans are constant-exact: a parametric-style lookup
-	// under different constants must miss, not rebind.
-	if _, _, ok := ooc.LookupPlan(fp, chainProg(64, 99).Constants(), nil); ok {
-		t.Fatal("constant-exact outofcore plan hit under different constants")
+	for k, fused := range msgs[0] {
+		if strings.Replace(fused, "cluster [0,1): ", "", 1) != msgs[1][k] {
+			t.Errorf("errors differ:\n  fused:   %s\n  unfused: %s", fused, msgs[1][k])
+		}
 	}
 }
 
 // TestExecutorSticky: the executor's first execution error is sticky: the
 // queued plan behind it is skipped, and every Wait and Close report it.
 func TestExecutorSticky(t *testing.T) {
-	b, _ := openTest(t, "outofcore", Config{ChunkBytes: 64})
+	b := openTest(t, Config{})
 	pl, err := b.Compile(solveProg())
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +182,7 @@ func TestExecutorSticky(t *testing.T) {
 // plans and settles to zero at every recorder synchronization point —
 // the invariant the bhd daemon's max-queued-batches quota meters.
 func TestExecutorPending(t *testing.T) {
-	b, _ := openTest(t, "inprocess", Config{})
+	b := openTest(t, Config{})
 	prog := chainProg(64, 3)
 	in, _ := tensor.FromFloat64s(irregularVals(64), tensor.MustShape(64))
 	b.Bind(0, in)
@@ -335,7 +218,7 @@ func TestExecutorPending(t *testing.T) {
 // constants is a patched clone (the cached plan is immutable), so the
 // plan already in the executor queue is never retouched.
 func TestExecutorQueuedPlansKeepOwnConstants(t *testing.T) {
-	b, _ := openTest(t, "inprocess", Config{VM: vm.Config{Fusion: true}})
+	b := openTest(t, Config{VM: vm.Config{Fusion: true}})
 	e := NewExecutor(b, 0, "")
 	defer e.Close()
 	prog := chainProg(64, 1)
@@ -375,11 +258,10 @@ func TestExecutorQueuedPlansKeepOwnConstants(t *testing.T) {
 	}
 }
 
-// syncSum runs chainProg(64, c) synchronously on a fresh in-process
-// backend and returns its reduction a3.
+// syncSum runs chainProg(64, c) synchronously on a fresh backend and returns its reduction a3.
 func syncSum(t *testing.T, c float64) float64 {
 	t.Helper()
-	b, _ := openTest(t, "inprocess", Config{})
+	b := openTest(t, Config{})
 	pl, err := b.Compile(chainProg(64, c))
 	if err != nil {
 		t.Fatal(err)
@@ -394,7 +276,7 @@ func syncSum(t *testing.T, c float64) float64 {
 // TestExecutorCloseIdempotent: Close twice is safe and keeps returning
 // the same (nil) error.
 func TestExecutorCloseIdempotent(t *testing.T) {
-	b, _ := openTest(t, "inprocess", Config{})
+	b := openTest(t, Config{})
 	e := NewExecutor(b, 0, "")
 	if err := e.Close(); err != nil {
 		t.Fatal(err)

@@ -11,12 +11,11 @@ import (
 )
 
 // Executor runs backend plans on a background goroutine so a front end
-// can record batch N+1 while batch N executes, over any Backend. Exactly one
-// goroutine (the "recorder") may call Submit, SubmitCtx, Wait, WaitCtx
-// and Close; the executor goroutine is the only one driving the
-// backend's register state while jobs are in flight. The recorder keeps
-// ownership of plan lookup and compilation — both are register-free on
-// every backend.
+// can record batch N+1 while batch N executes. Exactly one goroutine
+// (the "recorder") may call Submit, SubmitCtx, Wait, WaitCtx and Close;
+// the executor goroutine is the only one driving the backend's register
+// state while jobs are in flight. The recorder keeps ownership of plan
+// lookup and compilation — both are register-free.
 //
 // The first execution error poisons the pipeline: queued and future jobs
 // are skipped, and Wait (and every later Wait) returns that error. The
@@ -25,7 +24,7 @@ import (
 // converted into a sticky pipeline error too — the failure belongs to
 // the session that submitted the plan, never to the process.
 type Executor struct {
-	b     Backend   // immutable after NewExecutor
+	b     *Backend  // immutable after NewExecutor
 	label string    // immutable after NewExecutor: faultinject site label (the host's tenant name)
 	jobs  chan Plan // immutable after NewExecutor (the channel; Close closes it under mu)
 	wg    sync.WaitGroup
@@ -49,7 +48,7 @@ type Executor struct {
 // fault-injection targeting (empty matches any armed fault). Close the
 // executor before closing the backend: the backend must outlive every
 // in-flight plan.
-func NewExecutor(b Backend, depth int, label string) *Executor {
+func NewExecutor(b *Backend, depth int, label string) *Executor {
 	if depth <= 0 {
 		depth = vm.DefaultAsyncDepth
 	}
@@ -63,7 +62,7 @@ func (e *Executor) loop() {
 	for pl := range e.jobs {
 		faultinject.Delay(faultinject.ExecStall, e.label)
 		if e.Err() == nil {
-			e.b.CountPipelined()
+			e.b.m.CountPipelined()
 			if err := e.execOne(pl); err != nil {
 				e.mu.Lock()
 				if e.err == nil {

@@ -17,9 +17,9 @@ import (
 // ctx error comes back wrapped, the queued work is untouched, and the
 // pipeline drains clean.
 func TestChaosSubmitCtxShedsOnFullQueue(t *testing.T) {
-	ref2, ref3, _ := runChain(t, "inprocess", Config{}, 64, true)
+	ref2, ref3 := runChain(t, 64)
 
-	b, _ := openTest(t, "inprocess", Config{VM: vm.Config{Fusion: true}})
+	b := openTest(t, Config{VM: vm.Config{Fusion: true}})
 	e := NewExecutor(b, 1, "stall-victim")
 	defer e.Close()
 	pl, err := b.Compile(chainProg(64, 1.5))
@@ -70,9 +70,9 @@ func TestChaosSubmitCtxShedsOnFullQueue(t *testing.T) {
 // slow plan completes, a later unbounded Wait observes it, and an idle
 // pipeline's WaitCtx returns immediately.
 func TestChaosWaitCtxHonorsCancelWithoutKillingWork(t *testing.T) {
-	ref2, ref3, _ := runChain(t, "inprocess", Config{}, 64, true)
+	ref2, ref3 := runChain(t, 64)
 
-	b, _ := openTest(t, "inprocess", Config{VM: vm.Config{Fusion: true, FaultLabel: "slow-victim"}})
+	b := openTest(t, Config{VM: vm.Config{Fusion: true, FaultLabel: "slow-victim"}})
 	e := NewExecutor(b, 0, "slow-victim")
 	defer e.Close()
 	pl, err := b.Compile(chainProg(64, 1.5))
@@ -115,7 +115,7 @@ func TestChaosWaitCtxHonorsCancelWithoutKillingWork(t *testing.T) {
 // pipeline's sticky ErrExec-wrapped error — reported by every Wait and
 // by Close — instead of killing the process.
 func TestChaosExecutorPanicBecomesStickyError(t *testing.T) {
-	b, _ := openTest(t, "inprocess", Config{VM: vm.Config{Fusion: true, FaultLabel: "sess"}})
+	b := openTest(t, Config{VM: vm.Config{Fusion: true, FaultLabel: "sess"}})
 	e := NewExecutor(b, 2, "sess")
 	pl, err := b.Compile(chainProg(64, 1.5))
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // compile → insert. Execution stays with the host. Like its Backend, a
 // Resolver is driven by one goroutine.
 type Resolver struct {
-	be       Backend
+	be       *Backend
 	pipeline *rewrite.Pipeline
 	sig      Signature
 	newMeta  func(batch, optimized *bytecode.Program) any
@@ -41,7 +41,7 @@ type Signature struct {
 // without usable replays every plan of its signature, which is sound only
 // while its rewrites create no scratch registers: a scratch id that is
 // free in one session may hold a live array in another.
-func NewResolver(be Backend, sig Signature, newMeta func(batch, optimized *bytecode.Program) any, usable func(meta any) bool) *Resolver {
+func NewResolver(be *Backend, sig Signature, newMeta func(batch, optimized *bytecode.Program) any, usable func(meta any) bool) *Resolver {
 	if usable == nil && sig.Options.PowerAllowTemporaries {
 		panic("backend: a resolver whose rewrites create scratch registers needs a usable check")
 	}
@@ -74,7 +74,7 @@ type Key struct {
 
 // Key fingerprints batch, unless the plan cache is off.
 func (r *Resolver) Key(batch *bytecode.Program) Key {
-	if !r.be.PlanCacheEnabled() {
+	if !r.be.m.PlanCacheEnabled() {
 		return Key{}
 	}
 	r.consts = batch.AppendConstants(r.consts[:0])

@@ -17,10 +17,7 @@ func TestResolverSharing(t *testing.T) {
 	eng := vm.NewEngine(vm.EngineConfig{})
 	t.Cleanup(eng.Close)
 	resolver := func(sig Signature) *Resolver {
-		b, err := Open("", eng, Config{VM: vm.Config{Fusion: true}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		b := New(eng, Config{VM: vm.Config{Fusion: true}})
 		t.Cleanup(b.Close)
 		return NewResolver(b, sig, nil, nil)
 	}
@@ -53,7 +50,7 @@ func TestResolverSharing(t *testing.T) {
 // as one), and a compiled plan drops inputs no instruction references,
 // while the caller's batch is left as it was.
 func TestResolverEmptyBatchAndPruning(t *testing.T) {
-	b, _ := openTest(t, "", Config{VM: vm.Config{Fusion: true}})
+	b := openTest(t, Config{VM: vm.Config{Fusion: true}})
 	r := NewResolver(b, Signature{Scope: "test", Options: rewrite.DefaultOptions(), Fusion: true}, nil, nil)
 	v := tensor.NewView(tensor.MustShape(4))
 
@@ -94,7 +91,7 @@ func TestResolverEmptyBatchAndPruning(t *testing.T) {
 // configuration: rewrites that create scratch registers without a host
 // check of whether those ids are free.
 func TestResolverScratchNeedsUsable(t *testing.T) {
-	b, _ := openTest(t, "", Config{})
+	b := openTest(t, Config{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("NewResolver accepted scratch-creating rewrites without a usable check")

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -139,6 +140,25 @@ func TestE2Shape(t *testing.T) {
 	}
 }
 
+// TestE3NotesAreStructural: an E3 note is the chain's multiply count and
+// nothing else. Which side won is the row's speedup, a timing that can
+// flip from run to run; the note must not repeat it.
+func TestE3NotesAreStructural(t *testing.T) {
+	rows, err := E3PowerSweep(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) == 0 {
+		t.Fatal("E3 produced no rows")
+	}
+	muls := regexp.MustCompile(`^\d+ muls$`)
+	for _, r := range rows {
+		if !muls.MatchString(r.Note) {
+			t.Errorf("%s %s: note %q, want \"<n> muls\"", r.Workload, r.Params, r.Note)
+		}
+	}
+}
+
 func TestE4Shape(t *testing.T) {
 	rows, err := E4Solve(tinyScale())
 	if err != nil {
@@ -266,7 +286,7 @@ func TestE7Shape(t *testing.T) {
 // TestJSONSchema locks the BENCH_*.json document shape tools depend on.
 func TestJSONSchema(t *testing.T) {
 	rows := []Row{{
-		Experiment: "E5", Workload: "w", Params: "p", Backend: "inprocess",
+		Experiment: "E5", Workload: "w", Params: "p",
 		Baseline: 2000, BaselineMAD: 30, Optimized: 1000, OptimizedMAD: 20, Speedup: 2,
 		PlanHits: 9, PlanMisses: 1, Note: "n",
 	}}
@@ -275,7 +295,7 @@ func TestJSONSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"schema": "bohrium-bench/v2"`, `"rows"`, `"experiment": "E5"`,
+		`"schema": "bohrium-bench/v2"`, `"rows"`, `"experiment": "E5"`, `"backend": "inprocess"`,
 		`"baseline_ns": 2000`, `"baseline_mad_ns": 30`,
 		`"optimized_ns": 1000`, `"optimized_mad_ns": 20`,
 		`"plan_hits": 9`, `"plan_misses": 1`,

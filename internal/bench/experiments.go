@@ -2,7 +2,6 @@ package bench
 
 import (
 	"bohrium"
-	"bohrium/internal/backend"
 	"bohrium/internal/bytecode"
 	"bohrium/internal/chains"
 	"bohrium/internal/rewrite"
@@ -22,15 +21,6 @@ type Scale struct {
 	// report the median run and the median absolute deviation. One
 	// repeat is a single sample with zero deviation.
 	Repeats int
-	// Backend selects the execution backend every experiment runs on
-	// (default backend.DefaultName, the in-process reference). The
-	// differential contract makes values identical across backends, so a
-	// non-default backend only changes the timing columns — which is the
-	// point: the same tables, re-measured on another engine.
-	Backend string
-	// ChunkBytes is the tile budget of chunked backends (0: backend
-	// default). Ignored by backends without the Chunked capability.
-	ChunkBytes int
 }
 
 func (s Scale) withDefaults() Scale {
@@ -43,19 +33,7 @@ func (s Scale) withDefaults() Scale {
 	if s.Repeats == 0 {
 		s.Repeats = 7
 	}
-	if s.Backend == "" {
-		s.Backend = backend.DefaultName
-	}
 	return s
-}
-
-// stamp records the Scale's backend on every row, so tables and JSON
-// documents always say which engine produced the numbers.
-func stamp(rows []Row, s Scale) []Row {
-	for i := range rows {
-		rows[i].Backend = s.Backend
-	}
-	return rows
 }
 
 // foldOnlyPipeline reproduces exactly the paper's Listing 2→3 step:
@@ -82,7 +60,7 @@ func E1AddMerge(s Scale) ([]Row, error) {
 			rows = append(rows, row)
 		}
 	}
-	return stamp(rows, s), nil
+	return rows, nil
 }
 
 // E2PowerChain reproduces Listings 4–5: x¹⁰ as BH_POWER (baseline) versus
@@ -117,13 +95,14 @@ func E2PowerChain(s Scale) ([]Row, error) {
 		row.Note = fmt.Sprintf("%s: %d multiplies", st.label, chain.MultiplyCount())
 		rows = append(rows, row)
 	}
-	return stamp(rows, s), nil
+	return rows, nil
 }
 
 // E3PowerSweep reproduces the conclusion claim "for values close to a
 // power of 2, multiplying multiple times is faster than an actual
-// BH_POWER": sweep the exponent, race BH_POWER against naive and binary
-// chains, and report each winner.
+// BH_POWER": sweep the exponent and race BH_POWER against naive and
+// binary chains. Note records the chain's multiply count; speedup says
+// which side won.
 func E3PowerSweep(s Scale) ([]Row, error) {
 	s = s.withDefaults()
 	exps := []int64{2, 3, 4, 8, 15, 16, 17, 24, 31, 32, 33, 48, 64}
@@ -145,15 +124,11 @@ func E3PowerSweep(s Scale) ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			winner := "chain wins"
-			if row.Speedup < 1 {
-				winner = "BH_POWER wins"
-			}
-			row.Note = fmt.Sprintf("%d muls; %s", chain.MultiplyCount(), winner)
+			row.Note = fmt.Sprintf("%d muls", chain.MultiplyCount())
 			rows = append(rows, row)
 		}
 	}
-	return stamp(rows, s), nil
+	return rows, nil
 }
 
 // E4Solve reproduces equation (2): x = A⁻¹·B (baseline) against the
@@ -171,7 +146,7 @@ func E4Solve(s Scale) ([]Row, error) {
 		row.Note = "INVERSE+MATMUL -> SOLVE"
 		rows = append(rows, row)
 	}
-	return stamp(rows, s), nil
+	return rows, nil
 }
 
 // E5Workloads runs the end-to-end scientific kernels through the public
@@ -215,7 +190,6 @@ func E5Workloads(s Scale) ([]Row, error) {
 		var val float64
 		var st vm.Stats
 		timeRun := func(cfg bohrium.Config) (timing, error) {
-			cfg.Backend, cfg.ChunkBytes = s.Backend, s.ChunkBytes
 			return measure(s.Repeats, func() error {
 				ctx := bohrium.NewContext(&cfg)
 				defer ctx.Close()
@@ -250,7 +224,7 @@ func E5Workloads(s Scale) ([]Row, error) {
 		row.timed(base, opt)
 		rows = append(rows, row)
 	}
-	return stamp(rows, s), nil
+	return rows, nil
 }
 
 // E6Ablations quantifies the design decisions D1–D4 behind the rewrite
@@ -348,7 +322,7 @@ func E6Ablations(s Scale) ([]Row, error) {
 	}
 	d4.timed(noFuse, fuse)
 	rows = append(rows, d4)
-	return stamp(rows, s), nil
+	return rows, nil
 }
 
 // E7DTypeFusion measures the dtype-generalized fused engine: the same
@@ -389,7 +363,7 @@ func E7DTypeFusion(s Scale) ([]Row, error) {
 		row.timed(base, opt)
 		rows = append(rows, row)
 	}
-	return stamp(rows, s), nil
+	return rows, nil
 }
 
 // All runs every experiment and returns the rows grouped in order.

@@ -23,10 +23,6 @@ type Row struct {
 	Experiment string
 	Workload   string
 	Params     string
-	// Backend names the execution backend the row was measured on
-	// ("inprocess", "outofcore", ...). Values are backend-independent by
-	// the differential contract; the timings are not.
-	Backend string
 	// BytecodesBefore/After count instructions entering/leaving the
 	// optimizer (the paper's unit of work).
 	BytecodesBefore, BytecodesAfter int
@@ -56,8 +52,8 @@ type Row struct {
 // prints.
 func Table(rows []Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s %-22s %-26s %-10s %9s %9s %12s %9s %12s %9s %8s %9s %6s %9s  %s\n",
-		"exp", "workload", "params", "backend", "bc-before", "bc-after",
+	fmt.Fprintf(&b, "%-5s %-22s %-26s %9s %9s %12s %9s %12s %9s %8s %9s %6s %9s  %s\n",
+		"exp", "workload", "params", "bc-before", "bc-after",
 		"baseline", "±mad", "optimized", "±mad", "speedup", "pool", "fredux", "plan", "note")
 	for _, r := range rows {
 		// baseline/optimized print the median run and its median absolute
@@ -65,8 +61,8 @@ func Table(rows []Row) string {
 		// run: 3/5 means five register buffers were needed and three were
 		// recycled. fredux counts reductions folded into their producer
 		// sweep. plan prints plan-cache hits/lookups.
-		fmt.Fprintf(&b, "%-5s %-22s %-26s %-10s %9d %9d %12s %9s %12s %9s %7.2fx %9s %6d %9s  %s\n",
-			r.Experiment, r.Workload, r.Params, r.Backend, r.BytecodesBefore, r.BytecodesAfter,
+		fmt.Fprintf(&b, "%-5s %-22s %-26s %9d %9d %12s %9s %12s %9s %7.2fx %9s %6d %9s  %s\n",
+			r.Experiment, r.Workload, r.Params, r.BytecodesBefore, r.BytecodesAfter,
 			round(r.Baseline), round(r.BaselineMAD), round(r.Optimized), round(r.OptimizedMAD), r.Speedup,
 			fmt.Sprintf("%d/%d", r.PoolHits, r.PoolHits+r.BuffersAlloc), r.FusedReductions,
 			fmt.Sprintf("%d/%d", r.PlanHits, r.PlanHits+r.PlanMisses), r.Note)
@@ -76,7 +72,9 @@ func Table(rows []Row) string {
 
 // JSON renders rows as the machine-readable BENCH_*.json document: a
 // top-level object {"schema": Schema, "rows": [...]} where each row
-// mirrors the text table (durations in nanoseconds).
+// mirrors the text table (durations in nanoseconds). Every row's backend
+// is "inprocess", the one engine: the key stays so that v2 documents keep
+// their shape.
 func JSON(rows []Row) ([]byte, error) {
 	type jsonRow struct {
 		Experiment      string  `json:"experiment"`
@@ -106,7 +104,7 @@ func JSON(rows []Row) ([]byte, error) {
 			Experiment:      r.Experiment,
 			Workload:        r.Workload,
 			Params:          r.Params,
-			Backend:         r.Backend,
+			Backend:         backend.DefaultName,
 			BytecodesBefore: r.BytecodesBefore,
 			BytecodesAfter:  r.BytecodesAfter,
 			BaselineNs:      r.Baseline.Nanoseconds(),
@@ -181,17 +179,13 @@ func (r *Row) timed(base, opt timing) {
 // it ablates fusion itself.
 var fused = vm.Config{Fusion: true}
 
-// runProgram executes prog under cfg on a fresh private engine and
-// backend of the Scale's kind, optionally binding the E4 linear-system
-// inputs first, and reports the execution counters. prog must be valid:
-// Backend.Compile does not check.
-func runProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(backend.Backend)) (vm.Stats, error) {
+// runProgram executes prog under cfg on a fresh private engine,
+// optionally binding the E4 linear-system inputs first, and reports the
+// execution counters. prog must be valid: Backend.Compile does not check.
+func runProgram(prog *bytecode.Program, cfg vm.Config, bind func(*backend.Backend)) (vm.Stats, error) {
 	eng := vm.NewEngine(vm.EngineConfig{Workers: cfg.Workers})
 	defer eng.Close()
-	b, err := backend.Open(s.Backend, eng, backend.Config{VM: cfg, ChunkBytes: s.ChunkBytes})
-	if err != nil {
-		return vm.Stats{}, err
-	}
+	b := backend.New(eng, backend.Config{VM: cfg})
 	defer b.Close()
 	if bind != nil {
 		bind(b)
@@ -206,11 +200,11 @@ func runProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(backen
 
 // timeProgram measures prog under cfg and returns the counters of the
 // last run.
-func timeProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(backend.Backend)) (timing, vm.Stats, error) {
+func timeProgram(prog *bytecode.Program, s Scale, cfg vm.Config, bind func(*backend.Backend)) (timing, vm.Stats, error) {
 	var st vm.Stats
 	t, err := measure(s.Repeats, func() error {
 		var err error
-		st, err = runProgram(prog.Clone(), s, cfg, bind)
+		st, err = runProgram(prog.Clone(), cfg, bind)
 		return err
 	})
 	return t, st, err
@@ -229,7 +223,7 @@ func timeFusion(prog *bytecode.Program, s Scale) (base, opt timing, st vm.Stats,
 // comparePrograms times the raw program against its optimized form and
 // fills a Row. Both versions are validated once up front.
 func comparePrograms(exp, workload, params string, prog *bytecode.Program,
-	pl *rewrite.Pipeline, s Scale, bind func(backend.Backend)) (Row, error) {
+	pl *rewrite.Pipeline, s Scale, bind func(*backend.Backend)) (Row, error) {
 
 	if err := prog.Validate(); err != nil {
 		return Row{}, fmt.Errorf("bench: invalid workload: %w", err)
@@ -262,8 +256,8 @@ func comparePrograms(exp, workload, params string, prog *bytecode.Program,
 
 // bindSolveInputs binds deterministic diagonally dominant data to the E4
 // solve program's input registers (a0 = A, a2 = B).
-func bindSolveInputs(m int) func(backend.Backend) {
-	return func(b backend.Backend) {
+func bindSolveInputs(m int) func(*backend.Backend) {
+	return func(b *backend.Backend) {
 		a := tensor.MustNew(tensor.Float64, tensor.MustShape(m, m))
 		a.FillRandom(42, -1, 1)
 		for i := 0; i < m; i++ {

@@ -33,10 +33,9 @@ import (
 type Point string
 
 const (
-	// AllocFail strikes register/staging buffer materialization in the
-	// engine (vm registerFile.ensure, Machine.AcquireBuffer): the
-	// allocation fails with the fault's error instead of returning a
-	// buffer.
+	// AllocFail strikes register buffer materialization in the engine
+	// (vm registerFile.acquire): the allocation fails with the fault's
+	// error instead of returning a buffer.
 	AllocFail Point = "alloc-fail"
 	// WorkerPanic strikes plan execution (vm.Plan.Execute): the
 	// executing goroutine panics, exercising the recovery paths — the

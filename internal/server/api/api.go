@@ -31,7 +31,7 @@ const (
 	// CodeInvalid: the batch parsed but failed semantic validation or
 	// optimization (400).
 	CodeInvalid = "invalid_program"
-	// CodeBadRequest: malformed JSON body, unknown backend, or other
+	// CodeBadRequest: malformed JSON body, unknown field, or other
 	// unusable request (400).
 	CodeBadRequest = "bad_request"
 	// CodeTooLarge: the request body exceeds the server's byte cap (413).
@@ -139,15 +139,9 @@ func DecodeError(body []byte) (*Error, error) {
 }
 
 // CreateSession is the body of POST /v1/sessions. The zero value is a
-// default ("inprocess") synchronous session.
+// synchronous session without the optimizer. A body with any other
+// field is a bad_request.
 type CreateSession struct {
-	// Backend names a registered execution backend; empty selects the
-	// server default.
-	Backend string `json:"backend,omitempty"`
-	// ChunkBytes sets a chunked backend's per-array tile budget in
-	// bytes; zero keeps the backend default. Ignored by backends that
-	// never chunk.
-	ChunkBytes int `json:"chunk_bytes,omitempty"`
 	// Optimize runs the algebraic rewrite pipeline on every batch before
 	// execution (bhrun's -O).
 	Optimize bool `json:"optimize,omitempty"`
@@ -160,7 +154,6 @@ type CreateSession struct {
 type Session struct {
 	ID             string `json:"id"`
 	Tenant         string `json:"tenant"`
-	Backend        string `json:"backend"`
 	Optimize       bool   `json:"optimize,omitempty"`
 	Async          bool   `json:"async,omitempty"`
 	Batches        int    `json:"batches"`
@@ -226,7 +219,6 @@ type VMStats struct {
 	PlanMisses        int `json:"plan_misses"`
 	PlanEvictions     int `json:"plan_evictions"`
 	Pipelined         int `json:"pipelined"`
-	Chunks            int `json:"chunks"`
 }
 
 // StatsFromVM converts engine counters to their wire form.
@@ -244,7 +236,6 @@ func StatsFromVM(st vm.Stats) VMStats {
 		PlanMisses:        st.PlanMisses,
 		PlanEvictions:     st.PlanEvictions,
 		Pipelined:         st.Pipelined,
-		Chunks:            st.Chunks,
 	}
 }
 
@@ -258,8 +249,6 @@ type SessionStats struct {
 // ServerStats is the body of GET /v1/stats: the shared engine seen as a
 // whole — every tenant's sessions multiplexed onto one runtime.
 type ServerStats struct {
-	// Backends lists the registered execution backends.
-	Backends []string `json:"backends"`
 	// Sessions enumerates the runtime's live session labels
 	// (tenant/session-id for bhd sessions).
 	Sessions []string `json:"sessions"`

@@ -65,7 +65,7 @@ func assertUnaffected(t *testing.T, base string) {
 	t.Helper()
 	b := &client{t: t, base: base, token: "secret-b"}
 	src := listings(t)["quickstart"]
-	wantSynced, wantArrays := directRun(t, src, "inprocess", 0, false)
+	wantSynced, wantArrays := directRun(t, src, false)
 	sess := b.createSession(api.CreateSession{})
 	res := b.submit(sess.ID, src, http.StatusOK)
 	if len(res.Synced) != len(wantSynced) {
@@ -359,7 +359,7 @@ func TestChaosOverloadBackpressure(t *testing.T) {
 	// A fresh session after the storm runs the full differential sweep.
 	assertUnaffected(t, hs.URL)
 	src := listings(t)["quickstart"]
-	wantSynced, _ := directRun(t, src, "inprocess", 0, false)
+	wantSynced, _ := directRun(t, src, false)
 	fresh := a.createSession(api.CreateSession{})
 	res := a.submit(fresh.ID, src, http.StatusOK)
 	for i, sr := range res.Synced {

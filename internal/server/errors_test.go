@@ -50,6 +50,10 @@ func TestErrorEnvelopes(t *testing.T) {
 		{"batch to deleted session", a, "POST", "/v1/sessions/" + deleted.ID + "/batches", "BH_SYNC a0 [0:1:1]\n", http.StatusNotFound, api.CodeNotFound},
 		{"malformed create body", a, "POST", "/v1/sessions", "{not json", http.StatusBadRequest, api.CodeBadRequest},
 		{"unknown backend", a, "POST", "/v1/sessions", `{"backend":"gpu-cluster"}`, http.StatusBadRequest, api.CodeBadRequest},
+		// A field the server does not have is refused, not dropped: a
+		// client asking for a memory budget must not run without one.
+		{"unknown create field", a, "POST", "/v1/sessions", `{"optimize":true,"chunk_bytes":65536}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"trailing create data", a, "POST", "/v1/sessions", `{"optimize":true} {}`, http.StatusBadRequest, api.CodeBadRequest},
 		{"malformed bytecode", a, "POST", "/v1/sessions/" + live.ID + "/batches", "BH_NOT_AN_OP a0\n", http.StatusBadRequest, api.CodeParse},
 		{"invalid program", a, "POST", "/v1/sessions/" + live.ID + "/batches", ".reg a0 float64 4\nBH_ADD a0 [0:4:1] a1 [0:4:1] 1\n", http.StatusBadRequest, api.CodeInvalid},
 		{"body too large", a, "POST", "/v1/sessions/" + live.ID + "/batches", strings.Repeat("# padding\n", 100), http.StatusRequestEntityTooLarge, api.CodeTooLarge},

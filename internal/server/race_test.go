@@ -13,7 +13,7 @@ import (
 
 // TestConcurrentTenants is the multi-tenancy contract under the race
 // detector: K tenants hammer one shared runtime at once — sync and
-// async sessions, both backends, interleaved submits and reads — and
+// async sessions, interleaved submits and reads — and
 // every tenant must see exactly its own isolated state: its own
 // register values, its own session list, its own deterministic quota
 // rejections, and sticky pipeline errors confined to the session that
@@ -48,7 +48,7 @@ func TestConcurrentTenants(t *testing.T) {
 			states[i] = &tenantState{
 				c:         c,
 				syncSess:  c.createSession(api.CreateSession{}),
-				asyncSess: c.createSession(api.CreateSession{Backend: "outofcore", ChunkBytes: 4096, Async: true}),
+				asyncSess: c.createSession(api.CreateSession{Async: true}),
 			}
 		}(i)
 	}

@@ -19,6 +19,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -50,9 +51,6 @@ type Config struct {
 	// Runtime is the shared runtime every session multiplexes onto; nil
 	// selects bohrium.DefaultRuntime().
 	Runtime *bohrium.Runtime
-	// DefaultBackend is opened when a create request names none; empty
-	// selects the registry default ("inprocess").
-	DefaultBackend string
 	// Auth resolves bearer tokens to tenants. Required. It is wrapped
 	// in a token→tenant cache with TokenTTL.
 	Auth middleware.Authenticator
@@ -123,9 +121,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Runtime == nil {
 		cfg.Runtime = bohrium.DefaultRuntime()
 	}
-	if cfg.DefaultBackend == "" {
-		cfg.DefaultBackend = backend.DefaultName
-	}
 	if cfg.TokenTTL == 0 {
 		cfg.TokenTTL = time.Minute
 	}
@@ -160,7 +155,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:    cfg,
 		rt:     cfg.Runtime,
-		reg:    newRegistry(cfg.Runtime, cfg.DefaultBackend, cfg.Quotas, cfg.Now, cfg.QueueDepth),
+		reg:    newRegistry(cfg.Runtime, cfg.Quotas, cfg.Now, cfg.QueueDepth),
 		tokens: middleware.NewTokenCache(cfg.Auth, cfg.TokenTTL, cfg.Now),
 	}
 
@@ -304,7 +299,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	var req api.CreateSession
 	if len(body) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := decodeStrict(body, &req); err != nil {
 			api.WriteError(w, api.Errorf(http.StatusBadRequest, api.CodeBadRequest,
 				"malformed create request: %v", err))
 			return
@@ -319,6 +314,21 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	snap := sess.snapshot()
 	sess.unlock()
 	api.WriteJSON(w, http.StatusCreated, snap)
+}
+
+// decodeStrict decodes one JSON value into v, rejecting unknown fields
+// and trailing data: a client that asks for a setting the server does not
+// have must hear so, not run without it.
+func decodeStrict(body []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 // handleList: GET /v1/sessions.
@@ -594,7 +604,6 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request) {
 	eng := s.rt.Engine()
 	api.WriteJSON(w, http.StatusOK, api.ServerStats{
-		Backends:        backend.Names(),
 		Sessions:        s.rt.Sessions(),
 		PlanCacheLen:    s.rt.PlanCacheLen(),
 		LiveBytes:       eng.LiveBytes(),

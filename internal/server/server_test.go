@@ -176,22 +176,16 @@ func listings(t *testing.T) map[string]string {
 	return out
 }
 
-// directRun executes a listing straight through backend.Open on a
+// directRun executes a listing straight through a backend on a
 // private engine — the in-process reference the HTTP path must match
 // byte-for-byte. It returns the BH_SYNCed registers (formatted through
 // the sync view, as the batch response reports them) and every named
 // register's full-view text (as the array endpoint reports it).
-func directRun(t *testing.T, src, backName string, chunk int, optimize bool) ([]api.SyncedRegister, map[string]string) {
+func directRun(t *testing.T, src string, optimize bool) ([]api.SyncedRegister, map[string]string) {
 	t.Helper()
 	eng := vm.NewEngine(vm.EngineConfig{})
 	defer eng.Close()
-	be, err := backend.Open(backName, eng, backend.Config{
-		VM:         vm.Config{Fusion: true},
-		ChunkBytes: chunk,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	be := backend.New(eng, backend.Config{VM: vm.Config{Fusion: true}})
 	defer be.Close()
 
 	prog, names, err := bytecode.ParseNames(src)
@@ -255,77 +249,62 @@ func directRun(t *testing.T, src, backName string, chunk int, optimize bool) ([]
 // TestDifferentialListingsOverHTTP is the end-to-end differential
 // contract of the daemon: every committed example listing, submitted
 // over HTTP to a bhd-hosted session, must produce byte-identical
-// register text to the same listing executed directly through
-// backend.Open — on the in-process AND the out-of-core backend, with
-// the optimizer off and on, synchronously and through the async
-// pipeline (where reads fence first).
+// register text to the same listing executed directly through a
+// backend, with the optimizer off and on, synchronously and through the
+// async pipeline (where reads fence first).
 func TestDifferentialListingsOverHTTP(t *testing.T) {
 	hs, _ := newTestServer(t, nil)
 	c := &client{t: t, base: hs.URL, token: "secret-a"}
 
-	backends := []struct {
-		name  string
-		chunk int
-	}{
-		{"inprocess", 0},
-		{"outofcore", 4096},
-	}
 	for name, src := range listings(t) {
 		t.Run(name, func(t *testing.T) {
-			for _, bk := range backends {
-				for _, optimize := range []bool{false, true} {
-					wantSynced, wantArrays := directRun(t, src, bk.name, bk.chunk, optimize)
-					if len(wantSynced) == 0 {
-						t.Fatalf("%s: listing syncs nothing — differential is vacuous", name)
-					}
-					for _, async := range []bool{false, true} {
-						label := fmt.Sprintf("%s/optimize=%v/async=%v", bk.name, optimize, async)
-						sess := c.createSession(api.CreateSession{
-							Backend:    bk.name,
-							ChunkBytes: bk.chunk,
-							Optimize:   optimize,
-							Async:      async,
-						})
+			for _, optimize := range []bool{false, true} {
+				wantSynced, wantArrays := directRun(t, src, optimize)
+				if len(wantSynced) == 0 {
+					t.Fatalf("%s: listing syncs nothing — differential is vacuous", name)
+				}
+				for _, async := range []bool{false, true} {
+					label := fmt.Sprintf("optimize=%v/async=%v", optimize, async)
+					sess := c.createSession(api.CreateSession{Optimize: optimize, Async: async})
 
-						if async {
-							res := c.submit(sess.ID, src, http.StatusAccepted)
-							if !res.Async || res.Synced != nil {
-								t.Fatalf("%s: async submit returned %+v", label, res)
-							}
-						} else {
-							res := c.submit(sess.ID, src, http.StatusOK)
-							if len(res.Synced) != len(wantSynced) {
-								t.Fatalf("%s: %d synced registers, want %d", label, len(res.Synced), len(wantSynced))
-							}
-							for i, sr := range res.Synced {
-								if sr != wantSynced[i] {
-									t.Errorf("%s: synced[%d] diverged from in-process:\n--- direct\n%s = %s\n--- http\n%s = %s",
-										label, i, wantSynced[i].Reg, wantSynced[i].Text, sr.Reg, sr.Text)
-								}
+					if async {
+						res := c.submit(sess.ID, src, http.StatusAccepted)
+						if !res.Async || res.Synced != nil {
+							t.Fatalf("%s: async submit returned %+v", label, res)
+						}
+					} else {
+						res := c.submit(sess.ID, src, http.StatusOK)
+						if len(res.Synced) != len(wantSynced) {
+							t.Fatalf("%s: %d synced registers, want %d", label, len(res.Synced), len(wantSynced))
+						}
+						for i, sr := range res.Synced {
+							if sr != wantSynced[i] {
+								t.Errorf("%s: synced[%d] diverged from in-process:\n--- direct\n%s = %s\n--- http\n%s = %s",
+									label, i, wantSynced[i].Reg, wantSynced[i].Text, sr.Reg, sr.Text)
 							}
 						}
-
-						// The array endpoint (which fences async sessions)
-						// must match the direct run's full-view text for
-						// every register that still has a buffer.
-						names := make([]string, 0, len(wantArrays))
-						for rn := range wantArrays {
-							names = append(names, rn)
-						}
-						sort.Strings(names)
-						for _, rn := range names {
-							arr := c.array(sess.ID, rn)
-							if arr.Text != wantArrays[rn] {
-								t.Errorf("%s: array %s diverged from in-process:\n--- direct\n%s\n--- http\n%s",
-									label, rn, wantArrays[rn], arr.Text)
-							}
-							if len(arr.Values) != arr.Len {
-								t.Errorf("%s: array %s carries %d values, len says %d",
-									label, rn, len(arr.Values), arr.Len)
-							}
-						}
-						c.expect("DELETE", "/v1/sessions/"+sess.ID, nil, http.StatusNoContent, nil)
 					}
+
+					// The array endpoint (which fences async sessions)
+					// must match the direct run's full-view text for
+					// every register that still has a buffer.
+					names := make([]string, 0, len(wantArrays))
+					for rn := range wantArrays {
+						names = append(names, rn)
+					}
+					sort.Strings(names)
+					for _, rn := range names {
+						arr := c.array(sess.ID, rn)
+						if arr.Text != wantArrays[rn] {
+							t.Errorf("%s: array %s diverged from in-process:\n--- direct\n%s\n--- http\n%s",
+								label, rn, wantArrays[rn], arr.Text)
+						}
+						if len(arr.Values) != arr.Len {
+							t.Errorf("%s: array %s carries %d values, len says %d",
+								label, rn, len(arr.Values), arr.Len)
+						}
+					}
+					c.expect("DELETE", "/v1/sessions/"+sess.ID, nil, http.StatusNoContent, nil)
 				}
 			}
 		})
@@ -346,7 +325,7 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 
 	sess := c.createSession(api.CreateSession{})
-	if sess.Tenant != "tenant-a" || sess.Backend != "inprocess" || sess.Batches != 0 {
+	if sess.Tenant != "tenant-a" || sess.Batches != 0 {
 		t.Fatalf("created session %+v", sess)
 	}
 

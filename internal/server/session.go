@@ -41,12 +41,11 @@ type Quotas struct {
 // for the session (lockCtx): a slow batch on one connection must turn
 // into the OTHER connection's structured 503, not a hung handler.
 type session struct {
-	id       string // immutable after construction
-	tenant   string // immutable after construction
-	backName string // immutable after construction
+	id     string // immutable after construction
+	tenant string // immutable after construction
 
 	sem            chan struct{}       // 1-slot handler lock; lock/lockCtx/unlock
-	be             backend.Backend     // immutable after construction (calls through it hold sem)
+	be             *backend.Backend    // immutable after construction (calls through it hold sem)
 	plans          *backend.Resolver   // immutable after construction (calls through it hold sem)
 	exec           *backend.Executor   // immutable after construction: nil unless async
 	regs           map[string]regEntry // guarded by sem
@@ -102,7 +101,6 @@ func (s *session) snapshot() api.Session {
 	return api.Session{
 		ID:             s.id,
 		Tenant:         s.tenant,
-		Backend:        s.backName,
 		Optimize:       s.plans.Signature().Options != rewrite.Options{},
 		Async:          s.exec != nil,
 		Batches:        s.batches,
@@ -129,11 +127,10 @@ func (s *session) closeLocked() {
 // counters only — never a session's sem — so slow batches on one session
 // cannot stall another tenant's admission.
 type registry struct {
-	rt             *bohrium.Runtime // immutable after newRegistry
-	defaultBackend string           // immutable after newRegistry
-	quotas         Quotas           // immutable after newRegistry
-	now            func() time.Time // immutable after newRegistry
-	queueDepth     int              // immutable after newRegistry: async executor queue depth (0: vm.DefaultAsyncDepth)
+	rt         *bohrium.Runtime // immutable after newRegistry
+	quotas     Quotas           // immutable after newRegistry
+	now        func() time.Time // immutable after newRegistry
+	queueDepth int              // immutable after newRegistry: async executor queue depth (0: vm.DefaultAsyncDepth)
 
 	mu       sync.Mutex
 	sessions map[string]*session     // guarded by mu
@@ -147,15 +144,14 @@ type tenantUsage struct {
 	submittedBytes int64
 }
 
-func newRegistry(rt *bohrium.Runtime, defaultBackend string, q Quotas, now func() time.Time, queueDepth int) *registry {
+func newRegistry(rt *bohrium.Runtime, q Quotas, now func() time.Time, queueDepth int) *registry {
 	return &registry{
-		rt:             rt,
-		defaultBackend: defaultBackend,
-		quotas:         q,
-		now:            now,
-		queueDepth:     queueDepth,
-		sessions:       map[string]*session{},
-		tenants:        map[string]*tenantUsage{},
+		rt:         rt,
+		quotas:     q,
+		now:        now,
+		queueDepth: queueDepth,
+		sessions:   map[string]*session{},
+		tenants:    map[string]*tenantUsage{},
 	}
 }
 
@@ -249,15 +245,8 @@ func (reg *registry) refundBytes(tenant string, n int64) {
 // re-checked under the registry lock: Admit runs outside it, and two
 // racing creates must not both slip under MaxSessions.
 func (reg *registry) create(tenant string, req api.CreateSession) (*session, *api.Error) {
-	name := req.Backend
-	if name == "" {
-		name = reg.defaultBackend
-	}
 	vcfg := vm.Config{Fusion: true, FaultLabel: tenant}
-	be, err := backend.Open(name, reg.rt.Engine(), backend.Config{VM: vcfg, ChunkBytes: req.ChunkBytes})
-	if err != nil {
-		return nil, api.Errorf(http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-	}
+	be := backend.New(reg.rt.Engine(), backend.Config{VM: vcfg})
 
 	reg.mu.Lock()
 	u := reg.usage(tenant)
@@ -271,7 +260,6 @@ func (reg *registry) create(tenant string, req api.CreateSession) (*session, *ap
 	s := &session{
 		id:       fmt.Sprintf("s-%d", reg.nextID),
 		tenant:   tenant,
-		backName: name,
 		sem:      make(chan struct{}, 1),
 		be:       be,
 		regs:     map[string]regEntry{},

@@ -127,39 +127,6 @@ func (d *Data[T]) Zero() { clear(d.s) }
 // fast paths; callers must not resize it.
 func (d *Data[T]) Raw() []T { return d.s }
 
-// CopyFlat copies n contiguous elements from src starting at srcOff into
-// dst starting at dstOff. Both buffers must store the same dtype: the copy
-// moves raw typed storage, never converting values — the out-of-core
-// backend stages chunks of large arrays through scratch buffers with it,
-// and a value conversion would break its bit-for-bit contract.
-func CopyFlat(dst Buffer, dstOff int, src Buffer, srcOff, n int) error {
-	if n == 0 {
-		return nil
-	}
-	if dst.DType() != src.DType() {
-		return fmt.Errorf("tensor: CopyFlat dtype mismatch: %v vs %v", dst.DType(), src.DType())
-	}
-	if dstOff < 0 || srcOff < 0 || n < 0 || dstOff+n > dst.Len() || srcOff+n > src.Len() {
-		return fmt.Errorf("tensor: CopyFlat range out of bounds: dst[%d:%d) of %d, src[%d:%d) of %d",
-			dstOff, dstOff+n, dst.Len(), srcOff, srcOff+n, src.Len())
-	}
-	switch d := dst.(type) {
-	case *Data[uint8]:
-		copy(d.s[dstOff:dstOff+n], src.(*Data[uint8]).s[srcOff:srcOff+n])
-	case *Data[int32]:
-		copy(d.s[dstOff:dstOff+n], src.(*Data[int32]).s[srcOff:srcOff+n])
-	case *Data[int64]:
-		copy(d.s[dstOff:dstOff+n], src.(*Data[int64]).s[srcOff:srcOff+n])
-	case *Data[float32]:
-		copy(d.s[dstOff:dstOff+n], src.(*Data[float32]).s[srcOff:srcOff+n])
-	case *Data[float64]:
-		copy(d.s[dstOff:dstOff+n], src.(*Data[float64]).s[srcOff:srcOff+n])
-	default:
-		return fmt.Errorf("tensor: CopyFlat unsupported buffer type %T", dst)
-	}
-	return nil
-}
-
 // RawSlice returns the raw []T backing b, if T is b's storage type. This
 // is the generic form of the dtype-named accessors below: bool and uint8
 // buffers surface as []uint8, every other dtype as its Go type.

@@ -24,13 +24,13 @@ type EngineConfig struct {
 	PoolCapBytes int
 	// MemoryHighWatermark is the engine's graceful-degradation budget in
 	// bytes; zero means unlimited. When a fresh allocation would push
-	// live bytes (buffers held by register files and backend staging)
-	// plus parked recycle-pool bytes past it, the engine sheds its
-	// shareable caches first — every compiled plan, every parked
-	// buffer — and re-checks; only if live bytes alone still exceed the
-	// watermark is the allocation denied with ErrMemoryPressure. Recycle
-	// hits never trip it: taking a parked buffer moves bytes between
-	// accounts without growing the total.
+	// live bytes (buffers held by register files) plus parked
+	// recycle-pool bytes past it, the engine sheds its shareable caches
+	// first — every compiled plan, every parked buffer — and re-checks;
+	// only if live bytes alone still exceed the watermark is the
+	// allocation denied with ErrMemoryPressure. Recycle hits never trip
+	// it: taking a parked buffer moves bytes between accounts without
+	// growing the total.
 	MemoryHighWatermark int
 }
 
@@ -49,9 +49,9 @@ type Engine struct {
 
 	// watermark is the MemoryHighWatermark byte budget (0: unlimited),
 	// immutable after NewEngine; liveBytes tracks buffers currently held
-	// by register files and backend staging (recycle-pool bytes are
-	// accounted separately on the pool); memSheds counts the times
-	// pressure forced the caches out.
+	// by register files (recycle-pool bytes are accounted separately on
+	// the pool); memSheds counts the times pressure forced the caches
+	// out.
 	watermark int
 	liveBytes atomic.Int64
 	memSheds  atomic.Int64
@@ -185,9 +185,8 @@ func (e *Engine) adoptBytes(n int) { e.liveBytes.Add(int64(n)) }
 // keeps) or the GC.
 func (e *Engine) releaseBytes(n int) { e.liveBytes.Add(int64(-n)) }
 
-// LiveBytes reports the bytes currently held by register files and
-// backend staging buffers across every machine on the engine
-// (recycle-pool bytes are parked, not live). A racy snapshot, exact
+// LiveBytes reports the bytes currently held by register files across
+// every machine on the engine (recycle-pool bytes are parked, not live). A racy snapshot, exact
 // when the engine is quiesced.
 func (e *Engine) LiveBytes() int { return int(e.liveBytes.Load()) }
 

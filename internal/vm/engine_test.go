@@ -93,10 +93,8 @@ func TestEngineConcurrentLookupInsert(t *testing.T) {
 				// plan another session is executing.
 				prog := planTestProg(float64(i%3 + 1))
 				fp := prog.Fingerprint()
-				var plan *Plan
-				if cached, _, ok := m.LookupPlan(fp, prog.Constants(), nil); ok {
-					plan = cached.(*Plan)
-				} else {
+				plan, _, ok := m.LookupPlan(fp, prog.Constants(), nil)
+				if !ok {
 					var err error
 					if plan, err = m.Compile(prog); err != nil {
 						t.Error(err)

@@ -13,7 +13,7 @@ import (
 // one background executor. These tests pin the VM-visible side of that
 // contract: Stats().Pipelined and the register file the plans write.
 
-func openInProcess(t *testing.T) backend.Backend {
+func openInProcess(t *testing.T) *backend.Backend {
 	t.Helper()
 	eng := vm.NewEngine(vm.EngineConfig{})
 	b, err := backend.Open("inprocess", eng, backend.Config{VM: vm.Config{Fusion: true}})
@@ -55,7 +55,7 @@ func emptyMaxProg() *bytecode.Program {
 	return p
 }
 
-func bindInput(t *testing.T, b backend.Backend, vals []float64) {
+func bindInput(t *testing.T, b *backend.Backend, vals []float64) {
 	t.Helper()
 	tt, err := tensor.FromFloat64s(vals, tensor.MustShape(len(vals)))
 	if err != nil {

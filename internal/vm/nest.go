@@ -156,8 +156,8 @@ func operands(in *bytecode.Instruction) [3]*bytecode.Operand {
 }
 
 // compileNest compiles instructions [start, end) of p, vetted by sweepAt,
-// into a nest outside any plan and arena, for the executing side (ExecOne,
-// unfold). A single instruction whose op has no kernel yields nil.
+// into a nest outside any plan and arena, for the executing side
+// (unfold). A single instruction whose op has no kernel yields nil.
 func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape) *nest {
 	ns := new(nest)
 	new(compileArena).layoutNest(ns, p, start, end, shape, liveness{}, nil)

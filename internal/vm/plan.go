@@ -73,8 +73,8 @@ func (pl *Plan) attachKernels() {
 // other written register as defined for the next batch). One pass per
 // program records, per register, 1 + the index of the last instruction
 // that references it other than BH_FREE, and of the last BH_FREE (0:
-// none). rewrite.DeadAfter and the out-of-core backend's deadAfter state
-// the same rule again; ROADMAP item 2 makes them one.
+// none). rewrite.DeadAfter states the same rule again; ROADMAP item 2
+// makes them one.
 type liveness struct{ refs, frees []int }
 
 // liveness computes p's liveness in the arena.

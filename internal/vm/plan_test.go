@@ -168,7 +168,7 @@ func TestPlanCacheParametricMatching(t *testing.T) {
 	if !ok {
 		t.Fatal("parametric lookup missed")
 	}
-	if cs := got.(*Plan).Program().Constants(); !constantsEqual(cs, want) {
+	if cs := got.Program().Constants(); !constantsEqual(cs, want) {
 		t.Errorf("plan not patched: %v", cs)
 	}
 }

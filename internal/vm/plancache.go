@@ -66,8 +66,8 @@ type planEntry struct {
 	fp         bytecode.Fingerprint
 	vals       []bytecode.Constant
 	parametric bool
-	plan       CachedPlan // nil: the batch is known to optimize to nothing
-	meta       any        // front-end bookkeeping, opaque to the VM
+	plan       *Plan // nil: the batch is known to optimize to nothing
+	meta       any   // front-end bookkeeping, opaque to the VM
 }
 
 type planShard struct {
@@ -172,11 +172,11 @@ func (m *Machine) PlanCacheLen() int {
 // to the LRU front and the stored plan and metadata are returned; the
 // plan is nil when the batch is known to optimize to nothing. A
 // parametric hit under a different constant vector returns a patched
-// clone via CachedPlan.Rebind (and caches it for the next identical
+// clone via Plan.WithConstants (and caches it for the next identical
 // lookup) — the previously returned plan is never mutated, so callers may
 // still be executing it, on this session or any other sharing the engine.
 // Counters: PlanHits / PlanMisses, counted on this machine.
-func (m *Machine) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, accept func(meta any) bool) (CachedPlan, any, bool) {
+func (m *Machine) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, accept func(meta any) bool) (*Plan, any, bool) {
 	if !m.PlanCacheEnabled() {
 		return nil, nil, false
 	}
@@ -189,7 +189,7 @@ func (m *Machine) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant
 	s.mu.Lock()
 	var elem *list.Element
 	var entry *planEntry
-	var plan CachedPlan
+	var plan *Plan
 	var meta any
 	needPatch := false
 	for _, el := range s.byFP[fp] {
@@ -211,7 +211,7 @@ func (m *Machine) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant
 		return nil, nil, false
 	}
 	if needPatch {
-		patched, err := plan.Rebind(consts)
+		patched, err := plan.WithConstants(consts)
 		if err != nil {
 			// Digest collision or corrupted entry. Unlink it — it was
 			// just promoted to MRU, so leaving it in place would shadow
@@ -244,7 +244,7 @@ func (m *Machine) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant
 // caller must treat the plan as immutable from here on. Over shard
 // capacity, the shard's least recently used entry is dropped
 // (PlanEvictions, counted on the inserting machine).
-func (m *Machine) InsertPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, parametric bool, pl CachedPlan, meta any) {
+func (m *Machine) InsertPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, parametric bool, pl *Plan, meta any) {
 	if !m.PlanCacheEnabled() {
 		return
 	}

@@ -33,18 +33,22 @@ func TestChaosWatermarkShedsThenDenies(t *testing.T) {
 		t.Fatal("plan cache empty after insert")
 	}
 
-	small, err := m.AcquireBuffer(tensor.Float64, 64) // 512 B live, fits
-	if err != nil {
+	// Registers 0 and 2 are 512 B, 1 and 3 are 1 KiB; each materializes
+	// through the same register-file path a sweep takes.
+	regs := bytecode.NewProgram()
+	for _, n := range []int{64, 128, 64, 128} {
+		regs.NewReg(tensor.Float64, n)
+	}
+	if _, err := m.regs.ensure(regs, 0); err != nil { // 512 B live, fits
 		t.Fatal(err)
 	}
 	if got := eng.LiveBytes(); got != 512 {
 		t.Fatalf("live bytes = %d, want 512", got)
 	}
-	m.ReleaseBuffer(small) // 0 live, 512 parked
+	m.regs.free(0) // 0 live, 512 parked
 
 	// 1024 B fresh: live+parked = 1536 > 1024 → shed; live alone fits.
-	big, err := m.AcquireBuffer(tensor.Float64, 128)
-	if err != nil {
+	if _, err := m.regs.ensure(regs, 1); err != nil {
 		t.Fatalf("allocation within the watermark denied after shed: %v", err)
 	}
 	if sheds := eng.MemorySheds(); sheds != 1 {
@@ -59,7 +63,7 @@ func TestChaosWatermarkShedsThenDenies(t *testing.T) {
 
 	// 512 B more cannot fit even with nothing left to shed: denied, and
 	// the optimistic booking is undone.
-	_, err = m.AcquireBuffer(tensor.Float64, 64)
+	_, err = m.regs.ensure(regs, 2)
 	if !errors.Is(err, ErrMemoryPressure) {
 		t.Fatalf("over-watermark allocation: %v, want ErrMemoryPressure", err)
 	}
@@ -75,15 +79,13 @@ func TestChaosWatermarkShedsThenDenies(t *testing.T) {
 
 	// A recycle hit moves parked bytes to live without growing the total,
 	// so it can never be denied — even exactly at the watermark.
-	m.ReleaseBuffer(big)
-	again, err := m.AcquireBuffer(tensor.Float64, 128)
-	if err != nil {
+	m.regs.free(1)
+	if _, err := m.regs.ensure(regs, 3); err != nil {
 		t.Fatalf("recycle hit denied: %v", err)
 	}
 	if sheds := eng.MemorySheds(); sheds != 2 {
 		t.Fatalf("recycle hit tripped a shed: %d sheds, want 2", sheds)
 	}
-	m.ReleaseBuffer(again)
 }
 
 // TestChaosMemoryPressureSurfacesThroughRun pins that ErrMemoryPressure

@@ -178,10 +178,6 @@ type Stats struct {
 	// Pipelined counts plans executed on a background Executor goroutine
 	// (async submit/wait pipelining) rather than on the caller.
 	Pipelined int
-	// Chunks counts the tiles an out-of-core backend streamed through the
-	// buffer recycle pool: each chunk of a segmented sweep counts once.
-	// Always zero for purely in-process execution.
-	Chunks int
 }
 
 // Accumulate adds every counter of o into s — how Engine.Stats (and any
@@ -203,7 +199,6 @@ func (s *Stats) Accumulate(o Stats) {
 	s.PlanMisses += o.PlanMisses
 	s.PlanEvictions += o.PlanEvictions
 	s.Pipelined += o.Pipelined
-	s.Chunks += o.Chunks
 }
 
 // atomicStats is the Machine's internal counter set. The counters are
@@ -226,7 +221,6 @@ type atomicStats struct {
 	planMisses          atomic.Int64
 	planEvictions       atomic.Int64
 	pipelined           atomic.Int64
-	chunks              atomic.Int64
 }
 
 func (s *atomicStats) addDType(dt tensor.DType, n int) {
@@ -250,32 +244,11 @@ func (s *atomicStats) snapshot() Stats {
 		PlanMisses:          int(s.planMisses.Load()),
 		PlanEvictions:       int(s.planEvictions.Load()),
 		Pipelined:           int(s.pipelined.Load()),
-		Chunks:              int(s.chunks.Load()),
 	}
 	for dt := range s.fusedByDType {
 		out.FusedByDType[dt] = int(s.fusedByDType[dt].Load())
 	}
 	return out
-}
-
-func (s *atomicStats) reset() {
-	s.instructions.Store(0)
-	s.sweeps.Store(0)
-	s.fusedInstructions.Store(0)
-	s.chainedInstructions.Store(0)
-	s.fusedReductions.Store(0)
-	for i := range s.fusedByDType {
-		s.fusedByDType[i].Store(0)
-	}
-	s.elements.Store(0)
-	s.buffersAllocated.Store(0)
-	s.poolHits.Store(0)
-	s.bytesAllocated.Store(0)
-	s.planHits.Store(0)
-	s.planMisses.Store(0)
-	s.planEvictions.Store(0)
-	s.pipelined.Store(0)
-	s.chunks.Store(0)
 }
 
 // New returns a Machine on a private Engine built from the same
@@ -294,8 +267,9 @@ func New(cfg Config) *Machine {
 // deterministic numbers, Wait on the executor first.
 func (m *Machine) Stats() Stats { return m.stats.snapshot() }
 
-// ResetStats zeroes the counters (between experiment repetitions).
-func (m *Machine) ResetStats() { m.stats.reset() }
+// CountPipelined adds one plan execution to the Pipelined counter — the
+// stats hook for executors that run plans on a background goroutine.
+func (m *Machine) CountPipelined() { m.stats.pipelined.Add(1) }
 
 // Bind presets register r with an existing tensor before Run — the
 // front-end binds arrays listed in the program's Inputs this way. The
@@ -339,7 +313,9 @@ func (m *Machine) Engine() *Engine { return m.eng }
 // too; a machine made by Engine.NewMachine never touches the shared
 // pool — other sessions keep running.
 func (m *Machine) Close() {
-	m.ReleaseRegisters()
+	for r := range m.regs.bufs {
+		m.regs.free(bytecode.RegID(r))
+	}
 	m.eng.detach(m)
 	if m.private {
 		m.eng.Close()

@@ -595,8 +595,4 @@ BH_SYNC a0
 	if st.Elements != 30 {
 		t.Errorf("Elements = %d, want 30", st.Elements)
 	}
-	m.ResetStats()
-	if m.Stats().Instructions != 0 {
-		t.Error("ResetStats did not clear")
-	}
 }

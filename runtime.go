@@ -115,7 +115,7 @@ func (r *Runtime) NewContext(cfg *Config) *Context {
 }
 
 // Engine exposes the shared vm.Engine so hosts outside the array front
-// end can open backend sessions on it directly through backend.Open —
+// end can open backend sessions on it directly through backend.New —
 // the bhd daemon multiplexes every tenant onto one Runtime this way.
 // Such sessions should announce themselves with Register so they show
 // up in Sessions alongside the runtime's Contexts.

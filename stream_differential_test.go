@@ -11,10 +11,9 @@ import (
 // This file holds iterative streams — many flushes over long-lived arrays,
 // structurally identical batches that hit the plan cache from the second
 // iteration on — to the differential contract: every variant below must
-// produce bit-for-bit the values of the first. The variants cross the
-// in-process and out-of-core backends, synchronous and async submission,
-// and the default and zeroed optimizer, so a stream's result depends on
-// none of them. CI runs them under -race with the other differentials.
+// produce bit-for-bit the values of the first. The variants cross
+// synchronous and async submission with the default and zeroed
+// optimizer, so a stream's result depends on none of them. CI runs them under -race with the other differentials.
 
 type streamVariant struct {
 	name string
@@ -27,8 +26,6 @@ func streamVariants() []streamVariant {
 		{"inprocess-async", Config{Async: true}},
 		{"unoptimized", Config{Optimizer: &rewrite.Options{}}},
 		{"unoptimized-async", Config{Optimizer: &rewrite.Options{}, Async: true}},
-		{"outofcore", Config{Backend: "outofcore", ChunkBytes: 4096}},
-		{"outofcore-async", Config{Backend: "outofcore", ChunkBytes: 4096, Async: true}},
 	}
 }
 
@@ -101,9 +98,8 @@ func TestStreamDifferentialEvolvingStencil(t *testing.T) {
 }
 
 // TestStreamDifferentialArgReduceStream: argmin/argmax index reductions
-// along both axes in every batch — the any-axis reduction epilogue on the
-// in-process backend must agree with the out-of-core backend's barriers
-// and with the unoptimized program.
+// along both axes in every batch — the any-axis reduction epilogue must
+// agree sync and async, and with the unoptimized program.
 func TestStreamDifferentialArgReduceStream(t *testing.T) {
 	streamDiff(t, func(t *testing.T, ctx *Context) []float64 {
 		x := ctx.Random(7, 48, 48)
