@@ -30,8 +30,11 @@ import (
 // off — compiles to one loop nest (nest.go), which keeps dead temporaries
 // in row scratch. A reduction that consumes the cluster's output extends
 // the cluster as an epilogue: the nest's last step folds the producers'
-// runs (foldStep), likewise without them. System byte-codes, other
-// reductions, extensions, and RANDOM end a cluster.
+// runs (foldStep), likewise without them. A BH_FREE whose register no
+// later step of the cluster touches joins it and runs after the sweep, so a
+// batch that frees each temporary right after its last use fuses as one
+// that frees them at the end. Other system byte-codes, other reductions,
+// extensions, and RANDOM end a cluster.
 
 // planClusters splits the program into clusters, in the machine's compile
 // arena: each is a nest, laid out once for a sweep; the interpreter runs
@@ -48,13 +51,24 @@ func (m *Machine) planClusters(p *bytecode.Program, live liveness) []nest {
 		// Extend a fusible cluster while the next instruction is fusible over
 		// the same shape and no write view conflicts with another access of
 		// its register. A closing write joins if the nest can store it lagged.
-		ar.accs = ar.accs[:0]
+		// A BH_FREE joins on the way, to run after the sweep, when no later
+		// step touches its register; trailing ones stay outside (end). A
+		// closing reduction needs no check: reduceEpilogueAt refuses one
+		// writing a register the cluster names, and a valid program reads
+		// no freed register.
+		ar.accs, ar.freed = ar.accs[:0], ar.freed[:0]
 		ar.record(&p.Instrs[i])
+		end := j
 		for ; fusible && j < len(p.Instrs) && !laid; j++ {
-			if shape2, kind2 := sweepAt(p, j); kind2 != sweepFusible || !shape2.Equal(shape) {
+			in := &p.Instrs[j]
+			if in.Op == bytecode.OpFree && in.Out.IsReg() {
+				ar.freed = append(ar.freed, in.Out.Reg)
+				continue
+			}
+			if shape2, kind2 := sweepAt(p, j); kind2 != sweepFusible || !shape2.Equal(shape) || ar.touchesFreed(in) {
 				break
 			}
-			span, ok := ar.admit(&p.Instrs[j])
+			span, ok := ar.admit(in)
 			if !ok {
 				break
 			}
@@ -63,17 +77,29 @@ func (m *Machine) planClusters(p *bytecode.Program, live liveness) []nest {
 					break
 				}
 			}
-			ar.record(&p.Instrs[j])
+			ar.record(in)
+			end = j + 1
 		}
 		if fusible && !laid && j < len(p.Instrs) && reduceEpilogueAt(p, i, j, shape) {
-			j++
+			end = j + 1
 		}
 		if kind != sweepNone && !laid {
-			ar.layoutNest(ns, p, i, j, shape, live, nil)
+			ar.layoutNest(ns, p, i, end, shape, live, nil)
 		}
-		i = j
+		i = end
 	}
 	return ar.clusters
+}
+
+// touchesFreed reports whether in names a register a BH_FREE inside the
+// cluster being planned releases.
+func (ar *compileArena) touchesFreed(in *bytecode.Instruction) bool {
+	for _, o := range operands(in) {
+		if o.IsReg() && slices.Contains(ar.freed, o.Reg) {
+			return true
+		}
+	}
+	return false
 }
 
 // sweepKind classifies an instruction for nest execution.
@@ -259,11 +285,11 @@ func instrErr(p *bytecode.Program, i int, err error) error {
 	return fmt.Errorf("instr %d (%s): %w", i, p.Instrs[i].String(), err)
 }
 
-// countFusedDTypes attributes the instructions in [start, end) to the
-// per-dtype fused counters by their output register's dtype.
-func (m *Machine) countFusedDTypes(p *bytecode.Program, start, end int) {
-	for i := start; i < end; i++ {
-		if ri, ok := p.Reg(p.Instrs[i].Out.Reg); ok {
+// countFusedDTypes attributes ns's steps to the per-dtype fused counters
+// by their output register's dtype.
+func (m *Machine) countFusedDTypes(p *bytecode.Program, ns *nest) {
+	for i := range ns.steps {
+		if ri, ok := p.Reg(p.Instrs[ns.steps[i].index].Out.Reg); ok {
 			m.stats.addDType(ri.DType, 1)
 		}
 	}

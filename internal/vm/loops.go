@@ -42,8 +42,9 @@ type ksrc struct {
 
 func constSrc(c bytecode.Constant) ksrc { return ksrc{isConst: true, cf: c.Float(), ci: c.Int()} }
 
-// kernelCompilations counts compileLoop calls, so tests can assert that
-// executing a compiled plan builds no kernels.
+// kernelCompilations counts compileLoop calls and fold run kernels built
+// (valueFold, argFold), so tests can assert that executing a compiled plan
+// builds no kernels.
 var kernelCompilations atomic.Int64
 
 // compileLoop compiles op over operands of dtype dt (storage type T).

@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"math"
+
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
 )
@@ -9,7 +11,9 @@ import (
 // arithmetic in the storage type instead of the generic widen-to-class,
 // call the scalar kernel, round-back bodies of loops.go. compileLoop tries these first, so every sweep —
 // fused or singleton, a reduction epilogue's producers too — picks them up
-// with no planning changes.
+// with no planning changes. A reduction epilogue's fold runs the same way
+// (valueFold, argFold): one loop per run of a line, its body the class
+// kernel's written inline.
 //
 // Every specialization here is bit-for-bit identical to the generic body
 // it replaces, by construction rather than by tolerance:
@@ -28,9 +32,16 @@ import (
 //     with truncating the result.
 //   - float64 +,-,*,/: float64 is the computation class itself, so the
 //     native form is the generic body minus the indirect kernel call.
+//   - folds: each step is the class kernel's own operation on the same
+//     operands in the same left-to-right order, after the same E(x)
+//     widening — math.Max and math.Min themselves, not the builtins
+//     (math.Max(NaN, +Inf) is +Inf, the builtin max gives NaN) — and an
+//     index fold keeps argBetter's rule: ties keep the lower index, the
+//     first NaN wins.
 //
-// The per-kernel differential suite in loops_specialized_test.go pins
-// each of these equalities against the generic bodies.
+// The per-kernel differential suites in loops_specialized_test.go and
+// nest_fold_test.go pin each of these equalities against the generic
+// bodies.
 func specializedBinary[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, a, b ksrc) (kernel[T, T], bool) {
 	if a.isConst {
 		return nil, false
@@ -205,4 +216,114 @@ func chainTail[T tensor.Elem](op bytecode.Opcode, c bytecode.Constant, dt tensor
 		return 1, v, true
 	}
 	return 1, 0, false
+}
+
+// valueFold compiles a value fold's run kernel for base op base in class
+// E (float64, or exact int64) over storage type T: acc ⊕ E(s[0]) ⊕ E(s[1])
+// ⊕ …, left to right, with floatBinaryKernel's or intBinaryKernel's body
+// for base written inline.
+func valueFold[T tensor.Elem, E int64 | float64](base bytecode.Opcode) (func(acc E, s []T) E, bool) {
+	kernelCompilations.Add(1)
+	switch base {
+	case bytecode.OpAdd:
+		return func(acc E, s []T) E {
+			for _, x := range s {
+				acc += E(x)
+			}
+			return acc
+		}, true
+	case bytecode.OpMultiply:
+		return func(acc E, s []T) E {
+			for _, x := range s {
+				acc *= E(x)
+			}
+			return acc
+		}, true
+	case bytecode.OpLogicalAnd:
+		return func(acc E, s []T) E {
+			for _, x := range s {
+				acc = E(b2i(acc != 0 && E(x) != 0))
+			}
+			return acc
+		}, true
+	case bytecode.OpLogicalOr:
+		return func(acc E, s []T) E {
+			for _, x := range s {
+				acc = E(b2i(acc != 0 || E(x) != 0))
+			}
+			return acc
+		}, true
+	case bytecode.OpMaximum, bytecode.OpMinimum:
+		var k any
+		if _, float := any(E(0)).(float64); float {
+			k = floatExtremum[T](base == bytecode.OpMaximum)
+		} else {
+			k = intExtremum[T](base == bytecode.OpMaximum)
+		}
+		return k.(func(E, []T) E), true
+	}
+	return nil, false
+}
+
+// floatExtremum folds with math.Max or math.Min, as floatBinaryKernel does.
+func floatExtremum[T tensor.Elem](isMax bool) func(acc float64, s []T) float64 {
+	if isMax {
+		return func(acc float64, s []T) float64 {
+			for _, x := range s {
+				acc = math.Max(acc, float64(x))
+			}
+			return acc
+		}
+	}
+	return func(acc float64, s []T) float64 {
+		for _, x := range s {
+			acc = math.Min(acc, float64(x))
+		}
+		return acc
+	}
+}
+
+// intExtremum folds with intBinaryKernel's maximum or minimum; on int64
+// the builtins are the same comparison.
+func intExtremum[T tensor.Elem](isMax bool) func(acc int64, s []T) int64 {
+	if isMax {
+		return func(acc int64, s []T) int64 {
+			for _, x := range s {
+				acc = max(acc, int64(x))
+			}
+			return acc
+		}
+	}
+	return func(acc int64, s []T) int64 {
+		for _, x := range s {
+			acc = min(acc, int64(x))
+		}
+		return acc
+	}
+}
+
+// argFold compiles an index fold's run kernel: the best of best, found at
+// axis position at, and the elements of s, at positions j, j+1, …, by
+// argBetter's rule inline — a later element wins only when strictly
+// better, or when it is the first NaN.
+func argFold[T tensor.Elem, E int64 | float64](argmax bool) func(best E, at int, s []T, j int) (E, int) {
+	kernelCompilations.Add(1)
+	if argmax {
+		return func(best E, at int, s []T, j int) (E, int) {
+			for i, x := range s {
+				if v := E(x); v > best || v != v && best == best {
+					best, at = v, j+i
+				}
+			}
+			return best, at
+		}
+	}
+	return func(best E, at int, s []T, j int) (E, int) {
+		for i, x := range s {
+			if v := E(x); v < best || v != v && best == best {
+				best, at = v, j+i
+			}
+		}
+		return best, at
+	}
 }

@@ -200,17 +200,27 @@ func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
 // (reduceEpilogueAt) makes a fold nest.
 func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int, shape tensor.Shape, live liveness, lagged *lagSpan) bool {
 	n := end - start
+	for i := start; i < end; i++ {
+		if p.Instrs[i].Op == bytecode.OpFree {
+			n--
+		}
+	}
 	*ns = nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, n)}
-	virt := ar.virtualRegs(p, start, end, shape, live)
+	for i, k := start, 0; k < n; i++ {
+		if p.Instrs[i].Op != bytecode.OpFree {
+			ns.steps[k].index = i
+			k++
+		}
+	}
+	virt := ar.virtualRegs(p, ns.steps, end, shape, live)
 	nd, reduced := len(shape), len(shape)
 	if in := &p.Instrs[end-1]; in.Op.Info().Kind == bytecode.KindReduction {
 		reduced, ns.line = in.Axis, shape[in.Axis]
 	}
 	views := ar.views[:0]
 	for i := range ns.steps {
-		in, st := &p.Instrs[start+i], &ns.steps[i]
-		st.index = start + i
-		for k, o := range operands(in) {
+		st := &ns.steps[i]
+		for k, o := range operands(&p.Instrs[st.index]) {
 			st.acc[k].slot = slotNone
 			if !o.IsReg() {
 				continue
@@ -331,7 +341,7 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 	}
 	var blocks [8][3]int // 1 + slab offset of the gather/scatter block per (dtype, position)
 	for i := range ns.steps {
-		for k, o := range operands(&p.Instrs[start+i]) {
+		for k, o := range operands(&p.Instrs[ns.steps[i].index]) {
 			acc, dt := &ns.steps[i].acc[k], ns.steps[i].ops[k].dtype
 			if acc.slot == slotVirtual {
 				v := findVirtual(virt, o.Reg)
@@ -372,15 +382,16 @@ func findVirtual(virt []virtualReg, r bytecode.RegID) *virtualReg {
 	return nil
 }
 
-// virtualRegs picks the registers of fused cluster [start, end) that need
-// no memory: dead once it ends (liveness.deadAfter) and touched inside it
+// virtualRegs picks the registers of fused cluster steps, ending at
+// instruction end-1, that need no memory: dead once it ends
+// (liveness.deadAfter, or freedBy a BH_FREE inside it) and touched inside it
 // only through one view of its shape, first by a write that does not read
 // it — whatever a step reads was produced earlier in the same run. One
 // pass follows every register the cluster touches from its first touch.
-func (ar *compileArena) virtualRegs(p *bytecode.Program, start, end int, shape tensor.Shape, live liveness) []virtualReg {
+func (ar *compileArena) virtualRegs(p *bytecode.Program, steps []nestStep, end int, shape tensor.Shape, live liveness) []virtualReg {
 	virt := ar.virt[:0]
-	for i := start; i < end && end-start > 1; i++ {
-		in := &p.Instrs[i]
+	for i := 0; i < len(steps) && len(steps) > 1; i++ {
+		in := &p.Instrs[steps[i].index]
 		for k, o := range operands(in) {
 			if !o.IsReg() {
 				continue
@@ -389,7 +400,7 @@ func (ar *compileArena) virtualRegs(p *bytecode.Program, start, end int, shape t
 				v.mem = v.mem || !o.View.Equal(*v.view) // touched through another view
 				continue
 			}
-			mem := k > 0 || !in.Op.Elementwise() || !live.deadAfter(o.Reg, end-1) || !o.View.Shape.Equal(shape) || in.ReadsReg(o.Reg)
+			mem := k > 0 || !in.Op.Elementwise() || !live.deadAfter(o.Reg, end-1) && !live.freedBy(o.Reg, end-1) || !o.View.Shape.Equal(shape) || in.ReadsReg(o.Reg)
 			virt = append(virt, virtualReg{reg: o.Reg, view: &o.View, mem: mem})
 		}
 	}
@@ -855,21 +866,29 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 	if ns.fused {
 		m.stats.fusedInstructions.Add(int64(k))
 		m.stats.chainedInstructions.Add(int64(ns.chained))
-		m.countFusedDTypes(p, ns.start, ns.end)
+		m.countFusedDTypes(p, ns)
 	}
 	if ns.line > 0 {
 		m.stats.fusedReductions.Add(1)
 		m.runFold(p, ns, ops)
-		return nil
+	} else {
+		count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)
+		workers := m.frame.prepare(ns, count)
+		m.par.parallelFor(ns.total, m.cfg.ParallelThreshold, func(lo, hi int) {
+			ns.sweep(&workers[lo/size], ops, lo, hi)
+		})
+		if ns.lag != nil {
+			for i := range workers {
+				ns.drain(&workers[i], ops)
+			}
+		}
 	}
-	count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)
-	workers := m.frame.prepare(ns, count)
-	m.par.parallelFor(ns.total, m.cfg.ParallelThreshold, func(lo, hi int) {
-		ns.sweep(&workers[lo/size], ops, lo, hi)
-	})
-	if ns.lag != nil {
-		for i := range workers {
-			ns.drain(&workers[i], ops)
+	if len(ns.steps) < ns.end-ns.start {
+		// The BH_FREEs inside the cluster: no step after one touches its register.
+		for i := ns.start; i < ns.end; i++ {
+			if in := &p.Instrs[i]; in.Op == bytecode.OpFree {
+				m.regs.free(in.Out.Reg)
+			}
 		}
 	}
 	return nil
@@ -956,15 +975,19 @@ type folder interface {
 // GetInt does, and writes a line's result once the worker has folded all
 // of it. Value folds seed with the first element; index folds carry the
 // winner's position, lowest index winning ties and the first NaN winning
-// outright.
+// outright. Each run goes through one run kernel call (valueFold,
+// argFold); the per-element base op k and comparison better only merge
+// chunk partials.
 type foldStep[T tensor.Elem, E int64 | float64] struct {
-	in     operandAccess
-	dt     tensor.DType
-	line   int
-	out    tensor.View                 // the reduction's result: line l is its l-th element, row major
-	k      func(a, b E) E              // a value fold's base op
-	set    func(tensor.Buffer, int, E) // Buffer.Set or SetInt
-	better func(v, best E) bool        // an index fold's comparison (argBetter)
+	in      operandAccess
+	dt      tensor.DType
+	line    int
+	out     tensor.View                                 // the reduction's result: line l is its l-th element, row major
+	kern    func(acc E, s []T) E                        // a value fold's run kernel
+	argKern func(best E, at int, s []T, j int) (E, int) // an index fold's run kernel
+	k       func(a, b E) E                              // a value fold's base op
+	set     func(tensor.Buffer, int, E)                 // Buffer.Set or SetInt
+	better  func(v, best E) bool                        // an index fold's comparison (argBetter)
 }
 
 // newFoldStep compiles the reduction in — the last step st of a fold nest
@@ -997,8 +1020,11 @@ func foldStepOf[T tensor.Elem, E int64 | float64](in *bytecode.Instruction, st *
 	fs := &foldStep[T, E]{in: st.acc[1], dt: st.ops[1].dtype, line: line, out: in.Out.View, set: set}
 	base, ok := in.Op.ReduceBase()
 	if !ok {
-		fs.better = argBetter[E](in.Op == bytecode.OpArgmaxReduce)
+		argmax := in.Op == bytecode.OpArgmaxReduce
+		fs.better, fs.argKern = argBetter[E](argmax), argFold[T, E](argmax)
 	} else if fs.k, ok = kernelOf(base); !ok {
+		return nil
+	} else if fs.kern, ok = valueFold[T, E](base); !ok {
 		return nil
 	}
 	return fs
@@ -1024,19 +1050,11 @@ func (st *foldStep[T, E]) fold(a *foldAcc, s []T, j int) {
 	if a.n == 0 {
 		*acc, a.idx, s, j = E(s[0]), j, s[1:], j+1
 	}
-	v := *acc
-	if st.k != nil {
-		for _, x := range s {
-			v = st.k(v, E(x))
-		}
+	if st.kern != nil {
+		*acc = st.kern(*acc, s)
 	} else {
-		for i, x := range s {
-			if e := E(x); st.better(e, v) {
-				v, a.idx = e, j+i
-			}
-		}
+		*acc, a.idx = st.argKern(*acc, a.idx, s, j)
 	}
-	*acc = v
 }
 
 // write stores a's result for line l.

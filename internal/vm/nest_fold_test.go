@@ -1,6 +1,9 @@
 package vm
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"bohrium/internal/bytecode"
@@ -15,7 +18,8 @@ import (
 // square root that makes NaNs, or live (materialized); a reduced axis of
 // 1, 33, more than fusedBlockSize or chunkable length, or enough lines
 // for split-outputs at a threshold of 4 (up to 40 elements each); and now
-// and then an output bound to an input's buffer (the two-sweep fallback).
+// and then an output bound to an input's buffer (the two-sweep fallback);
+// now and then a BH_FREE of a dead temporary among the producers.
 func (g *nestGen) reduce() genProgram {
 	dt := nestDTypes[g.n(len(nestDTypes))]
 	rank := 1 + g.n(3)
@@ -170,28 +174,45 @@ func (g *nestGen) reduce() genProgram {
 		p.EmitFree(t)
 	}
 	p.EmitSync(bytecode.Reg(out, ov))
+	// Now and then producer k+1 writes a second temporary, which every later
+	// step uses in t's place, and t is freed right after it: a BH_FREE
+	// inside the fold nest. The draw comes last, so shorter corpus entries
+	// decode as before.
+	if red := slices.IndexFunc(p.Instrs, func(in bytecode.Instruction) bool { return in.Op == op }); red >= 2 && g.n(4) == 3 {
+		k := g.n(red - 1)
+		t2 := p.NewReg(dt, shape.Size())
+		for i := k + 1; i < len(p.Instrs); i++ {
+			for j, o := range operands(&p.Instrs[i]) {
+				if o.IsReg() && o.Reg == t.Reg && (i > k+1 || j == 0) {
+					o.Reg = t2
+				}
+			}
+		}
+		p.Instrs = slices.Insert(p.Instrs, k+2, bytecode.Instruction{Op: bytecode.OpFree, Out: t})
+	}
 	return gp
 }
 
 // foldBatch is one reduction epilogue for BenchmarkNestEpilogue and the
-// allocation pin: the rows×cols float64 array x (its columns every second
-// element when strided) goes through the multiply chain t = x·x·x·x, and
-// op folds each row of t into one element; t is freed, so it stays virtual.
-func foldBatch(rows, cols int, op bytecode.Opcode, strided bool) genProgram {
+// allocation pin: the rows×cols array x of dtype dt (its columns every
+// second element when strided) goes through the multiply chain
+// t = x·x·x·x, and op folds each row of t into one element; t is freed, so
+// it stays virtual.
+func foldBatch(rows, cols int, dt tensor.DType, op bytecode.Opcode, strided bool) genProgram {
 	p := bytecode.NewProgram()
 	step := 1
 	if strided {
 		step = 2
 	}
-	x := p.NewReg(tensor.Float64, rows*cols*step)
+	x := p.NewReg(dt, rows*cols*step)
 	p.MarkInput(x)
 	shape := tensor.MustShape(rows, cols)
 	xv, _ := tensor.NewStridedView(0, shape, []int{cols * step, step})
-	t := bytecode.Reg(p.NewReg(tensor.Float64, rows*cols), tensor.NewView(shape))
+	t := bytecode.Reg(p.NewReg(dt, rows*cols), tensor.NewView(shape))
 	p.EmitBinary(bytecode.OpMultiply, t, bytecode.Reg(x, xv), bytecode.Reg(x, xv))
 	p.EmitBinary(bytecode.OpMultiply, t, t, bytecode.Reg(x, xv))
 	p.EmitBinary(bytecode.OpMultiply, t, t, bytecode.Reg(x, xv))
-	odt := tensor.Float64
+	odt := dt
 	if op.ArgReduce() {
 		odt = tensor.Int64
 	}
@@ -199,7 +220,7 @@ func foldBatch(rows, cols int, op bytecode.Opcode, strided bool) genProgram {
 	p.EmitReduce(op, out, t, 1)
 	p.EmitFree(t)
 	p.EmitSync(out)
-	in := tensor.MustNew(tensor.Float64, tensor.MustShape(rows*cols*step))
+	in := tensor.MustNew(dt, tensor.MustShape(rows*cols*step))
 	in.FillRandom(5, 0.5, 1.5)
 	return genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{x: in}}
 }
@@ -224,30 +245,35 @@ func TestNestFoldBatches(t *testing.T) {
 type foldBenchCase struct {
 	name       string
 	rows, cols int
+	dt         tensor.DType
 	op         bytecode.Opcode
 	strided    bool
 }
 
 var foldBenchCases = []foldBenchCase{
-	{"dense-sum-chunked", 1, 1 << 20, bytecode.OpAddReduce, false},
-	{"strided-sum", 1, 1 << 20, bytecode.OpAddReduce, true},
-	{"rows-33", 1 << 15, 33, bytecode.OpAddReduce, false},
-	{"argmin-rows", 1 << 12, 256, bytecode.OpArgminReduce, false},
+	{"dense-sum-chunked", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, false},
+	{"strided-sum", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, true},
+	{"rows-33", 1 << 15, 33, tensor.Float64, bytecode.OpAddReduce, false},
+	{"argmin-rows", 1 << 12, 256, tensor.Float64, bytecode.OpArgminReduce, false},
+	{"sum-2048", 1, 2048, tensor.Float64, bytecode.OpAddReduce, false},
+	{"max-rows", 1 << 12, 256, tensor.Float64, bytecode.OpMaximumReduce, false},
+	{"f32-sum-chunked", 1, 1 << 20, tensor.Float32, bytecode.OpAddReduce, false},
 }
 
 func (bc foldBenchCase) batch() genProgram {
-	return foldBatch(bc.rows, bc.cols, bc.op, bc.strided)
+	return foldBatch(bc.rows, bc.cols, bc.dt, bc.op, bc.strided)
 }
 
 // small is the case at a size the differential affords.
 func (bc foldBenchCase) small() genProgram {
-	return foldBatch(min(bc.rows, 300), min(bc.cols, 5000), bc.op, bc.strided)
+	return foldBatch(min(bc.rows, 300), min(bc.cols, 5000), bc.dt, bc.op, bc.strided)
 }
 
 // BenchmarkNestEpilogue times reduction epilogues as one cached plan each
 // at the default configuration: a dense full-axis sum (chunk-axis), the
 // same over a strided producer (gathered), 33-element rows (split-outputs,
-// many lines per block) and argmin over rows.
+// many lines per block), argmin and max over rows, the dispatch-small
+// power batch's 2 048-element sum (serial) and a float32 dense sum.
 func BenchmarkNestEpilogue(b *testing.B) {
 	for _, bc := range foldBenchCases {
 		b.Run(bc.name, func(b *testing.B) {
@@ -264,7 +290,7 @@ func BenchmarkNestEpilogue(b *testing.B) {
 			if err := pl.Execute(m); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(8 * bc.rows * bc.cols))
+			b.SetBytes(int64(bc.dt.Size() * bc.rows * bc.cols))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := pl.Execute(m); err != nil {
@@ -277,4 +303,213 @@ func BenchmarkNestEpilogue(b *testing.B) {
 			}
 		})
 	}
+}
+
+// perElement swaps st's run kernels for the loop they replaced, which calls
+// the base op k, or the comparison better, once per element: their oracle.
+func (st *foldStep[T, E]) perElement() {
+	if k := st.k; k != nil {
+		st.kern = func(acc E, s []T) E {
+			for _, x := range s {
+				acc = k(acc, E(x))
+			}
+			return acc
+		}
+		return
+	}
+	better := st.better
+	st.argKern = func(best E, at int, s []T, j int) (E, int) {
+		for i, x := range s {
+			if e := E(x); better(e, best) {
+				best, at = e, j+i
+			}
+		}
+		return best, at
+	}
+}
+
+// foldCase is one reduction over the values vals of dtype dt, shaped and
+// folded along axis into odt, for TestNestFoldKernelsMatchOracle.
+type foldCase struct {
+	dt, odt tensor.DType
+	op      bytecode.Opcode
+	shape   tensor.Shape
+	axis    int
+	vals    []float64
+}
+
+func (fc foldCase) String() string {
+	return fmt.Sprintf("%v %v->%v shape %v axis %d %v", fc.op, fc.dt, fc.odt, fc.shape, fc.axis, fc.vals[:min(len(fc.vals), 6)])
+}
+
+// program is the fold nest t = x; out = op(t, axis); BH_FREE t, with x
+// bound to vals (integers set exactly).
+func (fc foldCase) program() genProgram {
+	p := bytecode.NewProgram()
+	size := fc.shape.Size()
+	x := p.NewReg(fc.dt, size)
+	p.MarkInput(x)
+	tv := tensor.NewView(fc.shape)
+	t := bytecode.Reg(p.NewReg(fc.dt, size), tv)
+	p.EmitIdentity(t, bytecode.Reg(x, tv))
+	lines := slices.Delete(fc.shape.Clone(), fc.axis, fc.axis+1)
+	if len(lines) == 0 {
+		lines = tensor.MustShape(1)
+	}
+	out := bytecode.Reg(p.NewReg(fc.odt, lines.Size()), tensor.NewView(lines))
+	p.EmitReduce(fc.op, out, t, fc.axis)
+	p.EmitFree(t)
+	p.EmitSync(out)
+	in := tensor.MustNew(fc.dt, tensor.MustShape(size))
+	for i := range size {
+		if v := fc.vals[i%len(fc.vals)]; fc.dt.IsFloat() {
+			in.Buf.Set(i, v)
+		} else {
+			in.Buf.SetInt(i, int64(v))
+		}
+	}
+	return genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{x: in}}
+}
+
+// foldCases builds the special-value and long-line cases: every fold op
+// over each value set of each dtype, into the input's dtype (bool for the
+// logical folds, int64 for the index folds) and, for value folds of
+// integers, into float64 as well.
+func foldCases() []foldCase {
+	nan, inf, negz := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	floats := [][]float64{
+		{nan, 1, 2, -3}, {1, nan, 2}, {1, 2, nan}, // NaN first, in the middle, last
+		{nan, inf, 1}, {inf, nan}, {-inf, nan}, // math.Max(NaN, +Inf) is +Inf
+		{0, negz}, {negz, 0}, {negz, negz, 0}, {0, 0, negz}, {negz, negz}, // ±0 order
+		{-inf, inf, 1}, {inf, -inf}, {1, -inf, inf},
+		{3, 1, 1, 3}, {1, 5, 5, 1}, {nan, 1, nan}, {2, 2}, // ties, a leading NaN
+		{1e308, 1e308, -1e308}, {0.1, 0.2, 0.3, -0.6},
+	}
+	ints := [][]float64{
+		{1 << 40, 1 << 30, 3, -7}, // int64 multiply wraps
+		{2e9, 2e9, -5},            // an int32 sum that narrows
+		{200, 100, 7},             // a uint8 sum that narrows
+		{3, 1, 1, 3}, {0, 5, 0}, {-1, -1, 2}, {7},
+	}
+	bools := [][]float64{{1, 0, 1}, {1, 1, 1}, {0, 0, 0}, {0, 1}, {1}}
+	ops := []bytecode.Opcode{bytecode.OpAddReduce, bytecode.OpMultiplyReduce, bytecode.OpMinimumReduce,
+		bytecode.OpMaximumReduce, bytecode.OpLogicalAndReduce, bytecode.OpLogicalOrReduce,
+		bytecode.OpArgminReduce, bytecode.OpArgmaxReduce}
+	outputs := func(dt tensor.DType, op bytecode.Opcode) []tensor.DType {
+		switch {
+		case op.Info().Bool:
+			return []tensor.DType{tensor.Bool}
+		case op.ArgReduce():
+			return []tensor.DType{tensor.Int64}
+		case !dt.IsFloat():
+			return []tensor.DType{dt, tensor.Float64}
+		}
+		return []tensor.DType{dt}
+	}
+	var cases []foldCase
+	add := func(dt tensor.DType, shape tensor.Shape, axis int, vals []float64) {
+		for _, op := range ops {
+			for _, odt := range outputs(dt, op) {
+				cases = append(cases, foldCase{dt, odt, op, shape, axis, vals})
+			}
+		}
+	}
+	for _, dt := range nestDTypes {
+		sets := ints
+		switch {
+		case dt.IsFloat():
+			sets = floats
+		case dt == tensor.Bool:
+			sets = bools
+		}
+		for _, vals := range sets {
+			add(dt, tensor.MustShape(len(vals)), 0, vals)
+		}
+		// Long lines: values whose float sums depend on the order, and for
+		// floats the same with one NaN in the last line.
+		long := make([]float64, 2*reduceMinChunk+fusedBlockSize+41)
+		seed := uint64(dt) + 1
+		for i := range long {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			long[i] = float64(int64(seed>>59)) - 8
+			switch {
+			case dt == tensor.Bool:
+				long[i] = float64(seed >> 63)
+			case dt.IsFloat():
+				long[i] += float64(seed>>11) / (1 << 53)
+			}
+		}
+		sets = [][]float64{long}
+		if dt.IsFloat() {
+			withNaN := slices.Clone(long)
+			withNaN[len(withNaN)-reduceMinChunk] = nan
+			sets = append(sets, withNaN)
+		}
+		for _, vals := range sets {
+			add(dt, tensor.MustShape(2, fusedBlockSize+37), 1, vals)        // lines cut across fusedBlockSize
+			add(dt, tensor.MustShape(fusedBlockSize+3, 2), 0, vals)         // the reduced axis moved innermost
+			add(dt, tensor.MustShape(2*reduceMinChunk+5), 0, vals)          // chunk partials
+			add(dt, tensor.MustShape(reduceSplitMinOutputs+2, 40), 1, vals) // split outputs
+		}
+	}
+	return cases
+}
+
+// TestNestFoldKernelsMatchOracle: each fold's run kernel gives, bit for
+// bit, what the per-element loop it replaced gives (perElement, through the
+// same nest) and what the interpreter gives (Fusion: false), on special
+// values, long lines and chunk partials, serial and on two workers.
+func TestNestFoldKernelsMatchOracle(t *testing.T) {
+	cases := foldCases()
+	for _, fc := range cases {
+		gp := fc.program()
+		cfgs := []Config{{Workers: 1, ParallelThreshold: 64}} // below the threshold: serial
+		if fc.shape.Size() >= 64 {
+			cfgs = append(cfgs, Config{Workers: 2, ParallelThreshold: 64}, Config{Workers: 2, ParallelThreshold: 1 << 30})
+		}
+		for _, cfg := range cfgs {
+			want := genRun(t, gp, cfg, false) // Fusion: false, the interpreter's reduction
+			cfg.Fusion = true
+			out := bytecode.RegID(len(gp.prog.Regs) - 1)
+			wb := want.regs.get(out)
+			for _, perElement := range []bool{false, true} {
+				m := foldRun(t, fc, gp, cfg, perElement)
+				gb := m.regs.get(out)
+				for i := 0; i < wb.Len(); i++ {
+					if math.Float64bits(gb.Get(i)) != math.Float64bits(wb.Get(i)) || gb.GetInt(i) != wb.GetInt(i) {
+						t.Fatalf("%v, %+v, per-element %v: line %d = %v, interpreter has %v", fc, cfg, perElement, i, gb.Get(i), wb.Get(i))
+					}
+				}
+				m.Close()
+			}
+			want.Close()
+		}
+	}
+	t.Logf("%d cases", len(cases))
+}
+
+// foldRun executes fc's program as one fold nest, its run kernels swapped
+// for the per-element oracle when perElement is set.
+func foldRun(t *testing.T, fc foldCase, gp genProgram, cfg Config, perElement bool) *Machine {
+	t.Helper()
+	m := New(cfg)
+	bindGen(m, gp)
+	pl, err := m.Compile(gp.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if perElement {
+		for i := range pl.clusters {
+			if ns := &pl.clusters[i]; ns.line > 0 {
+				ns.steps[len(ns.steps)-1].code.(interface{ perElement() }).perElement()
+			}
+		}
+	}
+	if err := pl.Execute(m); err != nil {
+		t.Fatalf("%v: %v", fc, err)
+	}
+	if st := m.Stats(); st.FusedReductions != 1 {
+		t.Fatalf("%v: %d fused reductions, want 1", fc, st.FusedReductions)
+	}
+	return m
 }

@@ -207,8 +207,8 @@ func TestNestExecuteReusesFrame(t *testing.T) {
 		row  int // bytes
 	}{
 		{"stencil", stencil, Config{Fusion: true, Workers: 2, ParallelThreshold: 64}, 256 * 8},
-		{"chain-then-sum", foldBatch(1, 2048, bytecode.OpAddReduce, false), Config{Fusion: true}, 2048 * 8},
-		{"chunk-axis-sum", foldBatch(1, 1<<17, bytecode.OpAddReduce, false), Config{Fusion: true, Workers: 2}, fusedBlockSize * 8},
+		{"chain-then-sum", foldBatch(1, 2048, tensor.Float64, bytecode.OpAddReduce, false), Config{Fusion: true}, 2048 * 8},
+		{"chunk-axis-sum", foldBatch(1, 1<<17, tensor.Float64, bytecode.OpAddReduce, false), Config{Fusion: true, Workers: 2}, fusedBlockSize * 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New(tc.cfg)

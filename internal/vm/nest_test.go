@@ -58,7 +58,8 @@ type genProgram struct {
 // shapes, operands with random offsets, positive, negative and non-unit
 // steps, transposed axes, broadcast (stride-0 and extent-1) inputs,
 // overlapping read windows, in-place chains (views are reused with
-// probability 1/2), casts, and any of the six dtypes.
+// probability 1/2), casts, any of the six dtypes, and now and then
+// temporaries freed right after their last use.
 func (g *nestGen) program() genProgram {
 	dts := [2]tensor.DType{nestDTypes[g.n(len(nestDTypes))], nestDTypes[g.n(len(nestDTypes))]}
 	rank := 1 + g.n(4)
@@ -208,7 +209,31 @@ func (g *nestGen) program() genProgram {
 		}
 		dst.live = true
 	}
+	// Now and then the temporaries are freed right after their last use,
+	// as a front end that frees as it goes records them: BH_FREEs inside
+	// clusters. The draw comes last, so shorter corpus entries decode as
+	// before.
+	if g.n(4) == 3 {
+		for _, r := range regs[3:] {
+			if last := lastReference(p, r.id); last >= 0 {
+				p.Instrs = slices.Insert(p.Instrs, last+1,
+					bytecode.Instruction{Op: bytecode.OpFree, Out: bytecode.Reg(r.id, tensor.NewView(base))})
+			}
+		}
+	}
 	return out
+}
+
+// lastReference is the index of p's last instruction naming r, or -1.
+func lastReference(p *bytecode.Program, r bytecode.RegID) int {
+	for i := len(p.Instrs) - 1; i >= 0; i-- {
+		for _, o := range operands(&p.Instrs[i]) {
+			if o.IsReg() && o.Reg == r {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // update decodes the stream into a translated-window update program, the
@@ -414,13 +439,35 @@ func TestNestDifferentialGenerated(t *testing.T) {
 	if testing.Short() {
 		n = 60
 	}
+	var freesInside [2]int // programs, folds with a BH_FREE inside a fused nest
 	for i := 0; i < n; i++ {
 		data := make([]byte, 256)
 		rng.Read(data)
-		checkNestDifferential(t, (&nestGen{data: data}).program())
+		for j, gp := range []genProgram{(&nestGen{data: data}).program(), (&nestGen{data: data}).reduce()} {
+			checkNestDifferential(t, gp)
+			if freeInsideNest(t, gp) {
+				freesInside[j]++
+			}
+		}
 		checkNestDifferential(t, (&nestGen{data: data}).update())
-		checkNestDifferential(t, (&nestGen{data: data}).reduce())
 	}
+	t.Logf("BH_FREE inside a fused nest: %d generated programs, %d folds", freesInside[0], freesInside[1])
+	if freesInside[0] == 0 || freesInside[1] == 0 {
+		t.Errorf("BH_FREE inside a fused nest in %d generated programs and %d folds, want some of each", freesInside[0], freesInside[1])
+	}
+}
+
+// freeInsideNest reports whether gp's fused plan runs a BH_FREE inside a
+// nest.
+func freeInsideNest(t *testing.T, gp genProgram) bool {
+	t.Helper()
+	m := New(Config{Fusion: true})
+	defer m.Close()
+	pl, err := m.Compile(gp.prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.ContainsFunc(pl.clusters, func(ns nest) bool { return ns.steps != nil && len(ns.steps) < ns.end-ns.start })
 }
 
 func FuzzNestDifferential(f *testing.F) {
@@ -726,14 +773,17 @@ func checkRebind(t testing.TB, gp genProgram) *Plan {
 // once (run under -race).
 func TestPlanExecuteCompilesNothing(t *testing.T) {
 	gp, grid := stencilBatch(40)
-	// A reduction epilogue and a cast ride along.
+	// A cast and two reduction epilogues, a value fold and an index fold,
+	// ride along: their run kernels are built by Compile too.
 	p := gp.prog
-	sum := p.NewReg(tensor.Float64, 1)
+	sum, at := p.NewReg(tensor.Float64, 1), p.NewReg(tensor.Int64, 1)
 	narrow := p.NewReg(tensor.Float32, 40*40)
-	full := tensor.NewView(tensor.MustShape(40 * 40))
+	full, one := tensor.NewView(tensor.MustShape(40*40)), tensor.NewView(tensor.MustShape(1))
 	p.EmitIdentity(bytecode.Reg(narrow, full), bytecode.Reg(grid, full))
 	p.EmitUnary(bytecode.OpAbsolute, bytecode.Reg(narrow, full), bytecode.Reg(narrow, full))
-	p.EmitReduce(bytecode.OpAddReduce, bytecode.Reg(sum, tensor.NewView(tensor.MustShape(1))), bytecode.Reg(narrow, full), 0)
+	p.EmitReduce(bytecode.OpAddReduce, bytecode.Reg(sum, one), bytecode.Reg(narrow, full), 0)
+	p.EmitUnary(bytecode.OpNegative, bytecode.Reg(narrow, full), bytecode.Reg(narrow, full))
+	p.EmitReduce(bytecode.OpArgmaxReduce, bytecode.Reg(at, one), bytecode.Reg(narrow, full), 0)
 
 	eng := NewEngine(EngineConfig{Workers: 2})
 	defer eng.Close()
@@ -764,6 +814,9 @@ func TestPlanExecuteCompilesNothing(t *testing.T) {
 					return
 				}
 			}
+			if st := m.Stats(); st.FusedReductions != 4 {
+				t.Errorf("%d fused reductions in two executions, want 4", st.FusedReductions)
+			}
 			results[i] = in.Buf
 		}()
 	}
@@ -778,6 +831,101 @@ func TestPlanExecuteCompilesNothing(t *testing.T) {
 		if results[0].Get(i) != results[1].Get(i) {
 			t.Fatalf("concurrent executions of one plan diverge at %d: %v vs %v", i, results[0].Get(i), results[1].Get(i))
 		}
+	}
+}
+
+// TestNestFreeMidCluster: a batch that frees each temporary right after
+// its last use fuses as the same batch with its frees at the end — the
+// producers and the sum in one sweep, every temporary virtual — and stays
+// bit-equal to the interpreter. A register written again after its
+// BH_FREE, the reduction's result included, ends the cluster at the free.
+func TestNestFreeMidCluster(t *testing.T) {
+	const decl = `
+.reg a0 float64 4096
+.reg a1 float64 4096
+.reg a2 float64 4096
+.reg a3 float64 4096
+.reg a4 float64 1
+BH_RANDOM a0 [0:4096:1] 7 0
+`
+	asYouGo := decl + `
+BH_MULTIPLY a1 [0:4096:1] a0 [0:4096:1] a0 [0:4096:1]
+BH_FREE a0
+BH_ADD a2 [0:4096:1] a1 [0:4096:1] 1
+BH_FREE a1
+BH_SQRT a3 [0:4096:1] a2 [0:4096:1]
+BH_FREE a2
+BH_ADD_REDUCE a4 [0:1:1] a3 [0:4096:1] axis=0
+BH_FREE a3
+BH_SYNC a4
+`
+	atEnd := decl + `
+BH_MULTIPLY a1 [0:4096:1] a0 [0:4096:1] a0 [0:4096:1]
+BH_ADD a2 [0:4096:1] a1 [0:4096:1] 1
+BH_SQRT a3 [0:4096:1] a2 [0:4096:1]
+BH_ADD_REDUCE a4 [0:1:1] a3 [0:4096:1] axis=0
+BH_FREE a0
+BH_FREE a1
+BH_FREE a2
+BH_FREE a3
+BH_SYNC a4
+`
+	reuse := decl + `
+BH_MULTIPLY a1 [0:4096:1] a0 [0:4096:1] a0 [0:4096:1]
+BH_ADD a2 [0:4096:1] a1 [0:4096:1] a0 [0:4096:1]
+BH_FREE a1
+BH_MULTIPLY a1 [0:4096:1] a2 [0:4096:1] 2
+BH_ADD a3 [0:4096:1] a1 [0:4096:1] a2 [0:4096:1]
+BH_FREE a2
+BH_ADD_REDUCE a4 [0:1:1] a3 [0:4096:1] axis=0
+BH_FREE a3
+BH_SYNC a4
+`
+	sumFreed := decl + `
+BH_IDENTITY a4 [0:1:1] 0
+BH_MULTIPLY a1 [0:4096:1] a0 [0:4096:1] a0 [0:4096:1]
+BH_FREE a4
+BH_ADD_REDUCE a4 [0:1:1] a1 [0:4096:1] axis=0
+BH_FREE a1
+BH_SYNC a4
+`
+	var sums []uint64
+	for _, tc := range []struct {
+		name, src                                string
+		sweeps, fused, reductions, buffers, free int
+	}{
+		{"free as you go", asYouGo, 2, 4, 1, 2, 3},
+		{"free at the end", atEnd, 2, 4, 1, 2, 0},
+		{"reuse after free", reuse, 3, 5, 1, 4, 1},
+		{"free of the sum's register", sumFreed, 4, 0, 0, 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gp := genProgram{prog: bytecode.MustParse(tc.src)}
+			checkNestDifferential(t, gp)
+			m := nestRun(t, gp, Config{Fusion: true}, false)
+			st := m.Stats()
+			if st.Sweeps != tc.sweeps || st.FusedInstructions != tc.fused || st.FusedReductions != tc.reductions || st.BuffersAllocated != tc.buffers {
+				t.Errorf("%d sweeps, %d fused, %d fused reductions, %d buffers; want %d, %d, %d, %d",
+					st.Sweeps, st.FusedInstructions, st.FusedReductions, st.BuffersAllocated, tc.sweeps, tc.fused, tc.reductions, tc.buffers)
+			}
+			pl, err := m.Compile(gp.prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			free := 0
+			for _, ns := range pl.clusters {
+				if ns.steps != nil {
+					free += ns.end - ns.start - len(ns.steps)
+				}
+			}
+			if free != tc.free {
+				t.Errorf("%d BH_FREEs inside nests, want %d", free, tc.free)
+			}
+			sums = append(sums, math.Float64bits(m.regs.get(4).Get(0)))
+		})
+	}
+	if sums[0] != sums[1] {
+		t.Errorf("freeing as you go sums to %x, freeing at the end to %x", sums[0], sums[1])
 	}
 }
 

@@ -53,6 +53,7 @@ type compileArena struct {
 	strides  []int
 	virt     []virtualReg
 	accs     []regAccess
+	freed    []bytecode.RegID // registers the BH_FREEs inside the cluster being planned release
 }
 
 // attachKernels compiles every nest's kernel steps from the plan's
@@ -108,6 +109,13 @@ func (ar *compileArena) liveness(p *bytecode.Program) liveness {
 // has run.
 func (lv liveness) deadAfter(r bytecode.RegID, j int) bool {
 	return uint(r) < uint(len(lv.refs)) && lv.refs[r] <= j+1 && lv.frees[r] > j+1
+}
+
+// freedBy reports whether r's last BH_FREE follows every other reference
+// to it and is instruction j or an earlier one. A cluster ending at j runs
+// the BH_FREEs inside it after its sweep, so such an r is then dead.
+func (lv liveness) freedBy(r bytecode.RegID, j int) bool {
+	return uint(r) < uint(len(lv.refs)) && lv.refs[r] < lv.frees[r] && lv.frees[r] <= j+1
 }
 
 // Program returns the compiled program. Treat it as read-only: the plan's
