@@ -34,7 +34,7 @@ func runProg(b *testing.B, prog *bytecode.Program, bind func(*vm.Machine)) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := machine.CompileValidated(prog).Execute(machine); err != nil {
+		if err := machine.CompileValidated(prog).Execute(machine, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -195,7 +195,7 @@ func BenchmarkE6Fusion(b *testing.B) {
 			defer machine.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := machine.CompileValidated(prog).Execute(machine); err != nil {
+				if err := machine.CompileValidated(prog).Execute(machine, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -255,7 +255,7 @@ func benchSweep(b *testing.B, workers int, fillSrc, sweepSrc string) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.CompileValidated(sweep).Execute(m); err != nil {
+		if err := m.CompileValidated(sweep).Execute(m, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -370,7 +370,7 @@ func BenchmarkE7DTypeFusion(b *testing.B) {
 			defer m.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := m.CompileValidated(w.prog).Execute(m); err != nil {
+				if err := m.CompileValidated(w.prog).Execute(m, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -411,7 +411,7 @@ func BenchmarkCachedFlush(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
 		flush func() error
-	}{{"jacobi", d.jacobi}, {"power-sum", d.powerSum}} {
+	}{{"jacobi", d.jacobi}, {"jacobi-alternating", d.jacobiAlternating}, {"power-sum", d.powerSum}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for range 3 {
 				if err := bc.flush(); err != nil {

@@ -303,10 +303,10 @@ func (c *Context) Submit() error {
 		return nil
 	}
 	c.markPendingOutputs()
-	// A parametric hit under new constants comes back as a patched clone,
-	// so resolving is safe while the executor still runs the previous
-	// submission. The pending batch is only read until advanceBatch
-	// replaces it.
+	// Resolving never touches a plan, and a parametric hit under new
+	// constants carries its own copy of the vector, so resolving is safe
+	// while the executor still runs the previous submission. The pending
+	// batch is only read until advanceBatch replaces it.
 	res, err := c.plans.Resolve(c.pending, c.plans.Key(c.pending))
 	if err != nil {
 		if errors.As(err, new(*backend.OptimizeError)) {
@@ -325,9 +325,9 @@ func (c *Context) Submit() error {
 		// The batch optimized to nothing (e.g. temporaries freed before
 		// ever being observed); only the register bookkeeping advances.
 	case c.exec != nil:
-		c.exec.Submit(res.Plan)
+		c.exec.Submit(res.Plan, res.Consts)
 	default:
-		if err := c.backend.Execute(res.Plan); err != nil {
+		if err := c.backend.ExecuteWith(res.Plan, res.Consts); err != nil {
 			return fmt.Errorf("bohrium: execution failed: %w", err)
 		}
 	}

@@ -148,9 +148,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			switch {
 			case res.Plan == nil: // optimized to nothing
 			case exec != nil:
-				exec.Submit(res.Plan)
+				exec.Submit(res.Plan, res.Consts)
 			default:
-				if err := b.Execute(res.Plan); err != nil {
+				if err := b.ExecuteWith(res.Plan, res.Consts); err != nil {
 					return err
 				}
 			}

@@ -10,9 +10,12 @@ import (
 // a 1-D Jacobi batch and a Power(10)→Sum batch over n elements, one Flush
 // each. Once warm, every flush is a plan-cache hit, so a flush costs the
 // hit path (seal, key, look up, advance) plus a small execution.
+// jacobiAlternating is the Jacobi batch with its scale alternating 0.5 /
+// 0.25: every hit runs the one cached plan under a vector that is not the
+// previous flush's.
 type dispatchSmall struct {
-	ctx              *bohrium.Context
-	jacobi, powerSum func() error
+	ctx                                 *bohrium.Context
+	jacobi, jacobiAlternating, powerSum func() error
 }
 
 func newDispatchSmall(tb testing.TB, n int) *dispatchSmall {
@@ -31,14 +34,20 @@ func newDispatchSmall(tb testing.TB, n int) *dispatchSmall {
 	x := ctx.MustFromSlice(vals(1), n)
 	acc := ctx.MustFromSlice([]float64{0}, 1)
 	uc, ul, ur := u.MustSlice(0, 1, n-1, 1), u.MustSlice(0, 0, n-2, 1), u.MustSlice(0, 2, n, 1)
+	jacobi := func(c float64) error {
+		t := ul.Plus(ur)
+		t.Add(f).MulC(c)
+		uc.Assign(t)
+		t.Free()
+		return ctx.Flush()
+	}
+	scale := 0.5
 	return &dispatchSmall{
-		ctx: ctx,
-		jacobi: func() error {
-			t := ul.Plus(ur)
-			t.Add(f).MulC(0.5)
-			uc.Assign(t)
-			t.Free()
-			return ctx.Flush()
+		ctx:    ctx,
+		jacobi: func() error { return jacobi(0.5) },
+		jacobiAlternating: func() error {
+			scale = 0.75 - scale
+			return jacobi(scale)
 		},
 		powerSum: func() error {
 			p := x.Power(10)
@@ -54,7 +63,9 @@ func newDispatchSmall(tb testing.TB, n int) *dispatchSmall {
 // TestCachedFlushAllocs pins what a plan-cache hit allocates on a warm
 // default Context, for both dispatch-small batch shapes. The bounds sit
 // just above what the hit path reaches; a regression in recording, the
-// fingerprint, the lookup or the batch advance shows here first.
+// fingerprint, the lookup or the batch advance shows here first. A hit
+// under a new constant vector may add only the copy of that vector the
+// Resolution owns.
 func TestCachedFlushAllocs(t *testing.T) {
 	d := newDispatchSmall(t, 2048)
 	for _, tc := range []struct {
@@ -63,6 +74,7 @@ func TestCachedFlushAllocs(t *testing.T) {
 		max   float64
 	}{
 		{"jacobi", d.jacobi, 7},
+		{"jacobi-alternating", d.jacobiAlternating, 7 + 1},
 		{"power-sum", d.powerSum, 7},
 	} {
 		for range 3 { // warm the plan cache and the reused buffers

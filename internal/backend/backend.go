@@ -2,10 +2,10 @@
 // end and the vector engine that executes its byte-code — the layer the
 // paper's component stack puts between the bridge and the engine. A
 // Backend owns one session's execution state on a shared vm.Engine: it
-// compiles optimized batches into opaque Plans, executes them against its
-// register bindings, and fronts the engine's fingerprint-keyed plan
-// cache. The Resolver (one plan path for every host) and the Executor
-// (async pipelining) are built on it.
+// compiles optimized batches into Plans, executes them against its
+// register bindings under a constant vector, and fronts the engine's
+// fingerprint-keyed plan cache. The Resolver (one plan path for every
+// host) and the Executor (async pipelining) are built on it.
 package backend
 
 import (
@@ -16,13 +16,11 @@ import (
 	"bohrium/internal/vm"
 )
 
-// Plan is a backend's opaque compiled form of one optimized batch. It is
-// immutable after Compile, so one Plan may sit in the shared plan cache,
-// on an async Executor queue, and mid-execution at the same time.
-type Plan interface {
-	// Program returns the compiled byte-code. Treat it as read-only.
-	Program() *bytecode.Program
-}
+// Plan is the compiled form of one optimized batch. It is immutable after
+// Compile and holds no constant value, so one Plan may sit in the shared
+// plan cache, on an async Executor queue, and mid-execution under several
+// constant vectors at the same time.
+type Plan = *vm.Plan
 
 // Config configures a backend session.
 type Config struct {
@@ -67,15 +65,15 @@ func (b *Backend) Compile(p *bytecode.Program) (Plan, error) {
 	return b.m.CompileValidated(p), nil
 }
 
-// Execute runs a plan against the current register bindings. On error
-// the register file may hold partial results; the error reports the
-// failing instruction.
-func (b *Backend) Execute(pl Plan) error {
-	vp, ok := pl.(*vm.Plan)
-	if !ok {
-		return fmt.Errorf("%w: plan %T was not compiled by a backend", vm.ErrExec, pl)
-	}
-	return vp.Execute(b.m)
+// Execute runs a plan under its own constants: ExecuteWith(pl, nil).
+func (b *Backend) Execute(pl Plan) error { return b.ExecuteWith(pl, nil) }
+
+// ExecuteWith runs a plan against the current register bindings under the
+// constant vector consts (nil: the plan's own), as Resolution.Consts
+// gives it. On error the register file may hold partial results; the
+// error reports the failing instruction.
+func (b *Backend) ExecuteWith(pl Plan, consts []bytecode.Constant) error {
+	return pl.Execute(b.m, consts)
 }
 
 // Bind presets register r with an existing tensor before execution; the
@@ -93,25 +91,14 @@ func (b *Backend) Tensor(r bytecode.RegID, v tensor.View) (tensor.Tensor, bool) 
 // batch optimizes to nothing. Hosts go through a Resolver rather than
 // calling it directly.
 func (b *Backend) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, accept func(meta any) bool) (Plan, any, bool) {
-	vp, meta, ok := b.m.LookupPlan(fp, consts, accept)
-	if !ok || vp == nil {
-		return nil, meta, ok
-	}
-	return vp, meta, true
+	return b.m.LookupPlan(fp, consts, accept)
 }
 
 // InsertPlan stores a freshly compiled plan (nil for an optimized-to-empty
-// batch) in the engine's plan cache; parametric plans are replayed under
-// any constant vector.
+// batch) in the engine's plan cache; parametric plans are executed under
+// any constant vector of their dtypes.
 func (b *Backend) InsertPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, parametric bool, pl Plan, meta any) {
-	var vp *vm.Plan
-	if pl != nil {
-		var ok bool
-		if vp, ok = pl.(*vm.Plan); !ok {
-			return // a foreign plan must never enter the cache
-		}
-	}
-	b.m.InsertPlan(fp, consts, parametric, vp, meta)
+	b.m.InsertPlan(fp, consts, parametric, pl, meta)
 }
 
 // Stats snapshots the session's cumulative execution counters.

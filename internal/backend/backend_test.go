@@ -161,8 +161,8 @@ func TestExecutorSticky(t *testing.T) {
 	b.Bind(1, bt)
 
 	e := NewExecutor(b, 2, "")
-	e.Submit(pl) // fails
-	e.Submit(pl) // skipped
+	e.Submit(pl, nil) // fails
+	e.Submit(pl, nil) // skipped
 	err = e.Wait()
 	if err == nil {
 		t.Fatal("pipeline error lost")
@@ -195,7 +195,7 @@ func TestExecutorPending(t *testing.T) {
 		t.Fatalf("Pending() = %d before any submit, want 0", got)
 	}
 	for i := 0; i < 8; i++ {
-		e.Submit(pl)
+		e.Submit(pl, nil)
 	}
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestExecutorPending(t *testing.T) {
 	if got := e.Pending(); got != 0 {
 		t.Fatalf("Pending() = %d after Wait, want 0", got)
 	}
-	e.Submit(pl)
+	e.Submit(pl, nil)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,65 +212,84 @@ func TestExecutorPending(t *testing.T) {
 	}
 }
 
-// TestExecutorQueuedPlansKeepOwnConstants: two structurally identical
-// batches with different constant vectors, queued back to back, each
-// execute with their own values. A parametric cache hit under new
-// constants is a patched clone (the cached plan is immutable), so the
-// plan already in the executor queue is never retouched.
+// TestExecutorQueuedPlansKeepOwnConstants: structurally identical batches
+// with different constant vectors, resolved and queued back to back, each
+// execute under their own values. Every resolve returns the one cached
+// plan; a parametric hit under another vector than the plan's carries its
+// own copy of it, so the next Key, which reuses the resolver's buffer,
+// never retouches what the queue holds. The queued run is bit for bit the
+// batches compiled afresh and executed one after another.
 func TestExecutorQueuedPlansKeepOwnConstants(t *testing.T) {
-	b := openTest(t, Config{VM: vm.Config{Fusion: true}})
+	cfg := Config{VM: vm.Config{Fusion: true}}
+	b := openTest(t, cfg)
 	e := NewExecutor(b, 0, "")
 	defer e.Close()
-	prog := chainProg(64, 1)
-	pl, err := b.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
+	r := NewResolver(b, Signature{Scope: "test", Fusion: true}, nil, nil)
+	// a0 = (a0 * c + c) * c, in place: each run's result feeds the next.
+	scale := func(c float64) *bytecode.Program {
+		p := bytecode.NewProgram()
+		a0 := p.NewReg(tensor.Float64, 64)
+		v, k := tensor.NewView(tensor.MustShape(64)), bytecode.Const(bytecode.ConstFloat(c))
+		p.MarkInput(a0)
+		p.EmitBinary(bytecode.OpMultiply, bytecode.Reg(a0, v), bytecode.Reg(a0, v), k)
+		p.EmitBinary(bytecode.OpAdd, bytecode.Reg(a0, v), bytecode.Reg(a0, v), k)
+		p.EmitBinary(bytecode.OpMultiply, bytecode.Reg(a0, v), bytecode.Reg(a0, v), k)
+		p.MarkOutput(a0)
+		return p
 	}
-	b.InsertPlan(prog.Fingerprint(), prog.Constants(), true, pl, nil)
+	cs := []float64{1, 10, 1, 0.375, 10}
 	bindVec(t, b, 0, irregularVals(64))
-
-	var plans []Plan
-	for _, c := range []float64{1, 10} {
-		batch := chainProg(64, c)
-		plan, _, ok := b.LookupPlan(batch.Fingerprint(), batch.Constants(), nil)
-		if !ok {
-			t.Fatalf("c=%v: lookup missed", c)
+	var plan Plan
+	var queued []Resolution
+	for i, c := range cs {
+		batch := scale(c)
+		res, err := r.Resolve(batch, r.Key(batch))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if cs := plan.Program().Constants(); cs[0].Float() != c {
-			t.Fatalf("c=%v: returned plan carries %v", c, cs)
+		if i == 0 {
+			plan = res.Plan
 		}
-		plans = append(plans, plan)
-		e.Submit(plan)
-	}
-	if plans[0] == plans[1] {
-		t.Fatal("different constant vectors returned the same plan object")
-	}
-	// The first queued plan still holds its own vector after the second
-	// lookup rebound the cache entry.
-	if cs := plans[0].Program().Constants(); cs[0].Float() != 1 {
-		t.Errorf("queued plan was retouched: %v", cs)
+		if res.Plan != plan {
+			t.Fatalf("c=%v: resolved another plan than the cached one", c)
+		}
+		if own := c == cs[0]; (res.Consts == nil) != own {
+			t.Fatalf("c=%v: Consts = %v, want nil exactly under the plan's own vector", c, res.Consts)
+		}
+		queued = append(queued, res)
+		e.Submit(res.Plan, res.Consts)
 	}
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := regVals(t, b, 3, 1)[0], syncSum(t, 10); got != want {
-		t.Errorf("last submission (c=10) left a3 = %v, want %v", got, want)
+	for i, res := range queued {
+		if res.Consts != nil && res.Consts[0].Float() != cs[i] {
+			t.Errorf("resolution %d: its vector became %v", i, res.Consts)
+		}
 	}
-}
-
-// syncSum runs chainProg(64, c) synchronously on a fresh backend and returns its reduction a3.
-func syncSum(t *testing.T, c float64) float64 {
-	t.Helper()
-	b := openTest(t, Config{})
-	pl, err := b.Compile(chainProg(64, c))
-	if err != nil {
-		t.Fatal(err)
+	if pc := plan.Constants(); pc[0].Float() != cs[0] {
+		t.Errorf("the cached plan's own vector became %v", pc)
 	}
-	bindVec(t, b, 0, irregularVals(64))
-	if err := b.Execute(pl); err != nil {
-		t.Fatal(err)
+	ref := openTest(t, cfg)
+	bindVec(t, ref, 0, irregularVals(64))
+	for _, c := range cs {
+		pl, err := ref.Compile(scale(c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Execute(pl); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return regVals(t, b, 3, 1)[0]
+	got, want := regVals(t, b, 0, 64), regVals(t, ref, 0, 64)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("a0[%d] = %v after the queued batches, want %v", i, got[i], want[i])
+		}
+	}
+	if st := b.Stats(); st.PlanMisses != 1 || st.PlanHits != len(cs)-1 {
+		t.Errorf("%d misses and %d hits, want 1 and %d", st.PlanMisses, st.PlanHits, len(cs)-1)
+	}
 }
 
 // TestExecutorCloseIdempotent: Close twice is safe and keeps returning

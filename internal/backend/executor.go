@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"bohrium/internal/bytecode"
 	"bohrium/internal/faultinject"
 	"bohrium/internal/vm"
 )
@@ -24,9 +25,9 @@ import (
 // converted into a sticky pipeline error too — the failure belongs to
 // the session that submitted the plan, never to the process.
 type Executor struct {
-	b     *Backend  // immutable after NewExecutor
-	label string    // immutable after NewExecutor: faultinject site label (the host's tenant name)
-	jobs  chan Plan // immutable after NewExecutor (the channel; Close closes it under mu)
+	b     *Backend // immutable after NewExecutor
+	label string   // immutable after NewExecutor: faultinject site label (the host's tenant name)
+	jobs  chan job // immutable after NewExecutor (the channel; Close closes it under mu)
 	wg    sync.WaitGroup
 	done  chan struct{} // immutable after NewExecutor
 	// pending counts submitted-not-yet-finished plans (queued or in
@@ -43,6 +44,13 @@ type Executor struct {
 	quiet chan struct{}
 }
 
+// job is one queued plan and the constant vector it runs under (nil: its
+// own).
+type job struct {
+	pl     Plan
+	consts []bytecode.Constant
+}
+
 // NewExecutor starts a background executor for b with the given queue
 // depth (0 selects vm.DefaultAsyncDepth). label names the session for
 // fault-injection targeting (empty matches any armed fault). Close the
@@ -52,18 +60,18 @@ func NewExecutor(b *Backend, depth int, label string) *Executor {
 	if depth <= 0 {
 		depth = vm.DefaultAsyncDepth
 	}
-	e := &Executor{b: b, label: label, jobs: make(chan Plan, depth), done: make(chan struct{})}
+	e := &Executor{b: b, label: label, jobs: make(chan job, depth), done: make(chan struct{})}
 	go e.loop()
 	return e
 }
 
 func (e *Executor) loop() {
 	defer close(e.done)
-	for pl := range e.jobs {
+	for j := range e.jobs {
 		faultinject.Delay(faultinject.ExecStall, e.label)
 		if e.Err() == nil {
 			e.b.m.CountPipelined()
-			if err := e.execOne(pl); err != nil {
+			if err := e.execOne(j); err != nil {
 				e.mu.Lock()
 				if e.err == nil {
 					e.err = err
@@ -78,13 +86,13 @@ func (e *Executor) loop() {
 // execOne executes a single queued plan, converting a panic (a backend
 // bug, an injected worker-panic fault) into a pipeline error instead of
 // killing the whole process.
-func (e *Executor) execOne(pl Plan) (err error) {
+func (e *Executor) execOne(j job) (err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("%w: panic during pipelined execution: %v", vm.ErrExec, v)
 		}
 	}()
-	return e.b.Execute(pl)
+	return e.b.ExecuteWith(j.pl, j.consts)
 }
 
 // noteSubmit books one plan into the pending account before the enqueue
@@ -110,13 +118,14 @@ func (e *Executor) finishOne() {
 	e.wg.Done()
 }
 
-// Submit queues one plan for background execution. The plan must not be
-// mutated afterwards — cache hits and freshly compiled plans both satisfy
-// this. Submit blocks only when the queue is full (backpressure), never
-// on execution itself.
-func (e *Executor) Submit(pl Plan) {
+// Submit queues one plan for background execution under consts (nil: its
+// own), as Resolution gives them. Neither may be mutated afterwards —
+// plans never are, and Resolution.Consts is the host's own copy. Submit
+// blocks only when the queue is full (backpressure), never on execution
+// itself.
+func (e *Executor) Submit(pl Plan, consts []bytecode.Constant) {
 	e.noteSubmit()
-	e.jobs <- pl
+	e.jobs <- job{pl, consts}
 }
 
 // SubmitCtx queues one plan like Submit, but gives the backpressure
@@ -125,15 +134,16 @@ func (e *Executor) Submit(pl Plan) {
 // error is returned wrapped — the pipeline's committed work is
 // untouched, so the caller can shed this one submission as retryable.
 // A nil error means the plan is queued exactly as Submit would have.
-func (e *Executor) SubmitCtx(ctx context.Context, pl Plan) error {
+func (e *Executor) SubmitCtx(ctx context.Context, pl Plan, consts []bytecode.Constant) error {
 	e.noteSubmit()
+	j := job{pl, consts}
 	select {
-	case e.jobs <- pl:
+	case e.jobs <- j:
 		return nil
 	default:
 	}
 	select {
-	case e.jobs <- pl:
+	case e.jobs <- j:
 		return nil
 	case <-ctx.Done():
 		e.finishOne()

@@ -32,12 +32,12 @@ func TestChaosSubmitCtxShedsOnFullQueue(t *testing.T) {
 		Label: "stall-victim", Delay: 300 * time.Millisecond, Times: 1,
 	})
 	defer disarm()
-	e.Submit(pl)                      // dequeued immediately, then stalls
+	e.Submit(pl, nil)                 // dequeued immediately, then stalls
 	time.Sleep(20 * time.Millisecond) // let the executor enter the stall
-	e.Submit(pl)                      // fills the depth-1 queue
+	e.Submit(pl, nil)                 // fills the depth-1 queue
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	serr := e.SubmitCtx(ctx, pl)
+	serr := e.SubmitCtx(ctx, pl, nil)
 	if !errors.Is(serr, context.DeadlineExceeded) {
 		t.Fatalf("submit into a full queue: %v, want a DeadlineExceeded chain", serr)
 	}
@@ -85,7 +85,7 @@ func TestChaosWaitCtxHonorsCancelWithoutKillingWork(t *testing.T) {
 		Label: "slow-victim", Delay: 300 * time.Millisecond, Times: 1,
 	})
 	defer disarm()
-	e.Submit(pl)
+	e.Submit(pl, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	if werr := e.WaitCtx(ctx); !errors.Is(werr, context.DeadlineExceeded) {
@@ -125,7 +125,7 @@ func TestChaosExecutorPanicBecomesStickyError(t *testing.T) {
 
 	disarm := faultinject.Arm(faultinject.WorkerPanic, faultinject.Fault{Label: "sess", Times: 1})
 	defer disarm()
-	e.Submit(pl)
+	e.Submit(pl, nil)
 	werr := e.Wait()
 	if !errors.Is(werr, vm.ErrExec) {
 		t.Fatalf("wait after injected panic: %v, want an ErrExec chain", werr)

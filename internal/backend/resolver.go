@@ -2,6 +2,7 @@ package backend
 
 import (
 	"fmt"
+	"slices"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/rewrite"
@@ -56,10 +57,12 @@ func NewResolver(be *Backend, sig Signature, newMeta func(batch, optimized *byte
 // Signature returns the signature the resolver was built with.
 func (r *Resolver) Signature() Signature { return r.sig }
 
-// entry is what the resolver caches with each plan.
+// entry is what the resolver caches with each plan. A parametric plan was
+// compiled from the batch itself, so it runs under each hit's vector.
 type entry struct {
-	sig  Signature
-	host any
+	sig        Signature
+	host       any
+	parametric bool
 }
 
 // Key is a batch's plan-cache identity, computed apart from Resolve so a
@@ -81,9 +84,14 @@ func (r *Resolver) Key(batch *bytecode.Program) Key {
 	return Key{FP: batch.Fingerprint(), Consts: r.consts, Cached: true}
 }
 
-// Resolution is a resolved batch.
+// Resolution is a resolved batch: the host executes Plan under Consts
+// (Backend.ExecuteWith, Executor.Submit).
 type Resolution struct {
-	Plan   Plan            // nil: the batch optimizes to nothing
+	Plan Plan // nil: the batch optimizes to nothing
+	// Consts is the batch's constant vector when a parametric hit runs
+	// the plan under other values than its own: a copy the host owns, so
+	// an async queue may hold it. nil: the plan's own vector.
+	Consts []bytecode.Constant
 	Meta   any             // the host bookkeeping newMeta derived
 	Report *rewrite.Report // the optimizer's report on a miss; nil on a hit
 }
@@ -103,27 +111,34 @@ func (e *OptimizeError) Unwrap() error { return e.Err }
 // same structure no longer keeps alive), compiles, and caches the plan —
 // nil for a batch that optimizes to nothing. Each compiled program is
 // validated exactly once: by the optimizer when a rule fired, here
-// otherwise; a failure wraps vm.ErrExec. The plan is parametric, replayed
-// under any constants, only when the optimizer applied nothing: every
-// rule inspects constant values, so a fired rewrite bakes the batch's
-// constants into the entry.
+// otherwise; a failure wraps vm.ErrExec. The plan is parametric, executed
+// under any batch's constants, only when the optimizer applied nothing:
+// every rule inspects constant values, so a fired rewrite bakes the
+// batch's constants into the entry. A parametric hit whose vector is not
+// the plan's own resolves with a copy of it in Consts; the plan is the
+// cached one either way.
 func (r *Resolver) Resolve(batch *bytecode.Program, key Key) (Resolution, error) {
 	if key.Cached {
 		if plan, meta, ok := r.be.LookupPlan(key.FP, key.Consts, r.accept); ok {
-			return Resolution{Plan: plan, Meta: meta.(*entry).host}, nil
+			e := meta.(*entry)
+			res := Resolution{Plan: plan, Meta: e.host}
+			if e.parametric && plan != nil && !slices.EqualFunc(plan.Constants(), key.Consts, bytecode.Constant.Equal) {
+				res.Consts = slices.Clone(key.Consts)
+			}
+			return res, nil
 		}
 	}
 	optimized, report, err := r.pipeline.Optimize(batch)
 	if err != nil {
 		return Resolution{}, &OptimizeError{err}
 	}
-	e := &entry{sig: r.sig}
+	e := &entry{sig: r.sig, parametric: report.TotalApplied() == 0}
 	if r.newMeta != nil {
 		e.host = r.newMeta(batch, optimized)
 	}
 	var plan Plan
 	if len(optimized.Instrs) > 0 {
-		if report.TotalApplied() == 0 {
+		if e.parametric {
 			if err := optimized.Validate(); err != nil {
 				return Resolution{}, fmt.Errorf("%w: %w", vm.ErrExec, err)
 			}
@@ -134,7 +149,7 @@ func (r *Resolver) Resolve(batch *bytecode.Program, key Key) (Resolution, error)
 		}
 	}
 	if key.Cached {
-		r.be.InsertPlan(key.FP, key.Consts, report.TotalApplied() == 0, plan, e)
+		r.be.InsertPlan(key.FP, key.Consts, e.parametric, plan, e)
 	}
 	return Resolution{Plan: plan, Meta: e.host, Report: report}, nil
 }

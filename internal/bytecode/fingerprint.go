@@ -114,8 +114,9 @@ func (p *Program) role(r RegID) (role int) {
 
 // Constants collects every constant operand in instruction order (In1
 // before In2). The slice is the batch's "constant vector": together with
-// the Fingerprint it fully identifies the batch, and for plans compiled
-// from rewrite-free batches it is the parameter list SetConstants patches.
+// the Fingerprint it fully identifies the batch, and a compiled plan runs
+// under any vector of its program's dtypes (vm.Plan.Execute), each
+// constant operand reading its slot in this order.
 func (p *Program) Constants() []Constant { return p.AppendConstants(nil) }
 
 // AppendConstants appends the constant vector to dst and returns it, so a
@@ -131,43 +132,4 @@ func (p *Program) AppendConstants(dst []Constant) []Constant {
 		}
 	}
 	return dst
-}
-
-// SetConstants overwrites the program's constant operands with vals, in
-// the same order Constants collects them. It requires an exact positional
-// and dtype match — the caller guarantees structural identity via the
-// Fingerprint — and reports whether any value actually changed.
-func (p *Program) SetConstants(vals []Constant) (changed bool, err error) {
-	next := 0
-	set := func(o *Operand) error {
-		if !o.IsConst() {
-			return nil
-		}
-		if next >= len(vals) {
-			return fmt.Errorf("bytecode: %d constants supplied, program has more", len(vals))
-		}
-		v := vals[next]
-		next++
-		if v.DType != o.Const.DType {
-			return fmt.Errorf("bytecode: constant %d dtype %s, program wants %s", next-1, v.DType, o.Const.DType)
-		}
-		if !o.Const.Equal(v) {
-			o.Const = v
-			changed = true
-		}
-		return nil
-	}
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		if err := set(&in.In1); err != nil {
-			return changed, err
-		}
-		if err := set(&in.In2); err != nil {
-			return changed, err
-		}
-	}
-	if next != len(vals) {
-		return changed, fmt.Errorf("bytecode: %d constants supplied, program has %d", len(vals), next)
-	}
-	return changed, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -183,12 +184,14 @@ func TestFingerprintMatchesOracle(t *testing.T) {
 		progs = append(progs, named{path, p})
 		// Equal structure: other constant values, an unused declaration.
 		q := p.Clone()
-		consts := q.Constants()
-		for i := range consts {
-			consts[i] = ConstOf(consts[i].DType, float64(i+3))
-		}
-		if _, err := q.SetConstants(consts); err != nil {
-			t.Fatal(err)
+		k := 3
+		for i := range q.Instrs {
+			for _, o := range []*Operand{&q.Instrs[i].In1, &q.Instrs[i].In2} {
+				if o.IsConst() {
+					o.Const = ConstOf(o.Const.DType, float64(k))
+					k++
+				}
+			}
 		}
 		q.NewReg(tensor.Int32, 7)
 		progs = append(progs, named{path + "+consts+decl", q})
@@ -316,28 +319,14 @@ func TestConstantsRoundTrip(t *testing.T) {
 	if len(got) != 1 || !got[0].Equal(ConstFloat(2.5)) {
 		t.Fatalf("Constants() = %v", got)
 	}
-	changed, err := p.SetConstants([]Constant{ConstFloat(9)})
-	if err != nil || !changed {
-		t.Fatalf("SetConstants: changed=%v err=%v", changed, err)
-	}
-	if !p.Instrs[0].In2.Const.Equal(ConstFloat(9)) {
-		t.Errorf("constant not patched: %v", p.Instrs[0].In2.Const)
-	}
-	changed, err = p.SetConstants([]Constant{ConstFloat(9)})
-	if err != nil || changed {
-		t.Errorf("same-value patch reported changed=%v err=%v", changed, err)
-	}
-}
-
-func TestSetConstantsRejectsMismatch(t *testing.T) {
-	p := fpProg(ConstFloat(2.5))
-	if _, err := p.SetConstants(nil); err == nil {
-		t.Error("count mismatch (too few) accepted")
-	}
-	if _, err := p.SetConstants([]Constant{ConstFloat(1), ConstFloat(2)}); err == nil {
-		t.Error("count mismatch (too many) accepted")
-	}
-	if _, err := p.SetConstants([]Constant{ConstInt(3)}); err == nil {
-		t.Error("dtype mismatch accepted")
+	// In1 before In2, instruction by instruction, appended to the caller's
+	// buffer.
+	v := tensor.NewView(tensor.MustShape(10))
+	p.EmitBinary(OpAdd, Reg(1, v), Const(ConstInt(3)), Const(ConstInt(4)))
+	buf := make([]Constant, 1, 8)
+	got = p.AppendConstants(buf[:0])
+	want := []Constant{ConstFloat(2.5), ConstInt(3), ConstInt(4)}
+	if !slices.EqualFunc(got, want, Constant.Equal) || &got[0] != &buf[0] {
+		t.Errorf("AppendConstants = %v (into the buffer: %v), want %v", got, &got[0] == &buf[0], want)
 	}
 }

@@ -425,7 +425,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		executed = res.Plan.Program().Instrs
 	}
 	if sess.exec != nil && res.Plan != nil {
-		if err := sess.exec.SubmitCtx(actx, res.Plan); err != nil {
+		if err := sess.exec.SubmitCtx(actx, res.Plan, res.Consts); err != nil {
 			s.reg.refundBytes(ten, int64(len(body)))
 			api.WriteError(w, s.overloaded(
 				"session %q shed a batch after the %v submit deadline: %v", sess.id, s.cfg.SubmitTimeout, err))
@@ -454,7 +454,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Plan != nil {
-		if err := sess.be.Execute(res.Plan); err != nil {
+		if err := sess.be.ExecuteWith(res.Plan, res.Consts); err != nil {
 			if errors.Is(err, vm.ErrMemoryPressure) {
 				api.WriteError(w, api.Errorf(http.StatusServiceUnavailable, api.CodeMemoryPressure,
 					"%v", err).Retry(s.cfg.RetryAfterSeconds))

@@ -52,8 +52,8 @@ func BenchmarkCompile(b *testing.B) {
 
 // TestCompileAllocs pins a miss's compile at <= 10 allocations per
 // cold-rewrite batch on average: the plan copies out of the arena once per
-// kind of element it keeps, and kernel steps of one type share one slice,
-// so what remains is mostly the kernels' own constant captures.
+// kind of element it keeps, its constant vector once, and kernel steps of
+// one type share one slice, as steps of one loopKey share one kernel.
 func TestCompileAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -104,7 +104,7 @@ func TestCompileLeavesEarlierPlans(t *testing.T) {
 	}
 	check := func(what string) {
 		bindGen(m, gp)
-		if err := pl.Execute(m); err != nil {
+		if err := pl.Execute(m, nil); err != nil {
 			t.Errorf("%s: %v", what, err)
 			return
 		}

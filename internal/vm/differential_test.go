@@ -910,7 +910,7 @@ func TestFusedErrorNamesFailingInstruction(t *testing.T) {
 	defer m.Close()
 	// Bind a1 with the wrong storage type so only the second step fails.
 	m.Bind(a1, tensor.MustNew(tensor.Float32, tensor.MustShape(64)))
-	err := m.CompileValidated(p).Execute(m)
+	err := m.CompileValidated(p).Execute(m, nil)
 	if err == nil {
 		t.Fatal("expected execution error")
 	}

@@ -69,7 +69,7 @@ func TestEngineMachineOptOut(t *testing.T) {
 
 // TestEngineConcurrentLookupInsert hammers one engine's plan cache from
 // many machines at once — fingerprint-identical and -distinct programs,
-// parametric entries patched under racing constant vectors — and checks
+// parametric entries executed under racing constant vectors — and checks
 // counter coherence. Run with -race.
 func TestEngineConcurrentLookupInsert(t *testing.T) {
 	eng := NewEngine(EngineConfig{PlanCacheSize: 8}) // small: force evictions
@@ -88,9 +88,9 @@ func TestEngineConcurrentLookupInsert(t *testing.T) {
 			defer wg.Done()
 			bindVec(t, m, 0, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 			for r := 0; r < rounds; r++ {
-				// Constant varies with the session: parametric hits from
-				// other sessions' entries must patch clones, never the
-				// plan another session is executing.
+				// Constant varies with the session: a parametric hit on
+				// another session's entry runs that one plan under this
+				// session's vector while the other may be executing it.
 				prog := planTestProg(float64(i%3 + 1))
 				fp := prog.Fingerprint()
 				plan, _, ok := m.LookupPlan(fp, prog.Constants(), nil)
@@ -102,7 +102,7 @@ func TestEngineConcurrentLookupInsert(t *testing.T) {
 					}
 					m.InsertPlan(fp, prog.Constants(), true, plan, nil)
 				}
-				if err := plan.Execute(m); err != nil {
+				if err := plan.Execute(m, prog.Constants()); err != nil {
 					t.Error(err)
 					return
 				}

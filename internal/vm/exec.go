@@ -12,7 +12,8 @@ import (
 // here for everything else, and for the elementwise instructions a nest
 // declines: promoted mixed-dtype operands, results that address an
 // element twice, inputs that overlap the result through another window.
-func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction) error {
+// k holds in's constant operands, in order, at its front.
+func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction, k []bytecode.Constant) error {
 	switch in.Op.Info().Kind {
 	case bytecode.KindSystem:
 		switch in.Op {
@@ -28,12 +29,12 @@ func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction) error {
 		case bytecode.OpRange:
 			return m.execRange(p, in)
 		case bytecode.OpRandom:
-			return m.execRandom(p, in)
+			return m.execRandom(p, in, k)
 		default: // BH_IDENTITY is elementwise copy/fill
-			return m.execElementwise(p, in)
+			return m.execElementwise(p, in, k)
 		}
 	case bytecode.KindUnary, bytecode.KindBinary:
-		return m.execElementwise(p, in)
+		return m.execElementwise(p, in, k)
 	case bytecode.KindReduction:
 		return m.execReduce(p, in)
 	case bytecode.KindScan:
@@ -55,12 +56,13 @@ type source struct {
 	view    tensor.View
 }
 
-func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, outShape tensor.Shape) ([]source, error) {
+func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, outShape tensor.Shape, k []bytecode.Constant) ([]source, error) {
 	inputs := in.Inputs()
 	srcs := make([]source, len(inputs))
 	for i, opnd := range inputs {
 		if opnd.IsConst() {
-			srcs[i] = source{isConst: true, cf: opnd.Const.Float(), ci: opnd.Const.Int()}
+			srcs[i] = source{isConst: true, cf: k[0].Float(), ci: k[0].Int()}
+			k = k[1:]
 			continue
 		}
 		buf := m.regs.get(opnd.Reg)
@@ -80,13 +82,13 @@ func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, 
 // sweep over the output view applying the scalar kernel through the
 // buffers' accessors. It defines the semantics of every dtype combination
 // — the nest's typed kernels are pinned against it bit for bit.
-func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction) error {
+func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction, k []bytecode.Constant) error {
 	outBuf, err := m.regs.ensure(p, in.Out.Reg)
 	if err != nil {
 		return err
 	}
 	outView := in.Out.View
-	srcs, err := m.resolveSources(p, in, outView.Shape)
+	srcs, err := m.resolveSources(p, in, outView.Shape, k)
 	if err != nil {
 		return err
 	}
@@ -264,13 +266,13 @@ func (m *Machine) execRange(p *bytecode.Program, in *bytecode.Instruction) error
 // execRandom fills the output with a counter-based deterministic stream:
 // element i of (seed, key) is tensor.At(seed, key+i), scaled to [0, 1) for
 // float outputs and kept as a non-negative integer otherwise.
-func (m *Machine) execRandom(p *bytecode.Program, in *bytecode.Instruction) error {
+func (m *Machine) execRandom(p *bytecode.Program, in *bytecode.Instruction, k []bytecode.Constant) error {
 	outBuf, err := m.regs.ensure(p, in.Out.Reg)
 	if err != nil {
 		return err
 	}
-	seed := uint64(in.In1.Const.Int())
-	key := uint64(in.In2.Const.Int())
+	seed := uint64(k[0].Int())
+	key := uint64(k[1].Int())
 	m.stats.instructions.Add(1)
 	m.stats.sweeps.Add(1)
 	m.stats.elements.Add(int64(in.Out.View.Size()))

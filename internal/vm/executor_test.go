@@ -78,7 +78,7 @@ func TestExecutorRunsSubmittedPlans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		e.Submit(pl)
+		e.Submit(pl, nil)
 	}
 	if err := e.Wait(); err != nil {
 		t.Fatal(err)
@@ -114,8 +114,8 @@ func TestExecutorErrorPoisonsAndSkips(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e.Submit(bad)
-	e.Submit(good) // skipped
+	e.Submit(bad, nil)
+	e.Submit(good, nil) // skipped
 	werr := e.Wait()
 	if werr == nil {
 		t.Fatal("Wait returned nil for a failing plan")

@@ -23,7 +23,7 @@ func runErr(t *testing.T, cfg Config, src string, bind func(m *Machine)) error {
 	if bind != nil {
 		bind(m)
 	}
-	return m.CompileValidated(p).Execute(m) // unvalidated: the runtime guards are under test
+	return m.CompileValidated(p).Execute(m, nil) // unvalidated: the runtime guards are under test
 }
 
 // TestExtensionMissingInputBuffer pins the runtime guard in the operand

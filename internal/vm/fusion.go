@@ -42,6 +42,7 @@ import (
 func (m *Machine) planClusters(p *bytecode.Program, live liveness) []nest {
 	ar := &m.arena
 	ar.clusters = ar.clusters[:0]
+	k := 0
 	for i := 0; i < len(p.Instrs); {
 		shape, kind := sweepAt(p, i)
 		fusible := kind == sweepFusible && m.cfg.Fusion
@@ -86,8 +87,11 @@ func (m *Machine) planClusters(p *bytecode.Program, live liveness) []nest {
 		if kind != sweepNone && !laid {
 			ar.layoutNest(ns, p, i, end, shape, live, nil)
 		}
-		i = end
+		for ns.konst = k; i < end; i++ {
+			k += constCount(&p.Instrs[i])
+		}
 	}
+	ar.consts = k
 	return ar.clusters
 }
 

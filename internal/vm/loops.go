@@ -25,95 +25,105 @@ import (
 // the interpreter for every dtype.
 
 // kernel computes dst[i] = op(a[i], b[i]) for i < len(dst). Array
-// operands are at least len(dst) long; a constant operand is captured by
-// the closure and its slice is nil, as is b for unary ops. dst may be the
-// very slice passed as a or b (in-place steps), never a shifted overlap.
-type kernel[D, S tensor.Elem] func(dst []D, a, b []S)
+// operands are at least len(dst) long; a constant operand's slice is nil,
+// as is b for unary ops, and its value is in c, which its step reads once
+// per call: a kernel holds no value. dst may be the very slice passed as a
+// or b (in-place steps), never a shifted overlap.
+type kernel[D, S tensor.Elem] func(dst []D, a, b []S, c args)
 
-// ksrc describes one input operand to the kernel compiler: an array, or a
-// constant carried in both computation classes (cf for the float64 class,
-// ci for the exact int64 class — mirroring how resolveSources
-// materializes constants for the accessor path).
-type ksrc struct {
-	isConst bool
-	cf      float64
-	ci      int64
+// scalar is a constant operand's value in the float64 class (f) and the
+// exact int64 class (i), as resolveSources materializes it.
+type scalar struct {
+	f float64
+	i int64
 }
 
-func constSrc(c bytecode.Constant) ksrc { return ksrc{isConst: true, cf: c.Float(), ci: c.Int()} }
+// args are a run call's constant operands: the first input's, then the
+// second's; zero for an array operand.
+type args [2]scalar
+
+// loopKey is everything a run kernel depends on: the storage dtype, the
+// op, its arity, and which inputs are constants — not their values.
+type loopKey struct {
+	dt             tensor.DType
+	op             bytecode.Opcode
+	arity          int
+	aConst, bConst bool
+}
 
 // kernelCompilations counts compileLoop calls and fold run kernels built
 // (valueFold, argFold), so tests can assert that executing a compiled plan
 // builds no kernels.
 var kernelCompilations atomic.Int64
 
-// compileLoop compiles op over operands of dtype dt (storage type T).
-func compileLoop[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, srcs []ksrc) (kernel[T, T], bool) {
+// compileLoop compiles key's op over operands of storage type T.
+func compileLoop[T tensor.Elem](key loopKey) (kernel[T, T], bool) {
 	kernelCompilations.Add(1)
-	isBool := dt == tensor.Bool
-	intClass := !dt.IsFloat()
-	switch len(srcs) {
+	isBool := key.dt == tensor.Bool
+	intClass := !key.dt.IsFloat()
+	switch key.arity {
 	case 1:
-		s := srcs[0]
-		if op == bytecode.OpIdentity && !isBool {
+		if key.op == bytecode.OpIdentity && !isBool && !key.aConst {
 			// T(class(v)) == v for every non-bool storage type.
-			if !s.isConst {
-				return func(d, a, _ []T) { copy(d, a) }, true
-			}
-			if intClass {
-				return fill[T, T](T(s.ci)), true
-			}
-			return fill[T, T](T(s.cf)), true
+			return func(d, a, _ []T, _ args) { copy(d, a) }, true
 		}
 		if intClass {
-			if k, ok := intUnaryKernel(op); ok {
-				return classUnary[T](k, isBool, s.isConst, s.ci), true
+			if k, ok := intUnaryKernel(key.op); ok {
+				return classUnary[T](k, isBool, key.aConst), true
 			}
 		}
 		// Transcendentals on integers compute in the float class and
 		// truncate back through the storage type, matching
 		// slowUnaryFloat + Buffer.Set.
-		k, ok := floatUnaryKernel(op)
+		k, ok := floatUnaryKernel(key.op)
 		if !ok {
 			return nil, false
 		}
-		return classUnary[T](k, isBool, s.isConst, s.cf), true
+		return classUnary[T](k, isBool, key.aConst), true
 	case 2:
-		a, b := srcs[0], srcs[1]
 		if !isBool {
 			// Specialized native-arithmetic kernels first; each declines
 			// unless its bit-for-bit equivalence argument holds
 			// (loops_specialized.go).
-			if k, ok := specializedBinary[T](dt, op, a, b); ok {
+			if k, ok := specializedBinary[T](key); ok {
 				return k, true
 			}
 		}
 		if intClass {
-			if k, ok := intBinaryKernel(op); ok {
-				return classBinary[T](k, isBool, a.isConst, b.isConst, a.ci, b.ci), true
-			}
-		} else if !a.isConst && b.isConst {
-			if k, ok := widenedConstBinary[T](op, b.cf); ok {
-				return k, true
+			if k, ok := intBinaryKernel(key.op); ok {
+				return classBinary[T](k, isBool, key.aConst, key.bConst), true
 			}
 		}
 		// Ops with no integer kernel (ARCTAN2) compute in the float class
 		// and truncate back, as the interpreted path does.
-		k, ok := floatBinaryKernel(op)
+		k, ok := floatBinaryKernel(key.op)
 		if !ok {
 			return nil, false
 		}
-		return classBinary[T](k, isBool, a.isConst, b.isConst, a.cf, b.cf), true
+		return classBinary[T](k, isBool, key.aConst, key.bConst), true
 	}
 	return nil, false
 }
 
-// fill writes the constant c across the run.
-func fill[D, S tensor.Elem](c D) kernel[D, S] {
-	return func(d []D, _, _ []S) {
-		for i := range d {
-			d[i] = c
-		}
+// storageOf is s in type T: its float64-class value converted for a float
+// T, its int64-class value otherwise.
+func storageOf[T tensor.Elem](s scalar) T {
+	if isFloat[T]() {
+		return T(s.f)
+	}
+	return T(s.i)
+}
+
+// isFloat reports whether T is a float type; it compiles to a constant.
+func isFloat[T tensor.Elem]() bool {
+	half := 0.5
+	return T(half) != 0
+}
+
+// fill writes v across the run.
+func fill[T tensor.Elem](d []T, v T) {
+	for i := range d {
+		d[i] = v
 	}
 }
 
@@ -127,16 +137,16 @@ func store[T tensor.Elem, C int64 | float64](v C, isBool bool) T {
 }
 
 // classUnary is the generic unary body: widen to class C, apply the
-// scalar kernel, convert back. c is the operand's value when constant.
-func classUnary[T tensor.Elem, C int64 | float64](k func(C) C, isBool, isConst bool, c C) kernel[T, T] {
+// scalar kernel, convert back.
+func classUnary[T tensor.Elem, C int64 | float64](k func(C) C, isBool, isConst bool) kernel[T, T] {
 	if isConst {
-		return fill[T, T](store[T](k(c), isBool))
+		return func(d, _, _ []T, c args) { fill(d, store[T](k(storageOf[C](c[0])), isBool)) }
 	}
 	if staged, ok := stagedFloat32Unary[T](any(k)); ok {
 		return staged
 	}
 	if isBool {
-		return func(d, a, _ []T) {
+		return func(d, a, _ []T, _ args) {
 			a = a[:len(d)]
 			for i := range d {
 				d[i] = b01[T](k(C(a[i])) != 0)
@@ -145,7 +155,7 @@ func classUnary[T tensor.Elem, C int64 | float64](k func(C) C, isBool, isConst b
 	}
 	// The transcendental sweeps live here: keep the loop free of the
 	// bool test.
-	return func(d, a, _ []T) {
+	return func(d, a, _ []T, _ args) {
 		a = a[:len(d)]
 		for i := range d {
 			d[i] = T(k(C(a[i])))
@@ -154,31 +164,33 @@ func classUnary[T tensor.Elem, C int64 | float64](k func(C) C, isBool, isConst b
 }
 
 // classBinary is the generic binary body for any constant/array operand
-// mix. ca and cb are the operands' class values when constant.
-func classBinary[T tensor.Elem, C int64 | float64](k func(a, b C) C, isBool, aConst, bConst bool, ca, cb C) kernel[T, T] {
+// mix.
+func classBinary[T tensor.Elem, C int64 | float64](k func(a, b C) C, isBool, aConst, bConst bool) kernel[T, T] {
 	if aConst && bConst {
-		return fill[T, T](store[T](k(ca, cb), isBool))
+		return func(d, _, _ []T, c args) { fill(d, store[T](k(storageOf[C](c[0]), storageOf[C](c[1])), isBool)) }
 	}
-	if staged, ok := stagedFloat32Binary[T](any(k), aConst, bConst, any(ca), any(cb)); ok {
+	if staged, ok := stagedFloat32Binary[T](any(k), aConst, bConst); ok {
 		return staged
 	}
 	switch {
 	case aConst:
-		return func(d, _, y []T) {
+		return func(d, _, y []T, c args) {
+			ca := storageOf[C](c[0])
 			y = y[:len(d)]
 			for i := range d {
 				d[i] = store[T](k(ca, C(y[i])), isBool)
 			}
 		}
 	case bConst:
-		return func(d, x, _ []T) {
+		return func(d, x, _ []T, c args) {
+			cb := storageOf[C](c[1])
 			x = x[:len(d)]
 			for i := range d {
 				d[i] = store[T](k(C(x[i]), cb), isBool)
 			}
 		}
 	default:
-		return func(d, x, y []T) {
+		return func(d, x, y []T, _ args) {
 			x, y = x[:len(d)], y[:len(d)]
 			for i := range d {
 				d[i] = store[T](k(C(x[i]), C(y[i])), isBool)
@@ -188,37 +200,37 @@ func classBinary[T tensor.Elem, C int64 | float64](k func(a, b C) C, isBool, aCo
 }
 
 // widenedConstBinary holds the hand-inlined float-class forms of x ⊗ c
-// for the one case nativeBinary must decline: a float32 array and a
-// constant that is not exactly a float32. The scalar kernel's indirect
-// call is replaced by the operator itself.
-func widenedConstBinary[T tensor.Elem](op bytecode.Opcode, c float64) (kernel[T, T], bool) {
+// for the one case nativeBinary must not run: a float32 array and a
+// constant that is not exactly a float32 (float32ConstGate). The scalar
+// kernel's indirect call is replaced by the operator itself.
+func widenedConstBinary(op bytecode.Opcode) (kernel[float32, float32], bool) {
 	switch op {
 	case bytecode.OpAdd:
-		return func(d, x, _ []T) {
-			x = x[:len(d)]
+		return func(d, x, _ []float32, k args) {
+			c, x := k[1].f, x[:len(d)]
 			for i := range d {
-				d[i] = T(float64(x[i]) + c)
+				d[i] = float32(float64(x[i]) + c)
 			}
 		}, true
 	case bytecode.OpSubtract:
-		return func(d, x, _ []T) {
-			x = x[:len(d)]
+		return func(d, x, _ []float32, k args) {
+			c, x := k[1].f, x[:len(d)]
 			for i := range d {
-				d[i] = T(float64(x[i]) - c)
+				d[i] = float32(float64(x[i]) - c)
 			}
 		}, true
 	case bytecode.OpMultiply:
-		return func(d, x, _ []T) {
-			x = x[:len(d)]
+		return func(d, x, _ []float32, k args) {
+			c, x := k[1].f, x[:len(d)]
 			for i := range d {
-				d[i] = T(float64(x[i]) * c)
+				d[i] = float32(float64(x[i]) * c)
 			}
 		}, true
 	case bytecode.OpDivide:
-		return func(d, x, _ []T) {
-			x = x[:len(d)]
+		return func(d, x, _ []float32, k args) {
+			c, x := k[1].f, x[:len(d)]
 			for i := range d {
-				d[i] = T(float64(x[i]) / c)
+				d[i] = float32(float64(x[i]) / c)
 			}
 		}, true
 	}
@@ -233,14 +245,14 @@ func widenedConstBinary[T tensor.Elem](op bytecode.Opcode, c float64) (kernel[T,
 func castKernel[D, S tensor.Elem](dstDT, srcDT tensor.DType) kernel[D, S] {
 	isBool := dstDT == tensor.Bool
 	if !dstDT.IsFloat() && !srcDT.IsFloat() {
-		return func(d []D, a, _ []S) {
+		return func(d []D, a, _ []S, _ args) {
 			a = a[:len(d)]
 			for i := range d {
 				d[i] = store[D](int64(a[i]), isBool)
 			}
 		}
 	}
-	return func(d []D, a, _ []S) {
+	return func(d []D, a, _ []S, _ args) {
 		a = a[:len(d)]
 		for i := range d {
 			d[i] = store[D](float64(a[i]), isBool)
@@ -263,7 +275,7 @@ func stagedFloat32Unary[T tensor.Elem](k any) (kernel[T, T], bool) {
 	if !ok {
 		return nil, false
 	}
-	staged, ok := any(kernel[float32, float32](func(d, a, _ []float32) {
+	staged, ok := any(kernel[float32, float32](func(d, a, _ []float32, _ args) {
 		var w [stageLen]float64
 		for len(d) > 0 {
 			n := min(len(d), stageLen)
@@ -283,13 +295,11 @@ func stagedFloat32Unary[T tensor.Elem](k any) (kernel[T, T], bool) {
 	return staged, ok
 }
 
-func stagedFloat32Binary[T tensor.Elem](k any, aConst, bConst bool, ca, cb any) (kernel[T, T], bool) {
+func stagedFloat32Binary[T tensor.Elem](k any, aConst, bConst bool) (kernel[T, T], bool) {
 	kf, ok := k.(func(a, b float64) float64)
 	if !ok {
 		return nil, false
 	}
-	fa, _ := ca.(float64)
-	fb, _ := cb.(float64)
 	// widen fills ws from the operand's next block, or with its constant.
 	widen := func(ws []float64, src []float32, isConst bool, c float64) {
 		if isConst {
@@ -302,7 +312,7 @@ func stagedFloat32Binary[T tensor.Elem](k any, aConst, bConst bool, ca, cb any) 
 			ws[i] = float64(v)
 		}
 	}
-	staged, ok := any(kernel[float32, float32](func(d, x, y []float32) {
+	staged, ok := any(kernel[float32, float32](func(d, x, y []float32, c args) {
 		var wx, wy [stageLen]float64
 		for off := 0; off < len(d); off += stageLen {
 			n := min(len(d)-off, stageLen)
@@ -314,8 +324,8 @@ func stagedFloat32Binary[T tensor.Elem](k any, aConst, bConst bool, ca, cb any) 
 			if !bConst {
 				yb = y[off:]
 			}
-			widen(xs, xb, aConst, fa)
-			widen(ys, yb, bConst, fb)
+			widen(xs, xb, aConst, c[0].f)
+			widen(ys, yb, bConst, c[1].f)
 			for i := range xs {
 				xs[i] = kf(xs[i], ys[i])
 			}

@@ -23,8 +23,8 @@ import (
 //     the native float32 operation (double rounding is innocuous because
 //     float64 carries more than 2·24+2 significand bits).
 //   - float32 ⊗ const: the same theorem applies only when the float64
-//     constant is exactly a float32, so the form is gated on
-//     float64(float32(c)) == c and declines otherwise.
+//     constant is exactly a float32, so each run call gates the form on
+//     float64(float32(c)) == c and runs the widened body otherwise.
 //   - uint8/int32/int64 +,-,*: two's-complement wrap is a ring
 //     homomorphism under truncation, so narrowing the int64-class result
 //     equals native narrow arithmetic for any operands and any constant —
@@ -42,26 +42,27 @@ import (
 // The per-kernel differential suites in loops_specialized_test.go and
 // nest_fold_test.go pin each of these equalities against the generic
 // bodies.
-func specializedBinary[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, a, b ksrc) (kernel[T, T], bool) {
-	if a.isConst {
+func specializedBinary[T tensor.Elem](key loopKey) (kernel[T, T], bool) {
+	if key.aConst {
 		return nil, false
 	}
 	var k any
 	ok := false
-	switch dt {
+	switch key.dt {
 	case tensor.Float32:
-		c := float32(b.cf)
-		if !b.isConst || float64(c) == b.cf {
-			k, ok = nativeBinary(op, b.isConst, c)
+		k, ok = nativeBinary[float32](key.op, key.bConst)
+		if ok && key.bConst {
+			widened, _ := widenedConstBinary(key.op)
+			k = float32ConstGate(k.(kernel[float32, float32]), widened)
 		}
 	case tensor.Float64:
-		k, ok = nativeBinary(op, b.isConst, b.cf)
+		k, ok = nativeBinary[float64](key.op, key.bConst)
 	case tensor.Int64:
-		k, ok = nativeIntBinary(op, b.isConst, b.ci)
+		k, ok = nativeIntBinary[int64](key.op, key.bConst)
 	case tensor.Int32:
-		k, ok = nativeIntBinary(op, b.isConst, int32(b.ci))
+		k, ok = nativeIntBinary[int32](key.op, key.bConst)
 	case tensor.Uint8:
-		k, ok = nativeIntBinary(op, b.isConst, uint8(b.ci))
+		k, ok = nativeIntBinary[uint8](key.op, key.bConst)
 	}
 	if !ok {
 		return nil, false
@@ -70,28 +71,40 @@ func specializedBinary[T tensor.Elem](dt tensor.DType, op bytecode.Opcode, a, b 
 	return kt, ok
 }
 
+// float32ConstGate is float32 x ⊗ c: per call, the native body when c is
+// exactly a float32, the widened one otherwise (a NaN too).
+func float32ConstGate(native, widened kernel[float32, float32]) kernel[float32, float32] {
+	return func(d, x, y []float32, c args) {
+		if float64(float32(c[1].f)) == c[1].f {
+			native(d, x, y, c)
+		} else {
+			widened(d, x, y, c)
+		}
+	}
+}
+
 // nativeIntBinary restricts nativeBinary to the wrap-exact integer ops.
-func nativeIntBinary[T uint8 | int32 | int64](op bytecode.Opcode, bConst bool, c T) (kernel[T, T], bool) {
+func nativeIntBinary[T uint8 | int32 | int64](op bytecode.Opcode, bConst bool) (kernel[T, T], bool) {
 	if op == bytecode.OpDivide {
 		return nil, false // integer division by zero yields 0, not a trap
 	}
-	return nativeBinary(op, bConst, c)
+	return nativeBinary[T](op, bConst)
 }
 
 // nativeBinary compiles x ⊗ y (or x ⊗ c when bConst) in T's own
 // arithmetic.
-func nativeBinary[T uint8 | int32 | int64 | float32 | float64](op bytecode.Opcode, bConst bool, c T) (kernel[T, T], bool) {
+func nativeBinary[T uint8 | int32 | int64 | float32 | float64](op bytecode.Opcode, bConst bool) (kernel[T, T], bool) {
 	switch op {
 	case bytecode.OpAdd:
 		if bConst {
-			return func(d, x, _ []T) {
-				x = x[:len(d)]
+			return func(d, x, _ []T, k args) {
+				c, x := storageOf[T](k[1]), x[:len(d)]
 				for i := range d {
 					d[i] = x[i] + c
 				}
 			}, true
 		}
-		return func(d, x, y []T) {
+		return func(d, x, y []T, _ args) {
 			x, y = x[:len(d)], y[:len(d)]
 			for i := range d {
 				d[i] = x[i] + y[i]
@@ -99,14 +112,14 @@ func nativeBinary[T uint8 | int32 | int64 | float32 | float64](op bytecode.Opcod
 		}, true
 	case bytecode.OpSubtract:
 		if bConst {
-			return func(d, x, _ []T) {
-				x = x[:len(d)]
+			return func(d, x, _ []T, k args) {
+				c, x := storageOf[T](k[1]), x[:len(d)]
 				for i := range d {
 					d[i] = x[i] - c
 				}
 			}, true
 		}
-		return func(d, x, y []T) {
+		return func(d, x, y []T, _ args) {
 			x, y = x[:len(d)], y[:len(d)]
 			for i := range d {
 				d[i] = x[i] - y[i]
@@ -114,14 +127,14 @@ func nativeBinary[T uint8 | int32 | int64 | float32 | float64](op bytecode.Opcod
 		}, true
 	case bytecode.OpMultiply:
 		if bConst {
-			return func(d, x, _ []T) {
-				x = x[:len(d)]
+			return func(d, x, _ []T, k args) {
+				c, x := storageOf[T](k[1]), x[:len(d)]
 				for i := range d {
 					d[i] = x[i] * c
 				}
 			}, true
 		}
-		return func(d, x, y []T) {
+		return func(d, x, y []T, _ args) {
 			x, y = x[:len(d)], y[:len(d)]
 			for i := range d {
 				d[i] = x[i] * y[i]
@@ -129,14 +142,14 @@ func nativeBinary[T uint8 | int32 | int64 | float32 | float64](op bytecode.Opcod
 		}, true
 	case bytecode.OpDivide:
 		if bConst {
-			return func(d, x, _ []T) {
-				x = x[:len(d)]
+			return func(d, x, _ []T, k args) {
+				c, x := storageOf[T](k[1]), x[:len(d)]
 				for i := range d {
 					d[i] = x[i] / c
 				}
 			}, true
 		}
-		return func(d, x, y []T) {
+		return func(d, x, y []T, _ args) {
 			x, y = x[:len(d)], y[:len(d)]
 			for i := range d {
 				d[i] = x[i] / y[i]
@@ -154,9 +167,10 @@ const chainWidth = 5
 // arithmetic — each intermediate is what the native step kernel stores.
 // Every product is converted to T before it meets a sum: the Go spec lets
 // the compiler fuse only an unconverted product into a multiply-add. (m, s)
-// folds a constant step (chainTail), or is (1, 0), an exact identity here.
-func chainBody[T tensor.Elem](mul bool, k int, m, s T) func(d []T, x [chainWidth][]T) {
-	return func(d []T, x [chainWidth][]T) {
+// folds a constant step (chainTail), or is (1, 0), an exact identity here;
+// the step passes them per call, from the constant vector it runs under.
+func chainBody[T tensor.Elem](mul bool, k int) func(d []T, x [chainWidth][]T, m, s T) {
+	return func(d []T, x [chainWidth][]T, m, s T) {
 		a, b, c, e, f := x[0][:len(d)], x[1][:len(d)], x[2][:len(d)], x[3][:len(d)], x[4][:len(d)]
 		switch {
 		case k == 2 && mul:
@@ -201,13 +215,11 @@ var chainTailOps = []bytecode.Opcode{bytecode.OpAdd, bytecode.OpSubtract, byteco
 // v·1 is v, v − (−c) is v + c in IEEE 754 and in wrapping integer
 // arithmetic, and − +0 keeps every value, −0 included. Division does not
 // fold, nor a NaN (−c would flip its sign) or a constant T cannot hold.
-func chainTail[T tensor.Elem](op bytecode.Opcode, c bytecode.Constant, dt tensor.DType) (m, s T, ok bool) {
-	v, f := T(c.Int()), c.Float()
-	if dt.IsFloat() {
-		v = T(f)
-	}
+// A chain step asks once per run call.
+func chainTail[T tensor.Elem](op bytecode.Opcode, c scalar) (m, s T, ok bool) {
+	v := storageOf[T](c)
 	switch {
-	case dt.IsFloat() && float64(v) != f: // a NaN, or no float32
+	case isFloat[T]() && float64(v) != c.f: // a NaN, or no float32
 	case op == bytecode.OpMultiply:
 		return v, 0, true
 	case op == bytecode.OpAdd:

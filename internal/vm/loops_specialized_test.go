@@ -8,7 +8,14 @@ import (
 	"bohrium/internal/tensor"
 )
 
-var arrSrc = ksrc{}
+// binKey is the loopKey of a binary op over an array and an array or, when
+// bConst, a constant.
+func binKey(dt tensor.DType, op bytecode.Opcode, bConst bool) loopKey {
+	return loopKey{dt: dt, op: op, arity: 2, bConst: bConst}
+}
+
+// constArg passes c as a kernel's second, constant input.
+func constArg(c bytecode.Constant) args { return args{1: {c.Float(), c.Int()}} }
 
 // The specialized kernels claim bit-for-bit equality with the generic
 // class-widened bodies they shadow. These suites check every claim
@@ -50,11 +57,11 @@ func TestSpecFloat32ArrArrBitExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]float32, len(xs))
-		k, ok := specializedBinary[float32](tensor.Float32, tc.op, arrSrc, arrSrc)
+		k, ok := specializedBinary[float32](binKey(tensor.Float32, tc.op, false))
 		if !ok {
 			t.Fatalf("%s: specialized float32 arr-arr kernel missing", tc.op)
 		}
-		k(dst, xs, ys)
+		k(dst, xs, ys, args{})
 		for i := range xs {
 			want := float32(tc.k(float64(xs[i]), float64(ys[i])))
 			if math.Float32bits(dst[i]) != math.Float32bits(want) && !(math.IsNaN(float64(dst[i])) && math.IsNaN(float64(want))) {
@@ -65,32 +72,36 @@ func TestSpecFloat32ArrArrBitExact(t *testing.T) {
 	}
 }
 
+// TestSpecFloat32ConstGate: one float32 x ⊗ c kernel picks its body per
+// call — native when c is exactly a float32, widened otherwise (0.1, NaN)
+// — and matches the double-rounding reference bitwise for each, while the
+// native body alone would not for 0.1.
 func TestSpecFloat32ConstGate(t *testing.T) {
 	xs, _ := specF32Inputs()
 	dst := make([]float32, len(xs))
-	// Exactly representable constant: the kernel compiles and matches the
-	// double-rounding reference bitwise.
-	exact := 1.5
-	k, ok := specializedBinary[float32](tensor.Float32, bytecode.OpMultiply, arrSrc, ksrc{isConst: true, cf: exact})
-	if !ok {
-		t.Fatal("exact float32 constant declined")
-	}
-	k(dst, xs, nil)
-	for i := range xs {
-		want := float32(float64(xs[i]) * exact)
-		if math.Float32bits(dst[i]) != math.Float32bits(want) && !(math.IsNaN(float64(dst[i])) && math.IsNaN(float64(want))) {
-			t.Fatalf("mul-const[%d]: spec %x, reference %x", i, math.Float32bits(dst[i]), math.Float32bits(want))
+	for _, op := range []bytecode.Opcode{bytecode.OpAdd, bytecode.OpMultiply} {
+		k, ok := specializedBinary[float32](binKey(tensor.Float32, op, true))
+		if !ok {
+			t.Fatalf("%s: float32 constant kernel missing", op)
+		}
+		ref, _ := floatBinaryKernel(op)
+		for _, c := range []float64{1.5, 0.1, math.NaN(), 0.5} {
+			k(dst, xs, nil, constArg(bytecode.ConstFloat(c)))
+			for i := range xs {
+				if want := float32(ref(float64(xs[i]), c)); !sameF32(dst[i], want) {
+					t.Fatalf("%s %v [%d]: kernel %x, reference %x", op, c, i, math.Float32bits(dst[i]), math.Float32bits(want))
+				}
+			}
 		}
 	}
-	// 0.1 is not a float32: the specialization must decline so the generic
-	// double-rounding body keeps the interpreted semantics.
-	if _, ok := specializedBinary[float32](tensor.Float32, bytecode.OpAdd, arrSrc, ksrc{isConst: true, cf: 0.1}); ok {
-		t.Error("inexact float32 constant was not declined")
+	native, _ := nativeBinary[float32](bytecode.OpAdd, true)
+	native(dst, xs, nil, constArg(bytecode.ConstFloat(0.1)))
+	differs := false
+	for i := range xs {
+		differs = differs || !sameF32(dst[i], float32(float64(xs[i])+0.1))
 	}
-	// Neither is NaN (the gate's c==c comparison fails), which is the
-	// conservative choice.
-	if _, ok := specializedBinary[float32](tensor.Float32, bytecode.OpAdd, arrSrc, ksrc{isConst: true, cf: math.NaN()}); ok {
-		t.Error("NaN constant was not declined")
+	if !differs {
+		t.Error("native float32 + 0.1 matches the reference everywhere: the gate is not exercised")
 	}
 }
 
@@ -116,11 +127,11 @@ func TestSpecFloat64BitExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]float64, len(xs))
-		k, ok := specializedBinary[float64](tensor.Float64, tc.op, arrSrc, arrSrc)
+		k, ok := specializedBinary[float64](binKey(tensor.Float64, tc.op, false))
 		if !ok {
 			t.Fatalf("%s: native float64 kernel missing", tc.op)
 		}
-		k(dst, xs, ys)
+		k(dst, xs, ys, args{})
 		for i := range xs {
 			want := tc.k(xs[i], ys[i])
 			if math.Float64bits(dst[i]) != math.Float64bits(want) && !(math.IsNaN(dst[i]) && math.IsNaN(want)) {
@@ -130,11 +141,11 @@ func TestSpecFloat64BitExact(t *testing.T) {
 		// Constant form too.
 		c := 1.0 / 3.0
 		dstC := make([]float64, len(xs))
-		kC, ok := specializedBinary[float64](tensor.Float64, tc.op, arrSrc, ksrc{isConst: true, cf: c})
+		kC, ok := specializedBinary[float64](binKey(tensor.Float64, tc.op, true))
 		if !ok {
 			t.Fatalf("%s: native float64 const kernel missing", tc.op)
 		}
-		kC(dstC, xs, nil)
+		kC(dstC, xs, nil, constArg(bytecode.ConstFloat(c)))
 		for i := range xs {
 			want := tc.k(xs[i], c)
 			if math.Float64bits(dstC[i]) != math.Float64bits(want) && !(math.IsNaN(dstC[i]) && math.IsNaN(want)) {
@@ -157,11 +168,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 	}
 	for _, tc := range ops {
 		dst := make([]int32, len(xs32))
-		k, ok := specializedBinary[int32](tensor.Int32, tc.op, arrSrc, arrSrc)
+		k, ok := specializedBinary[int32](binKey(tensor.Int32, tc.op, false))
 		if !ok {
 			t.Fatalf("%s: specialized int32 kernel missing", tc.op)
 		}
-		k(dst, xs32, ys32)
+		k(dst, xs32, ys32, args{})
 		for i := range xs32 {
 			// Reference: the generic body's widen-compute-truncate.
 			want := int32(tc.k(int64(xs32[i]), int64(ys32[i])))
@@ -173,11 +184,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 		// truncate-first evaluation must still match truncate-last.
 		bigC := int64(math.MaxInt32) + 12345
 		dstC := make([]int32, len(xs32))
-		kC, ok := specializedBinary[int32](tensor.Int32, tc.op, arrSrc, ksrc{isConst: true, ci: bigC})
+		kC, ok := specializedBinary[int32](binKey(tensor.Int32, tc.op, true))
 		if !ok {
 			t.Fatalf("%s: specialized int32 const kernel missing", tc.op)
 		}
-		kC(dstC, xs32, nil)
+		kC(dstC, xs32, nil, constArg(bytecode.ConstInt(bigC)))
 		for i := range xs32 {
 			want := int32(tc.k(int64(xs32[i]), bigC))
 			if dstC[i] != want {
@@ -188,11 +199,11 @@ func TestSpecIntWrapExact(t *testing.T) {
 		xs64 := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, 1 << 62, -(1 << 62), 2654435761}
 		ys64 := []int64{1, -1, math.MaxInt64, 3, math.MinInt64, 7, -13, 40503}
 		dst64 := make([]int64, len(xs64))
-		k64, ok := specializedBinary[int64](tensor.Int64, tc.op, arrSrc, arrSrc)
+		k64, ok := specializedBinary[int64](binKey(tensor.Int64, tc.op, false))
 		if !ok {
 			t.Fatalf("%s: specialized int64 kernel missing", tc.op)
 		}
-		k64(dst64, xs64, ys64)
+		k64(dst64, xs64, ys64, args{})
 		for i := range xs64 {
 			if want := tc.k(xs64[i], ys64[i]); dst64[i] != want {
 				t.Fatalf("%s int64[%d]: spec %d, reference %d", tc.op, i, dst64[i], want)
@@ -202,17 +213,17 @@ func TestSpecIntWrapExact(t *testing.T) {
 		xs8 := []uint8{0, 1, 2, 127, 128, 200, 254, 255}
 		ys8 := []uint8{255, 1, 128, 129, 128, 100, 3, 255}
 		dst8 := make([]uint8, len(xs8))
-		k8, ok := specializedBinary[uint8](tensor.Uint8, tc.op, arrSrc, arrSrc)
+		k8, ok := specializedBinary[uint8](binKey(tensor.Uint8, tc.op, false))
 		if !ok {
 			t.Fatalf("%s: specialized uint8 kernel missing", tc.op)
 		}
-		k8(dst8, xs8, ys8)
-		k8C, ok := specializedBinary[uint8](tensor.Uint8, tc.op, arrSrc, ksrc{isConst: true, ci: -1000003})
+		k8(dst8, xs8, ys8, args{})
+		k8C, ok := specializedBinary[uint8](binKey(tensor.Uint8, tc.op, true))
 		if !ok {
 			t.Fatalf("%s: specialized uint8 const kernel missing", tc.op)
 		}
 		dst8C := make([]uint8, len(xs8))
-		k8C(dst8C, xs8, nil)
+		k8C(dst8C, xs8, nil, constArg(bytecode.ConstInt(-1000003)))
 		for i := range xs8 {
 			if want := uint8(tc.k(int64(xs8[i]), int64(ys8[i]))); dst8[i] != want {
 				t.Fatalf("%s uint8[%d]: spec %d, reference %d", tc.op, i, dst8[i], want)
@@ -269,14 +280,14 @@ func TestStagedFloat32BitExact(t *testing.T) {
 	}
 	for _, op := range bytecode.Opcodes() {
 		if k, ok := floatUnaryKernel(op); ok && op != bytecode.OpIdentity {
-			kern, ok := compileLoop[float32](tensor.Float32, op, []ksrc{arrSrc})
+			kern, ok := compileLoop[float32](loopKey{dt: tensor.Float32, op: op, arity: 1})
 			if !ok {
 				t.Fatalf("%s: no float32 kernel", op)
 			}
 			dst := make([]float32, len(xs))
-			kern(dst, xs, nil)
+			kern(dst, xs, nil, args{})
 			inPlace := append([]float32(nil), xs...)
-			kern(inPlace, inPlace, nil)
+			kern(inPlace, inPlace, nil, args{})
 			for i, x := range xs {
 				want := float32(k(float64(x)))
 				if !sameF32(dst[i], want) || !sameF32(inPlace[i], want) {
@@ -291,27 +302,27 @@ func TestStagedFloat32BitExact(t *testing.T) {
 		}
 		const c = 2.7
 		for _, mix := range []struct {
-			name string
-			a, b ksrc
-			ref  func(i int) float64
+			name           string
+			aConst, bConst bool
+			ref            func(i int) float64
 		}{
-			{"arr-arr", arrSrc, arrSrc, func(i int) float64 { return k(float64(xs[i]), float64(ys[i])) }},
-			{"arr-const", arrSrc, ksrc{isConst: true, cf: c}, func(i int) float64 { return k(float64(xs[i]), c) }},
-			{"const-arr", ksrc{isConst: true, cf: c}, arrSrc, func(i int) float64 { return k(c, float64(ys[i])) }},
+			{"arr-arr", false, false, func(i int) float64 { return k(float64(xs[i]), float64(ys[i])) }},
+			{"arr-const", false, true, func(i int) float64 { return k(float64(xs[i]), c) }},
+			{"const-arr", true, false, func(i int) float64 { return k(c, float64(ys[i])) }},
 		} {
-			kern, ok := compileLoop[float32](tensor.Float32, op, []ksrc{mix.a, mix.b})
+			kern, ok := compileLoop[float32](loopKey{dt: tensor.Float32, op: op, arity: 2, aConst: mix.aConst, bConst: mix.bConst})
 			if !ok {
 				t.Fatalf("%s %s: no float32 kernel", op, mix.name)
 			}
 			var a, b []float32
-			if !mix.a.isConst {
+			if !mix.aConst {
 				a = xs
 			}
-			if !mix.b.isConst {
+			if !mix.bConst {
 				b = ys
 			}
 			dst := make([]float32, len(xs))
-			kern(dst, a, b)
+			kern(dst, a, b, args{{f: c}, {f: c}})
 			for i := range xs {
 				if want := float32(mix.ref(i)); !sameF32(dst[i], want) {
 					t.Fatalf("%s %s [%d] (%v, %v): kernel %x, reference %x", op, mix.name, i, xs[i], ys[i],

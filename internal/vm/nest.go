@@ -49,6 +49,7 @@ type nest struct {
 	lag        *lagStore // non-nil: the last step is a lagged closing write
 	line       int       // > 0: the last step folds lines of this many elements
 	chained    int       // instructions that run inside chain steps
+	konst      int       // the constant vector's index of the first constant at or after start
 }
 
 // nestStep is one instruction of a nest.
@@ -73,13 +74,15 @@ type bufSpan struct {
 // slot in the worker's offset table and its innermost stride; when that is
 // not 1, row is the slab offset of its gather (or scatter) block. A virtual
 // operand (slotVirtual) lives in the slab alone, at row — plus the current
-// ring slot for slotRing. slotNone: a constant or absent operand.
+// ring slot for slotRing. slotConst: a constant, at index row of the
+// constant vector. slotNone: an absent operand.
 type operandAccess struct{ slot, stride, row int }
 
 const (
 	slotNone    = -1
 	slotVirtual = -2
 	slotRing    = -3 // virtual, and its runs are the lagged store's ring
+	slotConst   = -4
 )
 
 // stepCode is a typed step's compiled, buffer-independent code. run
@@ -93,11 +96,13 @@ type stepCode interface {
 }
 
 // nestWorker is one chunk's position in the nest, its scratch slab per
-// dtype, its share of the lagged store and its fold.
+// dtype, the constant vector it runs under, its share of the lagged store
+// and its fold.
 type nestWorker struct {
-	offs   []int            // current row's base offset per operand slot
-	coords []int            // odometer position over the outer axes
-	slab   [8]tensor.Buffer // at least nest.slab[dtype] elements each
+	offs   []int               // current row's base offset per operand slot
+	coords []int               // odometer position over the outer axes
+	slab   [8]tensor.Buffer    // at least nest.slab[dtype] elements each
+	consts []bytecode.Constant // the constant vector: steps read their slots once per run call
 
 	slot                  int      // slab offset of the current run's ring (or hold) slot
 	pend                  []lagRun // results not yet stored: hold slots first, then the ring
@@ -124,15 +129,15 @@ func grown[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// prepare readies count workers for one execution of ns.
-func (f *nestFrame) prepare(ns *nest, count int) []nestWorker {
+// prepare readies count workers for one execution of ns under consts.
+func (f *nestFrame) prepare(ns *nest, count int, consts []bytecode.Constant) []nestWorker {
 	for len(f.workers) < count {
 		f.workers = append(f.workers, nestWorker{})
 	}
 	ws := f.workers[:count]
 	for i := range ws {
 		w := &ws[i]
-		w.offs, w.coords = grown(w.offs, len(ns.bases)), grown(w.coords, len(ns.outer))
+		w.offs, w.coords, w.consts = grown(w.offs, len(ns.bases)), grown(w.coords, len(ns.outer)), consts
 		for dt, n := range ns.slab {
 			if n > 0 && (w.slab[dt] == nil || w.slab[dt].Len() < n) {
 				w.slab[dt] = tensor.MustBuffer(tensor.DType(dt), n)
@@ -155,21 +160,32 @@ func operands(in *bytecode.Instruction) [3]*bytecode.Operand {
 	return [3]*bytecode.Operand{&in.Out, &in.In1, &in.In2}
 }
 
-// compileNest compiles instructions [start, end) of p, vetted by sweepAt,
-// into a nest outside any plan and arena, for the executing side
-// (unfold). A single instruction whose op has no kernel yields nil.
-func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape) *nest {
+// compileNest compiles instructions [start, end) of p, vetted by sweepAt and
+// with constants from index konst on, into a nest outside any plan and
+// arena, for the executing side (unfold). A single instruction whose op has
+// no kernel yields nil.
+func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, konst int) *nest {
 	ns := new(nest)
 	new(compileArena).layoutNest(ns, p, start, end, shape, liveness{}, nil)
+	ns.konst = konst
 	if !ns.attach(p, &kernelSlabs{}) {
 		return nil
 	}
 	return ns
 }
 
-// attach compiles ns's kernel steps from p, the part of a nest that
-// captures constants; false: a single instruction whose op has no kernel.
+// attach gives each constant operand of ns its slot in the constant vector
+// and compiles ns's kernel steps from p; false: a single instruction whose
+// op has no kernel.
 func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
+	slot := ns.konst
+	for i := range ns.steps {
+		for k, o := range operands(&p.Instrs[ns.steps[i].index]) {
+			if o.IsConst() {
+				ns.steps[i].acc[k], slot = operandAccess{slot: slotConst, row: slot}, slot+1
+			}
+		}
+	}
 	for k := 0; k < len(ns.steps); k += ns.steps[k].width {
 		st := &ns.steps[k]
 		in := &p.Instrs[st.index]
@@ -178,17 +194,17 @@ func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
 			st.code = newFoldStep(in, st, ns.line)
 			break
 		}
-		srcDT, srcs := st.ops[0].dtype, make([]ksrc, 0, 2)
+		srcDT := st.ops[0].dtype
+		key := loopKey{dt: srcDT, op: in.Op, aConst: in.In1.IsConst(), bConst: in.In2.IsConst()}
 		for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
-			switch {
-			case o.IsConst():
-				srcs = append(srcs, constSrc(o.Const))
-			case o.IsReg():
-				srcs = append(srcs, ksrc{})
+			if o.IsReg() {
 				srcDT = st.ops[j+1].dtype
 			}
+			if o.Kind != bytecode.OperandNone {
+				key.arity++
+			}
 		}
-		st.code = newKernelStep(p, ns.steps[k:k+st.width], srcDT, srcs, ks)
+		st.code = newKernelStep(p, ns.steps[k:k+st.width], srcDT, key, ks)
 	}
 	return ns.fused || ns.steps[0].code != nil
 }
@@ -537,40 +553,31 @@ func (ns *nest) drain(w *nestWorker, ops [][3]tensor.Buffer) {
 }
 
 // newKernelStep compiles steps — one instruction with source dtype srcDT
-// and kernel sources srcs, or a chain (chainAt) — for the result's dtype,
-// or returns nil when the op has no kernel.
-func newKernelStep(p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc, ks *kernelSlabs) stepCode {
+// and kernel key key, or a chain (chainAt) — for the result's dtype, or
+// returns nil when the op has no kernel.
+func newKernelStep(p *bytecode.Program, steps []nestStep, srcDT tensor.DType, key loopKey, ks *kernelSlabs) stepCode {
 	switch steps[0].ops[0].dtype {
 	case tensor.Float64:
-		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.f64)
+		return kernelStepTo(p, steps, srcDT, key, ks, &ks.f64)
 	case tensor.Float32:
-		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.f32)
+		return kernelStepTo(p, steps, srcDT, key, ks, &ks.f32)
 	case tensor.Int64:
-		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.i64)
+		return kernelStepTo(p, steps, srcDT, key, ks, &ks.i64)
 	case tensor.Int32:
-		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.i32)
+		return kernelStepTo(p, steps, srcDT, key, ks, &ks.i32)
 	case tensor.Bool, tensor.Uint8:
-		return kernelStepTo(p, steps, srcDT, srcs, ks, &ks.u8)
+		return kernelStepTo(p, steps, srcDT, key, ks, &ks.u8)
 	}
 	return nil
 }
 
-func kernelStepTo[D tensor.Elem](p *bytecode.Program, steps []nestStep, srcDT tensor.DType, srcs []ksrc, ks *kernelSlabs, same *[]kernelStep[D, D]) stepCode {
+func kernelStepTo[D tensor.Elem](p *bytecode.Program, steps []nestStep, srcDT tensor.DType, key loopKey, ks *kernelSlabs, same *[]kernelStep[D, D]) stepCode {
 	if len(steps) > 1 {
-		return chainStepOf[D](p, steps)
+		return chainStepOf[D](p, steps, ks)
 	}
-	dstDT, op, acc := steps[0].ops[0].dtype, p.Instrs[steps[0].index].Op, steps[0].acc
+	dstDT, acc := steps[0].ops[0].dtype, steps[0].acc
 	if srcDT == dstDT {
-		key, k, ok := int(dstDT)<<16|int(op)<<2|len(srcs), kernel[D, D](nil), false
-		if slices.ContainsFunc(srcs, func(s ksrc) bool { return s.isConst }) {
-			key = 0
-		}
-		if i := slices.Index(ks.keys[:ks.nkeys], key); i >= 0 {
-			k, ok = ks.loops[i].(kernel[D, D]), true
-		} else if k, ok = compileLoop[D](dstDT, op, srcs); ok && key != 0 && ks.nkeys < len(ks.keys) {
-			ks.keys[ks.nkeys], ks.loops[ks.nkeys] = key, k
-			ks.nkeys++
-		}
+		k, ok := loopOf[D](ks, key)
 		if !ok {
 			return nil
 		}
@@ -604,7 +611,7 @@ func kernelStepOf[D, S tensor.Elem](st *kernelStep[D, S], k kernel[D, S], dstDT,
 
 // kernelSlabs hands a plan its same-type kernel steps out of one slice per
 // storage type, sized by the nest's steps still to attach, and shares each
-// kernel over registers only: it depends on its dtype, op and arity alone.
+// kernel among the plan's steps of one loopKey: a kernel holds no constant.
 type kernelSlabs struct {
 	left, nkeys int
 	f64         []kernelStep[float64, float64]
@@ -612,8 +619,22 @@ type kernelSlabs struct {
 	i64         []kernelStep[int64, int64]
 	i32         []kernelStep[int32, int32]
 	u8          []kernelStep[uint8, uint8]
-	keys        [8]int // dtype<<16 | op<<2 | arity
+	keys        [8]loopKey
 	loops       [8]any // kernel[T, T] per key
+}
+
+// loopOf returns key's kernel, compiled once per plan (for its first
+// len(ks.keys) keys).
+func loopOf[T tensor.Elem](ks *kernelSlabs, key loopKey) (kernel[T, T], bool) {
+	if i := slices.Index(ks.keys[:ks.nkeys], key); i >= 0 {
+		return ks.loops[i].(kernel[T, T]), true
+	}
+	k, ok := compileLoop[T](key)
+	if ok && ks.nkeys < len(ks.keys) {
+		ks.keys[ks.nkeys], ks.loops[ks.nkeys] = key, k
+		ks.nkeys++
+	}
+	return k, ok
 }
 
 // kernelStep is a step's typed code: D is the result's storage type, S
@@ -628,18 +649,19 @@ type kernelStep[D, S tensor.Elem] struct {
 func (st *kernelStep[D, S]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
 	a := inputRun[S](w, st.srcDT, ops[0][1], st.in1, col, n)
 	b := inputRun[S](w, st.srcDT, ops[0][2], st.in2, col, n)
+	c := args{w.arg(st.in1), w.arg(st.in2)}
 	if st.out.slot <= slotVirtual {
-		st.kern(virtualRun[D](w, st.dstDT, st.out, n), a, b)
+		st.kern(virtualRun[D](w, st.dstDT, st.out, n), a, b, c)
 		return
 	}
 	dst, _ := tensor.RawSlice[D](ops[0][0])
 	off := w.offs[st.out.slot] + col*st.out.stride
 	if st.out.stride == 1 {
-		st.kern(dst[off:off+n], a, b)
+		st.kern(dst[off:off+n], a, b, c)
 		return
 	}
 	d := slabOf[D](w, st.dstDT)[st.out.row:][:n]
-	st.kern(d, a, b)
+	st.kern(d, a, b, c)
 	for _, v := range d {
 		dst[off] = v
 		off += st.out.stride
@@ -661,25 +683,28 @@ func (st *kernelStep[D, S]) store(w *nestWorker, dstBuf tensor.Buffer, from, off
 
 // chainStep runs a chain (chainAt) as one loop, chainBody: t's run is
 // written once, not once per instruction. Its kernelStep has t's run and,
-// if chainTail cannot fold the constant step, that step's kernel.
+// when the chain ends in a constant step, that step's op, constant (in2)
+// and kernel: each run call folds the constant into the loop when
+// chainTail can and runs the kernel over t's run after it otherwise.
 type chainStep[T tensor.Elem] struct {
 	kernelStep[T, T]
-	body func(d []T, x [chainWidth][]T)
+	body func(d []T, x [chainWidth][]T, m, s T)
 	in   []operandAccess // the head's two inputs, then each further step's second
+	tail bytecode.Opcode // the constant step's op; zero: none
 }
 
-func chainStepOf[T tensor.Elem](p *bytecode.Program, steps []nestStep) stepCode {
+func chainStepOf[T tensor.Elem](p *bytecode.Program, steps []nestStep, ks *kernelSlabs) stepCode {
 	dt := steps[0].ops[0].dtype
 	st := &chainStep[T]{kernelStep: kernelStep[T, T]{out: steps[0].acc[0], dstDT: dt}, in: []operandAccess{steps[0].acc[1]}}
-	m, s, ok := T(1), T(0), true
 	for _, sj := range steps {
 		if in := &p.Instrs[sj.index]; !in.In2.IsConst() {
 			st.in = append(st.in, sj.acc[2])
-		} else if m, s, ok = chainTail[T](in.Op, in.In2.Const, dt); !ok {
-			st.kern, _ = compileLoop[T](dt, in.Op, []ksrc{{}, constSrc(in.In2.Const)})
+		} else {
+			st.tail, st.in2 = in.Op, sj.acc[2]
+			st.kern, _ = loopOf[T](ks, loopKey{dt: dt, op: in.Op, arity: 2, bConst: true})
 		}
 	}
-	st.body = chainBody(p.Instrs[steps[0].index].Op == bytecode.OpMultiply, len(st.in), m, s)
+	st.body = chainBody[T](p.Instrs[steps[0].index].Op == bytecode.OpMultiply, len(st.in))
 	return st
 }
 
@@ -689,9 +714,11 @@ func (st *chainStep[T]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
 	for j, acc := range st.in[1:] {
 		x[j+1] = inputRun[T](w, st.dstDT, ops[j][2], acc, col, n)
 	}
-	st.body(d, x)
-	if st.kern != nil {
-		st.kern(d, d, nil)
+	c := args{1: w.arg(st.in2)}
+	m, s, folded := chainTail[T](st.tail, c[1]) // (1, 0, false) with no tail
+	st.body(d, x, m, s)
+	if !folded && st.kern != nil {
+		st.kern(d, d, nil, c)
 	}
 }
 
@@ -700,7 +727,7 @@ func (st *chainStep[T]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
 // itself when its innermost stride is 1, gathered into scratch otherwise.
 func inputRun[T tensor.Elem](w *nestWorker, dt tensor.DType, buf tensor.Buffer, acc operandAccess, col, n int) []T {
 	switch acc.slot {
-	case slotNone:
+	case slotNone, slotConst:
 		return nil
 	case slotVirtual, slotRing:
 		return virtualRun[T](w, dt, acc, n)
@@ -716,6 +743,16 @@ func inputRun[T tensor.Elem](w *nestWorker, dt tensor.DType, buf tensor.Buffer, 
 		off += acc.stride
 	}
 	return s
+}
+
+// arg is a constant operand's value in the vector w runs under; zero for
+// any other operand.
+func (w *nestWorker) arg(acc operandAccess) scalar {
+	if acc.slot != slotConst {
+		return scalar{}
+	}
+	c := &w.consts[acc.row]
+	return scalar{c.Float(), c.Int()}
 }
 
 // virtualRun is the current run of a virtual operand.
@@ -791,15 +828,16 @@ func (ns *nest) advance(w *nestWorker) {
 	}
 }
 
-// runNest executes a compiled nest against m's current register
-// bindings. Result registers materialize on demand; so do the inputs of a
-// fused cluster (virtual registers bind nothing), while a single
-// instruction requires its inputs bound, exactly as the interpreter does.
+// runNest executes a compiled nest against m's current register bindings
+// under the constant vector consts. Result registers materialize on
+// demand; so do the inputs of a fused cluster (virtual registers bind
+// nothing), while a single instruction requires its inputs bound, exactly
+// as the interpreter does.
 // A single instruction whose buffers turn out to need the interpreter's
 // dynamic handling — a bound buffer of another dtype than declared, or an
 // input aliasing the result's buffer through a different overlapping
 // window — runs there instead.
-func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
+func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	m.frame.ops = grown(m.frame.ops, len(ns.steps))
 	ops := m.frame.ops
 	defer clear(ops) // the frame must not pin buffers between executions
@@ -824,7 +862,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 			}
 			if buf.DType() != span.dtype {
 				if !ns.fused {
-					return m.interpret(p, ns.start, ns.end)
+					return m.interpret(p, ns.start, ns.end, consts[ns.konst:])
 				}
 				role := "input"
 				if k == 0 {
@@ -838,7 +876,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 			}
 			if k > 0 && !ns.fused && buf == bufs[0] && o.Reg != in.Out.Reg &&
 				!o.View.Equal(in.Out.View) && o.View.Overlaps(in.Out.View) {
-				return m.interpret(p, ns.start, ns.end)
+				return m.interpret(p, ns.start, ns.end, consts[ns.konst:])
 			}
 			bufs[k] = buf
 		}
@@ -855,7 +893,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 		for si, bufs := range ops {
 			for j, b := range bufs {
 				if b == ops[k-1][0] && (si < k-1 || j > 0) {
-					return m.unfold(p, ns)
+					return m.unfold(p, ns, consts)
 				}
 			}
 		}
@@ -870,10 +908,10 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 	}
 	if ns.line > 0 {
 		m.stats.fusedReductions.Add(1)
-		m.runFold(p, ns, ops)
+		m.runFold(p, ns, ops, consts)
 	} else {
 		count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)
-		workers := m.frame.prepare(ns, count)
+		workers := m.frame.prepare(ns, count, consts)
 		m.par.parallelFor(ns.total, m.cfg.ParallelThreshold, func(lo, hi int) {
 			ns.sweep(&workers[lo/size], ops, lo, hi)
 		})
@@ -899,19 +937,19 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest) error {
 // their partials merged in chunk order, or one worker. The fold order — and
 // with it the result, bit for bit the interpreter's — never depends on the
 // worker count.
-func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer) {
+func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer, consts []bytecode.Constant) {
 	line, lines := ns.line, ns.total/ns.line
 	switch m.sweepStrategyFor(p.Instrs[ns.end-1].Out.View, lines, line) {
 	case sweepSplitOutputs:
 		count, size := m.par.chunks(lines, 2)
-		ws := m.frame.prepare(ns, count)
+		ws := m.frame.prepare(ns, count, consts)
 		m.par.parallelFor(lines, 2, func(lo, hi int) {
 			ns.sweep(&ws[lo/size], ops, lo*line, hi*line)
 		})
 	case sweepChunkAxis:
 		size, nc := chunkParams(line)
 		count, per := m.par.chunks(nc, 2)
-		ws := m.frame.prepare(ns, count)
+		ws := m.frame.prepare(ns, count, consts)
 		m.frame.parts = grown(m.frame.parts, nc)
 		parts, fold := m.frame.parts, ns.steps[len(ns.steps)-1].code.(folder)
 		for l := 0; l < lines; l++ {
@@ -926,22 +964,22 @@ func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer)
 			fold.merge(ops[len(ops)-1][0], parts, l)
 		}
 	default:
-		ns.sweep(&m.frame.prepare(ns, 1)[0], ops, 0, ns.total)
+		ns.sweep(&m.frame.prepare(ns, 1, consts)[0], ops, 0, ns.total)
 	}
 }
 
 // unfold runs a fold nest as two sweeps: its producers as a plain nest,
-// then the interpreter's reduction.
-func (m *Machine) unfold(p *bytecode.Program, ns *nest) error {
+// then the interpreter's reduction, which reads no constant.
+func (m *Machine) unfold(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	red := ns.end - 1
-	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape); pn != nil {
-		if err := m.runNest(p, pn); err != nil {
+	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape, ns.konst); pn != nil {
+		if err := m.runNest(p, pn, consts); err != nil {
 			return err
 		}
-	} else if err := m.interpret(p, ns.start, red); err != nil {
+	} else if err := m.interpret(p, ns.start, red, consts[ns.konst:]); err != nil {
 		return err
 	}
-	return m.interpret(p, red, ns.end)
+	return m.interpret(p, red, ns.end, nil)
 }
 
 // foldAcc is a worker's fold state: the accumulator, in its class's field;
@@ -1087,12 +1125,20 @@ func (st *foldStep[T, E]) merge(out tensor.Buffer, parts []foldAcc, l int) {
 func (*foldStep[T, E]) store(*nestWorker, tensor.Buffer, int, int, int, int) {}
 
 // interpret runs instructions [start, end) one at a time through the
-// accessor interpreter (exec.go).
-func (m *Machine) interpret(p *bytecode.Program, start, end int) error {
+// accessor interpreter (exec.go), under k: the constant vector from
+// instruction start's first constant on.
+func (m *Machine) interpret(p *bytecode.Program, start, end int, k []bytecode.Constant) error {
 	for i := start; i < end; i++ {
-		if err := m.exec(p, &p.Instrs[i]); err != nil {
+		in := &p.Instrs[i]
+		if err := m.exec(p, in, k); err != nil {
 			return instrErr(p, i, err)
 		}
+		k = k[constCount(in):]
 	}
 	return nil
+}
+
+// constCount is how many entries in adds to its program's constant vector.
+func constCount(in *bytecode.Instruction) int {
+	return int(b2i(in.In1.IsConst()) + b2i(in.In2.IsConst()))
 }

@@ -282,27 +282,47 @@ func TestNestChainRule(t *testing.T) {
 }
 
 // chainShapes lists pl's chain steps in program order: each one's input
-// count, then "*" when it folds a constant step into its loop, or "/" when
-// that step runs as a pass of its own.
+// count, then, when it ends in a constant step, "*" if a run under the
+// plan's own vector folds that step into its loop, or "/" if the step runs
+// as a pass of its own.
 func chainShapes(pl *Plan) string {
 	var out []string
 	for k := range pl.clusters {
 		ns := &pl.clusters[k]
 		for i := 0; i < len(ns.steps); i++ {
 			if st := &ns.steps[i]; st.width > 1 {
-				v := reflect.ValueOf(st.code).Elem()
-				shape := fmt.Sprint(v.FieldByName("in").Len())
-				switch {
-				case !v.FieldByName("kern").IsNil():
-					shape += "/"
-				case pl.prog.Instrs[st.index+st.width-1].In2.IsConst():
+				shape := fmt.Sprint(reflect.ValueOf(st.code).Elem().FieldByName("in").Len())
+				switch tail := &pl.prog.Instrs[st.index+st.width-1]; {
+				case !tail.In2.IsConst():
+				case tailFolds(tail, st.ops[0].dtype):
 					shape += "*"
+				default:
+					shape += "/"
 				}
 				out = append(out, shape)
 			}
 		}
 	}
 	return strings.Join(out, " ")
+}
+
+// tailFolds reports whether chainTail folds the constant step in of a
+// chain of dtype dt.
+func tailFolds(in *bytecode.Instruction, dt tensor.DType) (ok bool) {
+	c := scalar{in.In2.Const.Float(), in.In2.Const.Int()}
+	switch dt {
+	case tensor.Float64:
+		_, _, ok = chainTail[float64](in.Op, c)
+	case tensor.Float32:
+		_, _, ok = chainTail[float32](in.Op, c)
+	case tensor.Int64:
+		_, _, ok = chainTail[int64](in.Op, c)
+	case tensor.Int32:
+		_, _, ok = chainTail[int32](in.Op, c)
+	default:
+		_, _, ok = chainTail[uint8](in.Op, c)
+	}
+	return ok
 }
 
 // unchained recompiles every nest of pl with its chains split back into
@@ -343,7 +363,7 @@ func BenchmarkNestChain(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := pl.Execute(m); err != nil {
+			if err := pl.Execute(m, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

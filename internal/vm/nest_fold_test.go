@@ -287,13 +287,13 @@ func BenchmarkNestEpilogue(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := pl.Execute(m); err != nil {
+			if err := pl.Execute(m, nil); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(bc.dt.Size() * bc.rows * bc.cols))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := pl.Execute(m); err != nil {
+				if err := pl.Execute(m, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -505,7 +505,7 @@ func foldRun(t *testing.T, fc foldCase, gp genProgram, cfg Config, perElement bo
 			}
 		}
 	}
-	if err := pl.Execute(m); err != nil {
+	if err := pl.Execute(m, nil); err != nil {
 		t.Fatalf("%v: %v", fc, err)
 	}
 	if st := m.Stats(); st.FusedReductions != 1 {

@@ -176,11 +176,11 @@ func TestNestChunkEdgeHold(t *testing.T) {
 		}
 	}
 	for round := 0; round < rounds; round++ {
-		if err := oracle.interpret(gp.prog, 0, len(gp.prog.Instrs)); err != nil {
+		if err := oracle.interpret(gp.prog, 0, len(gp.prog.Instrs), gp.prog.Constants()); err != nil {
 			t.Fatal(err)
 		}
 		for workers, m := range machines {
-			if err := pl.Execute(m); err != nil {
+			if err := pl.Execute(m, nil); err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < want.Buf.Len(); i++ {
@@ -221,7 +221,7 @@ func TestNestExecuteReusesFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			exec := func() {
-				if err := pl.Execute(m); err != nil {
+				if err := pl.Execute(m, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -292,13 +292,13 @@ func BenchmarkNestStencil(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := pl.Execute(m); err != nil { // size the frame
+	if err := pl.Execute(m, nil); err != nil { // size the frame
 		b.Fatal(err)
 	}
 	b.SetBytes(2 * 8 * n * n) // compulsory traffic: the grid read and written once
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pl.Execute(m); err != nil {
+		if err := pl.Execute(m, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

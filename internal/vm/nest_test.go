@@ -352,7 +352,7 @@ func genRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine 
 	var err error
 	if interpreter {
 		m.regs.grow(len(p.Regs))
-		err = m.interpret(p, 0, len(p.Instrs))
+		err = m.interpret(p, 0, len(p.Instrs), p.Constants())
 	} else {
 		err = m.Run(p)
 	}
@@ -519,10 +519,14 @@ func FuzzNestDifferential(f *testing.F) {
 		if len(data) > 512 {
 			t.Skip()
 		}
-		checkNestDifferential(t, (&nestGen{data: data}).program())
-		checkNestDifferential(t, (&nestGen{data: data}).update())
-		checkNestDifferential(t, (&nestGen{data: data}).chain())
-		checkNestDifferential(t, (&nestGen{data: data}).reduce())
+		// Each program's plan then runs under a vector drawn from the rest
+		// of the stream.
+		for _, gen := range []func(*nestGen) genProgram{(*nestGen).program, (*nestGen).update, (*nestGen).chain, (*nestGen).reduce} {
+			g := &nestGen{data: data}
+			gp := gen(g)
+			checkNestDifferential(t, gp)
+			checkRebind(t, gp, g.constants(gp.prog))
+		}
 	})
 }
 
@@ -591,18 +595,14 @@ func TestNestStencilBatch(t *testing.T) {
 		}
 	}
 	check(m.regs.get(grid), 0.2)
-	// A constant-rebound clone shares the cluster's layout, not its kernels.
-	rebound, err := pl.WithConstants([]bytecode.Constant{bytecode.ConstFloat(0.5)})
-	if err != nil || rebound == pl {
-		t.Fatalf("WithConstants = %p (the original is %p), %v", rebound, pl, err)
-	}
+	// The one plan runs under another scale, then under its own again.
 	for _, tc := range []struct {
-		pl    *Plan
-		scale float64
-	}{{rebound, 0.5}, {pl, 0.2}} {
+		consts []bytecode.Constant
+		scale  float64
+	}{{[]bytecode.Constant{bytecode.ConstFloat(0.5)}, 0.5}, {nil, 0.2}} {
 		in := cloneTensor(gp.inputs[grid])
 		m.Bind(grid, in)
-		if err := tc.pl.Execute(m); err != nil {
+		if err := pl.Execute(m, tc.consts); err != nil {
 			t.Fatal(err)
 		}
 		check(in.Buf, tc.scale)
@@ -639,10 +639,14 @@ func TestNestTransposedCluster(t *testing.T) {
 	}
 }
 
-// TestNestWithConstants: nests capture constants at compile time, so a
-// parametric plan-cache hit under new constants must execute the new
-// values — and leave the cached plan's own values alone. Generated
-// lagged, fold and chain nests rebind too (checkRebind).
+// TestNestWithConstants: a plan holds no constant value, so a parametric
+// plan-cache hit under new constants returns the cached plan itself, and
+// executing it under the new vector computes the new values while the
+// plan's own stay its default. Each per-call choice a kernel makes on a
+// constant's value — float32 ⊗ c native or widened, a chain tail folded or
+// a pass of its own, integer narrowing, BH_RANDOM's seed and key — and
+// generated lagged, fold and chain nests run one plan under two vectors,
+// bit for bit as a fresh compile under each (checkRebind).
 func TestNestWithConstants(t *testing.T) {
 	build := func(scale, shift float64) *bytecode.Program {
 		p := bytecode.NewProgram()
@@ -655,12 +659,12 @@ func TestNestWithConstants(t *testing.T) {
 	}
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	exec := func(pl *Plan) float64 {
+	exec := func(pl *Plan, consts []bytecode.Constant) float64 {
 		t.Helper()
 		in := tensor.MustNew(tensor.Float64, tensor.MustShape(100))
 		in.Fill(3)
 		m.Bind(0, in)
-		if err := pl.Execute(m); err != nil {
+		if err := pl.Execute(m, consts); err != nil {
 			t.Fatal(err)
 		}
 		if in.Buf.Get(2) != 3 {
@@ -677,14 +681,62 @@ func TestNestWithConstants(t *testing.T) {
 
 	second := build(10, -4)
 	hit, _, ok := m.LookupPlan(second.Fingerprint(), second.Constants(), nil)
-	if !ok || hit == pl {
-		t.Fatalf("parametric lookup: ok=%v, same plan=%v; want a rebound clone", ok, hit == pl)
+	if !ok || hit != pl {
+		t.Fatalf("parametric lookup: ok=%v, same plan=%v; want the cached plan", ok, hit == pl)
 	}
-	if got := exec(hit); got != 3*10-4 {
-		t.Errorf("rebound plan computed %v, want %v", got, 3*10-4)
+	if got := exec(hit, second.Constants()); got != 3*10-4 {
+		t.Errorf("the plan under the new vector computed %v, want %v", got, 3*10-4)
 	}
-	if got := exec(pl); got != 3*2+1 {
-		t.Errorf("original plan computed %v after the rebind, want %v", got, 3*2+1)
+	if got := exec(pl, nil); got != 3*2+1 {
+		t.Errorf("the plan under its own vector computed %v after the new one, want %v", got, 3*2+1)
+	}
+
+	// Per-call choices, each under its plan's own vector and another.
+	redraw := func(p *bytecode.Program, vals ...float64) []bytecode.Constant {
+		consts := p.Constants()
+		for i, v := range vals {
+			consts[i] = bytecode.ConstOf(consts[i].DType, v)
+		}
+		return consts
+	}
+	listing := func(src string) genProgram {
+		return genProgram{prog: bytecode.MustParse(src), inputs: map[bytecode.RegID]tensor.Tensor{}}
+	}
+	f32 := listing(`
+.reg a0 float32 300
+.reg a1 float32 300
+BH_RANDOM a0 [0:300:1] 5 0
+BH_MULTIPLY a1 [0:300:1] a0 [0:300:1] 0.5
+BH_ADD a1 [0:300:1] a1 [0:300:1] 0.1
+BH_SYNC a1
+`)
+	narrow := listing(`
+.reg a0 int32 50
+.reg a1 int32 50
+.reg a2 uint8 50
+.reg a3 uint8 50
+BH_RANDOM a0 [0:50:1] 3 0
+BH_MULTIPLY a1 [0:50:1] a0 [0:50:1] 3
+BH_RANDOM a2 [0:50:1] 4 0
+BH_ADD a3 [0:50:1] a2 [0:50:1] 7
+BH_SYNC a1
+BH_SYNC a3
+`)
+	tail := chainSpec{dt: tensor.Float32, op: bytecode.OpAdd, in: make([]int, 3), tail: bytecode.OpMultiply, c: 0.5, rows: 3, cols: 7}.program()
+	for _, tc := range []struct {
+		name string
+		gp   genProgram
+		vals []float64
+	}{
+		{"float32 ⊗ 0.1 and ⊗ 0.5 trade bodies", f32, []float64{5, 0, 0.1, 0.5}},
+		{"BH_RANDOM seed and key", f32, []float64{9, 1 << 40}},
+		{"int32 and uint8 constants that wrap", narrow, []float64{3, 0, 2654435761, 4, 0, 300}},
+		{"chain tail NaN", tail, []float64{math.NaN()}},
+		{"chain tail 0.1, no float32", tail, []float64{0.1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkRebind(t, tc.gp, redraw(tc.gp.prog, tc.vals...))
+		})
 	}
 
 	rng := rand.New(rand.NewSource(32))
@@ -692,14 +744,15 @@ func TestNestWithConstants(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		data := make([]byte, 128)
 		rng.Read(data)
-		for _, gp := range []genProgram{(&nestGen{data: data}).update(), (&nestGen{data: data}).reduce(), (&nestGen{data: data}).chain()} {
-			if pl := checkRebind(t, gp); pl != nil {
-				for i := range pl.clusters {
-					ns := &pl.clusters[i]
-					lagged += btoi(ns.lag != nil)
-					folds += btoi(ns.line > 0)
-					chains += btoi(ns.chained > 0)
-				}
+		for _, gen := range []func(*nestGen) genProgram{(*nestGen).update, (*nestGen).reduce, (*nestGen).chain} {
+			g := &nestGen{data: data}
+			gp := gen(g)
+			pl := checkRebind(t, gp, g.constants(gp.prog))
+			for i := range pl.clusters {
+				ns := &pl.clusters[i]
+				lagged += btoi(ns.lag != nil)
+				folds += btoi(ns.line > 0)
+				chains += btoi(ns.chained > 0)
 			}
 		}
 	}
@@ -715,22 +768,41 @@ func btoi(b bool) int {
 	return 0
 }
 
-// checkRebind compiles gp's program, rebinds every constant to another
-// value, and checks that the clone shares each nest's layout — only the
-// steps, which hold the kernels, are its own — and executes bit for bit
-// as a fresh Compile of the program under the new constants does. It
-// returns the rebound plan, or nil when the program has no constant to
-// change.
-func checkRebind(t testing.TB, gp genProgram) *Plan {
-	t.Helper()
-	consts := gp.prog.Constants()
+// redrawValues are what nestGen.constants draws: the generators' own
+// constants, a NaN and a negative zero.
+var redrawValues = []float64{0, 1, 2, 3, 1.5, 0.1, -2, 255, 0.2, 0.5, -3, math.Copysign(0, -1), math.NaN()}
+
+// constants draws a new constant vector for p, of its dtypes, from the
+// rest of the stream: the draw comes after the program's, so a stream
+// decodes to the same program as without it.
+func (g *nestGen) constants(p *bytecode.Program) []bytecode.Constant {
+	consts := p.Constants()
 	for i, c := range consts {
-		if c.DType == tensor.Bool {
-			consts[i] = bytecode.ConstOf(c.DType, 1-c.Float())
-		} else {
-			consts[i] = bytecode.ConstOf(c.DType, c.Float()+1)
+		consts[i] = bytecode.ConstOf(c.DType, redrawValues[g.n(len(redrawValues))])
+	}
+	return consts
+}
+
+// withConstants is p with its constant operands set to consts, in
+// Program.Constants order: the batch a plan run under consts stands for.
+func withConstants(p *bytecode.Program, consts []bytecode.Constant) *bytecode.Program {
+	q := p.Clone()
+	for i := range q.Instrs {
+		for _, o := range [2]*bytecode.Operand{&q.Instrs[i].In1, &q.Instrs[i].In2} {
+			if o.IsConst() {
+				o.Const, consts = consts[0], consts[1:]
+			}
 		}
 	}
+	return q
+}
+
+// checkRebind compiles gp's program once and executes that one plan under
+// consts, then under its own vector, each on a fresh machine, bit for bit
+// as a fresh compile of the program under that vector and as the
+// interpreter. It returns the plan.
+func checkRebind(t testing.TB, gp genProgram, consts []bytecode.Constant) *Plan {
+	t.Helper()
 	cfg := Config{Fusion: true, Workers: 2, ParallelThreshold: 4}
 	m := New(cfg)
 	defer m.Close()
@@ -738,39 +810,29 @@ func checkRebind(t testing.TB, gp genProgram) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rebound, err := pl.WithConstants(consts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebound == pl {
-		return nil
-	}
-	for i := range pl.clusters {
-		a, b := &pl.clusters[i], &rebound.clusters[i]
-		if len(a.steps) != len(b.steps) || len(a.bases) != len(b.bases) || a.lag != b.lag ||
-			len(a.bases) > 0 && &a.bases[0] != &b.bases[0] || len(a.steps) > 0 && &a.steps[0] == &b.steps[0] {
-			t.Fatalf("nest %d: the rebound plan does not share exactly the layout\n%s", i, gp.prog)
+	for _, vec := range [][]bytecode.Constant{consts, nil} {
+		fresh := gp
+		if vec != nil {
+			fresh.prog = withConstants(gp.prog, vec)
 		}
+		want := nestRun(t, fresh, cfg, false)
+		oracle := nestRun(t, fresh, Config{Workers: 1, ParallelThreshold: cfg.ParallelThreshold}, true) // a float fold's order follows the threshold
+		got := New(cfg)
+		defer got.Close()
+		bindGen(got, gp)
+		if err := pl.Execute(got, vec); err != nil {
+			t.Fatalf("plan under %v: %v\n%s", vec, err, fresh.prog)
+		}
+		sameRegisters(t, fmt.Sprintf("plan under %v", vec), fresh.prog, want, got)
+		sameRegisters(t, fmt.Sprintf("plan under %v against the interpreter", vec), fresh.prog, oracle, got)
 	}
-	fresh := gp
-	fresh.prog = gp.prog.Clone()
-	if _, err := fresh.prog.SetConstants(consts); err != nil {
-		t.Fatal(err)
-	}
-	want := nestRun(t, fresh, cfg, false)
-	got := New(cfg)
-	defer got.Close()
-	bindGen(got, gp)
-	if err := rebound.Execute(got); err != nil {
-		t.Fatalf("rebound plan: %v\n%s", err, fresh.prog)
-	}
-	sameRegisters(t, "rebound plan", fresh.prog, want, got)
-	return rebound
+	return pl
 }
 
 // TestPlanExecuteCompilesNothing: kernels are built by Compile; Execute
 // only binds buffers. The same *Plan also executes on two machines at
-// once (run under -race).
+// once (run under -race), and a parametric plan-cache hit under a new
+// constant vector runs the cached plan, building nothing either.
 func TestPlanExecuteCompilesNothing(t *testing.T) {
 	gp, grid := stencilBatch(40)
 	// A cast and two reduction epilogues, a value fold and an index fold,
@@ -809,7 +871,7 @@ func TestPlanExecuteCompilesNothing(t *testing.T) {
 			in := cloneTensor(gp.inputs[grid])
 			m.Bind(grid, in)
 			for run := 0; run < 2; run++ {
-				if err := pl.Execute(m); err != nil {
+				if err := pl.Execute(m, nil); err != nil {
 					t.Error(err)
 					return
 				}
@@ -831,6 +893,20 @@ func TestPlanExecuteCompilesNothing(t *testing.T) {
 		if results[0].Get(i) != results[1].Get(i) {
 			t.Fatalf("concurrent executions of one plan diverge at %d: %v vs %v", i, results[0].Get(i), results[1].Get(i))
 		}
+	}
+
+	compiler.InsertPlan(p.Fingerprint(), p.Constants(), true, pl, nil)
+	scaled := []bytecode.Constant{bytecode.ConstFloat(0.25)}
+	hit, _, ok := compiler.LookupPlan(p.Fingerprint(), scaled, nil)
+	if !ok || hit != pl {
+		t.Fatalf("parametric hit under a new vector: ok=%v, the cached plan=%v", ok, hit == pl)
+	}
+	compiler.Bind(grid, cloneTensor(gp.inputs[grid]))
+	if err := hit.Execute(compiler, scaled); err != nil {
+		t.Fatal(err)
+	}
+	if got := kernelCompilations.Load(); got != compiled {
+		t.Errorf("a parametric hit under a new vector built %d kernels, want 0", got-compiled)
 	}
 }
 

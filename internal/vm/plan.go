@@ -12,14 +12,15 @@ import (
 // Plan is the reusable, binding-independent compilation of one program:
 // its clusters, each a run of instructions [start, end) described by a
 // nest — a sweep's loop nest and run kernels (a reduction epilogue's fold
-// included), or no steps: the interpreter runs it. Each Execute resolves
-// register buffers afresh and is read-only on the Plan, so one Plan may
-// execute on several Machines concurrently — the shared plan cache and
-// the async Executor depend on that — and a plan is never mutated after
-// Compile: WithConstants rebinds constants into a clone that shares every
-// nest's layout and owns only the steps, whose kernels capture constants.
+// included), or no steps: the interpreter runs it. Its kernels hold no
+// constant value: each Execute binds register buffers and a constant
+// vector afresh and is read-only on the Plan, so one Plan may execute on
+// several Machines under several vectors at once — the shared plan cache
+// and the async Executor depend on that — and is never mutated after
+// Compile.
 type Plan struct {
 	prog     *bytecode.Program
+	consts   []bytecode.Constant // prog's constant vector
 	fused    bool
 	clusters []nest
 }
@@ -39,8 +40,14 @@ func (m *Machine) Compile(p *bytecode.Program) (*Plan, error) {
 func (m *Machine) CompileValidated(p *bytecode.Program) *Plan {
 	ar := &m.arena
 	m.planClusters(p, ar.liveness(p))
-	pl := &Plan{prog: p, fused: m.cfg.Fusion, clusters: slices.Clone(ar.clusters)}
-	pl.attachKernels()
+	consts := p.AppendConstants(make([]bytecode.Constant, 0, ar.consts))
+	pl := &Plan{prog: p, consts: consts, fused: m.cfg.Fusion, clusters: slices.Clone(ar.clusters)}
+	var ks kernelSlabs
+	for i := range pl.clusters {
+		if ns := &pl.clusters[i]; ns.steps != nil && !ns.attach(p, &ks) {
+			ns.steps = nil // a lone instruction whose op has no kernel: the interpreter reports it
+		}
+	}
 	return pl
 }
 
@@ -54,17 +61,7 @@ type compileArena struct {
 	virt     []virtualReg
 	accs     []regAccess
 	freed    []bytecode.RegID // registers the BH_FREEs inside the cluster being planned release
-}
-
-// attachKernels compiles every nest's kernel steps from the plan's
-// program: the only part of a plan that captures constant values.
-func (pl *Plan) attachKernels() {
-	var ks kernelSlabs
-	for i := range pl.clusters {
-		if ns := &pl.clusters[i]; ns.steps != nil && !ns.attach(pl.prog, &ks) {
-			ns.steps = nil // a lone instruction whose op has no kernel: the interpreter reports it
-		}
-	}
+	consts   int              // constants in the program planned last
 }
 
 // liveness holds the deadness rule: a register may skip materialization
@@ -122,40 +119,28 @@ func (lv liveness) freedBy(r bytecode.RegID, j int) bool {
 // cluster analysis describes exactly this instruction sequence.
 func (pl *Plan) Program() *bytecode.Program { return pl.prog }
 
-// WithConstants returns a plan identical to pl but with its constant
-// operands rebound to vals (in Program.Constants order); pl itself is
-// never mutated, so it may be executing concurrently — on this machine's
-// async executor or on another session sharing the engine's plan cache.
-// When vals already equal the plan's constants, pl is returned as-is.
-// Nest layouts are structural and shared; only the kernel steps, which
-// capture immediates, are rebuilt.
-func (pl *Plan) WithConstants(vals []bytecode.Constant) (*Plan, error) {
-	prog := pl.prog.Clone()
-	changed, err := prog.SetConstants(vals)
-	if err != nil {
-		return nil, err
-	}
-	if !changed {
-		return pl, nil
-	}
-	np := &Plan{prog: prog, fused: pl.fused, clusters: slices.Clone(pl.clusters)}
-	for i := range np.clusters {
-		np.clusters[i].steps = slices.Clone(np.clusters[i].steps)
-	}
-	np.attachKernels()
-	return np, nil
-}
+// Constants returns the constant vector the plan was compiled from, in
+// Program.Constants order. Treat it as read-only.
+func (pl *Plan) Constants() []bytecode.Constant { return pl.consts }
 
-// Execute runs the plan against m's current register bindings. On error
-// the register file may hold partial results; the error reports the
-// failing instruction. Errors wrap their cause with %w all the way
-// down, so typed sentinels (ErrMemoryPressure, an injected fault's Err)
-// survive to errors.Is at the host.
-func (pl *Plan) Execute(m *Machine) error {
+// Execute runs the plan against m's current register bindings under the
+// constant vector consts, in Program.Constants order — nil runs it under
+// its own. consts must match the plan's constants in count and dtypes, as
+// the vector of any batch with the plan's fingerprint does. On error the
+// register file may hold partial results; the error reports the failing
+// instruction. Errors wrap their cause with %w all the way down, so typed
+// sentinels (ErrMemoryPressure, an injected fault's Err) survive to
+// errors.Is at the host.
+func (pl *Plan) Execute(m *Machine, consts []bytecode.Constant) error {
 	// Chaos sites: a deliberately slow plan and a crashing worker, armed
 	// per session label, inert otherwise.
 	faultinject.Delay(faultinject.SlowExec, m.cfg.FaultLabel)
 	faultinject.Panic(faultinject.WorkerPanic, m.cfg.FaultLabel)
+	if consts == nil {
+		consts = pl.consts
+	} else if !slices.EqualFunc(consts, pl.consts, sameDType) {
+		return fmt.Errorf("%w: constant vector %v does not fit the plan's %v", ErrExec, consts, pl.consts)
+	}
 	p := pl.prog
 	m.regs.grow(len(p.Regs))
 	for _, r := range p.Inputs {
@@ -170,9 +155,9 @@ func (pl *Plan) Execute(m *Machine) error {
 	for i := range pl.clusters {
 		cl, err := &pl.clusters[i], error(nil)
 		if cl.steps != nil {
-			err = m.runNest(p, cl)
+			err = m.runNest(p, cl, consts)
 		} else {
-			err = m.interpret(p, cl.start, cl.end)
+			err = m.interpret(p, cl.start, cl.end, consts[cl.konst:])
 		}
 		if err == nil {
 			continue

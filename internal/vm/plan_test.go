@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"errors"
+	"slices"
 	"testing"
 
 	"bohrium/internal/bytecode"
@@ -54,7 +56,7 @@ func TestPlanExecuteRebinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	bindVec(t, m, 0, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	if err := pl.Execute(m); err != nil {
+	if err := pl.Execute(m, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := regVals(t, m, 1, 8)
@@ -62,7 +64,7 @@ func TestPlanExecuteRebinds(t *testing.T) {
 		t.Errorf("first run: %v", got)
 	}
 	bindVec(t, m, 0, []float64{10, 10, 10, 10, 10, 10, 10, 10})
-	if err := pl.Execute(m); err != nil {
+	if err := pl.Execute(m, nil); err != nil {
 		t.Fatal(err)
 	}
 	got = regVals(t, m, 1, 8)
@@ -73,10 +75,9 @@ func TestPlanExecuteRebinds(t *testing.T) {
 	}
 }
 
-// TestPlanWithConstantsEpilogue verifies a parametric plan replays with
-// new immediates, including through a fused reduction epilogue (whose nest
-// captures constant values and must be recompiled), and leaves the
-// original plan's immediates alone.
+// TestPlanWithConstantsEpilogue verifies a plan runs under new immediates,
+// including through a fused reduction epilogue, bit for bit as a fresh
+// compile under them, and under its own again afterwards.
 func TestPlanWithConstantsEpilogue(t *testing.T) {
 	m := New(Config{Fusion: true})
 	defer m.Close()
@@ -100,22 +101,24 @@ func TestPlanWithConstantsEpilogue(t *testing.T) {
 	}
 	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	bindVec(t, m, 0, ones)
-	if err := pl.Execute(m); err != nil {
+	if err := pl.Execute(m, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := regVals(t, m, 2, 1)[0]; got != 24 {
 		t.Fatalf("sum(1*3) over 8 = %v, want 24", got)
 	}
-	rebound, err := pl.WithConstants([]bytecode.Constant{bytecode.ConstFloat(5)})
+	five := []bytecode.Constant{bytecode.ConstFloat(5)}
+	fresh, err := m.Compile(withConstants(p, five))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		pl   *Plan
-		want float64
-	}{{rebound, 40}, {pl, 24}} {
+		pl     *Plan
+		consts []bytecode.Constant
+		want   float64
+	}{{pl, five, 40}, {fresh, nil, 40}, {pl, nil, 24}} {
 		bindVec(t, m, 0, ones)
-		if err := tc.pl.Execute(m); err != nil {
+		if err := tc.pl.Execute(m, tc.consts); err != nil {
 			t.Fatal(err)
 		}
 		if got := regVals(t, m, 2, 1)[0]; got != tc.want {
@@ -152,7 +155,8 @@ func TestPlanCacheBakedMatching(t *testing.T) {
 }
 
 // TestPlanCacheParametricMatching: parametric entries hit on any constant
-// vector and patch the plan's program.
+// vector of their dtypes with the stored plan itself, untouched; a vector
+// of other dtypes misses.
 func TestPlanCacheParametricMatching(t *testing.T) {
 	m := New(Config{Fusion: true})
 	defer m.Close()
@@ -163,13 +167,40 @@ func TestPlanCacheParametricMatching(t *testing.T) {
 	}
 	fp := prog.Fingerprint()
 	m.InsertPlan(fp, prog.Constants(), true, pl, nil)
-	want := planTestProg(7).Constants()
-	got, _, ok := m.LookupPlan(fp, want, nil)
-	if !ok {
-		t.Fatal("parametric lookup missed")
+	got, _, ok := m.LookupPlan(fp, planTestProg(7).Constants(), nil)
+	if !ok || got != pl {
+		t.Fatalf("parametric lookup: ok=%v, same plan=%v", ok, got == pl)
 	}
-	if cs := got.Program().Constants(); !constantsEqual(cs, want) {
-		t.Errorf("plan not patched: %v", cs)
+	if cs := got.Constants(); !slices.EqualFunc(cs, prog.Constants(), bytecode.Constant.Equal) {
+		t.Errorf("the cached plan's vector changed to %v", cs)
+	}
+	if _, _, ok := m.LookupPlan(fp, []bytecode.Constant{bytecode.ConstInt(7), bytecode.ConstFloat(2)}, nil); ok {
+		t.Error("a vector of other dtypes hit")
+	}
+}
+
+// TestPlanExecuteRejectsMismatchedConstants: a vector the plan's constants
+// do not fit — too few, too many, another dtype — is an execution error,
+// not a run under misplaced values.
+func TestPlanExecuteRejectsMismatchedConstants(t *testing.T) {
+	m := New(Config{Fusion: true})
+	defer m.Close()
+	pl, err := m.Compile(planTestProg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bindVec(t, m, 0, []float64{1, 2, 3, 4, 5, 6, 7, 8})
+	c := bytecode.ConstFloat(3)
+	for _, consts := range [][]bytecode.Constant{{}, {c}, {c, c, c}, {c, bytecode.ConstInt(3)}} {
+		if err := pl.Execute(m, consts); !errors.Is(err, ErrExec) {
+			t.Errorf("constants %v: err = %v, want an ErrExec", consts, err)
+		}
+	}
+	if err := pl.Execute(m, []bytecode.Constant{c, c}); err != nil {
+		t.Fatal(err)
+	}
+	if got := regVals(t, m, 1, 8); got[0] != 12 {
+		t.Errorf("(1 + 3) * 3 = %v", got[0])
 	}
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 
 	"bohrium/internal/bytecode"
@@ -13,8 +14,9 @@ import (
 // structural Fingerprint plus its constant vector:
 //
 //   - A plan compiled from a batch the optimizer left untouched
-//     (parametric entry) matches ANY constant values — replaying its
-//     program with the new constants is exactly executing the new batch.
+//     (parametric entry) matches ANY constant values of its dtypes —
+//     executing its plan under the new vector is exactly executing the
+//     new batch.
 //   - A plan the optimizer rewrote (baked entry) matches only the exact
 //     constant vector it was compiled from: rules inspect constant
 //     values (merging, folding, CSE, power expansion), so a different
@@ -36,12 +38,9 @@ import (
 // PlanCacheSize with headroom (shards hold ~planShardTarget entries
 // each) rather than to the exact working-set count.
 //
-// A cached plan is immutable. A parametric hit whose constant vector
-// differs from the entry's current one does not patch the stored plan in
-// place — another session (or a queued async execution in this session)
-// may be executing it right now — it clones the plan, patches the clone,
-// and swaps the entry to the clone under the shard lock. Steady-state
-// iterations with unchanged constants pay no clone at all.
+// A cached plan is immutable and holds no constant value (Plan), so a hit
+// never touches its entry beyond the LRU order: whatever vector the batch
+// carries, the caller executes the one stored plan under it.
 
 // DefaultPlanCacheSize is the entry cap when Config.PlanCacheSize is zero.
 const DefaultPlanCacheSize = 64
@@ -64,7 +63,7 @@ const minShardedCapacity = DefaultPlanCacheSize
 
 type planEntry struct {
 	fp         bytecode.Fingerprint
-	vals       []bytecode.Constant
+	vals       []bytecode.Constant // the inserting batch's vector, never written after insert
 	parametric bool
 	plan       *Plan // nil: the batch is known to optimize to nothing
 	meta       any   // front-end bookkeeping, opaque to the VM
@@ -102,26 +101,6 @@ func newPlanCache(capacity int) *planCache {
 		}
 	}
 	return c
-}
-
-// unlink removes one element from the shard's LRU order and fingerprint
-// bucket. Call with the shard lock held; unlinking an already-removed
-// element is a no-op.
-func (s *planShard) unlink(el *list.Element) {
-	e := el.Value.(*planEntry)
-	s.order.Remove(el) // no-op if el was already evicted
-	bucket := s.byFP[e.fp]
-	for i, b := range bucket {
-		if b == el {
-			bucket = append(bucket[:i], bucket[i+1:]...)
-			break
-		}
-	}
-	if len(bucket) == 0 {
-		delete(s.byFP, e.fp)
-	} else {
-		s.byFP[e.fp] = bucket
-	}
 }
 
 func (c *planCache) shardFor(fp bytecode.Fingerprint) *planShard {
@@ -171,76 +150,37 @@ func (m *Machine) PlanCacheLen() int {
 // scratch registers have since been repurposed. On a hit the entry moves
 // to the LRU front and the stored plan and metadata are returned; the
 // plan is nil when the batch is known to optimize to nothing. A
-// parametric hit under a different constant vector returns a patched
-// clone via Plan.WithConstants (and caches it for the next identical
-// lookup) — the previously returned plan is never mutated, so callers may
-// still be executing it, on this session or any other sharing the engine.
-// Counters: PlanHits / PlanMisses, counted on this machine.
+// parametric hit returns the same plan under any vector of its dtypes:
+// the caller executes it under consts. Counters: PlanHits / PlanMisses,
+// counted on this machine.
 func (m *Machine) LookupPlan(fp bytecode.Fingerprint, consts []bytecode.Constant, accept func(meta any) bool) (*Plan, any, bool) {
 	if !m.PlanCacheEnabled() {
 		return nil, nil, false
 	}
 	s := m.eng.plans.shardFor(fp)
-
-	// Find the candidate and snapshot it under the shard lock; the clone
-	// and nest recompilation of a constant patch run OUTSIDE the lock,
-	// so sessions landing on one shard don't serialize behind each
-	// other's analysis work.
 	s.mu.Lock()
-	var elem *list.Element
-	var entry *planEntry
-	var plan *Plan
-	var meta any
-	needPatch := false
+	defer s.mu.Unlock()
 	for _, el := range s.byFP[fp] {
 		e := el.Value.(*planEntry)
-		if !e.parametric && !constantsEqual(e.vals, consts) {
+		eq := bytecode.Constant.Equal
+		if e.parametric {
+			eq = sameDType
+		}
+		if !slices.EqualFunc(e.vals, consts, eq) || accept != nil && !accept(e.meta) {
 			continue
 		}
-		if accept != nil && !accept(e.meta) {
-			continue
-		}
-		elem, entry, plan, meta = el, e, e.plan, e.meta
-		needPatch = e.parametric && plan != nil && !constantsEqual(e.vals, consts)
 		s.order.MoveToFront(el)
-		break
+		m.stats.planHits.Add(1)
+		return e.plan, e.meta, true
 	}
-	s.mu.Unlock()
-	if entry == nil {
-		m.stats.planMisses.Add(1)
-		return nil, nil, false
-	}
-	if needPatch {
-		patched, err := plan.WithConstants(consts)
-		if err != nil {
-			// Digest collision or corrupted entry. Unlink it — it was
-			// just promoted to MRU, so leaving it in place would shadow
-			// healthy same-fingerprint entries forever — and report a
-			// miss so the caller recompiles.
-			s.mu.Lock()
-			s.unlink(elem)
-			s.mu.Unlock()
-			m.stats.planMisses.Add(1)
-			return nil, nil, false
-		}
-		plan = patched
-		// Swap the entry to the patched clone so the next lookup with the
-		// same vector pays nothing. Racing sessions last-write-wins; a
-		// concurrently evicted entry is updated harmlessly. plan and vals
-		// move together, always under the lock.
-		s.mu.Lock()
-		entry.plan = patched
-		entry.vals = append([]bytecode.Constant(nil), consts...)
-		s.mu.Unlock()
-	}
-	m.stats.planHits.Add(1)
-	return plan, meta, true
+	m.stats.planMisses.Add(1)
+	return nil, nil, false
 }
 
 // InsertPlan stores a freshly compiled plan (nil for a batch that
 // optimized to an empty program) under fp and its constant vector.
 // parametric marks plans compiled from batches the optimizer left
-// untouched; only those may be replayed with different constants. The
+// untouched; only those run under other constants than their own. The
 // caller must treat the plan as immutable from here on. Over shard
 // capacity, the shard's least recently used entry is dropped
 // (PlanEvictions, counted on the inserting machine).
@@ -261,19 +201,19 @@ func (m *Machine) InsertPlan(fp bytecode.Fingerprint, consts []bytecode.Constant
 	el := s.order.PushFront(e)
 	s.byFP[fp] = append(s.byFP[fp], el)
 	for s.order.Len() > s.cap {
-		s.unlink(s.order.Back())
+		back := s.order.Back()
+		lru := s.order.Remove(back).(*planEntry).fp
+		bucket := s.byFP[lru]
+		i := slices.Index(bucket, back)
+		if bucket = slices.Delete(bucket, i, i+1); len(bucket) > 0 {
+			s.byFP[lru] = bucket
+		} else {
+			delete(s.byFP, lru)
+		}
 		m.stats.planEvictions.Add(1)
 	}
 }
 
-func constantsEqual(a, b []bytecode.Constant) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			return false
-		}
-	}
-	return true
-}
+// sameDType reports whether two constants have one dtype: a parametric
+// plan runs under any vector of its constants' dtypes.
+func sameDType(x, y bytecode.Constant) bool { return x.DType == y.DType }

@@ -82,7 +82,7 @@ func TestPoolFailedSweepLeaksNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Unvalidated: the second program reads a register nothing defined.
-		err := b.CompileValidated(bytecode.MustParse(".reg a0 float64 10\n.reg a1 float64 10\n.reg a2 float64 1000\n" + tc.body)).Execute(b)
+		err := b.CompileValidated(bytecode.MustParse(".reg a0 float64 10\n.reg a1 float64 10\n.reg a2 float64 1000\n"+tc.body)).Execute(b, nil)
 		if !errors.Is(err, tc.want) {
 			t.Fatalf("%s: %v, want %v", tc.name, err, tc.want)
 		}

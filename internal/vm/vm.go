@@ -299,7 +299,7 @@ func (m *Machine) Run(p *bytecode.Program) error {
 	if err != nil {
 		return err
 	}
-	return pl.Execute(m)
+	return pl.Execute(m, nil)
 }
 
 // Engine returns the (possibly shared) engine this machine runs on.

@@ -409,3 +409,84 @@ func TestRuntimeCloseAfterSessions(t *testing.T) {
 		t.Fatalf("post-close session computed %v, want 3", got[0])
 	}
 }
+
+// TestSharedRuntimeAlternatingConstants: two sessions on one Runtime run
+// one batch structure concurrently, each alternating its constant out of
+// phase with the other, so every hit runs the one cached plan under a
+// vector the other session may be running it under at the same moment.
+// Each session ends bit for bit as its script run alone, the structure
+// holds one cache entry, and nothing misses after warm-up. Run with -race.
+func TestSharedRuntimeAlternatingConstants(t *testing.T) {
+	const n, rounds = 2048, 200
+	// jacobi returns a session's grid and one flush of the Jacobi batch
+	// under a constant, the dispatch-small shape.
+	jacobi := func(ctx *Context, seed float64) (*Array, func(c float64) error) {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = seed + float64(i%13)*0.125
+		}
+		u := ctx.MustFromSlice(vals, n)
+		uc, ul, ur := u.MustSlice(0, 1, n-1, 1), u.MustSlice(0, 0, n-2, 1), u.MustSlice(0, 2, n, 1)
+		return u, func(c float64) error {
+			t := ul.Plus(ur)
+			t.MulC(c)
+			uc.Assign(t)
+			t.Free()
+			return ctx.Flush()
+		}
+	}
+	scales := [2]float64{0.5, 0.25}
+	run := func(ctx *Context, session, from, to int, flush func(float64) error) {
+		for r := from; r < to; r++ {
+			if err := flush(scales[(r+session)%2]); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}
+	want := make([][]float64, 2)
+	for s := range want {
+		ctx := NewContext(nil)
+		u, flush := jacobi(ctx, float64(s+1))
+		run(ctx, s, 0, rounds, flush)
+		want[s] = u.MustData()
+		ctx.Close()
+	}
+
+	rt := NewRuntime(nil)
+	defer rt.Close()
+	ctxs, grids, flushes := make([]*Context, 2), make([]*Array, 2), make([]func(float64) error, 2)
+	for s := range ctxs {
+		ctxs[s] = rt.NewContext(nil)
+		defer ctxs[s].Close()
+		grids[s], flushes[s] = jacobi(ctxs[s], float64(s+1))
+		run(ctxs[s], s, 0, 2, flushes[s]) // warm-up: both constants, both sessions
+	}
+	entries, misses := rt.PlanCacheLen(), rt.Stats().PlanMisses
+	var wg sync.WaitGroup
+	for s := range ctxs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(ctxs[s], s, 2, rounds, flushes[s])
+		}()
+	}
+	wg.Wait()
+	if got := rt.PlanCacheLen(); entries != 1 || got != 1 {
+		t.Errorf("%d cache entries after warm-up, %d after the concurrent rounds; want the one structure's", entries, got)
+	}
+	if got := rt.Stats().PlanMisses; got != misses {
+		t.Errorf("%d plan misses after warm-up, want 0", got-misses)
+	}
+	for s, ctx := range ctxs {
+		got := grids[s].MustData()
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[s][i]) {
+				t.Fatalf("session %d: u[%d] = %v, alone it is %v", s, i, got[i], want[s][i])
+			}
+		}
+		if st := ctx.MustStats(); st.PlanHits < rounds-2 {
+			t.Errorf("session %d: %d plan hits, want at least %d", s, st.PlanHits, rounds-2)
+		}
+	}
+}
