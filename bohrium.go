@@ -22,6 +22,7 @@
 package bohrium
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -43,14 +44,6 @@ type Config struct {
 	Optimizer *rewrite.Options
 	// Workers is the VM worker pool width (0: GOMAXPROCS).
 	Workers int
-	// ParallelThreshold is the minimum sweep size (in elements) before the
-	// VM considers splitting elementwise sweeps, reductions, and scans
-	// across workers (see vm.Config.ParallelThreshold for the exact
-	// reduction/scan conditions); zero picks vm.DefaultParallelThreshold.
-	// Results are independent of Workers for any fixed threshold: the
-	// VM's parallel reduction and scan strategies choose their split
-	// points from the views and this threshold alone.
-	ParallelThreshold int
 	// DisableFusion turns off fused-sweep execution.
 	DisableFusion bool
 	// PlanCacheSize caps the fingerprint-keyed plan cache, in entries.
@@ -60,10 +53,6 @@ type Config struct {
 	// vm.DefaultPlanCacheSize; negative disables the cache (every flush
 	// pays the full pipeline, as before).
 	PlanCacheSize int
-	// CollectReports keeps per-flush optimizer reports (LastReport). A
-	// plan-cache hit skips the optimizer, so LastReport keeps describing
-	// the most recent *compiled* flush.
-	CollectReports bool
 	// Async runs flushed batches on a background executor goroutine:
 	// Submit seals and enqueues the pending batch without blocking, so
 	// batch N+1 records (and fingerprints, and compiles) while batch N
@@ -74,11 +63,6 @@ type Config struct {
 	// access) and are sticky from then on. See ARCHITECTURE.md,
 	// "Async pipelined flush".
 	Async bool
-	// AsyncDepth caps how many compiled batches may queue between the
-	// recording goroutine and the executor before Submit blocks
-	// (backpressure). Zero selects vm.DefaultAsyncDepth. Ignored unless
-	// Async is set.
-	AsyncDepth int
 }
 
 // Context owns a byte-code recording buffer and the per-session virtual
@@ -89,12 +73,12 @@ type Config struct {
 // and between whole sessions when several Contexts share one Runtime
 // (each driven by its own goroutine).
 type Context struct {
-	cfg    Config
 	rt     *Runtime
 	ownsRT bool // NewContext-made: Close tears the private runtime down
-	// backend executes this session's batches. The front end only ever
-	// speaks backend.Backend — compile, execute, bind, read, cache,
-	// stats — never the VM's execution machinery.
+	// backend executes this session's batches, inline or (Config.Async)
+	// through its background pipeline. The front end only ever speaks
+	// backend.Backend — submit, wait, bind, read, cache, stats — never
+	// the VM's execution machinery.
 	backend *backend.Backend
 	// plans resolves each sealed batch through the shared plan cache. It
 	// never replays a plan compiled under other optimizer options or
@@ -110,12 +94,7 @@ type Context struct {
 	// repeats and the plan cache hits.
 	freeRegs []bytecode.RegID
 	lastRep  *rewrite.Report
-	// exec is the background plan executor of async mode (Config.Async);
-	// nil in synchronous mode. Everything else in this struct belongs to
-	// the recording goroutine — the executor only ever sees compiled
-	// backend plans and the backend's register state.
-	exec   *backend.Executor
-	closed bool
+	closed   bool
 	// unregister releases this session's entry in the runtime's session
 	// registry (Runtime.Sessions enumeration) on Close.
 	unregister func()
@@ -164,13 +143,11 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 		opts = *c.Optimizer
 	}
 	be := backend.New(rt.eng, backend.Config{VM: vm.Config{
-		Workers:           c.Workers,
-		ParallelThreshold: c.ParallelThreshold,
-		Fusion:            !c.DisableFusion,
-		PlanCacheSize:     c.PlanCacheSize,
-	}})
+		Workers:       c.Workers,
+		Fusion:        !c.DisableFusion,
+		PlanCacheSize: c.PlanCacheSize,
+	}, Async: c.Async})
 	ctx := &Context{
-		cfg:     c,
 		rt:      rt,
 		ownsRT:  ownsRT,
 		backend: be,
@@ -180,9 +157,6 @@ func newContext(rt *Runtime, ownsRT bool, c Config) *Context {
 		backend.Signature{Scope: "context", Options: opts, Fusion: !c.DisableFusion},
 		newPlanMeta, ctx.planUsable)
 	ctx.unregister = rt.Register("context/" + backend.DefaultName)
-	if c.Async {
-		ctx.exec = backend.NewExecutor(be, c.AsyncDepth, "")
-	}
 	return ctx
 }
 
@@ -199,9 +173,6 @@ func (c *Context) Close() {
 		return
 	}
 	c.closed = true
-	if c.exec != nil {
-		c.exec.Close()
-	}
 	c.backend.Close()
 	c.unregister()
 	if c.ownsRT {
@@ -209,8 +180,9 @@ func (c *Context) Close() {
 	}
 }
 
-// LastReport returns the optimizer report of the most recent flush, when
-// CollectReports is enabled.
+// LastReport returns the optimizer report of the most recent compiled
+// flush. A plan-cache hit skips the optimizer, so it keeps describing
+// the last miss; nil before the first.
 func (c *Context) LastReport() *rewrite.Report { return c.lastRep }
 
 // Stats exposes cumulative VM counters: sweeps, fused instructions (with
@@ -234,9 +206,7 @@ func (c *Context) Stats() (vm.Stats, error) {
 	if c.closed {
 		return vm.Stats{}, ErrClosed
 	}
-	if c.exec != nil {
-		c.exec.Wait()
-	}
+	_ = c.backend.Wait(context.Background()) // a pipeline error stays for the next synchronizing call
 	return c.backend.Stats(), nil
 }
 
@@ -289,15 +259,13 @@ func (c *Context) Submit() error {
 	if c.closed {
 		return ErrClosed
 	}
-	if c.exec != nil {
-		// A failed batch poisons the pipeline: later batches were
-		// recorded against state the failure never produced, so they are
-		// not executed, and every synchronizing call keeps reporting the
-		// first error. The pending byte-code stays recorded, mirroring
-		// the synchronous path, which also leaves a failed batch pending.
-		if err := c.exec.Err(); err != nil {
-			return fmt.Errorf("bohrium: execution failed: %w", err)
-		}
+	// A failed async batch poisons the pipeline: later batches were
+	// recorded against state the failure never produced, so they are not
+	// executed, and every synchronizing call keeps reporting the first
+	// error. The pending byte-code stays recorded, mirroring the
+	// synchronous path, which also leaves a failed batch pending.
+	if err := c.backend.Err(); err != nil {
+		return fmt.Errorf("bohrium: execution failed: %w", err)
 	}
 	if c.pending.Len() == 0 {
 		return nil
@@ -314,22 +282,16 @@ func (c *Context) Submit() error {
 		}
 		return fmt.Errorf("bohrium: execution failed: %w", err)
 	}
-	if res.Report != nil && c.cfg.CollectReports {
+	if res.Report != nil {
 		c.lastRep = res.Report
 	}
 	// The plan runs inline in synchronous mode, enqueued on the background
-	// executor in async mode, and is immutable either way: it may be
-	// executing in other sessions that share the plan cache right now.
-	switch {
-	case res.Plan == nil:
-		// The batch optimized to nothing (e.g. temporaries freed before
-		// ever being observed); only the register bookkeeping advances.
-	case c.exec != nil:
-		c.exec.Submit(res.Plan, res.Consts)
-	default:
-		if err := c.backend.ExecuteWith(res.Plan, res.Consts); err != nil {
-			return fmt.Errorf("bohrium: execution failed: %w", err)
-		}
+	// pipeline in async mode, and is immutable either way: it may be
+	// executing in other sessions that share the plan cache right now. A
+	// batch that optimized to nothing (e.g. temporaries freed before ever
+	// being observed) has no plan; only the register bookkeeping advances.
+	if err := c.backend.Submit(context.Background(), res.Plan, res.Consts); err != nil {
+		return fmt.Errorf("bohrium: execution failed: %w", err)
 	}
 	c.advanceBatch(res.Meta.(*planMeta))
 	return nil
@@ -344,10 +306,7 @@ func (c *Context) Wait() error {
 	if c.closed {
 		return ErrClosed
 	}
-	if c.exec == nil {
-		return nil
-	}
-	if err := c.exec.Wait(); err != nil {
+	if err := c.backend.Wait(context.Background()); err != nil {
 		return fmt.Errorf("bohrium: execution failed: %w", err)
 	}
 	return nil

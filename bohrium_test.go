@@ -18,7 +18,7 @@ func newTestContext(t *testing.T, cfg *Config) *Context {
 
 func TestListing1Quickstart(t *testing.T) {
 	// The paper's Listing 1: a = zeros(10); a += 1 three times; print a.
-	ctx := newTestContext(t, &Config{CollectReports: true})
+	ctx := newTestContext(t, nil)
 	a := ctx.Zeros(10)
 	a.AddC(1)
 	a.AddC(1)
@@ -64,7 +64,7 @@ func TestRecordedBytecodeMatchesListing2(t *testing.T) {
 }
 
 func TestOptimizerDisabled(t *testing.T) {
-	ctx := newTestContext(t, &Config{Optimizer: &rewrite.Options{}, CollectReports: true})
+	ctx := newTestContext(t, &Config{Optimizer: &rewrite.Options{}})
 	a := ctx.Zeros(10)
 	a.AddC(1).AddC(1).AddC(1)
 	if _, err := a.Data(); err != nil {
@@ -94,7 +94,7 @@ func TestArithmeticChain(t *testing.T) {
 }
 
 func TestPowerMatchesMathPow(t *testing.T) {
-	ctx := newTestContext(t, &Config{CollectReports: true})
+	ctx := newTestContext(t, nil)
 	x := ctx.Full(1.5, 100)
 	y := x.Power(10)
 	got := y.MustData()
@@ -112,7 +112,7 @@ func TestPowerMatchesMathPow(t *testing.T) {
 func TestSolveViaInverseGetsRewritten(t *testing.T) {
 	// Equation (2) end to end: the user writes x = A⁻¹·B; the optimizer
 	// executes a single BH_SOLVE.
-	ctx := newTestContext(t, &Config{CollectReports: true})
+	ctx := newTestContext(t, nil)
 	a := ctx.MustFromSlice([]float64{2, 1, 1, 3}, 2, 2)
 	b := ctx.MustFromSlice([]float64{5, 10}, 2, 1)
 	x := a.Inverse().MatMul(b)
@@ -126,7 +126,7 @@ func TestSolveViaInverseGetsRewritten(t *testing.T) {
 }
 
 func TestSolveRewriteBlockedWhenInverseUsed(t *testing.T) {
-	ctx := newTestContext(t, &Config{CollectReports: true})
+	ctx := newTestContext(t, nil)
 	a := ctx.MustFromSlice([]float64{2, 1, 1, 3}, 2, 2)
 	b := ctx.MustFromSlice([]float64{5, 10}, 2, 1)
 	inv := a.Inverse()

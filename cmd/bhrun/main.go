@@ -31,6 +31,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -89,7 +90,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	bcfg := backend.Config{VM: vm.Config{Workers: *workers, ParallelThreshold: *parThreshold, Fusion: !*noFusion}}
+	bcfg := backend.Config{VM: vm.Config{Workers: *workers, ParallelThreshold: *parThreshold, Fusion: !*noFusion}, Async: *async}
 	if *repeat < 1 {
 		*repeat = 1
 	}
@@ -99,7 +100,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 
 	// Build the session backends: private engines by default, one shared
 	// engine (pool + plan cache + recycle pool) under -shared. Deferred
-	// closes run in reverse, so every backend closes before its engine.
+	// closes run in reverse, so every backend drains and closes before its
+	// engine, also after an early error.
 	backends := make([]*backend.Backend, *sessions)
 	var eng *vm.Engine
 	for i := range backends {
@@ -121,19 +123,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	sig := backend.Signature{Scope: "bhrun", Options: opts, Fusion: bcfg.VM.Fusion}
 	plans := make([]backend.Plan, *sessions)
 	reports := make([]*rewrite.Report, *sessions)
-	sessionRun := func(i int) (err error) {
+	sessionRun := func(i int) error {
 		b := backends[i]
-		var exec *backend.Executor
-		if *async {
-			exec = backend.NewExecutor(b, 0, "")
-			// Close on every path — an early compile/execute error must
-			// not leave the executor goroutine or queued plans behind.
-			defer func() {
-				if cerr := exec.Close(); err == nil {
-					err = cerr
-				}
-			}()
-		}
 		resolver := backend.NewResolver(b, sig, nil, nil)
 		key := resolver.Key(prog)
 		for range *repeat {
@@ -145,17 +136,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				reports[i] = res.Report
 			}
 			plans[i] = res.Plan
-			switch {
-			case res.Plan == nil: // optimized to nothing
-			case exec != nil:
-				exec.Submit(res.Plan, res.Consts)
-			default:
-				if err := b.ExecuteWith(res.Plan, res.Consts); err != nil {
-					return err
-				}
+			if err := b.Submit(context.Background(), res.Plan, res.Consts); err != nil {
+				return err
 			}
 		}
-		return nil
+		return b.Wait(context.Background())
 	}
 
 	errs := make([]error, *sessions)

@@ -27,7 +27,7 @@ func main() {
 		conf *bohrium.Config
 	}{
 		{"optimizer+fusion off", &bohrium.Config{Optimizer: &rewrite.Options{}, DisableFusion: true}},
-		{"full pipeline", &bohrium.Config{CollectReports: true}},
+		{"full pipeline", nil},
 	} {
 		ctx := bohrium.NewContext(cfg.conf)
 		start := time.Now()

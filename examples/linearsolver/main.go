@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("solve A·x = B, A is %dx%d\n\n", m, m)
 
 	// Variant 1: x = A⁻¹·B, inverse discarded → rewrite fires.
-	ctx := bohrium.NewContext(&bohrium.Config{CollectReports: true})
+	ctx := bohrium.NewContext(nil)
 	a, b := system(ctx, m)
 	start := time.Now()
 	x := a.Inverse().MatMul(b)
@@ -37,7 +37,7 @@ func main() {
 	ctx.Close()
 
 	// Variant 2: the inverse is also summed afterwards → gate blocks.
-	ctx2 := bohrium.NewContext(&bohrium.Config{CollectReports: true})
+	ctx2 := bohrium.NewContext(nil)
 	a2, b2 := system(ctx2, m)
 	start = time.Now()
 	inv := a2.Inverse()

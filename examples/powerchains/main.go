@@ -38,7 +38,7 @@ func main() {
 
 	for _, v := range variants {
 		opts := v.opts
-		ctx := bohrium.NewContext(&bohrium.Config{Optimizer: &opts, CollectReports: true})
+		ctx := bohrium.NewContext(&bohrium.Config{Optimizer: &opts})
 
 		start := time.Now()
 		first, err := raise(ctx, n, exponent)

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	ctx := bohrium.NewContext(&bohrium.Config{CollectReports: true})
+	ctx := bohrium.NewContext(nil)
 	defer ctx.Close()
 
 	// Listing 1, line for line.

@@ -304,6 +304,8 @@ type Machine struct{}
 type Engine struct{}
 type Config struct{}
 
+const DefaultAsyncDepth = 8
+
 func NewEngine() *Engine { return nil }
 `,
 		"internal/linalg/linalg.go": `package linalg
@@ -330,6 +332,7 @@ type Context struct {
 func New(cfg vm.Config) *Context {
 	linalg.Solve()
 	_ = faultinject.Error()
+	_ = vm.DefaultAsyncDepth // line 17: a default the front end has no setting for
 	return &Context{eng: vm.NewEngine()}
 }
 `,
@@ -338,6 +341,7 @@ func New(cfg vm.Config) *Context {
 		"front.go:4",
 		"front.go:5",
 		"front.go:11",
+		"front.go:17",
 	})
 }
 

@@ -23,14 +23,11 @@ var allowedRootImports = map[string]bool{
 // backend.Config, the shared Engine it owns and hands to backend.Open,
 // and the Stats snapshot Context.Stats republishes.
 var allowedVMSelectors = map[string]bool{
-	"Config":                   true,
-	"DefaultPlanCacheSize":     true,
-	"DefaultParallelThreshold": true,
-	"DefaultAsyncDepth":        true,
-	"Engine":                   true,
-	"EngineConfig":             true,
-	"NewEngine":                true,
-	"Stats":                    true,
+	"Config":       true,
+	"Engine":       true,
+	"EngineConfig": true,
+	"NewEngine":    true,
+	"Stats":        true,
 }
 
 // Boundary is the import-boundary check from the pluggable-backend
@@ -39,7 +36,7 @@ var allowedVMSelectors = map[string]bool{
 // backend.Backend — it must never reach past that seam into the VM's
 // execution machinery. Compiling or executing through vm.Machine or
 // vm.Plan directly would bypass the Resolver's plan path and the
-// Executor's async contract.
+// Backend's async pipeline.
 var Boundary = &Analyzer{
 	Name:  "boundary",
 	Doc:   "the front-end (module root) package stays behind the backend seam: allowlisted internal imports, engine-surface-only use of vm",

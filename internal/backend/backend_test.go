@@ -146,161 +146,3 @@ func TestDifferentialErrorText(t *testing.T) {
 		}
 	}
 }
-
-// TestExecutorSticky: the executor's first execution error is sticky: the
-// queued plan behind it is skipped, and every Wait and Close report it.
-func TestExecutorSticky(t *testing.T) {
-	b := openTest(t, Config{})
-	pl, err := b.Compile(solveProg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	at, _ := tensor.FromFloat64s([]float64{1, 2, 2, 4}, tensor.MustShape(2, 2)) // singular
-	bt, _ := tensor.FromFloat64s([]float64{1, 1}, tensor.MustShape(2))
-	b.Bind(0, at)
-	b.Bind(1, bt)
-
-	e := NewExecutor(b, 2, "")
-	e.Submit(pl, nil) // fails
-	e.Submit(pl, nil) // skipped
-	err = e.Wait()
-	if err == nil {
-		t.Fatal("pipeline error lost")
-	}
-	if again := e.Wait(); again != err {
-		t.Fatalf("sticky error changed: %v then %v", err, again)
-	}
-	if st := b.Stats(); st.Pipelined != 1 {
-		t.Errorf("Pipelined = %d, want 1 (second plan skipped)", st.Pipelined)
-	}
-	if cerr := e.Close(); cerr != err {
-		t.Fatalf("Close() = %v, want sticky %v", cerr, err)
-	}
-}
-
-// TestExecutorPending: the pending counter counts submitted-not-finished
-// plans and settles to zero at every recorder synchronization point —
-// the invariant the bhd daemon's max-queued-batches quota meters.
-func TestExecutorPending(t *testing.T) {
-	b := openTest(t, Config{})
-	prog := chainProg(64, 3)
-	in, _ := tensor.FromFloat64s(irregularVals(64), tensor.MustShape(64))
-	b.Bind(0, in)
-	pl, err := b.Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := NewExecutor(b, 4, "")
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d before any submit, want 0", got)
-	}
-	for i := 0; i < 8; i++ {
-		e.Submit(pl, nil)
-	}
-	if err := e.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after Wait, want 0", got)
-	}
-	e.Submit(pl, nil)
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.Pending(); got != 0 {
-		t.Fatalf("Pending() = %d after Close, want 0", got)
-	}
-}
-
-// TestExecutorQueuedPlansKeepOwnConstants: structurally identical batches
-// with different constant vectors, resolved and queued back to back, each
-// execute under their own values. Every resolve returns the one cached
-// plan; a parametric hit under another vector than the plan's carries its
-// own copy of it, so the next Key, which reuses the resolver's buffer,
-// never retouches what the queue holds. The queued run is bit for bit the
-// batches compiled afresh and executed one after another.
-func TestExecutorQueuedPlansKeepOwnConstants(t *testing.T) {
-	cfg := Config{VM: vm.Config{Fusion: true}}
-	b := openTest(t, cfg)
-	e := NewExecutor(b, 0, "")
-	defer e.Close()
-	r := NewResolver(b, Signature{Scope: "test", Fusion: true}, nil, nil)
-	// a0 = (a0 * c + c) * c, in place: each run's result feeds the next.
-	scale := func(c float64) *bytecode.Program {
-		p := bytecode.NewProgram()
-		a0 := p.NewReg(tensor.Float64, 64)
-		v, k := tensor.NewView(tensor.MustShape(64)), bytecode.Const(bytecode.ConstFloat(c))
-		p.MarkInput(a0)
-		p.EmitBinary(bytecode.OpMultiply, bytecode.Reg(a0, v), bytecode.Reg(a0, v), k)
-		p.EmitBinary(bytecode.OpAdd, bytecode.Reg(a0, v), bytecode.Reg(a0, v), k)
-		p.EmitBinary(bytecode.OpMultiply, bytecode.Reg(a0, v), bytecode.Reg(a0, v), k)
-		p.MarkOutput(a0)
-		return p
-	}
-	cs := []float64{1, 10, 1, 0.375, 10}
-	bindVec(t, b, 0, irregularVals(64))
-	var plan Plan
-	var queued []Resolution
-	for i, c := range cs {
-		batch := scale(c)
-		res, err := r.Resolve(batch, r.Key(batch))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			plan = res.Plan
-		}
-		if res.Plan != plan {
-			t.Fatalf("c=%v: resolved another plan than the cached one", c)
-		}
-		if own := c == cs[0]; (res.Consts == nil) != own {
-			t.Fatalf("c=%v: Consts = %v, want nil exactly under the plan's own vector", c, res.Consts)
-		}
-		queued = append(queued, res)
-		e.Submit(res.Plan, res.Consts)
-	}
-	if err := e.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range queued {
-		if res.Consts != nil && res.Consts[0].Float() != cs[i] {
-			t.Errorf("resolution %d: its vector became %v", i, res.Consts)
-		}
-	}
-	if pc := plan.Constants(); pc[0].Float() != cs[0] {
-		t.Errorf("the cached plan's own vector became %v", pc)
-	}
-	ref := openTest(t, cfg)
-	bindVec(t, ref, 0, irregularVals(64))
-	for _, c := range cs {
-		pl, err := ref.Compile(scale(c))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.Execute(pl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, want := regVals(t, b, 0, 64), regVals(t, ref, 0, 64)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("a0[%d] = %v after the queued batches, want %v", i, got[i], want[i])
-		}
-	}
-	if st := b.Stats(); st.PlanMisses != 1 || st.PlanHits != len(cs)-1 {
-		t.Errorf("%d misses and %d hits, want 1 and %d", st.PlanMisses, st.PlanHits, len(cs)-1)
-	}
-}
-
-// TestExecutorCloseIdempotent: Close twice is safe and keeps returning
-// the same (nil) error.
-func TestExecutorCloseIdempotent(t *testing.T) {
-	b := openTest(t, Config{})
-	e := NewExecutor(b, 0, "")
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-}

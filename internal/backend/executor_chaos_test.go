@@ -12,16 +12,15 @@ import (
 )
 
 // TestChaosSubmitCtxShedsOnFullQueue pins deadline-bounded admission at
-// the executor seam: with the queue full behind a stalled executor, a
-// SubmitCtx whose context expires sheds ONLY its own submission — the
-// ctx error comes back wrapped, the queued work is untouched, and the
+// the backend seam: with the queue full behind a stalled executor, a
+// Submit whose context expires sheds ONLY its own submission — the ctx
+// error comes back wrapped, the queued work is untouched, and the
 // pipeline drains clean.
 func TestChaosSubmitCtxShedsOnFullQueue(t *testing.T) {
 	ref2, ref3 := runChain(t, 64)
 
-	b := openTest(t, Config{VM: vm.Config{Fusion: true}})
-	e := NewExecutor(b, 1, "stall-victim")
-	defer e.Close()
+	ctx := context.Background()
+	b := openTest(t, Config{VM: vm.Config{Fusion: true, FaultLabel: "stall-victim"}, Async: true, AsyncDepth: 1})
 	pl, err := b.Compile(chainProg(64, 1.5))
 	if err != nil {
 		t.Fatal(err)
@@ -32,12 +31,12 @@ func TestChaosSubmitCtxShedsOnFullQueue(t *testing.T) {
 		Label: "stall-victim", Delay: 300 * time.Millisecond, Times: 1,
 	})
 	defer disarm()
-	e.Submit(pl, nil)                 // dequeued immediately, then stalls
+	b.Submit(ctx, pl, nil)            // dequeued immediately, then stalls
 	time.Sleep(20 * time.Millisecond) // let the executor enter the stall
-	e.Submit(pl, nil)                 // fills the depth-1 queue
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	b.Submit(ctx, pl, nil)            // fills the depth-1 queue
+	sctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
-	serr := e.SubmitCtx(ctx, pl, nil)
+	serr := b.Submit(sctx, pl, nil)
 	if !errors.Is(serr, context.DeadlineExceeded) {
 		t.Fatalf("submit into a full queue: %v, want a DeadlineExceeded chain", serr)
 	}
@@ -47,10 +46,10 @@ func TestChaosSubmitCtxShedsOnFullQueue(t *testing.T) {
 
 	// The shed submission left no trace: both admitted plans execute,
 	// the pipeline ends clean, and the results match the reference.
-	if err := e.Wait(); err != nil {
+	if err := b.Wait(ctx); err != nil {
 		t.Fatalf("wait after a shed submission: %v", err)
 	}
-	if n := e.Pending(); n != 0 {
+	if n := b.Pending(); n != 0 {
 		t.Fatalf("pending = %d after wait, want 0 (shed submission still booked?)", n)
 	}
 	got2, got3 := regVals(t, b, 2, 64), regVals(t, b, 3, 1)
@@ -65,16 +64,15 @@ func TestChaosSubmitCtxShedsOnFullQueue(t *testing.T) {
 }
 
 // TestChaosWaitCtxHonorsCancelWithoutKillingWork pins the wait side of
-// the deadline contract: WaitCtx returns the ctx error when the fence
+// the deadline contract: Wait returns the ctx error when the fence
 // outruns its deadline, but abandoning the wait cancels nothing — the
 // slow plan completes, a later unbounded Wait observes it, and an idle
-// pipeline's WaitCtx returns immediately.
+// pipeline's Wait returns immediately.
 func TestChaosWaitCtxHonorsCancelWithoutKillingWork(t *testing.T) {
 	ref2, ref3 := runChain(t, 64)
 
-	b := openTest(t, Config{VM: vm.Config{Fusion: true, FaultLabel: "slow-victim"}})
-	e := NewExecutor(b, 0, "slow-victim")
-	defer e.Close()
+	ctx := context.Background()
+	b := openTest(t, Config{VM: vm.Config{Fusion: true, FaultLabel: "slow-victim"}, Async: true})
 	pl, err := b.Compile(chainProg(64, 1.5))
 	if err != nil {
 		t.Fatal(err)
@@ -85,14 +83,16 @@ func TestChaosWaitCtxHonorsCancelWithoutKillingWork(t *testing.T) {
 		Label: "slow-victim", Delay: 300 * time.Millisecond, Times: 1,
 	})
 	defer disarm()
-	e.Submit(pl, nil)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	if err := b.Submit(ctx, pl, nil); err != nil {
+		t.Fatal(err)
+	}
+	wctx, cancel := context.WithTimeout(ctx, 30*time.Millisecond)
 	defer cancel()
-	if werr := e.WaitCtx(ctx); !errors.Is(werr, context.DeadlineExceeded) {
+	if werr := b.Wait(wctx); !errors.Is(werr, context.DeadlineExceeded) {
 		t.Fatalf("fence against a slow plan: %v, want a DeadlineExceeded chain", werr)
 	}
 
-	if err := e.Wait(); err != nil {
+	if err := b.Wait(ctx); err != nil {
 		t.Fatalf("unbounded wait after an abandoned fence: %v", err)
 	}
 	got2, got3 := regVals(t, b, 2, 64), regVals(t, b, 3, 1)
@@ -104,19 +104,21 @@ func TestChaosWaitCtxHonorsCancelWithoutKillingWork(t *testing.T) {
 	if got3[0] != ref3[0] {
 		t.Fatalf("a3 = %v, want %v", got3[0], ref3[0])
 	}
-	// Idle pipeline: WaitCtx needs no deadline headroom at all.
-	if werr := e.WaitCtx(context.Background()); werr != nil {
-		t.Fatalf("idle WaitCtx: %v", werr)
+	// Idle pipeline: Wait needs no deadline headroom at all.
+	expired, cancelNow := context.WithCancel(ctx)
+	cancelNow()
+	if werr := b.Wait(expired); werr != nil {
+		t.Fatalf("idle Wait: %v", werr)
 	}
 }
 
 // TestChaosExecutorPanicBecomesStickyError pins async panic containment:
 // a panic while the background executor runs a queued plan becomes the
 // pipeline's sticky ErrExec-wrapped error — reported by every Wait and
-// by Close — instead of killing the process.
+// by Err — instead of killing the process.
 func TestChaosExecutorPanicBecomesStickyError(t *testing.T) {
-	b := openTest(t, Config{VM: vm.Config{Fusion: true, FaultLabel: "sess"}})
-	e := NewExecutor(b, 2, "sess")
+	ctx := context.Background()
+	b := openTest(t, Config{VM: vm.Config{Fusion: true, FaultLabel: "sess"}, Async: true, AsyncDepth: 2})
 	pl, err := b.Compile(chainProg(64, 1.5))
 	if err != nil {
 		t.Fatal(err)
@@ -125,18 +127,20 @@ func TestChaosExecutorPanicBecomesStickyError(t *testing.T) {
 
 	disarm := faultinject.Arm(faultinject.WorkerPanic, faultinject.Fault{Label: "sess", Times: 1})
 	defer disarm()
-	e.Submit(pl, nil)
-	werr := e.Wait()
+	if err := b.Submit(ctx, pl, nil); err != nil {
+		t.Fatal(err)
+	}
+	werr := b.Wait(ctx)
 	if !errors.Is(werr, vm.ErrExec) {
 		t.Fatalf("wait after injected panic: %v, want an ErrExec chain", werr)
 	}
 	if !strings.Contains(werr.Error(), "panic during pipelined execution") {
 		t.Fatalf("pipeline error does not name the recovered panic: %v", werr)
 	}
-	if again := e.Wait(); again == nil || again.Error() != werr.Error() {
+	if again := b.Wait(ctx); again == nil || again.Error() != werr.Error() {
 		t.Fatalf("sticky error changed across waits: %v then %v", werr, again)
 	}
-	if cerr := e.Close(); cerr == nil || cerr.Error() != werr.Error() {
-		t.Fatalf("close lost the sticky error: %v", cerr)
+	if eerr := b.Err(); eerr == nil || eerr.Error() != werr.Error() {
+		t.Fatalf("Err lost the sticky error: %v", eerr)
 	}
 }

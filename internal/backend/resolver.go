@@ -84,8 +84,8 @@ func (r *Resolver) Key(batch *bytecode.Program) Key {
 	return Key{FP: batch.Fingerprint(), Consts: r.consts, Cached: true}
 }
 
-// Resolution is a resolved batch: the host executes Plan under Consts
-// (Backend.ExecuteWith, Executor.Submit).
+// Resolution is a resolved batch: the host submits Plan under Consts
+// (Backend.Submit).
 type Resolution struct {
 	Plan Plan // nil: the batch optimizes to nothing
 	// Consts is the batch's constant vector when a parametric hit runs

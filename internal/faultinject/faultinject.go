@@ -46,9 +46,9 @@ const (
 	// work happens — a deliberately slow plan for deadline and overload
 	// tests.
 	SlowExec Point = "slow-exec"
-	// ExecStall strikes the backend executor loop (backend.Executor):
-	// the executor goroutine sleeps the fault's Delay before taking the
-	// next job, so the queue backs up and admission control must shed.
+	// ExecStall strikes an async backend's pipeline loop: the executor
+	// goroutine sleeps the fault's Delay before taking the next job, so
+	// the queue backs up and admission control must shed.
 	ExecStall Point = "executor-stall"
 	// JanitorSkew strikes the idle reaper's clock (server.ReapIdle):
 	// the observed time is shifted by the fault's Skew, so sessions age

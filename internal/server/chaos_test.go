@@ -142,6 +142,14 @@ func TestChaosFaultMatrix(t *testing.T) {
 		if !strings.Contains(apiErr.Message, "injected fault") {
 			t.Fatalf("error does not name the injected fault: %s", apiErr.Message)
 		}
+		// A failed synchronous batch was committed before it ran: it is
+		// counted, bytes included, like one that succeeded.
+		var st api.SessionStats
+		a.expect("GET", "/v1/sessions/"+sess.ID+"/stats", nil, http.StatusOK, &st)
+		if st.Session.Batches != 1 || st.Session.SubmittedBytes != int64(len(idempotentSrc)) {
+			t.Fatalf("failed sync batch booked %d batches and %d bytes, want 1 and %d",
+				st.Session.Batches, st.Session.SubmittedBytes, len(idempotentSrc))
+		}
 		assertUnaffected(t, hs.URL)
 
 		disarm()
@@ -269,8 +277,9 @@ func TestChaosFaultMatrix(t *testing.T) {
 		wantFortyTwos(t, pollArray(t, a, sess.ID, "a0"))
 		var st api.SessionStats
 		a.expect("GET", "/v1/sessions/"+sess.ID+"/stats", nil, http.StatusOK, &st)
-		if st.Session.Batches != 2 {
-			t.Fatalf("session booked %d batches, want 2 (the shed one must not count)", st.Session.Batches)
+		if st.Session.Batches != 2 || st.Session.SubmittedBytes != int64(2*len(idempotentSrc)) {
+			t.Fatalf("session booked %d batches and %d bytes, want 2 and %d (the shed one must not count)",
+				st.Session.Batches, st.Session.SubmittedBytes, 2*len(idempotentSrc))
 		}
 		assertUnaffected(t, hs.URL)
 	})

@@ -278,9 +278,40 @@ func tenant(r *http.Request) string {
 	return t
 }
 
-// touch refreshes the session's idle clock. Caller holds the session
-// lock.
-func (s *Server) touch(sess *session) { sess.lastUsed = s.cfg.Now() }
+// lockFor takes the session for one of s's handlers within the named
+// deadline: "submit" (SubmitTimeout) or "wait" (WaitTimeout), derived
+// from the request so a client that disconnects gives up at once. A lock
+// that does not come in time is a retryable 503 and a session closed
+// meanwhile is a 404; otherwise the idle clock is refreshed and the
+// handler holds the lock until it calls release. The returned context
+// keeps bounding the handler's wait for a queue slot or for the fence.
+func (sess *session) lockFor(s *Server, r *http.Request, deadline string) (ctx context.Context, release func(), apiErr *api.Error) {
+	d := s.cfg.WaitTimeout
+	if deadline == "submit" {
+		d = s.cfg.SubmitTimeout
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	if !sess.lockCtx(ctx) {
+		cancel()
+		return nil, nil, s.overloaded(
+			"session %q is busy: no session lock within the %v %s deadline", sess.id, d, deadline)
+	}
+	if sess.closed {
+		sess.unlock()
+		cancel()
+		return nil, nil, api.Errorf(http.StatusNotFound, api.CodeNotFound,
+			"tenant %q has no session %q", tenant(r), sess.id)
+	}
+	sess.lastUsed = s.cfg.Now()
+	return ctx, func() { sess.unlock(); cancel() }, nil
+}
+
+// abandoned reports whether err is a deadline-bounded wait giving up (the
+// request's deadline or its client went away) rather than a failure of
+// the work itself.
+func abandoned(err error) bool {
+	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
+}
 
 // overloaded builds the retryable 503 every shed path returns: queue
 // full past the submit deadline, session lock not acquired in time, or
@@ -374,30 +405,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Admission deadline: the session lock and (async) an executor queue
 	// slot must both be acquired within SubmitTimeout or the submission
 	// is shed with a retryable 503 — bounded latency instead of a hung
-	// handler. The deadline derives from r.Context(), so a client that
-	// disconnects sheds immediately; shed submissions refund their byte
-	// charge (the retry must not pay twice).
-	actx, cancel := context.WithTimeout(r.Context(), s.cfg.SubmitTimeout)
-	defer cancel()
-	if !sess.lockCtx(actx) {
-		s.reg.refundBytes(ten, int64(len(body)))
-		api.WriteError(w, s.overloaded(
-			"session %q is busy: no session lock within the %v submit deadline", sess.id, s.cfg.SubmitTimeout))
-		return
-	}
-	defer sess.unlock()
-	if sess.closed {
-		api.WriteError(w, api.Errorf(http.StatusNotFound, api.CodeNotFound,
-			"tenant %q has no session %q", ten, sess.id))
-		return
-	}
-	s.touch(sess)
-	if sess.exec != nil {
-		if err := sess.exec.Err(); err != nil {
-			api.WriteError(w, api.Errorf(http.StatusConflict, api.CodePipeline,
-				"session pipeline failed: %v", err))
-			return
+	// handler. A client that disconnects sheds immediately; shed
+	// submissions refund their byte charge (the retry must not pay twice).
+	actx, release, apiErr := sess.lockFor(s, r, "submit")
+	if apiErr != nil {
+		if apiErr.Retryable {
+			s.reg.refundBytes(ten, int64(len(body)))
 		}
+		api.WriteError(w, apiErr)
+		return
+	}
+	defer release()
+	if err := sess.be.Err(); err != nil {
+		api.WriteError(w, api.Errorf(http.StatusConflict, api.CodePipeline,
+			"session pipeline failed: %v", err))
+		return
 	}
 
 	prog, names, err := bytecode.ParseNames(string(body))
@@ -424,18 +446,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if res.Plan != nil {
 		executed = res.Plan.Program().Instrs
 	}
-	if sess.exec != nil && res.Plan != nil {
-		if err := sess.exec.SubmitCtx(actx, res.Plan, res.Consts); err != nil {
-			s.reg.refundBytes(ten, int64(len(body)))
-			api.WriteError(w, s.overloaded(
-				"session %q shed a batch after the %v submit deadline: %v", sess.id, s.cfg.SubmitTimeout, err))
-			return
-		}
+	// A synchronous session executes the batch here and an async one
+	// queues it. Only a queue slot's wait can end the submit deadline.
+	xerr := sess.be.Submit(actx, res.Plan, res.Consts)
+	if abandoned(xerr) {
+		s.reg.refundBytes(ten, int64(len(body)))
+		api.WriteError(w, s.overloaded(
+			"session %q shed a batch after the %v submit deadline: %v", sess.id, s.cfg.SubmitTimeout, xerr))
+		return
 	}
 
-	// The batch is committed to execute (a SHED submission booked
-	// nothing above): remember where its names landed so reads can
-	// address the registers, and count it.
+	// The batch is committed (a SHED submission booked nothing above),
+	// even when it failed to execute: remember where its names landed so
+	// reads can address the registers, and count it.
 	for name, id := range names {
 		if info, ok := prog.Reg(id); ok {
 			sess.regs[name] = regEntry{id: id, dtype: info.DType, n: info.Len}
@@ -443,26 +466,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	sess.batches++
 	sess.submittedBytes += int64(len(body))
+	switch {
+	case errors.Is(xerr, vm.ErrMemoryPressure):
+		api.WriteError(w, api.Errorf(http.StatusServiceUnavailable, api.CodeMemoryPressure,
+			"%v", xerr).Retry(s.cfg.RetryAfterSeconds))
+		return
+	case xerr != nil:
+		api.WriteError(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeExec, "%v", xerr))
+		return
+	}
 	result := api.BatchResult{
 		Session:      sess.id,
 		Batch:        sess.batches,
 		Instructions: len(executed),
-		Async:        sess.exec != nil,
+		Async:        sess.be.Async(),
 	}
 	if result.Async {
 		api.WriteJSON(w, http.StatusAccepted, result)
 		return
-	}
-	if res.Plan != nil {
-		if err := sess.be.ExecuteWith(res.Plan, res.Consts); err != nil {
-			if errors.Is(err, vm.ErrMemoryPressure) {
-				api.WriteError(w, api.Errorf(http.StatusServiceUnavailable, api.CodeMemoryPressure,
-					"%v", err).Retry(s.cfg.RetryAfterSeconds))
-				return
-			}
-			api.WriteError(w, api.Errorf(http.StatusUnprocessableEntity, api.CodeExec, "%v", err))
-			return
-		}
 	}
 	result.Synced = s.syncedRegisters(sess, executed, names)
 	api.WriteJSON(w, http.StatusOK, result)
@@ -512,32 +533,22 @@ func (s *Server) handleArray(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, apiErr)
 		return
 	}
-	wctx, cancel := context.WithTimeout(r.Context(), s.cfg.WaitTimeout)
-	defer cancel()
-	if !sess.lockCtx(wctx) {
-		api.WriteError(w, s.overloaded(
-			"session %q is busy: no session lock within the %v wait deadline", sess.id, s.cfg.WaitTimeout))
+	wctx, release, apiErr := sess.lockFor(s, r, "wait")
+	if apiErr != nil {
+		api.WriteError(w, apiErr)
 		return
 	}
-	defer sess.unlock()
-	if sess.closed {
-		api.WriteError(w, api.Errorf(http.StatusNotFound, api.CodeNotFound,
-			"tenant %q has no session %q", ten, sess.id))
-		return
-	}
-	s.touch(sess)
-	if sess.exec != nil {
-		if err := sess.exec.WaitCtx(wctx); err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				api.WriteError(w, s.overloaded(
-					"session %q: pipeline fence abandoned after the %v wait deadline; queued batches continue",
-					sess.id, s.cfg.WaitTimeout))
-				return
-			}
-			api.WriteError(w, api.Errorf(http.StatusConflict, api.CodePipeline,
-				"session pipeline failed: %v", err))
+	defer release()
+	if err := sess.be.Wait(wctx); err != nil {
+		if abandoned(err) {
+			api.WriteError(w, s.overloaded(
+				"session %q: pipeline fence abandoned after the %v wait deadline; queued batches continue",
+				sess.id, s.cfg.WaitTimeout))
 			return
 		}
+		api.WriteError(w, api.Errorf(http.StatusConflict, api.CodePipeline,
+			"session pipeline failed: %v", err))
+		return
 	}
 
 	name := r.PathValue("reg")
@@ -569,30 +580,19 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, apiErr)
 		return
 	}
-	wctx, cancel := context.WithTimeout(r.Context(), s.cfg.WaitTimeout)
-	defer cancel()
-	if !sess.lockCtx(wctx) {
+	wctx, release, apiErr := sess.lockFor(s, r, "wait")
+	if apiErr != nil {
+		api.WriteError(w, apiErr)
+		return
+	}
+	defer release()
+	// Counters are deterministic after the fence; a sticky pipeline error
+	// is ignored here (reads report it), but an expired fence sheds —
+	// counters mid-pipeline are not stats.
+	if err := sess.be.Wait(wctx); abandoned(err) {
 		api.WriteError(w, s.overloaded(
-			"session %q is busy: no session lock within the %v wait deadline", sess.id, s.cfg.WaitTimeout))
+			"session %q: stats fence abandoned after the %v wait deadline", sess.id, s.cfg.WaitTimeout))
 		return
-	}
-	defer sess.unlock()
-	if sess.closed {
-		api.WriteError(w, api.Errorf(http.StatusNotFound, api.CodeNotFound,
-			"tenant %q has no session %q", tenant(r), sess.id))
-		return
-	}
-	s.touch(sess)
-	if sess.exec != nil {
-		// Counters are deterministic after the fence; a sticky pipeline
-		// error is ignored here as before (reads report it), but an
-		// expired fence sheds — counters mid-pipeline are not stats.
-		if err := sess.exec.WaitCtx(wctx); err != nil &&
-			(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-			api.WriteError(w, s.overloaded(
-				"session %q: stats fence abandoned after the %v wait deadline", sess.id, s.cfg.WaitTimeout))
-			return
-		}
 	}
 	api.WriteJSON(w, http.StatusOK, api.SessionStats{
 		Session: sess.snapshot(),

@@ -32,14 +32,14 @@ type Quotas struct {
 	MaxQueuedBatches int
 }
 
-// session is one tenant's execution state: a backend on the shared
-// engine, the name→register map of its batches, and (in async mode) the
-// background executor. sem serializes the HTTP handlers driving it — the
-// backend keeps its single-goroutine contract even when a tenant's
-// requests race each other. It is a one-slot channel rather than a
-// sync.Mutex so deadline-bearing handlers can bound how long they wait
-// for the session (lockCtx): a slow batch on one connection must turn
-// into the OTHER connection's structured 503, not a hung handler.
+// session is one tenant's execution state: a backend session on the
+// shared engine (with its own pipeline in async mode) and the
+// name→register map of its batches. sem serializes the HTTP handlers
+// driving it — the backend keeps its single-goroutine contract even when
+// a tenant's requests race each other. It is a one-slot channel rather
+// than a sync.Mutex so deadline-bearing handlers can bound how long they
+// wait for the session (lockFor): a slow batch on one connection must
+// turn into the OTHER connection's structured 503, not a hung handler.
 type session struct {
 	id     string // immutable after construction
 	tenant string // immutable after construction
@@ -47,7 +47,6 @@ type session struct {
 	sem            chan struct{}       // 1-slot handler lock; lock/lockCtx/unlock
 	be             *backend.Backend    // immutable after construction (calls through it hold sem)
 	plans          *backend.Resolver   // immutable after construction (calls through it hold sem)
-	exec           *backend.Executor   // immutable after construction: nil unless async
 	regs           map[string]regEntry // guarded by sem
 	batches        int                 // guarded by sem
 	submittedBytes int64               // guarded by sem
@@ -86,15 +85,6 @@ type regEntry struct {
 	n     int
 }
 
-// pending reports the session's submitted-not-yet-executed batches.
-// Safe without mu: the executor's counter is atomic.
-func (s *session) pending() int {
-	if s.exec == nil {
-		return 0
-	}
-	return s.exec.Pending()
-}
-
 // snapshot builds the session's wire form. Caller holds the session
 // lock (sem) or has the session otherwise quiesced.
 func (s *session) snapshot() api.Session {
@@ -102,10 +92,10 @@ func (s *session) snapshot() api.Session {
 		ID:             s.id,
 		Tenant:         s.tenant,
 		Optimize:       s.plans.Signature().Options != rewrite.Options{},
-		Async:          s.exec != nil,
+		Async:          s.be.Async(),
 		Batches:        s.batches,
 		SubmittedBytes: s.submittedBytes,
-		Pending:        s.pending(),
+		Pending:        s.be.Pending(),
 	}
 }
 
@@ -115,11 +105,17 @@ func (s *session) closeLocked() {
 		return
 	}
 	s.closed = true
-	if s.exec != nil {
-		s.exec.Close() // drains; a sticky pipeline error dies with the session
-	}
-	s.be.Close()
+	s.be.Close() // drains; a sticky pipeline error dies with the session
 	s.release()
+}
+
+// close tears the session down under its own lock, after any in-flight
+// handler finishes. The registry entry must already be gone, so no new
+// request can find it.
+func (s *session) close() {
+	s.lock()
+	s.closeLocked()
+	s.unlock()
 }
 
 // registry owns every live session and the per-tenant usage the quota
@@ -130,7 +126,7 @@ type registry struct {
 	rt         *bohrium.Runtime // immutable after newRegistry
 	quotas     Quotas           // immutable after newRegistry
 	now        func() time.Time // immutable after newRegistry
-	queueDepth int              // immutable after newRegistry: async executor queue depth (0: vm.DefaultAsyncDepth)
+	queueDepth int              // immutable after newRegistry: async sessions' queue depth (0: vm.DefaultAsyncDepth)
 
 	mu       sync.Mutex
 	sessions map[string]*session     // guarded by mu
@@ -163,7 +159,7 @@ func (reg *registry) pendingBatches() int {
 	defer reg.mu.Unlock()
 	total := 0
 	for _, s := range reg.sessions {
-		total += s.pending()
+		total += s.be.Pending()
 	}
 	return total
 }
@@ -205,7 +201,7 @@ func (reg *registry) Admit(tenant string, r *http.Request) *api.Error {
 			queued := 0
 			for _, s := range reg.sessions {
 				if s.tenant == tenant {
-					queued += s.pending()
+					queued += s.be.Pending()
 				}
 			}
 			if queued >= max {
@@ -246,7 +242,7 @@ func (reg *registry) refundBytes(tenant string, n int64) {
 // racing creates must not both slip under MaxSessions.
 func (reg *registry) create(tenant string, req api.CreateSession) (*session, *api.Error) {
 	vcfg := vm.Config{Fusion: true, FaultLabel: tenant}
-	be := backend.New(reg.rt.Engine(), backend.Config{VM: vcfg})
+	be := backend.New(reg.rt.Engine(), backend.Config{VM: vcfg, Async: req.Async, AsyncDepth: reg.queueDepth})
 
 	reg.mu.Lock()
 	u := reg.usage(tenant)
@@ -273,9 +269,6 @@ func (reg *registry) create(tenant string, req api.CreateSession) (*session, *ap
 		opts = rewrite.DefaultOptions()
 	}
 	s.plans = backend.NewResolver(be, backend.Signature{Scope: "bhd", Options: opts, Fusion: vcfg.Fusion}, nil, nil)
-	if req.Async {
-		s.exec = backend.NewExecutor(be, reg.queueDepth, tenant)
-	}
 	s.release = reg.rt.Register(tenant + "/" + s.id)
 	reg.sessions[s.id] = s
 	u.live++
@@ -346,10 +339,7 @@ func (reg *registry) close(tenant, id string) *api.Error {
 	delete(reg.sessions, id)
 	reg.usage(tenant).live--
 	reg.mu.Unlock()
-
-	s.lock()
-	s.closeLocked()
-	s.unlock()
+	s.close()
 	return nil
 }
 
@@ -402,8 +392,6 @@ func (reg *registry) closeAll() {
 	}
 	reg.mu.Unlock()
 	for _, s := range all {
-		s.lock()
-		s.closeLocked()
-		s.unlock()
+		s.close()
 	}
 }

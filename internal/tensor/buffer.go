@@ -123,13 +123,10 @@ func (d *Data[T]) Clone() Buffer {
 // Zero implements Buffer.
 func (d *Data[T]) Zero() { clear(d.s) }
 
-// Raw exposes the underlying slice. Kernels use this for type-specialized
-// fast paths; callers must not resize it.
-func (d *Data[T]) Raw() []T { return d.s }
-
-// RawSlice returns the raw []T backing b, if T is b's storage type. This
-// is the generic form of the dtype-named accessors below: bool and uint8
-// buffers surface as []uint8, every other dtype as its Go type.
+// RawSlice returns the raw []T backing b, if T is b's storage type: bool
+// and uint8 buffers surface as []uint8, every other dtype as its Go type.
+// Kernels use it for type-specialized fast paths; callers must not
+// resize the slice.
 func RawSlice[T Elem](b Buffer) ([]T, bool) {
 	d, ok := b.(*Data[T])
 	if !ok {
@@ -141,42 +138,6 @@ func RawSlice[T Elem](b Buffer) ([]T, bool) {
 // Float64s returns the raw []float64 backing b, if it has dtype float64.
 func Float64s(b Buffer) ([]float64, bool) {
 	d, ok := b.(*Data[float64])
-	if !ok {
-		return nil, false
-	}
-	return d.s, true
-}
-
-// Float32s returns the raw []float32 backing b, if it has dtype float32.
-func Float32s(b Buffer) ([]float32, bool) {
-	d, ok := b.(*Data[float32])
-	if !ok {
-		return nil, false
-	}
-	return d.s, true
-}
-
-// Int64s returns the raw []int64 backing b, if it has dtype int64.
-func Int64s(b Buffer) ([]int64, bool) {
-	d, ok := b.(*Data[int64])
-	if !ok {
-		return nil, false
-	}
-	return d.s, true
-}
-
-// Int32s returns the raw []int32 backing b, if it has dtype int32.
-func Int32s(b Buffer) ([]int32, bool) {
-	d, ok := b.(*Data[int32])
-	if !ok {
-		return nil, false
-	}
-	return d.s, true
-}
-
-// Uint8s returns the raw []uint8 backing b, for dtype uint8 or bool.
-func Uint8s(b Buffer) ([]uint8, bool) {
-	d, ok := b.(*Data[uint8])
 	if !ok {
 		return nil, false
 	}

@@ -73,10 +73,6 @@ func (it *Iterator) Next() bool {
 // Index returns the linear buffer index of the current element.
 func (it *Iterator) Index() int { return it.index }
 
-// Coords returns the current n-dimensional coordinates. The returned slice
-// is reused between calls; copy it if it must survive the next Next.
-func (it *Iterator) Coords() []int { return it.coords }
-
 // ZipIndices walks two same-shaped views in lockstep, calling fn with the
 // pair of linear indices for each element position.
 func ZipIndices(a, b View, fn func(ia, ib int)) {

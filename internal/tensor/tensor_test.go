@@ -129,17 +129,20 @@ func TestTypedSliceAccessors(t *testing.T) {
 	if _, ok := Float64s(MustBuffer(Int64, 3)); ok {
 		t.Error("Float64s succeeded on int64 buffer")
 	}
-	if s, ok := Int64s(MustBuffer(Int64, 2)); !ok || len(s) != 2 {
-		t.Error("Int64s failed")
+	if s, ok := RawSlice[int64](MustBuffer(Int64, 2)); !ok || len(s) != 2 {
+		t.Error("RawSlice[int64] failed")
 	}
-	if s, ok := Int32s(MustBuffer(Int32, 2)); !ok || len(s) != 2 {
-		t.Error("Int32s failed")
+	if s, ok := RawSlice[int32](MustBuffer(Int32, 2)); !ok || len(s) != 2 {
+		t.Error("RawSlice[int32] failed")
 	}
-	if s, ok := Float32s(MustBuffer(Float32, 2)); !ok || len(s) != 2 {
-		t.Error("Float32s failed")
+	if s, ok := RawSlice[float32](MustBuffer(Float32, 2)); !ok || len(s) != 2 {
+		t.Error("RawSlice[float32] failed")
 	}
-	if s, ok := Uint8s(MustBuffer(Bool, 2)); !ok || len(s) != 2 {
-		t.Error("Uint8s failed on bool buffer")
+	if s, ok := RawSlice[uint8](MustBuffer(Bool, 2)); !ok || len(s) != 2 {
+		t.Error("RawSlice[uint8] failed on bool buffer")
+	}
+	if _, ok := RawSlice[float32](MustBuffer(Float64, 2)); ok {
+		t.Error("RawSlice[float32] succeeded on float64 buffer")
 	}
 }
 

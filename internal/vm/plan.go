@@ -16,7 +16,7 @@ import (
 // constant value: each Execute binds register buffers and a constant
 // vector afresh and is read-only on the Plan, so one Plan may execute on
 // several Machines under several vectors at once — the shared plan cache
-// and the async Executor depend on that — and is never mutated after
+// and an async backend's queue depend on that — and is never mutated after
 // Compile.
 type Plan struct {
 	prog     *bytecode.Program

@@ -68,8 +68,8 @@ type Config struct {
 // costs more than it buys.
 const DefaultParallelThreshold = 1 << 15
 
-// DefaultAsyncDepth is the submit-queue depth of an async executor whose
-// caller passes zero: how many compiled batches may sit between the
+// DefaultAsyncDepth is the submit-queue depth of an async backend whose
+// config leaves AsyncDepth zero: how many compiled batches may sit between the
 // recording goroutine and the executing one before Submit applies
 // backpressure.
 const DefaultAsyncDepth = 8
@@ -81,12 +81,12 @@ const DefaultAsyncDepth = 8
 // so a lazy front-end can flush incrementally. Machine is not safe for
 // general concurrent use — one goroutine drives it, parallelism happens
 // inside Run — but it supports exactly one sanctioned split: a recording
-// goroutine that compiles and looks up plans while an Executor goroutine
-// executes them (backend.Executor states the ownership rules). Counters are
-// atomic so both sides may count. Different Machines on one shared Engine
-// may run fully concurrently: everything they share (worker pool, plan
-// cache, buffer pool) is concurrency-safe, and everything per-session
-// lives here.
+// goroutine that compiles and looks up plans while an async backend's
+// pipeline goroutine executes them (backend.Backend states the ownership
+// rules). Counters are atomic so both sides may count. Different
+// Machines on one shared Engine may run fully concurrently: everything
+// they share (worker pool, plan cache, buffer pool) is concurrency-safe,
+// and everything per-session lives here.
 type Machine struct {
 	cfg      Config
 	eng      *Engine
@@ -175,8 +175,8 @@ type Stats struct {
 	PlanMisses int
 	// PlanEvictions counts plans the LRU dropped when over capacity.
 	PlanEvictions int
-	// Pipelined counts plans executed on a background Executor goroutine
-	// (async submit/wait pipelining) rather than on the caller.
+	// Pipelined counts plans executed on an async backend's pipeline
+	// goroutine (submit/wait pipelining) rather than on the caller.
 	Pipelined int
 }
 
@@ -203,7 +203,7 @@ func (s *Stats) Accumulate(o Stats) {
 
 // atomicStats is the Machine's internal counter set. The counters are
 // atomics because the pipelined flush mode splits the machine across two
-// goroutines — the recorder counts plan-cache traffic while the Executor
+// goroutines — the recorder counts plan-cache traffic while the pipeline
 // counts sweeps and buffer work — and Stats() may be read while both are
 // active. snapshot assembles the exported value type.
 type atomicStats struct {
@@ -263,12 +263,13 @@ func New(cfg Config) *Machine {
 }
 
 // Stats returns a snapshot of the cumulative execution counters. It is
-// safe to call while an Executor is running plans in the background; for
-// deterministic numbers, Wait on the executor first.
+// safe to call while an async backend runs plans in the background; for
+// deterministic numbers, Wait on the backend first.
 func (m *Machine) Stats() Stats { return m.stats.snapshot() }
 
 // CountPipelined adds one plan execution to the Pipelined counter — the
-// stats hook for executors that run plans on a background goroutine.
+// stats hook for a backend pipeline that runs plans on a background
+// goroutine.
 func (m *Machine) CountPipelined() { m.stats.pipelined.Add(1) }
 
 // Bind presets register r with an existing tensor before Run — the

@@ -44,7 +44,7 @@ func heatLoop(t *testing.T, ctx *Context, n, iters int) float64 {
 // zero rewrite passes (LastReport does not advance) and zero cluster
 // re-analysis, with execution going straight to the cached plan.
 func TestPlanCacheSteadyStateHits(t *testing.T) {
-	ctx := newTestContext(t, &Config{CollectReports: true})
+	ctx := newTestContext(t, nil)
 	const iters = 30
 	heatLoop(t, ctx, 16, iters)
 	st := ctx.MustStats()
@@ -71,10 +71,9 @@ func TestPlanCacheSteadyStateHits(t *testing.T) {
 }
 
 // TestPlanCacheHitSkipsOptimizer pins the "zero rewrite passes" claim
-// directly: on a hit, LastReport must not advance even with
-// CollectReports on.
+// directly: on a hit, LastReport must not advance.
 func TestPlanCacheHitSkipsOptimizer(t *testing.T) {
-	ctx := newTestContext(t, &Config{CollectReports: true})
+	ctx := newTestContext(t, nil)
 	x := ctx.Full(2, 8)
 	ctx.MustFlush()
 	x.MulC(3).MulC(4) // mergeable pair: the optimizer fires on the miss

@@ -9,7 +9,7 @@ import (
 
 // RuntimeConfig tunes the shared engine behind a Runtime. The zero value
 // (or nil) gives a GOMAXPROCS-wide worker pool, the default plan-cache
-// capacity, and the default recycle-pool byte bound.
+// capacity, and a 256 MiB recycle-pool byte bound.
 type RuntimeConfig struct {
 	// Workers is the shared worker-pool width (0: GOMAXPROCS). Individual
 	// sessions cap their own sweep fan-out with Config.Workers; this knob
@@ -19,9 +19,6 @@ type RuntimeConfig struct {
 	// sessions. Zero selects vm.DefaultPlanCacheSize; negative disables
 	// plan caching for every session on this runtime.
 	PlanCacheSize int
-	// PoolCapBytes bounds the bytes parked in the shared buffer recycle
-	// pool (0: 256 MiB).
-	PoolCapBytes int
 	// MemoryHighWatermark is the engine's graceful-degradation byte
 	// budget (0: unlimited). Over it, the engine sheds its shareable
 	// caches — compiled plans and parked recycle buffers — before
@@ -73,7 +70,6 @@ func NewRuntime(cfg *RuntimeConfig) *Runtime {
 	return &Runtime{eng: vm.NewEngine(vm.EngineConfig{
 		Workers:             c.Workers,
 		PlanCacheSize:       c.PlanCacheSize,
-		PoolCapBytes:        c.PoolCapBytes,
 		MemoryHighWatermark: c.MemoryHighWatermark,
 	})}
 }
@@ -102,7 +98,7 @@ func DefaultRuntime() *Runtime {
 // defaults. The Context is single-goroutine like any other, but many of
 // them — each driven by its own goroutine — can coexist on one Runtime;
 // results are bit-for-bit identical to the same sessions running on
-// private runtimes. Config.Workers and Config.ParallelThreshold govern
+// private runtimes. Config.Workers governs
 // this session's sweep fan-out on the shared pool; Config.PlanCacheSize
 // only opts the session out of the shared cache when negative (capacity
 // is fixed by the RuntimeConfig).
