@@ -268,8 +268,7 @@ func New(cfg Config) *Machine {
 func (m *Machine) Stats() Stats { return m.stats.snapshot() }
 
 // CountPipelined adds one plan execution to the Pipelined counter — the
-// stats hook for a backend pipeline that runs plans on a background
-// goroutine.
+// stats hook of an async backend's pipeline goroutine.
 func (m *Machine) CountPipelined() { m.stats.pipelined.Add(1) }
 
 // Bind presets register r with an existing tensor before Run — the
