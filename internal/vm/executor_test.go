@@ -1,6 +1,7 @@
 package vm_test
 
 import (
+	"context"
 	"testing"
 
 	"bohrium/internal/backend"
@@ -9,20 +10,9 @@ import (
 	"bohrium/internal/vm"
 )
 
-// Plans compiled by the VM are pipelined through backend.Executor, the
-// one background executor. These tests pin the VM-visible side of that
-// contract: Stats().Pipelined and the register file the plans write.
-
-func openInProcess(t *testing.T) *backend.Backend {
-	t.Helper()
-	eng := vm.NewEngine(vm.EngineConfig{})
-	b, err := backend.Open("inprocess", eng, backend.Config{VM: vm.Config{Fusion: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { b.Close(); eng.Close() })
-	return b
-}
+// Plans compiled by the VM are pipelined through the async backend
+// session. This test pins the VM-visible side of that contract:
+// Stats().Pipelined and the register file the plans write.
 
 // affineProg computes a1 = (a0 + c) * 2 over 8 elements.
 func affineProg(c float64) *bytecode.Program {
@@ -40,47 +30,33 @@ func affineProg(c float64) *bytecode.Program {
 	return p
 }
 
-// emptyMaxProg reduces an empty axis with MAX: it compiles, and fails at
-// execution (empty MAX has no identity).
-func emptyMaxProg() *bytecode.Program {
-	p := bytecode.NewProgram()
-	src := p.NewReg(tensor.Float64, 0)
-	dst := p.NewReg(tensor.Float64, 1)
-	vEmpty := tensor.NewView(tensor.MustShape(0))
-	v1 := tensor.NewView(tensor.MustShape(1))
-	p.EmitIdentity(bytecode.Reg(src, vEmpty), bytecode.Const(bytecode.ConstFloat(0)))
-	p.EmitReduce(bytecode.OpMaximumReduce, bytecode.Reg(dst, v1), bytecode.Reg(src, vEmpty), 0)
-	p.EmitSync(bytecode.Reg(dst, v1))
-	p.MarkOutput(dst)
-	return p
-}
-
-func bindInput(t *testing.T, b *backend.Backend, vals []float64) {
-	t.Helper()
-	tt, err := tensor.FromFloat64s(vals, tensor.MustShape(len(vals)))
+// TestExecutorRunsSubmittedPlans: plans submitted to an async backend
+// execute against its register file, Wait drains, and the Pipelined
+// counter tracks them.
+func TestExecutorRunsSubmittedPlans(t *testing.T) {
+	ctx := context.Background()
+	eng := vm.NewEngine(vm.EngineConfig{})
+	b, err := backend.Open("inprocess", eng, backend.Config{VM: vm.Config{Fusion: true}, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Bind(0, tt)
-}
+	t.Cleanup(func() { b.Close(); eng.Close() })
 
-// TestExecutorRunsSubmittedPlans: plans submitted to the background
-// executor execute against the backend's register file, Wait drains,
-// and the Pipelined counter tracks them.
-func TestExecutorRunsSubmittedPlans(t *testing.T) {
-	b := openInProcess(t)
-	e := backend.NewExecutor(b, 0, "")
-	defer e.Close()
-
-	bindInput(t, b, []float64{1, 2, 3, 4, 5, 6, 7, 8})
+	in, err := tensor.FromFloat64s([]float64{1, 2, 3, 4, 5, 6, 7, 8}, tensor.MustShape(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Bind(0, in)
 	pl, err := b.Compile(affineProg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		e.Submit(pl, nil)
+		if err := b.Submit(ctx, pl, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := e.Wait(); err != nil {
+	if err := b.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
 	tt, ok := b.Tensor(1, tensor.NewView(tensor.MustShape(8)))
@@ -93,40 +69,5 @@ func TestExecutorRunsSubmittedPlans(t *testing.T) {
 	}
 	if st := b.Stats(); st.Pipelined != 3 {
 		t.Errorf("Pipelined = %d, want 3", st.Pipelined)
-	}
-}
-
-// TestExecutorErrorPoisonsAndSkips: the first failing plan poisons the
-// pipeline. A different, valid plan queued behind it is skipped, Wait
-// returns the error, and the error stays sticky through further Waits
-// and Close.
-func TestExecutorErrorPoisonsAndSkips(t *testing.T) {
-	b := openInProcess(t)
-	e := backend.NewExecutor(b, 4, "")
-
-	bad, err := b.Compile(emptyMaxProg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bindInput(t, b, []float64{1, 2, 3, 4, 5, 6, 7, 8})
-	good, err := b.Compile(affineProg(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	e.Submit(bad, nil)
-	e.Submit(good, nil) // skipped
-	werr := e.Wait()
-	if werr == nil {
-		t.Fatal("Wait returned nil for a failing plan")
-	}
-	if st := b.Stats(); st.Pipelined != 1 {
-		t.Errorf("Pipelined = %d, want 1 (queued plan after the failure skipped)", st.Pipelined)
-	}
-	if again := e.Wait(); again != werr {
-		t.Errorf("sticky error changed: %v then %v", werr, again)
-	}
-	if cerr := e.Close(); cerr != werr {
-		t.Errorf("Close() = %v, want sticky %v", cerr, werr)
 	}
 }
