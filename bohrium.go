@@ -188,7 +188,9 @@ func (c *Context) LastReport() *rewrite.Report { return c.lastRep }
 // Stats exposes cumulative VM counters: sweeps, fused instructions (with
 // a per-dtype breakdown in FusedByDType), reductions folded into their
 // producer sweep (FusedReductions — sum(x*y) as one pass with no
-// materialized temporary), elements, and the buffer lifecycle counters
+// materialized temporary; epilogues only, so a reduction that runs as a
+// fold nest of its own, as every one does under Fusion: false, is not
+// counted), elements, and the buffer lifecycle counters
 // (BuffersAllocated, PoolHits, BytesAllocated) that show how much
 // allocation the register recycle pool saved — Free'd temporaries are
 // handed back to later allocations of the same dtype and length. The

@@ -26,8 +26,10 @@
 // buffer recycle pool, the paper's shared-middleware configuration —
 // while without it each session gets a private engine. The printed
 // registers come from session 0; -trace reports the summed stats, where
-// the plan column shows cross-session reuse under -shared (k·n runs, one
-// compile).
+// the plan column shows cross-session reuse under -shared: k·n runs share
+// the cached plans, but sessions that start together can each miss on the
+// first batch and compile it, so the count of misses varies from run to
+// run. Single-flight compilation waits for ROADMAP item 1.
 package main
 
 import (

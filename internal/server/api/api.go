@@ -210,7 +210,7 @@ type VMStats struct {
 	Instructions      int `json:"instructions"`
 	Sweeps            int `json:"sweeps"`
 	FusedInstructions int `json:"fused_instructions"`
-	FusedReductions   int `json:"fused_reductions"`
+	FusedReductions   int `json:"fused_reductions"` // reduction epilogues only, as vm.Stats counts them
 	Elements          int `json:"elements"`
 	BuffersAllocated  int `json:"buffers_allocated"`
 	BytesAllocated    int `json:"bytes_allocated"`

@@ -375,9 +375,11 @@ BH_SYNC a1
 // TestSweepWorkersDifferential pins the parallel reduction/scan engine:
 // for every strategy, a Workers:1 and a Workers:8 machine with the same
 // ParallelThreshold must produce bit-equal results (strategy selection and
-// chunk boundaries are worker-independent by construction), and both must
-// match a forced-serial machine exactly for integer folds and within the
-// documented reassociation tolerance for float chunked folds.
+// chunk boundaries are worker-independent by construction), equal to the
+// reference engine (refInterpret) at that threshold and, forced serial, at
+// its own, and both must match a forced-serial machine exactly for integer
+// folds and within the documented reassociation tolerance for float
+// chunked folds.
 func TestSweepWorkersDifferential(t *testing.T) {
 	const threshold = 512 // low enough that every case crosses it
 	for _, tc := range sweepCases {
@@ -387,6 +389,8 @@ func TestSweepWorkersDifferential(t *testing.T) {
 			w8 := run(t, Config{Workers: 8, ParallelThreshold: threshold}, tc.src)
 			compareRegs(t, w1, w8, tc.out, tc.n, 0)
 			compareRegs(t, w8, serial, tc.out, tc.n, tc.serialTol)
+			compareRegs(t, w8, runRef(t, Config{Workers: 8, ParallelThreshold: threshold}, tc.src), tc.out, tc.n, 0)
+			compareRegs(t, serial, runRef(t, Config{Workers: 1, ParallelThreshold: 1 << 30}, tc.src), tc.out, tc.n, 0)
 		})
 	}
 }
@@ -394,7 +398,8 @@ func TestSweepWorkersDifferential(t *testing.T) {
 // TestAliasedSweepsStaySafe pins the aliasing demotion: when a reduction's
 // or scan's output aliases its source buffer through a different window,
 // the parallel strategies must fall back so results stay deterministic and
-// race-free (run under -race) and equal to the serial machine.
+// race-free (run under -race) and equal to the serial machine and to the
+// reference engine (refInterpret).
 func TestAliasedSweepsStaySafe(t *testing.T) {
 	cases := []struct {
 		name string
@@ -445,6 +450,7 @@ BH_SYNC a0
 			serial := run(t, Config{Workers: 1, ParallelThreshold: 1 << 30}, tc.src)
 			w8 := run(t, Config{Workers: 8, ParallelThreshold: 16}, tc.src)
 			compareRegs(t, w8, serial, tc.out, tc.n, 0)
+			compareRegs(t, w8, runRef(t, Config{Workers: 8, ParallelThreshold: 16}, tc.src), tc.out, tc.n, 0)
 		})
 	}
 }
@@ -774,21 +780,25 @@ BH_SYNC a2
 }
 
 // TestReductionEpilogueDifferential pins the folded sweep against the
-// two-sweep interpreter and across worker counts: at one threshold both
-// engines pick the same strategy with the same chunk boundaries, so every
-// comparison except forced-serial-vs-chunked-float demands bit-equality.
+// two-sweep reference engine (refInterpret), against the unfused plan
+// (its reduction a fold nest of its own) and across worker counts: at one
+// threshold every engine picks the same strategy with the same chunk
+// boundaries, so every comparison except forced-serial-vs-chunked-float
+// demands bit-equality.
 func TestReductionEpilogueDifferential(t *testing.T) {
 	const threshold = 512
 	for _, tc := range epilogueCases {
 		t.Run(tc.name, func(t *testing.T) {
-			interp1 := run(t, Config{Fusion: false, Workers: 1, ParallelThreshold: threshold}, tc.src)
-			interp8 := run(t, Config{Fusion: false, Workers: 8, ParallelThreshold: threshold}, tc.src)
+			ref1 := runRef(t, Config{Workers: 1, ParallelThreshold: threshold}, tc.src)
+			ref8 := runRef(t, Config{Workers: 8, ParallelThreshold: threshold}, tc.src)
+			plain8 := run(t, Config{Fusion: false, Workers: 8, ParallelThreshold: threshold}, tc.src)
 			fused1 := run(t, Config{Fusion: true, Workers: 1, ParallelThreshold: threshold}, tc.src)
 			fused8 := run(t, Config{Fusion: true, Workers: 8, ParallelThreshold: threshold}, tc.src)
-			serial := run(t, Config{Fusion: false, Workers: 1, ParallelThreshold: 1 << 30}, tc.src)
+			serial := runRef(t, Config{Workers: 1, ParallelThreshold: 1 << 30}, tc.src)
 			compareRegs(t, fused1, fused8, tc.out, tc.n, 0)
-			compareRegs(t, fused8, interp8, tc.out, tc.n, 0)
-			compareRegs(t, interp1, interp8, tc.out, tc.n, 0)
+			compareRegs(t, fused8, ref8, tc.out, tc.n, 0)
+			compareRegs(t, plain8, ref8, tc.out, tc.n, 0)
+			compareRegs(t, ref1, ref8, tc.out, tc.n, 0)
 			compareRegs(t, fused8, serial, tc.out, tc.n, tc.serialTol)
 			if fr := fused8.Stats().FusedReductions; fr != tc.wantFR {
 				t.Errorf("FusedReductions = %d, want %d", fr, tc.wantFR)
@@ -798,7 +808,7 @@ func TestReductionEpilogueDifferential(t *testing.T) {
 }
 
 // TestEpilogueLiveProducerValues: a materialized producer register holds
-// the same values the interpreter writes.
+// the same values the reference interpreter writes.
 func TestEpilogueLiveProducerValues(t *testing.T) {
 	var src string
 	for _, tc := range epilogueCases {
@@ -806,7 +816,7 @@ func TestEpilogueLiveProducerValues(t *testing.T) {
 			src = tc.src
 		}
 	}
-	interp := run(t, Config{Fusion: false}, src)
+	interp := runRef(t, Config{}, src)
 	fused := run(t, Config{Fusion: true}, src)
 	compareRegs(t, interp, fused, 1, 40000, 0)
 }

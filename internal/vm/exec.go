@@ -8,11 +8,13 @@ import (
 )
 
 // exec dispatches one instruction through the interpreter. Plans run
-// elementwise sweeps on compiled loop nests instead (nest.go); they come
-// here for everything else, and for the elementwise instructions a nest
-// declines: promoted mixed-dtype operands, results that address an
-// element twice, inputs that overlap the result through another window.
-// k holds in's constant operands, in order, at its front.
+// elementwise sweeps, reductions and scans on compiled loop nests instead
+// (nest.go); they come here for everything else, and for the elementwise
+// instructions a nest declines: promoted mixed-dtype operands, results
+// that address an element twice, inputs that overlap the result through
+// another window. A reduction or scan never comes here: interpret runs it
+// as a fold nest of its own (execFold). k holds in's constant operands, in
+// order, at its front.
 func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction, k []bytecode.Constant) error {
 	switch in.Op.Info().Kind {
 	case bytecode.KindSystem:
@@ -35,10 +37,6 @@ func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction, k []byteco
 		}
 	case bytecode.KindUnary, bytecode.KindBinary:
 		return m.execElementwise(p, in, k)
-	case bytecode.KindReduction:
-		return m.execReduce(p, in)
-	case bytecode.KindScan:
-		return m.execScan(p, in)
 	case bytecode.KindExtension:
 		return m.execExtension(p, in)
 	default:

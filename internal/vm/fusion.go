@@ -30,11 +30,13 @@ import (
 // off — compiles to one loop nest (nest.go), which keeps dead temporaries
 // in row scratch. A reduction that consumes the cluster's output extends
 // the cluster as an epilogue: the nest's last step folds the producers'
-// runs (foldStep), likewise without them. A BH_FREE whose register no
-// later step of the cluster touches joins it and runs after the sweep, so a
-// batch that frees each temporary right after its last use fuses as one
-// that frees them at the end. Other system byte-codes, other reductions,
-// extensions, and RANDOM end a cluster.
+// runs (foldStep), likewise without them. Every other reduction, and every
+// scan, is a fold nest of its own: its only step folds (or scans) its input
+// in the same kernels. A BH_FREE whose register no later step of the
+// cluster touches joins it and runs after the sweep, so a batch that frees
+// each temporary right after its last use fuses as one that frees them at
+// the end. Other system byte-codes, other reductions, scans, extensions,
+// and RANDOM end a cluster.
 
 // planClusters splits the program into clusters, in the machine's compile
 // arena: each is a nest, laid out once for a sweep; the interpreter runs
@@ -110,14 +112,16 @@ func (ar *compileArena) touchesFreed(in *bytecode.Instruction) bool {
 type sweepKind int
 
 const (
-	// sweepNone: not an elementwise sweep the nest can run (system,
-	// reduction, extension and generator byte-codes; promoted mixed-dtype
-	// operands; non-injective results; a misaligned self-overlap). The
-	// interpreter executes it.
+	// sweepNone: no sweep a nest can run (system, extension and generator
+	// byte-codes; promoted mixed-dtype operands; non-injective results; a
+	// misaligned self-overlap). The interpreter executes it.
 	sweepNone sweepKind = iota
 	// sweepCast: BH_IDENTITY between registers of different dtypes. It
 	// runs as a nest of its own but never shares a cluster.
 	sweepCast
+	// sweepFold: a reduction or scan, over its input's shape. It runs as a
+	// fold nest of its own unless it closes a cluster (reduceEpilogueAt).
+	sweepFold
 	// sweepFusible: every register operand shares the result's dtype.
 	sweepFusible
 )
@@ -125,6 +129,9 @@ const (
 // sweepAt classifies instruction i, returning its iteration shape.
 func sweepAt(p *bytecode.Program, i int) (tensor.Shape, sweepKind) {
 	in := &p.Instrs[i]
+	if kind := in.Op.Info().Kind; kind == bytecode.KindReduction || kind == bytecode.KindScan {
+		return in.In1.View.Shape, sweepFold
+	}
 	if !in.Op.Elementwise() || in.In1.Kind == bytecode.OperandNone {
 		return nil, sweepNone
 	}
@@ -174,9 +181,9 @@ func sweepAt(p *bytecode.Program, i int) (tensor.Shape, sweepKind) {
 // of the cluster's final write, into one output element per line of an
 // output register the cluster does not write. The nest puts the reduced
 // axis innermost, so it walks the lines in the row-major order the
-// interpreted two-sweep path does, and no axis is special. Buffer-level
-// aliasing between the reduction output and the producers' operands is
-// checked at execution time (runNest falls back to two sweeps).
+// two-sweep path does, and no axis is special. Buffer-level aliasing
+// between the reduction output and the producers' operands is checked at
+// execution time (runNest falls back to two sweeps).
 func reduceEpilogueAt(p *bytecode.Program, start, j int, shape tensor.Shape) bool {
 	in := &p.Instrs[j]
 	if in.Op.Info().Kind != bytecode.KindReduction {
@@ -192,8 +199,8 @@ func reduceEpilogueAt(p *bytecode.Program, start, j int, shape tensor.Shape) boo
 	if nd == 0 || in.Axis < 0 || in.Axis >= nd {
 		return false
 	}
-	// An empty input stays with the interpreter (an empty axis takes its
-	// identity-fill path).
+	// An empty input runs as a fold nest of its own (an empty axis takes
+	// its identity-fill path).
 	if size := shape.Size(); size == 0 || !in.In1.View.Shape.Equal(shape) || in.Out.View.Size() != size/shape[in.Axis] {
 		return false
 	}

@@ -11,9 +11,9 @@ import (
 // arithmetic in the storage type instead of the generic widen-to-class,
 // call the scalar kernel, round-back bodies of loops.go. compileLoop tries these first, so every sweep —
 // fused or singleton, a reduction epilogue's producers too — picks them up
-// with no planning changes. A reduction epilogue's fold runs the same way
-// (valueFold, argFold): one loop per run of a line, its body the class
-// kernel's written inline.
+// with no planning changes. A fold nest's reduction or scan runs the same
+// way (valueFold, argFold, scanRun): one loop per run of a line, its body
+// the class kernel's written inline.
 //
 // Every specialization here is bit-for-bit identical to the generic body
 // it replaces, by construction rather than by tolerance:
@@ -32,12 +32,13 @@ import (
 //     with truncating the result.
 //   - float64 +,-,*,/: float64 is the computation class itself, so the
 //     native form is the generic body minus the indirect kernel call.
-//   - folds: each step is the class kernel's own operation on the same
-//     operands in the same left-to-right order, after the same E(x)
-//     widening — math.Max and math.Min themselves, not the builtins
+//   - folds and scans: each step is the class kernel's own operation on
+//     the same operands in the same left-to-right order, after the same
+//     E(x) widening — math.Max and math.Min's results, not the builtins'
 //     (math.Max(NaN, +Inf) is +Inf, the builtin max gives NaN) — and an
 //     index fold keeps argBetter's rule: ties keep the lower index, the
-//     first NaN wins.
+//     first NaN wins. A scan stores each prefix as Buffer.Set or SetInt
+//     does (store).
 //
 // The per-kernel differential suites in loops_specialized_test.go and
 // nest_fold_test.go pin each of these equalities against the generic
@@ -277,22 +278,69 @@ func valueFold[T tensor.Elem, E int64 | float64](base bytecode.Opcode) (func(acc
 	return nil, false
 }
 
-// floatExtremum folds with math.Max or math.Min, as floatBinaryKernel does.
+// floatExtremum folds with fmax or fmin: math.Max and math.Min, as
+// floatBinaryKernel calls them, but inlined. An element on the losing side
+// of the accumulator leaves it as it is under every special case (neither
+// is a NaN, the winner may be the infinity, and they are not both zero), so
+// only the others go through the special cases.
 func floatExtremum[T tensor.Elem](isMax bool) func(acc float64, s []T) float64 {
 	if isMax {
 		return func(acc float64, s []T) float64 {
 			for _, x := range s {
-				acc = math.Max(acc, float64(x))
+				if v := float64(x); !(v < acc) {
+					acc = fmax(acc, v)
+				}
 			}
 			return acc
 		}
 	}
 	return func(acc float64, s []T) float64 {
 		for _, x := range s {
-			acc = math.Min(acc, float64(x))
+			if v := float64(x); !(v > acc) {
+				acc = fmin(acc, v)
+			}
 		}
 		return acc
 	}
+}
+
+// fmax is math.Max written so that it inlines (on amd64 math.Max is an
+// assembly routine, which no loop can inline), in its order: +Inf first —
+// the operand that is +Inf — then NaN — the canonical math.NaN(),
+// 0x7FF8000000000001, as the assembly returns it — then ±0, where the sign
+// bits' AND gives +0 unless both are −0.
+func fmax(x, y float64) float64 {
+	switch {
+	case x > math.MaxFloat64:
+		return x
+	case y > math.MaxFloat64:
+		return y
+	case x != x || y != y:
+		return math.NaN()
+	case x == 0 && x == y:
+		return math.Float64frombits(math.Float64bits(x) & math.Float64bits(y))
+	case x > y:
+		return x
+	}
+	return y
+}
+
+// fmin is math.Min as fmax is math.Max: −Inf first, then NaN, then ±0,
+// where the sign bits' OR gives −0 unless both are +0.
+func fmin(x, y float64) float64 {
+	switch {
+	case x < -math.MaxFloat64:
+		return x
+	case y < -math.MaxFloat64:
+		return y
+	case x != x || y != y:
+		return math.NaN()
+	case x == 0 && x == y:
+		return math.Float64frombits(math.Float64bits(x) | math.Float64bits(y))
+	case x < y:
+		return x
+	}
+	return y
 }
 
 // intExtremum folds with intBinaryKernel's maximum or minimum; on int64
@@ -309,6 +357,31 @@ func intExtremum[T tensor.Elem](isMax bool) func(acc int64, s []T) int64 {
 	return func(acc int64, s []T) int64 {
 		for _, x := range s {
 			acc = min(acc, int64(x))
+		}
+		return acc
+	}
+}
+
+// scanRun compiles a scan's run kernel for base op base in class E over
+// input storage T and output storage D: d[i] = acc ⊕ E(s[0]) ⊕ … ⊕ E(s[i]),
+// left to right, stored as Buffer.Set or SetInt stores it.
+func scanRun[D, T tensor.Elem, E int64 | float64](base bytecode.Opcode, isBool bool) func(acc E, d []D, s []T) E {
+	kernelCompilations.Add(1)
+	if base == bytecode.OpMultiply {
+		return func(acc E, d []D, s []T) E {
+			d = d[:len(s)]
+			for i, x := range s {
+				acc *= E(x)
+				d[i] = store[D](acc, isBool)
+			}
+			return acc
+		}
+	}
+	return func(acc E, d []D, s []T) E {
+		d = d[:len(s)]
+		for i, x := range s {
+			acc += E(x)
+			d[i] = store[D](acc, isBool)
 		}
 		return acc
 	}

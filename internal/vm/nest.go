@@ -33,9 +33,11 @@ import (
 // A register the cluster writes and the batch proves dead afterwards is
 // virtual (virtualRegs): its current run lives in the worker's scratch and
 // it is never materialized. A closing write that aliases translated read
-// windows of its register runs as a lagged store (lagStore), and a closing
-// reduction as a fold (foldStep) over lines: the nest's iteration space is
-// then the cluster's with the reduced axis moved innermost.
+// windows of its register runs as a lagged store (lagStore). A closing
+// reduction runs as a fold (foldStep) over lines, and so does every
+// reduction or scan (scanStep) that closes no cluster, as the only step of
+// a fold nest: the nest's iteration space is then the input's with the
+// folded axis moved innermost.
 type nest struct {
 	start, end int  // instruction range [start, end)
 	fused      bool // more than one step
@@ -45,11 +47,12 @@ type nest struct {
 	bases      []int   // view offset per operand slot
 	strides    [][]int // strides[d][slot]: stride of outer axis d
 	steps      []nestStep
-	slab       [8]int    // per-worker scratch elements by dtype: gather/scatter blocks, virtual runs, the ring
-	lag        *lagStore // non-nil: the last step is a lagged closing write
-	line       int       // > 0: the last step folds lines of this many elements
-	chained    int       // instructions that run inside chain steps
-	konst      int       // the constant vector's index of the first constant at or after start
+	slab       [8]int          // per-worker scratch elements by dtype: gather/scatter blocks, virtual runs, the ring
+	lag        *lagStore       // non-nil: the last step is a lagged closing write
+	fold       bytecode.OpKind // KindReduction or KindScan: the last step folds or scans lines
+	line       int             // a fold nest's elements per line
+	chained    int             // instructions that run inside chain steps
+	konst      int             // the constant vector's index of the first constant at or after start
 }
 
 // nestStep is one instruction of a nest.
@@ -162,11 +165,12 @@ func operands(in *bytecode.Instruction) [3]*bytecode.Operand {
 
 // compileNest compiles instructions [start, end) of p, vetted by sweepAt and
 // with constants from index konst on, into a nest outside any plan and
-// arena, for the executing side (unfold). A single instruction whose op has
-// no kernel yields nil.
-func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, konst int) *nest {
+// arena, for the executing side (unfold, execFold). With bound non-nil,
+// register operands take the dtypes of the buffers bound to them. A single
+// instruction whose op has no kernel yields nil.
+func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, konst int, bound *registerFile) *nest {
 	ns := new(nest)
-	new(compileArena).layoutNest(ns, p, start, end, shape, liveness{}, nil)
+	(&compileArena{bound: bound}).layoutNest(ns, p, start, end, shape, liveness{}, nil)
 	ns.konst = konst
 	if !ns.attach(p, &kernelSlabs{}) {
 		return nil
@@ -190,7 +194,7 @@ func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
 		st := &ns.steps[k]
 		in := &p.Instrs[st.index]
 		ks.left = len(ns.steps) - k - st.width
-		if ns.line > 0 && k == len(ns.steps)-1 {
+		if ns.fold != 0 && k == len(ns.steps)-1 {
 			st.code = newFoldStep(in, st, ns.line)
 			break
 		}
@@ -213,7 +217,7 @@ func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
 // sized, with the arena's tables: operand slots, the collapsed geometry,
 // the scratch slab, the lagged store. It returns false only to decline the
 // closing write lagged announces (the planner asks). A closing reduction
-// (reduceEpilogueAt) makes a fold nest.
+// (reduceEpilogueAt), or a lone reduction or scan, makes a fold nest.
 func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int, shape tensor.Shape, live liveness, lagged *lagSpan) bool {
 	n := end - start
 	for i := start; i < end; i++ {
@@ -230,8 +234,8 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 	}
 	virt := ar.virtualRegs(p, ns.steps, end, shape, live)
 	nd, reduced := len(shape), len(shape)
-	if in := &p.Instrs[end-1]; in.Op.Info().Kind == bytecode.KindReduction {
-		reduced, ns.line = in.Axis, shape[in.Axis]
+	if in := &p.Instrs[end-1]; in.Op.Info().Kind == bytecode.KindReduction || in.Op.Info().Kind == bytecode.KindScan {
+		ns.fold, reduced, ns.line = in.Op.Info().Kind, in.Axis, shape[in.Axis]
 	}
 	views := ar.views[:0]
 	for i := range ns.steps {
@@ -243,14 +247,17 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 			}
 			ri, _ := p.Reg(o.Reg)
 			st.ops[k] = bufSpan{dtype: ri.DType, hi: -1}
+			if b := ar.bound.get(o.Reg); b != nil {
+				st.ops[k].dtype = b.DType()
+			}
 			if findVirtual(virt, o.Reg) != nil {
 				st.ops[k].virtual, st.acc[k].slot = true, slotVirtual
 				continue
 			}
-			if lo, hi, ok := o.View.MinMaxIndex(); ok && ns.total > 0 {
-				st.ops[k].lo, st.ops[k].hi = lo, hi // broadcast to shape, the view addresses the same elements
+			if lo, hi, ok := o.View.MinMaxIndex(); ok && (ns.total > 0 || k == 0) {
+				st.ops[k].lo, st.ops[k].hi = lo, hi // broadcast to shape, the view addresses the same elements; an empty axis's identity fills the result
 			}
-			if reduced == nd || k > 0 || i < n-1 { // the fold's result: one element per line, through no slot
+			if ns.fold != bytecode.KindReduction || k > 0 || i < n-1 { // a reduction's result: one element per line, through no slot
 				st.acc[k].slot = len(views)
 				views = append(views, &o.View)
 			}
@@ -662,20 +669,21 @@ func (st *kernelStep[D, S]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n in
 	}
 	d := slabOf[D](w, st.dstDT)[st.out.row:][:n]
 	st.kern(d, a, b, c)
-	for _, v := range d {
-		dst[off] = v
-		off += st.out.stride
-	}
+	scatter(dst, d, off, st.out.stride)
 }
 
 func (st *kernelStep[D, S]) store(w *nestWorker, dstBuf tensor.Buffer, from, off, stride, n int) {
-	src := slabOf[D](w, st.dstDT)[st.out.row+from:][:n]
 	dst, _ := tensor.RawSlice[D](dstBuf)
+	scatter(dst, slabOf[D](w, st.dstDT)[st.out.row+from:][:n], off, stride)
+}
+
+// scatter stores run d to dst[off], dst[off+stride], ...
+func scatter[T tensor.Elem](dst, d []T, off, stride int) {
 	if stride == 1 {
-		copy(dst[off:off+n], src)
+		copy(dst[off:off+len(d)], d)
 		return
 	}
-	for _, v := range src {
+	for _, v := range d {
 		dst[off] = v
 		off += stride
 	}
@@ -765,10 +773,10 @@ func virtualRun[T tensor.Elem](w *nestWorker, dt tensor.DType, acc operandAccess
 }
 
 // sweep runs flat elements [lo, hi) of the nest's iteration space (row
-// major: rows of inner elements) through every step, on worker w.
+// major: rows of inner elements) through every step, on worker w. A fold
+// nest's caller sets w.acc first.
 func (ns *nest) sweep(w *nestWorker, ops [][3]tensor.Buffer, lo, hi int) {
 	copy(w.offs, ns.bases)
-	w.acc = foldAcc{pos: lo}
 	// Seek the odometer to the row holding lo.
 	row, col := lo/ns.inner, lo%ns.inner
 	for d := len(ns.outer) - 1; d >= 0; d-- {
@@ -835,8 +843,9 @@ func (ns *nest) advance(w *nestWorker) {
 // as the interpreter does.
 // A single instruction whose buffers turn out to need the interpreter's
 // dynamic handling — a bound buffer of another dtype than declared, or an
-// input aliasing the result's buffer through a different overlapping
-// window — runs there instead.
+// elementwise input aliasing the result's buffer through a different
+// overlapping window — runs there instead; runFold orders an aliased fold
+// itself.
 func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	m.frame.ops = grown(m.frame.ops, len(ns.steps))
 	ops := m.frame.ops
@@ -874,7 +883,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 				return instrErr(p, st.index, fmt.Errorf("view of %s spans elements [%d, %d] of a %d-element buffer",
 					o.Reg, span.lo, span.hi, buf.Len()))
 			}
-			if k > 0 && !ns.fused && buf == bufs[0] && o.Reg != in.Out.Reg &&
+			if k > 0 && !ns.fused && ns.fold == 0 && buf == bufs[0] && o.Reg != in.Out.Reg &&
 				!o.View.Equal(in.Out.View) && o.View.Overlaps(in.Out.View) {
 				return m.interpret(p, ns.start, ns.end, consts[ns.konst:])
 			}
@@ -887,7 +896,7 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 	}
 
 	k := len(ns.steps)
-	if ns.line > 0 {
+	if ns.fused && ns.fold != 0 {
 		// A fold writing a buffer its producers access would race the
 		// lines still reading it; two sweeps keep the serial write order.
 		for si, bufs := range ops {
@@ -906,9 +915,13 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 		m.stats.chainedInstructions.Add(int64(ns.chained))
 		m.countFusedDTypes(p, ns)
 	}
-	if ns.line > 0 {
-		m.stats.fusedReductions.Add(1)
-		m.runFold(p, ns, ops, consts)
+	if ns.fold != 0 {
+		if ns.fused {
+			m.stats.fusedReductions.Add(1)
+		}
+		if err := m.runFold(p, ns, ops, consts); err != nil {
+			return instrErr(p, ns.end-1, err)
+		}
 	} else {
 		count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)
 		workers := m.frame.prepare(ns, count, consts)
@@ -932,64 +945,138 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 	return nil
 }
 
-// runFold drives a fold nest over the flat ranges of the strategy reduce.go
-// picks for its reduction: whole lines per worker, each line's chunks with
-// their partials merged in chunk order, or one worker. The fold order — and
-// with it the result, bit for bit the interpreter's — never depends on the
-// worker count.
-func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer, consts []bytecode.Constant) {
-	line, lines := ns.line, ns.total/ns.line
-	switch m.sweepStrategyFor(p.Instrs[ns.end-1].Out.View, lines, line) {
+// runFold drives a fold nest over the flat ranges of the strategy
+// sweepStrategyFor picks for its fold: whole lines per worker; each line's
+// chunks, their partials merged in chunk order — a scan's then rescanned
+// from the offsets the merge leaves (the three-pass scan); or one worker.
+// The fold order — and with it the result — never depends on the worker
+// count. A lone fold whose output buffer is its input's runs serially —
+// a scan unless through the input's own injective window, a reduction
+// unless its lines are chunked — and, where the windows overlap, in the
+// accessor engine's order: a reduction sweeps line by line, so that no
+// gathered block reads past a result not yet written, and a scan element
+// by element. An empty axis fills a reduction's identity.
+func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer, consts []bytecode.Constant) error {
+	in, line, fops := &p.Instrs[ns.end-1], ns.line, ops[len(ops)-1]
+	if line == 0 {
+		base, ok := in.Op.ReduceBase()
+		switch {
+		case ns.fold == bytecode.KindScan: // no output elements
+			return nil
+		case !ok: // there is no index of an empty axis's extreme
+			return fmt.Errorf("%s reduction over empty axis has no identity", in.Op)
+		}
+		return fillReduceIdentity(base, fops[0], in.Out.View)
+	}
+	lines, step := ns.total/line, ns.total
+	strategy := m.sweepStrategyFor(in.Out.View, lines, line)
+	if fops[0] == fops[1] {
+		overlap := in.Out.View.Overlaps(in.In1.View)
+		switch {
+		case ns.fold == bytecode.KindReduction:
+			if strategy == sweepSplitOutputs {
+				strategy = sweepSerial
+			}
+			if overlap {
+				step = line
+			}
+		case !in.Out.View.Equal(in.In1.View) || !viewInjective(in.Out.View):
+			if strategy = sweepSerial; overlap {
+				step = 1
+			}
+		}
+	}
+	switch strategy {
 	case sweepSplitOutputs:
 		count, size := m.par.chunks(lines, 2)
 		ws := m.frame.prepare(ns, count, consts)
 		m.par.parallelFor(lines, 2, func(lo, hi int) {
-			ns.sweep(&ws[lo/size], ops, lo*line, hi*line)
+			w := &ws[lo/size]
+			w.acc = foldAcc{pos: lo * line}
+			ns.sweep(w, ops, lo*line, hi*line)
 		})
 	case sweepChunkAxis:
-		size, nc := chunkParams(line)
+		_, nc := chunkParams(line)
 		count, per := m.par.chunks(nc, 2)
 		ws := m.frame.prepare(ns, count, consts)
 		m.frame.parts = grown(m.frame.parts, nc)
-		parts, fold := m.frame.parts, ns.steps[len(ns.steps)-1].code.(folder)
-		for l := 0; l < lines; l++ {
-			m.par.parallelFor(nc, 2, func(lo, hi int) {
-				w := &ws[lo/per]
-				for c := lo; c < hi; c++ {
-					start, end := chunkBounds(c, size, line)
-					ns.sweep(w, ops, l*line+start, l*line+end)
-					parts[c] = w.acc
-				}
-			})
-			fold.merge(ops[len(ops)-1][0], parts, l)
+		fold := ns.steps[len(ns.steps)-1].code.(folder)
+		for l := range lines {
+			m.foldPass(ns, ws, ops, per, l, true)
+			if fold.merge(fops[0], m.frame.parts, l) {
+				m.foldPass(ns, ws, ops, per, l, false)
+			}
 		}
 	default:
-		ns.sweep(&m.frame.prepare(ns, 1, consts)[0], ops, 0, ns.total)
+		w := &m.frame.prepare(ns, 1, consts)[0]
+		w.acc = foldAcc{}
+		for lo := 0; lo < ns.total; lo += step {
+			ns.sweep(w, ops, lo, min(lo+step, ns.total))
+		}
+	}
+	return nil
+}
+
+// foldPass sweeps every chunk of line l, per chunks to a worker of ws: with
+// dry set, folding each into its partial in m.frame.parts; otherwise
+// rescanning each from the offset its partial holds.
+func (m *Machine) foldPass(ns *nest, ws []nestWorker, ops [][3]tensor.Buffer, per, l int, dry bool) {
+	parts := m.frame.parts
+	if len(ws) == 1 { // no closure: one worker allocates nothing
+		ns.foldChunks(&ws[0], ops, parts, l, 0, len(parts), dry)
+		return
+	}
+	m.par.parallelFor(len(parts), 2, func(lo, hi int) { ns.foldChunks(&ws[lo/per], ops, parts, l, lo, hi, dry) })
+}
+
+// foldChunks sweeps chunks [lo, hi) of line l on w, as foldPass.
+func (ns *nest) foldChunks(w *nestWorker, ops [][3]tensor.Buffer, parts []foldAcc, l, lo, hi int, dry bool) {
+	size, _ := chunkParams(ns.line)
+	for c := lo; c < hi; c++ {
+		start, end := chunkBounds(c, size, ns.line)
+		w.acc = foldAcc{f: parts[c].f, i: parts[c].i, pos: l*ns.line + start, dry: dry}
+		ns.sweep(w, ops, l*ns.line+start, l*ns.line+end)
+		parts[c] = w.acc
 	}
 }
 
 // unfold runs a fold nest as two sweeps: its producers as a plain nest,
-// then the interpreter's reduction, which reads no constant.
+// then its reduction as a fold nest of its own.
 func (m *Machine) unfold(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	red := ns.end - 1
-	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape, ns.konst); pn != nil {
+	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape, ns.konst, nil); pn != nil {
 		if err := m.runNest(p, pn, consts); err != nil {
 			return err
 		}
 	} else if err := m.interpret(p, ns.start, red, consts[ns.konst:]); err != nil {
 		return err
 	}
-	return m.interpret(p, red, ns.end, nil)
+	return m.execFold(p, red)
+}
+
+// execFold runs reduction or scan i as a fold nest of its own, compiled for
+// the dtypes of the buffers bound to its registers: the interpreter's path
+// for a lone fold whose bound buffers are not of the declared dtypes, and
+// unfold's.
+func (m *Machine) execFold(p *bytecode.Program, i int) error {
+	ns := compileNest(p, i, i+1, p.Instrs[i].In1.View.Shape, 0, &m.regs)
+	if ns == nil {
+		return instrErr(p, i, fmt.Errorf("no kernel for %s", p.Instrs[i].Op))
+	}
+	return m.runNest(p, ns, nil)
 }
 
 // foldAcc is a worker's fold state: the accumulator, in its class's field;
 // the winning axis position of an index fold; the flat position of the
-// next element, and how many elements of its line the worker has folded.
+// next element, and how many elements of its line the worker has folded;
+// dry: a chunked scan's first pass, which folds its chunk and writes
+// nothing.
 type foldAcc struct {
 	f      float64
 	i      int64
 	idx    int
 	pos, n int
+	dry    bool
 }
 
 func accOf[E int64 | float64](a *foldAcc) *E {
@@ -1000,14 +1087,15 @@ func accOf[E int64 | float64](a *foldAcc) *E {
 }
 
 // folder is a fold step's code: merge combines a line's chunk partials in
-// chunk order, as chunkReduce and runArgReduce do, and writes line l.
+// chunk order and writes line l, or, for a scan, turns them into each
+// chunk's offset and reports that the chunks are to be rescanned.
 type folder interface {
 	stepCode
-	merge(out tensor.Buffer, parts []foldAcc, l int)
+	merge(out tensor.Buffer, parts []foldAcc, l int) (rescan bool)
 }
 
-// foldStep is a fold nest's last step. It folds each run of its input —
-// cut at line ends — into the worker's accumulator in the interpreter's
+// foldStep is a reduction's fold nest step. It folds each run of its input
+// — cut at line ends — into the worker's accumulator in the interpreter's
 // class (E: int64 when the input and, for a value fold, the output are
 // integers; float64 otherwise), widening each element as Buffer.Get or
 // GetInt does, and writes a line's result once the worker has folded all
@@ -1028,8 +1116,8 @@ type foldStep[T tensor.Elem, E int64 | float64] struct {
 	better  func(v, best E) bool                        // an index fold's comparison (argBetter)
 }
 
-// newFoldStep compiles the reduction in — the last step st of a fold nest
-// with lines of line elements — for its input's storage type.
+// newFoldStep compiles the reduction or scan in — the last step st of a
+// fold nest with lines of line elements — for its input's storage type.
 func newFoldStep(in *bytecode.Instruction, st *nestStep, line int) stepCode {
 	switch st.ops[1].dtype {
 	case tensor.Float64:
@@ -1064,6 +1152,9 @@ func foldStepOf[T tensor.Elem, E int64 | float64](in *bytecode.Instruction, st *
 		return nil
 	} else if fs.kern, ok = valueFold[T, E](base); !ok {
 		return nil
+	}
+	if in.Op.Info().Kind == bytecode.KindScan {
+		return scanStepOf(fs, base, st)
 	}
 	return fs
 }
@@ -1109,7 +1200,7 @@ func (st *foldStep[T, E]) write(out tensor.Buffer, a *foldAcc, l int) {
 	}
 }
 
-func (st *foldStep[T, E]) merge(out tensor.Buffer, parts []foldAcc, l int) {
+func (st *foldStep[T, E]) merge(out tensor.Buffer, parts []foldAcc, l int) bool {
 	acc := accOf[E](&parts[0])
 	for i := 1; i < len(parts); i++ {
 		switch v := *accOf[E](&parts[i]); {
@@ -1120,17 +1211,100 @@ func (st *foldStep[T, E]) merge(out tensor.Buffer, parts []foldAcc, l int) {
 		}
 	}
 	st.write(out, &parts[0], l)
+	return false
 }
 
 func (*foldStep[T, E]) store(*nestWorker, tensor.Buffer, int, int, int, int) {}
 
+// scanStep is a scan's fold nest step: each run of its input — cut at line
+// ends — continues the worker's accumulator, and every prefix goes to the
+// output as Buffer.Set or SetInt stores it; a line's first element seeds
+// it. One run kernel call (scanRun) scans each piece. A chunked scan's
+// first pass (foldAcc.dry) only folds each chunk to its total, as its
+// foldStep.
+type scanStep[D, T tensor.Elem, E int64 | float64] struct {
+	foldStep[T, E]
+	dst   operandAccess
+	dstDT tensor.DType
+	scan  func(acc E, d []D, s []T) E
+}
+
+func scanStepOf[T tensor.Elem, E int64 | float64](fs *foldStep[T, E], base bytecode.Opcode, st *nestStep) stepCode {
+	switch st.ops[0].dtype {
+	case tensor.Float64:
+		return newScanStep[float64](fs, base, st)
+	case tensor.Float32:
+		return newScanStep[float32](fs, base, st)
+	case tensor.Int64:
+		return newScanStep[int64](fs, base, st)
+	case tensor.Int32:
+		return newScanStep[int32](fs, base, st)
+	case tensor.Bool, tensor.Uint8:
+		return newScanStep[uint8](fs, base, st)
+	}
+	return nil
+}
+
+func newScanStep[D, T tensor.Elem, E int64 | float64](fs *foldStep[T, E], base bytecode.Opcode, st *nestStep) stepCode {
+	dt := st.ops[0].dtype
+	return &scanStep[D, T, E]{foldStep: *fs, dst: st.acc[0], dstDT: dt, scan: scanRun[D, T, E](base, dt == tensor.Bool)}
+}
+
+func (st *scanStep[D, T, E]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
+	x, a := inputRun[T](w, st.dt, ops[0][1], st.in, col, n), &w.acc
+	if a.dry {
+		st.fold(a, x, 0)
+		a.n += n
+		return
+	}
+	dst, _ := tensor.RawSlice[D](ops[0][0])
+	off := w.offs[st.dst.slot] + col*st.dst.stride
+	var d []D
+	if st.dst.stride == 1 {
+		d = dst[off : off+n]
+	} else {
+		d = slabOf[D](w, st.dstDT)[st.dst.row:][:n]
+	}
+	acc := accOf[E](a)
+	for i := 0; i < n; {
+		m := min(n-i, st.line-a.pos%st.line)
+		s, o := x[i:i+m], d[i:i+m]
+		if a.pos%st.line == 0 {
+			*acc = E(s[0])
+			o[0] = store[D](*acc, st.dstDT == tensor.Bool)
+			s, o = s[1:], o[1:]
+		}
+		*acc = st.scan(*acc, o, s)
+		i, a.pos = i+m, a.pos+m
+	}
+	if st.dst.stride != 1 {
+		scatter(dst, d, off, st.dst.stride)
+	}
+}
+
+// merge turns a line's chunk totals into each chunk's offset — the fold of
+// the chunks before it — in chunk order.
+func (st *scanStep[D, T, E]) merge(_ tensor.Buffer, parts []foldAcc, _ int) bool {
+	run := *accOf[E](&parts[0])
+	for i := 1; i < len(parts); i++ {
+		p := accOf[E](&parts[i])
+		*p, run = run, st.k(run, *p)
+	}
+	return true
+}
+
 // interpret runs instructions [start, end) one at a time through the
 // accessor interpreter (exec.go), under k: the constant vector from
-// instruction start's first constant on.
+// instruction start's first constant on. A reduction or scan runs as a
+// fold nest of its own (execFold).
 func (m *Machine) interpret(p *bytecode.Program, start, end int, k []bytecode.Constant) error {
 	for i := start; i < end; i++ {
 		in := &p.Instrs[i]
-		if err := m.exec(p, in, k); err != nil {
+		if kind := in.Op.Info().Kind; kind == bytecode.KindReduction || kind == bytecode.KindScan {
+			if err := m.execFold(p, i); err != nil {
+				return err
+			}
+		} else if err := m.exec(p, in, k); err != nil {
 			return instrErr(p, i, err)
 		}
 		k = k[constCount(in):]

@@ -193,6 +193,177 @@ func (g *nestGen) reduce() genProgram {
 	return gp
 }
 
+// standalone decodes the stream into a reduction or scan that closes no
+// cluster — a fold nest of its own: rank 1-3 over any axis; any value or
+// index fold, or a sum or product scan, of any of the six dtypes, into an
+// output of another dtype now and then; its input an input register, a
+// register BH_RANDOM or a cast wrote, or another reduction's output, read
+// through contiguous, strided, reversed and broadcast windows; a folded
+// axis of 0 (empty), 1, 33, more than fusedBlockSize or chunkable length,
+// or enough lines for split-outputs at a threshold of 4; and now and then
+// an output bound to the input register's buffer — a reduction's anywhere
+// in it, a scan's through the input's own window, a shifted one or another
+// — declared of the input's dtype or another.
+func (g *nestGen) standalone() genProgram {
+	dt := nestDTypes[g.n(len(nestDTypes))]
+	rank := 1 + g.n(3)
+	axis := g.n(rank)
+	scan := g.n(3) == 0
+	shape := make(tensor.Shape, rank)
+	for d := range shape {
+		shape[d] = 1 + g.n(4)
+	}
+	switch g.n(9) {
+	case 1:
+		shape[axis] = 1
+	case 2:
+		shape[axis] = 33
+	case 3:
+		shape[axis] = fusedBlockSize + 1 + g.n(300)
+	case 4:
+		shape[axis] = 2*reduceMinChunk + g.n(200)
+	case 5:
+		shape[(axis+1)%rank] = reduceSplitMinOutputs + g.n(40)
+		shape[axis] = 1 + g.n(40)
+	case 6:
+		shape[axis] = 0
+	}
+	if shape[axis] > fusedBlockSize/2 {
+		for d := range shape {
+			if d != axis {
+				shape[d] = min(shape[d], 2)
+			}
+		}
+	}
+	base := make(tensor.Shape, rank)
+	for d := range base {
+		base[d] = 2*shape[d] + 1
+	}
+	baseStrides := tensor.ContiguousStrides(base)
+
+	p := bytecode.NewProgram()
+	gp := genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{}}
+	input := func(dt tensor.DType, shape tensor.Shape) bytecode.RegID {
+		r := p.NewReg(dt, shape.Size())
+		p.MarkInput(r)
+		in := tensor.MustNew(dt, shape)
+		seed := uint64(r)*97 + uint64(g.n(256))
+		for e := 0; e < in.Buf.Len(); e++ {
+			seed = seed*6364136223846793005 + 1442695040888963407
+			v := float64(int64(seed>>59)) - 8 // [-8, 24)
+			switch {
+			case dt == tensor.Bool:
+				v = float64(seed >> 63)
+			case dt == tensor.Uint8:
+				v = float64(seed >> 58)
+			case dt.IsFloat():
+				v += float64(seed>>11) / (1 << 53)
+			}
+			in.Buf.Set(e, v)
+		}
+		gp.inputs[r] = in
+		return r
+	}
+	// window cuts the iteration shape out of base: per axis contiguous,
+	// every second element, reversed, or (not an output) broadcast.
+	window := func(result bool) tensor.View {
+		v := tensor.View{Shape: shape.Clone(), Strides: make([]int, rank)}
+		for d, ext := range shape {
+			mode := g.n(5)
+			if result && mode == 4 || ext == 0 {
+				mode = 0
+			}
+			step := [...]int{1, 1, 2, -1, 0}[mode]
+			span := max(ext-1, 0) * max(step, -step)
+			start := g.n(base[d] - span)
+			if step < 0 {
+				start += span
+			}
+			v.Offset += start * baseStrides[d]
+			v.Strides[d] = step * baseStrides[d]
+		}
+		return v
+	}
+
+	x := input(dt, base)
+	src := x
+	switch g.n(5) {
+	case 1: // a register BH_RANDOM wrote
+		src = p.NewReg(dt, base.Size())
+		p.Emit(bytecode.Instruction{Op: bytecode.OpRandom, Out: bytecode.Reg(src, tensor.NewView(base)),
+			In1: bytecode.Const(bytecode.ConstInt(int64(g.n(100)))), In2: bytecode.Const(bytecode.ConstInt(0))})
+	case 2: // a cast
+		if other := nestDTypes[g.n(len(nestDTypes))]; other != dt {
+			src = p.NewReg(dt, base.Size())
+			p.EmitIdentity(bytecode.Reg(src, tensor.NewView(base)), bytecode.Reg(input(other, base), tensor.NewView(base)))
+		}
+	case 3: // another reduction's output, over lines of a trailing axis
+		deep := append(base.Clone(), 1+g.n(3))
+		src = p.NewReg(dt, base.Size())
+		op := []bytecode.Opcode{bytecode.OpAddReduce, bytecode.OpMaximumReduce, bytecode.OpMultiplyReduce}[g.n(3)]
+		p.EmitReduce(op, bytecode.Reg(src, tensor.NewView(base)), bytecode.Reg(input(dt, deep), tensor.NewView(deep)), rank)
+	}
+	in := window(false)
+
+	var op bytecode.Opcode
+	odt := dt
+	if scan {
+		op = []bytecode.Opcode{bytecode.OpAddAccumulate, bytecode.OpMultiplyAccumulate}[g.n(2)]
+	} else {
+		folds := []bytecode.Opcode{bytecode.OpAddReduce, bytecode.OpMultiplyReduce, bytecode.OpLogicalAndReduce,
+			bytecode.OpLogicalOrReduce, bytecode.OpMinimumReduce, bytecode.OpMaximumReduce,
+			bytecode.OpArgminReduce, bytecode.OpArgmaxReduce}
+		if shape[axis] == 0 {
+			folds = folds[:4] // the others have no identity: an error, which genRun does not expect
+		}
+		op = folds[g.n(len(folds))]
+		switch {
+		case op.Info().Bool:
+			odt = tensor.Bool
+		case op.ArgReduce():
+			odt = tensor.Int64
+		}
+	}
+	if g.n(3) == 0 {
+		odt = nestDTypes[g.n(len(nestDTypes))]
+	}
+	var ov tensor.View
+	if scan {
+		ov = window(true)
+	} else {
+		lines := slices.Delete(shape.Clone(), axis, axis+1)
+		if len(lines) == 0 {
+			lines = tensor.MustShape(1)
+		}
+		ov = tensor.NewView(lines)
+		if g.n(3) == 0 {
+			ov, _ = ov.Slice(0, lines[0]-1, -1, -1)
+		}
+		ov.Offset += g.n(base.Size() - lines.Size() + 1)
+	}
+	out := p.NewReg(odt, base.Size())
+	if src == x && g.n(4) == 0 {
+		// The output is bound to x's buffer: a scan's through x's own
+		// window, the same shifted by one element, or another.
+		p.MarkInput(out)
+		gp.shared = map[bytecode.RegID]bytecode.RegID{out: x}
+		if scan {
+			switch g.n(3) {
+			case 0:
+				ov = in
+			case 1:
+				if _, hi, ok := in.MinMaxIndex(); ok && hi+1 < base.Size() {
+					ov = in
+					ov.Offset++
+				}
+			}
+		}
+	}
+	p.EmitReduce(op, bytecode.Reg(out, ov), bytecode.Reg(src, in), axis)
+	p.EmitSync(bytecode.Reg(out, ov))
+	return gp
+}
+
 // foldBatch is one reduction epilogue for BenchmarkNestEpilogue and the
 // allocation pin: the rows×cols array x of dtype dt (its columns every
 // second element when strided) goes through the multiply chain
@@ -457,8 +628,10 @@ func foldCases() []foldCase {
 
 // TestNestFoldKernelsMatchOracle: each fold's run kernel gives, bit for
 // bit, what the per-element loop it replaced gives (perElement, through the
-// same nest) and what the interpreter gives (Fusion: false), on special
-// values, long lines and chunk partials, serial and on two workers.
+// same nest) and what the reference engine gives (refInterpret), on special
+// values, long lines and chunk partials, serial and on two workers; and
+// the inlined float max and min give math.Max's and math.Min's bits on
+// every pair of special values.
 func TestNestFoldKernelsMatchOracle(t *testing.T) {
 	cases := foldCases()
 	for _, fc := range cases {
@@ -468,7 +641,7 @@ func TestNestFoldKernelsMatchOracle(t *testing.T) {
 			cfgs = append(cfgs, Config{Workers: 2, ParallelThreshold: 64}, Config{Workers: 2, ParallelThreshold: 1 << 30})
 		}
 		for _, cfg := range cfgs {
-			want := genRun(t, gp, cfg, false) // Fusion: false, the interpreter's reduction
+			want := genRun(t, gp, cfg, true) // the reference engine's reduction
 			cfg.Fusion = true
 			out := bytecode.RegID(len(gp.prog.Regs) - 1)
 			wb := want.regs.get(out)
@@ -477,7 +650,7 @@ func TestNestFoldKernelsMatchOracle(t *testing.T) {
 				gb := m.regs.get(out)
 				for i := 0; i < wb.Len(); i++ {
 					if math.Float64bits(gb.Get(i)) != math.Float64bits(wb.Get(i)) || gb.GetInt(i) != wb.GetInt(i) {
-						t.Fatalf("%v, %+v, per-element %v: line %d = %v, interpreter has %v", fc, cfg, perElement, i, gb.Get(i), wb.Get(i))
+						t.Fatalf("%v, %+v, per-element %v: line %d = %v, reference has %v", fc, cfg, perElement, i, gb.Get(i), wb.Get(i))
 					}
 				}
 				m.Close()
@@ -486,6 +659,28 @@ func TestNestFoldKernelsMatchOracle(t *testing.T) {
 		}
 	}
 	t.Logf("%d cases", len(cases))
+
+	specials := []float64{math.NaN(), -math.NaN(), math.Float64frombits(0x7FF0000000000123), math.Inf(1), math.Inf(-1),
+		0, math.Copysign(0, -1), 1, -1, math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	for _, isMax := range []bool{true, false} {
+		ref, base := math.Min, bytecode.OpMinimum
+		if isMax {
+			ref, base = math.Max, bytecode.OpMaximum
+		}
+		f64, _ := valueFold[float64, float64](base)
+		f32, _ := valueFold[float32, float64](base)
+		for _, a := range specials {
+			for _, b := range specials {
+				want := math.Float64bits(ref(a, b))
+				if got := math.Float64bits(f64(a, []float64{b})); got != want {
+					t.Errorf("%v fold of %v, %v = %#x, math gives %#x", base, a, b, got, want)
+				}
+				if b32 := float32(b); math.Float64bits(f32(a, []float32{b32})) != math.Float64bits(ref(a, float64(b32))) {
+					t.Errorf("%v fold of %v, float32 %v = %v, math gives %v", base, a, b32, f32(a, []float32{b32}), ref(a, float64(b32)))
+				}
+			}
+		}
+	}
 }
 
 // foldRun executes fc's program as one fold nest, its run kernels swapped

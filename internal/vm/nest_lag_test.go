@@ -176,7 +176,7 @@ func TestNestChunkEdgeHold(t *testing.T) {
 		}
 	}
 	for round := 0; round < rounds; round++ {
-		if err := oracle.interpret(gp.prog, 0, len(gp.prog.Instrs), gp.prog.Constants()); err != nil {
+		if err := oracle.refInterpret(gp.prog, 0, len(gp.prog.Instrs), gp.prog.Constants()); err != nil {
 			t.Fatal(err)
 		}
 		for workers, m := range machines {

@@ -333,7 +333,8 @@ func (g *nestGen) update() genProgram {
 }
 
 // nestRun executes gp on a fresh machine — through Plan.Execute, or
-// instruction by instruction through the accessor interpreter — and
+// instruction by instruction through the reference interpreter
+// (refInterpret: the accessor interpreter and reduce/scan engine) — and
 // returns the machine for register inspection; the test's cleanup closes
 // it.
 func nestRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine {
@@ -352,7 +353,7 @@ func genRun(t testing.TB, gp genProgram, cfg Config, interpreter bool) *Machine 
 	var err error
 	if interpreter {
 		m.regs.grow(len(p.Regs))
-		err = m.interpret(p, 0, len(p.Instrs), p.Constants())
+		err = m.refInterpret(p, 0, len(p.Instrs), p.Constants())
 	} else {
 		err = m.Run(p)
 	}
@@ -399,11 +400,12 @@ func sameRegisters(t testing.TB, what string, p *bytecode.Program, want, got *Ma
 	}
 }
 
-// checkNestDifferential is the property: interpreter ≡ unfused ≡ fused,
-// one worker ≡ many (with a threshold low enough that chunk boundaries
-// fall mid-row, and worker counts that give one-row and sub-row chunks).
-// A reduction picks its strategy — and a float fold its order — by the
-// threshold, so with one the interpreter runs at each threshold.
+// checkNestDifferential is the property: reference interpreter ≡ unfused
+// ≡ fused, one worker ≡ many (with a threshold low enough that chunk
+// boundaries fall mid-row, and worker counts that give one-row and sub-row
+// chunks). A reduction or scan picks its strategy — and a float fold its
+// order — by the threshold, so with one the reference runs at each
+// threshold.
 func checkNestDifferential(t testing.TB, gp genProgram) {
 	t.Helper()
 	if err := gp.prog.Validate(); err != nil {
@@ -412,7 +414,9 @@ func checkNestDifferential(t testing.TB, gp genProgram) {
 	want := genRun(t, gp, Config{Workers: 1}, true)
 	defer want.Close()
 	want4 := want
-	if slices.ContainsFunc(gp.prog.Instrs, func(in bytecode.Instruction) bool { return in.Op.Info().Kind == bytecode.KindReduction }) {
+	if slices.ContainsFunc(gp.prog.Instrs, func(in bytecode.Instruction) bool {
+		return in.Op.Info().Kind == bytecode.KindReduction || in.Op.Info().Kind == bytecode.KindScan
+	}) {
 		want4 = genRun(t, gp, Config{Workers: 1, ParallelThreshold: 4}, true)
 		defer want4.Close()
 	}
@@ -450,6 +454,7 @@ func TestNestDifferentialGenerated(t *testing.T) {
 			}
 		}
 		checkNestDifferential(t, (&nestGen{data: data}).update())
+		checkNestDifferential(t, (&nestGen{data: data}).standalone())
 	}
 	t.Logf("BH_FREE inside a fused nest: %d generated programs, %d folds", freesInside[0], freesInside[1])
 	if freesInside[0] == 0 || freesInside[1] == 0 {
@@ -515,13 +520,26 @@ func FuzzNestDifferential(f *testing.F) {
 	f.Add([]byte{4, 1, 1, 3, 3, 2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 2, 1, 1, 0, 3, 0, 0, 0, 0, 1, 0, 0, 1, 1, 0})
 	f.Add([]byte{0, 1, 0, 1, 2, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 2, 0, 1, 1, 1, 0, 4})
 	f.Add([]byte{2, 1, 1, 3, 0, 1, 0, 0, 1, 1, 3, 0, 0, 0, 0, 1, 2, 1, 0, 2, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1})
+	// Lone folds and scans, as nestGen.standalone decodes them: a product
+	// scan of another reduction's output; an argmin into an output declared
+	// of another dtype but bound to its input's buffer; a product over an
+	// empty axis of a cast (the identity fill); a scan into its input's
+	// buffer one element ahead (element by element); an argmax of a cast
+	// over strided and reversed windows; a chunked float64 cumsum of a
+	// broadcast input (the three-pass scan).
+	f.Add([]byte{4, 6, 3, 1, 5, 1, 1, 1, 3, 1, 8, 3, 4, 9, 1, 5, 2, 5, 2, 0})
+	f.Add([]byte{6, 5, 5, 7, 8, 8, 0, 5, 7, 1, 0, 4, 7, 5, 8, 7, 9, 0, 6, 1})
+	f.Add([]byte{9, 4, 1, 5, 2, 5, 6, 2, 2, 8, 5, 9, 4, 6, 5, 1, 9, 0, 2, 1})
+	f.Add([]byte{8, 6, 9, 6, 7, 7, 0, 5, 0, 6, 6, 9, 8, 0, 0, 4, 4, 7, 1, 6})
+	f.Add([]byte{7, 5, 7, 1, 1, 5, 5, 7, 6, 7, 0, 7, 3, 2, 3, 1, 2, 3, 7, 1})
+	f.Add([]byte{0, 6, 3, 7, 3, 9, 1, 4, 4, 3, 8, 8, 9, 8, 7, 8, 2, 0, 6, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip()
 		}
 		// Each program's plan then runs under a vector drawn from the rest
 		// of the stream.
-		for _, gen := range []func(*nestGen) genProgram{(*nestGen).program, (*nestGen).update, (*nestGen).chain, (*nestGen).reduce} {
+		for _, gen := range []func(*nestGen) genProgram{(*nestGen).program, (*nestGen).update, (*nestGen).chain, (*nestGen).reduce, (*nestGen).standalone} {
 			g := &nestGen{data: data}
 			gp := gen(g)
 			checkNestDifferential(t, gp)

@@ -62,6 +62,7 @@ type compileArena struct {
 	accs     []regAccess
 	freed    []bytecode.RegID // registers the BH_FREEs inside the cluster being planned release
 	consts   int              // constants in the program planned last
+	bound    *registerFile    // non-nil: operands take the dtypes of their bound buffers (execFold)
 }
 
 // liveness holds the deadness rule: a register may skip materialization

@@ -125,7 +125,7 @@ func (rf *registerFile) bind(r bytecode.RegID, buf tensor.Buffer) {
 }
 
 func (rf *registerFile) get(r bytecode.RegID) tensor.Buffer {
-	if int(r) >= len(rf.bufs) {
+	if rf == nil || int(r) >= len(rf.bufs) {
 		return nil
 	}
 	return rf.bufs[r]

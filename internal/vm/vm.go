@@ -152,7 +152,9 @@ type Stats struct {
 	// FusedReductions counts reductions executed as the epilogue of a
 	// fused producer sweep: the elementwise chain feeding the reduction
 	// ran in one nest whose last step folds its runs, and producer
-	// temporaries that were dead afterwards were never materialized.
+	// temporaries that were dead afterwards were never materialized. It
+	// counts epilogues only: a reduction that runs as a fold nest of its
+	// own (every one with fusion off) is not a fused reduction.
 	FusedReductions int
 	// FusedByDType counts instructions executed inside fused sweeps,
 	// keyed by each instruction's output dtype.
