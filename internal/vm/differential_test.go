@@ -420,6 +420,20 @@ BH_SYNC a0 [0:256:1]
 			out: 0, n: 512,
 		},
 		{
+			// Each line's sum lands on the first element the next line
+			// reads, through every second slot: the split strategy demotes
+			// and the serial sweep goes line by line, or a gathered block
+			// would read those slots before the sums are written.
+			name: "reduce-aliased-strided",
+			src: `
+.reg a0 float64 1100
+BH_RANDOM a0 7 0
+BH_ADD_REDUCE a0 [4:1028:4] a0 [0:1024:4][0:4:2] axis=1
+BH_SYNC a0
+`,
+			out: 0, n: 1100,
+		},
+		{
 			// Shifted in-place scan: out window starts one slot after the
 			// source window — the three-pass rescan would race.
 			name: "scan-aliased-shifted",
@@ -430,6 +444,20 @@ BH_ADD_ACCUMULATE a0 [1:40000:1] a0 [0:39999:1] axis=0
 BH_SYNC a0
 `,
 			out: 0, n: 40000,
+		},
+		{
+			// The same one view element ahead through every second slot:
+			// the input is gathered, so a blocked sweep would read slots
+			// before the scan writes them; only the element-by-element
+			// order matches the reference.
+			name: "scan-aliased-shifted-strided",
+			src: `
+.reg a0 float64 512
+BH_RANDOM a0 11 0
+BH_ADD_ACCUMULATE a0 [2:512:2] a0 [0:510:2] axis=0
+BH_SYNC a0
+`,
+			out: 0, n: 512,
 		},
 		{
 			// Aligned in-place scan (equal views) stays parallel and must
