@@ -221,8 +221,8 @@ func TestTableFormatting(t *testing.T) {
 
 func TestE7DTypeWorkloads(t *testing.T) {
 	// The dtype workloads must validate, produce identical results fused
-	// and unfused (bit-equal: the epilogue mirrors the interpreter's fold
-	// strategy), and actually fire the reduction epilogue.
+	// and unfused (bit-equal: the epilogue folds with the strategy of the
+	// lone fold nest), and actually fire the reduction epilogue.
 	progs := map[string]*bytecode.Program{
 		"black-scholes-float64": BlackScholesProgram(tensor.Float64, 4096),
 		"black-scholes-float32": BlackScholesProgram(tensor.Float32, 4096),

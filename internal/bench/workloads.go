@@ -151,7 +151,7 @@ func BlackScholesProgram(dt tensor.DType, n int) *bytecode.Program {
 // ChecksumProgram builds an integer hash-and-fold workload of the given
 // integer dtype (experiment E7): t = ((x·31+7) mod m)·x wrapped in the
 // dtype, folded with BH_ADD_REDUCE. Integer folds are associative, so the
-// fused epilogue is bit-equal to interpreted execution at any worker
+// fused epilogue is bit-equal to unfused execution at any worker
 // count.
 func ChecksumProgram(dt tensor.DType, n int) *bytecode.Program {
 	p := bytecode.NewProgram()

@@ -2,8 +2,8 @@ package tensor
 
 // Iterator walks a view in row-major order, yielding the linear buffer index
 // of each element. It allocates once and then iterates without further
-// allocation, so it is usable from kernels (though the VM prefers the
-// specialized loops below).
+// allocation. The VM's sweeps run compiled loop nests instead; iterators
+// serve the tensor helpers and the VM's reference interpreter.
 type Iterator struct {
 	view   View
 	coords []int
@@ -21,27 +21,6 @@ func NewIterator(v View) *Iterator {
 		remain: v.Size(),
 		first:  true,
 	}
-}
-
-// NewIteratorAt returns an iterator positioned before element pos of the
-// view's row-major order, so the first Next yields element pos. Parallel
-// sweeps use it to hand each worker a disjoint [lo, hi) slice of the
-// iteration space without walking the prefix.
-func NewIteratorAt(v View, pos int) *Iterator {
-	it := &Iterator{
-		view:   v,
-		coords: make([]int, v.NDim()),
-		index:  v.Offset,
-		remain: v.Size() - pos,
-		first:  true,
-	}
-	for d := v.NDim() - 1; d >= 0; d-- {
-		c := pos % v.Shape[d]
-		pos /= v.Shape[d]
-		it.coords[d] = c
-		it.index += c * v.Strides[d]
-	}
-	return it
 }
 
 // Next advances to the next element, returning false when exhausted.
@@ -72,34 +51,3 @@ func (it *Iterator) Next() bool {
 
 // Index returns the linear buffer index of the current element.
 func (it *Iterator) Index() int { return it.index }
-
-// ZipIndices walks two same-shaped views in lockstep, calling fn with the
-// pair of linear indices for each element position.
-func ZipIndices(a, b View, fn func(ia, ib int)) {
-	ia, ib := NewIterator(a), NewIterator(b)
-	for ia.Next() && ib.Next() {
-		fn(ia.Index(), ib.Index())
-	}
-}
-
-// ZipIndicesRange walks row-major positions [lo, hi) of two same-shaped
-// views in lockstep. Splitting [0, Size()) into disjoint ranges and calling
-// this from one goroutine per range visits exactly the pairs ZipIndices
-// visits serially.
-func ZipIndicesRange(a, b View, lo, hi int, fn func(ia, ib int)) {
-	if lo >= hi {
-		return
-	}
-	ia, ib := NewIteratorAt(a, lo), NewIteratorAt(b, lo)
-	for n := hi - lo; n > 0 && ia.Next() && ib.Next(); n-- {
-		fn(ia.Index(), ib.Index())
-	}
-}
-
-// ZipIndices3 walks three same-shaped views in lockstep.
-func ZipIndices3(a, b, c View, fn func(ia, ib, ic int)) {
-	ia, ib, ic := NewIterator(a), NewIterator(b), NewIterator(c)
-	for ia.Next() && ib.Next() && ic.Next() {
-		fn(ia.Index(), ib.Index(), ic.Index())
-	}
-}

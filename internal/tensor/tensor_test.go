@@ -320,22 +320,6 @@ func TestIteratorCountMatchesSize(t *testing.T) {
 	}
 }
 
-func TestZipIndices(t *testing.T) {
-	a := NewView(MustShape(2, 2))
-	b := NewView(MustShape(2, 2)).Transpose()
-	var pairs [][2]int
-	ZipIndices(a, b, func(ia, ib int) { pairs = append(pairs, [2]int{ia, ib}) })
-	want := [][2]int{{0, 0}, {1, 2}, {2, 1}, {3, 3}}
-	if len(pairs) != len(want) {
-		t.Fatalf("pairs = %v", pairs)
-	}
-	for i := range want {
-		if pairs[i] != want[i] {
-			t.Fatalf("pairs = %v, want %v", pairs, want)
-		}
-	}
-}
-
 func TestSplitMixDeterministic(t *testing.T) {
 	a := NewSplitMix64(7)
 	b := NewSplitMix64(7)

@@ -521,8 +521,8 @@ BH_SYNC a1
 }
 
 // TestFusedBoolCluster pins bool-dtype fusion for logical chains: the
-// bool steps fuse (the float→bool comparison stays interpreted) and the
-// results match the accessor path bit-for-bit.
+// bool steps fuse (with the BH_RANDOM and the float→bool comparison, a
+// promoted step) and the results match the accessor path bit-for-bit.
 func TestFusedBoolCluster(t *testing.T) {
 	src := `
 .reg a0 float64 4096
@@ -875,10 +875,9 @@ BH_SYNC a3
 			if st.BuffersAllocated != 3 {
 				t.Errorf("BuffersAllocated = %d, want 3 (temporary a2 must stay virtual)", st.BuffersAllocated)
 			}
-			// MULTIPLY + ADD_REDUCE share one sweep: 2 RANDOM singletons
-			// plus the fold.
-			if st.Sweeps != 3 {
-				t.Errorf("Sweeps = %d, want 3", st.Sweeps)
+			// The two RANDOMs, MULTIPLY and ADD_REDUCE share one sweep.
+			if st.Sweeps != 1 {
+				t.Errorf("Sweeps = %d, want 1", st.Sweeps)
 			}
 		})
 	}

@@ -2,46 +2,30 @@ package vm
 
 import (
 	"fmt"
+	"slices"
+	"testing"
 
 	"bohrium/internal/bytecode"
 	"bohrium/internal/tensor"
 )
 
-// exec dispatches one instruction through the interpreter. Plans run
-// elementwise sweeps, reductions and scans on compiled loop nests instead
-// (nest.go); they come here for everything else, and for the elementwise
-// instructions a nest declines: promoted mixed-dtype operands, results
-// that address an element twice, inputs that overlap the result through
-// another window. A reduction or scan never comes here: interpret runs it
-// as a fold nest of its own (execFold). k holds in's constant operands, in
-// order, at its front.
-func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction, k []bytecode.Constant) error {
-	switch in.Op.Info().Kind {
-	case bytecode.KindSystem:
-		switch in.Op {
-		case bytecode.OpFree:
-			m.regs.free(in.Out.Reg)
-		case bytecode.OpSync, bytecode.OpNone:
-			// SYNC is a materialization fence for the lazy front-end;
-			// the VM itself is always coherent.
-		}
-		return nil
-	case bytecode.KindGenerator:
-		switch in.Op {
-		case bytecode.OpRange:
-			return m.execRange(p, in)
-		case bytecode.OpRandom:
-			return m.execRandom(p, in, k)
-		default: // BH_IDENTITY is elementwise copy/fill
-			return m.execElementwise(p, in, k)
-		}
-	case bytecode.KindUnary, bytecode.KindBinary:
-		return m.execElementwise(p, in, k)
-	case bytecode.KindExtension:
-		return m.execExtension(p, in)
-	default:
-		return fmt.Errorf("unsupported op-code %s", in.Op)
+// The accessor interpreter the VM ran before every elementwise byte-code
+// became a nest step: one serial sweep per instruction, applying the
+// scalar kernels through Buffer.Get/Set (float64 class) or GetInt/SetInt
+// (exact int64 class) in lockstep row-major iterators. It defines the
+// semantics of every dtype combination the nests are held against, bit for
+// bit (refInterpret).
+
+// execRef runs elementwise instruction in through the accessor
+// interpreter; k holds in's constant operands, in order, at its front.
+func (m *Machine) execRef(p *bytecode.Program, in *bytecode.Instruction, k []bytecode.Constant) error {
+	switch in.Op {
+	case bytecode.OpRange:
+		return m.execRange(p, in)
+	case bytecode.OpRandom:
+		return m.execRandom(p, in, k)
 	}
+	return m.execElementwise(p, in, k)
 }
 
 // source is a resolved input operand: either a constant or a buffer with a
@@ -78,8 +62,7 @@ func (m *Machine) resolveSources(p *bytecode.Program, in *bytecode.Instruction, 
 
 // execElementwise runs unary/binary/identity instructions: one serial
 // sweep over the output view applying the scalar kernel through the
-// buffers' accessors. It defines the semantics of every dtype combination
-// — the nest's typed kernels are pinned against it bit for bit.
+// buffers' accessors.
 func (m *Machine) execElementwise(p *bytecode.Program, in *bytecode.Instruction, k []bytecode.Constant) error {
 	outBuf, err := m.regs.ensure(p, in.Out.Reg)
 	if err != nil {
@@ -151,7 +134,7 @@ func (m *Machine) slowElementwise(op bytecode.Opcode, out tensor.Buffer, outView
 				}
 				return nil
 			}
-			tensor.ZipIndices(outView, s.view, func(io, is int) {
+			zipIndices(outView, s.view, func(io, is int) {
 				out.SetInt(io, k(s.buf.GetInt(is)))
 			})
 			return nil
@@ -189,7 +172,7 @@ func (m *Machine) slowUnaryFloat(op bytecode.Opcode, out tensor.Buffer, outView 
 		}
 		return nil
 	}
-	tensor.ZipIndices(outView, s.view, func(io, is int) {
+	zipIndices(outView, s.view, func(io, is int) {
 		out.Set(io, k(s.buf.Get(is)))
 	})
 	return nil
@@ -204,15 +187,15 @@ func (m *Machine) slowBinaryFloat(k func(a, b float64) float64, out tensor.Buffe
 			out.Set(it.Index(), c)
 		}
 	case a.isConst:
-		tensor.ZipIndices(outView, b.view, func(io, ib int) {
+		zipIndices(outView, b.view, func(io, ib int) {
 			out.Set(io, k(a.cf, b.buf.Get(ib)))
 		})
 	case b.isConst:
-		tensor.ZipIndices(outView, a.view, func(io, ia int) {
+		zipIndices(outView, a.view, func(io, ia int) {
 			out.Set(io, k(a.buf.Get(ia), b.cf))
 		})
 	default:
-		tensor.ZipIndices3(outView, a.view, b.view, func(io, ia, ib int) {
+		zipIndices3(outView, a.view, b.view, func(io, ia, ib int) {
 			out.Set(io, k(a.buf.Get(ia), b.buf.Get(ib)))
 		})
 	}
@@ -228,15 +211,15 @@ func (m *Machine) slowBinaryInt(k func(a, b int64) int64, out tensor.Buffer, out
 			out.SetInt(it.Index(), c)
 		}
 	case a.isConst:
-		tensor.ZipIndices(outView, b.view, func(io, ib int) {
+		zipIndices(outView, b.view, func(io, ib int) {
 			out.SetInt(io, k(a.ci, b.buf.GetInt(ib)))
 		})
 	case b.isConst:
-		tensor.ZipIndices(outView, a.view, func(io, ia int) {
+		zipIndices(outView, a.view, func(io, ia int) {
 			out.SetInt(io, k(a.buf.GetInt(ia), b.ci))
 		})
 	default:
-		tensor.ZipIndices3(outView, a.view, b.view, func(io, ia, ib int) {
+		zipIndices3(outView, a.view, b.view, func(io, ia, ib int) {
 			out.SetInt(io, k(a.buf.GetInt(ia), b.buf.GetInt(ib)))
 		})
 	}
@@ -287,4 +270,59 @@ func (m *Machine) execRandom(p *bytecode.Program, in *bytecode.Instruction, k []
 		i++
 	}
 	return nil
+}
+
+// zipIndices walks two same-shaped views in lockstep, calling fn with the
+// pair of linear indices of each element position, in row-major order.
+func zipIndices(a, b tensor.View, fn func(ia, ib int)) {
+	ia, ib := tensor.NewIterator(a), tensor.NewIterator(b)
+	for ia.Next() && ib.Next() {
+		fn(ia.Index(), ib.Index())
+	}
+}
+
+// zipIndices3 walks three same-shaped views in lockstep.
+func zipIndices3(a, b, c tensor.View, fn func(ia, ib, ic int)) {
+	ia, ib, ic := tensor.NewIterator(a), tensor.NewIterator(b), tensor.NewIterator(c)
+	for ia.Next() && ib.Next() && ic.Next() {
+		fn(ia.Index(), ib.Index(), ic.Index())
+	}
+}
+
+// zipIndicesRange is zipIndices over row-major positions [lo, hi) only:
+// disjoint ranges, one goroutine each, visit exactly the pairs zipIndices
+// visits serially.
+func zipIndicesRange(a, b tensor.View, lo, hi int, fn func(ia, ib int)) {
+	pos := 0
+	zipIndices(a, b, func(ia, ib int) {
+		if pos >= lo && pos < hi {
+			fn(ia, ib)
+		}
+		pos++
+	})
+}
+
+// TestZipIndices pins the oracle's walkers: zipIndices pairs the linear
+// indices of two views position by position in row-major order (here a
+// matrix and its transpose), zipIndices3 a third alongside, and
+// zipIndicesRange over disjoint ranges visits exactly zipIndices' pairs.
+func TestZipIndices(t *testing.T) {
+	a := tensor.NewView(tensor.MustShape(2, 2))
+	b := tensor.NewView(tensor.MustShape(2, 2)).Transpose()
+	var pairs, ranged [][2]int
+	zipIndices(a, b, func(ia, ib int) { pairs = append(pairs, [2]int{ia, ib}) })
+	if want := [][2]int{{0, 0}, {1, 2}, {2, 1}, {3, 3}}; !slices.Equal(pairs, want) {
+		t.Fatalf("pairs = %v, want %v", pairs, want)
+	}
+	var triples [][3]int
+	zipIndices3(a, b, a, func(ia, ib, ic int) { triples = append(triples, [3]int{ia, ib, ic}) })
+	if want := [][3]int{{0, 0, 0}, {1, 2, 1}, {2, 1, 2}, {3, 3, 3}}; !slices.Equal(triples, want) {
+		t.Fatalf("triples = %v, want %v", triples, want)
+	}
+	for _, r := range [][2]int{{0, 1}, {1, 1}, {1, 3}, {3, 4}} {
+		zipIndicesRange(a, b, r[0], r[1], func(ia, ib int) { ranged = append(ranged, [2]int{ia, ib}) })
+	}
+	if !slices.Equal(ranged, pairs) {
+		t.Fatalf("ranges visit %v, want %v", ranged, pairs)
+	}
 }

@@ -15,9 +15,8 @@ import (
 // batch, we emit one fused Go loop.
 //
 // Two byte-codes may share a sweep when:
-//   - both are elementwise and each instruction's register operands all
-//     share one dtype (any supported dtype; steps of *different* dtypes
-//     may still share a cluster — each step compiles its own typed loop),
+//   - both are elementwise, of any dtypes (each step compiles its own typed
+//     loop),
 //   - their result views share one iteration shape (inputs may broadcast
 //     into it), the result view addresses each element at most once, and
 //   - every register they share is addressed through the *same* view in
@@ -28,19 +27,25 @@ import (
 //
 // Every cluster — and every single elementwise instruction, fusion on or
 // off — compiles to one loop nest (nest.go), which keeps dead temporaries
-// in row scratch. A reduction that consumes the cluster's output extends
-// the cluster as an epilogue: the nest's last step folds the producers'
-// runs (foldStep), likewise without them. Every other reduction, and every
-// scan, is a fold nest of its own: its only step folds (or scans) its input
-// in the same kernels. A BH_FREE whose register no later step of the
-// cluster touches joins it and runs after the sweep, so a batch that frees
-// each temporary right after its last use fuses as one that frees them at
-// the end. Other system byte-codes, other reductions, scans, extensions,
-// and RANDOM end a cluster.
+// in row scratch. Generators (BH_RANGE, BH_RANDOM) are steps like any
+// other: each computes its values from the row-major index of the element.
+// So are casts and steps whose operands are of other dtypes than their
+// result (promoted steps). A reduction that consumes the cluster's output
+// extends the cluster as an epilogue: the nest's last step folds the
+// producers' runs (foldStep), likewise without them. Every other
+// reduction, and every scan, is a nest of its own: its only step folds (or
+// scans) its input in the same kernels. So is an elementwise instruction
+// whose result addresses an element twice, or that reads its own result
+// through another overlapping window. A BH_FREE whose register no later
+// step of the cluster touches joins it and runs after the sweep, so a
+// batch that frees each temporary right after its last use fuses as one
+// that frees them at the end. Other system byte-codes and extensions end a
+// cluster; exec runs them.
 
 // planClusters splits the program into clusters, in the machine's compile
-// arena: each is a nest, laid out once for a sweep; the interpreter runs
-// one without steps. With fusion off every instruction is its own cluster.
+// arena: each is a nest, laid out once for a sweep, or a system or
+// extension byte-code, which has no steps (exec). With fusion off every
+// instruction is its own cluster.
 func (m *Machine) planClusters(p *bytecode.Program, live liveness) []nest {
 	ar := &m.arena
 	ar.clusters = ar.clusters[:0]
@@ -112,64 +117,59 @@ func (ar *compileArena) touchesFreed(in *bytecode.Instruction) bool {
 type sweepKind int
 
 const (
-	// sweepNone: no sweep a nest can run (system, extension and generator
-	// byte-codes; promoted mixed-dtype operands; non-injective results; a
-	// misaligned self-overlap). The interpreter executes it.
+	// sweepNone: a system or extension byte-code, which exec runs.
 	sweepNone sweepKind = iota
-	// sweepCast: BH_IDENTITY between registers of different dtypes. It
-	// runs as a nest of its own but never shares a cluster.
-	sweepCast
-	// sweepFold: a reduction or scan, over its input's shape. It runs as a
-	// fold nest of its own unless it closes a cluster (reduceEpilogueAt).
-	sweepFold
-	// sweepFusible: every register operand shares the result's dtype.
+	// sweepAlone: a nest of its own, never part of a cluster — a reduction
+	// or scan, over its input's shape, unless it closes a cluster
+	// (reduceEpilogueAt); an elementwise instruction whose result view is
+	// not injective (runNest sweeps it one element at a time) or that reads
+	// its result register through another overlapping window (runNest
+	// snapshots that input).
+	sweepAlone
+	// sweepFusible: any other elementwise instruction, of any dtypes.
 	sweepFusible
 )
 
 // sweepAt classifies instruction i, returning its iteration shape.
 func sweepAt(p *bytecode.Program, i int) (tensor.Shape, sweepKind) {
 	in := &p.Instrs[i]
-	if kind := in.Op.Info().Kind; kind == bytecode.KindReduction || kind == bytecode.KindScan {
-		return in.In1.View.Shape, sweepFold
-	}
-	if !in.Op.Elementwise() || in.In1.Kind == bytecode.OperandNone {
+	switch in.Op.Info().Kind {
+	case bytecode.KindReduction, bytecode.KindScan:
+		return in.In1.View.Shape, sweepAlone
+	case bytecode.KindUnary, bytecode.KindBinary, bytecode.KindGenerator:
+	default:
 		return nil, sweepNone
 	}
-	if !in.Out.IsReg() || !viewInjective(in.Out.View) {
-		return nil, sweepNone
+	if !viewInjective(in.Out.View) {
+		return in.Out.View.Shape, sweepAlone
 	}
-	ri, ok := p.Reg(in.Out.Reg)
-	if !ok || !ri.DType.Valid() {
-		return nil, sweepNone
-	}
-	kind := sweepFusible
-	shape := in.Out.View.Shape
 	for _, opnd := range [2]*bytecode.Operand{&in.In1, &in.In2} {
-		if !opnd.IsReg() {
-			continue
-		}
-		si, ok := p.Reg(opnd.Reg)
-		if !ok || !si.DType.Valid() {
-			return nil, sweepNone
-		}
-		if si.DType != ri.DType {
-			// Promoted operands keep the accessor path, which defines the
-			// conversion semantics; only the plain cast has typed kernels.
-			if in.Op != bytecode.OpIdentity {
-				return nil, sweepNone
-			}
-			kind = sweepCast
-		}
-		if !opnd.View.Shape.BroadcastableTo(shape) {
-			return nil, sweepNone
-		}
-		// A misaligned self-overlap needs the snapshot the interpreter
-		// takes; keep such instructions out of nests.
-		if opnd.Reg == in.Out.Reg && !opnd.View.Equal(in.Out.View) && opnd.View.Overlaps(in.Out.View) {
-			return nil, sweepNone
+		if opnd.IsReg() && opnd.Reg == in.Out.Reg && !opnd.View.Equal(in.Out.View) && opnd.View.Overlaps(in.Out.View) {
+			return in.Out.View.Shape, sweepAlone
 		}
 	}
-	return shape, kind
+	return in.Out.View.Shape, sweepFusible
+}
+
+// misaligned reports whether input o, of a result through view out, reads
+// out's buffer through another overlapping window — compared broadcast to
+// out's shape — so that a sweep could read elements it has already
+// written.
+func misaligned(o *bytecode.Operand, out tensor.View) bool {
+	if o.View.Equal(out) || !o.View.Overlaps(out) {
+		return false
+	}
+	v, _ := o.View.BroadcastTo(out.Shape)
+	return !v.Equal(out)
+}
+
+// generates reports whether op computes its values from the element index.
+func generates(op bytecode.Opcode) bool { return op == bytecode.OpRange || op == bytecode.OpRandom }
+
+// folds reports whether op is a reduction or a scan.
+func folds(op bytecode.Opcode) bool {
+	kind := op.Info().Kind
+	return kind == bytecode.KindReduction || kind == bytecode.KindScan
 }
 
 // reduceEpilogueAt reports whether the reduction at index j can close the

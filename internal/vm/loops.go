@@ -15,14 +15,16 @@ import (
 // the loop nest (nest.go) hands it equal-length unit-stride runs, so it is
 // compiled once at plan time and shared by every execution of the plan.
 //
-// Semantics are pinned to the accessor interpreter (exec.go): float
-// dtypes compute in the float64 class and convert back through the
-// storage type (a no-op for float64; innocuous double rounding for
-// float32 +,-,*,/), integer dtypes compute in the exact int64 class
-// (falling back to the float class for ops with no integer kernel,
-// exactly as slowElementwise does), and bool stores normalize to 0/1 the
-// way Buffer.Set/SetInt do. This keeps fused execution bit-identical to
-// the interpreter for every dtype.
+// The semantics are those of Buffer's accessors: float dtypes compute in
+// the float64 class and convert back through the storage type (a no-op
+// for float64; innocuous double rounding for float32 +,-,*,/), integer
+// dtypes compute in the exact int64 class (falling back to the float
+// class for ops with no integer kernel), and bool stores normalize to 0/1
+// the way Buffer.Set/SetInt do. A step whose operands are of other dtypes
+// than its result computes in the same classes (promotedStep). The
+// differential suites hold every kernel bit for bit against the reference
+// interpreter, which applies the scalar kernels through Buffer.Get/Set
+// (exec_ref_test.go).
 
 // kernel computes dst[i] = op(a[i], b[i]) for i < len(dst). Array
 // operands are at least len(dst) long; a constant operand's slice is nil,
@@ -32,7 +34,7 @@ import (
 type kernel[D, S tensor.Elem] func(dst []D, a, b []S, c args)
 
 // scalar is a constant operand's value in the float64 class (f) and the
-// exact int64 class (i), as resolveSources materializes it.
+// exact int64 class (i): Constant.Float and Constant.Int.
 type scalar struct {
 	f float64
 	i int64
@@ -73,8 +75,7 @@ func compileLoop[T tensor.Elem](key loopKey) (kernel[T, T], bool) {
 			}
 		}
 		// Transcendentals on integers compute in the float class and
-		// truncate back through the storage type, matching
-		// slowUnaryFloat + Buffer.Set.
+		// truncate back through the storage type, as Buffer.Set does.
 		k, ok := floatUnaryKernel(key.op)
 		if !ok {
 			return nil, false
@@ -95,7 +96,7 @@ func compileLoop[T tensor.Elem](key loopKey) (kernel[T, T], bool) {
 			}
 		}
 		// Ops with no integer kernel (ARCTAN2) compute in the float class
-		// and truncate back, as the interpreted path does.
+		// and truncate back.
 		k, ok := floatBinaryKernel(key.op)
 		if !ok {
 			return nil, false
@@ -237,25 +238,33 @@ func widenedConstBinary(op bytecode.Opcode) (kernel[float32, float32], bool) {
 	return nil, false
 }
 
-// castKernel is BH_IDENTITY between registers of different dtypes
-// (Array.AsType), with exactly the accessor path's conversion semantics:
-// integer/bool to integer/bool moves through the exact int64 class
-// (GetInt → SetInt), anything involving a float through float64
-// (Get → Set), and a bool destination normalizes to 0/1.
+// castKernel converts a run between storage types with the accessor
+// path's conversion semantics (Buffer.Get/Set, GetInt/SetInt): a bool
+// destination normalizes to 0/1; integer/bool to integer moves through the
+// exact int64 class, anything involving a float through float64. It is a
+// cast's kernel, and a promoted step's widening to its class and narrowing
+// from it.
 func castKernel[D, S tensor.Elem](dstDT, srcDT tensor.DType) kernel[D, S] {
-	isBool := dstDT == tensor.Bool
-	if !dstDT.IsFloat() && !srcDT.IsFloat() {
+	switch {
+	case dstDT == tensor.Bool:
 		return func(d []D, a, _ []S, _ args) {
 			a = a[:len(d)]
 			for i := range d {
-				d[i] = store[D](int64(a[i]), isBool)
+				d[i] = D(b2i(a[i] != 0))
+			}
+		}
+	case !dstDT.IsFloat() && !srcDT.IsFloat():
+		return func(d []D, a, _ []S, _ args) {
+			a = a[:len(d)]
+			for i := range d {
+				d[i] = D(int64(a[i]))
 			}
 		}
 	}
 	return func(d []D, a, _ []S, _ args) {
 		a = a[:len(d)]
 		for i := range d {
-			d[i] = store[D](float64(a[i]), isBool)
+			d[i] = D(float64(a[i]))
 		}
 	}
 }

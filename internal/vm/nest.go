@@ -28,7 +28,11 @@ import (
 // chain of steps one loop (chainAt). An operand whose innermost stride is
 // not 1 (negative-step, strided, broadcast) is packed into per-worker
 // scratch by one typed gather loop, and a strided result is scattered back,
-// so there is exactly one kernel table.
+// so there is exactly one kernel table. A generator computes its run from
+// the row-major index of its first element, which the nest tracks like an
+// operand's offset (index). A promoted step — operands of other dtypes than
+// its result — widens its inputs' runs to its computation class in scratch,
+// runs the class's kernel and narrows the result (promotedStep).
 //
 // A register the cluster writes and the batch proves dead afterwards is
 // virtual (virtualRegs): its current run lives in the worker's scratch and
@@ -53,6 +57,9 @@ type nest struct {
 	line       int             // a fold nest's elements per line
 	chained    int             // instructions that run inside chain steps
 	konst      int             // the constant vector's index of the first constant at or after start
+	index      operandAccess   // the slot and innermost stride of the iteration's row-major index, for generators
+	serial     bool            // a lone result view that addresses an element twice: swept element by element
+	mixed      bool            // a generator, cast or promoted step: a buffer of another dtype unfuses the nest
 }
 
 // nestStep is one instruction of a nest.
@@ -60,7 +67,7 @@ type nestStep struct {
 	index int              // instruction index
 	ops   [3]bufSpan       // result, first input, second input (register operands only)
 	acc   [3]operandAccess // where each operand's run is found
-	code  stepCode         // nil: the op has no kernel (reported at execution), or the step is inside a chain
+	code  stepCode         // nil: the op has no kernel for these dtypes (reported at execution), or the step is inside a chain
 	width int              // instructions code runs: 1, or a chain's length at its head (0 inside it)
 }
 
@@ -165,23 +172,20 @@ func operands(in *bytecode.Instruction) [3]*bytecode.Operand {
 
 // compileNest compiles instructions [start, end) of p, vetted by sweepAt and
 // with constants from index konst on, into a nest outside any plan and
-// arena, for the executing side (unfold, execFold). With bound non-nil,
-// register operands take the dtypes of the buffers bound to them. A single
-// instruction whose op has no kernel yields nil.
-func compileNest(p *bytecode.Program, start, end int, shape tensor.Shape, konst int, bound *registerFile) *nest {
+// arena, for the executing side (unfold, execBound). With bound non-nil,
+// register operands take the dtypes of the buffers bound to them.
+func compileNest(p *bytecode.Program, start, end, konst int, bound *registerFile) *nest {
 	ns := new(nest)
+	shape, _ := sweepAt(p, start)
 	(&compileArena{bound: bound}).layoutNest(ns, p, start, end, shape, liveness{}, nil)
 	ns.konst = konst
-	if !ns.attach(p, &kernelSlabs{}) {
-		return nil
-	}
+	ns.attach(p, &kernelSlabs{})
 	return ns
 }
 
 // attach gives each constant operand of ns its slot in the constant vector
-// and compiles ns's kernel steps from p; false: a single instruction whose
-// op has no kernel.
-func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
+// and compiles ns's kernel steps from p.
+func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) {
 	slot := ns.konst
 	for i := range ns.steps {
 		for k, o := range operands(&p.Instrs[ns.steps[i].index]) {
@@ -198,19 +202,8 @@ func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) bool {
 			st.code = newFoldStep(in, st, ns.line)
 			break
 		}
-		srcDT := st.ops[0].dtype
-		key := loopKey{dt: srcDT, op: in.Op, aConst: in.In1.IsConst(), bConst: in.In2.IsConst()}
-		for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
-			if o.IsReg() {
-				srcDT = st.ops[j+1].dtype
-			}
-			if o.Kind != bytecode.OperandNone {
-				key.arity++
-			}
-		}
-		st.code = newKernelStep(p, ns.steps[k:k+st.width], srcDT, key, ks)
+		st.code = newKernelStep(p, ns, ns.steps[k:k+st.width], ks)
 	}
-	return ns.fused || ns.steps[0].code != nil
 }
 
 // layoutNest lays out the kernel-free half of a nest into ns, exactly
@@ -225,7 +218,7 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 			n--
 		}
 	}
-	*ns = nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, n)}
+	*ns = nest{start: start, end: end, fused: n > 1, total: shape.Size(), steps: make([]nestStep, n), index: operandAccess{slot: slotNone}}
 	for i, k := start, 0; k < n; i++ {
 		if p.Instrs[i].Op != bytecode.OpFree {
 			ns.steps[k].index = i
@@ -234,13 +227,16 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 	}
 	virt := ar.virtualRegs(p, ns.steps, end, shape, live)
 	nd, reduced := len(shape), len(shape)
-	if in := &p.Instrs[end-1]; in.Op.Info().Kind == bytecode.KindReduction || in.Op.Info().Kind == bytecode.KindScan {
+	if in := &p.Instrs[end-1]; folds(in.Op) {
 		ns.fold, reduced, ns.line = in.Op.Info().Kind, in.Axis, shape[in.Axis]
 	}
-	views := ar.views[:0]
+	ns.serial = n == 1 && ns.fold == 0 && !viewInjective(p.Instrs[start].Out.View)
+	views, gen := ar.views[:0], false
 	for i := range ns.steps {
 		st := &ns.steps[i]
-		for k, o := range operands(&p.Instrs[st.index]) {
+		in := &p.Instrs[st.index]
+		gen = gen || generates(in.Op)
+		for k, o := range operands(in) {
 			st.acc[k].slot = slotNone
 			if !o.IsReg() {
 				continue
@@ -250,6 +246,7 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 			if b := ar.bound.get(o.Reg); b != nil {
 				st.ops[k].dtype = b.DType()
 			}
+			ns.mixed = ns.mixed || st.ops[k].dtype != st.ops[0].dtype && (ns.fold == 0 || i < n-1)
 			if findVirtual(virt, o.Reg) != nil {
 				st.ops[k].virtual, st.acc[k].slot = true, slotVirtual
 				continue
@@ -262,6 +259,16 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 				views = append(views, &o.View)
 			}
 		}
+	}
+	if ns.mixed = ns.mixed || gen; gen {
+		// The row-major layout of the iteration shape: a slot whose offset
+		// is the index of the current run's first element.
+		s := grown(ar.index.Strides, nd)
+		for d, size := nd-1, 1; d >= 0; d-- {
+			s[d], size = size, size*shape[d]
+		}
+		ar.index = tensor.View{Shape: shape, Strides: s}
+		ns.index.slot, views = len(views), append(views, &ar.index)
 	}
 	ar.views = views
 	for i := 0; i < n; i += ns.steps[i].width {
@@ -326,16 +333,20 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 	for s, v := range views {
 		ns.bases[s] = v.Offset
 	}
-	for i := range ns.steps {
-		for k := range ns.steps[i].acc {
-			if acc := &ns.steps[i].acc[k]; acc.slot >= 0 {
-				acc.stride = 1 // a single element: any stride addresses it
-				if ns.inner > 1 {
-					acc.stride = axes[len(axes)-1].strides[acc.slot]
-				}
+	innermost := func(acc *operandAccess) {
+		if acc.slot >= 0 {
+			acc.stride = 1 // a single element: any stride addresses it
+			if ns.inner > 1 {
+				acc.stride = axes[len(axes)-1].strides[acc.slot]
 			}
 		}
 	}
+	for i := range ns.steps {
+		for k := range ns.steps[i].acc {
+			innermost(&ns.steps[i].acc[k])
+		}
+	}
+	innermost(&ns.index)
 
 	// Scratch: one block per run for every virtual register and for every
 	// operand position that gathers or scatters — for every such operand in
@@ -423,7 +434,7 @@ func (ar *compileArena) virtualRegs(p *bytecode.Program, steps []nestStep, end i
 				v.mem = v.mem || !o.View.Equal(*v.view) // touched through another view
 				continue
 			}
-			mem := k > 0 || !in.Op.Elementwise() || !live.deadAfter(o.Reg, end-1) && !live.freedBy(o.Reg, end-1) || !o.View.Shape.Equal(shape) || in.ReadsReg(o.Reg)
+			mem := k > 0 || folds(in.Op) || !live.deadAfter(o.Reg, end-1) && !live.freedBy(o.Reg, end-1) || !o.View.Shape.Equal(shape) || in.ReadsReg(o.Reg)
 			virt = append(virt, virtualReg{reg: o.Reg, view: &o.View, mem: mem})
 		}
 	}
@@ -434,12 +445,13 @@ func (ar *compileArena) virtualRegs(p *bytecode.Program, steps []nestStep, end i
 // chainAt returns how many steps from i contract into one chain step (1:
 // none): t = a ⊕ b; t = t ⊕ x; … with one add or multiply of a non-bool
 // dtype into a virtual register t (no input reads t through another view),
-// and a trailing t = t ⊗ c, ⊗ one of + − × ÷. Past chainWidth inputs, or at
-// t = t ⊕ t, the run goes on as a chain whose first input is t so far.
+// every input of t's dtype, and a trailing t = t ⊗ c, ⊗ one of + − × ÷.
+// Past chainWidth inputs, or at t = t ⊕ t, the run goes on as a chain whose
+// first input is t so far.
 func chainAt(p *bytecode.Program, steps []nestStep, i int) int {
-	head := &p.Instrs[steps[i].index]
-	if head.Op != bytecode.OpAdd && head.Op != bytecode.OpMultiply || !steps[i].ops[0].virtual ||
-		steps[i].ops[0].dtype == tensor.Bool || !head.In1.IsReg() || !head.In2.IsReg() {
+	head, dt := &p.Instrs[steps[i].index], steps[i].ops[0].dtype
+	if head.Op != bytecode.OpAdd && head.Op != bytecode.OpMultiply || !steps[i].ops[0].virtual || dt == tensor.Bool ||
+		!head.In1.IsReg() || !head.In2.IsReg() || steps[i].ops[1].dtype != dt || steps[i].ops[2].dtype != dt {
 		return 1
 	}
 	t, j := head.Out.Reg, i+1
@@ -451,7 +463,7 @@ func chainAt(p *bytecode.Program, steps []nestStep, i int) int {
 		if in.In2.IsConst() && slices.Contains(chainTailOps, in.Op) {
 			return j + 1 - i
 		}
-		if !in.In2.IsReg() || in.In2.Reg == t || in.Op != head.Op || j-i+1 == chainWidth {
+		if !in.In2.IsReg() || in.In2.Reg == t || steps[j].ops[2].dtype != dt || in.Op != head.Op || j-i+1 == chainWidth {
 			break
 		}
 	}
@@ -559,61 +571,67 @@ func (ns *nest) drain(w *nestWorker, ops [][3]tensor.Buffer) {
 	}
 }
 
-// newKernelStep compiles steps — one instruction with source dtype srcDT
-// and kernel key key, or a chain (chainAt) — for the result's dtype, or
-// returns nil when the op has no kernel.
-func newKernelStep(p *bytecode.Program, steps []nestStep, srcDT tensor.DType, key loopKey, ks *kernelSlabs) stepCode {
+// newKernelStep compiles steps of ns — one instruction, or a chain
+// (chainAt) — for the result's dtype, or returns nil when the op has no
+// kernel for its dtypes.
+func newKernelStep(p *bytecode.Program, ns *nest, steps []nestStep, ks *kernelSlabs) stepCode {
 	switch steps[0].ops[0].dtype {
 	case tensor.Float64:
-		return kernelStepTo(p, steps, srcDT, key, ks, &ks.f64)
+		return kernelStepTo(p, ns, steps, ks, &ks.f64)
 	case tensor.Float32:
-		return kernelStepTo(p, steps, srcDT, key, ks, &ks.f32)
+		return kernelStepTo(p, ns, steps, ks, &ks.f32)
 	case tensor.Int64:
-		return kernelStepTo(p, steps, srcDT, key, ks, &ks.i64)
+		return kernelStepTo(p, ns, steps, ks, &ks.i64)
 	case tensor.Int32:
-		return kernelStepTo(p, steps, srcDT, key, ks, &ks.i32)
+		return kernelStepTo(p, ns, steps, ks, &ks.i32)
 	case tensor.Bool, tensor.Uint8:
-		return kernelStepTo(p, steps, srcDT, key, ks, &ks.u8)
+		return kernelStepTo(p, ns, steps, ks, &ks.u8)
 	}
 	return nil
 }
 
-func kernelStepTo[D tensor.Elem](p *bytecode.Program, steps []nestStep, srcDT tensor.DType, key loopKey, ks *kernelSlabs, same *[]kernelStep[D, D]) stepCode {
+func kernelStepTo[D tensor.Elem](p *bytecode.Program, ns *nest, steps []nestStep, ks *kernelSlabs, same *[]kernelStep[D, D]) stepCode {
 	if len(steps) > 1 {
 		return chainStepOf[D](p, steps, ks)
 	}
-	dstDT, acc := steps[0].ops[0].dtype, steps[0].acc
-	if srcDT == dstDT {
-		k, ok := loopOf[D](ks, key)
-		if !ok {
-			return nil
-		}
-		if len(*same) == 0 {
-			*same = make([]kernelStep[D, D], max(1, ks.left+1))
-		}
-		st := &(*same)[0]
-		*same = (*same)[1:]
-		return kernelStepOf(st, k, dstDT, srcDT, acc)
+	st, in := &steps[0], &p.Instrs[steps[0].index]
+	dt := st.ops[0].dtype
+	if generates(in.Op) {
+		return genStepOf[D](in.Op, st, ns.index)
 	}
-	// Mixed dtypes: sweepAt admits only the BH_IDENTITY cast.
-	switch srcDT {
-	case tensor.Float64:
-		return kernelStepOf(new(kernelStep[D, float64]), castKernel[D, float64](dstDT, srcDT), dstDT, srcDT, acc)
-	case tensor.Float32:
-		return kernelStepOf(new(kernelStep[D, float32]), castKernel[D, float32](dstDT, srcDT), dstDT, srcDT, acc)
-	case tensor.Int64:
-		return kernelStepOf(new(kernelStep[D, int64]), castKernel[D, int64](dstDT, srcDT), dstDT, srcDT, acc)
-	case tensor.Int32:
-		return kernelStepOf(new(kernelStep[D, int32]), castKernel[D, int32](dstDT, srcDT), dstDT, srcDT, acc)
-	case tensor.Bool, tensor.Uint8:
-		return kernelStepOf(new(kernelStep[D, uint8]), castKernel[D, uint8](dstDT, srcDT), dstDT, srcDT, acc)
+	key := loopKey{dt: dt, op: in.Op, aConst: in.In1.IsConst(), bConst: in.In2.IsConst()}
+	promoted, intClass := false, !dt.IsFloat()
+	for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
+		if o.IsReg() {
+			promoted = promoted || st.ops[j+1].dtype != dt
+			intClass = intClass && !st.ops[j+1].dtype.IsFloat()
+		}
+		if o.Kind != bytecode.OperandNone {
+			key.arity++
+		}
 	}
-	return nil
-}
-
-func kernelStepOf[D, S tensor.Elem](st *kernelStep[D, S], k kernel[D, S], dstDT, srcDT tensor.DType, acc [3]operandAccess) stepCode {
-	st.kern, st.out, st.in1, st.in2, st.dstDT, st.srcDT = k, acc[0], acc[1], acc[2], dstDT, srcDT
-	return st
+	if promoted {
+		// The class: exact int64 when the result and every register input
+		// are integer or bool and the op has an integer kernel, float64
+		// otherwise.
+		_, unary := intUnaryKernel(in.Op)
+		_, binary := intBinaryKernel(in.Op)
+		if intClass && (key.arity == 1 && unary || key.arity == 2 && binary) {
+			return promotedStepOf[D, int64](ns, st, in, key, tensor.Int64, ks)
+		}
+		return promotedStepOf[D, float64](ns, st, in, key, tensor.Float64, ks)
+	}
+	k, ok := loopOf[D](ks, key)
+	if !ok {
+		return nil
+	}
+	if len(*same) == 0 {
+		*same = make([]kernelStep[D, D], max(1, ks.left+1))
+	}
+	ps := &(*same)[0]
+	*same = (*same)[1:]
+	ps.kern, ps.out, ps.in1, ps.in2, ps.dstDT, ps.srcDT = k, st.acc[0], st.acc[1], st.acc[2], dt, dt
+	return ps
 }
 
 // kernelSlabs hands a plan its same-type kernel steps out of one slice per
@@ -645,8 +663,8 @@ func loopOf[T tensor.Elem](ks *kernelSlabs, key loopKey) (kernel[T, T], bool) {
 }
 
 // kernelStep is a step's typed code: D is the result's storage type, S
-// the inputs' (the same type except for casts). Buffer dtypes were
-// checked by runNest, so the RawSlice assertions cannot fail.
+// the inputs'. Buffer dtypes were checked by runNest, so the RawSlice
+// assertions cannot fail.
 type kernelStep[D, S tensor.Elem] struct {
 	kern          kernel[D, S]
 	out, in1, in2 operandAccess
@@ -656,25 +674,162 @@ type kernelStep[D, S tensor.Elem] struct {
 func (st *kernelStep[D, S]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
 	a := inputRun[S](w, st.srcDT, ops[0][1], st.in1, col, n)
 	b := inputRun[S](w, st.srcDT, ops[0][2], st.in2, col, n)
-	c := args{w.arg(st.in1), w.arg(st.in2)}
+	d := st.result(w, ops[0][0], col, n)
+	st.kern(d, a, b, args{w.arg(st.in1), w.arg(st.in2)})
+	st.flush(w, ops[0][0], col, d)
+}
+
+// result is the run the step's n results from column col go to: the
+// result buffer itself at unit stride, else a virtual run or the scatter
+// block, which flush stores.
+func (st *kernelStep[D, S]) result(w *nestWorker, buf tensor.Buffer, col, n int) []D {
 	if st.out.slot <= slotVirtual {
-		st.kern(virtualRun[D](w, st.dstDT, st.out, n), a, b, c)
-		return
+		return virtualRun[D](w, st.dstDT, st.out, n)
 	}
-	dst, _ := tensor.RawSlice[D](ops[0][0])
-	off := w.offs[st.out.slot] + col*st.out.stride
-	if st.out.stride == 1 {
-		st.kern(dst[off:off+n], a, b, c)
-		return
+	if st.out.stride != 1 {
+		return slabOf[D](w, st.dstDT)[st.out.row:][:n]
 	}
-	d := slabOf[D](w, st.dstDT)[st.out.row:][:n]
-	st.kern(d, a, b, c)
-	scatter(dst, d, off, st.out.stride)
+	dst, _ := tensor.RawSlice[D](buf)
+	off := w.offs[st.out.slot] + col
+	return dst[off : off+n]
+}
+
+// flush scatters run d, from result, to a strided result buffer.
+func (st *kernelStep[D, S]) flush(w *nestWorker, buf tensor.Buffer, col int, d []D) {
+	if st.out.slot >= 0 && st.out.stride != 1 {
+		dst, _ := tensor.RawSlice[D](buf)
+		scatter(dst, d, w.offs[st.out.slot]+col*st.out.stride, st.out.stride)
+	}
 }
 
 func (st *kernelStep[D, S]) store(w *nestWorker, dstBuf tensor.Buffer, from, off, stride, n int) {
 	dst, _ := tensor.RawSlice[D](dstBuf)
 	scatter(dst, slabOf[D](w, st.dstDT)[st.out.row+from:][:n], off, stride)
+}
+
+// genStep is a generator's step: its kernelStep's result and constant
+// operands, and gen, which fills a run with the values of the elements at
+// row-major indices i, i+stride, …: BH_RANGE's index, or BH_RANDOM's
+// counter-based stream element tensor.At(seed, key+i) — scaled to [0, 1)
+// for a float result and kept a non-negative integer otherwise — each
+// stored as Buffer.SetInt or Set stores it.
+type genStep[D tensor.Elem] struct {
+	kernelStep[D, D]
+	gen func(d []D, i, stride int, c args)
+	idx operandAccess
+}
+
+func genStepOf[D tensor.Elem](op bytecode.Opcode, st *nestStep, idx operandAccess) stepCode {
+	dt := st.ops[0].dtype
+	isBool, gs := dt == tensor.Bool, &genStep[D]{idx: idx}
+	gs.out, gs.in1, gs.in2, gs.dstDT = st.acc[0], st.acc[1], st.acc[2], dt
+	switch {
+	case op == bytecode.OpRange:
+		gs.gen = func(d []D, i, stride int, _ args) {
+			for j := range d {
+				d[j], i = store[D](int64(i), isBool), i+stride
+			}
+		}
+	case dt.IsFloat():
+		gs.gen = func(d []D, i, stride int, c args) {
+			seed, key := uint64(c[0].i), uint64(c[1].i)
+			for j := range d {
+				d[j], i = D(float64(tensor.At(seed, key+uint64(i))>>11)/(1<<53)), i+stride
+			}
+		}
+	default:
+		gs.gen = func(d []D, i, stride int, c args) {
+			seed, key := uint64(c[0].i), uint64(c[1].i)
+			for j := range d {
+				d[j], i = store[D](int64(tensor.At(seed, key+uint64(i))>>1), isBool), i+stride
+			}
+		}
+	}
+	return gs
+}
+
+func (st *genStep[D]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
+	d := st.result(w, ops[0][0], col, n)
+	st.gen(d, w.offs[st.idx.slot]+col*st.idx.stride, st.idx.stride, args{w.arg(st.in1), w.arg(st.in2)})
+	st.flush(w, ops[0][0], col, d)
+}
+
+// promotedStep is a step whose register operands are not all of its
+// result's dtype. It computes in class C — float64, or exact int64 — as
+// Buffer.Get/Set or GetInt/SetInt do: each register input's run is widened
+// to C in slab scratch unless it is of C already, class, C's run kernel,
+// runs over the widened runs (a cast has none), and the embedded
+// kernelStep narrows the result to D (castKernel).
+type promotedStep[D, C tensor.Elem] struct {
+	kernelStep[D, C]
+	class kernel[C, C]
+	widen [2]func(w *nestWorker, buf tensor.Buffer, col, n int) []C
+	row   int // slab offset of C's run
+}
+
+func promotedStepOf[D, C tensor.Elem](ns *nest, st *nestStep, in *bytecode.Instruction, key loopKey, class tensor.DType, ks *kernelSlabs) stepCode {
+	dt, blk := st.ops[0].dtype, min(ns.inner, fusedBlockSize)
+	ps := &promotedStep[D, C]{row: ns.slab[class]}
+	ps.kern, ps.out, ps.in1, ps.in2, ps.dstDT, ps.srcDT = castKernel[D, C](dt, class), st.acc[0], st.acc[1], st.acc[2], dt, class
+	for j, o := range [2]*bytecode.Operand{&in.In1, &in.In2} {
+		if o.IsReg() {
+			ns.slab[class] += blk
+			ps.widen[j] = widener[C](st.ops[j+1].dtype, class, st.acc[j+1], ns.slab[class]-blk)
+		}
+	}
+	ns.slab[class] = max(ns.slab[class], ps.row+blk)
+	if in.Op != bytecode.OpIdentity {
+		key.dt = class
+		var ok bool
+		if ps.class, ok = loopOf[C](ks, key); !ok {
+			return nil
+		}
+	}
+	return ps
+}
+
+func (st *promotedStep[D, C]) run(w *nestWorker, ops [][3]tensor.Buffer, col, n int) {
+	var x [2][]C
+	for j, widen := range st.widen {
+		if widen != nil {
+			x[j] = widen(w, ops[0][j+1], col, n)
+		}
+	}
+	r := x[0]
+	if st.class != nil {
+		r = slabOf[C](w, st.srcDT)[st.row:][:n]
+		st.class(r, x[0], x[1], args{w.arg(st.in1), w.arg(st.in2)})
+	}
+	d := st.result(w, ops[0][0], col, n)
+	st.kern(d, r, nil, args{})
+	st.flush(w, ops[0][0], col, d)
+}
+
+// widener returns the code that reads an input run of dtype dt through acc
+// in class C, widened into C's slab at row.
+func widener[C tensor.Elem](dt, class tensor.DType, acc operandAccess, row int) func(*nestWorker, tensor.Buffer, int, int) []C {
+	switch {
+	case dt == class:
+		return func(w *nestWorker, buf tensor.Buffer, col, n int) []C { return inputRun[C](w, dt, buf, acc, col, n) }
+	case dt == tensor.Float64:
+		return widenerOf[C, float64](dt, class, acc, row)
+	case dt == tensor.Float32:
+		return widenerOf[C, float32](dt, class, acc, row)
+	case dt == tensor.Int64:
+		return widenerOf[C, int64](dt, class, acc, row)
+	case dt == tensor.Int32:
+		return widenerOf[C, int32](dt, class, acc, row)
+	}
+	return widenerOf[C, uint8](dt, class, acc, row)
+}
+
+func widenerOf[C, S tensor.Elem](dt, class tensor.DType, acc operandAccess, row int) func(*nestWorker, tensor.Buffer, int, int) []C {
+	widen := castKernel[C, S](class, dt)
+	return func(w *nestWorker, buf tensor.Buffer, col, n int) []C {
+		x := slabOf[C](w, class)[row:][:n]
+		widen(x, inputRun[S](w, dt, buf, acc, col, n), nil, args{})
+		return x
+	}
 }
 
 // scatter stores run d to dst[off], dst[off+stride], ...
@@ -839,13 +994,14 @@ func (ns *nest) advance(w *nestWorker) {
 // runNest executes a compiled nest against m's current register bindings
 // under the constant vector consts. Result registers materialize on
 // demand; so do the inputs of a fused cluster (virtual registers bind
-// nothing), while a single instruction requires its inputs bound, exactly
-// as the interpreter does.
-// A single instruction whose buffers turn out to need the interpreter's
-// dynamic handling — a bound buffer of another dtype than declared, or an
-// elementwise input aliasing the result's buffer through a different
-// overlapping window — runs there instead; runFold orders an aliased fold
-// itself.
+// nothing), while a single instruction requires its inputs bound. A
+// buffer bound with another dtype than its register's declared one runs a
+// single instruction, or a nest that holds a generator, cast or promoted
+// step, one instruction at a time, each compiled for the bound dtypes
+// (unfuse); any other fused nest reports it. A single elementwise
+// instruction reads an input that overlaps its result's buffer through
+// another window from a snapshot taken before the sweep; runFold orders an
+// aliased fold itself.
 func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	m.frame.ops = grown(m.frame.ops, len(ns.steps))
 	ops := m.frame.ops
@@ -870,8 +1026,8 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 				return instrErr(p, st.index, fmt.Errorf("input register %s has no buffer", o.Reg))
 			}
 			if buf.DType() != span.dtype {
-				if !ns.fused {
-					return m.interpret(p, ns.start, ns.end, consts[ns.konst:])
+				if !ns.fused || ns.mixed {
+					return m.unfuse(p, ns, consts)
 				}
 				role := "input"
 				if k == 0 {
@@ -883,14 +1039,13 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 				return instrErr(p, st.index, fmt.Errorf("view of %s spans elements [%d, %d] of a %d-element buffer",
 					o.Reg, span.lo, span.hi, buf.Len()))
 			}
-			if k > 0 && !ns.fused && ns.fold == 0 && buf == bufs[0] && o.Reg != in.Out.Reg &&
-				!o.View.Equal(in.Out.View) && o.View.Overlaps(in.Out.View) {
-				return m.interpret(p, ns.start, ns.end, consts[ns.konst:])
+			if k > 0 && !ns.fused && ns.fold == 0 && buf == bufs[0] && misaligned(o, in.Out.View) {
+				buf = buf.Clone()
 			}
 			bufs[k] = buf
 		}
 		if st.code == nil && st.width > 0 {
-			return instrErr(p, st.index, fmt.Errorf("no compiled loop for %s", in.Op))
+			return instrErr(p, st.index, fmt.Errorf("no kernel for %s", in.Op))
 		}
 		ops[si] = bufs
 	}
@@ -924,10 +1079,20 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 		}
 	} else {
 		count, size := m.par.chunks(ns.total, m.cfg.ParallelThreshold)
+		step := ns.total
+		if ns.serial {
+			// One element at a time, in the view's order: a later write of
+			// an element wins, and a read sees the earlier ones.
+			count, step = 1, 1
+		}
 		workers := m.frame.prepare(ns, count, consts)
-		m.par.parallelFor(ns.total, m.cfg.ParallelThreshold, func(lo, hi int) {
-			ns.sweep(&workers[lo/size], ops, lo, hi)
-		})
+		if count == 1 {
+			m.sweepSerial(ns, &workers[0], ops, step)
+		} else {
+			m.par.parallelFor(ns.total, m.cfg.ParallelThreshold, func(lo, hi int) {
+				ns.sweep(&workers[lo/size], ops, lo, hi)
+			})
+		}
 		if ns.lag != nil {
 			for i := range workers {
 				ns.drain(&workers[i], ops)
@@ -943,6 +1108,14 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 		}
 	}
 	return nil
+}
+
+// sweepSerial sweeps all of ns on worker w, step elements per call.
+func (m *Machine) sweepSerial(ns *nest, w *nestWorker, ops [][3]tensor.Buffer, step int) {
+	w.acc = foldAcc{}
+	for lo := 0; lo < ns.total; lo += step {
+		ns.sweep(w, ops, lo, min(lo+step, ns.total))
+	}
 }
 
 // runFold drives a fold nest over the flat ranges of the strategy
@@ -1008,11 +1181,7 @@ func (m *Machine) runFold(p *bytecode.Program, ns *nest, ops [][3]tensor.Buffer,
 			}
 		}
 	default:
-		w := &m.frame.prepare(ns, 1, consts)[0]
-		w.acc = foldAcc{}
-		for lo := 0; lo < ns.total; lo += step {
-			ns.sweep(w, ops, lo, min(lo+step, ns.total))
-		}
+		m.sweepSerial(ns, &m.frame.prepare(ns, 1, consts)[0], ops, step)
 	}
 	return nil
 }
@@ -1044,26 +1213,32 @@ func (ns *nest) foldChunks(w *nestWorker, ops [][3]tensor.Buffer, parts []foldAc
 // then its reduction as a fold nest of its own.
 func (m *Machine) unfold(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	red := ns.end - 1
-	if pn := compileNest(p, ns.start, red, p.Instrs[red].In1.View.Shape, ns.konst, nil); pn != nil {
-		if err := m.runNest(p, pn, consts); err != nil {
-			return err
-		}
-	} else if err := m.interpret(p, ns.start, red, consts[ns.konst:]); err != nil {
+	if err := m.runNest(p, compileNest(p, ns.start, red, ns.konst, nil), consts); err != nil {
 		return err
 	}
-	return m.execFold(p, red)
+	return m.execBound(p, red, 0, nil)
 }
 
-// execFold runs reduction or scan i as a fold nest of its own, compiled for
-// the dtypes of the buffers bound to its registers: the interpreter's path
-// for a lone fold whose bound buffers are not of the declared dtypes, and
-// unfold's.
-func (m *Machine) execFold(p *bytecode.Program, i int) error {
-	ns := compileNest(p, i, i+1, p.Instrs[i].In1.View.Shape, 0, &m.regs)
-	if ns == nil {
-		return instrErr(p, i, fmt.Errorf("no kernel for %s", p.Instrs[i].Op))
+// unfuse runs the instructions of ns one at a time, each as a nest of its
+// own (execBound).
+func (m *Machine) unfuse(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
+	for i, k := ns.start, ns.konst; i < ns.end; i++ {
+		if in := &p.Instrs[i]; in.Op == bytecode.OpFree {
+			m.regs.free(in.Out.Reg)
+		} else if err := m.execBound(p, i, k, consts); err != nil {
+			return err
+		}
+		k += constCount(&p.Instrs[i])
 	}
-	return m.runNest(p, ns, nil)
+	return nil
+}
+
+// execBound runs instruction i, whose constants start at index konst of
+// consts, as a nest of its own compiled for the dtypes of the buffers bound
+// to its registers: the path of a lone instruction whose bound buffers are
+// not of the declared dtypes, and of the reduction unfold splits off.
+func (m *Machine) execBound(p *bytecode.Program, i, konst int, consts []bytecode.Constant) error {
+	return m.runNest(p, compileNest(p, i, i+1, konst, &m.regs), consts)
 }
 
 // foldAcc is a worker's fold state: the accumulator, in its class's field;
@@ -1095,7 +1270,7 @@ type folder interface {
 }
 
 // foldStep is a reduction's fold nest step. It folds each run of its input
-// — cut at line ends — into the worker's accumulator in the interpreter's
+// — cut at line ends — into the worker's accumulator in its computation
 // class (E: int64 when the input and, for a value fold, the output are
 // integers; float64 otherwise), widening each element as Buffer.Get or
 // GetInt does, and writes a line's result once the worker has folded all
@@ -1291,25 +1466,6 @@ func (st *scanStep[D, T, E]) merge(_ tensor.Buffer, parts []foldAcc, _ int) bool
 		*p, run = run, st.k(run, *p)
 	}
 	return true
-}
-
-// interpret runs instructions [start, end) one at a time through the
-// accessor interpreter (exec.go), under k: the constant vector from
-// instruction start's first constant on. A reduction or scan runs as a
-// fold nest of its own (execFold).
-func (m *Machine) interpret(p *bytecode.Program, start, end int, k []bytecode.Constant) error {
-	for i := start; i < end; i++ {
-		in := &p.Instrs[i]
-		if kind := in.Op.Info().Kind; kind == bytecode.KindReduction || kind == bytecode.KindScan {
-			if err := m.execFold(p, i); err != nil {
-				return err
-			}
-		} else if err := m.exec(p, in, k); err != nil {
-			return instrErr(p, i, err)
-		}
-		k = k[constCount(in):]
-	}
-	return nil
 }
 
 // constCount is how many entries in adds to its program's constant vector.

@@ -38,6 +38,7 @@ type chainSpec struct {
 	rows, cols int
 	keep       bool            // t stays live after the batch: materialized
 	fold       bytecode.Opcode // a reduction of t along axis 1 into out; 0: out = t
+	inDT       tensor.DType    // the input registers' dtype; 0: dt
 }
 
 // program builds the spec over two input registers of (rows+2)×(2·cols+2)
@@ -59,18 +60,21 @@ func (s chainSpec) program() genProgram {
 		out = bytecode.Reg(p.NewReg(odt, s.rows), tensor.NewView(tensor.MustShape(s.rows)))
 	}
 	var xs [2]bytecode.RegID
+	if s.inDT == 0 {
+		s.inDT = s.dt
+	}
 	for i := range xs {
-		xs[i] = p.NewReg(s.dt, base.Size())
+		xs[i] = p.NewReg(s.inDT, base.Size())
 		p.MarkInput(xs[i])
-		in := tensor.MustNew(s.dt, base)
+		in := tensor.MustNew(s.inDT, base)
 		seed := uint64(31 + i)
 		for e := 0; e < in.Buf.Len(); e++ {
 			seed = seed*6364136223846793005 + 1442695040888963407
 			v := float64(int64(seed>>60)) - 4 // [-4, 12)
 			switch {
-			case s.dt == tensor.Bool || s.dt == tensor.Uint8:
+			case s.inDT == tensor.Bool || s.inDT == tensor.Uint8:
 				v = float64(seed >> 61)
-			case s.dt.IsFloat():
+			case s.inDT.IsFloat():
 				v += float64(float64(seed>>11) / (1 << 53)) // a full significand, so reassociating rounds differently; converted, so no multiply-add
 			}
 			in.Buf.Set(e, v)
@@ -243,6 +247,13 @@ func TestNestChainRule(t *testing.T) {
 		s := spec(tensor.Int32, add, []int{inContig, inStrided, inReversed}, mul, 3)
 		s.rows, s.cols = 2, fusedBlockSize+37
 		cases = append(cases, ruleCase{"rows longer than a block", s, "3*", 1, 4, 3})
+	}
+	{
+		s := spec(tensor.Float32, add, contig(5), mul, 0.2)
+		s.inDT = f64
+		cases = append(cases, ruleCase{"inputs of another dtype decline", s, "", 1, 6, 0})
+		s.in = []int{inVirtual, inVirtual, inContig, inContig}
+		cases = append(cases, ruleCase{"an input of another dtype ends the chain", s, "", 1, 6, 0})
 	}
 	// Chains ending in a fold: the reduction closes the same nest.
 	folded := func(s chainSpec, fold bytecode.Opcode) chainSpec {

@@ -404,47 +404,78 @@ func TestNestFoldBatches(t *testing.T) {
 			gp := bc.small()
 			checkNestDifferential(t, gp)
 			m := nestRun(t, gp, Config{Fusion: true, Workers: 2, ParallelThreshold: 64}, false)
-			if st := m.Stats(); st.FusedReductions != 1 || st.Sweeps != 1 || st.ChainedInstructions != 3 {
-				t.Errorf("ran as %d sweeps with %d fused reductions and %d chained instructions, want 1, 1 and 3",
-					st.Sweeps, st.FusedReductions, st.ChainedInstructions)
+			chained := 3 * btoi(bc.source == nil)
+			if st := m.Stats(); st.FusedReductions != 1 || st.Sweeps != 1 || st.ChainedInstructions != chained {
+				t.Errorf("ran as %d sweeps with %d fused reductions and %d chained instructions, want 1, 1 and %d",
+					st.Sweeps, st.FusedReductions, st.ChainedInstructions, chained)
 			}
 		})
 	}
 }
 
-// foldBenchCase is one BenchmarkNestEpilogue shape (foldBatch's arguments).
+// foldBenchCase is one BenchmarkNestEpilogue shape: foldBatch's arguments,
+// or the listing source returns for rows×cols elements.
 type foldBenchCase struct {
 	name       string
 	rows, cols int
 	dt         tensor.DType
 	op         bytecode.Opcode
 	strided    bool
+	source     func(n int) string
 }
 
 var foldBenchCases = []foldBenchCase{
-	{"dense-sum-chunked", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, false},
-	{"strided-sum", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, true},
-	{"rows-33", 1 << 15, 33, tensor.Float64, bytecode.OpAddReduce, false},
-	{"argmin-rows", 1 << 12, 256, tensor.Float64, bytecode.OpArgminReduce, false},
-	{"sum-2048", 1, 2048, tensor.Float64, bytecode.OpAddReduce, false},
-	{"max-rows", 1 << 12, 256, tensor.Float64, bytecode.OpMaximumReduce, false},
-	{"f32-sum-chunked", 1, 1 << 20, tensor.Float32, bytecode.OpAddReduce, false},
+	{"dense-sum-chunked", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, false, nil},
+	{"strided-sum", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, true, nil},
+	{"rows-33", 1 << 15, 33, tensor.Float64, bytecode.OpAddReduce, false, nil},
+	{"argmin-rows", 1 << 12, 256, tensor.Float64, bytecode.OpArgminReduce, false, nil},
+	{"sum-2048", 1, 2048, tensor.Float64, bytecode.OpAddReduce, false, nil},
+	{"max-rows", 1 << 12, 256, tensor.Float64, bytecode.OpMaximumReduce, false, nil},
+	{"f32-sum-chunked", 1, 1 << 20, tensor.Float32, bytecode.OpAddReduce, false, nil},
+	{"random-sum", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, false, randomSum},
+	{"less-cast-sum", 1, 1 << 20, tensor.Float64, bytecode.OpAddReduce, false, montecarloPi},
 }
 
 func (bc foldBenchCase) batch() genProgram {
-	return foldBatch(bc.rows, bc.cols, bc.dt, bc.op, bc.strided)
+	return bc.sized(bc.rows, bc.cols)
 }
 
 // small is the case at a size the differential affords.
 func (bc foldBenchCase) small() genProgram {
-	return foldBatch(min(bc.rows, 300), min(bc.cols, 5000), bc.dt, bc.op, bc.strided)
+	return bc.sized(min(bc.rows, 300), min(bc.cols, 5000))
+}
+
+func (bc foldBenchCase) sized(rows, cols int) genProgram {
+	if bc.source != nil {
+		return genProgram{prog: bytecode.MustParse(bc.source(rows * cols))}
+	}
+	return foldBatch(rows, cols, bc.dt, bc.op, bc.strided)
+}
+
+// randomSum is BH_RANDOM → × → + → sum over n elements, its temporaries
+// freed.
+func randomSum(n int) string {
+	return fmt.Sprintf(`
+.reg a0 float64 %[1]d
+.reg a1 float64 %[1]d
+.reg a2 float64 1
+BH_RANDOM a0 [0:%[1]d:1] 7 0
+BH_MULTIPLY a1 [0:%[1]d:1] a0 [0:%[1]d:1] 2.5
+BH_ADD a1 [0:%[1]d:1] a1 [0:%[1]d:1] a0 [0:%[1]d:1]
+BH_ADD_REDUCE a2 [0:1:1] a1 [0:%[1]d:1] axis=0
+BH_FREE a0
+BH_FREE a1
+BH_SYNC a2
+`, n)
 }
 
 // BenchmarkNestEpilogue times reduction epilogues as one cached plan each
 // at the default configuration: a dense full-axis sum (chunk-axis), the
 // same over a strided producer (gathered), 33-element rows (split-outputs,
 // many lines per block), argmin and max over rows, the dispatch-small
-// power batch's 2 048-element sum (serial) and a float32 dense sum.
+// power batch's 2 048-element sum (serial), a float32 dense sum, and two
+// batches with generators: a BH_RANDOM scaled and summed, and the Monte
+// Carlo π batch (a float comparison into bool, cast back and summed).
 func BenchmarkNestEpilogue(b *testing.B) {
 	for _, bc := range foldBenchCases {
 		b.Run(bc.name, func(b *testing.B) {

@@ -444,6 +444,7 @@ func TestNestDifferentialGenerated(t *testing.T) {
 		n = 60
 	}
 	var freesInside [2]int // programs, folds with a BH_FREE inside a fused nest
+	var kinds mixedKinds
 	for i := 0; i < n; i++ {
 		data := make([]byte, 256)
 		rng.Read(data)
@@ -455,10 +456,17 @@ func TestNestDifferentialGenerated(t *testing.T) {
 		}
 		checkNestDifferential(t, (&nestGen{data: data}).update())
 		checkNestDifferential(t, (&nestGen{data: data}).standalone())
+		gp := (&nestGen{data: data}).mixed()
+		checkNestDifferential(t, gp)
+		kinds.add(t, gp)
 	}
 	t.Logf("BH_FREE inside a fused nest: %d generated programs, %d folds", freesInside[0], freesInside[1])
 	if freesInside[0] == 0 || freesInside[1] == 0 {
 		t.Errorf("BH_FREE inside a fused nest in %d generated programs and %d folds, want some of each", freesInside[0], freesInside[1])
+	}
+	t.Logf("steps the accessor interpreter ran before: %+v", kinds)
+	if kinds.generators == 0 || kinds.promoted == 0 || kinds.serial == 0 || kinds.snapshots == 0 || kinds.otherDType == 0 || kinds.epilogues == 0 {
+		t.Errorf("generated %+v: want some of each", kinds)
 	}
 }
 
@@ -533,13 +541,31 @@ func FuzzNestDifferential(f *testing.F) {
 	f.Add([]byte{8, 6, 9, 6, 7, 7, 0, 5, 0, 6, 6, 9, 8, 0, 0, 4, 4, 7, 1, 6})
 	f.Add([]byte{7, 5, 7, 1, 1, 5, 5, 7, 6, 7, 0, 7, 3, 2, 3, 1, 2, 3, 7, 1})
 	f.Add([]byte{0, 6, 3, 7, 3, 9, 1, 4, 4, 3, 8, 8, 9, 8, 7, 8, 2, 0, 6, 8})
+	// Steps the accessor interpreter ran before, as nestGen.mixed decodes
+	// them: BH_RANDOMs into bool and float64 beside a float64 BH_TANH into
+	// bool and a float comparison of constants, summed over axis 0 of a 4×4
+	// window; a cast of an int32 register bound to a float64 buffer, a
+	// reversed BH_RANGE into uint8 and a comparison of it into bool folded
+	// by a logical or; a float64 BH_ADD through a stride-0 window reading
+	// its own register, over rows longer than fusedBlockSize; a BH_RANGE
+	// into int32 and a negation of a constant folded by a max over the last
+	// axis of a strided window; a BH_ARCTAN2 into a register bound to its
+	// input's buffer one element ahead (a snapshot), after a BH_RANGE
+	// through a stride-0 window; a comparison of uint8 into bool beside a
+	// BH_FLOOR of a broadcast uint8 into int32 and a summed BH_RANDOM.
+	f.Add([]byte{29, 53, 38, 33, 6, 45, 16, 42, 23, 50, 3, 10, 54, 32, 49, 13, 34, 46, 33, 29, 53, 16, 50, 19, 21, 30, 12, 36, 49, 0, 7, 37, 35, 9, 7, 45, 42, 44, 37, 51, 11, 13, 23, 19})
+	f.Add([]byte{8, 46, 4, 33, 46, 6, 47, 14, 23, 21, 0, 37, 26, 25, 29, 41, 19, 58, 25, 10, 8, 3, 14, 15, 30, 26, 49, 56, 15, 35, 59, 7, 20, 42, 31, 2, 6, 35, 45, 37, 8, 58, 10, 55, 37, 1, 10})
+	f.Add([]byte{40, 49, 0, 29, 18, 2, 41, 58, 51, 35, 26, 9, 52, 41, 20, 3, 56, 8, 23, 57, 3, 32, 16, 7, 41, 53, 14, 42, 57, 27, 54, 49, 45, 57, 10, 53, 58, 10, 17, 2, 45, 25, 26, 57, 18, 49, 2, 4})
+	f.Add([]byte{1, 30, 10, 45, 40, 38, 14, 12, 19, 36, 21, 53, 56, 10, 20, 8, 55, 27, 56, 24, 11, 58, 46, 30, 20, 28, 36, 14, 26, 51, 57, 35, 59, 27, 53, 49, 12, 57, 20, 40, 3, 40, 52, 0, 4, 1, 56, 59, 21, 48, 56, 47, 1})
+	f.Add([]byte{41, 4, 34, 58, 48, 55, 23, 49, 41, 52, 57, 23, 6, 53, 32, 5, 54, 43, 38, 31, 38, 32, 53, 27, 49, 33, 9, 47, 31, 34, 11, 45, 46, 11, 22, 54, 34, 16, 40, 57, 10, 8, 27, 2, 34, 16, 55, 59, 12, 49, 35})
+	f.Add([]byte{23, 2, 54, 19, 1, 39, 40, 16, 38, 15, 27, 10, 7, 46, 44, 15, 38, 49, 3, 31, 43, 25, 41, 16, 15, 57, 55, 40, 49, 1, 49, 8, 0, 37, 55, 58, 12, 52, 16, 21, 22})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip()
 		}
 		// Each program's plan then runs under a vector drawn from the rest
 		// of the stream.
-		for _, gen := range []func(*nestGen) genProgram{(*nestGen).program, (*nestGen).update, (*nestGen).chain, (*nestGen).reduce, (*nestGen).standalone} {
+		for _, gen := range []func(*nestGen) genProgram{(*nestGen).program, (*nestGen).update, (*nestGen).chain, (*nestGen).reduce, (*nestGen).standalone, (*nestGen).mixed} {
 			g := &nestGen{data: data}
 			gp := gen(g)
 			checkNestDifferential(t, gp)
@@ -930,9 +956,10 @@ func TestPlanExecuteCompilesNothing(t *testing.T) {
 
 // TestNestFreeMidCluster: a batch that frees each temporary right after
 // its last use fuses as the same batch with its frees at the end — the
-// producers and the sum in one sweep, every temporary virtual — and stays
-// bit-equal to the interpreter. A register written again after its
-// BH_FREE, the reduction's result included, ends the cluster at the free.
+// BH_RANDOM, the producers and the sum in one sweep, every temporary
+// virtual, only the sum materialized — and stays bit-equal to the
+// interpreter. A register written again after its BH_FREE, the reduction's
+// result included, ends the cluster at the free.
 func TestNestFreeMidCluster(t *testing.T) {
 	const decl = `
 .reg a0 float64 4096
@@ -988,9 +1015,9 @@ BH_SYNC a4
 		name, src                                string
 		sweeps, fused, reductions, buffers, free int
 	}{
-		{"free as you go", asYouGo, 2, 4, 1, 2, 3},
-		{"free at the end", atEnd, 2, 4, 1, 2, 0},
-		{"reuse after free", reuse, 3, 5, 1, 4, 1},
+		{"free as you go", asYouGo, 1, 5, 1, 1, 3},
+		{"free at the end", atEnd, 1, 5, 1, 1, 0},
+		{"reuse after free", reuse, 2, 6, 1, 4, 1},
 		{"free of the sum's register", sumFreed, 4, 0, 0, 3, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -12,12 +12,12 @@ import (
 // Plan is the reusable, binding-independent compilation of one program:
 // its clusters, each a run of instructions [start, end) described by a
 // nest — a sweep's loop nest and run kernels (a reduction epilogue's fold
-// included), or no steps: the interpreter runs it. Its kernels hold no
-// constant value: each Execute binds register buffers and a constant
-// vector afresh and is read-only on the Plan, so one Plan may execute on
-// several Machines under several vectors at once — the shared plan cache
-// and an async backend's queue depend on that — and is never mutated after
-// Compile.
+// included) — or a system or extension byte-code, which has no steps. Its
+// kernels hold no constant value: each Execute binds register buffers and
+// a constant vector afresh and is read-only on the Plan, so one Plan may
+// execute on several Machines under several vectors at once — the shared
+// plan cache and an async backend's queue depend on that — and is never
+// mutated after Compile.
 type Plan struct {
 	prog     *bytecode.Program
 	consts   []bytecode.Constant // prog's constant vector
@@ -44,8 +44,8 @@ func (m *Machine) CompileValidated(p *bytecode.Program) *Plan {
 	pl := &Plan{prog: p, consts: consts, fused: m.cfg.Fusion, clusters: slices.Clone(ar.clusters)}
 	var ks kernelSlabs
 	for i := range pl.clusters {
-		if ns := &pl.clusters[i]; ns.steps != nil && !ns.attach(p, &ks) {
-			ns.steps = nil // a lone instruction whose op has no kernel: the interpreter reports it
+		if ns := &pl.clusters[i]; ns.steps != nil {
+			ns.attach(p, &ks) // a step without a kernel fails at execution
 		}
 	}
 	return pl
@@ -62,7 +62,8 @@ type compileArena struct {
 	accs     []regAccess
 	freed    []bytecode.RegID // registers the BH_FREEs inside the cluster being planned release
 	consts   int              // constants in the program planned last
-	bound    *registerFile    // non-nil: operands take the dtypes of their bound buffers (execFold)
+	bound    *registerFile    // non-nil: operands take the dtypes of their bound buffers (execBound)
+	index    tensor.View      // the row-major layout of the iteration shape of the nest being laid out
 }
 
 // liveness holds the deadness rule: a register may skip materialization
@@ -157,8 +158,8 @@ func (pl *Plan) Execute(m *Machine, consts []bytecode.Constant) error {
 		cl, err := &pl.clusters[i], error(nil)
 		if cl.steps != nil {
 			err = m.runNest(p, cl, consts)
-		} else {
-			err = m.interpret(p, cl.start, cl.end, consts[cl.konst:])
+		} else if err = m.exec(p, &p.Instrs[cl.start]); err != nil {
+			err = instrErr(p, cl.start, err)
 		}
 		if err == nil {
 			continue
@@ -169,4 +170,20 @@ func (pl *Plan) Execute(m *Machine, consts []bytecode.Constant) error {
 		return fmt.Errorf("%w: cluster [%d,%d): %w", ErrExec, cl.start, cl.end, err)
 	}
 	return nil
+}
+
+// exec runs a system or extension byte-code: an instruction no nest runs.
+func (m *Machine) exec(p *bytecode.Program, in *bytecode.Instruction) error {
+	switch in.Op.Info().Kind {
+	case bytecode.KindSystem:
+		// SYNC is a materialization fence for the lazy front-end; the VM
+		// itself is always coherent.
+		if in.Op == bytecode.OpFree {
+			m.regs.free(in.Out.Reg)
+		}
+		return nil
+	case bytecode.KindExtension:
+		return m.execExtension(p, in)
+	}
+	return fmt.Errorf("unsupported op-code %s", in.Op)
 }

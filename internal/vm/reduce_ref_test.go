@@ -14,8 +14,12 @@ import (
 // bounds of chunkParams. It is the reference the fold nests are held
 // against, bit for bit (refInterpret).
 
-// refInterpret is interpret with reductions and scans run by the accessor
-// engine instead of as fold nests: the oracle of every differential suite.
+// refInterpret runs instructions [start, end) of p one at a time under k,
+// the constant vector from instruction start's first constant on: each
+// elementwise instruction through the accessor interpreter (exec_ref_test.go),
+// each reduction and scan through the accessor engine, system and extension
+// byte-codes as Plan.Execute runs them. It is the oracle of every
+// differential suite.
 func (m *Machine) refInterpret(p *bytecode.Program, start, end int, k []bytecode.Constant) error {
 	for i := start; i < end; i++ {
 		in := &p.Instrs[i]
@@ -25,8 +29,10 @@ func (m *Machine) refInterpret(p *bytecode.Program, start, end int, k []bytecode
 			err = m.execReduce(p, in)
 		case bytecode.KindScan:
 			err = m.execScan(p, in)
+		case bytecode.KindGenerator, bytecode.KindUnary, bytecode.KindBinary:
+			err = m.execRef(p, in, k)
 		default:
-			err = m.exec(p, in, k)
+			err = m.exec(p, in)
 		}
 		if err != nil {
 			return instrErr(p, i, err)
@@ -157,12 +163,12 @@ func runReduce[E int64 | float64](pool parRunner, strategy sweepStrategy, k func
 	switch strategy {
 	case sweepSplitOutputs:
 		pool.parallelFor(outView.Size(), 2, func(lo, hi int) {
-			tensor.ZipIndicesRange(outView, reduced, lo, hi, fold)
+			zipIndicesRange(outView, reduced, lo, hi, fold)
 		})
 	case sweepChunkAxis:
 		chunkReduce(pool, k, get, set, out, src, outView, reduced, axStride, axLen)
 	default:
-		tensor.ZipIndices(outView, reduced, fold)
+		zipIndices(outView, reduced, fold)
 	}
 }
 
@@ -188,13 +194,13 @@ func runArgReduce[E int64 | float64](pool parRunner, strategy sweepStrategy,
 	switch strategy {
 	case sweepSplitOutputs:
 		pool.parallelFor(outView.Size(), 2, func(lo, hi int) {
-			tensor.ZipIndicesRange(outView, reduced, lo, hi, fold)
+			zipIndicesRange(outView, reduced, lo, hi, fold)
 		})
 	case sweepChunkAxis:
 		size, nc := chunkParams(axLen)
 		vals := make([]E, nc)
 		idxs := make([]int, nc)
-		tensor.ZipIndices(outView, reduced, func(io, is int) {
+		zipIndices(outView, reduced, func(io, is int) {
 			pool.parallelFor(nc, 2, func(lo, hi int) {
 				for c := lo; c < hi; c++ {
 					start, end := chunkBounds(c, size, axLen)
@@ -217,7 +223,7 @@ func runArgReduce[E int64 | float64](pool parRunner, strategy sweepStrategy,
 			out.SetInt(io, int64(bestIdx))
 		})
 	default:
-		tensor.ZipIndices(outView, reduced, fold)
+		zipIndices(outView, reduced, fold)
 	}
 }
 
@@ -234,7 +240,7 @@ func chunkReduce[E int64 | float64](pool parRunner, k func(a, b E) E,
 
 	size, nc := chunkParams(axLen)
 	partials := make([]E, nc)
-	tensor.ZipIndices(outView, reduced, func(io, is int) {
+	zipIndices(outView, reduced, func(io, is int) {
 		pool.parallelFor(nc, 2, func(lo, hi int) {
 			for c := lo; c < hi; c++ {
 				start, end := chunkBounds(c, size, axLen)
@@ -326,12 +332,12 @@ func runScan[E int64 | float64](pool parRunner, strategy sweepStrategy, k func(a
 	switch strategy {
 	case sweepSplitOutputs:
 		pool.parallelFor(reducedOut.Size(), 2, func(lo, hi int) {
-			tensor.ZipIndicesRange(reducedOut, reducedIn, lo, hi, scanLine)
+			zipIndicesRange(reducedOut, reducedIn, lo, hi, scanLine)
 		})
 	case sweepChunkAxis:
 		chunkScan(pool, k, get, set, out, src, reducedOut, reducedIn, outStride, inStride, axLen)
 	default:
-		tensor.ZipIndices(reducedOut, reducedIn, scanLine)
+		zipIndices(reducedOut, reducedIn, scanLine)
 	}
 }
 
@@ -347,7 +353,7 @@ func chunkScan[E int64 | float64](pool parRunner, k func(a, b E) E,
 
 	size, nc := chunkParams(axLen)
 	totals := make([]E, nc)
-	tensor.ZipIndices(reducedOut, reducedIn, func(io, is int) {
+	zipIndices(reducedOut, reducedIn, func(io, is int) {
 		pool.parallelFor(nc, 2, func(lo, hi int) {
 			for c := lo; c < hi; c++ {
 				start, end := chunkBounds(c, size, axLen)
