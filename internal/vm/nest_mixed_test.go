@@ -3,7 +3,6 @@ package vm
 import (
 	"fmt"
 	"math"
-	"strings"
 	"testing"
 
 	"bohrium/internal/bytecode"
@@ -22,7 +21,8 @@ import (
 // the last axis, the temporaries freed now and then. It also draws, now
 // and then, a result through a stride-0 window (a generator's, or one that
 // reads its own register), a misaligned self-overlap window, the same
-// through a second register bound to the first one's buffer, and an input
+// through a second register bound to the first one's buffer — alone, or
+// fused with a plain step after it and the steps before it — and an input
 // bound to a buffer of another dtype than declared, read through a cast.
 func (g *nestGen) mixed() genProgram {
 	rank := 1 + g.n(2)
@@ -140,16 +140,19 @@ func (g *nestGen) mixed() genProgram {
 			} else if lo > 0 {
 				shifted.Offset--
 			}
-			out := r.id
-			if g.n(2) == 0 {
+			out, alias := r.id, g.n(4)
+			if alias%2 == 0 {
 				out = p.NewReg(r.dt, base.Size())
 				p.MarkInput(out)
 				gp.shared[out] = r.id
-				// BH_SYNCs keep it a nest of its own: a fused cluster takes no
-				// snapshot of a buffer two registers share.
-				p.EmitSync(bytecode.Reg(r.id, tensor.NewView(base)))
+				if alias == 2 { // a nest of its own, else one fused with the steps around it
+					p.EmitSync(bytecode.Reg(r.id, tensor.NewView(base)))
+				}
 			}
 			p.EmitBinary(binary[g.n(9)], bytecode.Reg(out, w), bytecode.Reg(r.id, shifted), operand(r.dt))
+			if alias == 0 {
+				p.EmitBinary(bytecode.OpMultiply, bytecode.Reg(out, w), bytecode.Reg(out, w), bytecode.Const(bytecode.ConstOf(r.dt, 1)))
+			}
 			if out != r.id {
 				p.EmitSync(bytecode.Reg(out, tensor.NewView(base)))
 			}
@@ -220,7 +223,7 @@ func (g *nestGen) mixed() genProgram {
 
 // mixedKinds tallies, over the fused plans of programs nestGen.mixed
 // drew, the kinds of step it exists to draw.
-type mixedKinds struct{ generators, promoted, serial, snapshots, otherDType, epilogues int }
+type mixedKinds struct{ generators, promoted, serial, snapshots, otherDType, epilogues, sharedFused int }
 
 func (mk *mixedKinds) add(t *testing.T, gp genProgram) {
 	t.Helper()
@@ -237,6 +240,8 @@ func (mk *mixedKinds) add(t *testing.T, gp genProgram) {
 			mk.generators += btoi(generates(in.Op))
 			mk.promoted += btoi(promoted)
 			mk.snapshots += btoi(!ns.fused && readsMisaligned(in))
+			_, shared := gp.shared[in.Out.Reg]
+			mk.sharedFused += btoi(ns.fused && shared)
 		}
 		mk.serial += btoi(ns.serial)
 		mk.epilogues += btoi(ns.fused && ns.line > 0)
@@ -373,11 +378,9 @@ BH_SYNC a6
 
 // TestNestBoundOtherDType: a register bound to a buffer of another dtype
 // than declared keeps the outcome it had when the accessor interpreter ran
-// each generator, cast and promoted step alone. A nest holding such a step
-// runs its instructions one at a time, each compiled for the bound dtypes,
-// so it equals the unfused run — also where the plain steps it absorbed
-// used to raise "fused input … is not …" (the last value case) — while a
-// cluster of plain steps still raises it.
+// each generator, cast and promoted step alone. Under such a binding every
+// nest runs its instructions one at a time, each compiled for the bound
+// dtypes, so it equals the unfused run — a cluster of plain steps too.
 func TestNestBoundOtherDType(t *testing.T) {
 	const decl = `
 .reg a0 float64 64
@@ -389,13 +392,12 @@ func TestNestBoundOtherDType(t *testing.T) {
 		name, src string
 		reg       bytecode.RegID // bound to a buffer of dtype bound
 		bound     tensor.DType
-		err       string
 	}{
-		{"generator", decl + ".in a0\nBH_RANDOM a0 5 0\nBH_ADD a1 a0 a2\nBH_SYNC a1\n", 0, tensor.Float32, ""},
-		{"cast", decl + ".reg a3 int32 64\nBH_IDENTITY a3 a2\nBH_MULTIPLY a1 a2 3\nBH_SYNC a3\nBH_SYNC a1\n", 2, tensor.Int32, ""},
-		{"promoted", decl + ".reg a3 bool 64\nBH_LESS a3 a2 0.5\nBH_ADD a1 a2 1\nBH_SYNC a3\nBH_SYNC a1\n", 2, tensor.Float32, ""},
-		{"absorbed plain steps", decl + "BH_RANDOM a0 5 0\nBH_ADD a1 a0 a2\nBH_MULTIPLY a1 a1 a2\nBH_SYNC a1\n", 2, tensor.Float32, ""},
-		{"plain cluster", decl + "BH_ADD a1 a2 a2\nBH_MULTIPLY a1 a1 a2\nBH_SYNC a1\n", 2, tensor.Float32, "fused input a2 is not float64"},
+		{"generator", decl + ".in a0\nBH_RANDOM a0 5 0\nBH_ADD a1 a0 a2\nBH_SYNC a1\n", 0, tensor.Float32},
+		{"cast", decl + ".reg a3 int32 64\nBH_IDENTITY a3 a2\nBH_MULTIPLY a1 a2 3\nBH_SYNC a3\nBH_SYNC a1\n", 2, tensor.Int32},
+		{"promoted", decl + ".reg a3 bool 64\nBH_LESS a3 a2 0.5\nBH_ADD a1 a2 1\nBH_SYNC a3\nBH_SYNC a1\n", 2, tensor.Float32},
+		{"absorbed plain steps", decl + "BH_RANDOM a0 5 0\nBH_ADD a1 a0 a2\nBH_MULTIPLY a1 a1 a2\nBH_SYNC a1\n", 2, tensor.Float32},
+		{"plain cluster", decl + "BH_ADD a1 a2 a2\nBH_MULTIPLY a1 a1 a2\nBH_SYNC a1\n", 2, tensor.Float32},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := bytecode.MustParse(tc.src)
@@ -409,18 +411,76 @@ func TestNestBoundOtherDType(t *testing.T) {
 				in.FillRandom(uint64(r)+9, -1, 1)
 				gp.inputs[r] = in
 			}
-			if tc.err == "" {
-				checkNestDifferential(t, gp)
-				return
-			}
-			m := New(Config{Fusion: true})
-			defer m.Close()
-			bindGen(m, gp)
-			if err := m.Run(p); err == nil || !strings.HasSuffix(err.Error(), tc.err) {
-				t.Errorf("error %v, want one ending in %q", err, tc.err)
-			}
-			nestRun(t, gp, Config{}, false) // unfused: values
+			checkNestDifferential(t, gp)
 		})
+	}
+}
+
+// TestNestAliasedRegistersUnfuse: two registers of a fused cluster of plain
+// steps bound to one buffer, the add reading one element behind the
+// elements it writes, run as the unfused plan does — the add reads a
+// snapshot — not as one sweep that reads what it has just written.
+func TestNestAliasedRegistersUnfuse(t *testing.T) {
+	p := bytecode.MustParse(`
+.reg a0 float64 16
+.reg a1 float64 16
+.in a0
+.in a1
+BH_ADD a1 [1:16:1] a0 [0:15:1] 0
+BH_MULTIPLY a1 [1:16:1] a1 [1:16:1] 1
+BH_SYNC a1
+`)
+	in := tensor.MustNew(tensor.Float64, tensor.MustShape(16))
+	for i := range 16 {
+		in.Buf.Set(i, float64(i))
+	}
+	gp := genProgram{prog: p, inputs: map[bytecode.RegID]tensor.Tensor{0: in}, shared: map[bytecode.RegID]bytecode.RegID{1: 0}}
+	checkNestDifferential(t, gp)
+	m := nestRun(t, gp, Config{Fusion: true}, false)
+	if pl, err := m.Compile(p); err != nil || !pl.clusters[0].fused {
+		t.Fatalf("the two steps do not share a cluster (%v)", err)
+	}
+	for i := range 16 { // [0 0 1 … 14]
+		if got, want := m.regs.get(1).Get(i), float64(max(i-1, 0)); got != want {
+			t.Fatalf("a1[%d] = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestNestRedeclaredRegister: a batch that declares a register with another
+// dtype than the buffer an earlier batch left in it — as a bhd session may —
+// runs its fused cluster as the unfused plan runs it, each instruction
+// compiled for the bound dtypes, and equals the reference.
+func TestNestRedeclaredRegister(t *testing.T) {
+	batches := []*bytecode.Program{
+		bytecode.MustParse(".reg a0 float64 16\nBH_RANGE a0\nBH_SYNC a0\n"),
+		bytecode.MustParse(".reg a0 int32 16\n.reg a1 int32 16\n.in a0\nBH_ADD a1 a0 a0\nBH_MULTIPLY a1 a1 a0\nBH_SYNC a1\n"),
+	}
+	session := func(cfg Config, interpreter bool) *Machine {
+		m := New(cfg)
+		t.Cleanup(m.Close)
+		for _, p := range batches {
+			var err error
+			if interpreter {
+				m.regs.grow(len(p.Regs))
+				err = m.refInterpret(p, 0, len(p.Instrs), p.Constants())
+			} else {
+				err = m.Run(p.Clone())
+			}
+			if err != nil {
+				t.Fatalf("%+v (interpreter=%v): %v\n%s", cfg, interpreter, err, p)
+			}
+		}
+		return m
+	}
+	want := session(Config{}, true)
+	for i := range 16 {
+		if got := want.regs.get(1).GetInt(i); got != int64(2*i*i) {
+			t.Fatalf("reference a1[%d] = %d, want %d", i, got, 2*i*i)
+		}
+	}
+	for _, fusion := range []bool{false, true} {
+		sameRegisters(t, fmt.Sprintf("fusion=%v", fusion), batches[1], want, session(Config{Fusion: fusion}, false))
 	}
 }
 

@@ -465,7 +465,7 @@ func TestNestDifferentialGenerated(t *testing.T) {
 		t.Errorf("BH_FREE inside a fused nest in %d generated programs and %d folds, want some of each", freesInside[0], freesInside[1])
 	}
 	t.Logf("steps the accessor interpreter ran before: %+v", kinds)
-	if kinds.generators == 0 || kinds.promoted == 0 || kinds.serial == 0 || kinds.snapshots == 0 || kinds.otherDType == 0 || kinds.epilogues == 0 {
+	if kinds.generators == 0 || kinds.promoted == 0 || kinds.serial == 0 || kinds.snapshots == 0 || kinds.otherDType == 0 || kinds.epilogues == 0 || kinds.sharedFused == 0 {
 		t.Errorf("generated %+v: want some of each", kinds)
 	}
 }
@@ -559,6 +559,13 @@ func FuzzNestDifferential(f *testing.F) {
 	f.Add([]byte{1, 30, 10, 45, 40, 38, 14, 12, 19, 36, 21, 53, 56, 10, 20, 8, 55, 27, 56, 24, 11, 58, 46, 30, 20, 28, 36, 14, 26, 51, 57, 35, 59, 27, 53, 49, 12, 57, 20, 40, 3, 40, 52, 0, 4, 1, 56, 59, 21, 48, 56, 47, 1})
 	f.Add([]byte{41, 4, 34, 58, 48, 55, 23, 49, 41, 52, 57, 23, 6, 53, 32, 5, 54, 43, 38, 31, 38, 32, 53, 27, 49, 33, 9, 47, 31, 34, 11, 45, 46, 11, 22, 54, 34, 16, 40, 57, 10, 8, 27, 2, 34, 16, 55, 59, 12, 49, 35})
 	f.Add([]byte{23, 2, 54, 19, 1, 39, 40, 16, 38, 15, 27, 10, 7, 46, 44, 15, 38, 49, 3, 31, 43, 25, 41, 16, 15, 57, 55, 40, 49, 1, 49, 8, 0, 37, 55, 58, 12, 52, 16, 21, 22})
+	// Two registers of a fused cluster bound to one buffer, which the plan
+	// runs unfused: a reversed BH_ADD over rows longer than fusedBlockSize
+	// into a register bound to its input's buffer one element behind its
+	// reads, then a multiply of it by 1; a BH_SUBTRACT the same way one
+	// element ahead, in one cluster with two reversed BH_RANDOMs.
+	f.Add([]byte{50, 6, 42, 47, 49, 40, 49, 26, 59, 10, 15, 19, 40, 16, 0, 23, 33, 51, 49, 16, 57, 7, 4, 14, 26, 41, 58, 7, 56, 1, 5, 53, 54, 58, 28, 14, 12, 40, 48, 50, 27, 44})
+	f.Add([]byte{4, 38, 20, 20, 28, 27, 57, 56, 24, 29, 11, 11, 4, 8, 2, 56, 37, 46, 19, 47, 21, 14, 2, 15, 34, 34, 8, 27, 0, 1, 9, 20, 6, 19, 10, 7, 0, 42, 33})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 512 {
 			t.Skip()

@@ -151,15 +151,24 @@ func (pl *Plan) Execute(m *Machine, consts []bytecode.Constant) error {
 		}
 	}
 	// Cluster by cluster (with fusion off, instruction by instruction).
-	// Every execution path annotates its error with the index and
-	// disassembly of the instruction that failed, not merely the
-	// cluster's first.
+	// The nests were compiled for registers of their declared dtypes, each
+	// in a buffer of its own; under any other bindings every nest runs one
+	// instruction at a time, each compiled for its bound buffers (unfuse),
+	// so fusion never shows. Every execution path annotates its error with
+	// the index and disassembly of the instruction that failed, not merely
+	// the cluster's first.
+	fits := m.regs.fits(p)
 	for i := range pl.clusters {
 		cl, err := &pl.clusters[i], error(nil)
-		if cl.steps != nil {
+		switch {
+		case cl.steps == nil:
+			if err = m.exec(p, &p.Instrs[cl.start]); err != nil {
+				err = instrErr(p, cl.start, err)
+			}
+		case fits:
 			err = m.runNest(p, cl, consts)
-		} else if err = m.exec(p, &p.Instrs[cl.start]); err != nil {
-			err = instrErr(p, cl.start, err)
+		default:
+			err = m.unfuse(p, cl, consts)
 		}
 		if err == nil {
 			continue

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"bohrium/internal/bytecode"
@@ -122,6 +123,24 @@ func (rf *registerFile) bind(r bytecode.RegID, buf tensor.Buffer) {
 	rf.grow(int(r) + 1)
 	rf.bufs[r] = buf
 	rf.owned[r] = false
+}
+
+// fits reports whether every register of p that holds a buffer holds one of
+// its declared dtype that no other register of p holds: the bindings p's
+// plan was compiled for. Only a buffer bound from outside can sit under two
+// registers — ensure and the pool never hand out a held one.
+func (rf *registerFile) fits(p *bytecode.Program) bool {
+	bufs := rf.bufs[:len(p.Regs)]
+	for r, buf := range bufs {
+		switch {
+		case buf == nil:
+		case buf.DType() != p.Regs[r].DType:
+			return false
+		case !rf.owned[r] && (slices.Index(bufs, buf) != r || slices.Contains(bufs[r+1:], buf)):
+			return false
+		}
+	}
+	return true
 }
 
 func (rf *registerFile) get(r bytecode.RegID) tensor.Buffer {
